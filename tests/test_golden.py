@@ -1,0 +1,126 @@
+"""Golden outputs: the telemetry and monitor CSVs of the shipped scenarios
+must match the committed files byte for byte.
+
+The monitor runs over the committed telemetry, as ``hxtwin monitor``
+does, so a telemetry change does not hide a monitor change.  A mismatch
+names the first differing row and column and the size of the difference.
+
+Regenerate the goldens only with a change that is meant to alter the
+outputs, and say so in its description:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import csv
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from hxtwin.harness import (
+    load_scenario,
+    read_telemetry_csv,
+    run_monitor,
+    run_truth_sim,
+    write_monitor_csv,
+    write_telemetry_csv,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+# scenario -> (duration override in s or None, monitored variants)
+CASES = {
+    "smoke_constant": (None, ("A",)),
+    "coolant_step": (None, ("A", "B", "C")),
+    "chirp_tracking": (600.0, ("A",)),
+}
+
+
+def _scenario(name):
+    scn = load_scenario(ROOT / "scenarios" / f"{name}.cfg")
+    duration = CASES[name][0]
+    return scn if duration is None else dataclasses.replace(scn, duration_s=duration)
+
+
+def telemetry_path(name) -> Path:
+    return GOLDEN / f"{name}.telemetry.csv"
+
+
+def monitor_path(name, variant) -> Path:
+    return GOLDEN / f"{name}.{variant}.monitor.csv"
+
+
+def write_telemetry(name, path) -> None:
+    write_telemetry_csv(run_truth_sim(_scenario(name)), path)
+
+
+def write_monitor(name, variant, path) -> None:
+    telemetry = read_telemetry_csv(telemetry_path(name))
+    write_monitor_csv(run_monitor(_scenario(name), telemetry, variant=variant), path)
+
+
+def first_difference(golden: bytes, actual: bytes) -> str | None:
+    """None for equal bytes, else where and by how much the CSVs differ."""
+    if golden == actual:
+        return None
+    g_rows = list(csv.reader(golden.decode("utf-8").splitlines()))
+    a_rows = list(csv.reader(actual.decode("utf-8").splitlines()))
+    header = g_rows[0] if g_rows else []
+    for i, (g_row, a_row) in enumerate(zip(g_rows, a_rows)):
+        for j, (g, a) in enumerate(zip(g_row, a_row)):
+            if g == a:
+                continue
+            col = header[j] if j < len(header) else f"#{j}"
+            try:
+                size = f"difference {float(a) - float(g):.3e}"
+            except ValueError:
+                size = "non-numeric"
+            return f"row {i} column {col}: golden {g!r}, got {a!r} ({size})"
+        if len(g_row) != len(a_row):
+            return f"row {i}: golden has {len(g_row)} fields, got {len(a_row)}"
+    if len(g_rows) != len(a_rows):
+        return f"golden has {len(g_rows)} rows, got {len(a_rows)}"
+    return "same fields, different bytes (line endings or quoting)"
+
+
+def _assert_matches(golden_path: Path, actual_path: Path) -> None:
+    diff = first_difference(golden_path.read_bytes(), actual_path.read_bytes())
+    assert diff is None, f"{golden_path.name}: {diff}"
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_telemetry_matches_golden(name, tmp_path):
+    out = tmp_path / "telemetry.csv"
+    write_telemetry(name, out)
+    _assert_matches(telemetry_path(name), out)
+
+
+@pytest.mark.parametrize("name, variant", [
+    (name, variant) for name, (_dur, variants) in CASES.items() for variant in variants
+])
+def test_monitor_matches_golden(name, variant, tmp_path):
+    out = tmp_path / "monitor.csv"
+    write_monitor(name, variant, out)
+    _assert_matches(monitor_path(name, variant), out)
+
+
+def test_first_difference_names_row_column_and_size():
+    golden = b"t_s,kA_W_K,flags\r\n0,1000,ok\r\n1,1000,ok\r\n"
+    assert first_difference(golden, golden) is None
+    moved = golden.replace(b"1,1000,ok", b"1,1000.5,ok")
+    assert first_difference(golden, moved) == (
+        "row 2 column kA_W_K: golden '1000', got '1000.5' (difference 5.000e-01)"
+    )
+    assert first_difference(golden, golden + b"2,1000,ok\r\n") == (
+        "golden has 3 rows, got 4"
+    )
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, (_dur, case_variants) in CASES.items():
+        write_telemetry(case, telemetry_path(case))
+        for v in case_variants:
+            write_monitor(case, v, monitor_path(case, v))
+        print(f"wrote goldens for {case}")
