@@ -26,6 +26,7 @@ __all__ = [
     "CpParams",
     "SideSubstitution",
     "ApproxEvaluation",
+    "SteadyTerms",
     "hot_substitution",
     "cold_substitution",
     "universal_residual",
@@ -35,6 +36,7 @@ __all__ = [
     "approx_output",
     "approx_steady",
     "approx_steady_walls",
+    "approx_steady_terms",
     "update_cp_params",
     "approx_steady_selfconsistent",
     "evaluate_approx",
@@ -166,7 +168,11 @@ def g_closed_form(sub: SideSubstitution, beta: float) -> float:
     stays exact at the feasibility edge, where the xi form cancels
     catastrophically just as the geometric-mean term is most sensitive.
     """
-    dT_I, dT_w, aA, C_p = sub.dT_I, sub.dT_w, sub.aA, sub.C_p
+    return _g(sub.dT_I, sub.dT_w, sub.aA, sub.C_p, beta)
+
+
+def _g(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) -> float:
+    """g_closed_form on plain floats."""
     xi1 = aA * (1.0 - beta) + 2.0 * C_p
     if beta == 0.0:
         return dT_I + dT_w - aA * (2.0 * dT_I + dT_w) / xi1
@@ -207,41 +213,60 @@ def select_beta(
     """Choose beta per the published rule.
 
     If dT_I > 0 and the feasible set B is nonempty, return the member of
-    {beta_LM, beta*_1, beta*_2} inside B nearest to beta_LM; otherwise
-    beta = 0 (arithmetic-mean fallback).  B is the part of (0, 1] where
-    the closed-form radicand is nonnegative and the root position stays
-    nonnegative; both constraints reduce to one quadratic in beta whose
-    roots are beta*_1/2.
+    {beta_LM, beta*_1, beta*_2} inside B nearest to beta_LM (ties go to
+    that order); otherwise beta = 0 (arithmetic-mean fallback).  B is the
+    part of (0, 1] where the closed-form radicand is nonnegative and the
+    root position stays nonnegative; both constraints reduce to one
+    quadratic in beta whose roots are beta*_1/2.
     """
-    dT_I, aA = sub.dT_I, sub.aA
+    return _select_beta(
+        sub.dT_I, sub.dT_w, sub.aA, sub.C_p,
+        _beta_lm_selection(steady_dT_Is, steady_dT_IIs),
+    )
+
+
+# The two outcomes without a beta, shared since BetaSelection is frozen.
+_BETA_ZERO = BetaSelection(0.0, BetaBranch.ZERO, False)
+_BETA_EMPTY = BetaSelection(0.0, BetaBranch.ZERO, True)
+
+
+def _beta_lm_selection(steady_dT_Is: float, steady_dT_IIs: float) -> BetaSelection:
+    return BetaSelection(
+        beta_lm_value(steady_dT_Is, steady_dT_IIs), BetaBranch.BETA_LM, False
+    )
+
+
+def _in_feasible_set(c: float, lo: float, hi: float) -> bool:
+    return 0.0 < c <= 1.0 and lo <= c <= hi
+
+
+def _select_beta(
+    dT_I: float, dT_w: float, aA: float, C_p: float, lm: BetaSelection
+) -> BetaSelection:
+    """select_beta on plain floats; ``lm`` is the beta_LM selection, made
+    once per steady state and returned whenever beta_LM is feasible."""
     if dT_I <= 0.0:
-        return BetaSelection(0.0, BetaBranch.ZERO, False)
-    b_lm = beta_lm_value(steady_dT_Is, steady_dT_IIs)
-    xi2, xi3 = _xi23(dT_I, sub.dT_w, aA, sub.C_p)
+        return _BETA_ZERO
+    xi2, xi3 = _xi23(dT_I, dT_w, aA, C_p)
     disc = 4.0 * dT_I * xi3 * aA * aA + xi2 * xi2
     if disc < 0.0:
-        return BetaSelection(0.0, BetaBranch.ZERO, True)
+        return _BETA_EMPTY
     sq = math.sqrt(disc)
     denom = 2.0 * dT_I * aA * aA
     b_star1 = (xi2 + sq) / denom  # upper edge of the quadratic's <= 0 region
     b_star2 = (xi2 - sq) / denom  # lower edge
     if b_star1 <= 0.0 or b_star2 > 1.0:
-        return BetaSelection(0.0, BetaBranch.ZERO, True)
-
-    def in_B(c: float) -> bool:
-        return 0.0 < c <= 1.0 and b_star2 <= c <= b_star1
-
-    candidates = []
-    if in_B(b_lm):
-        candidates.append((0.0, 0, b_lm, BetaBranch.BETA_LM))
-    if in_B(b_star1):
-        candidates.append((abs(b_star1 - b_lm), 1, b_star1, BetaBranch.BETA_STAR1))
-    if in_B(b_star2):
-        candidates.append((abs(b_star2 - b_lm), 2, b_star2, BetaBranch.BETA_STAR2))
-    if not candidates:
-        return BetaSelection(0.0, BetaBranch.ZERO, True)
-    _, _, beta, branch = min(candidates)
-    return BetaSelection(beta, branch, False)
+        return _BETA_EMPTY
+    b_lm = lm.beta
+    if _in_feasible_set(b_lm, b_star2, b_star1):
+        return lm
+    star1 = _in_feasible_set(b_star1, b_star2, b_star1)
+    star2 = _in_feasible_set(b_star2, b_star2, b_star1)
+    if star1 and not (star2 and abs(b_star2 - b_lm) < abs(b_star1 - b_lm)):
+        return BetaSelection(b_star1, BetaBranch.BETA_STAR1, False)
+    if star2:
+        return BetaSelection(b_star2, BetaBranch.BETA_STAR2, False)
+    return _BETA_EMPTY
 
 
 def approx_output(
@@ -258,11 +283,10 @@ def approx_output(
     substitution), recovering the outlet temperatures from the wall
     referenced differences.
     """
-    sub_h = hot_substitution(x, u, cond.aA_h, cp.theta3)
-    sub_c = cold_substitution(x, u, cond.aA_c, cp.theta4)
-    T_h2 = g_closed_form(sub_h, beta_hot.beta) + x.T_w2
-    T_c2 = x.T_w1 - g_closed_form(sub_c, beta_cold.beta)
-    return OutletTemps(T_h2, T_c2)
+    dT_w = x.T_w1 - x.T_w2
+    T_h2 = _g(u.T_h1 - x.T_w1, dT_w, cond.aA_h, u.mdot_h * cp.theta3, beta_hot.beta)
+    T_c2 = _g(x.T_w2 - u.T_c1, dT_w, cond.aA_c, u.mdot_c * cp.theta4, beta_cold.beta)
+    return OutletTemps(T_h2 + x.T_w2, x.T_w1 - T_c2)
 
 
 def approx_steady(u: InletConditions, kA: float, cp: CpParams) -> OutletTemps:
@@ -368,40 +392,69 @@ class ApproxEvaluation:
     Q_c: float  # W, heat rate into the cold fluid
 
 
+@dataclass(frozen=True, slots=True)
+class SteadyTerms:
+    """The part of an approximate-model evaluation fixed by (u, theta):
+    steady outlets, steady walls, and the beta_LM selection of each side."""
+
+    outlets: OutletTemps
+    walls: WallState
+    beta_lm_hot: BetaSelection
+    beta_lm_cold: BetaSelection
+
+
+def approx_steady_terms(
+    u: InletConditions, cond_steady: Conductances, cp: CpParams
+) -> SteadyTerms:
+    """Steady state and both beta_LM selections for evaluate_approx.
+
+    They do not depend on the wall state, so a caller evaluating many
+    wall states at one (u, theta) computes them once and passes them in.
+    """
+    outlets, walls = approx_steady_walls(u, cond_steady, cp)
+    return SteadyTerms(
+        outlets,
+        walls,
+        _beta_lm_selection(u.T_h1 - walls.T_w1, outlets.T_h2 - walls.T_w2),
+        _beta_lm_selection(walls.T_w2 - u.T_c1, walls.T_w1 - outlets.T_c2),
+    )
+
+
 def evaluate_approx(
     x: WallState,
     u: InletConditions,
     cond_out: Conductances,
     cond_steady: Conductances,
     cp: CpParams,
+    steady: SteadyTerms | None = None,
 ) -> ApproxEvaluation:
     """Evaluate steady state, beta choices, outlets, and heat rates.
 
     ``cond_out`` enters the output equations (transient mean cps in the
     conductance correlation), ``cond_steady`` the steady-state rating;
     they coincide whenever the correlation ignores the mean cp.
+    ``steady`` must be approx_steady_terms(u, cond_steady, cp); it is
+    computed here when not given.
     """
-    steady_outlets, steady_walls = approx_steady_walls(u, cond_steady, cp)
+    if steady is None:
+        steady = approx_steady_terms(u, cond_steady, cp)
+    dT_w = x.T_w1 - x.T_w2
 
-    sub_h = hot_substitution(x, u, cond_out.aA_h, cp.theta3)
-    beta_h = select_beta(
-        sub_h,
-        u.T_h1 - steady_walls.T_w1,
-        steady_outlets.T_h2 - steady_walls.T_w2,
-    )
-    dT_II_h = g_closed_form(sub_h, beta_h.beta)
+    dT_I_h = u.T_h1 - x.T_w1
+    aA_h = cond_out.aA_h
+    C_h = u.mdot_h * cp.theta3
+    beta_h = _select_beta(dT_I_h, dT_w, aA_h, C_h, steady.beta_lm_hot)
+    dT_II_h = _g(dT_I_h, dT_w, aA_h, C_h, beta_h.beta)
 
-    sub_c = cold_substitution(x, u, cond_out.aA_c, cp.theta4)
-    beta_c = select_beta(
-        sub_c,
-        steady_walls.T_w2 - u.T_c1,
-        steady_walls.T_w1 - steady_outlets.T_c2,
-    )
-    dT_II_c = g_closed_form(sub_c, beta_c.beta)
+    dT_I_c = x.T_w2 - u.T_c1
+    aA_c = cond_out.aA_c
+    C_c = u.mdot_c * cp.theta4
+    beta_c = _select_beta(dT_I_c, dT_w, aA_c, C_c, steady.beta_lm_cold)
+    dT_II_c = _g(dT_I_c, dT_w, aA_c, C_c, beta_c.beta)
 
     outlets = OutletTemps(dT_II_h + x.T_w2, x.T_w1 - dT_II_c)
-    Q_h = -sub_h.aA * _wm_safe(sub_h.dT_I, dT_II_h, beta_h.beta)
-    Q_c = sub_c.aA * _wm_safe(sub_c.dT_I, dT_II_c, beta_c.beta)
+    Q_h = -aA_h * _wm_safe(dT_I_h, dT_II_h, beta_h.beta)
+    Q_c = aA_c * _wm_safe(dT_I_c, dT_II_c, beta_c.beta)
     return ApproxEvaluation(
-        outlets, steady_outlets, steady_walls, beta_h, beta_c, Q_h, Q_c
+        outlets, steady.outlets, steady.walls, beta_h, beta_c, Q_h, Q_c
     )

@@ -21,7 +21,7 @@ and the coefficient carry plain W/K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "NonPositiveConductanceError",
@@ -49,7 +49,7 @@ class CorrelationParams:
     offset: float = 0.0  # W/K
 
     def with_upsilon(self, upsilon: float) -> "CorrelationParams":
-        return replace(self, upsilon=upsilon)
+        return CorrelationParams(upsilon, self.exp1, self.exp2, self.offset)
 
 
 @dataclass(frozen=True, slots=True)

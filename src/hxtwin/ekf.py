@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .approx_model import ApproxEvaluation, CpParams, evaluate_approx
+from .approx_model import ApproxEvaluation, CpParams, approx_steady_terms, evaluate_approx
 from .correlations import CorrelationParams, alpha_A, serial_conductance
 from .reference_model import Conductances, InletConditions, WallState
 from .wall_dynamics import WallDynamicsConfig, wall_rhs
@@ -155,6 +155,51 @@ def _conductance_pair(
     return cond_out, cond_steady
 
 
+def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
+    """What an evaluation at x_v takes from the parameter states x_v[2:]
+    alone: effective inlets, conductance pair and steady terms."""
+    u_eff = _effective_inlets(cfg, x_v, u)
+    cond_out, cond_steady = _conductance_pair(cfg, x_v, u_eff, cp)
+    return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
+
+
+def _terms_per_parameter_point(cfg: EkfConfig, u: InletConditions, cp: CpParams):
+    """terms(x_v) -> _parameter_terms(cfg, x_v, u, cp), computed once per
+    distinct x_v[2:] over the life of the returned function.
+
+    The parameter rows of f are zero and the Jacobians perturb one state
+    at a time, so one predict or update visits only a few parameter
+    points while evaluating the model many times.
+    """
+    cache = {}
+
+    def terms(x_v: np.ndarray):
+        key = x_v[2:].tobytes()
+        found = cache.get(key)
+        if found is None:
+            found = cache[key] = _parameter_terms(cfg, x_v, u, cp)
+        return found
+
+    return terms
+
+
+def _evaluate(x_v: np.ndarray, terms, cp: CpParams) -> tuple[WallState, ApproxEvaluation]:
+    u_eff, cond_out, cond_steady, steady = terms
+    wall = WallState(float(x_v[0]), float(x_v[1]))
+    return wall, evaluate_approx(wall, u_eff, cond_out, cond_steady, cp, steady)
+
+
+def _state_derivative(cfg: EkfConfig, x_v: np.ndarray, terms, cp: CpParams) -> np.ndarray:
+    wall, ev = _evaluate(x_v, terms, cp)
+    (d1, d2), _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
+    return np.array((d1, d2) + (0.0,) * (cfg.n_states - 2))
+
+
+def _outputs(x_v: np.ndarray, terms, cp: CpParams) -> np.ndarray:
+    outlets = _evaluate(x_v, terms, cp)[1].outlets
+    return np.array((outlets.T_h2, outlets.T_c2))
+
+
 def ekf_evaluation(
     cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
 ) -> ApproxEvaluation:
@@ -163,43 +208,36 @@ def ekf_evaluation(
     Conductances come from the estimated leading factors (floored) and
     the variant-appropriate cold flow.
     """
-    u_eff = _effective_inlets(cfg, x_v, u)
-    cond_out, cond_steady = _conductance_pair(cfg, x_v, u_eff, cp)
-    wall = WallState(float(x_v[0]), float(x_v[1]))
-    return evaluate_approx(wall, u_eff, cond_out, cond_steady, cp)
+    return _evaluate(x_v, _parameter_terms(cfg, x_v, u, cp), cp)[1]
 
 
 def f_v(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams) -> np.ndarray:
     """Joint state derivative: wall dynamics plus zero parameter drift."""
-    ev = ekf_evaluation(cfg, x_v, u, cp)
-    wall = WallState(float(x_v[0]), float(x_v[1]))
-    (d1, d2), _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
-    out = np.zeros(cfg.n_states)
-    out[0] = d1
-    out[1] = d2
-    return out
+    return _state_derivative(cfg, x_v, _parameter_terms(cfg, x_v, u, cp), cp)
 
 
 def g_v(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams) -> np.ndarray:
     """Output equation: both outlet temperatures (row selection for the
     measured subset happens in the update)."""
-    ev = ekf_evaluation(cfg, x_v, u, cp)
-    return np.array([ev.outlets.T_h2, ev.outlets.T_c2])
+    return _outputs(x_v, _parameter_terms(cfg, x_v, u, cp), cp)
 
 
 def central_jacobian(fun, x: np.ndarray, rel_step: float, abs_step: float) -> np.ndarray:
     """Central finite differences of fun with per-component steps
     max(rel_step * |x_i|, abs_step)."""
     x = np.asarray(x, dtype=float)
-    cols = []
+    J = None
     for i in range(x.size):
         h = max(rel_step * abs(x[i]), abs_step)
         xp = x.copy()
         xp[i] += h
         xm = x.copy()
         xm[i] -= h
-        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return np.column_stack(cols)
+        col = (fun(xp) - fun(xm)) / (2.0 * h)
+        if J is None:
+            J = np.empty((np.size(col), x.size))
+        J[:, i] = col
+    return J
 
 
 def ekf_predict(
@@ -227,9 +265,10 @@ def ekf_predict(
         Q = cfg.process_noise_density()
         substeps = cfg.wall.substeps_per_sample
         h = dt / substeps
+        terms = _terms_per_parameter_point(cfg, u, cp)
 
         def f(z: np.ndarray) -> np.ndarray:
-            return f_v(cfg, z, u, cp)
+            return _state_derivative(cfg, z, terms(z), cp)
 
         def pdot(M: np.ndarray, F: np.ndarray) -> np.ndarray:
             return F @ M + M @ F.T + Q
@@ -289,8 +328,10 @@ def ekf_update(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
+    terms = _terms_per_parameter_point(cfg, u, cp)
+
     def g(z: np.ndarray) -> np.ndarray:
-        return g_v(cfg, z, u, cp)
+        return _outputs(z, terms(z), cp)
 
     y_pred = g(state.x_hat)
     H = central_jacobian(g, state.x_hat, cfg.jacobian_rel_step, cfg.jacobian_abs_step)

@@ -11,11 +11,9 @@ All functions are pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
-    "MeanDomainFlags",
     "arith_mean",
     "geom_mean",
     "log_mean",
@@ -31,13 +29,6 @@ _LM_SERIES_SWITCH = 1e-8
 
 class DomainError(ValueError):
     """Arguments outside the mathematical domain of a mean function."""
-
-
-@dataclass(frozen=True)
-class MeanDomainFlags:
-    """Whether a pair of differences lies in the log-mean domain L."""
-
-    in_lm_domain: bool
 
 
 def in_lm_domain(z1: float, z2: float) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .approx_model import CpParams, evaluate_approx
+from .approx_model import CpParams, approx_steady_terms, evaluate_approx
 from .fluids import StreamConfig
 from .means import heat_rate
 from .reference_model import (
@@ -161,11 +161,16 @@ def approx_wall_rhs(
     cp: CpParams,
     cfg: WallDynamicsConfig,
 ) -> Callable[[WallState], tuple[float, float]]:
-    """RHS closure for the approximate model; everything is closed form,
-    so the full evaluation (steady state included) runs per stage."""
+    """RHS closure for the approximate model with u and theta frozen.
+
+    The steady state and both beta_LM values are computed once here
+    (they depend only on u and theta); each stage evaluation then needs
+    just the closed-form outlets and heat rates.
+    """
+    steady = approx_steady_terms(u, cond_steady, cp)
 
     def rhs(x: WallState) -> tuple[float, float]:
-        ev = evaluate_approx(x, u, cond_out, cond_steady, cp)
-        return wall_rhs(x, ev.steady_walls, ev.Q_h, ev.Q_c, cfg)[0]
+        ev = evaluate_approx(x, u, cond_out, cond_steady, cp, steady)
+        return wall_rhs(x, steady.walls, ev.Q_h, ev.Q_c, cfg)[0]
 
     return rhs

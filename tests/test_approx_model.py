@@ -1,6 +1,8 @@
 """Tests for the one-step approximate model and its beta selection."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +12,13 @@ from hxtwin.approx_model import (
     BetaBranch,
     BetaSelection,
     CpParams,
+    _g,
+    _select_beta,
+    _wm_safe,
+    _xi23,
     approx_output,
     approx_steady,
+    approx_steady_terms,
     approx_steady_selfconsistent,
     approx_steady_walls,
     beta_lm_value,
@@ -233,6 +240,91 @@ def test_select_beta_boundary_gives_zero_root_position():
 
 
 # ---------------------------------------------------------------------------
+# Scalar cores: the wrappers take a SideSubstitution, evaluate_approx and
+# approx_output call the cores on plain floats.  Both must give exactly
+# the values of the rule as published (candidate list, nearest to beta_LM).
+
+
+def reference_select_beta(sub: SideSubstitution, b_lm: float) -> BetaSelection:
+    dT_I, aA = sub.dT_I, sub.aA
+    if dT_I <= 0.0:
+        return BetaSelection(0.0, BetaBranch.ZERO, False)
+    xi2, xi3 = _xi23(dT_I, sub.dT_w, aA, sub.C_p)
+    disc = 4.0 * dT_I * xi3 * aA * aA + xi2 * xi2
+    if disc < 0.0:
+        return BetaSelection(0.0, BetaBranch.ZERO, True)
+    sq = math.sqrt(disc)
+    denom = 2.0 * dT_I * aA * aA
+    b_star1 = (xi2 + sq) / denom
+    b_star2 = (xi2 - sq) / denom
+    if b_star1 <= 0.0 or b_star2 > 1.0:
+        return BetaSelection(0.0, BetaBranch.ZERO, True)
+
+    def in_B(c):
+        return 0.0 < c <= 1.0 and b_star2 <= c <= b_star1
+
+    candidates = []
+    if in_B(b_lm):
+        candidates.append((0.0, 0, b_lm, BetaBranch.BETA_LM))
+    if in_B(b_star1):
+        candidates.append((abs(b_star1 - b_lm), 1, b_star1, BetaBranch.BETA_STAR1))
+    if in_B(b_star2):
+        candidates.append((abs(b_star2 - b_lm), 2, b_star2, BetaBranch.BETA_STAR2))
+    if not candidates:
+        return BetaSelection(0.0, BetaBranch.ZERO, True)
+    _, _, beta, branch = min(candidates)
+    return BetaSelection(beta, branch, False)
+
+
+# b*_1 = 1 + 2 C_p/aA (or larger), so beta*_1 enters (0, 1] only when
+# C_p/aA rounds away: the 1e20 conductance reaches it, and with the
+# 1e-18 K difference b*_2 is well below 1, so the two edges compete.
+CORE_GRID = list(itertools.product(
+    (-2.0, 0.0, 1e-18, 0.5, 3.0, 10.0, 40.0),  # dT_I
+    (-20.0, -5.0, -3.0, 0.0, 2.0, 8.0),  # dT_w
+    (100.0, 1000.0, 1.0e20),  # aA
+    (1.0, 200.0, 1000.0),  # C_p
+))
+STEADY_PAIRS = ((10.0, 6.0), (7.0, 7.0), (3.0, 30.0), (40.0, 0.5), (-1.0, 5.0))
+
+
+def test_select_beta_core_matches_reference_on_all_branches():
+    reached = Counter()
+    for dT_I, dT_w, aA, C_p in CORE_GRID:
+        sub = SideSubstitution(dT_I, dT_w, C_p, -1.0, aA)
+        for b_lm in (0.05, 0.5, 2.0 / 3.0, 0.9, 1.0, 1.5):
+            ref = reference_select_beta(sub, b_lm)
+            lm = BetaSelection(b_lm, BetaBranch.BETA_LM, False)
+            assert _select_beta(dT_I, dT_w, aA, C_p, lm) == ref
+            reached[ref.branch, ref.feasible_set_empty] += 1
+        for s1, s2 in STEADY_PAIRS:
+            ref = reference_select_beta(sub, beta_lm_value(s1, s2))
+            assert select_beta(sub, s1, s2) == ref
+    assert set(reached) == {
+        (BetaBranch.BETA_LM, False), (BetaBranch.BETA_STAR1, False),
+        (BetaBranch.BETA_STAR2, False), (BetaBranch.ZERO, False),
+        (BetaBranch.ZERO, True),
+    }
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_g_core_matches_g_closed_form():
+    for dT_I, dT_w, aA, C_p in CORE_GRID:
+        sub = SideSubstitution(dT_I, dT_w, C_p, 1.0, aA)
+        for beta in (0.0, 0.5, 1.0) + tuple(
+            select_beta(sub, s1, s2).beta for s1, s2 in STEADY_PAIRS
+        ):
+            assert _value_or_error(_g, dT_I, dT_w, aA, C_p, beta) == _value_or_error(
+                g_closed_form, sub, beta)
+
+
+# ---------------------------------------------------------------------------
 # Steady state
 
 
@@ -314,6 +406,48 @@ def test_approx_output_wall_referenced():
     g_c = g_closed_form(cold_substitution(x, u, cond.aA_c, cp.theta4), 0.4)
     assert outs.T_h2 == pytest.approx(g_h + x.T_w2, rel=1e-14)
     assert outs.T_c2 == pytest.approx(x.T_w1 - g_c, rel=1e-14)
+
+
+def reference_evaluate(x, u, cond_out, cond_steady, cp) -> ApproxEvaluation:
+    steady_outlets, steady_walls = approx_steady_walls(u, cond_steady, cp)
+    sub_h = hot_substitution(x, u, cond_out.aA_h, cp.theta3)
+    beta_h = reference_select_beta(sub_h, beta_lm_value(
+        u.T_h1 - steady_walls.T_w1, steady_outlets.T_h2 - steady_walls.T_w2))
+    dT_II_h = g_closed_form(sub_h, beta_h.beta)
+    sub_c = cold_substitution(x, u, cond_out.aA_c, cp.theta4)
+    beta_c = reference_select_beta(sub_c, beta_lm_value(
+        steady_walls.T_w2 - u.T_c1, steady_walls.T_w1 - steady_outlets.T_c2))
+    dT_II_c = g_closed_form(sub_c, beta_c.beta)
+    return ApproxEvaluation(
+        OutletTemps(dT_II_h + x.T_w2, x.T_w1 - dT_II_c),
+        steady_outlets, steady_walls, beta_h, beta_c,
+        -sub_h.aA * _wm_safe(sub_h.dT_I, dT_II_h, beta_h.beta),
+        sub_c.aA * _wm_safe(sub_c.dT_I, dT_II_c, beta_c.beta),
+    )
+
+
+def test_evaluate_with_and_without_steady_terms_is_exact():
+    u = InletConditions(400.0, 300.0, 1.0, 1.2)
+    cond_out = Conductances(1400.0, 2900.0)
+    cond_steady = Conductances(1500.0, 3000.0)
+    cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
+    steady = approx_steady_terms(u, cond_steady, cp)
+    branches = set()
+    # walls from settled to past both inlets, so both sides also hit the
+    # beta = 0 fallback
+    for T_w1, T_w2 in itertools.product((305.0, 340.0, 372.0, 395.0, 410.0),
+                                        (290.0, 318.0, 331.0, 360.0)):
+        x = WallState(T_w1, T_w2)
+        ev = evaluate_approx(x, u, cond_out, cond_steady, cp)
+        assert ev == evaluate_approx(x, u, cond_out, cond_steady, cp, steady)
+        assert ev == reference_evaluate(x, u, cond_out, cond_steady, cp)
+        branches |= {ev.beta_hot.branch, ev.beta_cold.branch}
+    assert {BetaBranch.BETA_LM, BetaBranch.ZERO} <= branches
+    bh, bc = ev.beta_hot, ev.beta_cold
+    assert approx_output(x, u, cond_out, cp, bh, bc) == OutletTemps(
+        g_closed_form(hot_substitution(x, u, cond_out.aA_h, cp.theta3), bh.beta) + x.T_w2,
+        x.T_w1 - g_closed_form(cold_substitution(x, u, cond_out.aA_c, cp.theta4), bc.beta),
+    )
 
 
 def test_evaluate_matches_reference_at_steady_walls():

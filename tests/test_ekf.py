@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hxtwin.approx_model import CpParams
-from hxtwin.correlations import CorrelationParams, serial_conductance
+from hxtwin.approx_model import CpParams, evaluate_approx
+from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import (
     DimensionMismatchError,
     EkfConfig,
@@ -23,7 +23,7 @@ from hxtwin.ekf import (
 from hxtwin.reference_model import InletConditions, WallState
 from hxtwin.approx_model import approx_steady_walls
 from hxtwin.reference_model import Conductances
-from hxtwin.wall_dynamics import WallDynamicsConfig
+from hxtwin.wall_dynamics import WallDynamicsConfig, wall_rhs
 
 
 CP = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
@@ -112,6 +112,28 @@ def test_central_jacobian_abs_step_at_zero():
     assert J[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
+def reference_jacobian(fun, x, rel_step, abs_step):
+    cols = []
+    for i in range(x.size):
+        h = max(rel_step * abs(x[i]), abs_step)
+        xp = x.copy()
+        xp[i] += h
+        xm = x.copy()
+        xm[i] -= h
+        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def test_central_jacobian_matches_column_stack():
+    def fun(z):
+        return np.array([z[0] ** 2 * z[2], np.sin(z[1]) + z[0], np.exp(z[2] / 7.0)])
+
+    x = np.array([3.0, -0.25, 0.0, 12.5])
+    J = central_jacobian(fun, x, 1e-6, 1e-8)
+    assert J.shape == (3, 4)
+    assert np.array_equal(J, reference_jacobian(fun, x, 1e-6, 1e-8))
+
+
 def test_kalman_gain_scalar_oracle():
     K = kalman_gain(np.array([[4.0]]), np.array([[1.0]]), np.array([[1.0]]))
     assert K[0, 0] == pytest.approx(4.0 / 5.0, rel=1e-12)
@@ -185,6 +207,108 @@ def test_variant_b_uses_estimated_cold_flow():
     y_b = g_v(cfg_b, st_b.x_hat, U, CP)
     y_a = g_v(cfg_a, st_b.x_hat[:4], U, CP)
     assert abs(y_b[1] - y_a[1]) > 0.1  # halved flow changes the cold outlet
+
+
+# ---------------------------------------------------------------------------
+# Predict and update against an uncached reference: both compute the
+# parameter-only terms once per parameter point, with unchanged arithmetic.
+
+
+def reference_evaluation(cfg, z, u, cp):
+    if cfg.n_states == 5:
+        u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, max(float(z[4]), cfg.mdot_floor))
+    hot = CorrelationParams(max(float(z[2]), cfg.upsilon_floor), cfg.corr_hot.exp1,
+                            cfg.corr_hot.exp2, cfg.corr_hot.offset)
+    cold = CorrelationParams(max(float(z[3]), cfg.upsilon_floor), cfg.corr_cold.exp1,
+                             cfg.corr_cold.exp2, cfg.corr_cold.offset)
+    cond_out = Conductances(alpha_A(hot, u.mdot_h, cp.theta3),
+                            alpha_A(cold, u.mdot_c, cp.theta4))
+    cond_steady = Conductances(alpha_A(hot, u.mdot_h, cp.theta5),
+                               alpha_A(cold, u.mdot_c, cp.theta6))
+    wall = WallState(float(z[0]), float(z[1]))
+    return wall, evaluate_approx(wall, u, cond_out, cond_steady, cp)
+
+
+def reference_f(cfg, z, u, cp):
+    wall, ev = reference_evaluation(cfg, z, u, cp)
+    (d1, d2), _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
+    out = np.zeros(cfg.n_states)
+    out[0] = d1
+    out[1] = d2
+    return out
+
+
+def reference_g(cfg, z, u, cp):
+    ev = reference_evaluation(cfg, z, u, cp)[1]
+    return np.array([ev.outlets.T_h2, ev.outlets.T_c2])
+
+
+def reference_predict(state, cfg, u, cp, dt):
+    x, P = state.x_hat.copy(), state.P.copy()
+    Q = cfg.process_noise_density()
+    h = dt / cfg.wall.substeps_per_sample
+
+    def f(z):
+        return reference_f(cfg, z, u, cp)
+
+    def pdot(M, F):
+        return F @ M + M @ F.T + Q
+
+    for _ in range(cfg.wall.substeps_per_sample):
+        F = reference_jacobian(f, x, cfg.jacobian_rel_step, cfg.jacobian_abs_step)
+        k1 = f(x)
+        p1 = pdot(P, F)
+        k2 = f(x + 0.5 * h * k1)
+        p2 = pdot(P + 0.5 * h * p1, F)
+        k3 = f(x + 0.5 * h * k2)
+        p3 = pdot(P + 0.5 * h * p2, F)
+        k4 = f(x + h * k3)
+        p4 = pdot(P + h * p3, F)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        P = P + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+    return x, 0.5 * (P + P.T)
+
+
+def reference_update(state, cfg, u, cp, y_meas, dt):
+    rows = list(cfg.measured_rows)
+    y_pred = reference_g(cfg, state.x_hat, u, cp)
+    H = reference_jacobian(lambda z: reference_g(cfg, z, u, cp), state.x_hat,
+                           cfg.jacobian_rel_step, cfg.jacobian_abs_step)[rows, :]
+    innovation = y_meas - y_pred[rows]
+    K = kalman_gain(state.P, H, (cfg.r_y_density / dt) * np.eye(len(rows)))
+    x = state.x_hat + K @ innovation
+    P = state.P - K @ H @ state.P
+    P = 0.5 * (P + P.T)
+    x[2] = max(x[2], cfg.upsilon_floor)
+    x[3] = max(x[3], cfg.upsilon_floor)
+    if cfg.n_states == 5:
+        x[4] = max(x[4], cfg.mdot_floor)
+    return x, P, innovation, y_pred
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_predict_and_update_match_uncached_reference(variant):
+    cfg = make_cfg(
+        variant,
+        corr_hot=CorrelationParams(upsilon=1.0, exp1=0.6, exp2=0.1),
+        corr_cold=CorrelationParams(upsilon=1.0, exp1=0.8, offset=5.0),
+    )
+    u = InletConditions(400.0, 300.0, 1.1, 0.9)
+    cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
+    x0 = [352.0, 331.0, 1450.0, 3100.0] + ([0.95] if variant == "B" else [])
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((len(x0), len(x0)))
+    st = EkfState(np.array(x0), A @ A.T + np.diag(np.abs(x0)), 0.0)
+    for _ in range(3):
+        pred = ekf_predict(st, cfg, u, cp, 0.5)
+        x_ref, P_ref = reference_predict(st, cfg, u, cp, 0.5)
+        assert np.array_equal(pred.x_hat, x_ref) and np.array_equal(pred.P, P_ref)
+        y_meas = reference_g(cfg, pred.x_hat, u, cp) + np.array([0.3, -0.2])
+        post, innov, y_pred = ekf_update(pred, cfg, u, cp, y_meas, 0.5)
+        ref = reference_update(pred, cfg, u, cp, y_meas, 0.5)
+        for got, want in zip((post.x_hat, post.P, innov, y_pred), ref):
+            assert np.array_equal(got, want)
+        st = post
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ simulation, monitoring replay, metrics, and the benchmark helper."""
 
 import math
 
+import numpy as np
 import pytest
 
+import hxtwin.harness as harness
 from hxtwin.config import ConfigError, parse_config
 from hxtwin.correlations import reference_alpha_A, serial_conductance
 from hxtwin.fluids import (
@@ -466,6 +468,33 @@ def test_run_monitor_rejects_bad_telemetry():
     with pytest.raises(ValueError) as exc:
         run_monitor(scn, tel)
     assert "must increase" in str(exc.value)
+
+
+def test_run_monitor_splits_a_time_gap_into_sample_periods(monkeypatch):
+    scn = smoke_scenario()
+    tel = run_truth_sim(scn)[:12]
+    del tel[6]  # a dropped record leaves a 1 s gap at dt_s = 0.5 s
+    calls = []
+    real_predict = harness.ekf_predict
+
+    def spy(state, cfg, u, cp, dt):
+        out = real_predict(state, cfg, u, cp, dt)
+        calls.append((state, cfg, u, cp, dt, out))
+        return out
+
+    monkeypatch.setattr(harness, "ekf_predict", spy)
+    mon = run_monitor(scn, tel)
+    assert [r.t_s for r in mon] == [r.t_s for r in tel]
+    assert all(math.isfinite(r.kA_hat_W_K) for r in mon)
+    assert [c[4] for c in calls] == [0.5] * 11  # 10 records, the gap takes two
+    state, cfg, u, cp, _dt, _out = calls[5]
+    for _ in range(2):
+        state = real_predict(state, cfg, u, cp, 0.5)
+    gap_out = calls[6][5]
+    assert calls[6][0] is calls[5][5]
+    assert np.array_equal(gap_out.x_hat, state.x_hat)
+    assert np.array_equal(gap_out.P, state.P)
+    assert gap_out.t == tel[6].t_s
 
 
 def test_run_monitor_variant_overrides():
