@@ -163,7 +163,7 @@ def approx_wall_rhs(
 ) -> Callable[[WallState], tuple[float, float]]:
     """RHS closure for the approximate model with u and theta frozen.
 
-    The steady state and both beta_LM values are computed once here
+    The steady state and both beta_LM selections are computed once here
     (they depend only on u and theta); each stage evaluation then needs
     just the closed-form outlets and heat rates.
     """
