@@ -11,12 +11,7 @@ constant-cp shortcut risky for the hot stream.
 
 from pathlib import Path
 
-from hxtwin.fluids import (
-    CaloricallyPerfect,
-    Tabulated,
-    load_fluid_table,
-    mean_specific_heat,
-)
+from hxtwin.fluids import CaloricallyPerfect, Tabulated, load_fluid_table
 from hxtwin.sampledata import make_coolant_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,7 +41,7 @@ def main():
         best_T, best_cp = None, 0.0
         T = table.T_grid[0]
         while T + 2.0 <= table.T_grid[-1]:
-            cp = mean_specific_heat(table, T, T + 2.0, p)
+            cp = table.mean_specific_heat(T, T + 2.0, p)
             if cp > best_cp:
                 best_T, best_cp = T + 1.0, cp
             T += 2.0
@@ -55,7 +50,7 @@ def main():
 
     print("\nmean cp of the hot stream over a 330 -> 289 K cooling span "
           "at 10 MPa:")
-    print(f"  {mean_specific_heat(table, 330.0, 289.0, 1.0e7):8.1f} J/(kg K)"
+    print(f"  {table.mean_specific_heat(330.0, 289.0, 1.0e7):8.1f} J/(kg K)"
           "   (a constant 2300 misses the pseudocritical shoulder)")
 
 

@@ -47,6 +47,7 @@ from .ekf import (
     ekf_predict,
     ekf_update,
     estimate_kA,
+    model_inputs,
 )
 from .fluids import (
     CaloricallyPerfect,
@@ -57,9 +58,7 @@ from .fluids import (
     StreamConfig,
     Tabulated,
     ThermallyPerfect,
-    enthalpy,
     load_fluid_table,
-    mean_specific_heat,
     save_fluid_table,
 )
 from .harness import (

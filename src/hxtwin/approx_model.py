@@ -16,9 +16,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .fluids import FluidModel, StreamConfig, mean_specific_heat
+from .fluids import StreamConfig
 from .means import DomainError, arith_mean, geom_mean, log_mean, weighted_mean
-from .reference_model import Conductances, InletConditions, OutletTemps, WallState
+from .reference_model import (
+    Conductances,
+    InletConditions,
+    OutletTemps,
+    WallState,
+    steady_wall_temps,
+)
 
 __all__ = [
     "BetaBranch",
@@ -315,10 +321,7 @@ def approx_steady_walls(
 ) -> tuple[OutletTemps, WallState]:
     """Steady outlets plus the closed-form steady wall temperatures."""
     outlets = approx_steady(u, kA_cond.kA, cp)
-    w = kA_cond.aA_c / (kA_cond.aA_h + kA_cond.aA_c)
-    T_w1s = u.T_h1 + w * (outlets.T_c2 - u.T_h1)
-    T_w2s = outlets.T_h2 + w * (u.T_c1 - outlets.T_h2)
-    return outlets, WallState(T_w1s, T_w2s)
+    return outlets, steady_wall_temps(outlets, u, kA_cond)
 
 
 def update_cp_params(
@@ -338,10 +341,10 @@ def update_cp_params(
         prev_outputs = OutletTemps(u.T_h1, u.T_c1)
     if prev_steady is None:
         prev_steady = prev_outputs
-    th3 = mean_specific_heat(hot.fluid, u.T_h1, prev_outputs.T_h2, hot.pressure)
-    th4 = mean_specific_heat(cold.fluid, u.T_c1, prev_outputs.T_c2, cold.pressure)
-    th5 = mean_specific_heat(hot.fluid, u.T_h1, prev_steady.T_h2, hot.pressure)
-    th6 = mean_specific_heat(cold.fluid, u.T_c1, prev_steady.T_c2, cold.pressure)
+    th3 = hot.fluid.mean_specific_heat(u.T_h1, prev_outputs.T_h2, hot.pressure)
+    th4 = cold.fluid.mean_specific_heat(u.T_c1, prev_outputs.T_c2, cold.pressure)
+    th5 = hot.fluid.mean_specific_heat(u.T_h1, prev_steady.T_h2, hot.pressure)
+    th6 = cold.fluid.mean_specific_heat(u.T_c1, prev_steady.T_c2, cold.pressure)
     return CpParams(th3, th4, th5, th6)
 
 
@@ -368,8 +371,8 @@ def approx_steady_selfconsistent(
         cp = CpParams(
             cp.theta3,
             cp.theta4,
-            mean_specific_heat(hot.fluid, u.T_h1, outlets.T_h2, hot.pressure),
-            mean_specific_heat(cold.fluid, u.T_c1, outlets.T_c2, cold.pressure),
+            hot.fluid.mean_specific_heat(u.T_h1, outlets.T_h2, hot.pressure),
+            cold.fluid.mean_specific_heat(u.T_c1, outlets.T_c2, cold.pressure),
         )
         new = approx_steady(u, kA_of(cp), cp)
         moved = max(abs(new.T_h2 - outlets.T_h2), abs(new.T_c2 - outlets.T_c2))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approx_model import ApproxEvaluation, CpParams, approx_steady_terms, evaluate_approx
-from .correlations import CorrelationParams, alpha_A, serial_conductance
+from .correlations import CorrelationParams, alpha_A
 from .reference_model import Conductances, InletConditions, WallState
 from .wall_dynamics import WallDynamicsConfig, wall_rhs
 
@@ -35,6 +35,7 @@ __all__ = [
     "EkfConfig",
     "EkfState",
     "ekf_init",
+    "model_inputs",
     "f_v",
     "g_v",
     "ekf_evaluation",
@@ -129,37 +130,37 @@ def ekf_init(
     return EkfState(np.asarray(x, dtype=float), P0, t0)
 
 
-def _effective_inlets(
-    cfg: EkfConfig, x_v: np.ndarray, u: InletConditions
-) -> InletConditions:
-    if cfg.n_states == 4:
-        return u
-    return replace(u, mdot_c=max(float(x_v[4]), cfg.mdot_floor))
+def model_inputs(
+    cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
+) -> tuple[InletConditions, Conductances, Conductances]:
+    """Approximate-model inputs at the joint state x_v.
 
-
-def _conductance_pair(
-    cfg: EkfConfig, x_v: np.ndarray, u_eff: InletConditions, cp: CpParams
-) -> tuple[Conductances, Conductances]:
-    ups_h = max(float(x_v[2]), cfg.upsilon_floor)
-    ups_c = max(float(x_v[3]), cfg.upsilon_floor)
-    hot = cfg.corr_hot.with_upsilon(ups_h)
-    cold = cfg.corr_cold.with_upsilon(ups_c)
+    Returns the effective inlets (variants B and C substitute the
+    estimated cold flow, floored at mdot_floor) and the output and
+    steady conductances of the monitored correlations at the leading
+    factors, floored at upsilon_floor.  The output conductances take the
+    transient mean cps theta3/theta4, the steady ones theta5/theta6.
+    Only the parameter states x_v[2:] are read.
+    """
+    if cfg.n_states == 5:
+        u = replace(u, mdot_c=max(float(x_v[4]), cfg.mdot_floor))
+    hot = cfg.corr_hot.with_upsilon(max(float(x_v[2]), cfg.upsilon_floor))
+    cold = cfg.corr_cold.with_upsilon(max(float(x_v[3]), cfg.upsilon_floor))
     cond_out = Conductances(
-        alpha_A(hot, u_eff.mdot_h, cp.theta3),
-        alpha_A(cold, u_eff.mdot_c, cp.theta4),
+        alpha_A(hot, u.mdot_h, cp.theta3),
+        alpha_A(cold, u.mdot_c, cp.theta4),
     )
     cond_steady = Conductances(
-        alpha_A(hot, u_eff.mdot_h, cp.theta5),
-        alpha_A(cold, u_eff.mdot_c, cp.theta6),
+        alpha_A(hot, u.mdot_h, cp.theta5),
+        alpha_A(cold, u.mdot_c, cp.theta6),
     )
-    return cond_out, cond_steady
+    return u, cond_out, cond_steady
 
 
 def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
     """What an evaluation at x_v takes from the parameter states x_v[2:]
-    alone: effective inlets, conductance pair and steady terms."""
-    u_eff = _effective_inlets(cfg, x_v, u)
-    cond_out, cond_steady = _conductance_pair(cfg, x_v, u_eff, cp)
+    alone: model_inputs plus the steady terms."""
+    u_eff, cond_out, cond_steady = model_inputs(cfg, x_v, u, cp)
     return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
 
 
@@ -203,11 +204,8 @@ def _outputs(x_v: np.ndarray, terms, cp: CpParams) -> np.ndarray:
 def ekf_evaluation(
     cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
 ) -> ApproxEvaluation:
-    """Approximate-model evaluation at the joint state x_v.
-
-    Conductances come from the estimated leading factors (floored) and
-    the variant-appropriate cold flow.
-    """
+    """Approximate-model evaluation at the joint state x_v, with the
+    inputs of model_inputs."""
     return _evaluate(x_v, _parameter_terms(cfg, x_v, u, cp), cp)[1]
 
 
@@ -352,7 +350,5 @@ def ekf_update(
 def estimate_kA(
     cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
 ) -> float:
-    """Serial overall rating from the current parameter estimates."""
-    u_eff = _effective_inlets(cfg, x_v, u)
-    cond_out, _ = _conductance_pair(cfg, x_v, u_eff, cp)
-    return serial_conductance(cond_out.aA_h, cond_out.aA_c)
+    """Serial overall rating of the output conductances of model_inputs."""
+    return model_inputs(cfg, x_v, u, cp)[1].kA

@@ -3,9 +3,8 @@
 Three interchangeable fluid models provide h(T, p) in J/kg:
 
 * ``CaloricallyPerfect``: constant cp, h = cp * T.
-* ``ThermallyPerfect``: cp depends on temperature only, given either as
-  polynomial coefficients in T or as a 1-D cp(T) table; h is the exact
-  integral of cp.
+* ``ThermallyPerfect``: cp depends on temperature only, given as
+  polynomial coefficients in T; h is the exact integral of cp.
 * ``Tabulated``: bilinear interpolation of h on a rectangular (T, p)
   grid, loaded from a plain-text table file.
 
@@ -29,8 +28,6 @@ __all__ = [
     "ThermallyPerfect",
     "Tabulated",
     "StreamConfig",
-    "enthalpy",
-    "mean_specific_heat",
     "load_fluid_table",
     "save_fluid_table",
 ]
@@ -136,47 +133,27 @@ class CaloricallyPerfect(FluidModel):
 class ThermallyPerfect(FluidModel):
     """Temperature-dependent specific heat, pressure-independent enthalpy.
 
-    Exactly one of ``cp_coeffs`` (polynomial in T, ascending powers,
-    J/(kg K)) or ``cp_table`` ((T_grid, cp_grid) with piecewise-linear
-    interpolation) must be given.  Enthalpy is the analytic integral of
-    cp with h = 0 at the lower hull edge (offsets cancel in all uses).
+    cp is a polynomial in T (``cp_coeffs`` in ascending powers,
+    J/(kg K)).  Enthalpy is the analytic integral of cp with h = 0 at
+    the lower hull edge (offsets cancel in all uses).
     """
 
     def __init__(
         self,
-        cp_coeffs: Sequence[float] | None = None,
-        cp_table: tuple[Sequence[float], Sequence[float]] | None = None,
+        cp_coeffs: Sequence[float],
         hull_T: tuple[float, float] = (150.0, 1500.0),
     ):
-        if (cp_coeffs is None) == (cp_table is None):
-            raise ValueError("give exactly one of cp_coeffs or cp_table")
         self.hull_T = (float(hull_T[0]), float(hull_T[1]))
-        if cp_coeffs is not None:
-            self._coeffs = [float(c) for c in cp_coeffs]
-            # Antiderivative coefficients for Horner evaluation of h(T).
-            self._int_coeffs = [c / (i + 1) for i, c in enumerate(self._coeffs)]
-            self._tgrid = None
-            for T in _sample_grid(*self.hull_T, 64):
-                if self._cp_poly(T) <= 0.0:
-                    raise ValueError(f"cp polynomial nonpositive at T={T:.2f} K")
-        else:
-            tg, cg = cp_table
-            self._tgrid = [float(v) for v in tg]
-            self._cpgrid = [float(v) for v in cg]
-            if len(self._tgrid) != len(self._cpgrid) or len(self._tgrid) < 2:
-                raise ValueError("cp_table needs matching T and cp arrays, length >= 2")
-            for i in range(1, len(self._tgrid)):
-                if self._tgrid[i] <= self._tgrid[i - 1]:
-                    raise NonMonotonicAxisError("T", i)
-            if min(self._cpgrid) <= 0.0:
-                raise ValueError("cp table values must be positive")
-            self.hull_T = (self._tgrid[0], self._tgrid[-1])
-            # Cumulative integral of the piecewise-linear cp at the nodes.
-            cum = [0.0]
-            for i in range(1, len(self._tgrid)):
-                dT = self._tgrid[i] - self._tgrid[i - 1]
-                cum.append(cum[-1] + 0.5 * (self._cpgrid[i] + self._cpgrid[i - 1]) * dT)
-            self._cum = cum
+        self._coeffs = [float(c) for c in cp_coeffs]
+        # Antiderivative coefficients for Horner evaluation of h(T).
+        self._int_coeffs = [c / (i + 1) for i, c in enumerate(self._coeffs)]
+        for T in _sample_grid(*self.hull_T, 64):
+            if self._cp_poly(T) <= 0.0:
+                raise ValueError(f"cp polynomial nonpositive at T={T:.2f} K")
+        # h = 0 at the lower hull edge: enthalpy subtracts the
+        # antiderivative there, evaluated once with a zero offset.
+        self._h_offset = 0.0
+        self._h_offset = self.enthalpy(self.hull_T[0], 0.0)
 
     def _cp_poly(self, T: float) -> float:
         acc = 0.0
@@ -186,26 +163,13 @@ class ThermallyPerfect(FluidModel):
 
     def enthalpy(self, T: float, p: float) -> float:
         self._check_hull(T, p)
-        if self._tgrid is None:
-            acc = 0.0
-            for c in reversed(self._int_coeffs):
-                acc = acc * T + c
-            ref = 0.0
-            T0 = self.hull_T[0]
-            for c in reversed(self._int_coeffs):
-                ref = ref * T0 + c
-            return acc * T - ref * T0
-        i = bisect_right(self._tgrid, T) - 1
-        i = min(max(i, 0), len(self._tgrid) - 2)
-        dT = T - self._tgrid[i]
-        slope = (self._cpgrid[i + 1] - self._cpgrid[i]) / (
-            self._tgrid[i + 1] - self._tgrid[i]
-        )
-        return self._cum[i] + self._cpgrid[i] * dT + 0.5 * slope * dT * dT
+        acc = 0.0
+        for c in reversed(self._int_coeffs):
+            acc = acc * T + c
+        return acc * T - self._h_offset
 
     def __repr__(self):
-        kind = "poly" if self._tgrid is None else "table"
-        return f"ThermallyPerfect({kind}, hull_T={self.hull_T})"
+        return f"ThermallyPerfect(poly, hull_T={self.hull_T})"
 
 
 class Tabulated(FluidModel):
@@ -298,21 +262,6 @@ class StreamConfig:
     def __post_init__(self):
         if self.pressure <= 0.0:
             raise ValueError(f"pressure must be positive, got {self.pressure}")
-
-
-def enthalpy(model: FluidModel, T: float, p: float) -> float:
-    """Specific enthalpy h(T, p) in J/kg."""
-    return model.enthalpy(T, p)
-
-
-def mean_specific_heat(model: FluidModel, T_from: float, T_to: float, p: float) -> float:
-    """Mean specific heat over [T_from, T_to] at pressure p.
-
-    Returns the enthalpy secant (h(T_to) - h(T_from)) / (T_to - T_from);
-    for |T_to - T_from| < 1e-6 K it falls back to a centered
-    finite-difference point cp with a 0.01 K step.
-    """
-    return model.mean_specific_heat(T_from, T_to, p)
 
 
 def _sample_grid(lo: float, hi: float, n: int):

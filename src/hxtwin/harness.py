@@ -31,7 +31,6 @@ from .config import ConfigError, RawConfig, load_config
 from .correlations import (
     CorrelationParams,
     ReferenceCorrelation,
-    alpha_A,
     reference_alpha_A,
     serial_conductance,
 )
@@ -42,15 +41,9 @@ from .ekf import (
     ekf_predict,
     ekf_update,
     estimate_kA,
+    model_inputs,
 )
-from .fluids import (
-    CaloricallyPerfect,
-    StreamConfig,
-    ThermallyPerfect,
-    enthalpy,
-    load_fluid_table,
-    mean_specific_heat,
-)
+from .fluids import CaloricallyPerfect, StreamConfig, ThermallyPerfect, load_fluid_table
 from .means import log_mean
 from .reference_model import (
     Conductances,
@@ -268,6 +261,9 @@ def _build_excitation(raw: RawConfig, duration: float) -> ExcitationSpec:
             raise ConfigError(
                 f"'{key}' must lie in [0, 1)", raw.line_of("excitation", key)
             )
+    # the default, duration_s, is positive
+    if not spec.span_s > 0.0:
+        raise ConfigError("'span_s' must be positive", raw.line_of("excitation", "span_s"))
     return spec
 
 
@@ -336,6 +332,12 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     if plant.theta7 <= 0.0:
         raise ConfigError(
             "theta7_J_K must be positive", raw.line_of("plant", "theta7_J_K")
+        )
+    # the default, 10, is valid
+    if plant.substeps_per_sample < 1:
+        raise ConfigError(
+            "'substeps_per_sample' must be at least 1",
+            raw.line_of("plant", "substeps_per_sample"),
         )
 
     tuning = {}
@@ -515,13 +517,29 @@ def write_telemetry_csv(records, path) -> None:
             writer.writerow([_fmt(getattr(rec, col)) for col in TELEMETRY_COLUMNS])
 
 
-def read_telemetry_csv(path) -> list[TelemetryRecord]:
+def _read_records(path, kind: str, columns: tuple, n_numeric: int, make) -> list:
+    """make(*row) for each row of a CSV with the given header, whose
+    first n_numeric fields are numbers; a bad header or row raises
+    ValueError naming the file and the line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or tuple(header) != TELEMETRY_COLUMNS:
-            raise ValueError(f"unexpected telemetry header in {path}: {header}")
-        return [TelemetryRecord(*(float(tok) for tok in row)) for row in reader]
+        if header is None or tuple(header) != columns:
+            raise ValueError(f"unexpected {kind} header in {path}: {header}")
+        out = []
+        for row in reader:
+            try:
+                if len(row) != len(columns):
+                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+                out.append(make(*map(float, row[:n_numeric]), *row[n_numeric:]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        return out
+
+
+def read_telemetry_csv(path) -> list[TelemetryRecord]:
+    return _read_records(path, "telemetry", TELEMETRY_COLUMNS,
+                         len(TELEMETRY_COLUMNS), TelemetryRecord)
 
 
 def write_monitor_csv(records, path) -> None:
@@ -535,16 +553,9 @@ def write_monitor_csv(records, path) -> None:
 
 
 def read_monitor_csv(path) -> list[MonitorRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != MONITOR_COLUMNS:
-            raise ValueError(f"unexpected monitor header in {path}: {header}")
-        out = []
-        for row in reader:
-            values = [float(tok) for tok in row[:-1]]
-            out.append(MonitorRecord(*values, flags=row[-1]))
-        return out
+    # every column but the trailing flags is a number
+    return _read_records(path, "monitor", MONITOR_COLUMNS,
+                         len(MONITOR_COLUMNS) - 1, MonitorRecord)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +567,8 @@ def _truth_cpm(scn: ScenarioConfig, u: InletConditions, prev_outs) -> tuple[floa
         h2, c2 = u.T_h1, u.T_c1
     else:
         h2, c2 = prev_outs.T_h2, prev_outs.T_c2
-    cpm_h = mean_specific_heat(scn.hot.fluid, u.T_h1, h2, scn.hot.pressure)
-    cpm_c = mean_specific_heat(scn.cold.fluid, u.T_c1, c2, scn.cold.pressure)
+    cpm_h = scn.hot.fluid.mean_specific_heat(u.T_h1, h2, scn.hot.pressure)
+    cpm_c = scn.cold.fluid.mean_specific_heat(u.T_c1, c2, scn.cold.pressure)
     return cpm_h, cpm_c
 
 
@@ -665,28 +676,26 @@ def _monitor_cp(
     ekf_cfg: EkfConfig,
     hot: StreamConfig,
     cold: StreamConfig,
-    u_eff: InletConditions,
-    ups_h: float,
-    ups_c: float,
+    x_v: np.ndarray,
+    u: InletConditions,
     prev_out,
     prev_steady,
 ) -> CpParams:
-    """Refresh theta3..theta6 and run the steady cp fixed point.
+    """Refresh theta3..theta6 and run the steady cp fixed point at the
+    model inputs of the joint state x_v.
 
     The steady rating kA feeding the fixed point tracks theta5/theta6
     through the monitored correlation, so correlations with a cp
     exponent stay self-consistent.
     """
-    cp = update_cp_params(hot, cold, u_eff, prev_out, prev_steady)
-    hot_corr = ekf_cfg.corr_hot.with_upsilon(max(ups_h, ekf_cfg.upsilon_floor))
-    cold_corr = ekf_cfg.corr_cold.with_upsilon(max(ups_c, ekf_cfg.upsilon_floor))
+    # the mean cps read only the inlet temperatures, which the effective
+    # inlets share with u
+    cp = update_cp_params(hot, cold, u, prev_out, prev_steady)
 
     def kA_of(cp2: CpParams) -> float:
-        return serial_conductance(
-            alpha_A(hot_corr, u_eff.mdot_h, cp2.theta5),
-            alpha_A(cold_corr, u_eff.mdot_c, cp2.theta6),
-        )
+        return model_inputs(ekf_cfg, x_v, u, cp2)[2].kA
 
+    u_eff = model_inputs(ekf_cfg, x_v, u, cp)[0]
     _outlets, cp, _n = approx_steady_selfconsistent(u_eff, hot, cold, kA_of, cp0=cp)
     return cp
 
@@ -723,51 +732,40 @@ def run_monitor(
         return replace(u, mdot_c=mon.mdot_c0)
 
     u_prev = filter_inlets(rec0.inlets())
-    mdot0 = mon.mdot_c0 if estimates_flow else None
-    u0_eff = replace(u_prev, mdot_c=mdot0) if estimates_flow else u_prev
-
-    cp = _monitor_cp(ekf_cfg, hot, cold, u0_eff, mon.upsilon0_h, mon.upsilon0_c,
-                     None, None)
-    cond0 = Conductances(
-        alpha_A(ekf_cfg.corr_hot.with_upsilon(mon.upsilon0_h), u0_eff.mdot_h, cp.theta5),
-        alpha_A(ekf_cfg.corr_cold.with_upsilon(mon.upsilon0_c), u0_eff.mdot_c, cp.theta6),
-    )
+    # the walls start at the steady state of the initial parameter states
+    state = ekf_init(ekf_cfg, WallState(math.nan, math.nan),
+                     (mon.upsilon0_h, mon.upsilon0_c), t0=rec0.t_s,
+                     mdot_c0=mon.mdot_c0 if estimates_flow else None)
+    cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_prev, None, None)
+    u0_eff, _cond_out, cond0 = model_inputs(ekf_cfg, state.x_hat, u_prev, cp)
     _souts, wall0 = approx_steady_walls(u0_eff, cond0, cp)
-    state = ekf_init(ekf_cfg, wall0, (mon.upsilon0_h, mon.upsilon0_c),
-                     t0=rec0.t_s, mdot_c0=mdot0)
+    state.x_hat[:2] = wall0.T_w1, wall0.T_w2
 
     ev = ekf_evaluation(ekf_cfg, state.x_hat, u_prev, cp)
     prev_out, prev_steady = ev.outlets, ev.steady_outlets
 
-    def mdot_c_hat(u_k: InletConditions) -> float:
-        return float(state.x_hat[4]) if estimates_flow else u_k.mdot_c
+    records = []
 
-    records = [MonitorRecord(
-        t_s=rec0.t_s,
-        T_w1_hat_K=float(state.x_hat[0]), T_w2_hat_K=float(state.x_hat[1]),
-        upsilon_h_hat_W_K=float(state.x_hat[2]),
-        upsilon_c_hat_W_K=float(state.x_hat[3]),
-        mdot_c_hat_kg_s=mdot_c_hat(u_prev),
-        kA_hat_W_K=estimate_kA(ekf_cfg, state.x_hat, u_prev, cp),
-        innov_h_K=math.nan, innov_c_K=math.nan,
-        eps_h_K=math.nan, eps_c_K=math.nan,
-        flags="init",
-    )]
+    def append_record(t_s, u_k, cp, innov_h, innov_c, eps_h, eps_c, flags) -> None:
+        x = state.x_hat
+        records.append(MonitorRecord(
+            t_s=t_s,
+            T_w1_hat_K=float(x[0]), T_w2_hat_K=float(x[1]),
+            upsilon_h_hat_W_K=float(x[2]), upsilon_c_hat_W_K=float(x[3]),
+            mdot_c_hat_kg_s=float(x[4]) if estimates_flow else u_k.mdot_c,
+            kA_hat_W_K=estimate_kA(ekf_cfg, x, u_k, cp),
+            innov_h_K=innov_h, innov_c_K=innov_c, eps_h_K=eps_h, eps_c_K=eps_c,
+            flags=flags,
+        ))
+
+    append_record(rec0.t_s, u_prev, cp, math.nan, math.nan, math.nan, math.nan, "init")
 
     for rec in telemetry[1:]:
         u_k = filter_inlets(rec.inlets())
         dt = rec.t_s - records[-1].t_s
         if dt <= 0.0:
             raise ValueError(f"telemetry times must increase, got dt={dt} at t={rec.t_s}")
-        u_k_eff = (
-            replace(u_k, mdot_c=max(float(state.x_hat[4]), ekf_cfg.mdot_floor))
-            if estimates_flow else u_k
-        )
-        cp = _monitor_cp(
-            ekf_cfg, hot, cold, u_k_eff,
-            float(state.x_hat[2]), float(state.x_hat[3]),
-            prev_out, prev_steady,
-        )
+        cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_k, prev_out, prev_steady)
         # ekf_predict sizes its substeps for one sample period, so a gap
         # in the telemetry is crossed in n predictions of dt / n each
         n = max(1, round(dt / scn.dt_s))
@@ -776,12 +774,9 @@ def run_monitor(
         # the spans behind theta3/theta4 lag one sample; refresh them from
         # the predicted outputs at the new inputs before comparing against
         # the measurement (still causal, kills the lag at fast excitation)
-        ev_pred = ekf_evaluation(ekf_cfg, state.x_hat, u_k_eff, cp)
-        cp = _monitor_cp(
-            ekf_cfg, hot, cold, u_k_eff,
-            float(state.x_hat[2]), float(state.x_hat[3]),
-            ev_pred.outlets, ev_pred.steady_outlets,
-        )
+        ev_pred = ekf_evaluation(ekf_cfg, state.x_hat, u_k, cp)
+        cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_k,
+                         ev_pred.outlets, ev_pred.steady_outlets)
         y_full = (rec.T_h2_meas_K, rec.T_c2_meas_K)
         y_meas = np.array([y_full[i] for i in ekf_cfg.measured_rows])
         state, innov, y_pred = ekf_update(state, ekf_cfg, u_k, cp, y_meas, dt)
@@ -794,19 +789,11 @@ def run_monitor(
         if ev.beta_cold.feasible_set_empty:
             tokens.append("beta_empty_cold")
         innov_c = innov[1] if len(innov) > 1 else math.nan
-
-        records.append(MonitorRecord(
-            t_s=rec.t_s,
-            T_w1_hat_K=float(state.x_hat[0]), T_w2_hat_K=float(state.x_hat[1]),
-            upsilon_h_hat_W_K=float(state.x_hat[2]),
-            upsilon_c_hat_W_K=float(state.x_hat[3]),
-            mdot_c_hat_kg_s=mdot_c_hat(u_k),
-            kA_hat_W_K=estimate_kA(ekf_cfg, state.x_hat, u_k, cp),
-            innov_h_K=float(innov[0]), innov_c_K=float(innov_c),
-            eps_h_K=rec.T_h2_true_K - float(y_pred[0]),
-            eps_c_K=rec.T_c2_true_K - float(y_pred[1]),
-            flags="|".join(tokens) if tokens else "ok",
-        ))
+        append_record(
+            rec.t_s, u_k, cp, float(innov[0]), float(innov_c),
+            rec.T_h2_true_K - float(y_pred[0]), rec.T_c2_true_K - float(y_pred[1]),
+            "|".join(tokens) if tokens else "ok",
+        )
         u_prev = u_k
     return records
 
@@ -826,8 +813,8 @@ def model_free_rating(rec: TelemetryRecord, hot: StreamConfig) -> float:
     if dTm <= 0.0:
         return math.nan
     hdot = rec.mdot_h_kg_s * (
-        enthalpy(hot.fluid, rec.T_h1_K, rec.p_h_Pa)
-        - enthalpy(hot.fluid, rec.T_h2_meas_K, rec.p_h_Pa)
+        hot.fluid.enthalpy(rec.T_h1_K, rec.p_h_Pa)
+        - hot.fluid.enthalpy(rec.T_h2_meas_K, rec.p_h_Pa)
     )
     return abs(hdot) / dTm
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .correlations import serial_conductance
 from .fluids import StreamConfig
 from .means import heat_rate
 
@@ -28,7 +29,6 @@ __all__ = [
     "Conductances",
     "RefOutputInfo",
     "UniquenessReport",
-    "TEMPERATURE_ENVELOPE",
     "solve_bracketed",
     "ref_output",
     "ref_output_detailed",
@@ -36,11 +36,6 @@ __all__ = [
     "steady_wall_temps",
     "verify_uniqueness",
 ]
-
-# Plant temperature envelope used as a validation guard (configurable by
-# passing envelope=None or another range to the validating constructors).
-TEMPERATURE_ENVELOPE = (150.0, 1500.0)
-
 
 class BracketError(ValueError):
     """Physical root bracket is inverted; state and inputs inconsistent."""
@@ -56,16 +51,6 @@ class WallState:
 
     T_w1: float
     T_w2: float
-
-    def validate(self, envelope=TEMPERATURE_ENVELOPE) -> "WallState":
-        for name, T in (("T_w1", self.T_w1), ("T_w2", self.T_w2)):
-            if not math.isfinite(T):
-                raise ValueError(f"{name} must be finite, got {T}")
-            if envelope is not None and not envelope[0] <= T <= envelope[1]:
-                raise ValueError(
-                    f"{name}={T} K outside plant envelope {envelope} K"
-                )
-        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +94,7 @@ class Conductances:
     @property
     def kA(self) -> float:
         """Serial connection of the two thermal resistances."""
-        return 1.0 / (1.0 / self.aA_h + 1.0 / self.aA_c)
+        return serial_conductance(self.aA_h, self.aA_c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,23 +222,15 @@ def _solve_side(f, lo: float, hi: float, ftol: float):
     return x, fx, False
 
 
-def ref_output_detailed(
+def _output_residuals(
     x: WallState,
     u: InletConditions,
     cond: Conductances,
     hot: StreamConfig,
     cold: StreamConfig,
-    ftol: float = 1e-6,
-) -> tuple[OutletTemps, RefOutputInfo]:
-    """Reference outlet temperatures with solver diagnostics.
-
-    The hot outlet is the root of
-        R_h(T) = mdot_h * (h_h(T) - h_h(T_h1)) + Q(T_h1 - T_w1, T - T_w2, aA_h)
-    on [T_w2, T_h1]; the cold outlet is the root of
-        R_c(T) = mdot_c * (h_c(T) - h_c(T_c1)) - Q(T_w1 - T, T_w2 - T_c1, aA_c)
-    on [T_c1, T_w1].  Both residuals are strictly increasing in their
-    unknown, so the roots are unique where they exist.
-    """
+):
+    """The side residuals R_h(T_h2), R_c(T_c2) of the output equations
+    (see ref_output_detailed)."""
     hf, cf = hot.fluid, cold.fluid
     h_h1 = hf.enthalpy(u.T_h1, hot.pressure)
     h_c1 = cf.enthalpy(u.T_c1, cold.pressure)
@@ -273,6 +250,27 @@ def ref_output_detailed(
             x.T_w1 - T, dT_c2, aA_c
         )
 
+    return res_h, res_c
+
+
+def ref_output_detailed(
+    x: WallState,
+    u: InletConditions,
+    cond: Conductances,
+    hot: StreamConfig,
+    cold: StreamConfig,
+    ftol: float = 1e-6,
+) -> tuple[OutletTemps, RefOutputInfo]:
+    """Reference outlet temperatures with solver diagnostics.
+
+    The hot outlet is the root of
+        R_h(T) = mdot_h * (h_h(T) - h_h(T_h1)) + Q(T_h1 - T_w1, T - T_w2, aA_h)
+    on [T_w2, T_h1]; the cold outlet is the root of
+        R_c(T) = mdot_c * (h_c(T) - h_c(T_c1)) - Q(T_w1 - T, T_w2 - T_c1, aA_c)
+    on [T_c1, T_w1].  Both residuals are strictly increasing in their
+    unknown, so the roots are unique where they exist.
+    """
+    res_h, res_c = _output_residuals(x, u, cond, hot, cold)
     T_h2, r_h, flag_h = _solve_side(res_h, x.T_w2, u.T_h1, ftol)
     T_c2, r_c, flag_c = _solve_side(res_c, u.T_c1, x.T_w1, ftol)
     return OutletTemps(T_h2, T_c2), RefOutputInfo(flag_h, flag_c, r_h, r_c)
@@ -490,20 +488,7 @@ def verify_uniqueness(
 
     outlets_s = ref_steady_outlets(u, kA, hot, cold)
     walls_s = steady_wall_temps(outlets_s, u, cond)
-
-    hf, cf = hot.fluid, cold.fluid
-    h_h1 = hf.enthalpy(u.T_h1, hot.pressure)
-    h_c1 = cf.enthalpy(u.T_c1, cold.pressure)
-
-    def res_h(T):
-        return u.mdot_h * (hf.enthalpy(T, hot.pressure) - h_h1) + heat_rate(
-            u.T_h1 - walls_s.T_w1, T - walls_s.T_w2, cond.aA_h
-        )
-
-    def res_c(T):
-        return u.mdot_c * (cf.enthalpy(T, cold.pressure) - h_c1) - heat_rate(
-            walls_s.T_w1 - T, walls_s.T_w2 - u.T_c1, cond.aA_c
-        )
+    res_h, res_c = _output_residuals(walls_s, u, cond, hot, cold)
 
     # The wall-side bracket endpoints sit exactly on the arithmetic-mean
     # fallback (one temperature difference is zero there), so the

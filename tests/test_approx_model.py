@@ -555,13 +555,11 @@ def test_selfconsistent_polynomial_converges():
     outs, cp, n = approx_steady_selfconsistent(u, hot, cold, 2000.0)
     assert n <= 5
     # fixed point: refreshing the steady cps no longer moves the outlets
-    from hxtwin.fluids import mean_specific_heat
-
     cp_chk = CpParams(
         cp.theta3,
         cp.theta4,
-        mean_specific_heat(hot.fluid, u.T_h1, outs.T_h2, hot.pressure),
-        mean_specific_heat(cold.fluid, u.T_c1, outs.T_c2, cold.pressure),
+        hot.fluid.mean_specific_heat(u.T_h1, outs.T_h2, hot.pressure),
+        cold.fluid.mean_specific_heat(u.T_c1, outs.T_c2, cold.pressure),
     )
     again = approx_steady(u, 2000.0, cp_chk)
     assert again.T_h2 == pytest.approx(outs.T_h2, abs=2e-4)

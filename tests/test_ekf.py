@@ -19,6 +19,7 @@ from hxtwin.ekf import (
     f_v,
     g_v,
     kalman_gain,
+    model_inputs,
 )
 from hxtwin.reference_model import InletConditions, WallState
 from hxtwin.approx_model import approx_steady_walls
@@ -207,6 +208,46 @@ def test_variant_b_uses_estimated_cold_flow():
     y_b = g_v(cfg_b, st_b.x_hat, U, CP)
     y_a = g_v(cfg_a, st_b.x_hat[:4], U, CP)
     assert abs(y_b[1] - y_a[1]) > 0.1  # halved flow changes the cold outlet
+
+
+# ---------------------------------------------------------------------------
+# Model inputs at the joint state
+
+
+def test_model_inputs_variant_a_passes_inlets_through():
+    x = np.array([350.0, 320.0, 1500.0, 3000.0])
+    u_eff, cond_out, cond_steady = model_inputs(make_cfg("A"), x, U, CP)
+    assert u_eff is U
+    # constant correlations: alpha_A = upsilon
+    assert cond_out == cond_steady == Conductances(1500.0, 3000.0)
+
+
+@pytest.mark.parametrize("variant", ["B", "C"])
+@pytest.mark.parametrize("mdot_state, mdot_used", [(0.7, 0.7), (0.004, 0.01), (-2.0, 0.01)])
+def test_model_inputs_substitutes_floored_cold_flow(variant, mdot_state, mdot_used):
+    cfg = make_cfg(variant, corr_cold=CorrelationParams(upsilon=1.0, exp1=0.8))
+    assert cfg.mdot_floor == 0.01
+    x = np.array([350.0, 320.0, 1500.0, 3000.0, mdot_state])
+    u_eff, cond_out, cond_steady = model_inputs(cfg, x, U, CP)
+    assert u_eff == InletConditions(U.T_h1, U.T_c1, U.mdot_h, mdot_used)
+    expected = alpha_A(CorrelationParams(3000.0, exp1=0.8), mdot_used, CP.theta4)
+    assert cond_out.aA_c == cond_steady.aA_c == expected
+
+
+def test_model_inputs_floors_leading_factors():
+    cfg = make_cfg(
+        "A",
+        corr_hot=CorrelationParams(upsilon=1.0, exp1=0.6, exp2=0.3),
+        corr_cold=CorrelationParams(upsilon=1.0, exp2=0.2, offset=5.0),
+    )
+    cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
+    _, cond_out, cond_steady = model_inputs(cfg, np.array([350.0, 320.0, 0.2, -40.0]), U, cp)
+    hot = CorrelationParams(cfg.upsilon_floor, exp1=0.6, exp2=0.3)
+    cold = CorrelationParams(cfg.upsilon_floor, exp2=0.2, offset=5.0)
+    assert cond_out == Conductances(
+        alpha_A(hot, U.mdot_h, cp.theta3), alpha_A(cold, U.mdot_c, cp.theta4))
+    assert cond_steady == Conductances(
+        alpha_A(hot, U.mdot_h, cp.theta5), alpha_A(cold, U.mdot_c, cp.theta6))
 
 
 # ---------------------------------------------------------------------------

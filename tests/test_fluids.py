@@ -13,9 +13,7 @@ from hxtwin.fluids import (
     StreamConfig,
     Tabulated,
     ThermallyPerfect,
-    enthalpy,
     load_fluid_table,
-    mean_specific_heat,
     save_fluid_table,
 )
 from hxtwin.sampledata import co2_like_enthalpy, make_co2_like_table, make_coolant_model
@@ -34,9 +32,9 @@ def small_table():
 
 def test_perfect_enthalpy_and_mean_cp():
     f = CaloricallyPerfect(2300.0)
-    assert enthalpy(f, 350.0, 1e5) == 2300.0 * 350.0
-    assert mean_specific_heat(f, 300.0, 400.0, 1e5) == 2300.0
-    assert mean_specific_heat(f, 333.0, 333.0, 1e5) == 2300.0
+    assert f.enthalpy(350.0, 1e5) == 2300.0 * 350.0
+    assert f.mean_specific_heat(300.0, 400.0, 1e5) == 2300.0
+    assert f.mean_specific_heat(333.0, 333.0, 1e5) == 2300.0
 
 
 def test_perfect_rejects_nonpositive_cp():
@@ -53,7 +51,7 @@ def test_poly_mean_cp_closed_form():
     f = ThermallyPerfect(cp_coeffs=(2800.0, 2.0), hull_T=(200.0, 600.0))
     for t1, t2 in [(300.0, 400.0), (250.0, 580.0), (510.0, 215.0)]:
         expect = 2800.0 + (t1 + t2)
-        assert mean_specific_heat(f, t1, t2, 1e5) == pytest.approx(expect, rel=1e-13)
+        assert f.mean_specific_heat(t1, t2, 1e5) == pytest.approx(expect, rel=1e-13)
 
 
 def test_poly_enthalpy_difference_is_integral():
@@ -64,21 +62,24 @@ def test_poly_enthalpy_difference_is_integral():
     def antideriv(t):
         return 100.0 * t + 0.25 * t * t + 0.001 * t**3
 
-    got = enthalpy(f, t2, 1e5) - enthalpy(f, t1, 1e5)
+    got = f.enthalpy(t2, 1e5) - f.enthalpy(t1, 1e5)
     assert got == pytest.approx(antideriv(t2) - antideriv(t1), rel=1e-12)
+    # h = 0 at the lower hull edge
+    assert f.enthalpy(200.0, 1e5) == 0.0
+    assert f.enthalpy(t1, 1e5) == pytest.approx(antideriv(t1) - antideriv(200.0), rel=1e-12)
 
 
 def test_poly_point_cp_from_degenerate_secant():
     f = ThermallyPerfect(cp_coeffs=(2800.0, 2.0), hull_T=(200.0, 600.0))
     # Centered differences are exact for a quadratic enthalpy.
-    assert mean_specific_heat(f, 350.0, 350.0, 1e5) == pytest.approx(
+    assert f.mean_specific_heat(350.0, 350.0, 1e5) == pytest.approx(
         2800.0 + 2.0 * 350.0, rel=1e-9
     )
 
 
 def test_poly_point_cp_at_hull_edge_shifts_stencil():
     f = ThermallyPerfect(cp_coeffs=(2800.0, 2.0), hull_T=(200.0, 600.0))
-    got = mean_specific_heat(f, 200.0, 200.0, 1e5)
+    got = f.mean_specific_heat(200.0, 200.0, 1e5)
     # Stencil shifted inward to [200, 200.02]: secant of the quadratic
     # equals cp at the midpoint 200.01.
     assert got == pytest.approx(2800.0 + 2.0 * 200.01, rel=1e-9)
@@ -86,8 +87,8 @@ def test_poly_point_cp_at_hull_edge_shifts_stencil():
 
 def test_poly_secant_symmetry():
     f = ThermallyPerfect(cp_coeffs=(900.0, 0.4), hull_T=(200.0, 600.0))
-    assert mean_specific_heat(f, 300.0, 450.0, 1e5) == mean_specific_heat(
-        f, 450.0, 300.0, 1e5
+    assert f.mean_specific_heat(300.0, 450.0, 1e5) == f.mean_specific_heat(
+        450.0, 300.0, 1e5
     )
 
 
@@ -99,43 +100,9 @@ def test_poly_nonpositive_cp_rejected():
 def test_poly_out_of_hull():
     f = ThermallyPerfect(cp_coeffs=(1000.0,), hull_T=(250.0, 500.0))
     with pytest.raises(OutOfRangeError):
-        enthalpy(f, 249.0, 1e5)
+        f.enthalpy(249.0, 1e5)
     with pytest.raises(OutOfRangeError):
-        enthalpy(f, 501.0, 1e5)
-
-
-def test_both_cp_sources_rejected():
-    with pytest.raises(ValueError):
-        ThermallyPerfect(cp_coeffs=(1.0,), cp_table=([1.0, 2.0], [1.0, 1.0]))
-    with pytest.raises(ValueError):
-        ThermallyPerfect()
-
-
-# ---------------------------------------------------------------------------
-# Thermally perfect, tabulated cp
-
-
-def test_cp_table_trapezoid_oracle():
-    # Piecewise-linear cp: integral between nodes is the trapezoid rule,
-    # computed here by hand.
-    tg = [300.0, 350.0, 400.0]
-    cg = [1000.0, 1200.0, 1100.0]
-    f = ThermallyPerfect(cp_table=(tg, cg))
-    assert f.hull_T == (300.0, 400.0)
-    h_350 = 0.5 * (1000.0 + 1200.0) * 50.0
-    h_400 = h_350 + 0.5 * (1200.0 + 1100.0) * 50.0
-    assert enthalpy(f, 350.0, 1e5) == pytest.approx(h_350, rel=1e-13)
-    assert enthalpy(f, 400.0, 1e5) == pytest.approx(h_400, rel=1e-13)
-    # Midpoint of the first segment: cp varies linearly from 1000 to 1200.
-    h_325 = 0.5 * (1000.0 + 1100.0) * 25.0
-    assert enthalpy(f, 325.0, 1e5) == pytest.approx(h_325, rel=1e-13)
-
-
-def test_cp_table_nonmonotone_axis():
-    with pytest.raises(NonMonotonicAxisError) as err:
-        ThermallyPerfect(cp_table=([300.0, 300.0, 400.0], [1.0, 1.0, 1.0]))
-    assert err.value.axis == "T"
-    assert err.value.index == 1
+        f.enthalpy(501.0, 1e5)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +111,7 @@ def test_cp_table_nonmonotone_axis():
 
 def test_bilinear_matches_grid_nodes():
     f = small_table()
-    assert enthalpy(f, 300.0, 2.0e6) == pytest.approx(1000.0 * 300.0 + 20.0, rel=1e-14)
+    assert f.enthalpy(300.0, 2.0e6) == pytest.approx(1000.0 * 300.0 + 20.0, rel=1e-14)
 
 
 def test_bilinear_cell_center_is_corner_average():
@@ -152,7 +119,7 @@ def test_bilinear_cell_center_is_corner_average():
     p = [1.0e6, 2.0e6]
     h = [[1.0, 5.0], [3.0, 11.0]]
     f = Tabulated(T, p, h)
-    assert enthalpy(f, 290.0, 1.5e6) == pytest.approx((1.0 + 5.0 + 3.0 + 11.0) / 4.0)
+    assert f.enthalpy(290.0, 1.5e6) == pytest.approx((1.0 + 5.0 + 3.0 + 11.0) / 4.0)
 
 
 def test_bilinear_general_point_oracle():
@@ -166,15 +133,15 @@ def test_bilinear_general_point_oracle():
         (1 - tt) * (1 - pp) * 2.0 + (1 - tt) * pp * 8.0
         + tt * (1 - pp) * 4.0 + tt * pp * 20.0
     )
-    assert enthalpy(f, 287.0, 1.3e6) == pytest.approx(expect, rel=1e-14)
+    assert f.enthalpy(287.0, 1.3e6) == pytest.approx(expect, rel=1e-14)
 
 
 def test_tabulated_out_of_range():
     f = small_table()
     with pytest.raises(OutOfRangeError):
-        enthalpy(f, 279.9, 1.5e6)
+        f.enthalpy(279.9, 1.5e6)
     with pytest.raises(OutOfRangeError):
-        enthalpy(f, 300.0, 2.1e6)
+        f.enthalpy(300.0, 2.1e6)
 
 
 def test_tabulated_rejects_nonmonotone_h_in_T():
@@ -284,7 +251,7 @@ def test_co2_like_table_matches_surface():
     for T, p in [(290.0, 9.0e6), (380.0, 1.0e7), (427.0, 1.15e7)]:
         # On-node queries reproduce the analytic surface exactly; between
         # nodes bilinear error stays small for this smooth function.
-        got = enthalpy(f, T, p)
+        got = f.enthalpy(T, p)
         ref = co2_like_enthalpy(T, p)
         assert got == pytest.approx(ref, rel=2e-4)
 
@@ -293,14 +260,14 @@ def test_co2_like_mean_cp_varies_strongly():
     # The pseudocritical peak makes the mean cp swing visibly with the
     # temperature span; the monitoring bias experiment relies on this.
     f = make_co2_like_table()
-    wide = mean_specific_heat(f, 380.0, 320.0, 1.0e7)
-    narrow = mean_specific_heat(f, 380.0, 370.0, 1.0e7)
+    wide = f.mean_specific_heat(380.0, 320.0, 1.0e7)
+    narrow = f.mean_specific_heat(380.0, 370.0, 1.0e7)
     assert wide > 1.15 * narrow
 
 
 def test_coolant_model_mean_cp():
     f = make_coolant_model()
-    assert mean_specific_heat(f, 300.0, 320.0, 5e5) == pytest.approx(
+    assert f.mean_specific_heat(300.0, 320.0, 5e5) == pytest.approx(
         2800.0 + 620.0, rel=1e-12
     )
 
@@ -320,6 +287,6 @@ def test_mean_cp_secant_oracle_against_quadrature():
     acc = 0.0
     for k in range(n):
         tm = t1 + (k + 0.5) * dt
-        acc += (enthalpy(f, tm + 0.005, p) - enthalpy(f, tm - 0.005, p)) / 0.01
+        acc += (f.enthalpy(tm + 0.005, p) - f.enthalpy(tm - 0.005, p)) / 0.01
     quad = acc / n
-    assert mean_specific_heat(f, t1, t2, p) == pytest.approx(quad, rel=5e-4)
+    assert f.mean_specific_heat(t1, t2, p) == pytest.approx(quad, rel=5e-4)

@@ -7,14 +7,20 @@ import numpy as np
 import pytest
 
 import hxtwin.harness as harness
+from hxtwin.approx_model import approx_steady_selfconsistent, update_cp_params
 from hxtwin.config import ConfigError, parse_config
-from hxtwin.correlations import reference_alpha_A, serial_conductance
+from hxtwin.correlations import (
+    CorrelationParams,
+    alpha_A,
+    reference_alpha_A,
+    serial_conductance,
+)
+from hxtwin.ekf import EkfConfig, model_inputs
 from hxtwin.fluids import (
     CaloricallyPerfect,
     StreamConfig,
     Tabulated,
     ThermallyPerfect,
-    enthalpy,
     save_fluid_table,
 )
 from hxtwin.harness import (
@@ -43,7 +49,9 @@ from hxtwin.harness import (
     write_telemetry_csv,
 )
 from hxtwin.means import log_mean
-from hxtwin.sampledata import make_co2_like_table
+from hxtwin.reference_model import InletConditions
+from hxtwin.sampledata import make_co2_like_table, make_coolant_model
+from hxtwin.wall_dynamics import WallDynamicsConfig
 
 SMOKE_CFG = """\
 [scenario]
@@ -162,6 +170,24 @@ f1_Hz = 0.5
 mdot_h_amp_frac = 1.2
 """))
     assert "[0, 1)" in str(exc.value)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("excitation", "span_s", "0"),
+    ("excitation", "span_s", "-30"),
+    ("plant", "substeps_per_sample", "0"),
+])
+def test_nonpositive_span_and_substeps_rejected_with_line(section, key, value):
+    text = SMOKE_CFG + "\n[excitation]\nkind = chirp\nf1_Hz = 0.5\n"
+    if section == "excitation":
+        text += f"{key} = {value}\n"
+    else:
+        text = text.replace("[plant]\n", f"[plant]\n{key} = {value}\n")
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(text))
+    assert exc.value.line == line
+    assert f"'{key}'" in str(exc.value)
 
 
 def test_polynomial_stream_and_bad_hull():
@@ -335,13 +361,17 @@ def test_telemetry_header_validated(tmp_path):
     assert "unexpected telemetry header" in str(exc.value)
 
 
-def test_monitor_csv_round_trip(tmp_path):
-    recs = [
+def sample_monitor():
+    return [
         MonitorRecord(0.0, 352.1, 314.5, 55000.0, 65000.0, 41.0, 29791.6,
                       math.nan, math.nan, math.nan, math.nan, "init"),
         MonitorRecord(1.0, 352.2, 314.6, 54900.0, 64900.0, 40.9, 29700.0,
                       0.01, -0.02, 0.001, -0.002, "beta_empty_hot|beta_empty_cold"),
     ]
+
+
+def test_monitor_csv_round_trip(tmp_path):
+    recs = sample_monitor()
     path = tmp_path / "mon.csv"
     write_monitor_csv(recs, path)
     lines = path.read_text().splitlines()
@@ -354,6 +384,28 @@ def test_monitor_csv_round_trip(tmp_path):
     assert back[1].kA_hat_W_K == 29700.0
     with pytest.raises(ValueError):
         read_telemetry_csv(path)  # wrong schema for this reader
+
+
+@pytest.mark.parametrize("write, read, sample", [
+    (write_telemetry_csv, read_telemetry_csv, sample_telemetry),
+    (write_monitor_csv, read_monitor_csv, sample_monitor),
+])
+@pytest.mark.parametrize("damage, message", [
+    (lambda row: ",".join(row.split(",")[:3]), "fields, got 3"),
+    (lambda row: "x1" + row[row.index(","):], "could not convert string to float: 'x1'"),
+], ids=["truncated", "non_numeric"])
+def test_csv_readers_name_file_and_line_of_a_bad_row(
+    tmp_path, write, read, sample, damage, message
+):
+    path = tmp_path / "out.csv"
+    write(sample(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = damage(lines[2])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}, line 3: ")
+    assert message in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +492,37 @@ assumed_noise_std_K = 0.2
 """))
     cfg2 = build_ekf_config(tuned)
     assert cfg2.r_y_density == 0.5  # explicit density wins over the noise rule
+
+
+def test_monitor_cp_uses_the_floored_steady_conductances():
+    # variant B with the flow and the cold leading factor below their
+    # floors, a cp exponent on both sides and a polynomial cold stream,
+    # so the steady cp fixed point moves theta5/theta6
+    cfg = EkfConfig(
+        variant="B", wall=WallDynamicsConfig(theta7=2000.0),
+        corr_hot=CorrelationParams(1.0, exp1=0.6, exp2=0.3),
+        corr_cold=CorrelationParams(1.0, exp1=0.8, exp2=0.2, offset=5.0),
+        r_x_density=0.01, r_upsilon_density=1000.0, r_y_density=0.01,
+    )
+    hot = StreamConfig(CaloricallyPerfect(1000.0), 1e5)
+    cold = StreamConfig(make_coolant_model(), 5e5)
+    u = InletConditions(400.0, 300.0, 1.0, 1.0)
+    x = np.array([350.0, 320.0, 1450.0, 0.5, 0.004])
+
+    def kA_of(cp):
+        return serial_conductance(
+            alpha_A(CorrelationParams(1450.0, 0.6, 0.3), 1.0, cp.theta5),
+            alpha_A(CorrelationParams(cfg.upsilon_floor, 0.8, 0.2, 5.0),
+                    cfg.mdot_floor, cp.theta6),
+        )
+
+    u_eff = InletConditions(400.0, 300.0, 1.0, cfg.mdot_floor)
+    _, want, n = approx_steady_selfconsistent(
+        u_eff, hot, cold, kA_of, cp0=update_cp_params(hot, cold, u))
+    assert n > 1
+    got = harness._monitor_cp(cfg, hot, cold, x, u, None, None)
+    assert got == want
+    assert model_inputs(cfg, x, u, got)[2].kA == kA_of(got)
 
 
 def test_run_monitor_smoke_tracks_matched_plant():

@@ -391,15 +391,6 @@ def test_verify_uniqueness_degenerate_intakes():
 # Validation dataclasses
 
 
-def test_wall_state_envelope_validation():
-    WallState(300.0, 310.0).validate()
-    with pytest.raises(ValueError):
-        WallState(100.0, 310.0).validate()
-    with pytest.raises(ValueError):
-        WallState(300.0, math.nan).validate()
-    WallState(100.0, 310.0).validate(envelope=None)
-
-
 def test_inlet_validation():
     InletConditions(400.0, 300.0, 1.0, 1.0).validate()
     with pytest.raises(ValueError):
