@@ -348,26 +348,29 @@ def update_cp_params(
     return CpParams(th3, th4, th5, th6)
 
 
+STEADY_CP_MAX_ITER = 5
+STEADY_CP_TOL = 1e-4  # K
+
+
 def approx_steady_selfconsistent(
     u: InletConditions,
     hot: StreamConfig,
     cold: StreamConfig,
     kA,
     cp0: CpParams | None = None,
-    max_iter: int = 5,
-    tol: float = 1e-4,
 ) -> tuple[OutletTemps, CpParams, int]:
     """Fixed-point refinement between approx_steady and the steady cps.
 
     ``kA`` is either a number or a callable CpParams -> kA, covering
     correlations whose conductance depends on the mean specific heat.
-    Stops after max_iter sweeps or when both outlets move < tol kelvin.
+    Stops after STEADY_CP_MAX_ITER sweeps or when both outlets move
+    less than STEADY_CP_TOL kelvin.
     """
     cp = cp0 if cp0 is not None else update_cp_params(hot, cold, u)
     kA_of = kA if callable(kA) else (lambda _cp: kA)
     outlets = approx_steady(u, kA_of(cp), cp)
     n = 0
-    for n in range(1, max_iter + 1):
+    for n in range(1, STEADY_CP_MAX_ITER + 1):
         cp = CpParams(
             cp.theta3,
             cp.theta4,
@@ -377,7 +380,7 @@ def approx_steady_selfconsistent(
         new = approx_steady(u, kA_of(cp), cp)
         moved = max(abs(new.T_h2 - outlets.T_h2), abs(new.T_c2 - outlets.T_c2))
         outlets = new
-        if moved < tol:
+        if moved < STEADY_CP_TOL:
             break
     return outlets, cp, n
 

@@ -107,13 +107,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .harness import inputs_at, truth_conductances, _truth_cpm
+    from .harness import initial_point
     from .reference_model import verify_uniqueness
 
     scn = load_scenario(args.config)
-    u0 = inputs_at(scn, 0.0)
-    cpm_h, cpm_c = _truth_cpm(scn, u0, None)
-    cond = truth_conductances(scn, u0, 0.0, cpm_h, cpm_c)
+    u0, cond = initial_point(scn)
     report = verify_uniqueness(u0, cond, scn.hot, scn.cold, grid_n=args.grid_n)
     print(f"scenario:            {scn.name}")
     print(f"grid points:         {args.grid_n}")

@@ -34,6 +34,20 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in _BOOLS:
+        raise ValueError(value)
+    return _BOOLS[value.lower()]
+
+
+def _pick(value: str, choices) -> str:
+    if value not in choices:
+        raise ValueError(value)
+    return value
 
 
 @dataclass
@@ -47,79 +61,44 @@ class RawConfig:
     def has(self, section: str, key: str) -> bool:
         return (section, key) in self.entries
 
-    def _fetch(self, section: str, key: str, default):
-        if (section, key) in self.entries:
-            return self.entries[(section, key)]
-        if default is _REQUIRED:
+    def _get(self, section: str, key: str, default, convert, expects: str):
+        """convert(value) of the key, or default when it is absent; a
+        missing required key or a value convert rejects with ValueError
+        raises ConfigError."""
+        if (section, key) not in self.entries:
+            if default is not _REQUIRED:
+                return default
             where = self.sections.get(section)
             if where is None:
                 raise ConfigError(f"missing section [{section}] (for key '{key}')")
             raise ConfigError(f"missing key '{key}' in section [{section}]", where)
-        return None
+        value, line = self.entries[(section, key)]
+        try:
+            return convert(value)
+        except ValueError:
+            raise ConfigError(f"'{key}' {expects}, got {value!r}", line) from None
 
     def get_str(self, section: str, key: str, default=_REQUIRED) -> str:
-        got = self._fetch(section, key, default)
-        return default if got is None else got[0]
+        return self._get(section, key, default, str, "expects a string")
 
     def get_float(self, section: str, key: str, default=_REQUIRED) -> float:
-        got = self._fetch(section, key, default)
-        if got is None:
-            return default
-        value, line = got
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(
-                f"'{key}' expects a number, got {value!r}", line
-            ) from None
+        return self._get(section, key, default, float, "expects a number")
 
     def get_int(self, section: str, key: str, default=_REQUIRED) -> int:
-        got = self._fetch(section, key, default)
-        if got is None:
-            return default
-        value, line = got
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(
-                f"'{key}' expects an integer, got {value!r}", line
-            ) from None
+        return self._get(section, key, default, int, "expects an integer")
 
     def get_floats(self, section: str, key: str, default=_REQUIRED) -> tuple:
         """Comma-separated list of numbers."""
-        got = self._fetch(section, key, default)
-        if got is None:
-            return default
-        value, line = got
-        try:
-            return tuple(float(tok) for tok in value.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"'{key}' expects comma-separated numbers, got {value!r}", line
-            ) from None
+        return self._get(section, key, default,
+                         lambda v: tuple(float(tok) for tok in v.split(",")),
+                         "expects comma-separated numbers")
 
     def get_bool(self, section: str, key: str, default=_REQUIRED) -> bool:
-        got = self._fetch(section, key, default)
-        if got is None:
-            return default
-        value, line = got
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"'{key}' expects a boolean, got {value!r}", line)
+        return self._get(section, key, default, _parse_bool, "expects a boolean")
 
     def get_choice(self, section: str, key: str, choices, default=_REQUIRED) -> str:
-        got = self._fetch(section, key, default)
-        if got is None:
-            return default
-        value, line = got
-        if value not in choices:
-            raise ConfigError(
-                f"'{key}' must be one of {sorted(choices)}, got {value!r}", line
-            )
-        return value
+        return self._get(section, key, default, lambda v: _pick(v, choices),
+                         f"must be one of {sorted(choices)}")
 
     def line_of(self, section: str, key: str) -> int:
         return self.entries[(section, key)][1]

@@ -48,6 +48,11 @@ __all__ = [
 
 VARIANTS = ("A", "B", "C")
 
+JACOBIAN_REL_STEP = 1e-6  # Jacobian steps: max(rel * |x_i|, abs)
+JACOBIAN_ABS_STEP = 1e-8
+UPSILON_FLOOR = 1.0  # W/K, floor of the leading factors
+MDOT_FLOOR = 0.01  # kg/s, floor of the estimated cold flow
+
 
 class DimensionMismatchError(ValueError):
     """State, covariance, or measurement size disagrees with the variant."""
@@ -67,10 +72,6 @@ class EkfConfig:
     r_upsilon_density: float  # (W/K)^2/s, per leading factor
     r_y_density: float  # K^2 s, per measured channel
     r_mdot_density: float = 0.1  # (kg/s)^2/s, variants B and C
-    jacobian_rel_step: float = 1e-6
-    jacobian_abs_step: float = 1e-8
-    upsilon_floor: float = 1.0  # W/K
-    mdot_floor: float = 0.01  # kg/s
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -136,16 +137,16 @@ def model_inputs(
     """Approximate-model inputs at the joint state x_v.
 
     Returns the effective inlets (variants B and C substitute the
-    estimated cold flow, floored at mdot_floor) and the output and
+    estimated cold flow, floored at MDOT_FLOOR) and the output and
     steady conductances of the monitored correlations at the leading
-    factors, floored at upsilon_floor.  The output conductances take the
+    factors, floored at UPSILON_FLOOR.  The output conductances take the
     transient mean cps theta3/theta4, the steady ones theta5/theta6.
     Only the parameter states x_v[2:] are read.
     """
     if cfg.n_states == 5:
-        u = replace(u, mdot_c=max(float(x_v[4]), cfg.mdot_floor))
-    hot = cfg.corr_hot.with_upsilon(max(float(x_v[2]), cfg.upsilon_floor))
-    cold = cfg.corr_cold.with_upsilon(max(float(x_v[3]), cfg.upsilon_floor))
+        u = replace(u, mdot_c=max(float(x_v[4]), MDOT_FLOOR))
+    hot = cfg.corr_hot.with_upsilon(max(float(x_v[2]), UPSILON_FLOOR))
+    cold = cfg.corr_cold.with_upsilon(max(float(x_v[3]), UPSILON_FLOOR))
     cond_out = Conductances(
         alpha_A(hot, u.mdot_h, cp.theta3),
         alpha_A(cold, u.mdot_c, cp.theta4),
@@ -272,7 +273,7 @@ def ekf_predict(
             return F @ M + M @ F.T + Q
 
         for _ in range(substeps):
-            F = central_jacobian(f, x, cfg.jacobian_rel_step, cfg.jacobian_abs_step)
+            F = central_jacobian(f, x, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
             k1 = f(x)
             p1 = pdot(P, F)
             k2 = f(x + 0.5 * h * k1)
@@ -332,7 +333,7 @@ def ekf_update(
         return _outputs(z, terms(z), cp)
 
     y_pred = g(state.x_hat)
-    H = central_jacobian(g, state.x_hat, cfg.jacobian_rel_step, cfg.jacobian_abs_step)
+    H = central_jacobian(g, state.x_hat, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
     H = H[list(rows), :]
     innovation = y_meas - y_pred[list(rows)]
     R_disc = (cfg.r_y_density / dt) * np.eye(len(rows))
@@ -340,10 +341,10 @@ def ekf_update(
     x_new = state.x_hat + K @ innovation
     P_new = state.P - K @ H @ state.P
     P_new = 0.5 * (P_new + P_new.T)
-    x_new[2] = max(x_new[2], cfg.upsilon_floor)
-    x_new[3] = max(x_new[3], cfg.upsilon_floor)
+    x_new[2] = max(x_new[2], UPSILON_FLOOR)
+    x_new[3] = max(x_new[3], UPSILON_FLOOR)
     if cfg.n_states == 5:
-        x_new[4] = max(x_new[4], cfg.mdot_floor)
+        x_new[4] = max(x_new[4], MDOT_FLOOR)
     return EkfState(x_new, P_new, state.t), innovation, y_pred
 
 

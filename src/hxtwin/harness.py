@@ -15,7 +15,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .means import log_mean
 from .reference_model import (
     Conductances,
     InletConditions,
+    OutletTemps,
     WallState,
     ref_output,
     ref_steady_outlets,
@@ -69,6 +70,7 @@ __all__ = [
     "load_scenario",
     "inputs_at",
     "truth_conductances",
+    "initial_point",
     "TelemetryRecord",
     "MonitorRecord",
     "TELEMETRY_COLUMNS",
@@ -127,26 +129,26 @@ class TruthConductanceSpec:
 @dataclass(frozen=True)
 class PlantSpec:
     theta7: float  # J/K
-    substeps_per_sample: int = 10
-    noise_std_K: float = 0.1
-    wall_init: WallState | None = None  # default: settled at t = 0
+    substeps_per_sample: int
+    noise_std_K: float
+    wall_init: WallState | None  # None: settled at t = 0
 
 
 @dataclass(frozen=True)
 class MonitoringSpec:
-    variant: str = "A"
-    corr_hot: CorrelationParams = CorrelationParams(1.0)
-    corr_cold: CorrelationParams = CorrelationParams(1.0)
-    upsilon0_h: float = 1.0  # W/K
-    upsilon0_c: float = 1.0  # W/K
-    mdot_c0: float = 1.0  # kg/s
-    Q_design: float = 1.0e6  # W
-    cp_model: str = "tracked"  # tracked | constant
-    cp_constant_hot: float = 2300.0  # J/(kg K)
+    variant: str
+    corr_hot: CorrelationParams
+    corr_cold: CorrelationParams
+    upsilon0_h: float  # W/K
+    upsilon0_c: float  # W/K
+    mdot_c0: float  # kg/s
+    Q_design: float  # W
+    cp_model: str  # tracked | constant
+    cp_constant_hot: float  # J/(kg K)
     # False models a dead cold flow meter: variant A is fed the stale
     # nominal mdot_c0 instead of the telemetry column.
-    trust_mdot_c: bool = True
-    tuning: dict = field(default_factory=dict)
+    trust_mdot_c: bool
+    tuning: dict
 
 
 @dataclass
@@ -198,6 +200,13 @@ _KNOWN_KEYS = {
         "assumed_noise_std_K",
     },
 }
+
+
+def _require(raw: RawConfig, section: str, key: str, ok: bool, rule: str) -> None:
+    """ConfigError "'key' rule" on the key's line unless ok.  Callers check
+    only values whose default passes, so a failing key is in the file."""
+    if not ok:
+        raise ConfigError(f"'{key}' {rule}", raw.line_of(section, key))
 
 
 def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
@@ -257,13 +266,8 @@ def _build_excitation(raw: RawConfig, duration: float) -> ExcitationSpec:
         mdot_c_amp_frac=raw.get_float("excitation", "mdot_c_amp_frac", 0.0),
     )
     for key in ("mdot_h_amp_frac", "mdot_c_amp_frac"):
-        if not 0.0 <= getattr(spec, key) < 1.0:
-            raise ConfigError(
-                f"'{key}' must lie in [0, 1)", raw.line_of("excitation", key)
-            )
-    # the default, duration_s, is positive
-    if not spec.span_s > 0.0:
-        raise ConfigError("'span_s' must be positive", raw.line_of("excitation", "span_s"))
+        _require(raw, "excitation", key, 0.0 <= getattr(spec, key) < 1.0, "must lie in [0, 1)")
+    _require(raw, "excitation", "span_s", spec.span_s > 0.0, "must be positive")
     return spec
 
 
@@ -329,16 +333,10 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
         noise_std_K=raw.get_float("plant", "noise_std_K", 0.1),
         wall_init=wall_init,
     )
-    if plant.theta7 <= 0.0:
-        raise ConfigError(
-            "theta7_J_K must be positive", raw.line_of("plant", "theta7_J_K")
-        )
-    # the default, 10, is valid
-    if plant.substeps_per_sample < 1:
-        raise ConfigError(
-            "'substeps_per_sample' must be at least 1",
-            raw.line_of("plant", "substeps_per_sample"),
-        )
+    _require(raw, "plant", "theta7_J_K", plant.theta7 > 0.0, "must be positive")
+    _require(raw, "plant", "substeps_per_sample", plant.substeps_per_sample >= 1,
+             "must be at least 1")
+    _require(raw, "plant", "noise_std_K", plant.noise_std_K >= 0.0, "must be nonnegative")
 
     tuning = {}
     if "monitoring.tuning" in raw.sections:
@@ -368,6 +366,12 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
         trust_mdot_c=raw.get_bool("monitoring", "trust_mdot_c", True),
         tuning=tuning,
     )
+    for key, value in (
+        ("upsilon0_h_W_K", monitoring.upsilon0_h), ("upsilon0_c_W_K", monitoring.upsilon0_c),
+        ("mdot_c0_kg_s", monitoring.mdot_c0), ("Q_design_W", monitoring.Q_design),
+        ("cp_constant_hot_J_kgK", monitoring.cp_constant_hot),
+    ):
+        _require(raw, "monitoring", key, value > 0.0, "must be positive")
 
     return ScenarioConfig(
         name=raw.get_str("scenario", "name"),
@@ -451,18 +455,6 @@ def truth_conductances(
 # ---------------------------------------------------------------------------
 # Record types and CSV round trip
 
-TELEMETRY_COLUMNS = (
-    "t_s", "T_h1_K", "T_c1_K", "mdot_h_kg_s", "mdot_c_kg_s",
-    "T_h2_true_K", "T_c2_true_K", "T_h2_meas_K", "T_c2_meas_K",
-    "T_w1_K", "T_w2_K", "aA_h_W_K", "aA_c_W_K", "kA_W_K", "p_h_Pa", "p_c_Pa",
-)
-
-MONITOR_COLUMNS = (
-    "t_s", "T_w1_hat_K", "T_w2_hat_K", "upsilon_h_hat_W_K", "upsilon_c_hat_W_K",
-    "mdot_c_hat_kg_s", "kA_hat_W_K", "innov_h_K", "innov_c_K",
-    "eps_h_K", "eps_c_K", "flags",
-)
-
 
 @dataclass
 class TelemetryRecord:
@@ -505,16 +497,22 @@ class MonitorRecord:
     flags: str
 
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
+# The CSV columns are the record fields in order; every monitor column
+# but the trailing flags is a number.
+TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryRecord))
+MONITOR_COLUMNS = tuple(f.name for f in fields(MonitorRecord))
+_MONITOR_NUMERIC = len(MONITOR_COLUMNS) - 1
 
 
-def write_telemetry_csv(records, path) -> None:
+def _write_records(records, path, columns: tuple, n_numeric: int) -> None:
+    """CSV with the given header, one row per record; the first n_numeric
+    fields are written as %.12g, the rest as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TELEMETRY_COLUMNS)
+        writer.writerow(columns)
         for rec in records:
-            writer.writerow([_fmt(getattr(rec, col)) for col in TELEMETRY_COLUMNS])
+            writer.writerow(["%.12g" % getattr(rec, col) for col in columns[:n_numeric]]
+                            + [getattr(rec, col) for col in columns[n_numeric:]])
 
 
 def _read_records(path, kind: str, columns: tuple, n_numeric: int, make) -> list:
@@ -537,39 +535,41 @@ def _read_records(path, kind: str, columns: tuple, n_numeric: int, make) -> list
         return out
 
 
+def write_telemetry_csv(records, path) -> None:
+    _write_records(records, path, TELEMETRY_COLUMNS, len(TELEMETRY_COLUMNS))
+
+
 def read_telemetry_csv(path) -> list[TelemetryRecord]:
     return _read_records(path, "telemetry", TELEMETRY_COLUMNS,
                          len(TELEMETRY_COLUMNS), TelemetryRecord)
 
 
 def write_monitor_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MONITOR_COLUMNS)
-        for rec in records:
-            row = [_fmt(getattr(rec, col)) for col in MONITOR_COLUMNS[:-1]]
-            row.append(rec.flags)
-            writer.writerow(row)
+    _write_records(records, path, MONITOR_COLUMNS, _MONITOR_NUMERIC)
 
 
 def read_monitor_csv(path) -> list[MonitorRecord]:
-    # every column but the trailing flags is a number
-    return _read_records(path, "monitor", MONITOR_COLUMNS,
-                         len(MONITOR_COLUMNS) - 1, MonitorRecord)
+    return _read_records(path, "monitor", MONITOR_COLUMNS, _MONITOR_NUMERIC, MonitorRecord)
 
 
 # ---------------------------------------------------------------------------
 # Truth simulation
 
 
-def _truth_cpm(scn: ScenarioConfig, u: InletConditions, prev_outs) -> tuple[float, float]:
-    if prev_outs is None:
-        h2, c2 = u.T_h1, u.T_c1
-    else:
-        h2, c2 = prev_outs.T_h2, prev_outs.T_c2
-    cpm_h = scn.hot.fluid.mean_specific_heat(u.T_h1, h2, scn.hot.pressure)
-    cpm_c = scn.cold.fluid.mean_specific_heat(u.T_c1, c2, scn.cold.pressure)
-    return cpm_h, cpm_c
+def _truth_cond(
+    scn: ScenarioConfig, u: InletConditions, t: float, outs: OutletTemps
+) -> Conductances:
+    """truth_conductances at the mean cps over the spans from the inlets to outs."""
+    cpm_h = scn.hot.fluid.mean_specific_heat(u.T_h1, outs.T_h2, scn.hot.pressure)
+    cpm_c = scn.cold.fluid.mean_specific_heat(u.T_c1, outs.T_c2, scn.cold.pressure)
+    return truth_conductances(scn, u, t, cpm_h, cpm_c)
+
+
+def initial_point(scn: ScenarioConfig) -> tuple[InletConditions, Conductances]:
+    """Inlets and plant-truth conductances at t = 0, the mean cps taken at
+    the inlet temperatures."""
+    u = inputs_at(scn, 0.0)
+    return u, _truth_cond(scn, u, 0.0, OutletTemps(u.T_h1, u.T_c1))
 
 
 def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[TelemetryRecord]:
@@ -587,9 +587,7 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
     )
     p_h, p_c = scn.hot.pressure, scn.cold.pressure
 
-    u = inputs_at(scn, 0.0)
-    cpm_h, cpm_c = _truth_cpm(scn, u, None)
-    cond = truth_conductances(scn, u, 0.0, cpm_h, cpm_c)
+    u, cond = initial_point(scn)
     if scn.plant.wall_init is not None:
         x = scn.plant.wall_init
     else:
@@ -620,8 +618,7 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
         x = integrate_step(rhs, x, scn.dt_s, wall_cfg.substeps_per_sample)
         t = k * scn.dt_s
         u = inputs_at(scn, t)
-        cpm_h, cpm_c = _truth_cpm(scn, u, outs)
-        cond = truth_conductances(scn, u, t, cpm_h, cpm_c)
+        cond = _truth_cond(scn, u, t, outs)
         outs = ref_output(x, u, cond, scn.hot, scn.cold)
         emit(t, u, x, outs, cond)
     return records
@@ -1010,9 +1007,7 @@ def bench_models(
     """
     if n_evals < 1:
         raise ValueError("n_evals must be at least 1")
-    u0 = inputs_at(scn, 0.0)
-    cpm_h, cpm_c = _truth_cpm(scn, u0, None)
-    cond = truth_conductances(scn, u0, 0.0, cpm_h, cpm_c)
+    u0, cond = initial_point(scn)
     steady = ref_steady_outlets(u0, cond.kA, scn.hot, scn.cold)
     xs = steady_wall_temps(steady, u0, cond)
     x = WallState(xs.T_w1 + 2.0, xs.T_w2 - 2.0)

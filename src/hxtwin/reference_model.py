@@ -125,6 +125,11 @@ class UniquenessReport:
 # ---------------------------------------------------------------------------
 
 
+SOLVE_MAX_ITER = 200
+OUTPUT_FTOL = 1e-6  # W, side residual of the output roots
+PAIR_FTOL = 1e-7  # W, energy balance of the steady outlet pairing
+
+
 def solve_bracketed(
     f,
     lo: float,
@@ -133,14 +138,13 @@ def solve_bracketed(
     f_hi: float | None = None,
     xtol: float = 1e-9,
     ftol: float = 1e-6,
-    max_iter: int = 200,
 ):
     """Find a root of f inside [lo, hi] given a sign change.
 
     Bracketed bisection refined by regula falsi (Illinois weighting keeps
     the secant step from stalling on one side).  Iterates until both the
     bracket width drops below xtol and the residual magnitude below ftol,
-    capped at max_iter.
+    capped at SOLVE_MAX_ITER.
 
     Returns (x, f(x), converged, iterations).
     """
@@ -158,7 +162,7 @@ def solve_bracketed(
     else:
         best_x, best_f = b, fb
     side = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, SOLVE_MAX_ITER + 1):
         denom = fb - fa
         if denom != 0.0:
             xm = (a * fb - b * fa) / denom
@@ -183,7 +187,7 @@ def solve_bracketed(
             side = 1
         if abs(b - a) <= xtol and abs(best_f) <= ftol:
             return best_x, best_f, True, it
-    return best_x, best_f, False, max_iter
+    return best_x, best_f, False, SOLVE_MAX_ITER
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +195,7 @@ def solve_bracketed(
 # ---------------------------------------------------------------------------
 
 
-def _solve_side(f, lo: float, hi: float, ftol: float):
+def _solve_side(f, lo: float, hi: float):
     """Solve one side residual over its physical bracket.
 
     The unrestricted heat rate switches branch exactly on the bracket
@@ -206,7 +210,7 @@ def _solve_side(f, lo: float, hi: float, ftol: float):
         raise BracketError(f"inverted bracket [{lo}, {hi}] K")
     if lo == hi:
         r = f(lo)
-        return lo, r, abs(r) > ftol
+        return lo, r, abs(r) > OUTPUT_FTOL
     delta = 1e-7 * (hi - lo)
     a, b = lo + delta, hi - delta
     f_a, f_b = f(a), f(b)
@@ -218,7 +222,7 @@ def _solve_side(f, lo: float, hi: float, ftol: float):
         if abs(f_a) <= abs(f_b):
             return lo, f_a, True
         return hi, f_b, True
-    x, fx, _, _ = solve_bracketed(f, a, b, f_a, f_b, ftol=ftol)
+    x, fx, _, _ = solve_bracketed(f, a, b, f_a, f_b, ftol=OUTPUT_FTOL)
     return x, fx, False
 
 
@@ -259,7 +263,6 @@ def ref_output_detailed(
     cond: Conductances,
     hot: StreamConfig,
     cold: StreamConfig,
-    ftol: float = 1e-6,
 ) -> tuple[OutletTemps, RefOutputInfo]:
     """Reference outlet temperatures with solver diagnostics.
 
@@ -271,8 +274,8 @@ def ref_output_detailed(
     unknown, so the roots are unique where they exist.
     """
     res_h, res_c = _output_residuals(x, u, cond, hot, cold)
-    T_h2, r_h, flag_h = _solve_side(res_h, x.T_w2, u.T_h1, ftol)
-    T_c2, r_c, flag_c = _solve_side(res_c, u.T_c1, x.T_w1, ftol)
+    T_h2, r_h, flag_h = _solve_side(res_h, x.T_w2, u.T_h1)
+    T_c2, r_c, flag_c = _solve_side(res_c, u.T_c1, x.T_w1)
     return OutletTemps(T_h2, T_c2), RefOutputInfo(flag_h, flag_c, r_h, r_c)
 
 
@@ -293,7 +296,7 @@ def ref_output(
 # ---------------------------------------------------------------------------
 
 
-def _steady_outer_residual(u, kA, hot, cold, inner_ftol=1e-7):
+def _steady_outer_residual(u, kA, hot, cold):
     """Build the outer 1-D steady residual in T_c2s.
 
     For each trial cold outlet, the paired hot outlet is the unique root
@@ -328,7 +331,7 @@ def _steady_outer_residual(u, kA, hot, cold, inner_ftol=1e-7):
             return u.T_c1
         g_hi = g(u.T_h1)  # = -target >= 0
         T, _, _, _ = solve_bracketed(
-            g, u.T_c1, u.T_h1, g_lo, g_hi, xtol=1e-11, ftol=inner_ftol
+            g, u.T_c1, u.T_h1, g_lo, g_hi, xtol=1e-11, ftol=PAIR_FTOL
         )
         return T
 

@@ -47,18 +47,18 @@ class Sector(Enum):
     V = 5  # at the steady state within tolerance
 
 
+SECTOR_V_EPSILON = 1e-9  # K, dead band around the steady state
+TDW_LOWER_BOUND = 1e-6  # K/s, drift floor in sectors II/IV
+
+
 @dataclass(frozen=True, slots=True)
 class WallDynamicsConfig:
     theta7: float  # J/K, wall heat capacity
-    sector_v_epsilon: float = 1e-9  # K, dead band around the steady state
-    tdw_lower_bound: float = 1e-6  # K/s, drift floor in sectors II/IV
     substeps_per_sample: int = 10
 
     def __post_init__(self):
         if self.theta7 <= 0.0:
             raise ValueError(f"theta7 must be positive, got {self.theta7}")
-        if self.sector_v_epsilon < 0.0 or self.tdw_lower_bound < 0.0:
-            raise ValueError("tolerances must be nonnegative")
         if self.substeps_per_sample < 1:
             raise ValueError("substeps_per_sample must be at least 1")
 
@@ -95,14 +95,14 @@ def wall_rhs(
     """
     e1 = xs.T_w1 - x.T_w1
     e2 = xs.T_w2 - x.T_w2
-    sector = classify_sector(e1, e2, cfg.sector_v_epsilon)
+    sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
     if sector is Sector.V:
         return (0.0, 0.0), sector
     tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
     if sector is Sector.I or sector is Sector.III:
         a = 2.0 * tdw / (e1 + e2)
     else:
-        a = 2.0 * max(abs(tdw), cfg.tdw_lower_bound) / math.hypot(e1, e2)
+        a = 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
     return (a * e1, a * e2), sector
 
 

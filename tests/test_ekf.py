@@ -6,6 +6,10 @@ import pytest
 from hxtwin.approx_model import CpParams, evaluate_approx
 from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import (
+    JACOBIAN_ABS_STEP,
+    JACOBIAN_REL_STEP,
+    MDOT_FLOOR,
+    UPSILON_FLOOR,
     DimensionMismatchError,
     EkfConfig,
     EkfState,
@@ -65,6 +69,8 @@ def test_config_variants_and_shapes():
         make_cfg("D")
     with pytest.raises(ValueError):
         make_cfg("A", r_y_density=0.0)
+    with pytest.raises(TypeError):  # the floors are module constants
+        make_cfg("A", upsilon_floor=2.0)
 
 
 def test_process_noise_density_layout():
@@ -226,7 +232,7 @@ def test_model_inputs_variant_a_passes_inlets_through():
 @pytest.mark.parametrize("mdot_state, mdot_used", [(0.7, 0.7), (0.004, 0.01), (-2.0, 0.01)])
 def test_model_inputs_substitutes_floored_cold_flow(variant, mdot_state, mdot_used):
     cfg = make_cfg(variant, corr_cold=CorrelationParams(upsilon=1.0, exp1=0.8))
-    assert cfg.mdot_floor == 0.01
+    assert MDOT_FLOOR == 0.01
     x = np.array([350.0, 320.0, 1500.0, 3000.0, mdot_state])
     u_eff, cond_out, cond_steady = model_inputs(cfg, x, U, CP)
     assert u_eff == InletConditions(U.T_h1, U.T_c1, U.mdot_h, mdot_used)
@@ -242,8 +248,8 @@ def test_model_inputs_floors_leading_factors():
     )
     cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
     _, cond_out, cond_steady = model_inputs(cfg, np.array([350.0, 320.0, 0.2, -40.0]), U, cp)
-    hot = CorrelationParams(cfg.upsilon_floor, exp1=0.6, exp2=0.3)
-    cold = CorrelationParams(cfg.upsilon_floor, exp2=0.2, offset=5.0)
+    hot = CorrelationParams(UPSILON_FLOOR, exp1=0.6, exp2=0.3)
+    cold = CorrelationParams(UPSILON_FLOOR, exp2=0.2, offset=5.0)
     assert cond_out == Conductances(
         alpha_A(hot, U.mdot_h, cp.theta3), alpha_A(cold, U.mdot_c, cp.theta4))
     assert cond_steady == Conductances(
@@ -257,10 +263,10 @@ def test_model_inputs_floors_leading_factors():
 
 def reference_evaluation(cfg, z, u, cp):
     if cfg.n_states == 5:
-        u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, max(float(z[4]), cfg.mdot_floor))
-    hot = CorrelationParams(max(float(z[2]), cfg.upsilon_floor), cfg.corr_hot.exp1,
+        u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, max(float(z[4]), MDOT_FLOOR))
+    hot = CorrelationParams(max(float(z[2]), UPSILON_FLOOR), cfg.corr_hot.exp1,
                             cfg.corr_hot.exp2, cfg.corr_hot.offset)
-    cold = CorrelationParams(max(float(z[3]), cfg.upsilon_floor), cfg.corr_cold.exp1,
+    cold = CorrelationParams(max(float(z[3]), UPSILON_FLOOR), cfg.corr_cold.exp1,
                              cfg.corr_cold.exp2, cfg.corr_cold.offset)
     cond_out = Conductances(alpha_A(hot, u.mdot_h, cp.theta3),
                             alpha_A(cold, u.mdot_c, cp.theta4))
@@ -296,7 +302,7 @@ def reference_predict(state, cfg, u, cp, dt):
         return F @ M + M @ F.T + Q
 
     for _ in range(cfg.wall.substeps_per_sample):
-        F = reference_jacobian(f, x, cfg.jacobian_rel_step, cfg.jacobian_abs_step)
+        F = reference_jacobian(f, x, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
         k1 = f(x)
         p1 = pdot(P, F)
         k2 = f(x + 0.5 * h * k1)
@@ -314,16 +320,16 @@ def reference_update(state, cfg, u, cp, y_meas, dt):
     rows = list(cfg.measured_rows)
     y_pred = reference_g(cfg, state.x_hat, u, cp)
     H = reference_jacobian(lambda z: reference_g(cfg, z, u, cp), state.x_hat,
-                           cfg.jacobian_rel_step, cfg.jacobian_abs_step)[rows, :]
+                           JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)[rows, :]
     innovation = y_meas - y_pred[rows]
     K = kalman_gain(state.P, H, (cfg.r_y_density / dt) * np.eye(len(rows)))
     x = state.x_hat + K @ innovation
     P = state.P - K @ H @ state.P
     P = 0.5 * (P + P.T)
-    x[2] = max(x[2], cfg.upsilon_floor)
-    x[3] = max(x[3], cfg.upsilon_floor)
+    x[2] = max(x[2], UPSILON_FLOOR)
+    x[3] = max(x[3], UPSILON_FLOOR)
     if cfg.n_states == 5:
-        x[4] = max(x[4], cfg.mdot_floor)
+        x[4] = max(x[4], MDOT_FLOOR)
     return x, P, innovation, y_pred
 
 
@@ -450,8 +456,8 @@ def test_update_applies_floors():
     st.P[2, 2] = 1e9  # make the filter willing to move upsilon far
     y = g_v(cfg, st.x_hat, U, CP) + np.array([50.0, -50.0])
     new, _, _ = ekf_update(st, cfg, U, CP, y, 1.0)
-    assert new.x_hat[2] >= cfg.upsilon_floor
-    assert new.x_hat[3] >= cfg.upsilon_floor
+    assert new.x_hat[2] >= UPSILON_FLOOR
+    assert new.x_hat[3] >= UPSILON_FLOOR
 
 
 def test_update_variant_c_single_channel():

@@ -2,6 +2,7 @@
 simulation, monitoring replay, metrics, and the benchmark helper."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hxtwin.correlations import (
     reference_alpha_A,
     serial_conductance,
 )
-from hxtwin.ekf import EkfConfig, model_inputs
+from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, model_inputs
 from hxtwin.fluids import (
     CaloricallyPerfect,
     StreamConfig,
@@ -176,18 +177,70 @@ mdot_h_amp_frac = 1.2
     ("excitation", "span_s", "0"),
     ("excitation", "span_s", "-30"),
     ("plant", "substeps_per_sample", "0"),
+    ("plant", "noise_std_K", "-0.1"),
+    ("monitoring", "upsilon0_h_W_K", "-5"),
+    ("monitoring", "upsilon0_c_W_K", "0"),
+    ("monitoring", "mdot_c0_kg_s", "0"),
+    ("monitoring", "Q_design_W", "0"),
+    ("monitoring", "Q_design_W", "-60000"),
+    ("monitoring", "cp_constant_hot_J_kgK", "0"),
 ])
 def test_nonpositive_span_and_substeps_rejected_with_line(section, key, value):
     text = SMOKE_CFG + "\n[excitation]\nkind = chirp\nf1_Hz = 0.5\n"
-    if section == "excitation":
-        text += f"{key} = {value}\n"
-    else:
-        text = text.replace("[plant]\n", f"[plant]\n{key} = {value}\n")
+    # drop the smoke value, if any, and put the bad one first in its section
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     line = text.splitlines().index(f"{key} = {value}") + 1
     with pytest.raises(ConfigError) as exc:
         build_scenario(parse_config(text))
     assert exc.value.line == line
     assert f"'{key}'" in str(exc.value)
+
+
+class _RecordingEntries(dict):
+    """Config entries that note every (section, key) looked up."""
+
+    def __init__(self, entries, seen: set):
+        super().__init__(entries)
+        self.seen = seen
+
+    def __contains__(self, section_key):
+        self.seen.add(section_key)
+        return super().__contains__(section_key)
+
+
+def test_known_keys_are_exactly_the_keys_the_builders_read(tmp_path):
+    # three configs reach every kind branch: perfect, polynomial and table
+    # streams on both sides; constant, step and chirp excitation; constant,
+    # ramp and correlation truth; a wall init; every tuning key
+    save_fluid_table(make_co2_like_table(300.0, 430.0, 10.0), tmp_path / "gas.txt")
+    hot, cold = "kind = perfect\ncp_J_kgK = 1000", "kind = perfect\ncp_J_kgK = 2000"
+    poly = "kind = polynomial\ncp_coeffs = 2800, 2.0\nhull_K = 200, 600"
+    table = "kind = table\ntable_path = gas.txt"
+    truth = "kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000"
+    ramp = ("kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
+            "aA_c_start_W_K = 3000\naA_c_end_W_K = 2800")
+    corr = "kind = correlation\n" + "".join(
+        f"{side}_coefficient_W_K = 100\n{side}_exp_mdot = 0.8\n{side}_exp_cp = 0.3\n"
+        for side in ("hot", "cold"))
+    tuning = "\n[monitoring.tuning]\n" + "".join(
+        f"{key} = 1.0\n" for key in sorted(harness._KNOWN_KEYS["monitoring.tuning"]))
+    texts = [
+        SMOKE_CFG,
+        SMOKE_CFG.replace(hot, poly).replace(cold, table).replace(truth, ramp)
+        .replace("[plant]\n", "[plant]\nT_w1_init_K = 360\nT_w2_init_K = 310\n")
+        + "\n[excitation]\nkind = step\nstep_time_s = 10\nstep_T_h1_K = 410\n" + tuning,
+        SMOKE_CFG.replace(hot, table).replace(cold, poly).replace(truth, corr)
+        + "\n[excitation]\nkind = chirp\nf1_Hz = 0.5\n",
+    ]
+    seen = set()
+    for text in texts:
+        raw = parse_config(text)
+        raw.entries = _RecordingEntries(raw.entries, seen)
+        build_scenario(raw, base_dir=str(tmp_path))
+    known = {(sec, key) for sec, keys in harness._KNOWN_KEYS.items() for key in keys}
+    assert seen - known == set(), "read but not listed"
+    assert known - seen == set(), "listed but never read"
 
 
 def test_polynomial_stream_and_bad_hull():
@@ -512,11 +565,11 @@ def test_monitor_cp_uses_the_floored_steady_conductances():
     def kA_of(cp):
         return serial_conductance(
             alpha_A(CorrelationParams(1450.0, 0.6, 0.3), 1.0, cp.theta5),
-            alpha_A(CorrelationParams(cfg.upsilon_floor, 0.8, 0.2, 5.0),
-                    cfg.mdot_floor, cp.theta6),
+            alpha_A(CorrelationParams(UPSILON_FLOOR, 0.8, 0.2, 5.0),
+                    MDOT_FLOOR, cp.theta6),
         )
 
-    u_eff = InletConditions(400.0, 300.0, 1.0, cfg.mdot_floor)
+    u_eff = InletConditions(400.0, 300.0, 1.0, MDOT_FLOOR)
     _, want, n = approx_steady_selfconsistent(
         u_eff, hot, cold, kA_of, cp0=update_cp_params(hot, cold, u))
     assert n > 1

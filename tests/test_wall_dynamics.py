@@ -15,6 +15,7 @@ from hxtwin.reference_model import (
     steady_wall_temps,
 )
 from hxtwin.wall_dynamics import (
+    TDW_LOWER_BOUND,
     Sector,
     WallDynamicsConfig,
     approx_wall_rhs,
@@ -110,7 +111,7 @@ def test_wall_rhs_drift_floor_in_sector_iv():
     xs = WallState(352.0, 340.0)  # e = (3, -4), sector IV
     rate, sector = wall_rhs(x, xs, -100.0, 100.0, CFG)  # Tdot_w = 0
     assert sector is Sector.IV
-    a = 2.0 * CFG.tdw_lower_bound / 5.0
+    a = 2.0 * TDW_LOWER_BOUND / 5.0
     assert rate[0] == pytest.approx(a * 3.0, rel=1e-12)
     assert rate[1] == pytest.approx(a * -4.0, rel=1e-12)
 
@@ -120,8 +121,8 @@ def test_config_validation():
         WallDynamicsConfig(theta7=0.0)
     with pytest.raises(ValueError):
         WallDynamicsConfig(theta7=1.0, substeps_per_sample=0)
-    with pytest.raises(ValueError):
-        WallDynamicsConfig(theta7=1.0, sector_v_epsilon=-1e-9)
+    with pytest.raises(TypeError):  # the tolerances are module constants
+        WallDynamicsConfig(theta7=1.0, sector_v_epsilon=1e-6)
 
 
 # ---------------------------------------------------------------------------
