@@ -61,7 +61,6 @@ _EXP_CLAMP = 700.0
 
 class BetaBranch(Enum):
     BETA_LM = "betaLM"
-    BETA_STAR1 = "betaStar1"
     BETA_STAR2 = "betaStar2"
     ZERO = "zero"
 
@@ -135,30 +134,8 @@ def universal_residual(sub: SideSubstitution, dT_II: float, beta: float) -> floa
 
     Used for verification; g_closed_form returns its root directly.
     """
-    wm = _wm_safe(sub.dT_I, dT_II, beta)
+    wm = weighted_mean(sub.dT_I, dT_II, beta)
     return sub.gamma * sub.C_p * (sub.dT_I - dT_II + sub.dT_w) - sub.gamma * sub.aA * wm
-
-
-def _wm_safe(z1: float, z2: float, beta: float) -> float:
-    # Feasible arguments are nonnegative up to root-solver roundoff; clip
-    # a vanishing negative before the square root instead of failing.
-    if beta == 0.0:
-        return 0.5 * (z1 + z2)
-    if z1 * z2 < 0.0:
-        mag = max(abs(z1), abs(z2))
-        if min(abs(z1), abs(z2)) > 1e-9 * max(mag, 1.0):
-            raise DomainError(f"weighted mean needs z1*z2 >= 0, got ({z1}, {z2})")
-        if abs(z1) < abs(z2):
-            z1 = 0.0
-        else:
-            z2 = 0.0
-    return weighted_mean(z1, z2, beta)
-
-
-def _xi23(dT_I: float, dT_w: float, aA: float, C_p: float) -> tuple[float, float]:
-    xi2 = 2.0 * aA * (aA * dT_I - C_p * dT_w)
-    xi3 = 4.0 * C_p * C_p * (dT_I + dT_w) + aA * (2.0 * C_p * dT_w - aA * dT_I)
-    return xi2, xi3
 
 
 def g_closed_form(sub: SideSubstitution, beta: float) -> float:
@@ -190,8 +167,9 @@ def _g(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) -> float:
     b_lin = aA * beta * math.sqrt(dT_I)
     c0 = 0.5 * aA * (1.0 - beta) * dT_I - C_p * (dT_I + dT_w)
     if c0 > 0.0:
-        # Tolerate roundoff at the feasible-set boundary only.
-        scale = 0.5 * aA * (1.0 - beta) * dT_I + C_p * abs(dT_I + dT_w)
+        # Tolerate roundoff at the feasible-set boundary only; the rounding
+        # of 1 - beta enters c0 times 0.5*aA*dT_I, whatever 1 - beta is.
+        scale = 0.5 * aA * dT_I + C_p * abs(dT_I + dT_w)
         if c0 > 1e-9 * max(scale, 1e-300):
             raise DomainError(f"beta={beta} outside feasible set")
         c0 = 0.0
@@ -219,11 +197,17 @@ def select_beta(
     """Choose beta per the published rule.
 
     If dT_I > 0 and the feasible set B is nonempty, return the member of
-    {beta_LM, beta*_1, beta*_2} inside B nearest to beta_LM (ties go to
-    that order); otherwise beta = 0 (arithmetic-mean fallback).  B is the
-    part of (0, 1] where the closed-form radicand is nonnegative and the
-    root position stays nonnegative; both constraints reduce to one
-    quadratic in beta whose roots are beta*_1/2.
+    {beta_LM, beta*_1, beta*_2} inside B nearest to beta_LM; otherwise
+    beta = 0 (arithmetic-mean fallback).  B is the part of (0, 1] between
+    beta*_2 <= beta*_1, the roots of the quadratic in beta that keeps the
+    closed-form radicand and root position nonnegative.
+
+    Its discriminant is the perfect square (2*aA*C_p*(dT_w + 2*dT_I))^2,
+    so the roots are 1 + 2*C_p/aA and 1 - 2*slack/(dT_I*aA), with
+    slack = C_p*(dT_I + dT_w).  slack < 0 puts both above 1 (B empty);
+    otherwise beta*_1 > 1 is never a member, and B is where
+    0.5*aA*(1 - beta)*dT_I <= slack, the closed form's c0 <= 0.  The rule
+    is then: beta_LM if it passes, else beta*_2 if positive, else empty.
     """
     return _select_beta(
         sub.dT_I, sub.dT_w, sub.aA, sub.C_p,
@@ -242,10 +226,6 @@ def _beta_lm_selection(steady_dT_Is: float, steady_dT_IIs: float) -> BetaSelecti
     )
 
 
-def _in_feasible_set(c: float, lo: float, hi: float) -> bool:
-    return 0.0 < c <= 1.0 and lo <= c <= hi
-
-
 def _select_beta(
     dT_I: float, dT_w: float, aA: float, C_p: float, lm: BetaSelection
 ) -> BetaSelection:
@@ -253,24 +233,14 @@ def _select_beta(
     once per steady state and returned whenever beta_LM is feasible."""
     if dT_I <= 0.0:
         return _BETA_ZERO
-    xi2, xi3 = _xi23(dT_I, dT_w, aA, C_p)
-    disc = 4.0 * dT_I * xi3 * aA * aA + xi2 * xi2
-    if disc < 0.0:
+    slack = C_p * (dT_I + dT_w)
+    if slack < 0.0:
         return _BETA_EMPTY
-    sq = math.sqrt(disc)
-    denom = 2.0 * dT_I * aA * aA
-    b_star1 = (xi2 + sq) / denom  # upper edge of the quadratic's <= 0 region
-    b_star2 = (xi2 - sq) / denom  # lower edge
-    if b_star1 <= 0.0 or b_star2 > 1.0:
-        return _BETA_EMPTY
-    b_lm = lm.beta
-    if _in_feasible_set(b_lm, b_star2, b_star1):
+    # the product _g forms for c0, so a beta passing here passes there
+    if lm.beta <= 1.0 and 0.5 * aA * (1.0 - lm.beta) * dT_I <= slack:
         return lm
-    star1 = _in_feasible_set(b_star1, b_star2, b_star1)
-    star2 = _in_feasible_set(b_star2, b_star2, b_star1)
-    if star1 and not (star2 and abs(b_star2 - b_lm) < abs(b_star1 - b_lm)):
-        return BetaSelection(b_star1, BetaBranch.BETA_STAR1, False)
-    if star2:
+    b_star2 = 1.0 - 2.0 * slack / (dT_I * aA)
+    if b_star2 > 0.0:
         return BetaSelection(b_star2, BetaBranch.BETA_STAR2, False)
     return _BETA_EMPTY
 
@@ -459,8 +429,8 @@ def evaluate_approx(
     dT_II_c = _g(dT_I_c, dT_w, aA_c, C_c, beta_c.beta)
 
     outlets = OutletTemps(dT_II_h + x.T_w2, x.T_w1 - dT_II_c)
-    Q_h = -aA_h * _wm_safe(dT_I_h, dT_II_h, beta_h.beta)
-    Q_c = aA_c * _wm_safe(dT_I_c, dT_II_c, beta_c.beta)
+    Q_h = -aA_h * weighted_mean(dT_I_h, dT_II_h, beta_h.beta)
+    Q_c = aA_c * weighted_mean(dT_I_c, dT_II_c, beta_c.beta)
     return ApproxEvaluation(
         outlets, steady.outlets, steady.walls, beta_h, beta_c, Q_h, Q_c
     )

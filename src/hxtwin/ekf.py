@@ -221,13 +221,13 @@ def g_v(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams) -> np
     return _outputs(x_v, _parameter_terms(cfg, x_v, u, cp), cp)
 
 
-def central_jacobian(fun, x: np.ndarray, rel_step: float, abs_step: float) -> np.ndarray:
+def central_jacobian(fun, x: np.ndarray) -> np.ndarray:
     """Central finite differences of fun with per-component steps
-    max(rel_step * |x_i|, abs_step)."""
+    max(JACOBIAN_REL_STEP * |x_i|, JACOBIAN_ABS_STEP)."""
     x = np.asarray(x, dtype=float)
     J = None
     for i in range(x.size):
-        h = max(rel_step * abs(x[i]), abs_step)
+        h = max(JACOBIAN_REL_STEP * abs(x[i]), JACOBIAN_ABS_STEP)
         xp = x.copy()
         xp[i] += h
         xm = x.copy()
@@ -273,7 +273,7 @@ def ekf_predict(
             return F @ M + M @ F.T + Q
 
         for _ in range(substeps):
-            F = central_jacobian(f, x, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
+            F = central_jacobian(f, x)
             k1 = f(x)
             p1 = pdot(P, F)
             k2 = f(x + 0.5 * h * k1)
@@ -333,7 +333,7 @@ def ekf_update(
         return _outputs(z, terms(z), cp)
 
     y_pred = g(state.x_hat)
-    H = central_jacobian(g, state.x_hat, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
+    H = central_jacobian(g, state.x_hat)
     H = H[list(rows), :]
     innovation = y_meas - y_pred[list(rows)]
     R_disc = (cfg.r_y_density / dt) * np.eye(len(rows))

@@ -209,6 +209,16 @@ def _require(raw: RawConfig, section: str, key: str, ok: bool, rule: str) -> Non
         raise ConfigError(f"'{key}' {rule}", raw.line_of(section, key))
 
 
+def _inlet_value(raw: RawConfig, section: str, key: str) -> float:
+    """An inlet value; mass flows must be positive, temperatures finite."""
+    value = raw.get_float(section, key)
+    if "mdot" in key:
+        _require(raw, section, key, value > 0.0, "must be positive")
+    else:
+        _require(raw, section, key, math.isfinite(value), "must be finite")
+    return value
+
+
 def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
     kind = raw.get_choice(section, "kind", {"perfect", "polynomial", "table"})
     pressure = raw.get_float(section, "pressure_Pa")
@@ -245,7 +255,7 @@ def _build_excitation(raw: RawConfig, duration: float) -> ExcitationSpec:
             ("step_mdot_h_kg_s", "mdot_h"), ("step_mdot_c_kg_s", "mdot_c"),
         ):
             if raw.has("excitation", key):
-                targets[name] = raw.get_float("excitation", key)
+                targets[name] = _inlet_value(raw, "excitation", key)
         if not targets:
             raise ConfigError(
                 "step excitation needs at least one step_* target",
@@ -314,12 +324,11 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
             "duration_s and dt_s must be positive", raw.sections.get("scenario", 0)
         )
     base_inlets = InletConditions(
-        T_h1=raw.get_float("inputs", "T_h1_K"),
-        T_c1=raw.get_float("inputs", "T_c1_K"),
-        mdot_h=raw.get_float("inputs", "mdot_h_kg_s"),
-        mdot_c=raw.get_float("inputs", "mdot_c_kg_s"),
+        T_h1=_inlet_value(raw, "inputs", "T_h1_K"),
+        T_c1=_inlet_value(raw, "inputs", "T_c1_K"),
+        mdot_h=_inlet_value(raw, "inputs", "mdot_h_kg_s"),
+        mdot_c=_inlet_value(raw, "inputs", "mdot_c_kg_s"),
     )
-    base_inlets.validate()
 
     wall_init = None
     if raw.has("plant", "T_w1_init_K") or raw.has("plant", "T_w2_init_K"):
@@ -836,11 +845,14 @@ def window_errors(
     windows of width window_s starting at t_start.
 
     ``agg`` is "mean" or "max"; NaN estimates are skipped, and a window
-    with no valid estimate aggregates to inf.  Raises WindowOutOfRange
-    if not even one full window fits after t_start.
+    with no valid estimate aggregates to inf.  Raises ValueError unless
+    window_s > 0, and WindowOutOfRange if not even one full window fits
+    after t_start.
     """
     if agg not in ("mean", "max"):
         raise ValueError(f"agg must be 'mean' or 'max', got {agg!r}")
+    if not window_s > 0.0:
+        raise ValueError(f"window_s must be positive, got {window_s}")
     times = list(times)
     if not times or t_start + window_s > times[-1] + 1e-9:
         raise WindowOutOfRange(

@@ -13,7 +13,6 @@ stream has a negative heat rate while it is being cooled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .correlations import serial_conductance
@@ -61,13 +60,6 @@ class InletConditions:
     T_c1: float  # K
     mdot_h: float  # kg/s
     mdot_c: float  # kg/s
-
-    def validate(self) -> "InletConditions":
-        if not (math.isfinite(self.T_h1) and math.isfinite(self.T_c1)):
-            raise ValueError("intake temperatures must be finite")
-        if self.mdot_h <= 0.0 or self.mdot_c <= 0.0:
-            raise ValueError("mass flows must be positive")
-        return self
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from hxtwin.approx_model import (
     CpParams,
     _g,
     _select_beta,
-    _wm_safe,
-    _xi23,
     approx_output,
     approx_steady,
     approx_steady_terms,
@@ -142,6 +141,12 @@ def test_g_rejects_bad_beta_and_domain():
         g_closed_form(bad, 0.5)
     # beta = 0 stays valid for any dT_I (linear fallback)
     g_closed_form(bad, 0.0)
+    # beta*_2 = 1 - 2*200*(10 - 5)/(10*1000) = 0.8 is the lowest feasible beta
+    edge = SideSubstitution(dT_I=10.0, dT_w=-5.0, C_p=200.0, gamma=-1.0, aA=1000.0)
+    assert g_closed_form(edge, 0.8) == pytest.approx(0.0, abs=1e-9)
+    for beta in (0.79, 0.5, 0.05):
+        with pytest.raises(DomainError, match="outside feasible set"):
+            g_closed_form(edge, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -241,70 +246,70 @@ def test_select_beta_boundary_gives_zero_root_position():
 
 # ---------------------------------------------------------------------------
 # Scalar cores: the wrappers take a SideSubstitution, evaluate_approx and
-# approx_output call the cores on plain floats.  Both must give exactly
-# the values of the rule as published (candidate list, nearest to beta_LM).
+# approx_output call the cores on plain floats.  Both must give the rule
+# as published (candidate list, nearest to beta_LM), here in exact
+# rational arithmetic.
 
 
-def reference_select_beta(sub: SideSubstitution, b_lm: float) -> BetaSelection:
-    dT_I, aA = sub.dT_I, sub.aA
-    if dT_I <= 0.0:
-        return BetaSelection(0.0, BetaBranch.ZERO, False)
-    xi2, xi3 = _xi23(dT_I, sub.dT_w, aA, sub.C_p)
-    disc = 4.0 * dT_I * xi3 * aA * aA + xi2 * xi2
-    if disc < 0.0:
-        return BetaSelection(0.0, BetaBranch.ZERO, True)
-    sq = math.sqrt(disc)
-    denom = 2.0 * dT_I * aA * aA
-    b_star1 = (xi2 + sq) / denom
-    b_star2 = (xi2 - sq) / denom
-    if b_star1 <= 0.0 or b_star2 > 1.0:
-        return BetaSelection(0.0, BetaBranch.ZERO, True)
-
-    def in_B(c):
-        return 0.0 < c <= 1.0 and b_star2 <= c <= b_star1
-
-    candidates = []
-    if in_B(b_lm):
-        candidates.append((0.0, 0, b_lm, BetaBranch.BETA_LM))
-    if in_B(b_star1):
-        candidates.append((abs(b_star1 - b_lm), 1, b_star1, BetaBranch.BETA_STAR1))
-    if in_B(b_star2):
-        candidates.append((abs(b_star2 - b_lm), 2, b_star2, BetaBranch.BETA_STAR2))
+def exact_select_beta(dT_I, dT_w, aA, C_p, b_lm) -> tuple[Fraction, str, bool]:
+    """(beta, branch value, feasible set empty) of the published rule on
+    the exact inputs.  B = [beta*_2, beta*_1] within (0, 1], the edges
+    being the factored roots of the feasibility quadratic; ties go to
+    beta_LM, beta*_1, beta*_2 in that order."""
+    i, w, a, c, lm = map(Fraction, (dT_I, dT_w, aA, C_p, b_lm))
+    if i <= 0:
+        return Fraction(0), "zero", False
+    lo, hi = sorted((1 + 2 * c / a, 1 - 2 * c * (i + w) / (i * a)))
+    candidates = [
+        (abs(b - lm), rank, b, name)
+        for rank, (b, name) in enumerate(((lm, "betaLM"), (hi, "betaStar1"), (lo, "betaStar2")))
+        if 0 < b <= 1 and lo <= b <= hi
+    ]
     if not candidates:
-        return BetaSelection(0.0, BetaBranch.ZERO, True)
-    _, _, beta, branch = min(candidates)
-    return BetaSelection(beta, branch, False)
+        return Fraction(0), "zero", True
+    _, _, beta, name = min(candidates)
+    return beta, name, False
 
 
-# b*_1 = 1 + 2 C_p/aA (or larger), so beta*_1 enters (0, 1] only when
-# C_p/aA rounds away: the 1e20 conductance reaches it, and with the
-# 1e-18 K difference b*_2 is well below 1, so the two edges compete.
+# Every branch, with dT_I down to 1e-18 K and aA up to 1e20 W/K, where
+# 2*C_p/aA rounds away next to 1.
 CORE_GRID = list(itertools.product(
-    (-2.0, 0.0, 1e-18, 0.5, 3.0, 10.0, 40.0),  # dT_I
+    (-2.0, 0.0, 1e-18, 1e-9, 0.5, 3.0, 10.0, 40.0),  # dT_I
     (-20.0, -5.0, -3.0, 0.0, 2.0, 8.0),  # dT_w
     (100.0, 1000.0, 1.0e20),  # aA
-    (1.0, 200.0, 1000.0),  # C_p
+    (1.0, 200.0, 1000.0, 2.5e4, 1.0e6),  # C_p
 ))
+BETA_LMS = (0.05, 0.5, 2.0 / 3.0, 0.9, 1.0, 1.5)
 STEADY_PAIRS = ((10.0, 6.0), (7.0, 7.0), (3.0, 30.0), (40.0, 0.5), (-1.0, 5.0))
 
 
 def test_select_beta_core_matches_reference_on_all_branches():
     reached = Counter()
+    rejected = []
+    for (dT_I, dT_w, aA, C_p), b_lm in itertools.product(CORE_GRID, BETA_LMS):
+        beta, branch, empty = exact_select_beta(dT_I, dT_w, aA, C_p, b_lm)
+        lm = BetaSelection(b_lm, BetaBranch.BETA_LM, False)
+        sel = _select_beta(dT_I, dT_w, aA, C_p, lm)
+        assert (sel.branch.value, sel.feasible_set_empty) == (branch, empty)
+        # the float beta*_2 = 1 - 2*slack/(dT_I*aA) rounds off the exact edge
+        assert abs(Fraction(sel.beta) - beta) <= 2 * Fraction(math.ulp(1.0))
+        try:
+            _g(dT_I, dT_w, aA, C_p, sel.beta)
+        except DomainError as exc:
+            rejected.append((dT_I, dT_w, aA, C_p, b_lm, str(exc)))
+        reached[branch, empty] += 1
+    assert sum(reached.values()) >= 4000
+    assert rejected == []
+    assert set(reached) == {
+        ("betaLM", False), ("betaStar2", False), ("zero", False), ("zero", True),
+    }
     for dT_I, dT_w, aA, C_p in CORE_GRID:
         sub = SideSubstitution(dT_I, dT_w, C_p, -1.0, aA)
-        for b_lm in (0.05, 0.5, 2.0 / 3.0, 0.9, 1.0, 1.5):
-            ref = reference_select_beta(sub, b_lm)
-            lm = BetaSelection(b_lm, BetaBranch.BETA_LM, False)
-            assert _select_beta(dT_I, dT_w, aA, C_p, lm) == ref
-            reached[ref.branch, ref.feasible_set_empty] += 1
         for s1, s2 in STEADY_PAIRS:
-            ref = reference_select_beta(sub, beta_lm_value(s1, s2))
-            assert select_beta(sub, s1, s2) == ref
-    assert set(reached) == {
-        (BetaBranch.BETA_LM, False), (BetaBranch.BETA_STAR1, False),
-        (BetaBranch.BETA_STAR2, False), (BetaBranch.ZERO, False),
-        (BetaBranch.ZERO, True),
-    }
+            core = _select_beta(
+                dT_I, dT_w, aA, C_p,
+                BetaSelection(beta_lm_value(s1, s2), BetaBranch.BETA_LM, False))
+            assert select_beta(sub, s1, s2) == core
 
 
 def _value_or_error(fn, *args):
@@ -411,18 +416,18 @@ def test_approx_output_wall_referenced():
 def reference_evaluate(x, u, cond_out, cond_steady, cp) -> ApproxEvaluation:
     steady_outlets, steady_walls = approx_steady_walls(u, cond_steady, cp)
     sub_h = hot_substitution(x, u, cond_out.aA_h, cp.theta3)
-    beta_h = reference_select_beta(sub_h, beta_lm_value(
-        u.T_h1 - steady_walls.T_w1, steady_outlets.T_h2 - steady_walls.T_w2))
+    beta_h = select_beta(sub_h, u.T_h1 - steady_walls.T_w1,
+                         steady_outlets.T_h2 - steady_walls.T_w2)
     dT_II_h = g_closed_form(sub_h, beta_h.beta)
     sub_c = cold_substitution(x, u, cond_out.aA_c, cp.theta4)
-    beta_c = reference_select_beta(sub_c, beta_lm_value(
-        steady_walls.T_w2 - u.T_c1, steady_walls.T_w1 - steady_outlets.T_c2))
+    beta_c = select_beta(sub_c, steady_walls.T_w2 - u.T_c1,
+                         steady_walls.T_w1 - steady_outlets.T_c2)
     dT_II_c = g_closed_form(sub_c, beta_c.beta)
     return ApproxEvaluation(
         OutletTemps(dT_II_h + x.T_w2, x.T_w1 - dT_II_c),
         steady_outlets, steady_walls, beta_h, beta_c,
-        -sub_h.aA * _wm_safe(sub_h.dT_I, dT_II_h, beta_h.beta),
-        sub_c.aA * _wm_safe(sub_c.dT_I, dT_II_c, beta_c.beta),
+        -sub_h.aA * weighted_mean(sub_h.dT_I, dT_II_h, beta_h.beta),
+        sub_c.aA * weighted_mean(sub_c.dT_I, dT_II_c, beta_c.beta),
     )
 
 

@@ -107,7 +107,7 @@ def test_central_jacobian_polynomial():
     def fun(z):
         return np.array([z[0] ** 2, z[0] * z[1]])
 
-    J = central_jacobian(fun, np.array([3.0, 5.0]), 1e-6, 1e-8)
+    J = central_jacobian(fun, np.array([3.0, 5.0]))
     assert J == pytest.approx(np.array([[6.0, 0.0], [5.0, 3.0]]), abs=1e-6)
 
 
@@ -115,7 +115,7 @@ def test_central_jacobian_abs_step_at_zero():
     def fun(z):
         return np.array([np.sin(z[0])])
 
-    J = central_jacobian(fun, np.array([0.0]), 1e-6, 1e-8)
+    J = central_jacobian(fun, np.array([0.0]))
     assert J[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -136,9 +136,10 @@ def test_central_jacobian_matches_column_stack():
         return np.array([z[0] ** 2 * z[2], np.sin(z[1]) + z[0], np.exp(z[2] / 7.0)])
 
     x = np.array([3.0, -0.25, 0.0, 12.5])
-    J = central_jacobian(fun, x, 1e-6, 1e-8)
+    J = central_jacobian(fun, x)
     assert J.shape == (3, 4)
-    assert np.array_equal(J, reference_jacobian(fun, x, 1e-6, 1e-8))
+    assert np.array_equal(
+        J, reference_jacobian(fun, x, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP))
 
 
 def test_kalman_gain_scalar_oracle():
@@ -183,7 +184,7 @@ def test_f_v_jacobian_structure():
     x = st.x_hat.copy()
     x[0] += 2.0
     x[1] += 1.0
-    F = central_jacobian(lambda z: f_v(cfg, z, U, CP), x, 1e-6, 1e-8)
+    F = central_jacobian(lambda z: f_v(cfg, z, U, CP), x)
     assert F.shape == (4, 4)
     assert np.all(F[2:, :] == 0.0)  # parameters have no dynamics
     assert abs(F[0, 0]) > 0.0  # wall relaxes on itself
@@ -196,7 +197,7 @@ def test_g_v_matches_evaluation_and_senses_upsilon():
     y = g_v(cfg, st.x_hat, U, CP)
     ev = ekf_evaluation(cfg, st.x_hat, U, CP)
     assert y == pytest.approx([ev.outlets.T_h2, ev.outlets.T_c2], rel=1e-12)
-    H = central_jacobian(lambda z: g_v(cfg, z, U, CP), st.x_hat, 1e-6, 1e-8)
+    H = central_jacobian(lambda z: g_v(cfg, z, U, CP), st.x_hat)
     # more hot-side conductance cools the hot outlet
     assert H[0, 2] < 0.0
     # more cold-side conductance warms the cold outlet

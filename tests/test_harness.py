@@ -184,9 +184,18 @@ mdot_h_amp_frac = 1.2
     ("monitoring", "Q_design_W", "0"),
     ("monitoring", "Q_design_W", "-60000"),
     ("monitoring", "cp_constant_hot_J_kgK", "0"),
+    ("inputs", "mdot_h_kg_s", "0"),
+    ("inputs", "mdot_c_kg_s", "-1"),
+    ("inputs", "T_h1_K", "nan"),
+    ("inputs", "T_c1_K", "inf"),
+    ("excitation", "step_mdot_c_kg_s", "0"),
+    ("excitation", "step_mdot_h_kg_s", "nan"),
+    ("excitation", "step_T_h1_K", "nan"),
 ])
 def test_nonpositive_span_and_substeps_rejected_with_line(section, key, value):
-    text = SMOKE_CFG + "\n[excitation]\nkind = chirp\nf1_Hz = 0.5\n"
+    excitation = ("kind = step\nstep_time_s = 10\n" if key.startswith("step_")
+                  else "kind = chirp\nf1_Hz = 0.5\n")
+    text = SMOKE_CFG + "\n[excitation]\n" + excitation
     # drop the smoke value, if any, and put the bad one first in its section
     text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
     text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
@@ -678,6 +687,10 @@ def test_window_errors_mean_max_and_nan():
         window_errors(times, est, tru, 5.5, 2.0)
     with pytest.raises(ValueError):
         window_errors(times, est, tru, 0.0, 2.0, agg="median")
+    # window_s <= 0 would never advance, a NaN one would fit no window
+    for window_s in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError, match="window_s must be positive"):
+            window_errors(times, est, tru, 0.0, window_s)
 
 
 def make_mon(t, innov_h=0.0, innov_c=0.0, mdot=41.0):

@@ -391,12 +391,6 @@ def test_verify_uniqueness_degenerate_intakes():
 # Validation dataclasses
 
 
-def test_inlet_validation():
-    InletConditions(400.0, 300.0, 1.0, 1.0).validate()
-    with pytest.raises(ValueError):
-        InletConditions(400.0, 300.0, 0.0, 1.0).validate()
-
-
 def test_conductance_validation_and_serial():
     cond = Conductances(1000.0, 3000.0)
     assert cond.kA == pytest.approx(750.0, rel=1e-14)
