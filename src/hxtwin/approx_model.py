@@ -13,6 +13,7 @@ substitution; the same closed form solves both.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,14 +31,12 @@ __all__ = [
     "BetaBranch",
     "BetaSelection",
     "CpParams",
-    "SideSubstitution",
     "ApproxEvaluation",
     "SteadyTerms",
-    "hot_substitution",
-    "cold_substitution",
     "universal_residual",
     "g_closed_form",
     "beta_lm_value",
+    "beta_lm_selection",
     "select_beta",
     "approx_output",
     "approx_steady",
@@ -66,24 +65,6 @@ class BetaBranch(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class SideSubstitution:
-    """Per-side terms of the universal residual.
-
-    Hot side: dT_I = T_h1 - T_w1, unknown dT_II = T_h2 - T_w2, gamma = -1,
-    C_p = mdot_h * theta3, aA = theta1.
-    Cold side: dT_I = T_w2 - T_c1, unknown dT_II = T_w1 - T_c2, gamma = +1,
-    C_p = mdot_c * theta4, aA = theta2.
-    Both sides: dT_w = T_w1 - T_w2.
-    """
-
-    dT_I: float  # K
-    dT_w: float  # K
-    C_p: float  # W/K
-    gamma: float  # -1 hot, +1 cold
-    aA: float  # W/K
-
-
-@dataclass(frozen=True, slots=True)
 class BetaSelection:
     beta: float
     branch: BetaBranch
@@ -105,40 +86,19 @@ class CpParams:
             raise ValueError("mean specific heats must be positive")
 
 
-def hot_substitution(
-    x: WallState, u: InletConditions, aA_h: float, theta3: float
-) -> SideSubstitution:
-    return SideSubstitution(
-        dT_I=u.T_h1 - x.T_w1,
-        dT_w=x.T_w1 - x.T_w2,
-        C_p=u.mdot_h * theta3,
-        gamma=-1.0,
-        aA=aA_h,
-    )
+def universal_residual(
+    dT_I: float, dT_w: float, aA: float, C_p: float, dT_II: float, beta: float
+) -> float:
+    """Residual R~ = C_p*(dT_I - dT_II + dT_w) - aA*WM(dT_I, dT_II).
 
-
-def cold_substitution(
-    x: WallState, u: InletConditions, aA_c: float, theta4: float
-) -> SideSubstitution:
-    return SideSubstitution(
-        dT_I=x.T_w2 - u.T_c1,
-        dT_w=x.T_w1 - x.T_w2,
-        C_p=u.mdot_c * theta4,
-        gamma=1.0,
-        aA=aA_c,
-    )
-
-
-def universal_residual(sub: SideSubstitution, dT_II: float, beta: float) -> float:
-    """Residual R~ = gamma*C_p*(dT_I - dT_II + dT_w) - gamma*aA*WM(dT_I, dT_II).
-
-    Used for verification; g_closed_form returns its root directly.
+    The published form carries a factor gamma = -1 (hot) or +1 (cold) on
+    the whole residual; it moves no root, so it is left out.  Used for
+    verification; g_closed_form returns its root directly.
     """
-    wm = weighted_mean(sub.dT_I, dT_II, beta)
-    return sub.gamma * sub.C_p * (sub.dT_I - dT_II + sub.dT_w) - sub.gamma * sub.aA * wm
+    return C_p * (dT_I - dT_II + dT_w) - aA * weighted_mean(dT_I, dT_II, beta)
 
 
-def g_closed_form(sub: SideSubstitution, beta: float) -> float:
+def g_closed_form(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) -> float:
     """Closed-form root G(dT_I, dT_w, aA, C_p, beta) of the universal residual.
 
     For beta = 0 this reduces to the linear arithmetic-mean solution,
@@ -151,11 +111,6 @@ def g_closed_form(sub: SideSubstitution, beta: float) -> float:
     stays exact at the feasibility edge, where the xi form cancels
     catastrophically just as the geometric-mean term is most sensitive.
     """
-    return _g(sub.dT_I, sub.dT_w, sub.aA, sub.C_p, beta)
-
-
-def _g(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) -> float:
-    """g_closed_form on plain floats."""
     xi1 = aA * (1.0 - beta) + 2.0 * C_p
     if beta == 0.0:
         return dT_I + dT_w - aA * (2.0 * dT_I + dT_w) / xi1
@@ -191,8 +146,20 @@ def beta_lm_value(steady_dT_Is: float, steady_dT_IIs: float) -> float:
     return min(max(value, 1e-12), 1.0)
 
 
+# The two outcomes without a beta, shared since BetaSelection is frozen.
+_BETA_ZERO = BetaSelection(0.0, BetaBranch.ZERO, False)
+_BETA_EMPTY = BetaSelection(0.0, BetaBranch.ZERO, True)
+
+
+def beta_lm_selection(steady_dT_Is: float, steady_dT_IIs: float) -> BetaSelection:
+    """The beta_LM candidate of select_beta, from the steady differences."""
+    return BetaSelection(
+        beta_lm_value(steady_dT_Is, steady_dT_IIs), BetaBranch.BETA_LM, False
+    )
+
+
 def select_beta(
-    sub: SideSubstitution, steady_dT_Is: float, steady_dT_IIs: float
+    dT_I: float, dT_w: float, aA: float, C_p: float, lm: BetaSelection
 ) -> BetaSelection:
     """Choose beta per the published rule.
 
@@ -208,35 +175,17 @@ def select_beta(
     otherwise beta*_1 > 1 is never a member, and B is where
     0.5*aA*(1 - beta)*dT_I <= slack, the closed form's c0 <= 0.  The rule
     is then: beta_LM if it passes, else beta*_2 if positive, else empty.
+
+    ``lm`` is beta_lm_selection of the steady differences, made once per
+    steady state and returned whenever beta_LM is feasible.
     """
-    return _select_beta(
-        sub.dT_I, sub.dT_w, sub.aA, sub.C_p,
-        _beta_lm_selection(steady_dT_Is, steady_dT_IIs),
-    )
-
-
-# The two outcomes without a beta, shared since BetaSelection is frozen.
-_BETA_ZERO = BetaSelection(0.0, BetaBranch.ZERO, False)
-_BETA_EMPTY = BetaSelection(0.0, BetaBranch.ZERO, True)
-
-
-def _beta_lm_selection(steady_dT_Is: float, steady_dT_IIs: float) -> BetaSelection:
-    return BetaSelection(
-        beta_lm_value(steady_dT_Is, steady_dT_IIs), BetaBranch.BETA_LM, False
-    )
-
-
-def _select_beta(
-    dT_I: float, dT_w: float, aA: float, C_p: float, lm: BetaSelection
-) -> BetaSelection:
-    """select_beta on plain floats; ``lm`` is the beta_LM selection, made
-    once per steady state and returned whenever beta_LM is feasible."""
     if dT_I <= 0.0:
         return _BETA_ZERO
     slack = C_p * (dT_I + dT_w)
     if slack < 0.0:
         return _BETA_EMPTY
-    # the product _g forms for c0, so a beta passing here passes there
+    # the product g_closed_form forms for c0, so a beta passing here
+    # passes there
     if lm.beta <= 1.0 and 0.5 * aA * (1.0 - lm.beta) * dT_I <= slack:
         return lm
     b_star2 = 1.0 - 2.0 * slack / (dT_I * aA)
@@ -257,11 +206,13 @@ def approx_output(
 
     T_h2 = G(hot substitution) + T_w2 and T_c2 = T_w1 - G(cold
     substitution), recovering the outlet temperatures from the wall
-    referenced differences.
+    referenced differences; evaluate_approx lists the substitutions.
     """
     dT_w = x.T_w1 - x.T_w2
-    T_h2 = _g(u.T_h1 - x.T_w1, dT_w, cond.aA_h, u.mdot_h * cp.theta3, beta_hot.beta)
-    T_c2 = _g(x.T_w2 - u.T_c1, dT_w, cond.aA_c, u.mdot_c * cp.theta4, beta_cold.beta)
+    T_h2 = g_closed_form(
+        u.T_h1 - x.T_w1, dT_w, cond.aA_h, u.mdot_h * cp.theta3, beta_hot.beta)
+    T_c2 = g_closed_form(
+        x.T_w2 - u.T_c1, dT_w, cond.aA_c, u.mdot_c * cp.theta4, beta_cold.beta)
     return OutletTemps(T_h2 + x.T_w2, x.T_w1 - T_c2)
 
 
@@ -326,18 +277,17 @@ def approx_steady_selfconsistent(
     u: InletConditions,
     hot: StreamConfig,
     cold: StreamConfig,
-    kA,
-    cp0: CpParams | None = None,
+    kA_of: Callable[[CpParams], float],
+    cp0: CpParams,
 ) -> tuple[OutletTemps, CpParams, int]:
     """Fixed-point refinement between approx_steady and the steady cps.
 
-    ``kA`` is either a number or a callable CpParams -> kA, covering
-    correlations whose conductance depends on the mean specific heat.
+    ``kA_of`` maps the mean specific heats to the rating kA, covering
+    correlations whose conductance depends on them; ``cp0`` is the start.
     Stops after STEADY_CP_MAX_ITER sweeps or when both outlets move
     less than STEADY_CP_TOL kelvin.
     """
-    cp = cp0 if cp0 is not None else update_cp_params(hot, cold, u)
-    kA_of = kA if callable(kA) else (lambda _cp: kA)
+    cp = cp0
     outlets = approx_steady(u, kA_of(cp), cp)
     n = 0
     for n in range(1, STEADY_CP_MAX_ITER + 1):
@@ -391,8 +341,8 @@ def approx_steady_terms(
     return SteadyTerms(
         outlets,
         walls,
-        _beta_lm_selection(u.T_h1 - walls.T_w1, outlets.T_h2 - walls.T_w2),
-        _beta_lm_selection(walls.T_w2 - u.T_c1, walls.T_w1 - outlets.T_c2),
+        beta_lm_selection(u.T_h1 - walls.T_w1, outlets.T_h2 - walls.T_w2),
+        beta_lm_selection(walls.T_w2 - u.T_c1, walls.T_w1 - outlets.T_c2),
     )
 
 
@@ -405,6 +355,17 @@ def evaluate_approx(
     steady: SteadyTerms | None = None,
 ) -> ApproxEvaluation:
     """Evaluate steady state, beta choices, outlets, and heat rates.
+
+    Each side solves the universal residual by select_beta and
+    g_closed_form under its own substitution, with dT_w = T_w1 - T_w2 and
+    aA from ``cond_out``:
+
+    ====  ===========  =============  ===============  ====
+    side  dT_I         unknown dT_II  C_p              aA
+    ====  ===========  =============  ===============  ====
+    hot   T_h1 - T_w1  T_h2 - T_w2    mdot_h * theta3  aA_h
+    cold  T_w2 - T_c1  T_w1 - T_c2    mdot_c * theta4  aA_c
+    ====  ===========  =============  ===============  ====
 
     ``cond_out`` enters the output equations (transient mean cps in the
     conductance correlation), ``cond_steady`` the steady-state rating;
@@ -419,14 +380,14 @@ def evaluate_approx(
     dT_I_h = u.T_h1 - x.T_w1
     aA_h = cond_out.aA_h
     C_h = u.mdot_h * cp.theta3
-    beta_h = _select_beta(dT_I_h, dT_w, aA_h, C_h, steady.beta_lm_hot)
-    dT_II_h = _g(dT_I_h, dT_w, aA_h, C_h, beta_h.beta)
+    beta_h = select_beta(dT_I_h, dT_w, aA_h, C_h, steady.beta_lm_hot)
+    dT_II_h = g_closed_form(dT_I_h, dT_w, aA_h, C_h, beta_h.beta)
 
     dT_I_c = x.T_w2 - u.T_c1
     aA_c = cond_out.aA_c
     C_c = u.mdot_c * cp.theta4
-    beta_c = _select_beta(dT_I_c, dT_w, aA_c, C_c, steady.beta_lm_cold)
-    dT_II_c = _g(dT_I_c, dT_w, aA_c, C_c, beta_c.beta)
+    beta_c = select_beta(dT_I_c, dT_w, aA_c, C_c, steady.beta_lm_cold)
+    dT_II_c = g_closed_form(dT_I_c, dT_w, aA_c, C_c, beta_c.beta)
 
     outlets = OutletTemps(dT_II_h + x.T_w2, x.T_w1 - dT_II_c)
     Q_h = -aA_h * weighted_mean(dT_I_h, dT_II_h, beta_h.beta)

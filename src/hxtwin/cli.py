@@ -133,7 +133,13 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "verify-uniqueness": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OSError) as exc:
+        # ConfigError, WindowOutOfRange and the CSV readers' errors are
+        # ValueErrors; a missing or unreadable file is an OSError
+        print(f"hxtwin {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -209,6 +209,12 @@ def _require(raw: RawConfig, section: str, key: str, ok: bool, rule: str) -> Non
         raise ConfigError(f"'{key}' {rule}", raw.line_of(section, key))
 
 
+def _positive(raw: RawConfig, section: str, key: str) -> float:
+    value = raw.get_float(section, key)
+    _require(raw, section, key, value > 0.0, "must be positive")
+    return value
+
+
 def _inlet_value(raw: RawConfig, section: str, key: str) -> float:
     """An inlet value; mass flows must be positive, temperatures finite."""
     value = raw.get_float(section, key)
@@ -221,9 +227,9 @@ def _inlet_value(raw: RawConfig, section: str, key: str) -> float:
 
 def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
     kind = raw.get_choice(section, "kind", {"perfect", "polynomial", "table"})
-    pressure = raw.get_float(section, "pressure_Pa")
+    pressure = _positive(raw, section, "pressure_Pa")
     if kind == "perfect":
-        fluid = CaloricallyPerfect(raw.get_float(section, "cp_J_kgK"))
+        fluid = CaloricallyPerfect(_positive(raw, section, "cp_J_kgK"))
     elif kind == "polynomial":
         coeffs = raw.get_floats(section, "cp_coeffs")
         hull = raw.get_floats(section, "hull_K", None)
@@ -298,14 +304,14 @@ def _build_truth_cond(raw: RawConfig) -> TruthConductanceSpec:
     sec = "truth.conductances"
     kind = raw.get_choice(sec, "kind", {"constant", "ramp", "correlation"})
     if kind == "constant":
-        aA_h = raw.get_float(sec, "aA_h_W_K")
-        aA_c = raw.get_float(sec, "aA_c_W_K")
+        aA_h = _positive(raw, sec, "aA_h_W_K")
+        aA_c = _positive(raw, sec, "aA_c_W_K")
         return TruthConductanceSpec(kind, aA_h, aA_h, aA_c, aA_c)
     if kind == "ramp":
         return TruthConductanceSpec(
             kind,
-            raw.get_float(sec, "aA_h_start_W_K"), raw.get_float(sec, "aA_h_end_W_K"),
-            raw.get_float(sec, "aA_c_start_W_K"), raw.get_float(sec, "aA_c_end_W_K"),
+            _positive(raw, sec, "aA_h_start_W_K"), _positive(raw, sec, "aA_h_end_W_K"),
+            _positive(raw, sec, "aA_c_start_W_K"), _positive(raw, sec, "aA_c_end_W_K"),
         )
     return TruthConductanceSpec(
         kind,
@@ -319,10 +325,9 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     raw.check_known(_KNOWN_KEYS)
     duration = raw.get_float("scenario", "duration_s")
     dt = raw.get_float("scenario", "dt_s")
-    if duration <= 0.0 or dt <= 0.0:
-        raise ConfigError(
-            "duration_s and dt_s must be positive", raw.sections.get("scenario", 0)
-        )
+    for key, value in (("duration_s", duration), ("dt_s", dt)):
+        _require(raw, "scenario", key, 0.0 < value < math.inf,
+                 "must be finite and positive")
     base_inlets = InletConditions(
         T_h1=_inlet_value(raw, "inputs", "T_h1_K"),
         T_c1=_inlet_value(raw, "inputs", "T_c1_K"),
@@ -382,11 +387,14 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     ):
         _require(raw, "monitoring", key, value > 0.0, "must be positive")
 
+    seed = raw.get_int("scenario", "seed", 0)
+    _require(raw, "scenario", "seed", seed >= 0, "must be nonnegative")
+
     return ScenarioConfig(
         name=raw.get_str("scenario", "name"),
         duration_s=duration,
         dt_s=dt,
-        seed=raw.get_int("scenario", "seed", 0),
+        seed=seed,
         hot=_build_stream(raw, "streams.hot", base_dir),
         cold=_build_stream(raw, "streams.cold", base_dir),
         base_inlets=base_inlets,
@@ -702,7 +710,7 @@ def _monitor_cp(
         return model_inputs(ekf_cfg, x_v, u, cp2)[2].kA
 
     u_eff = model_inputs(ekf_cfg, x_v, u, cp)[0]
-    _outlets, cp, _n = approx_steady_selfconsistent(u_eff, hot, cold, kA_of, cp0=cp)
+    _outlets, cp, _n = approx_steady_selfconsistent(u_eff, hot, cold, kA_of, cp)
     return cp
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from hxtwin.approx_model import (
     CpParams,
-    SideSubstitution,
     approx_steady,
     g_closed_form,
     universal_residual,
@@ -158,21 +157,23 @@ def test_criterion_02_closed_form_residual(acceptance_log):
         aA = rng.uniform(50.0, 3.0e4)
         C_p = rng.uniform(100.0, 1.0e5)
         gamma = 1.0 if rng.uniform() < 0.5 else -1.0
-        sub = SideSubstitution(dT_I, dT_w, C_p, gamma, aA)
         beta_star2 = 1.0 - 2.0 * C_p * (dT_I + dT_w) / (dT_I * aA)
         lo = max(0.0, beta_star2)
         beta = lo + (1.0 - lo) * rng.uniform()
-        g = g_closed_form(sub, beta)
-        worst_residual = max(worst_residual, abs(universal_residual(sub, g, beta)))
+        side = (dT_I, dT_w, aA, C_p)
+        g = g_closed_form(*side, beta)
+        # the published residual carries gamma; it scales, never moves, the root
+        residual = gamma * universal_residual(*side, g, beta)
+        worst_residual = max(worst_residual, abs(residual))
     worst_linear = 0.0
     for _ in range(200):
         dT_I = rng.uniform(-20.0, 40.0)
         dT_w = rng.uniform(-20.0, 40.0)
         aA = rng.uniform(50.0, 3.0e4)
         C_p = rng.uniform(100.0, 1.0e5)
-        sub = SideSubstitution(dT_I, dT_w, C_p, 1.0, aA)
         oracle = (2.0 * C_p * (dT_I + dT_w) - aA * dT_I) / (2.0 * C_p + aA)
-        worst_linear = max(worst_linear, abs(g_closed_form(sub, 0.0) - oracle))
+        g = g_closed_form(dT_I, dT_w, aA, C_p, 0.0)
+        worst_linear = max(worst_linear, abs(g - oracle))
     elapsed = time.perf_counter() - t0
     ok = worst_residual < 1e-6 and worst_linear <= 1e-9 and elapsed < 5.0
     _report(acceptance_log, 2,

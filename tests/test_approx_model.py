@@ -13,22 +13,18 @@ from hxtwin.approx_model import (
     BetaBranch,
     BetaSelection,
     CpParams,
-    _g,
-    _select_beta,
     approx_output,
     approx_steady,
     approx_steady_terms,
     approx_steady_selfconsistent,
     approx_steady_walls,
+    beta_lm_selection,
     beta_lm_value,
-    cold_substitution,
     evaluate_approx,
     g_closed_form,
-    hot_substitution,
     select_beta,
     universal_residual,
     update_cp_params,
-    SideSubstitution,
 )
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
 from hxtwin.means import DomainError, arith_mean, geom_mean, log_mean, weighted_mean
@@ -59,10 +55,10 @@ def test_g_beta_zero_worked_example():
     # C_p = 1000, aA = 500, dT_I = 10, dT_w = 2, beta = 0:
     # xi1 = 2500, G = 12 - 500*22/2500 = 7.6 K, and the residual
     # 1000*(10 - 7.6 + 2) - 500*(10 + 7.6)/2 closes exactly.
-    sub = SideSubstitution(dT_I=10.0, dT_w=2.0, C_p=1000.0, gamma=-1.0, aA=500.0)
-    g = g_closed_form(sub, 0.0)
+    side = (10.0, 2.0, 500.0, 1000.0)  # dT_I, dT_w, aA, C_p
+    g = g_closed_form(*side, 0.0)
     assert g == pytest.approx(7.6, abs=1e-12)
-    assert universal_residual(sub, g, 0.0) == pytest.approx(0.0, abs=1e-9)
+    assert universal_residual(*side, g, 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_g_beta_zero_linear_oracle():
@@ -72,10 +68,9 @@ def test_g_beta_zero_linear_oracle():
         dT_w = rng.uniform(-20.0, 40.0)
         aA = rng.uniform(50.0, 3.0e4)
         C_p = rng.uniform(100.0, 1.0e5)
-        sub = SideSubstitution(dT_I, dT_w, C_p, 1.0, aA)
         # Independent oracle: solve C_p*(dT_I - x + dT_w) = aA*(dT_I + x)/2.
         oracle = (2.0 * C_p * (dT_I + dT_w) - aA * dT_I) / (2.0 * C_p + aA)
-        g = g_closed_form(sub, 0.0)
+        g = g_closed_form(dT_I, dT_w, aA, C_p, 0.0)
         assert g == pytest.approx(oracle, abs=1e-9)
 
 
@@ -89,13 +84,13 @@ def test_g_zeroes_residual_over_feasible_samples():
         C_p = rng.uniform(100.0, 1.0e5)
         s1 = rng.uniform(0.5, 30.0)
         s2 = s1 * rng.uniform(0.25, 4.0)
-        sub = SideSubstitution(dT_I, dT_w, C_p, -1.0, aA)
-        sel = select_beta(sub, s1, s2)
+        side = (dT_I, dT_w, aA, C_p)
+        sel = select_beta(*side, beta_lm_selection(s1, s2))
         assert not sel.feasible_set_empty
         assert 0.0 < sel.beta <= 1.0
-        g = g_closed_form(sub, sel.beta)
+        g = g_closed_form(*side, sel.beta)
         assert g >= -1e-9
-        assert abs(universal_residual(sub, g, sel.beta)) < 1e-6
+        assert abs(universal_residual(*side, g, sel.beta)) < 1e-6
         checked += 1
     assert checked == 300
 
@@ -103,8 +98,7 @@ def test_g_zeroes_residual_over_feasible_samples():
 def test_g_matches_xi_expression_on_interior_points():
     # Oracle: the quartic-coefficient form xi1..xi4 of the same root,
     # well conditioned away from the feasibility edge.
-    def g_xi(sub, beta):
-        i, w, a, c = sub.dT_I, sub.dT_w, sub.aA, sub.C_p
+    def g_xi(i, w, a, c, beta):
         xi1 = a * (1.0 - beta) + 2.0 * c
         xi2 = 2.0 * a * (a * i - c * w)
         xi3 = 4.0 * c * c * (i + w) + a * (2.0 * c * w - a * i)
@@ -122,31 +116,31 @@ def test_g_matches_xi_expression_on_interior_points():
         aA = rng.uniform(50.0, 3.0e4)
         C_p = rng.uniform(100.0, 1.0e5)
         beta = rng.uniform(0.05, 1.0)
-        sub = SideSubstitution(dT_I, dT_w, C_p, -1.0, aA)
+        side = (dT_I, dT_w, aA, C_p)
         # keep clear of the feasibility edge so the oracle stays accurate
         c0 = 0.5 * aA * (1.0 - beta) * dT_I - C_p * (dT_I + dT_w)
         if c0 > -0.1 * (C_p * dT_I):
             continue
-        assert g_closed_form(sub, beta) == pytest.approx(g_xi(sub, beta), rel=1e-9)
+        assert g_closed_form(*side, beta) == pytest.approx(g_xi(*side, beta), rel=1e-9)
 
 
 def test_g_rejects_bad_beta_and_domain():
-    sub = SideSubstitution(10.0, 2.0, 1000.0, -1.0, 500.0)
+    side = (10.0, 2.0, 500.0, 1000.0)  # dT_I, dT_w, aA, C_p
     with pytest.raises(DomainError):
-        g_closed_form(sub, 1.5)
+        g_closed_form(*side, 1.5)
     with pytest.raises(DomainError):
-        g_closed_form(sub, -0.1)
-    bad = SideSubstitution(-1.0, 2.0, 1000.0, -1.0, 500.0)
+        g_closed_form(*side, -0.1)
+    bad = (-1.0, 2.0, 500.0, 1000.0)
     with pytest.raises(DomainError):
-        g_closed_form(bad, 0.5)
+        g_closed_form(*bad, 0.5)
     # beta = 0 stays valid for any dT_I (linear fallback)
-    g_closed_form(bad, 0.0)
+    g_closed_form(*bad, 0.0)
     # beta*_2 = 1 - 2*200*(10 - 5)/(10*1000) = 0.8 is the lowest feasible beta
-    edge = SideSubstitution(dT_I=10.0, dT_w=-5.0, C_p=200.0, gamma=-1.0, aA=1000.0)
-    assert g_closed_form(edge, 0.8) == pytest.approx(0.0, abs=1e-9)
+    edge = (10.0, -5.0, 1000.0, 200.0)
+    assert g_closed_form(*edge, 0.8) == pytest.approx(0.0, abs=1e-9)
     for beta in (0.79, 0.5, 0.05):
         with pytest.raises(DomainError, match="outside feasible set"):
-            g_closed_form(edge, beta)
+            g_closed_form(*edge, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +183,7 @@ def test_discriminant_is_perfect_square():
 
 
 def test_select_beta_lm_branch():
-    sub = SideSubstitution(dT_I=10.0, dT_w=2.0, C_p=1000.0, gamma=-1.0, aA=500.0)
-    sel = select_beta(sub, 10.0, 6.0)
+    sel = select_beta(10.0, 2.0, 500.0, 1000.0, beta_lm_selection(10.0, 6.0))
     assert sel.branch is BetaBranch.BETA_LM
     assert not sel.feasible_set_empty
     assert sel.beta == pytest.approx(beta_lm_value(10.0, 6.0), rel=1e-12)
@@ -199,20 +192,19 @@ def test_select_beta_lm_branch():
 def test_select_beta_star2_branch():
     # beta*_2 = 1 - 2 C_p (dT_I + dT_w)/(dT_I aA) = 1 - 200/1000 = 0.8,
     # above beta_LM = 2/3, so the lower feasibility edge wins.
-    sub = SideSubstitution(dT_I=10.0, dT_w=-5.0, C_p=200.0, gamma=-1.0, aA=1000.0)
-    sel = select_beta(sub, 7.0, 7.0)
+    side = (10.0, -5.0, 1000.0, 200.0)  # dT_I, dT_w, aA, C_p
+    sel = select_beta(*side, beta_lm_selection(7.0, 7.0))
     assert sel.branch is BetaBranch.BETA_STAR2
     assert sel.beta == pytest.approx(0.8, rel=1e-12)
     assert not sel.feasible_set_empty
-    g = g_closed_form(sub, sel.beta)
-    assert abs(universal_residual(sub, g, sel.beta)) < 1e-6
+    g = g_closed_form(*side, sel.beta)
+    assert abs(universal_residual(*side, g, sel.beta)) < 1e-6
 
 
 def test_select_beta_star2_at_unit_edge():
     # dT_I + dT_w = 0 collapses the feasible set to {1}; the numbers are
     # chosen exactly representable so the edge computes to 1.0.
-    sub = SideSubstitution(dT_I=4.0, dT_w=-4.0, C_p=250.0, gamma=-1.0, aA=1000.0)
-    sel = select_beta(sub, 6.0, 6.0)
+    sel = select_beta(4.0, -4.0, 1000.0, 250.0, beta_lm_selection(6.0, 6.0))
     assert sel.branch is BetaBranch.BETA_STAR2
     assert sel.beta == 1.0
     assert not sel.feasible_set_empty
@@ -220,16 +212,15 @@ def test_select_beta_star2_at_unit_edge():
 
 def test_select_beta_empty_feasible_set():
     # dT_I + dT_w < 0 pushes both feasibility roots above 1: no valid beta.
-    sub = SideSubstitution(dT_I=3.0, dT_w=-5.0, C_p=100.0, gamma=-1.0, aA=1000.0)
-    sel = select_beta(sub, 6.0, 6.0)
+    side = (3.0, -5.0, 1000.0, 100.0)  # dT_I, dT_w, aA, C_p
+    sel = select_beta(*side, beta_lm_selection(6.0, 6.0))
     assert sel == BetaSelection(0.0, BetaBranch.ZERO, True)
     # The linear fallback still produces an output value.
-    g_closed_form(sub, 0.0)
+    g_closed_form(*side, 0.0)
 
 
 def test_select_beta_nonpositive_dT_I():
-    sub = SideSubstitution(dT_I=-2.0, dT_w=3.0, C_p=100.0, gamma=-1.0, aA=1000.0)
-    sel = select_beta(sub, 6.0, 6.0)
+    sel = select_beta(-2.0, 3.0, 1000.0, 100.0, beta_lm_selection(6.0, 6.0))
     assert sel.branch is BetaBranch.ZERO
     assert sel.beta == 0.0
     assert not sel.feasible_set_empty
@@ -238,17 +229,15 @@ def test_select_beta_nonpositive_dT_I():
 def test_select_beta_boundary_gives_zero_root_position():
     # When the selection lands on a feasibility edge the root position of
     # the closed form touches zero: the predicted outlet meets the wall.
-    sub = SideSubstitution(dT_I=10.0, dT_w=-5.0, C_p=200.0, gamma=-1.0, aA=1000.0)
-    sel = select_beta(sub, 7.0, 7.0)
+    side = (10.0, -5.0, 1000.0, 200.0)  # dT_I, dT_w, aA, C_p
+    sel = select_beta(*side, beta_lm_selection(7.0, 7.0))
     assert sel.branch is BetaBranch.BETA_STAR2
-    assert g_closed_form(sub, sel.beta) == pytest.approx(0.0, abs=1e-9)
+    assert g_closed_form(*side, sel.beta) == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# Scalar cores: the wrappers take a SideSubstitution, evaluate_approx and
-# approx_output call the cores on plain floats.  Both must give the rule
-# as published (candidate list, nearest to beta_LM), here in exact
-# rational arithmetic.
+# The beta rule as published (candidate list, nearest to beta_LM), here in
+# exact rational arithmetic.
 
 
 def exact_select_beta(dT_I, dT_w, aA, C_p, b_lm) -> tuple[Fraction, str, bool]:
@@ -280,7 +269,6 @@ CORE_GRID = list(itertools.product(
     (1.0, 200.0, 1000.0, 2.5e4, 1.0e6),  # C_p
 ))
 BETA_LMS = (0.05, 0.5, 2.0 / 3.0, 0.9, 1.0, 1.5)
-STEADY_PAIRS = ((10.0, 6.0), (7.0, 7.0), (3.0, 30.0), (40.0, 0.5), (-1.0, 5.0))
 
 
 def test_select_beta_core_matches_reference_on_all_branches():
@@ -289,12 +277,12 @@ def test_select_beta_core_matches_reference_on_all_branches():
     for (dT_I, dT_w, aA, C_p), b_lm in itertools.product(CORE_GRID, BETA_LMS):
         beta, branch, empty = exact_select_beta(dT_I, dT_w, aA, C_p, b_lm)
         lm = BetaSelection(b_lm, BetaBranch.BETA_LM, False)
-        sel = _select_beta(dT_I, dT_w, aA, C_p, lm)
+        sel = select_beta(dT_I, dT_w, aA, C_p, lm)
         assert (sel.branch.value, sel.feasible_set_empty) == (branch, empty)
         # the float beta*_2 = 1 - 2*slack/(dT_I*aA) rounds off the exact edge
         assert abs(Fraction(sel.beta) - beta) <= 2 * Fraction(math.ulp(1.0))
         try:
-            _g(dT_I, dT_w, aA, C_p, sel.beta)
+            g_closed_form(dT_I, dT_w, aA, C_p, sel.beta)
         except DomainError as exc:
             rejected.append((dT_I, dT_w, aA, C_p, b_lm, str(exc)))
         reached[branch, empty] += 1
@@ -303,30 +291,6 @@ def test_select_beta_core_matches_reference_on_all_branches():
     assert set(reached) == {
         ("betaLM", False), ("betaStar2", False), ("zero", False), ("zero", True),
     }
-    for dT_I, dT_w, aA, C_p in CORE_GRID:
-        sub = SideSubstitution(dT_I, dT_w, C_p, -1.0, aA)
-        for s1, s2 in STEADY_PAIRS:
-            core = _select_beta(
-                dT_I, dT_w, aA, C_p,
-                BetaSelection(beta_lm_value(s1, s2), BetaBranch.BETA_LM, False))
-            assert select_beta(sub, s1, s2) == core
-
-
-def _value_or_error(fn, *args):
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        return str(exc)
-
-
-def test_g_core_matches_g_closed_form():
-    for dT_I, dT_w, aA, C_p in CORE_GRID:
-        sub = SideSubstitution(dT_I, dT_w, C_p, 1.0, aA)
-        for beta in (0.0, 0.5, 1.0) + tuple(
-            select_beta(sub, s1, s2).beta for s1, s2 in STEADY_PAIRS
-        ):
-            assert _value_or_error(_g, dT_I, dT_w, aA, C_p, beta) == _value_or_error(
-                g_closed_form, sub, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +363,16 @@ def test_approx_steady_rejects_nonpositive_kA():
 # Outputs and full evaluation
 
 
+def substitutions(x, u, cond, cp):
+    """(dT_I, dT_w, aA, C_p) of the hot and the cold side: the oracle for
+    the substitution evaluate_approx and approx_output apply."""
+    dT_w = x.T_w1 - x.T_w2
+    return (
+        (u.T_h1 - x.T_w1, dT_w, cond.aA_h, u.mdot_h * cp.theta3),
+        (x.T_w2 - u.T_c1, dT_w, cond.aA_c, u.mdot_c * cp.theta4),
+    )
+
+
 def test_approx_output_wall_referenced():
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
     x = WallState(360.0, 330.0)
@@ -407,27 +381,27 @@ def test_approx_output_wall_referenced():
     bh = BetaSelection(0.5, BetaBranch.BETA_LM, False)
     bc = BetaSelection(0.4, BetaBranch.BETA_LM, False)
     outs = approx_output(x, u, cond, cp, bh, bc)
-    g_h = g_closed_form(hot_substitution(x, u, cond.aA_h, cp.theta3), 0.5)
-    g_c = g_closed_form(cold_substitution(x, u, cond.aA_c, cp.theta4), 0.4)
+    hot, cold = substitutions(x, u, cond, cp)
+    g_h = g_closed_form(*hot, 0.5)
+    g_c = g_closed_form(*cold, 0.4)
     assert outs.T_h2 == pytest.approx(g_h + x.T_w2, rel=1e-14)
     assert outs.T_c2 == pytest.approx(x.T_w1 - g_c, rel=1e-14)
 
 
 def reference_evaluate(x, u, cond_out, cond_steady, cp) -> ApproxEvaluation:
     steady_outlets, steady_walls = approx_steady_walls(u, cond_steady, cp)
-    sub_h = hot_substitution(x, u, cond_out.aA_h, cp.theta3)
-    beta_h = select_beta(sub_h, u.T_h1 - steady_walls.T_w1,
-                         steady_outlets.T_h2 - steady_walls.T_w2)
-    dT_II_h = g_closed_form(sub_h, beta_h.beta)
-    sub_c = cold_substitution(x, u, cond_out.aA_c, cp.theta4)
-    beta_c = select_beta(sub_c, steady_walls.T_w2 - u.T_c1,
-                         steady_walls.T_w1 - steady_outlets.T_c2)
-    dT_II_c = g_closed_form(sub_c, beta_c.beta)
+    hot, cold = substitutions(x, u, cond_out, cp)
+    beta_h = select_beta(*hot, beta_lm_selection(
+        u.T_h1 - steady_walls.T_w1, steady_outlets.T_h2 - steady_walls.T_w2))
+    dT_II_h = g_closed_form(*hot, beta_h.beta)
+    beta_c = select_beta(*cold, beta_lm_selection(
+        steady_walls.T_w2 - u.T_c1, steady_walls.T_w1 - steady_outlets.T_c2))
+    dT_II_c = g_closed_form(*cold, beta_c.beta)
     return ApproxEvaluation(
         OutletTemps(dT_II_h + x.T_w2, x.T_w1 - dT_II_c),
         steady_outlets, steady_walls, beta_h, beta_c,
-        -sub_h.aA * weighted_mean(sub_h.dT_I, dT_II_h, beta_h.beta),
-        sub_c.aA * weighted_mean(sub_c.dT_I, dT_II_c, beta_c.beta),
+        -hot[2] * weighted_mean(hot[0], dT_II_h, beta_h.beta),
+        cold[2] * weighted_mean(cold[0], dT_II_c, beta_c.beta),
     )
 
 
@@ -449,9 +423,10 @@ def test_evaluate_with_and_without_steady_terms_is_exact():
         branches |= {ev.beta_hot.branch, ev.beta_cold.branch}
     assert {BetaBranch.BETA_LM, BetaBranch.ZERO} <= branches
     bh, bc = ev.beta_hot, ev.beta_cold
+    hot, cold = substitutions(x, u, cond_out, cp)
     assert approx_output(x, u, cond_out, cp, bh, bc) == OutletTemps(
-        g_closed_form(hot_substitution(x, u, cond_out.aA_h, cp.theta3), bh.beta) + x.T_w2,
-        x.T_w1 - g_closed_form(cold_substitution(x, u, cond_out.aA_c, cp.theta4), bc.beta),
+        g_closed_form(*hot, bh.beta) + x.T_w2,
+        x.T_w1 - g_closed_form(*cold, bc.beta),
     )
 
 
@@ -547,7 +522,8 @@ def test_cp_params_validation():
 def test_selfconsistent_constant_cp_single_sweep():
     hot, cold = perfect_streams()
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
-    outs, cp, n = approx_steady_selfconsistent(u, hot, cold, 1000.0)
+    outs, cp, n = approx_steady_selfconsistent(
+        u, hot, cold, lambda _cp: 1000.0, update_cp_params(hot, cold, u))
     assert n == 1
     assert outs.T_h2 == pytest.approx(343.5266598393584, rel=1e-10)
     assert cp.theta5 == 1000.0 and cp.theta6 == 2000.0
@@ -557,7 +533,8 @@ def test_selfconsistent_polynomial_converges():
     hot, _ = perfect_streams(1000.0, 1.0)
     cold = StreamConfig(make_coolant_model(), 5.0e5)
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
-    outs, cp, n = approx_steady_selfconsistent(u, hot, cold, 2000.0)
+    outs, cp, n = approx_steady_selfconsistent(
+        u, hot, cold, lambda _cp: 2000.0, update_cp_params(hot, cold, u))
     assert n <= 5
     # fixed point: refreshing the steady cps no longer moves the outlets
     cp_chk = CpParams(
@@ -580,7 +557,8 @@ def test_selfconsistent_callable_kA():
         calls.append(cp.theta6)
         return 0.5 * cp.theta6
 
-    outs, _, _ = approx_steady_selfconsistent(u, hot, cold, kA_of)
+    outs, _, _ = approx_steady_selfconsistent(
+        u, hot, cold, kA_of, update_cp_params(hot, cold, u))
     assert calls  # correlation consulted
     fixed = approx_steady(u, 1000.0, CpParams(1000.0, 2000.0, 1000.0, 2000.0))
     assert outs.T_h2 == pytest.approx(fixed.T_h2, rel=1e-12)

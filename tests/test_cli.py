@@ -84,6 +84,24 @@ def test_verify_uniqueness_failure_exit_code(monkeypatch, capsys):
     assert "passed:              False" in capsys.readouterr().out
 
 
+def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
+    tel, mon = tmp_path / "tel.csv", tmp_path / "mon.csv"
+    cli.main(["simulate", SMOKE, "-o", str(tel)])
+    cli.main(["monitor", str(tel), SMOKE, "-o", str(mon)])
+    capsys.readouterr()
+    # 60 s of data leave no room for the default 300 s window
+    assert cli.main(["compare", str(tel), str(mon), "-o", str(tmp_path / "r.txt")]) == 1
+    missing = str(tmp_path / "missing.cfg")
+    assert cli.main(["simulate", missing, "-o", str(tel)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "hxtwin compare: no full window of 300.0 s fits after t=300.0 s "
+        "(data ends at 60.0)",
+        f"hxtwin simulate: [Errno 2] No such file or directory: '{missing}'",
+    ]
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         cli.main([])

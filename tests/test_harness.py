@@ -191,11 +191,23 @@ mdot_h_amp_frac = 1.2
     ("excitation", "step_mdot_c_kg_s", "0"),
     ("excitation", "step_mdot_h_kg_s", "nan"),
     ("excitation", "step_T_h1_K", "nan"),
+    ("scenario", "dt_s", "nan"),
+    ("scenario", "duration_s", "inf"),
+    ("scenario", "duration_s", "0"),
+    ("scenario", "seed", "-3"),
+    ("streams.hot", "pressure_Pa", "0"),
+    ("streams.hot", "cp_J_kgK", "-1"),
+    ("truth.conductances", "aA_h_W_K", "0"),
+    ("truth.conductances", "aA_c_end_W_K", "-100"),
 ])
 def test_nonpositive_span_and_substeps_rejected_with_line(section, key, value):
     excitation = ("kind = step\nstep_time_s = 10\n" if key.startswith("step_")
                   else "kind = chirp\nf1_Hz = 0.5\n")
     text = SMOKE_CFG + "\n[excitation]\n" + excitation
+    if "_start_" in key or "_end_" in key:
+        text = text.replace("kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000\n", (
+            "kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
+            "aA_c_start_W_K = 3000\naA_c_end_W_K = 2800\n"))
     # drop the smoke value, if any, and put the bad one first in its section
     text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
     text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
@@ -580,7 +592,7 @@ def test_monitor_cp_uses_the_floored_steady_conductances():
 
     u_eff = InletConditions(400.0, 300.0, 1.0, MDOT_FLOOR)
     _, want, n = approx_steady_selfconsistent(
-        u_eff, hot, cold, kA_of, cp0=update_cp_params(hot, cold, u))
+        u_eff, hot, cold, kA_of, update_cp_params(hot, cold, u))
     assert n > 1
     got = harness._monitor_cp(cfg, hot, cold, x, u, None, None)
     assert got == want
