@@ -35,6 +35,8 @@ __all__ = [
     "EkfConfig",
     "EkfState",
     "ekf_init",
+    "floored_inputs",
+    "steady_conductances",
     "model_inputs",
     "f_v",
     "g_v",
@@ -131,6 +133,29 @@ def ekf_init(
     return EkfState(np.asarray(x, dtype=float), P0, t0)
 
 
+def floored_inputs(
+    cfg: EkfConfig, x_v: np.ndarray, u: InletConditions
+) -> tuple[InletConditions, CorrelationParams, CorrelationParams]:
+    """The effective inlets and the monitored correlations at the joint
+    state x_v, with the floors of model_inputs applied."""
+    if cfg.n_states == 5:
+        u = replace(u, mdot_c=max(float(x_v[4]), MDOT_FLOOR))
+    hot = cfg.corr_hot.with_upsilon(max(float(x_v[2]), UPSILON_FLOOR))
+    cold = cfg.corr_cold.with_upsilon(max(float(x_v[3]), UPSILON_FLOOR))
+    return u, hot, cold
+
+
+def steady_conductances(
+    hot: CorrelationParams, cold: CorrelationParams, u: InletConditions, cp: CpParams
+) -> Conductances:
+    """Conductances of the correlations at the inlet flows of u and the
+    steady mean cps theta5/theta6."""
+    return Conductances(
+        alpha_A(hot, u.mdot_h, cp.theta5),
+        alpha_A(cold, u.mdot_c, cp.theta6),
+    )
+
+
 def model_inputs(
     cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
 ) -> tuple[InletConditions, Conductances, Conductances]:
@@ -143,19 +168,12 @@ def model_inputs(
     transient mean cps theta3/theta4, the steady ones theta5/theta6.
     Only the parameter states x_v[2:] are read.
     """
-    if cfg.n_states == 5:
-        u = replace(u, mdot_c=max(float(x_v[4]), MDOT_FLOOR))
-    hot = cfg.corr_hot.with_upsilon(max(float(x_v[2]), UPSILON_FLOOR))
-    cold = cfg.corr_cold.with_upsilon(max(float(x_v[3]), UPSILON_FLOOR))
+    u, hot, cold = floored_inputs(cfg, x_v, u)
     cond_out = Conductances(
         alpha_A(hot, u.mdot_h, cp.theta3),
         alpha_A(cold, u.mdot_c, cp.theta4),
     )
-    cond_steady = Conductances(
-        alpha_A(hot, u.mdot_h, cp.theta5),
-        alpha_A(cold, u.mdot_c, cp.theta6),
-    )
-    return u, cond_out, cond_steady
+    return u, cond_out, steady_conductances(hot, cold, u, cp)
 
 
 def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):

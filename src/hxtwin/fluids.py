@@ -8,8 +8,13 @@ Three interchangeable fluid models provide h(T, p) in J/kg:
 * ``Tabulated``: bilinear interpolation of h on a rectangular (T, p)
   grid, loaded from a plain-text table file.
 
+Each model also gives the slope dh/dT (``enthalpy_slope``) and the
+inverse T(h, p) (``temperature``).
+
 All temperatures are absolute kelvin, pressures Pa, enthalpies J/kg.
-Models are immutable after construction and safe for concurrent reads.
+Models are immutable after construction, apart from the per-pressure
+slices that ``Tabulated`` builds on first use (a pure function of the
+grid, so concurrent reads stay safe).
 """
 
 from __future__ import annotations
@@ -36,6 +41,14 @@ __all__ = [
 # used for the point specific heat.
 _SECANT_EPS = 1e-6  # K
 _POINT_CP_STEP = 0.01  # K
+# Safeguarded Newton of ThermallyPerfect.temperature: stop once a step
+# moves T by at most this fraction of (1 K + |T|); bisection halves the
+# bracket on every rejected step, so the cap is never reached in practice.
+_INVERSE_RTOL = 1e-14
+_INVERSE_MAX_ITER = 100
+# Pressure slices a Tabulated model keeps; streams use one pressure each,
+# so the cap only bounds memory under a pressure sweep.
+_MAX_SLICES = 64
 
 _TABLE_HEADER = ("T/K", "p/Pa", "h/(J/kg)")
 
@@ -66,14 +79,24 @@ class NonMonotonicAxisError(ValueError):
 class FluidModel:
     """Base class for enthalpy providers.
 
-    Subclasses implement ``enthalpy(T, p)`` and expose ``hull_T`` and
-    ``hull_p`` as (min, max) tuples used for range validation.
+    Subclasses implement ``enthalpy(T, p)``, its slope
+    ``enthalpy_slope(T, p)`` and its inverse ``temperature(h, p)``, and
+    expose ``hull_T`` and ``hull_p`` as (min, max) tuples used for range
+    validation.
     """
 
     hull_T: tuple[float, float] = (-math.inf, math.inf)
     hull_p: tuple[float, float] = (-math.inf, math.inf)
 
     def enthalpy(self, T: float, p: float) -> float:
+        raise NotImplementedError
+
+    def enthalpy_slope(self, T: float, p: float) -> float:
+        """dh/dT at (T, p) in J/(kg K)."""
+        raise NotImplementedError
+
+    def temperature(self, h: float, p: float) -> float:
+        """The T with enthalpy(T, p) = h; OutOfRangeError outside the hull."""
         raise NotImplementedError
 
     def _check_hull(self, T: float, p: float) -> None:
@@ -120,6 +143,12 @@ class CaloricallyPerfect(FluidModel):
     def enthalpy(self, T: float, p: float) -> float:
         return self.cp * T
 
+    def enthalpy_slope(self, T: float, p: float) -> float:
+        return self.cp
+
+    def temperature(self, h: float, p: float) -> float:
+        return h / self.cp
+
     def mean_specific_heat(self, T_from: float, T_to: float, p: float) -> float:
         return self.cp
 
@@ -153,7 +182,8 @@ class ThermallyPerfect(FluidModel):
         # h = 0 at the lower hull edge: enthalpy subtracts the
         # antiderivative there, evaluated once with a zero offset.
         self._h_offset = 0.0
-        self._h_offset = self.enthalpy(self.hull_T[0], 0.0)
+        self._h_offset = self._h_poly(self.hull_T[0])
+        self._h_max = self._h_poly(self.hull_T[1])
 
     def _cp_poly(self, T: float) -> float:
         acc = 0.0
@@ -161,12 +191,45 @@ class ThermallyPerfect(FluidModel):
             acc = acc * T + c
         return acc
 
-    def enthalpy(self, T: float, p: float) -> float:
-        self._check_hull(T, p)
+    def _h_poly(self, T: float) -> float:
         acc = 0.0
         for c in reversed(self._int_coeffs):
             acc = acc * T + c
         return acc * T - self._h_offset
+
+    def enthalpy(self, T: float, p: float) -> float:
+        self._check_hull(T, p)
+        return self._h_poly(T)
+
+    def enthalpy_slope(self, T: float, p: float) -> float:
+        self._check_hull(T, p)
+        return self._cp_poly(T)
+
+    def temperature(self, h: float, p: float) -> float:
+        """Newton on h(T) - h with cp as the slope, safeguarded by
+        bisection of the hull so every iterate stays inside it."""
+        if not 0.0 <= h <= self._h_max:
+            raise OutOfRangeError(
+                f"h={h} J/kg outside model hull [0.0, {self._h_max}] J/kg"
+            )
+        a, b = self.hull_T
+        w = h / self._h_max
+        T = (1.0 - w) * a + w * b
+        for _ in range(_INVERSE_MAX_ITER):
+            r = self._h_poly(T) - h
+            if r == 0.0:
+                return T
+            if r > 0.0:
+                b = T
+            else:
+                a = T
+            T_next = T - r / self._cp_poly(T)
+            if not a <= T_next <= b:
+                T_next = 0.5 * (a + b)
+            if abs(T_next - T) <= _INVERSE_RTOL * (1.0 + abs(T)):
+                return T_next
+            T = T_next
+        return T
 
     def __repr__(self):
         return f"ThermallyPerfect(poly, hull_T={self.hull_T})"
@@ -178,6 +241,12 @@ class Tabulated(FluidModel):
     Axes must be strictly increasing and every grid column must be
     strictly increasing in T (positive heat capacity).  Queries outside
     the grid hull raise OutOfRangeError.
+
+    A stream's pressure is fixed, so the pressure interpolation is done
+    once per pressure: the slice H_i = (1-pp) h[i][j] + pp h[i][j+1] is
+    kept per instance, and enthalpy is (1-tt) H_i + tt H_{i+1} with the
+    same float operations as the full bilinear formula.  On the slice,
+    h is piecewise linear in T, so ``temperature`` inverts it exactly.
     """
 
     def __init__(
@@ -210,6 +279,7 @@ class Tabulated(FluidModel):
                     )
         self.hull_T = (self._T[0], self._T[-1])
         self.hull_p = (self._p[0], self._p[-1])
+        self._slices: dict[float, list[float]] = {}
 
     @property
     def T_grid(self):
@@ -223,27 +293,58 @@ class Tabulated(FluidModel):
     def h_grid(self):
         return tuple(tuple(r) for r in self._h)
 
-    def enthalpy(self, T: float, p: float) -> float:
-        Tg, pg = self._T, self._p
+    def _slice(self, p: float) -> list[float]:
+        """h over the T axis at pressure p, built on first use."""
+        H = self._slices.get(p)
+        if H is None:
+            pg = self._p
+            if not pg[0] <= p <= pg[-1]:
+                raise OutOfRangeError(
+                    f"p={p} Pa outside table hull [{pg[0]}, {pg[-1]}] Pa"
+                )
+            j = bisect_right(pg, p) - 1
+            if j > len(pg) - 2:
+                j = len(pg) - 2
+            pp = (p - pg[j]) / (pg[j + 1] - pg[j])
+            H = [(1.0 - pp) * row[j] + pp * row[j + 1] for row in self._h]
+            if len(self._slices) >= _MAX_SLICES:
+                self._slices.clear()
+            self._slices[p] = H
+        return H
+
+    def _cell(self, T: float) -> int:
+        """Index i of the T cell [T_i, T_i+1] holding T."""
+        Tg = self._T
         if not Tg[0] <= T <= Tg[-1]:
             raise OutOfRangeError(f"T={T} K outside table hull [{Tg[0]}, {Tg[-1]}] K")
-        if not pg[0] <= p <= pg[-1]:
-            raise OutOfRangeError(f"p={p} Pa outside table hull [{pg[0]}, {pg[-1]}] Pa")
         i = bisect_right(Tg, T) - 1
-        if i > len(Tg) - 2:
-            i = len(Tg) - 2
-        j = bisect_right(pg, p) - 1
-        if j > len(pg) - 2:
-            j = len(pg) - 2
+        return i if i < len(Tg) - 2 else len(Tg) - 2
+
+    def enthalpy(self, T: float, p: float) -> float:
+        i = self._cell(T)
+        H = self._slice(p)
+        Tg = self._T
         tt = (T - Tg[i]) / (Tg[i + 1] - Tg[i])
-        pp = (p - pg[j]) / (pg[j + 1] - pg[j])
-        row0, row1 = self._h[i], self._h[i + 1]
-        h00, h01 = row0[j], row0[j + 1]
-        h10, h11 = row1[j], row1[j + 1]
-        return (
-            (1.0 - tt) * ((1.0 - pp) * h00 + pp * h01)
-            + tt * ((1.0 - pp) * h10 + pp * h11)
-        )
+        return (1.0 - tt) * H[i] + tt * H[i + 1]
+
+    def enthalpy_slope(self, T: float, p: float) -> float:
+        """Slope of the slice over the cell holding T (the right-hand
+        cell at an interior node)."""
+        i = self._cell(T)
+        H = self._slice(p)
+        return (H[i + 1] - H[i]) / (self._T[i + 1] - self._T[i])
+
+    def temperature(self, h: float, p: float) -> float:
+        H = self._slice(p)
+        if not H[0] <= h <= H[-1]:
+            raise OutOfRangeError(
+                f"h={h} J/kg outside table hull [{H[0]}, {H[-1]}] J/kg at p={p} Pa"
+            )
+        i = bisect_right(H, h) - 1
+        if i > len(H) - 2:
+            i = len(H) - 2
+        w = (h - H[i]) / (H[i + 1] - H[i])
+        return (1.0 - w) * self._T[i] + w * self._T[i + 1]
 
     def __repr__(self):
         return (

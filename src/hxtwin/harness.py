@@ -41,7 +41,9 @@ from .ekf import (
     ekf_predict,
     ekf_update,
     estimate_kA,
+    floored_inputs,
     model_inputs,
+    steady_conductances,
 )
 from .fluids import CaloricallyPerfect, StreamConfig, ThermallyPerfect, load_fluid_table
 from .means import log_mean
@@ -215,14 +217,17 @@ def _positive(raw: RawConfig, section: str, key: str) -> float:
     return value
 
 
+def _finite(raw: RawConfig, section: str, key: str) -> float:
+    value = raw.get_float(section, key)
+    _require(raw, section, key, math.isfinite(value), "must be finite")
+    return value
+
+
 def _inlet_value(raw: RawConfig, section: str, key: str) -> float:
     """An inlet value; mass flows must be positive, temperatures finite."""
-    value = raw.get_float(section, key)
     if "mdot" in key:
-        _require(raw, section, key, value > 0.0, "must be positive")
-    else:
-        _require(raw, section, key, math.isfinite(value), "must be finite")
-    return value
+        return _positive(raw, section, key)
+    return _finite(raw, section, key)
 
 
 def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
@@ -255,6 +260,7 @@ def _build_excitation(raw: RawConfig, duration: float) -> ExcitationSpec:
     if kind == "constant":
         return ExcitationSpec(kind)
     if kind == "step":
+        step_time = _finite(raw, "excitation", "step_time_s")
         targets = {}
         for key, name in (
             ("step_T_h1_K", "T_h1"), ("step_T_c1_K", "T_c1"),
@@ -267,10 +273,7 @@ def _build_excitation(raw: RawConfig, duration: float) -> ExcitationSpec:
                 "step excitation needs at least one step_* target",
                 raw.sections.get("excitation", 0),
             )
-        return ExcitationSpec(
-            kind, step_time_s=raw.get_float("excitation", "step_time_s"),
-            step_targets=targets,
-        )
+        return ExcitationSpec(kind, step_time_s=step_time, step_targets=targets)
     spec = ExcitationSpec(
         kind,
         f0_Hz=raw.get_float("excitation", "f0_Hz", 0.0),
@@ -281,6 +284,8 @@ def _build_excitation(raw: RawConfig, duration: float) -> ExcitationSpec:
         mdot_h_amp_frac=raw.get_float("excitation", "mdot_h_amp_frac", 0.0),
         mdot_c_amp_frac=raw.get_float("excitation", "mdot_c_amp_frac", 0.0),
     )
+    for key in ("f0_Hz", "f1_Hz"):
+        _require(raw, "excitation", key, math.isfinite(getattr(spec, key)), "must be finite")
     for key in ("mdot_h_amp_frac", "mdot_c_amp_frac"):
         _require(raw, "excitation", key, 0.0 <= getattr(spec, key) < 1.0, "must lie in [0, 1)")
     _require(raw, "excitation", "span_s", spec.span_s > 0.0, "must be positive")
@@ -338,8 +343,7 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     wall_init = None
     if raw.has("plant", "T_w1_init_K") or raw.has("plant", "T_w2_init_K"):
         wall_init = WallState(
-            raw.get_float("plant", "T_w1_init_K"),
-            raw.get_float("plant", "T_w2_init_K"),
+            _finite(raw, "plant", "T_w1_init_K"), _finite(raw, "plant", "T_w2_init_K")
         )
     plant = PlantSpec(
         theta7=raw.get_float("plant", "theta7_J_K"),
@@ -347,7 +351,8 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
         noise_std_K=raw.get_float("plant", "noise_std_K", 0.1),
         wall_init=wall_init,
     )
-    _require(raw, "plant", "theta7_J_K", plant.theta7 > 0.0, "must be positive")
+    _require(raw, "plant", "theta7_J_K", 0.0 < plant.theta7 < math.inf,
+             "must be finite and positive")
     _require(raw, "plant", "substeps_per_sample", plant.substeps_per_sample >= 1,
              "must be at least 1")
     _require(raw, "plant", "noise_std_K", plant.noise_std_K >= 0.0, "must be nonnegative")
@@ -631,12 +636,12 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
     emit(0.0, u, x, outs, cond)
     n_steps = round(scn.duration_s / scn.dt_s)
     for k in range(1, n_steps + 1):
-        rhs = reference_wall_rhs(u, cond, scn.hot, scn.cold, wall_cfg)
+        rhs = reference_wall_rhs(u, cond, scn.hot, scn.cold, wall_cfg, outs)
         x = integrate_step(rhs, x, scn.dt_s, wall_cfg.substeps_per_sample)
         t = k * scn.dt_s
         u = inputs_at(scn, t)
         cond = _truth_cond(scn, u, t, outs)
-        outs = ref_output(x, u, cond, scn.hot, scn.cold)
+        outs = ref_output(x, u, cond, scn.hot, scn.cold, guess=outs)
         emit(t, u, x, outs, cond)
     return records
 
@@ -706,10 +711,11 @@ def _monitor_cp(
     # inlets share with u
     cp = update_cp_params(hot, cold, u, prev_out, prev_steady)
 
-    def kA_of(cp2: CpParams) -> float:
-        return model_inputs(ekf_cfg, x_v, u, cp2)[2].kA
+    u_eff, corr_hot, corr_cold = floored_inputs(ekf_cfg, x_v, u)
 
-    u_eff = model_inputs(ekf_cfg, x_v, u, cp)[0]
+    def kA_of(cp2: CpParams) -> float:
+        return steady_conductances(corr_hot, corr_cold, u_eff, cp2).kA
+
     _outlets, cp, _n = approx_steady_selfconsistent(u_eff, hot, cold, kA_of, cp)
     return cp
 

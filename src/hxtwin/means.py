@@ -3,7 +3,8 @@
 Provides the arithmetic, geometric, and logarithmic means of two real
 arguments, the beta-weighted blend of geometric and arithmetic mean that
 serves as a one-step surrogate for the logarithmic mean, and the total
-(unrestricted) heat-rate function used by both exchanger models.
+(unrestricted) heat-rate function used by both exchanger models, with
+its partial derivative.
 
 All functions are pure and stateless.
 """
@@ -19,6 +20,7 @@ __all__ = [
     "log_mean",
     "weighted_mean",
     "heat_rate",
+    "heat_rate_slope",
     "in_lm_domain",
 ]
 
@@ -100,3 +102,16 @@ def heat_rate(z1: float, z2: float, z3: float) -> float:
     if z1 > 0.0 and z2 > 0.0 and z1 != z2:
         return z3 * log_mean(z1, z2)
     return z3 * 0.5 * (z1 + z2)
+
+
+def heat_rate_slope(z1: float, z2: float, z3: float, q: float) -> float:
+    """Partial derivative of heat_rate(z1, z2, z3) in z1, given its value q.
+
+    On the log-mean branch, with M = q / z3 the log mean,
+    dM/dz1 = M (M - z1) / (z1 (z2 - z1)); on the arithmetic branch the
+    derivative is z3 / 2.  heat_rate is symmetric in (z1, z2), so the
+    derivative in z2 is heat_rate_slope(z2, z1, z3, q).
+    """
+    if z1 > 0.0 and z2 > 0.0 and z1 != z2:
+        return q * (q / z3 - z1) / (z1 * (z2 - z1))
+    return 0.5 * z3

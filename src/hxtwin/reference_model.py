@@ -2,8 +2,10 @@
 
 The reference model computes outlet temperatures as roots of side-wise
 residual functions that balance enthalpy rate against heat transfer rate
-through the wall, using the exact fluid enthalpy model.  It also solves
-the coupled steady-state problem, evaluates the closed-form steady wall
+through the wall, using the exact fluid enthalpy model.  Given a guess
+(in a simulation, the previous outlets), a root solve is a Newton
+iteration with a bracketed search as its fallback.  It also solves the
+coupled steady-state problem, evaluates the closed-form steady wall
 temperatures, and provides a verification report for the uniqueness
 properties the models rely on.
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from .correlations import serial_conductance
 from .fluids import StreamConfig
-from .means import heat_rate
+from .means import heat_rate, heat_rate_slope
 
 __all__ = [
     "BracketError",
@@ -118,8 +120,8 @@ class UniquenessReport:
 
 
 SOLVE_MAX_ITER = 200
+NEWTON_MAX_ITER = 8  # warm-started output solves; then the bracket
 OUTPUT_FTOL = 1e-6  # W, side residual of the output roots
-PAIR_FTOL = 1e-7  # W, energy balance of the steady outlet pairing
 
 
 def solve_bracketed(
@@ -187,15 +189,44 @@ def solve_bracketed(
 # ---------------------------------------------------------------------------
 
 
-def _solve_side(f, lo: float, hi: float):
+def _newton_side(f_slope, a: float, b: float, x: float):
+    """Newton from x on a side residual, inside the open interval (a, b).
+
+    f_slope(T) returns the residual and its slope.  The residual is
+    strictly increasing, so an interior iterate whose residual is within
+    OUTPUT_FTOL is the root.  Returns (T, residual), or None when an
+    iterate leaves (a, b), the slope is unusable, a step stalls, or
+    NEWTON_MAX_ITER iterations pass without convergence.
+    """
+    for _ in range(NEWTON_MAX_ITER):
+        if not a < x < b:
+            return None
+        r, slope = f_slope(x)
+        if abs(r) <= OUTPUT_FTOL:
+            return x, r
+        if not slope > 0.0:
+            return None
+        x_next = x - r / slope
+        if x_next == x:
+            return None
+        x = x_next
+    return None
+
+
+def _solve_side(f, f_slope, lo: float, hi: float, guess: float | None):
     """Solve one side residual over its physical bracket.
+
+    With a guess, Newton on f_slope (the residual with its slope) runs
+    first, inside the same open interval the bracketed search uses; the
+    bracketed search below is the fallback.
 
     The unrestricted heat rate switches branch exactly on the bracket
     boundary (one temperature difference is zero there), so the endpoint
     signs are read a hair inside the open interior; otherwise the jump
     can mask a genuine interior root.  The transient corner where the
     residual has no interior sign change still clamps to the endpoint
-    with the smaller residual magnitude, flagged.
+    with the smaller residual magnitude, flagged; so is a search that
+    stops at SOLVE_MAX_ITER without converging.
     Returns (T, residual, flagged).
     """
     if lo > hi:
@@ -205,6 +236,10 @@ def _solve_side(f, lo: float, hi: float):
         return lo, r, abs(r) > OUTPUT_FTOL
     delta = 1e-7 * (hi - lo)
     a, b = lo + delta, hi - delta
+    if guess is not None:
+        root = _newton_side(f_slope, a, b, guess)
+        if root is not None:
+            return (*root, False)
     f_a, f_b = f(a), f(b)
     if f_a == 0.0:
         return a, 0.0, False
@@ -214,8 +249,8 @@ def _solve_side(f, lo: float, hi: float):
         if abs(f_a) <= abs(f_b):
             return lo, f_a, True
         return hi, f_b, True
-    x, fx, _, _ = solve_bracketed(f, a, b, f_a, f_b, ftol=OUTPUT_FTOL)
-    return x, fx, False
+    x, fx, converged, _ = solve_bracketed(f, a, b, f_a, f_b, ftol=OUTPUT_FTOL)
+    return x, fx, not converged
 
 
 def _output_residuals(
@@ -226,27 +261,37 @@ def _output_residuals(
     cold: StreamConfig,
 ):
     """The side residuals R_h(T_h2), R_c(T_c2) of the output equations
-    (see ref_output_detailed)."""
+    (see ref_output_detailed), each also as a function returning the
+    residual, with the same arithmetic, together with its slope in T."""
     hf, cf = hot.fluid, cold.fluid
     h_h1 = hf.enthalpy(u.T_h1, hot.pressure)
     h_c1 = cf.enthalpy(u.T_c1, cold.pressure)
-    dT_h1 = u.T_h1 - x.T_w1
-    dT_c2 = x.T_w2 - u.T_c1
+    T_w1, T_w2 = x.T_w1, x.T_w2
+    dT_h1 = u.T_h1 - T_w1
+    dT_c2 = T_w2 - u.T_c1
     mdot_h, mdot_c = u.mdot_h, u.mdot_c
     p_h, p_c = hot.pressure, cold.pressure
     aA_h, aA_c = cond.aA_h, cond.aA_c
 
     def res_h(T):
-        return mdot_h * (hf.enthalpy(T, p_h) - h_h1) + heat_rate(
-            dT_h1, T - x.T_w2, aA_h
-        )
+        return mdot_h * (hf.enthalpy(T, p_h) - h_h1) + heat_rate(dT_h1, T - T_w2, aA_h)
 
     def res_c(T):
-        return mdot_c * (cf.enthalpy(T, p_c) - h_c1) - heat_rate(
-            x.T_w1 - T, dT_c2, aA_c
-        )
+        return mdot_c * (cf.enthalpy(T, p_c) - h_c1) - heat_rate(T_w1 - T, dT_c2, aA_c)
 
-    return res_h, res_c
+    def res_slope_h(T):
+        z = T - T_w2
+        q = heat_rate(dT_h1, z, aA_h)
+        r = mdot_h * (hf.enthalpy(T, p_h) - h_h1) + q
+        return r, mdot_h * hf.enthalpy_slope(T, p_h) + heat_rate_slope(z, dT_h1, aA_h, q)
+
+    def res_slope_c(T):
+        z = T_w1 - T
+        q = heat_rate(z, dT_c2, aA_c)
+        r = mdot_c * (cf.enthalpy(T, p_c) - h_c1) - q
+        return r, mdot_c * cf.enthalpy_slope(T, p_c) + heat_rate_slope(z, dT_c2, aA_c, q)
+
+    return res_h, res_c, res_slope_h, res_slope_c
 
 
 def ref_output_detailed(
@@ -255,6 +300,7 @@ def ref_output_detailed(
     cond: Conductances,
     hot: StreamConfig,
     cold: StreamConfig,
+    guess: OutletTemps | None = None,
 ) -> tuple[OutletTemps, RefOutputInfo]:
     """Reference outlet temperatures with solver diagnostics.
 
@@ -263,11 +309,16 @@ def ref_output_detailed(
     on [T_w2, T_h1]; the cold outlet is the root of
         R_c(T) = mdot_c * (h_c(T) - h_c(T_c1)) - Q(T_w1 - T, T_w2 - T_c1, aA_c)
     on [T_c1, T_w1].  Both residuals are strictly increasing in their
-    unknown, so the roots are unique where they exist.
+    unknown, so the roots are unique where they exist.  A guess, such as
+    the outlets of the previous call in a simulation, starts each side
+    with Newton; without one, each side is a bracketed search.
     """
-    res_h, res_c = _output_residuals(x, u, cond, hot, cold)
-    T_h2, r_h, flag_h = _solve_side(res_h, x.T_w2, u.T_h1)
-    T_c2, r_c, flag_c = _solve_side(res_c, u.T_c1, x.T_w1)
+    res_h, res_c, slope_h, slope_c = _output_residuals(x, u, cond, hot, cold)
+    g_h = g_c = None
+    if guess is not None:
+        g_h, g_c = guess.T_h2, guess.T_c2
+    T_h2, r_h, flag_h = _solve_side(res_h, slope_h, x.T_w2, u.T_h1, g_h)
+    T_c2, r_c, flag_c = _solve_side(res_c, slope_c, u.T_c1, x.T_w1, g_c)
     return OutletTemps(T_h2, T_c2), RefOutputInfo(flag_h, flag_c, r_h, r_c)
 
 
@@ -277,9 +328,10 @@ def ref_output(
     cond: Conductances,
     hot: StreamConfig,
     cold: StreamConfig,
+    guess: OutletTemps | None = None,
 ) -> OutletTemps:
     """Reference outlet temperatures (see ref_output_detailed)."""
-    outlets, _ = ref_output_detailed(x, u, cond, hot, cold)
+    outlets, _ = ref_output_detailed(x, u, cond, hot, cold, guess)
     return outlets
 
 
@@ -291,41 +343,31 @@ def ref_output(
 def _steady_outer_residual(u, kA, hot, cold):
     """Build the outer 1-D steady residual in T_c2s.
 
-    For each trial cold outlet, the paired hot outlet is the unique root
-    of the overall energy balance (inner solve); the outer residual
-    compares the cold enthalpy rate with the overall heat transfer rate.
-    Infeasible trial points (cold outlet hotter than the energy balance
-    allows) clamp the pair to the intake floor, which keeps the outer
-    residual monotone.
+    For each trial cold outlet, the paired hot outlet closes the overall
+    energy balance, found by inverting the hot enthalpy; the outer
+    residual compares the cold enthalpy rate with the overall heat
+    transfer rate.  Infeasible trial points (cold outlet hotter than the
+    energy balance allows) clamp the pair to the intake floor, which
+    keeps the outer residual monotone.
 
     Returns (phi, pair) callables.
     """
     hf, cf = hot.fluid, cold.fluid
-    h_h1 = hf.enthalpy(u.T_h1, hot.pressure)
-    h_c1 = cf.enthalpy(u.T_c1, cold.pressure)
     p_h, p_c = hot.pressure, cold.pressure
+    h_h1 = hf.enthalpy(u.T_h1, p_h)
+    h_c1 = cf.enthalpy(u.T_c1, p_c)
     mdot_h, mdot_c = u.mdot_h, u.mdot_c
-
-    def hdot_h(T):
-        return mdot_h * (hf.enthalpy(T, p_h) - h_h1)
+    # the hot enthalpy rate at the intake floor, the most the hot side gives
+    hdot_h_floor = mdot_h * (hf.enthalpy(u.T_c1, p_h) - h_h1)
 
     def hdot_c(T):
         return mdot_c * (cf.enthalpy(T, p_c) - h_c1)
 
     def pair(T_c2s):
-        target = -hdot_c(T_c2s)
-
-        def g(T):
-            return hdot_h(T) - target
-
-        g_lo = g(u.T_c1)
-        if g_lo >= 0.0:
+        q = hdot_c(T_c2s)
+        if hdot_h_floor + q >= 0.0:
             return u.T_c1
-        g_hi = g(u.T_h1)  # = -target >= 0
-        T, _, _, _ = solve_bracketed(
-            g, u.T_c1, u.T_h1, g_lo, g_hi, xtol=1e-11, ftol=PAIR_FTOL
-        )
-        return T
+        return hf.temperature(h_h1 - q / mdot_h, p_h)
 
     def phi(T_c2s):
         T_h2s = pair(T_c2s)
@@ -350,16 +392,9 @@ def _feasible_cold_outlet_cap(
         - hot.fluid.enthalpy(u.T_c1, hot.pressure)
     )
     h_c1 = cold.fluid.enthalpy(u.T_c1, cold.pressure)
-
-    def excess(T):
-        return u.mdot_c * (cold.fluid.enthalpy(T, cold.pressure) - h_c1) - q_supply
-
-    if excess(u.T_h1) <= 0.0:
+    if u.mdot_c * (cold.fluid.enthalpy(u.T_h1, cold.pressure) - h_c1) <= q_supply:
         return u.T_h1
-    T, _, _, _ = solve_bracketed(
-        excess, u.T_c1, u.T_h1, ftol=1e-6 * max(1.0, q_supply)
-    )
-    return T
+    return cold.fluid.temperature(h_c1 + q_supply / u.mdot_c, cold.pressure)
 
 
 def ref_steady_outlets(
@@ -370,11 +405,10 @@ def ref_steady_outlets(
 ) -> OutletTemps:
     """Steady outlet temperatures of the reference model.
 
-    Solved as nested 1-D monotone root problems: the outer unknown is the
-    cold outlet on the energy-feasible part of [T_c1, T_h1], the inner
-    solve pairs it with the hot outlet through the overall energy
-    balance.  The pairing structure makes the outer residual strictly
-    increasing, so the root is unique.
+    Solved as a 1-D monotone root problem: the unknown is the cold outlet
+    on the energy-feasible part of [T_c1, T_h1], paired with the hot
+    outlet through the overall energy balance.  The pairing structure
+    makes the residual strictly increasing, so the root is unique.
     """
     if kA <= 0.0:
         raise ValueError(f"kA must be positive, got {kA}")
@@ -483,7 +517,7 @@ def verify_uniqueness(
 
     outlets_s = ref_steady_outlets(u, kA, hot, cold)
     walls_s = steady_wall_temps(outlets_s, u, cond)
-    res_h, res_c = _output_residuals(walls_s, u, cond, hot, cold)
+    res_h, res_c, _, _ = _output_residuals(walls_s, u, cond, hot, cold)
 
     # The wall-side bracket endpoints sit exactly on the arithmetic-mean
     # fallback (one temperature difference is zero there), so the

@@ -21,6 +21,7 @@ from .means import heat_rate
 from .reference_model import (
     Conductances,
     InletConditions,
+    OutletTemps,
     WallState,
     ref_output,
     ref_steady_outlets,
@@ -135,18 +136,23 @@ def reference_wall_rhs(
     hot: StreamConfig,
     cold: StreamConfig,
     cfg: WallDynamicsConfig,
+    start: OutletTemps | None = None,
 ) -> Callable[[WallState], tuple[float, float]]:
     """RHS closure for the reference model with u and theta frozen.
 
     The steady wall state is solved once here (it depends only on u and
     theta); each stage evaluation then needs just the two transient root
-    solves for the outlet temperatures.
+    solves for the outlet temperatures.  Each solve starts from the
+    outlets of the previous stage, the first from ``start`` (the previous
+    sample's outlets in a simulation; None for a cold start).
     """
     steady = ref_steady_outlets(u, cond.kA, hot, cold)
     xs = steady_wall_temps(steady, u, cond)
+    guess = start
 
     def rhs(x: WallState) -> tuple[float, float]:
-        outs = ref_output(x, u, cond, hot, cold)
+        nonlocal guess
+        outs = guess = ref_output(x, u, cond, hot, cold, guess=guess)
         Q_h = -heat_rate(u.T_h1 - x.T_w1, outs.T_h2 - x.T_w2, cond.aA_h)
         Q_c = heat_rate(x.T_w1 - outs.T_c2, x.T_w2 - u.T_c1, cond.aA_c)
         return wall_rhs(x, xs, Q_h, Q_c, cfg)[0]

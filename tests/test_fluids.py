@@ -144,6 +144,79 @@ def test_tabulated_out_of_range():
         f.enthalpy(300.0, 2.1e6)
 
 
+def test_slice_enthalpy_equals_bilinear_formula_bit_for_bit():
+    f = make_co2_like_table()
+    Tg, pg, hg = f.T_grid, f.p_grid, f.h_grid
+
+    def bilinear(T, p, i, j):
+        tt = (T - Tg[i]) / (Tg[i + 1] - Tg[i])
+        pp = (p - pg[j]) / (pg[j + 1] - pg[j])
+        return (
+            (1.0 - tt) * ((1.0 - pp) * hg[i][j] + pp * hg[i][j + 1])
+            + tt * ((1.0 - pp) * hg[i + 1][j] + pp * hg[i + 1][j + 1])
+        )
+
+    n_T, n_p = len(Tg), len(pg)
+    # nodes, hull edges and points between nodes, at node and off-node
+    # pressures
+    temps = [Tg[0] + 0.37 * k for k in range(int((Tg[-1] - Tg[0]) / 0.37) + 1)]
+    temps += list(Tg)
+    pressures = list(pg) + [pg[0] + 0.29e6 * k for k in range(14)]
+    for p in pressures:
+        j = min(max(k for k in range(n_p) if pg[k] <= p), n_p - 2)
+        for T in temps:
+            i = min(max(k for k in range(n_T) if Tg[k] <= T), n_T - 2)
+            assert f.enthalpy(T, p) == bilinear(T, p, i, j), (T, p)
+
+
+def fluid_models():
+    """kind -> (model, temperature range to check, table nodes)."""
+    coolant, table = make_coolant_model(), make_co2_like_table()
+    return {
+        "perfect": (CaloricallyPerfect(2300.0), (250.0, 450.0), ()),
+        "polynomial": (coolant, coolant.hull_T, ()),
+        "table": (table, table.hull_T, table.T_grid),
+    }
+
+
+@pytest.mark.parametrize("kind", ["perfect", "polynomial", "table"])
+def test_temperature_inverts_enthalpy(kind):
+    f, (lo, hi), nodes = fluid_models()[kind]
+    for p in (8.0e6, 1.0e7, 1.07e7, 1.2e7):
+        temps = [lo, hi, *nodes] + [lo + (hi - lo) * k / 997.0 for k in range(998)]
+        for T in temps:
+            back = f.temperature(f.enthalpy(T, p), p)
+            assert back == pytest.approx(T, abs=1e-9), (T, p)
+        for T in (lo, hi, *nodes):
+            # hull edges and table nodes invert exactly
+            assert f.temperature(f.enthalpy(T, p), p) == T
+
+
+@pytest.mark.parametrize("kind", ["perfect", "polynomial", "table"])
+def test_enthalpy_slope_is_the_local_derivative(kind):
+    f, (lo, hi), nodes = fluid_models()[kind]
+    p = 1.0e7
+    for k in range(1, 200):
+        T = lo + (hi - lo) * (k + 0.5) / 200.0
+        if any(abs(T - n) < 1e-3 for n in nodes):
+            continue
+        step = 1e-4
+        secant = (f.enthalpy(T + step, p) - f.enthalpy(T - step, p)) / (2.0 * step)
+        assert f.enthalpy_slope(T, p) == pytest.approx(secant, rel=1e-6), T
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "table"])
+def test_temperature_outside_hull_raises(kind):
+    f, (lo, hi), _ = fluid_models()[kind]
+    p = 1.0e7
+    h_lo, h_hi = f.enthalpy(lo, p), f.enthalpy(hi, p)
+    for h in (h_lo - 1.0, h_hi + 1.0, math.nan):
+        with pytest.raises(OutOfRangeError):
+            f.temperature(h, p)
+    with pytest.raises(OutOfRangeError):
+        f.enthalpy_slope(hi + 1.0, p)
+
+
 def test_tabulated_rejects_nonmonotone_h_in_T():
     with pytest.raises(ValueError):
         Tabulated([280.0, 300.0], [1e6, 2e6], [[5.0, 6.0], [5.0, 7.0]])

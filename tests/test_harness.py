@@ -3,11 +3,14 @@ simulation, monitoring replay, metrics, and the benchmark helper."""
 
 import math
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hxtwin.harness as harness
+import hxtwin.reference_model as reference_model
 from hxtwin.approx_model import approx_steady_selfconsistent, update_cp_params
 from hxtwin.config import ConfigError, parse_config
 from hxtwin.correlations import (
@@ -53,6 +56,8 @@ from hxtwin.means import log_mean
 from hxtwin.reference_model import InletConditions
 from hxtwin.sampledata import make_co2_like_table, make_coolant_model
 from hxtwin.wall_dynamics import WallDynamicsConfig
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 SMOKE_CFG = """\
 [scenario]
@@ -191,6 +196,15 @@ mdot_h_amp_frac = 1.2
     ("excitation", "step_mdot_c_kg_s", "0"),
     ("excitation", "step_mdot_h_kg_s", "nan"),
     ("excitation", "step_T_h1_K", "nan"),
+    ("excitation", "step_time_s", "nan"),
+    ("excitation", "step_time_s", "-inf"),
+    ("excitation", "f0_Hz", "nan"),
+    ("excitation", "f1_Hz", "nan"),
+    ("excitation", "f1_Hz", "inf"),
+    ("plant", "theta7_J_K", "inf"),
+    ("plant", "theta7_J_K", "0"),
+    ("plant", "T_w1_init_K", "nan"),
+    ("plant", "T_w2_init_K", "inf"),
     ("scenario", "dt_s", "nan"),
     ("scenario", "duration_s", "inf"),
     ("scenario", "duration_s", "0"),
@@ -208,6 +222,8 @@ def test_nonpositive_span_and_substeps_rejected_with_line(section, key, value):
         text = text.replace("kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000\n", (
             "kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
             "aA_c_start_W_K = 3000\naA_c_end_W_K = 2800\n"))
+    if key == "T_w2_init_K":
+        text = text.replace("[plant]\n", "[plant]\nT_w1_init_K = 350\n")
     # drop the smoke value, if any, and put the bad one first in its section
     text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
     text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
@@ -514,6 +530,45 @@ def test_run_truth_sim_deterministic_and_seed_sensitive():
     assert c != a
     assert c[0].T_h2_true_K == a[0].T_h2_true_K  # only the noise differs
     assert c[0].T_h2_meas_K != a[0].T_h2_meas_K
+
+
+@pytest.mark.parametrize("name", ["smoke_constant", "coolant_step", "chirp_tracking"])
+def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
+    # Every side solve of the shipped truth runs converges without a
+    # clamp.  Counts the warm starts that fall back to the bracketed search.
+    counts = Counter()
+    solve_side = reference_model._solve_side
+    newton_side = reference_model._newton_side
+    bracketed = reference_model.solve_bracketed
+
+    def counted_side(*args):
+        T, r, flagged = solve_side(*args)
+        counts["side solves"] += 1
+        counts["flagged"] += flagged
+        return T, r, flagged
+
+    def counted_newton(*args):
+        root = newton_side(*args)
+        counts["warm starts"] += 1
+        counts["fallbacks"] += root is None
+        return root
+
+    def counted_bracketed(*args, **kwargs):
+        result = bracketed(*args, **kwargs)
+        counts["non-converged"] += not result[2]
+        return result
+
+    monkeypatch.setattr(reference_model, "_solve_side", counted_side)
+    monkeypatch.setattr(reference_model, "_newton_side", counted_newton)
+    monkeypatch.setattr(reference_model, "solve_bracketed", counted_bracketed)
+    recs = run_truth_sim(load_scenario(SCENARIOS / f"{name}.cfg"))
+    with capsys.disabled():
+        print(f"\n{name}: {dict(counts)}")
+    # 40 RK4 stages per step and one solve at each record, two sides each
+    assert counts["side solves"] == 2 * (41 * (len(recs) - 1) + 1)
+    assert counts["warm starts"] == counts["side solves"] - 2
+    assert counts["flagged"] == 0
+    assert counts["non-converged"] == 0
 
 
 def test_run_truth_sim_wall_init_relaxes():

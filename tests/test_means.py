@@ -10,6 +10,7 @@ from hxtwin.means import (
     arith_mean,
     geom_mean,
     heat_rate,
+    heat_rate_slope,
     in_lm_domain,
     log_mean,
     weighted_mean,
@@ -116,6 +117,20 @@ def test_heat_rate_symmetry_and_mean_ordering():
         assert gm < lm < am
         c = rng.uniform(1.0, 1e4)
         assert heat_rate(z1, z2, c) == pytest.approx(heat_rate(z2, z1, c), rel=1e-14)
+
+
+@pytest.mark.parametrize("z1, z2", [
+    (3.0, 5.0), (10.0, 0.1), (0.02, 40.0), (7.0, 7.0 * (1.0 + 1e-7)),  # log mean
+    (2.0, -1.0), (-3.0, -0.5), (5.0, 5.0),  # arithmetic branch
+])
+def test_heat_rate_slope_matches_central_difference(z1, z2):
+    z3 = 1200.0
+    q = heat_rate(z1, z2, z3)
+    h1, h2 = 1e-6 * abs(z1), 1e-6 * abs(z2)
+    d1 = (heat_rate(z1 + h1, z2, z3) - heat_rate(z1 - h1, z2, z3)) / (2.0 * h1)
+    d2 = (heat_rate(z1, z2 + h2, z3) - heat_rate(z1, z2 - h2, z3)) / (2.0 * h2)
+    assert heat_rate_slope(z1, z2, z3, q) == pytest.approx(d1, rel=1e-5)
+    assert heat_rate_slope(z2, z1, z3, q) == pytest.approx(d2, rel=1e-5)
 
 
 def test_weighted_mean_monotone_in_beta_and_bounded():

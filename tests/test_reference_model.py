@@ -1,12 +1,17 @@
 """Tests for the iterative reference model and its steady-state solver."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+import hxtwin.reference_model as reference_model
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig, ThermallyPerfect
+from hxtwin.harness import load_scenario, run_truth_sim
 from hxtwin.means import heat_rate
 from hxtwin.reference_model import (
+    OUTPUT_FTOL,
     BracketError,
     Conductances,
     InletConditions,
@@ -186,6 +191,82 @@ def test_ref_output_degenerate_point_bracket():
     outs, info = ref_output_detailed(x, u, Conductances(800.0, 1200.0), hot, cold)
     assert outs.T_h2 == 400.0
     assert info.flagged_hot  # nonzero residual at the collapsed bracket
+
+
+@pytest.fixture
+def bracketed_calls(monkeypatch):
+    """A list that grows by one on each solve_bracketed call."""
+    calls = []
+    bracketed = reference_model.solve_bracketed
+    monkeypatch.setattr(reference_model, "solve_bracketed",
+                        lambda *a, **k: calls.append(1) or bracketed(*a, **k))
+    return calls
+
+
+def recorded_states(name, duration_s):
+    """(state, inlets, conductances, previous outlets) of each step of a
+    truth run of a shipped scenario."""
+    root = Path(__file__).resolve().parent.parent
+    scn = load_scenario(root / "scenarios" / f"{name}.cfg")
+    recs = run_truth_sim(dataclasses.replace(scn, duration_s=duration_s))
+    states = []
+    for prev, rec in zip(recs, recs[1:]):
+        states.append((
+            WallState(rec.T_w1_K, rec.T_w2_K),
+            InletConditions(rec.T_h1_K, rec.T_c1_K, rec.mdot_h_kg_s, rec.mdot_c_kg_s),
+            Conductances(rec.aA_h_W_K, rec.aA_c_W_K),
+            OutletTemps(prev.T_h2_true_K, prev.T_c2_true_K),
+        ))
+    return scn, states
+
+
+@pytest.mark.parametrize("name, duration_s", [
+    ("chirp_tracking", 400.0), ("coolant_step", 300.0),
+])
+def test_warm_started_output_matches_bracketed(name, duration_s, bracketed_calls):
+    scn, states = recorded_states(name, duration_s)
+    for x, u, cond, prev in states:
+        cold_start, info0 = ref_output_detailed(x, u, cond, scn.hot, scn.cold)
+        n_cold = len(bracketed_calls)
+        warm, info = ref_output_detailed(x, u, cond, scn.hot, scn.cold, guess=prev)
+        assert len(bracketed_calls) == n_cold, "warm start fell back to the bracket"
+        assert warm.T_h2 == pytest.approx(cold_start.T_h2, abs=1e-9)
+        assert warm.T_c2 == pytest.approx(cold_start.T_c2, abs=1e-9)
+        for i in (info0, info):
+            assert not i.flagged_hot and not i.flagged_cold
+            assert abs(i.residual_hot) <= OUTPUT_FTOL
+            assert abs(i.residual_cold) <= OUTPUT_FTOL
+
+
+CO2_STATE = (
+    WallState(T_w1=352.0, T_w2=331.0),
+    InletConditions(T_h1=390.0, T_c1=300.0, mdot_h=30.0, mdot_c=41.0),
+    Conductances(5.5e4, 6.5e4),
+)
+
+
+@pytest.mark.parametrize("guess", ["below", "above", "nan", "lo", "hi"])
+def test_bad_guess_falls_back_to_the_bracket(guess, bracketed_calls):
+    hot, cold = co2_streams()
+    x, u, cond = CO2_STATE
+    start = {
+        "below": OutletTemps(x.T_w2 - 5.0, u.T_c1 - 5.0),
+        "above": OutletTemps(u.T_h1 + 5.0, x.T_w1 + 5.0),
+        "nan": OutletTemps(math.nan, math.nan),
+        "lo": OutletTemps(x.T_w2, u.T_c1),
+        "hi": OutletTemps(u.T_h1, x.T_w1),
+    }[guess]
+    expected = ref_output_detailed(x, u, cond, hot, cold)
+    bracketed_calls.clear()
+    assert ref_output_detailed(x, u, cond, hot, cold, guess=start) == expected
+    assert len(bracketed_calls) == 2  # one bracketed search per side
+
+
+def test_unconverged_bracketed_search_is_flagged(monkeypatch):
+    hot, cold = co2_streams()
+    monkeypatch.setattr(reference_model, "SOLVE_MAX_ITER", 2)
+    _, info = ref_output_detailed(*CO2_STATE, hot, cold)
+    assert info.flagged_hot and info.flagged_cold
 
 
 # ---------------------------------------------------------------------------
