@@ -6,8 +6,9 @@ Format, one directive per line:
     [section.name]
     key = value
 
-Values stay strings until a typed getter pulls them; every complaint a
-getter raises carries the line number the offending value came from, so
+Values stay strings until a typed getter pulls them.  A getter carries
+the key's default and, optionally, its rule; every complaint it raises
+carries the source and the line number the offending value came from, so
 a bad `duration_s = ten` points at its own line rather than at the
 loader.  Unknown keys are rejected when the scenario is assembled,
 catching typos like `druation_s` early.
@@ -26,10 +27,12 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Malformed configuration; .line is 1-based, 0 for file-level faults."""
+    """Malformed configuration; .line is 1-based, 0 for file-level faults.
+    The message starts with "<source>, line N: " where those are known."""
 
-    def __init__(self, message: str, line: int = 0):
-        super().__init__(f"line {line}: {message}" if line else message)
+    def __init__(self, message: str, line: int = 0, source: str = ""):
+        where = ", ".join(p for p in (source, f"line {line}" if line else "") if p)
+        super().__init__(f"{where}: {message}" if where else message)
         self.line = line
 
 
@@ -56,42 +59,48 @@ class RawConfig:
 
     entries: dict[tuple[str, str], tuple[str, int]] = field(default_factory=dict)
     sections: dict[str, int] = field(default_factory=dict)
-    source: str = "<config>"
+    source: str = ""  # file name for messages; empty for in-memory text
+
+    def error(self, message: str, line: int = 0) -> ConfigError:
+        return ConfigError(message, line, self.source)
 
     def has(self, section: str, key: str) -> bool:
         return (section, key) in self.entries
 
-    def _get(self, section: str, key: str, default, convert, expects: str):
-        """convert(value) of the key, or default when it is absent; a
-        missing required key or a value convert rejects with ValueError
-        raises ConfigError."""
+    def _get(self, section: str, key: str, default, convert, expects: str, check=None):
+        """convert(value) of the key, or default (unchecked) when it is absent.
+        A missing required key, a value convert rejects with ValueError, or
+        one failing check = (predicate, message) raises ConfigError."""
         if (section, key) not in self.entries:
             if default is not _REQUIRED:
                 return default
             where = self.sections.get(section)
             if where is None:
-                raise ConfigError(f"missing section [{section}] (for key '{key}')")
-            raise ConfigError(f"missing key '{key}' in section [{section}]", where)
+                raise self.error(f"missing section [{section}] (for key '{key}')")
+            raise self.error(f"missing key '{key}' in section [{section}]", where)
         value, line = self.entries[(section, key)]
         try:
-            return convert(value)
+            result = convert(value)
         except ValueError:
-            raise ConfigError(f"'{key}' {expects}, got {value!r}", line) from None
+            raise self.error(f"'{key}' {expects}, got {value!r}", line) from None
+        if check is not None and not check[0](result):
+            raise self.error(f"'{key}' {check[1]}", line)
+        return result
 
     def get_str(self, section: str, key: str, default=_REQUIRED) -> str:
         return self._get(section, key, default, str, "expects a string")
 
-    def get_float(self, section: str, key: str, default=_REQUIRED) -> float:
-        return self._get(section, key, default, float, "expects a number")
+    def get_float(self, section: str, key: str, default=_REQUIRED, check=None) -> float:
+        return self._get(section, key, default, float, "expects a number", check)
 
-    def get_int(self, section: str, key: str, default=_REQUIRED) -> int:
-        return self._get(section, key, default, int, "expects an integer")
+    def get_int(self, section: str, key: str, default=_REQUIRED, check=None) -> int:
+        return self._get(section, key, default, int, "expects an integer", check)
 
-    def get_floats(self, section: str, key: str, default=_REQUIRED) -> tuple:
+    def get_floats(self, section: str, key: str, default=_REQUIRED, check=None) -> tuple:
         """Comma-separated list of numbers."""
         return self._get(section, key, default,
                          lambda v: tuple(float(tok) for tok in v.split(",")),
-                         "expects comma-separated numbers")
+                         "expects comma-separated numbers", check)
 
     def get_bool(self, section: str, key: str, default=_REQUIRED) -> bool:
         return self._get(section, key, default, _parse_bool, "expects a boolean")
@@ -107,15 +116,13 @@ class RawConfig:
         """Reject unknown sections and keys (typo guard)."""
         for name, line in self.sections.items():
             if name not in known:
-                raise ConfigError(f"unknown section [{name}]", line)
+                raise self.error(f"unknown section [{name}]", line)
         for (section, key), (_v, line) in self.entries.items():
             if key not in known[section]:
-                raise ConfigError(
-                    f"unknown key '{key}' in section [{section}]", line
-                )
+                raise self.error(f"unknown key '{key}' in section [{section}]", line)
 
 
-def parse_config(text: str, source: str = "<config>") -> RawConfig:
+def parse_config(text: str, source: str = "") -> RawConfig:
     raw = RawConfig(source=source)
     section = None
     for lineno, full_line in enumerate(text.splitlines(), start=1):
@@ -124,32 +131,28 @@ def parse_config(text: str, source: str = "<config>") -> RawConfig:
             continue
         if line.startswith("["):
             if not line.endswith("]") or len(line) < 3:
-                raise ConfigError(f"malformed section header {full_line.strip()!r}", lineno)
+                raise raw.error(f"malformed section header {full_line.strip()!r}", lineno)
             section = line[1:-1].strip()
             if not section:
-                raise ConfigError("empty section name", lineno)
+                raise raw.error("empty section name", lineno)
             if section in raw.sections:
-                raise ConfigError(f"duplicate section [{section}]", lineno)
+                raise raw.error(f"duplicate section [{section}]", lineno)
             raw.sections[section] = lineno
             continue
         if "=" not in line:
-            raise ConfigError(
-                f"expected 'key = value' or '[section]', got {full_line.strip()!r}",
-                lineno,
-            )
+            raise raw.error(
+                f"expected 'key = value' or '[section]', got {full_line.strip()!r}", lineno)
         if section is None:
-            raise ConfigError("key-value pair before any [section]", lineno)
+            raise raw.error("key-value pair before any [section]", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ConfigError("empty key", lineno)
+            raise raw.error("empty key", lineno)
         if not value:
-            raise ConfigError(f"empty value for key '{key}'", lineno)
+            raise raw.error(f"empty value for key '{key}'", lineno)
         if (section, key) in raw.entries:
-            raise ConfigError(
-                f"duplicate key '{key}' in section [{section}]", lineno
-            )
+            raise raw.error(f"duplicate key '{key}' in section [{section}]", lineno)
         raw.entries[(section, key)] = (value, lineno)
     return raw
 

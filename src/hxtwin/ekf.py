@@ -78,9 +78,9 @@ class EkfConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("r_x_density", "r_upsilon_density", "r_y_density"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("r_x_density", "r_upsilon_density", "r_y_density", "r_mdot_density"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def n_states(self) -> int:

@@ -184,6 +184,8 @@ class ThermallyPerfect(FluidModel):
         self._h_offset = 0.0
         self._h_offset = self._h_poly(self.hull_T[0])
         self._h_max = self._h_poly(self.hull_T[1])
+        if not math.isfinite(self._h_max):
+            raise ValueError("enthalpy polynomial not finite on the hull")
 
     def _cp_poly(self, T: float) -> float:
         acc = 0.0

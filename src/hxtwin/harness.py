@@ -27,7 +27,7 @@ from .approx_model import (
     evaluate_approx,
     update_cp_params,
 )
-from .config import ConfigError, RawConfig, load_config
+from .config import RawConfig, load_config
 from .correlations import (
     CorrelationParams,
     ReferenceCorrelation,
@@ -150,7 +150,11 @@ class MonitoringSpec:
     # False models a dead cold flow meter: variant A is fed the stale
     # nominal mdot_c0 instead of the telemetry column.
     trust_mdot_c: bool
-    tuning: dict
+    # filter noise densities, per EkfConfig
+    r_x_density: float
+    r_upsilon_density: float
+    r_y_density: float
+    r_mdot_density: float
 
 
 @dataclass
@@ -204,104 +208,102 @@ _KNOWN_KEYS = {
 }
 
 
-def _require(raw: RawConfig, section: str, key: str, ok: bool, rule: str) -> None:
-    """ConfigError "'key' rule" on the key's line unless ok.  Callers check
-    only values whose default passes, so a failing key is in the file."""
-    if not ok:
-        raise ConfigError(f"'{key}' {rule}", raw.line_of(section, key))
+# (predicate, message) rules that the config getters check values against
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_FINITE = (math.isfinite, "must be finite")
+_FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and positive")
+_NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
+
+# config key of each inlet field, in [inputs] and, with a step_ prefix,
+# in a step [excitation]
+_INLET_KEYS = {
+    "T_h1": "T_h1_K", "T_c1": "T_c1_K", "mdot_h": "mdot_h_kg_s", "mdot_c": "mdot_c_kg_s",
+}
 
 
-def _positive(raw: RawConfig, section: str, key: str) -> float:
-    value = raw.get_float(section, key)
-    _require(raw, section, key, value > 0.0, "must be positive")
-    return value
-
-
-def _finite(raw: RawConfig, section: str, key: str) -> float:
-    value = raw.get_float(section, key)
-    _require(raw, section, key, math.isfinite(value), "must be finite")
-    return value
-
-
-def _inlet_value(raw: RawConfig, section: str, key: str) -> float:
-    """An inlet value; mass flows must be positive, temperatures finite."""
-    if "mdot" in key:
-        return _positive(raw, section, key)
-    return _finite(raw, section, key)
+def _temperature_rule(stream: StreamConfig, name: str):
+    """Rule for a temperature of the stream: inside its fluid hull, finite for constant cp."""
+    lo, hi = stream.fluid.hull_T
+    if math.isinf(hi - lo):
+        return _FINITE
+    return (lambda T: lo <= T <= hi), f"must lie in the {name} fluid hull [{lo:g}, {hi:g}] K"
 
 
 def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
     kind = raw.get_choice(section, "kind", {"perfect", "polynomial", "table"})
-    pressure = _positive(raw, section, "pressure_Pa")
+    pressure = raw.get_float(section, "pressure_Pa", check=_POSITIVE)
     if kind == "perfect":
-        fluid = CaloricallyPerfect(_positive(raw, section, "cp_J_kgK"))
+        fluid = CaloricallyPerfect(raw.get_float(section, "cp_J_kgK", check=_POSITIVE))
     elif kind == "polynomial":
         coeffs = raw.get_floats(section, "cp_coeffs")
-        hull = raw.get_floats(section, "hull_K", None)
-        if hull is not None and len(hull) != 2:
-            raise ConfigError(
-                "'hull_K' expects two numbers", raw.line_of(section, "hull_K")
-            )
-        kwargs = {"hull_T": tuple(hull)} if hull is not None else {}
-        fluid = ThermallyPerfect(cp_coeffs=coeffs, **kwargs)
+        hull = raw.get_floats(section, "hull_K", None, check=(
+            lambda h: len(h) == 2 and -math.inf < h[0] < h[1] < math.inf,
+            "expects two numbers, finite and increasing"))
+        kwargs = {"hull_T": hull} if hull is not None else {}
+        try:
+            fluid = ThermallyPerfect(cp_coeffs=coeffs, **kwargs)
+        except ValueError as exc:
+            raise raw.error(f"'cp_coeffs' {exc}", raw.line_of(section, "cp_coeffs")) from None
     else:
         rel = raw.get_str(section, "table_path")
         path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
-        if not os.path.exists(path):
-            raise ConfigError(
-                f"fluid table not found: {path}", raw.line_of(section, "table_path")
-            )
-        fluid = load_fluid_table(path)
+        line = raw.line_of(section, "table_path")
+        try:
+            fluid = load_fluid_table(path)
+        except FileNotFoundError:
+            raise raw.error(f"fluid table not found: {path}", line) from None
+        except ValueError as exc:
+            raise raw.error(f"fluid table {path}: {exc}", line) from None
     return StreamConfig(fluid=fluid, pressure=pressure)
 
 
-def _build_excitation(raw: RawConfig, duration: float) -> ExcitationSpec:
-    kind = raw.get_choice("excitation", "kind", {"constant", "step", "chirp"}, "constant")
+def _build_excitation(raw: RawConfig, duration: float, base: InletConditions,
+                      rules: dict) -> ExcitationSpec:
+    """rules: the getter rule of each inlet field."""
+    sec = "excitation"
+    kind = raw.get_choice(sec, "kind", {"constant", "step", "chirp"}, "constant")
     if kind == "constant":
         return ExcitationSpec(kind)
     if kind == "step":
-        step_time = _finite(raw, "excitation", "step_time_s")
+        step_time = raw.get_float(sec, "step_time_s", check=_FINITE)
         targets = {}
-        for key, name in (
-            ("step_T_h1_K", "T_h1"), ("step_T_c1_K", "T_c1"),
-            ("step_mdot_h_kg_s", "mdot_h"), ("step_mdot_c_kg_s", "mdot_c"),
-        ):
-            if raw.has("excitation", key):
-                targets[name] = _inlet_value(raw, "excitation", key)
+        for name, key in _INLET_KEYS.items():
+            value = raw.get_float(sec, "step_" + key, None, check=rules[name])
+            if value is not None:
+                targets[name] = value
         if not targets:
-            raise ConfigError(
-                "step excitation needs at least one step_* target",
-                raw.sections.get("excitation", 0),
-            )
+            raise raw.error("step excitation needs at least one step_* target",
+                            raw.sections.get(sec, 0))
         return ExcitationSpec(kind, step_time_s=step_time, step_targets=targets)
-    spec = ExcitationSpec(
+
+    def swing(name: str):  # the inlet swings by the amplitude either way around its base
+        (ok, message), value = rules[name], getattr(base, name)
+        return ((lambda amp: ok(value - amp) and ok(value + amp)),
+                f"swings {_INLET_KEYS[name]} = {value:g} out of range: it {message}")
+
+    fraction = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+    return ExcitationSpec(
         kind,
-        f0_Hz=raw.get_float("excitation", "f0_Hz", 0.0),
-        f1_Hz=raw.get_float("excitation", "f1_Hz"),
-        span_s=raw.get_float("excitation", "span_s", duration),
-        T_h1_amp_K=raw.get_float("excitation", "T_h1_amp_K", 0.0),
-        T_c1_amp_K=raw.get_float("excitation", "T_c1_amp_K", 0.0),
-        mdot_h_amp_frac=raw.get_float("excitation", "mdot_h_amp_frac", 0.0),
-        mdot_c_amp_frac=raw.get_float("excitation", "mdot_c_amp_frac", 0.0),
+        f0_Hz=raw.get_float(sec, "f0_Hz", 0.0, _FINITE),
+        f1_Hz=raw.get_float(sec, "f1_Hz", check=_FINITE),
+        span_s=raw.get_float(sec, "span_s", duration, _POSITIVE),
+        T_h1_amp_K=raw.get_float(sec, "T_h1_amp_K", 0.0, swing("T_h1")),
+        T_c1_amp_K=raw.get_float(sec, "T_c1_amp_K", 0.0, swing("T_c1")),
+        mdot_h_amp_frac=raw.get_float(sec, "mdot_h_amp_frac", 0.0, fraction),
+        mdot_c_amp_frac=raw.get_float(sec, "mdot_c_amp_frac", 0.0, fraction),
     )
-    for key in ("f0_Hz", "f1_Hz"):
-        _require(raw, "excitation", key, math.isfinite(getattr(spec, key)), "must be finite")
-    for key in ("mdot_h_amp_frac", "mdot_c_amp_frac"):
-        _require(raw, "excitation", key, 0.0 <= getattr(spec, key) < 1.0, "must lie in [0, 1)")
-    _require(raw, "excitation", "span_s", spec.span_s > 0.0, "must be positive")
-    return spec
 
 
 def _build_truth_corr(raw: RawConfig, side: str) -> ReferenceCorrelation:
     sec = "truth.conductances"
     return ReferenceCorrelation(
-        coefficient=raw.get_float(sec, f"{side}_coefficient_W_K"),
-        exp_mdot=raw.get_float(sec, f"{side}_exp_mdot"),
-        exp_cp=raw.get_float(sec, f"{side}_exp_cp"),
-        exp_eta=raw.get_float(sec, f"{side}_exp_eta", 0.0),
-        exp_lam=raw.get_float(sec, f"{side}_exp_lam", 0.0),
-        eta=raw.get_float(sec, f"{side}_eta_Pa_s", 1.0),
-        lam=raw.get_float(sec, f"{side}_lam_W_mK", 1.0),
+        coefficient=raw.get_float(sec, f"{side}_coefficient_W_K", check=_FINITE_POSITIVE),
+        exp_mdot=raw.get_float(sec, f"{side}_exp_mdot", check=_FINITE),
+        exp_cp=raw.get_float(sec, f"{side}_exp_cp", check=_FINITE),
+        exp_eta=raw.get_float(sec, f"{side}_exp_eta", 0.0, _FINITE),
+        exp_lam=raw.get_float(sec, f"{side}_exp_lam", 0.0, _FINITE),
+        eta=raw.get_float(sec, f"{side}_eta_Pa_s", 1.0, _FINITE_POSITIVE),
+        lam=raw.get_float(sec, f"{side}_lam_W_mK", 1.0, _FINITE_POSITIVE),
     )
 
 
@@ -309,15 +311,14 @@ def _build_truth_cond(raw: RawConfig) -> TruthConductanceSpec:
     sec = "truth.conductances"
     kind = raw.get_choice(sec, "kind", {"constant", "ramp", "correlation"})
     if kind == "constant":
-        aA_h = _positive(raw, sec, "aA_h_W_K")
-        aA_c = _positive(raw, sec, "aA_c_W_K")
+        aA_h = raw.get_float(sec, "aA_h_W_K", check=_POSITIVE)
+        aA_c = raw.get_float(sec, "aA_c_W_K", check=_POSITIVE)
         return TruthConductanceSpec(kind, aA_h, aA_h, aA_c, aA_c)
     if kind == "ramp":
-        return TruthConductanceSpec(
-            kind,
-            _positive(raw, sec, "aA_h_start_W_K"), _positive(raw, sec, "aA_h_end_W_K"),
-            _positive(raw, sec, "aA_c_start_W_K"), _positive(raw, sec, "aA_c_end_W_K"),
-        )
+        return TruthConductanceSpec(kind, *(
+            raw.get_float(sec, key, check=_POSITIVE)
+            for key in ("aA_h_start_W_K", "aA_h_end_W_K", "aA_c_start_W_K", "aA_c_end_W_K")
+        ))
     return TruthConductanceSpec(
         kind,
         corr_hot=_build_truth_corr(raw, "hot"),
@@ -325,85 +326,92 @@ def _build_truth_cond(raw: RawConfig) -> TruthConductanceSpec:
     )
 
 
+def _density(raw: RawConfig, key: str, default, source: tuple, formula: str) -> float:
+    """[monitoring.tuning] key, or default() derived by formula from the
+    (section, key) source, which is in the file whenever default() fails."""
+    value = raw.get_float("monitoring.tuning", key, None, _FINITE_POSITIVE)
+    if value is None:
+        try:
+            value = default()
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise raw.error(f"'{source[1]}' gives the default {key} = {formula} = {value!r}, "
+                            f"which must be finite and positive; set {key} in "
+                            "[monitoring.tuning]", raw.line_of(*source))
+    return value
+
+
 def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     """Assemble and validate a scenario from parsed configuration."""
     raw.check_known(_KNOWN_KEYS)
-    duration = raw.get_float("scenario", "duration_s")
-    dt = raw.get_float("scenario", "dt_s")
-    for key, value in (("duration_s", duration), ("dt_s", dt)):
-        _require(raw, "scenario", key, 0.0 < value < math.inf,
-                 "must be finite and positive")
-    base_inlets = InletConditions(
-        T_h1=_inlet_value(raw, "inputs", "T_h1_K"),
-        T_c1=_inlet_value(raw, "inputs", "T_c1_K"),
-        mdot_h=_inlet_value(raw, "inputs", "mdot_h_kg_s"),
-        mdot_c=_inlet_value(raw, "inputs", "mdot_c_kg_s"),
-    )
+    duration = raw.get_float("scenario", "duration_s", check=_FINITE_POSITIVE)
+    dt = raw.get_float("scenario", "dt_s", check=_FINITE_POSITIVE)
+    hot = _build_stream(raw, "streams.hot", base_dir)
+    cold = _build_stream(raw, "streams.cold", base_dir)
+    rules = {"T_h1": _temperature_rule(hot, "hot"), "T_c1": _temperature_rule(cold, "cold"),
+             "mdot_h": _POSITIVE, "mdot_c": _POSITIVE}
+    base_inlets = InletConditions(**{
+        name: raw.get_float("inputs", key, check=rules[name])
+        for name, key in _INLET_KEYS.items()
+    })
 
     wall_init = None
     if raw.has("plant", "T_w1_init_K") or raw.has("plant", "T_w2_init_K"):
-        wall_init = WallState(
-            _finite(raw, "plant", "T_w1_init_K"), _finite(raw, "plant", "T_w2_init_K")
-        )
+        wall_init = WallState(raw.get_float("plant", "T_w1_init_K", check=_FINITE),
+                              raw.get_float("plant", "T_w2_init_K", check=_FINITE))
     plant = PlantSpec(
-        theta7=raw.get_float("plant", "theta7_J_K"),
-        substeps_per_sample=raw.get_int("plant", "substeps_per_sample", 10),
-        noise_std_K=raw.get_float("plant", "noise_std_K", 0.1),
+        theta7=raw.get_float("plant", "theta7_J_K", check=_FINITE_POSITIVE),
+        substeps_per_sample=raw.get_int("plant", "substeps_per_sample", 10,
+                                        (lambda n: n >= 1, "must be at least 1")),
+        noise_std_K=raw.get_float("plant", "noise_std_K", 0.1, _NONNEGATIVE),
         wall_init=wall_init,
     )
-    _require(raw, "plant", "theta7_J_K", 0.0 < plant.theta7 < math.inf,
-             "must be finite and positive")
-    _require(raw, "plant", "substeps_per_sample", plant.substeps_per_sample >= 1,
-             "must be at least 1")
-    _require(raw, "plant", "noise_std_K", plant.noise_std_K >= 0.0, "must be nonnegative")
 
-    tuning = {}
-    if "monitoring.tuning" in raw.sections:
-        for key in _KNOWN_KEYS["monitoring.tuning"]:
-            if raw.has("monitoring.tuning", key):
-                tuning[key] = raw.get_float("monitoring.tuning", key)
+    sec, tuning = "monitoring", "monitoring.tuning"
+    q_design = raw.get_float(sec, "Q_design_W", check=_POSITIVE)
+    noise_source = ((tuning, "assumed_noise_std_K") if raw.has(tuning, "assumed_noise_std_K")
+                    else ("plant", "noise_std_K"))
+    noise = raw.get_float(tuning, "assumed_noise_std_K", plant.noise_std_K, _FINITE_POSITIVE)
+
+    def corr(side: str) -> CorrelationParams:
+        return CorrelationParams(1.0, raw.get_float(sec, f"exp1_{side}", 0.0, _FINITE),
+                                 raw.get_float(sec, f"exp2_{side}", 0.0, _FINITE),
+                                 raw.get_float(sec, f"offset_{side}_W_K", 0.0, _FINITE))
+
+    # The default noise densities follow the published tuning: wall
+    # process noise scaled from the design duty and wall capacity,
+    # parameter and flow random walks with fixed rates, and measurement
+    # density from the assumed sensor noise.
     monitoring = MonitoringSpec(
-        variant=raw.get_choice("monitoring", "variant", {"A", "B", "C"}, "A"),
-        corr_hot=CorrelationParams(
-            1.0,
-            raw.get_float("monitoring", "exp1_hot", 0.0),
-            raw.get_float("monitoring", "exp2_hot", 0.0),
-            raw.get_float("monitoring", "offset_hot_W_K", 0.0),
-        ),
-        corr_cold=CorrelationParams(
-            1.0,
-            raw.get_float("monitoring", "exp1_cold", 0.0),
-            raw.get_float("monitoring", "exp2_cold", 0.0),
-            raw.get_float("monitoring", "offset_cold_W_K", 0.0),
-        ),
-        upsilon0_h=raw.get_float("monitoring", "upsilon0_h_W_K"),
-        upsilon0_c=raw.get_float("monitoring", "upsilon0_c_W_K"),
-        mdot_c0=raw.get_float("monitoring", "mdot_c0_kg_s", base_inlets.mdot_c),
-        Q_design=raw.get_float("monitoring", "Q_design_W"),
-        cp_model=raw.get_choice("monitoring", "cp_model", {"tracked", "constant"}, "tracked"),
-        cp_constant_hot=raw.get_float("monitoring", "cp_constant_hot_J_kgK", 2300.0),
-        trust_mdot_c=raw.get_bool("monitoring", "trust_mdot_c", True),
-        tuning=tuning,
+        variant=raw.get_choice(sec, "variant", {"A", "B", "C"}, "A"),
+        corr_hot=corr("hot"),
+        corr_cold=corr("cold"),
+        upsilon0_h=raw.get_float(sec, "upsilon0_h_W_K", check=_POSITIVE),
+        upsilon0_c=raw.get_float(sec, "upsilon0_c_W_K", check=_POSITIVE),
+        mdot_c0=raw.get_float(sec, "mdot_c0_kg_s", base_inlets.mdot_c, _POSITIVE),
+        Q_design=q_design,
+        cp_model=raw.get_choice(sec, "cp_model", {"tracked", "constant"}, "tracked"),
+        cp_constant_hot=raw.get_float(sec, "cp_constant_hot_J_kgK", 2300.0, _POSITIVE),
+        trust_mdot_c=raw.get_bool(sec, "trust_mdot_c", True),
+        r_x_density=_density(raw, "r_x_density",
+                             lambda: 0.1 * (q_design / (100.0 * plant.theta7)) ** 2,
+                             (sec, "Q_design_W"), "0.1 (Q_design_W / (100 theta7_J_K))^2"),
+        r_upsilon_density=raw.get_float(tuning, "r_upsilon_density", 0.1 * 100.0**2,
+                                        _FINITE_POSITIVE),
+        r_y_density=_density(raw, "r_y_density", lambda: 1.0 * noise**2,
+                             noise_source, f"{noise_source[1]}^2"),
+        r_mdot_density=raw.get_float(tuning, "r_mdot_density", 0.1 * 1.0**2, _FINITE_POSITIVE),
     )
-    for key, value in (
-        ("upsilon0_h_W_K", monitoring.upsilon0_h), ("upsilon0_c_W_K", monitoring.upsilon0_c),
-        ("mdot_c0_kg_s", monitoring.mdot_c0), ("Q_design_W", monitoring.Q_design),
-        ("cp_constant_hot_J_kgK", monitoring.cp_constant_hot),
-    ):
-        _require(raw, "monitoring", key, value > 0.0, "must be positive")
-
-    seed = raw.get_int("scenario", "seed", 0)
-    _require(raw, "scenario", "seed", seed >= 0, "must be nonnegative")
-
     return ScenarioConfig(
         name=raw.get_str("scenario", "name"),
         duration_s=duration,
         dt_s=dt,
-        seed=seed,
-        hot=_build_stream(raw, "streams.hot", base_dir),
-        cold=_build_stream(raw, "streams.cold", base_dir),
+        seed=raw.get_int("scenario", "seed", 0, _NONNEGATIVE),
+        hot=hot,
+        cold=cold,
         base_inlets=base_inlets,
-        excitation=_build_excitation(raw, duration),
+        excitation=_build_excitation(raw, duration, base_inlets, rules),
         truth_cond=_build_truth_cond(raw),
         plant=plant,
         monitoring=monitoring,
@@ -651,34 +659,20 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
 
 
 def build_ekf_config(scn: ScenarioConfig, variant: str | None = None) -> EkfConfig:
-    """Filter configuration from the scenario's monitoring section.
-
-    Default noise densities follow the published tuning: wall process
-    noise scaled from the design duty and wall capacity, parameter and
-    flow random walks with fixed rates, and measurement density from the
-    assumed sensor noise.  Any of them can be pinned in
-    [monitoring.tuning].
-    """
+    """Filter configuration from the scenario's plant and monitoring sections."""
     mon = scn.monitoring
-    tuning = mon.tuning
-    theta7 = scn.plant.theta7
-    noise = tuning.get("assumed_noise_std_K", scn.plant.noise_std_K)
-    r_x = tuning.get("r_x_density", 0.1 * (mon.Q_design / (100.0 * theta7)) ** 2)
-    r_ups = tuning.get("r_upsilon_density", 0.1 * 100.0**2)
-    r_y = tuning.get("r_y_density", 1.0 * noise**2)
-    r_mdot = tuning.get("r_mdot_density", 0.1 * 1.0**2)
     return EkfConfig(
         variant=variant if variant is not None else mon.variant,
         wall=WallDynamicsConfig(
-            theta7=theta7,
+            theta7=scn.plant.theta7,
             substeps_per_sample=scn.plant.substeps_per_sample,
         ),
         corr_hot=mon.corr_hot,
         corr_cold=mon.corr_cold,
-        r_x_density=r_x,
-        r_upsilon_density=r_ups,
-        r_y_density=r_y,
-        r_mdot_density=r_mdot,
+        r_x_density=mon.r_x_density,
+        r_upsilon_density=mon.r_upsilon_density,
+        r_y_density=mon.r_y_density,
+        r_mdot_density=mon.r_mdot_density,
     )
 
 

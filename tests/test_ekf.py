@@ -73,6 +73,14 @@ def test_config_variants_and_shapes():
         make_cfg("A", upsilon_floor=2.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "field", ["r_x_density", "r_upsilon_density", "r_y_density", "r_mdot_density"])
+def test_config_rejects_densities_that_are_not_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        make_cfg("B", **{field: value})
+
+
 def test_process_noise_density_layout():
     q4 = make_cfg("A").process_noise_density()
     assert q4.shape == (4, 4)

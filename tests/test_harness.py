@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hxtwin.harness as harness
 import hxtwin.reference_model as reference_model
@@ -15,6 +17,7 @@ from hxtwin.approx_model import approx_steady_selfconsistent, update_cp_params
 from hxtwin.config import ConfigError, parse_config
 from hxtwin.correlations import (
     CorrelationParams,
+    NonPositiveConductanceError,
     alpha_A,
     reference_alpha_A,
     serial_conductance,
@@ -22,6 +25,7 @@ from hxtwin.correlations import (
 from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, model_inputs
 from hxtwin.fluids import (
     CaloricallyPerfect,
+    OutOfRangeError,
     StreamConfig,
     Tabulated,
     ThermallyPerfect,
@@ -39,6 +43,7 @@ from hxtwin.harness import (
     build_scenario,
     compare_report,
     innovation_means,
+    initial_point,
     inputs_at,
     load_scenario,
     model_free_rating,
@@ -278,6 +283,220 @@ def test_known_keys_are_exactly_the_keys_the_builders_read(tmp_path):
     known = {(sec, key) for sec, keys in harness._KNOWN_KEYS.items() for key in keys}
     assert seen - known == set(), "read but not listed"
     assert known - seen == set(), "listed but never read"
+
+
+# Templates for the property below: together they reach every kind
+# branch and list every known key, each with a valid value.  Template 0
+# leaves the filter densities to their defaults, template 1 pins every
+# tuning key and template 2 only the assumed sensor noise.
+_PROPERTY_TEMPLATES = [
+    SMOKE_CFG.replace("[plant]\n", "[plant]\nsubsteps_per_sample = 10\n")
+    + "mdot_c0_kg_s = 1.0\ncp_model = constant\ncp_constant_hot_J_kgK = 1000\n"
+    "trust_mdot_c = false\nexp1_hot = 0.6\nexp2_hot = 0.2\noffset_hot_W_K = 5\n"
+    "exp1_cold = 0.6\nexp2_cold = 0.2\noffset_cold_W_K = 5\n"
+    "\n[excitation]\nkind = constant\n",
+    SMOKE_CFG.replace("kind = perfect\ncp_J_kgK = 1000",
+                      "kind = polynomial\ncp_coeffs = 2800, 2.0\nhull_K = 200, 600")
+    .replace("kind = perfect\ncp_J_kgK = 2000\npressure_Pa = 1e5",
+             "kind = table\ntable_path = gas.txt\npressure_Pa = 1e7")
+    .replace("kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000",
+             "kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
+             "aA_c_start_W_K = 3000\naA_c_end_W_K = 2800")
+    .replace("[plant]\n", "[plant]\nT_w1_init_K = 360\nT_w2_init_K = 310\n")
+    + "\n[excitation]\nkind = step\nstep_time_s = 10\nstep_T_h1_K = 410\n"
+    "step_T_c1_K = 305\nstep_mdot_h_kg_s = 0.9\nstep_mdot_c_kg_s = 0.5\n"
+    "\n[monitoring.tuning]\nr_x_density = 0.01\nr_upsilon_density = 1000\n"
+    "r_y_density = 0.01\nr_mdot_density = 0.1\nassumed_noise_std_K = 0.1\n",
+    SMOKE_CFG.replace("kind = perfect\ncp_J_kgK = 1000\npressure_Pa = 1e5",
+                      "kind = table\ntable_path = gas.txt\npressure_Pa = 1e7")
+    .replace("kind = perfect\ncp_J_kgK = 2000",
+             "kind = polynomial\ncp_coeffs = 2800, 2.0\nhull_K = 200, 600")
+    .replace("kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000",
+             "kind = correlation\n" + "".join(
+        f"{side}_coefficient_W_K = 100\n{side}_exp_mdot = 0.8\n{side}_exp_cp = 0.3\n"
+        f"{side}_exp_eta = -0.4\n{side}_exp_lam = 0.6\n{side}_eta_Pa_s = 2e-5\n"
+        f"{side}_lam_W_mK = 0.1\n" for side in ("hot", "cold")))
+    + "\n[excitation]\nkind = chirp\nf0_Hz = 0.01\nf1_Hz = 0.5\nspan_s = 60\n"
+    "T_h1_amp_K = 3\nT_c1_amp_K = 3\nmdot_h_amp_frac = 0.1\nmdot_c_amp_frac = 0.1\n"
+    "\n[monitoring.tuning]\nassumed_noise_std_K = 0.1\n",
+]
+# (template, line index) of every 'key = value' line
+_PROPERTY_SLOTS = [
+    (t, i) for t, text in enumerate(_PROPERTY_TEMPLATES)
+    for i, line in enumerate(text.splitlines()) if " = " in line
+]
+_PROPERTY_TOKENS = [
+    "0", "-0.0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "text",
+    "1, 2", "2, 1", "5, 5", "perfect", "polynomial", "table", "constant",
+    "step", "chirp", "ramp", "correlation", "A", "C", "tracked",
+]
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tables")
+    save_fluid_table(make_co2_like_table(300.0, 430.0, 10.0), path / "gas.txt")
+    return str(path)
+
+
+def _check_start_point(text: str, base_dir: str) -> None:
+    """The scenario builds and reaches its start point and a filter
+    configuration of every variant, or a ConfigError names a line."""
+    try:
+        scn = build_scenario(parse_config(text), base_dir=base_dir)
+        initial_point(scn)
+        for variant in ("A", "B", "C"):
+            build_ekf_config(scn, variant)
+    except ConfigError as exc:
+        assert exc.line > 0, str(exc)
+
+
+def test_property_templates_build_and_list_every_key(table_dir):
+    listed = set()
+    for text in _PROPERTY_TEMPLATES:
+        raw = parse_config(text)
+        listed |= set(raw.entries)
+        initial_point(build_scenario(raw, base_dir=table_dir))
+    known = {(sec, key) for sec, keys in harness._KNOWN_KEYS.items() for key in keys}
+    assert listed == known
+
+
+# (template line, token) pairs that still build and then fail in
+# initial_point with an error that names no line: a table stream's
+# pressure outside the table's pressure axis, and a truth-correlation
+# power that overflows or underflows at the start point.
+_FAILS_LATE = {("pressure_Pa = 1e7", token) for token in ("inf", "1e308", "1e-300")} | {
+    (line, "1e308") for line in (
+        "hot_exp_cp = 0.3", "hot_exp_eta = -0.4", "hot_exp_lam = 0.6",
+        "cold_exp_mdot = 0.8", "cold_exp_cp = 0.3", "cold_exp_eta = -0.4",
+        "cold_exp_lam = 0.6",
+    )
+}
+
+
+def _replace_value(text: str, index: int, token: str) -> str:
+    lines = text.splitlines()
+    lines[index] = lines[index].split(" = ")[0] + " = " + token
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(slot=st.sampled_from(_PROPERTY_SLOTS), token=st.sampled_from(_PROPERTY_TOKENS))
+def test_any_one_bad_value_builds_or_raises_config_error_with_line(table_dir, slot, token):
+    template, index = slot
+    text = _PROPERTY_TEMPLATES[template]
+    assume((text.splitlines()[index], token) not in _FAILS_LATE)
+    _check_start_point(_replace_value(text, index, token), table_dir)
+
+
+@pytest.mark.xfail(strict=True, raises=(OutOfRangeError, OverflowError,
+                                        NonPositiveConductanceError))
+@pytest.mark.parametrize("line, token", sorted(_FAILS_LATE))
+def test_values_that_still_fail_late(table_dir, line, token):
+    for t, index in _PROPERTY_SLOTS:
+        text = _PROPERTY_TEMPLATES[t]
+        if text.splitlines()[index] == line:
+            _check_start_point(_replace_value(text, index, token), table_dir)
+
+
+POLY_CFG = SMOKE_CFG.replace(
+    "kind = perfect\ncp_J_kgK = 2000",
+    "kind = polynomial\ncp_coeffs = 2800, 2.0\nhull_K = 200, 600",
+)
+
+
+R_X_DEFAULT_INF = (
+    "gives the default r_x_density = 0.1 (Q_design_W / (100 theta7_J_K))^2 = inf, which"
+    " must be finite and positive; set r_x_density in [monitoring.tuning]")
+
+
+@pytest.mark.parametrize("section, key, value, line_key, message", [
+    # each tuning value, on its own line
+    ("monitoring.tuning", "r_x_density", "nan", None, "must be finite and positive"),
+    ("monitoring.tuning", "r_upsilon_density", "inf", None, "must be finite and positive"),
+    ("monitoring.tuning", "r_y_density", "nan", None, "must be finite and positive"),
+    ("monitoring.tuning", "r_mdot_density", "-1", None, "must be finite and positive"),
+    ("monitoring.tuning", "assumed_noise_std_K", "0", None, "must be finite and positive"),
+    # a default density that fails, on the line of the key it derives from
+    ("plant", "noise_std_K", "0", None, "gives the default r_y_density = noise_std_K^2"
+     " = 0.0, which must be finite and positive; set r_y_density in [monitoring.tuning]"),
+    ("monitoring.tuning", "assumed_noise_std_K", "1e-300", None,
+     "gives the default r_y_density = assumed_noise_std_K^2 = 0.0, which must be finite"
+     " and positive; set r_y_density in [monitoring.tuning]"),
+    ("monitoring", "Q_design_W", "1e308", None, R_X_DEFAULT_INF),
+    ("plant", "theta7_J_K", "1e-300", ("monitoring", "Q_design_W"), R_X_DEFAULT_INF),
+    # fluids and inlets
+    ("streams.cold", "hull_K", "600, 200", None, "expects two numbers, finite and increasing"),
+    ("streams.cold", "hull_K", "200, inf", None, "expects two numbers, finite and increasing"),
+    ("streams.cold", "cp_coeffs", "100, -1", None, "cp polynomial nonpositive at T=200.00 K"),
+    ("streams.cold", "cp_coeffs", "2800, nan", None,
+     "enthalpy polynomial not finite on the hull"),
+    ("streams.cold", "cp_coeffs", "1e308", None, "enthalpy polynomial not finite on the hull"),
+    ("inputs", "T_c1_K", "1e308", None, "must lie in the cold fluid hull [200, 600] K"),
+    ("inputs", "T_c1_K", "150", None, "must lie in the cold fluid hull [200, 600] K"),
+    ("excitation", "step_T_c1_K", "650", None, "must lie in the cold fluid hull [200, 600] K"),
+    ("excitation", "T_c1_amp_K", "120", None,
+     "swings T_c1_K = 300 out of range: it must lie in the cold fluid hull [200, 600] K"),
+    ("excitation", "T_h1_amp_K", "nan", None,
+     "swings T_h1_K = 400 out of range: it must be finite"),
+    # truth correlation
+    ("truth.conductances", "hot_coefficient_W_K", "0", None, "must be finite and positive"),
+    ("truth.conductances", "cold_eta_Pa_s", "-1", None, "must be finite and positive"),
+    ("truth.conductances", "cold_exp_cp", "nan", None, "must be finite"),
+])
+def test_bad_value_rejected_on_its_line(section, key, value, line_key, message):
+    if key.startswith("step_"):
+        excitation = "kind = step\nstep_time_s = 10\n"
+    else:
+        excitation = "kind = chirp\nf1_Hz = 0.5\n"
+    text = POLY_CFG + "\n[excitation]\n" + excitation + "\n[monitoring.tuning]\n"
+    if section == "truth.conductances":
+        text = text.replace("kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000\n", (
+            "kind = correlation\nhot_coefficient_W_K = 100\nhot_exp_mdot = 0.8\n"
+            "hot_exp_cp = 0.3\ncold_coefficient_W_K = 100\ncold_exp_mdot = 0.8\n"
+            "cold_exp_cp = 0.3\n"))
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    lines = text.splitlines()
+    if line_key is None:
+        line = lines.index(f"{key} = {value}") + 1
+    else:
+        line = parse_config(text).line_of(*line_key)
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(text))
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: '{line_key[1] if line_key else key}' {message}"
+
+
+def test_zero_noise_needs_a_measurement_density():
+    quiet = SMOKE_CFG.replace("noise_std_K = 0.05", "noise_std_K = 0")
+    with pytest.raises(ConfigError, match="set r_y_density"):
+        build_scenario(parse_config(quiet))
+    scn = build_scenario(parse_config(quiet + "\n[monitoring.tuning]\nr_y_density = 0.01\n"))
+    assert build_ekf_config(scn).r_y_density == 0.01
+    rec = run_truth_sim(scn)[-1]
+    assert (rec.T_h2_meas_K, rec.T_c2_meas_K) == (rec.T_h2_true_K, rec.T_c2_true_K)
+
+
+def test_load_scenario_errors_name_the_file(tmp_path):
+    table = tmp_path / "bad.txt"
+    table.write_text("T/K p/Pa h/(J/kg)\nT: 300 310\np: 1e5 2e5\n1\n2\nx\n4\n",
+                     encoding="utf-8")
+    path = tmp_path / "scn.cfg"
+    path.write_text(SMOKE_CFG.replace("kind = perfect\ncp_J_kgK = 1000",
+                                      "kind = table\ntable_path = bad.txt"), encoding="utf-8")
+    line = SMOKE_CFG.splitlines().index("cp_J_kgK = 1000") + 1
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(path)
+    assert exc.value.line == line
+    assert str(exc.value) == (f"{path}, line {line}: fluid table {table}: "
+                              "line 6: expected a number, got 'x'")
+    path.write_text(SMOKE_CFG.replace("dt_s = 0.5", "dt_s = 0"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}, line 4: 'dt_s' must be"):
+        load_scenario(path)
+    path.write_text("[scenario\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}, line 1: malformed"):
+        load_scenario(path)
 
 
 def test_polynomial_stream_and_bad_hull():
