@@ -35,6 +35,7 @@ __all__ = [
     "SteadyTerms",
     "universal_residual",
     "g_closed_form",
+    "g_partials",
     "beta_lm_value",
     "beta_lm_selection",
     "select_beta",
@@ -45,6 +46,8 @@ __all__ = [
     "update_cp_params",
     "approx_steady_selfconsistent",
     "evaluate_approx",
+    "WallPartials",
+    "approx_wall_partials",
 ]
 
 # Steady differences closer than this (relative) use the analytic 2/3
@@ -130,6 +133,32 @@ def g_closed_form(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) 
         c0 = 0.0
     y = -2.0 * c0 / (b_lin + math.sqrt(b_lin * b_lin - 2.0 * xi1 * c0))
     return y * y
+
+
+def g_partials(
+    dT_I: float, dT_II: float, aA: float, C_p: float, beta: BetaSelection
+) -> tuple[float, float]:
+    """Partials (dG/d dT_I, dG/d dT_w) of the root dT_II = G at fixed beta.
+
+    The universal residual R vanishes at its root, so
+    dG = -(R_dT_I d dT_I + C_p d dT_w) / R_G with
+    R_G = -C_p - aA*(beta*sqrt(dT_I/G)/2 + (1-beta)/2) and
+    R_dT_I = C_p - aA*(beta*sqrt(G/dT_I)/2 + (1-beta)/2).  On the
+    beta*_2 branch G is identically 0, and a root G = 0 with beta > 0
+    has R_G = -inf; both give zero partials.
+    """
+    b = beta.beta
+    if beta.branch is BetaBranch.BETA_STAR2 or (b > 0.0 and dT_II <= 0.0):
+        return 0.0, 0.0
+    am_part = 0.5 * aA * (1.0 - b)
+    if b == 0.0:
+        R_G = -C_p - am_part
+        R_I = C_p - am_part
+    else:
+        ratio = math.sqrt(dT_II / dT_I)
+        R_G = -C_p - 0.5 * aA * b / ratio - am_part
+        R_I = C_p - 0.5 * aA * b * ratio - am_part
+    return -R_I / R_G, -C_p / R_G
 
 
 def beta_lm_value(steady_dT_Is: float, steady_dT_IIs: float) -> float:
@@ -395,3 +424,41 @@ def evaluate_approx(
     return ApproxEvaluation(
         outlets, steady.outlets, steady.walls, beta_h, beta_c, Q_h, Q_c
     )
+
+
+@dataclass(frozen=True, slots=True)
+class WallPartials:
+    """Partials of an evaluation with respect to (T_w1, T_w2), each as the
+    pair (d/dT_w1, d/dT_w2), with both beta selections held."""
+
+    T_h2: tuple[float, float]
+    T_c2: tuple[float, float]
+    Q_h: tuple[float, float]
+    Q_c: tuple[float, float]
+
+
+def approx_wall_partials(
+    x: WallState,
+    u: InletConditions,
+    cond_out: Conductances,
+    cp: CpParams,
+    ev: ApproxEvaluation,
+) -> WallPartials:
+    """Wall partials of the outlets and heat rates at ev = evaluate_approx(x,
+    u, cond_out, ...), by the chain rule through g_partials.
+
+    T_h2 = G_h + T_w2 and T_c2 = T_w1 - G_c.  At each root
+    aA*WM = C_p*(dT_I - G + dT_w), so Q_h = C_h*(T_h2 - T_h1) and
+    Q_c = C_c*(T_c2 - T_c1): the heat rates move with the outlets.
+    """
+    C_h = u.mdot_h * cp.theta3
+    C_c = u.mdot_c * cp.theta4
+    gI_h, gw_h = g_partials(
+        u.T_h1 - x.T_w1, ev.outlets.T_h2 - x.T_w2, cond_out.aA_h, C_h, ev.beta_hot)
+    gI_c, gw_c = g_partials(
+        x.T_w2 - u.T_c1, x.T_w1 - ev.outlets.T_c2, cond_out.aA_c, C_c, ev.beta_cold)
+    # dT_I_h = T_h1 - T_w1, dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2
+    d_h2 = (gw_h - gI_h, 1.0 - gw_h)
+    d_c2 = (1.0 - gw_c, gw_c - gI_c)
+    return WallPartials(
+        d_h2, d_c2, (C_h * d_h2[0], C_h * d_h2[1]), (C_c * d_c2[0], C_c * d_c2[1]))

@@ -14,7 +14,14 @@ Continuous-discrete formulation: noise enters as power spectral
 densities, the covariance ODE Pdot = F P + P F' + R is integrated with
 the state between samples, and the measurement variance is divided by
 the sample interval in the gain.  Retuning is then unnecessary when the
-telemetry rate changes.
+telemetry rate changes (Simon, Optimal State Estimation, 2006, §13.2).
+
+The wall columns of F and H are analytic: the closed-form root has
+closed-form partials (approx_model.approx_wall_partials), and the wall
+dynamics differentiate within their active sector
+(wall_dynamics.wall_rhs_jacobian).  The parameter columns are central
+differences over the parameter states alone (central_jacobian, whose
+step constants set only those columns).
 """
 
 from __future__ import annotations
@@ -23,10 +30,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .approx_model import ApproxEvaluation, CpParams, approx_steady_terms, evaluate_approx
+from .approx_model import (
+    ApproxEvaluation,
+    CpParams,
+    approx_steady_terms,
+    approx_wall_partials,
+    evaluate_approx,
+)
 from .correlations import CorrelationParams, alpha_A
 from .reference_model import Conductances, InletConditions, WallState
-from .wall_dynamics import WallDynamicsConfig, wall_rhs
+from .wall_dynamics import WallDynamicsConfig, wall_rhs, wall_rhs_jacobian
 
 __all__ = [
     "VARIANTS",
@@ -183,41 +196,41 @@ def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: Cp
     return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
 
 
-def _terms_per_parameter_point(cfg: EkfConfig, u: InletConditions, cp: CpParams):
-    """terms(x_v) -> _parameter_terms(cfg, x_v, u, cp), computed once per
-    distinct x_v[2:] over the life of the returned function.
+def _terms_per_parameter_point(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions,
+                               cp: CpParams):
+    """terms(p) -> _parameter_terms at x_v with its parameter states
+    x_v[2:] replaced by p, computed once per distinct p over the life of
+    the returned function.
 
-    The parameter rows of f are zero and the Jacobians perturb one state
-    at a time, so one predict or update visits only a few parameter
-    points while evaluating the model many times.
+    The parameter rows of f are zero, so every substep of a predict
+    visits the same few parameter points: the estimate and the points
+    of the parameter columns' stencil.
     """
     cache = {}
 
-    def terms(x_v: np.ndarray):
-        key = x_v[2:].tobytes()
+    def terms(p: np.ndarray):
+        key = p.tobytes()
         found = cache.get(key)
         if found is None:
-            found = cache[key] = _parameter_terms(cfg, x_v, u, cp)
+            z = x_v.copy()
+            z[2:] = p
+            found = cache[key] = _parameter_terms(cfg, z, u, cp)
         return found
 
     return terms
 
 
-def _evaluate(x_v: np.ndarray, terms, cp: CpParams) -> tuple[WallState, ApproxEvaluation]:
+def _walls(x_v: np.ndarray) -> WallState:
+    return WallState(float(x_v[0]), float(x_v[1]))
+
+
+def _evaluate(wall: WallState, terms, cp: CpParams) -> ApproxEvaluation:
     u_eff, cond_out, cond_steady, steady = terms
-    wall = WallState(float(x_v[0]), float(x_v[1]))
-    return wall, evaluate_approx(wall, u_eff, cond_out, cond_steady, cp, steady)
+    return evaluate_approx(wall, u_eff, cond_out, cond_steady, cp, steady)
 
 
-def _state_derivative(cfg: EkfConfig, x_v: np.ndarray, terms, cp: CpParams) -> np.ndarray:
-    wall, ev = _evaluate(x_v, terms, cp)
-    (d1, d2), _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
-    return np.array((d1, d2) + (0.0,) * (cfg.n_states - 2))
-
-
-def _outputs(x_v: np.ndarray, terms, cp: CpParams) -> np.ndarray:
-    outlets = _evaluate(x_v, terms, cp)[1].outlets
-    return np.array((outlets.T_h2, outlets.T_c2))
+def _wall_rates(cfg: EkfConfig, wall: WallState, ev: ApproxEvaluation) -> tuple[float, float]:
+    return wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)[0]
 
 
 def ekf_evaluation(
@@ -225,18 +238,20 @@ def ekf_evaluation(
 ) -> ApproxEvaluation:
     """Approximate-model evaluation at the joint state x_v, with the
     inputs of model_inputs."""
-    return _evaluate(x_v, _parameter_terms(cfg, x_v, u, cp), cp)[1]
+    return _evaluate(_walls(x_v), _parameter_terms(cfg, x_v, u, cp), cp)
 
 
 def f_v(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams) -> np.ndarray:
     """Joint state derivative: wall dynamics plus zero parameter drift."""
-    return _state_derivative(cfg, x_v, _parameter_terms(cfg, x_v, u, cp), cp)
+    rates = _wall_rates(cfg, _walls(x_v), ekf_evaluation(cfg, x_v, u, cp))
+    return np.array(rates + (0.0,) * (cfg.n_states - 2))
 
 
 def g_v(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams) -> np.ndarray:
     """Output equation: both outlet temperatures (row selection for the
     measured subset happens in the update)."""
-    return _outputs(x_v, _parameter_terms(cfg, x_v, u, cp), cp)
+    outlets = ekf_evaluation(cfg, x_v, u, cp).outlets
+    return np.array((outlets.T_h2, outlets.T_c2))
 
 
 def central_jacobian(fun, x: np.ndarray) -> np.ndarray:
@@ -268,10 +283,13 @@ def ekf_predict(
 
     Both integrate with fixed-step RK4 using the wall config's substep
     count; F is evaluated once per substep and held for the covariance
-    stages (the covariance ODE is linear given F).  dt is one telemetry
-    sample period: the substep count is sized for that, so long horizons
-    must loop rather than stretch a single call past the integrator's
-    stability region.
+    stages (the covariance ODE is linear given F).  The parameter states
+    do not move, so the walls integrate on floats at one parameter
+    point.  The wall columns of F are analytic (approx_wall_partials
+    and wall_rhs_jacobian at the first stage); the parameter columns are
+    central differences.  dt is one telemetry sample period: the
+    substep count is sized for that, so long horizons must loop rather
+    than stretch a single call past the integrator's stability region.
     """
     _check_state(cfg, state)
     if dt < 0.0:
@@ -282,26 +300,43 @@ def ekf_predict(
         Q = cfg.process_noise_density()
         substeps = cfg.wall.substeps_per_sample
         h = dt / substeps
-        terms = _terms_per_parameter_point(cfg, u, cp)
+        params = x[2:]
+        terms_at = _terms_per_parameter_point(cfg, x, u, cp)
+        terms = terms_at(params)
+        u_eff, cond_out = terms[0], terms[1]
+        F = np.zeros((cfg.n_states, cfg.n_states))
 
-        def f(z: np.ndarray) -> np.ndarray:
-            return _state_derivative(cfg, z, terms(z), cp)
+        def rates(w1: float, w2: float) -> tuple[float, float]:
+            wall = WallState(w1, w2)
+            return _wall_rates(cfg, wall, _evaluate(wall, terms, cp))
 
-        def pdot(M: np.ndarray, F: np.ndarray) -> np.ndarray:
-            return F @ M + M @ F.T + Q
+        def rates_at(p: np.ndarray) -> np.ndarray:  # at the current walls
+            return np.array(_wall_rates(cfg, wall, _evaluate(wall, terms_at(p), cp)))
 
+        def pdot(M: np.ndarray) -> np.ndarray:  # F M + M F' + Q, M symmetric
+            G = F @ M
+            return G + G.T + Q
+
+        w1, w2 = float(x[0]), float(x[1])
         for _ in range(substeps):
-            F = central_jacobian(f, x)
-            k1 = f(x)
-            p1 = pdot(P, F)
-            k2 = f(x + 0.5 * h * k1)
-            p2 = pdot(P + 0.5 * h * p1, F)
-            k3 = f(x + 0.5 * h * k2)
-            p3 = pdot(P + 0.5 * h * p2, F)
-            k4 = f(x + h * k3)
-            p4 = pdot(P + h * p3, F)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            wall = WallState(w1, w2)
+            ev = _evaluate(wall, terms, cp)
+            k1 = _wall_rates(cfg, wall, ev)
+            d = approx_wall_partials(wall, u_eff, cond_out, cp, ev)
+            F[:2, :2] = wall_rhs_jacobian(
+                wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall)
+            F[:2, 2:] = central_jacobian(rates_at, params)
+            p1 = pdot(P)
+            k2 = rates(w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1])
+            p2 = pdot(P + 0.5 * h * p1)
+            k3 = rates(w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1])
+            p3 = pdot(P + 0.5 * h * p2)
+            k4 = rates(w1 + h * k3[0], w2 + h * k3[1])
+            p4 = pdot(P + h * p3)
+            w1 += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            w2 += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
             P = P + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        x[0], x[1] = w1, w2
         P = 0.5 * (P + P.T)
     return EkfState(x, P, state.t + dt)
 
@@ -345,13 +380,21 @@ def ekf_update(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    terms = _terms_per_parameter_point(cfg, u, cp)
+    x = state.x_hat
+    terms_at = _terms_per_parameter_point(cfg, x, u, cp)
+    terms = terms_at(x[2:])
+    wall = _walls(x)
+    ev = _evaluate(wall, terms, cp)
+    y_pred = np.array((ev.outlets.T_h2, ev.outlets.T_c2))
+    d = approx_wall_partials(wall, terms[0], terms[1], cp, ev)
+    H = np.empty((2, cfg.n_states))
+    H[:, :2] = d.T_h2, d.T_c2
 
-    def g(z: np.ndarray) -> np.ndarray:
-        return _outputs(z, terms(z), cp)
+    def outputs_at(p: np.ndarray) -> np.ndarray:
+        outlets = _evaluate(wall, terms_at(p), cp).outlets
+        return np.array((outlets.T_h2, outlets.T_c2))
 
-    y_pred = g(state.x_hat)
-    H = central_jacobian(g, state.x_hat)
+    H[:, 2:] = central_jacobian(outputs_at, x[2:])
     H = H[list(rows), :]
     innovation = y_meas - y_pred[list(rows)]
     R_disc = (cfg.r_y_density / dt) * np.eye(len(rows))

@@ -254,6 +254,10 @@ def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
             raise raw.error(f"fluid table not found: {path}", line) from None
         except ValueError as exc:
             raise raw.error(f"fluid table {path}: {exc}", line) from None
+        lo, hi = fluid.hull_p
+        if not lo <= pressure <= hi:
+            raise raw.error(f"'pressure_Pa' must lie on the table's pressure axis "
+                            f"[{lo:g}, {hi:g}] Pa", raw.line_of(section, "pressure_Pa"))
     return StreamConfig(fluid=fluid, pressure=pressure)
 
 

@@ -218,7 +218,8 @@ def _solve_side(f, f_slope, lo: float, hi: float, guess: float | None):
 
     With a guess, Newton on f_slope (the residual with its slope) runs
     first, inside the same open interval the bracketed search uses; the
-    bracketed search below is the fallback.
+    bracketed search below is the fallback.  A guess outside that
+    interval starts Newton clamped to its inner 0.1 % margins instead.
 
     The unrestricted heat rate switches branch exactly on the bracket
     boundary (one temperature difference is zero there), so the endpoint
@@ -237,6 +238,8 @@ def _solve_side(f, f_slope, lo: float, hi: float, guess: float | None):
     delta = 1e-7 * (hi - lo)
     a, b = lo + delta, hi - delta
     if guess is not None:
+        if not a < guess < b:
+            guess = min(max(guess, a + 1e-3 * (b - a)), b - 1e-3 * (b - a))
         root = _newton_side(f_slope, a, b, guess)
         if root is not None:
             return (*root, False)

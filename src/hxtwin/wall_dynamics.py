@@ -34,6 +34,7 @@ __all__ = [
     "classify_sector",
     "wall_drift_rate",
     "wall_rhs",
+    "wall_rhs_jacobian",
     "integrate_step",
     "reference_wall_rhs",
     "approx_wall_rhs",
@@ -105,6 +106,51 @@ def wall_rhs(
     else:
         a = 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
     return (a * e1, a * e2), sector
+
+
+def wall_rhs_jacobian(
+    x: WallState,
+    xs: WallState,
+    Q_h: float,
+    Q_c: float,
+    dQ_h: tuple[float, float],
+    dQ_c: tuple[float, float],
+    cfg: WallDynamicsConfig,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """d(wall_rhs)/d(T_w1, T_w2) within the active sector, as rows.
+
+    dQ_h and dQ_c are the wall partials of the heat rates; xs does not
+    depend on x.  With xdot = a*e and de/dx = -I the Jacobian is
+    e (grad a)' - a I.  In sector V, where wall_rhs is zero, it is the
+    limit along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what
+    central differences about the steady state take, and what keeps
+    the wall variance of the filter bounded there.
+    """
+    e1 = xs.T_w1 - x.T_w1
+    e2 = xs.T_w2 - x.T_w2
+    g1 = wall_drift_rate(dQ_h[0], dQ_c[0], cfg.theta7)
+    g2 = wall_drift_rate(dQ_h[1], dQ_c[1], cfg.theta7)
+    sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
+    if sector is Sector.V:
+        return (2.0 * g1, 0.0), (0.0, 2.0 * g2)
+    tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
+    if sector is Sector.I or sector is Sector.III:
+        s = e1 + e2
+        a = 2.0 * tdw / s
+        a1 = (2.0 * g1 + a) / s
+        a2 = (2.0 * g2 + a) / s
+    else:
+        n = math.hypot(e1, e2)
+        if abs(tdw) > TDW_LOWER_BOUND:
+            a = 2.0 * abs(tdw) / n
+            sign = 1.0 if tdw > 0.0 else -1.0
+            g1, g2 = sign * g1, sign * g2
+        else:  # the floor holds the speed: no slope from the drift
+            a = 2.0 * TDW_LOWER_BOUND / n
+            g1 = g2 = 0.0
+        a1 = (2.0 * g1 + a * e1 / n) / n
+        a2 = (2.0 * g2 + a * e2 / n) / n
+    return (e1 * a1 - a, e1 * a2), (e2 * a1, e2 * a2 - a)
 
 
 def integrate_step(

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hxtwin.approx_model import (
     ApproxEvaluation,
@@ -22,6 +24,7 @@ from hxtwin.approx_model import (
     beta_lm_value,
     evaluate_approx,
     g_closed_form,
+    g_partials,
     select_beta,
     universal_residual,
     update_cp_params,
@@ -141,6 +144,64 @@ def test_g_rejects_bad_beta_and_domain():
     for beta in (0.79, 0.5, 0.05):
         with pytest.raises(DomainError, match="outside feasible set"):
             g_closed_form(*edge, beta)
+
+
+def central_g_partials(dT_I, dT_w, aA, C_p, beta):
+    """Central differences of g_closed_form in dT_I and dT_w at fixed beta."""
+    h_I = 1e-6 * max(abs(dT_I), 1.0)
+    h_w = 1e-6 * max(abs(dT_w), 1.0)
+    return (
+        (g_closed_form(dT_I + h_I, dT_w, aA, C_p, beta)
+         - g_closed_form(dT_I - h_I, dT_w, aA, C_p, beta)) / (2.0 * h_I),
+        (g_closed_form(dT_I, dT_w + h_w, aA, C_p, beta)
+         - g_closed_form(dT_I, dT_w - h_w, aA, C_p, beta)) / (2.0 * h_w),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    dT_I=st.floats(0.5, 200.0),
+    w_ratio=st.floats(-0.9, 2.0),
+    aA=st.floats(50.0, 1.0e5),
+    C_p=st.floats(100.0, 1.0e5),
+    toward_one=st.floats(0.05, 1.0),
+)
+def test_g_partials_match_central_differences_on_the_beta_lm_branch(
+        dT_I, w_ratio, aA, C_p, toward_one):
+    # dT_w > -dT_I keeps the feasible set nonempty; beta lies between its
+    # lowest member beta*_2 (or 0) and 1, so the stencil stays feasible.
+    dT_w = w_ratio * dT_I
+    lowest = max(1.0 - 2.0 * C_p * (dT_I + dT_w) / (dT_I * aA), 0.0)
+    beta = lowest + toward_one * (1.0 - lowest)
+    G = g_closed_form(dT_I, dT_w, aA, C_p, beta)
+    got = g_partials(dT_I, G, aA, C_p, BetaSelection(beta, BetaBranch.BETA_LM, False))
+    assert got == pytest.approx(central_g_partials(dT_I, dT_w, aA, C_p, beta),
+                                rel=1e-6, abs=1e-6)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    dT_I=st.floats(-200.0, 200.0),
+    dT_w=st.floats(-200.0, 200.0),
+    aA=st.floats(50.0, 1.0e5),
+    C_p=st.floats(100.0, 1.0e5),
+    empty=st.booleans(),
+)
+def test_g_partials_match_central_differences_on_the_beta_zero_branch(
+        dT_I, dT_w, aA, C_p, empty):
+    G = g_closed_form(dT_I, dT_w, aA, C_p, 0.0)
+    got = g_partials(dT_I, G, aA, C_p, BetaSelection(0.0, BetaBranch.ZERO, empty))
+    assert got == pytest.approx(central_g_partials(dT_I, dT_w, aA, C_p, 0.0),
+                                rel=1e-6, abs=1e-6)
+
+
+def test_g_partials_vanish_on_the_beta_star2_branch():
+    # G is 0 along the whole branch, whatever beta*_2 the inputs give
+    edge = (10.0, -5.0, 1000.0, 200.0)  # beta*_2 = 0.8, as above
+    sel = select_beta(*edge, beta_lm_selection(10.0, 10.0))
+    assert sel.branch is BetaBranch.BETA_STAR2
+    G = g_closed_form(*edge, sel.beta)
+    assert g_partials(edge[0], G, edge[2], edge[3], sel) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

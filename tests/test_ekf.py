@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hxtwin.approx_model import CpParams, evaluate_approx
+from hxtwin.approx_model import CpParams, approx_wall_partials, evaluate_approx
 from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import (
     JACOBIAN_ABS_STEP,
@@ -28,7 +28,13 @@ from hxtwin.ekf import (
 from hxtwin.reference_model import InletConditions, WallState
 from hxtwin.approx_model import approx_steady_walls
 from hxtwin.reference_model import Conductances
-from hxtwin.wall_dynamics import WallDynamicsConfig, wall_rhs
+from hxtwin.wall_dynamics import (
+    SECTOR_V_EPSILON,
+    WallDynamicsConfig,
+    classify_sector,
+    wall_rhs,
+    wall_rhs_jacobian,
+)
 
 
 CP = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
@@ -266,8 +272,90 @@ def test_model_inputs_floors_leading_factors():
 
 
 # ---------------------------------------------------------------------------
+# Analytic wall columns against central differences
+
+
+def analytic_wall_columns(cfg, z, u, cp, evaluation=None):
+    """The analytic wall columns of f_v and g_v at z, from the public
+    partials, at ``evaluation`` (wall, ev, u_eff, cond_out) when given."""
+    if evaluation is None:
+        u_eff, cond_out, _ = model_inputs(cfg, z, u, cp)
+        evaluation = (WallState(float(z[0]), float(z[1])),
+                      ekf_evaluation(cfg, z, u, cp), u_eff, cond_out)
+    wall, ev, u_eff, cond_out = evaluation
+    d = approx_wall_partials(wall, u_eff, cond_out, cp, ev)
+    F_ww = wall_rhs_jacobian(wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall)
+    return np.array(F_ww), np.array((d.T_h2, d.T_c2))
+
+
+def stencil_keeps_sector_and_branches(cfg, z, u, cp):
+    """Whether every wall point of the central stencil about z has the
+    sector and both beta branches of z."""
+    def key(w):
+        ev = ekf_evaluation(cfg, w, u, cp)
+        sector = classify_sector(ev.steady_walls.T_w1 - w[0], ev.steady_walls.T_w2 - w[1],
+                                 SECTOR_V_EPSILON)
+        return (sector, ev.beta_hot.branch, ev.beta_hot.feasible_set_empty,
+                ev.beta_cold.branch, ev.beta_cold.feasible_set_empty)
+
+    center = key(z)
+    for i in range(2):
+        h = max(JACOBIAN_REL_STEP * abs(z[i]), JACOBIAN_ABS_STEP)
+        for sign in (1.0, -1.0):
+            w = z.copy()
+            w[i] += sign * h
+            if key(w) != center:
+                return False
+    return True
+
+
+ORACLE_CFG = dict(
+    corr_hot=CorrelationParams(upsilon=1.0, exp1=0.6, exp2=0.1),
+    corr_cold=CorrelationParams(upsilon=1.0, exp1=0.8, offset=5.0),
+)
+
+
+@pytest.mark.parametrize("offset", [
+    (2.0, 1.0), (-2.0, -1.0), (2.0, -1.0), (-1.0, 2.0),  # sectors III, I, II, IV
+    (-20.0, -15.0), (25.0, 30.0),  # beta_LM on both sides, far out
+    (-64.0, 40.0), (-48.0, 48.0), (-64.0, 8.0),  # beta*_2 on one side or both
+    (40.0, -8.0), (-80.0, 8.0), (40.0, -72.0),  # beta = 0, an empty feasible set
+])
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_analytic_wall_columns_match_central_differences(variant, offset):
+    cfg = make_cfg(variant, **ORACLE_CFG)
+    ups = (1500.0, 3000.0)
+    steady = ekf_evaluation(cfg, np.array([350.0, 320.0, *ups, 0.8]), U, CP).steady_walls
+    z = np.array([steady.T_w1 + offset[0], steady.T_w2 + offset[1], *ups]
+                 + ([0.8] if variant == "B" else []))
+    assert stencil_keeps_sector_and_branches(cfg, z, U, CP)
+    F_ww, H_w = analytic_wall_columns(cfg, z, U, CP)
+    F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, :2]
+    H_num = central_jacobian(lambda w: g_v(cfg, w, U, CP), z)[:, :2]
+    assert np.max(np.abs(F_ww - F_num)) <= 1e-6 * np.max(np.abs(F_num))
+    assert np.max(np.abs(H_w - H_num)) <= 1e-6 * np.max(np.abs(H_num))
+
+
+def test_analytic_wall_columns_at_the_steady_state_match_the_stencil():
+    # wall_rhs is zero in sector V; the stencil about the steady state
+    # leaves it along the axes, and the analytic F takes that limit.
+    cfg = make_cfg("A", **ORACLE_CFG)
+    st = steady_state_for(cfg)
+    walls = ekf_evaluation(cfg, st.x_hat, U, CP).steady_walls
+    z = np.array([walls.T_w1, walls.T_w2, *st.x_hat[2:]])
+    assert np.array_equal(f_v(cfg, z, U, CP), np.zeros(4))
+    F_ww, _ = analytic_wall_columns(cfg, z, U, CP)
+    F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, :2]
+    assert F_ww[0, 1] == F_ww[1, 0] == F_num[0, 1] == F_num[1, 0] == 0.0
+    assert np.diag(F_ww) == pytest.approx(np.diag(F_num), rel=1e-6)
+    assert np.all(np.diag(F_ww) < 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Predict and update against an uncached reference: both compute the
 # parameter-only terms once per parameter point, with unchanged arithmetic.
+# The reference takes its parameter columns from the same stencil and its
+# wall columns from the same public partials.
 
 
 def reference_evaluation(cfg, z, u, cp):
@@ -282,11 +370,11 @@ def reference_evaluation(cfg, z, u, cp):
     cond_steady = Conductances(alpha_A(hot, u.mdot_h, cp.theta5),
                                alpha_A(cold, u.mdot_c, cp.theta6))
     wall = WallState(float(z[0]), float(z[1]))
-    return wall, evaluate_approx(wall, u, cond_out, cond_steady, cp)
+    return wall, evaluate_approx(wall, u, cond_out, cond_steady, cp), u, cond_out
 
 
 def reference_f(cfg, z, u, cp):
-    wall, ev = reference_evaluation(cfg, z, u, cp)
+    wall, ev, _, _ = reference_evaluation(cfg, z, u, cp)
     (d1, d2), _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
     out = np.zeros(cfg.n_states)
     out[0] = d1
@@ -297,6 +385,10 @@ def reference_f(cfg, z, u, cp):
 def reference_g(cfg, z, u, cp):
     ev = reference_evaluation(cfg, z, u, cp)[1]
     return np.array([ev.outlets.T_h2, ev.outlets.T_c2])
+
+
+def reference_wall_columns(cfg, z, u, cp):
+    return analytic_wall_columns(cfg, z, u, cp, reference_evaluation(cfg, z, u, cp))
 
 
 def reference_predict(state, cfg, u, cp, dt):
@@ -312,6 +404,7 @@ def reference_predict(state, cfg, u, cp, dt):
 
     for _ in range(cfg.wall.substeps_per_sample):
         F = reference_jacobian(f, x, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
+        F[:2, :2] = reference_wall_columns(cfg, x, u, cp)[0]
         k1 = f(x)
         p1 = pdot(P, F)
         k2 = f(x + 0.5 * h * k1)
@@ -329,7 +422,9 @@ def reference_update(state, cfg, u, cp, y_meas, dt):
     rows = list(cfg.measured_rows)
     y_pred = reference_g(cfg, state.x_hat, u, cp)
     H = reference_jacobian(lambda z: reference_g(cfg, z, u, cp), state.x_hat,
-                           JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)[rows, :]
+                           JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
+    H[:, :2] = reference_wall_columns(cfg, state.x_hat, u, cp)[1]
+    H = H[rows, :]
     innovation = y_meas - y_pred[rows]
     K = kalman_gain(state.P, H, (cfg.r_y_density / dt) * np.eye(len(rows)))
     x = state.x_hat + K @ innovation

@@ -256,9 +256,10 @@ def test_known_keys_are_exactly_the_keys_the_builders_read(tmp_path):
     # streams on both sides; constant, step and chirp excitation; constant,
     # ramp and correlation truth; a wall init; every tuning key
     save_fluid_table(make_co2_like_table(300.0, 430.0, 10.0), tmp_path / "gas.txt")
-    hot, cold = "kind = perfect\ncp_J_kgK = 1000", "kind = perfect\ncp_J_kgK = 2000"
-    poly = "kind = polynomial\ncp_coeffs = 2800, 2.0\nhull_K = 200, 600"
-    table = "kind = table\ntable_path = gas.txt"
+    hot = "kind = perfect\ncp_J_kgK = 1000\npressure_Pa = 1e5"
+    cold = "kind = perfect\ncp_J_kgK = 2000\npressure_Pa = 1e5"
+    poly = "kind = polynomial\ncp_coeffs = 2800, 2.0\nhull_K = 200, 600\npressure_Pa = 1e5"
+    table = "kind = table\ntable_path = gas.txt\npressure_Pa = 1e7"
     truth = "kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000"
     ramp = ("kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
             "aA_c_start_W_K = 3000\naA_c_end_W_K = 2800")
@@ -362,10 +363,9 @@ def test_property_templates_build_and_list_every_key(table_dir):
 
 
 # (template line, token) pairs that still build and then fail in
-# initial_point with an error that names no line: a table stream's
-# pressure outside the table's pressure axis, and a truth-correlation
+# initial_point with an error that names no line: a truth-correlation
 # power that overflows or underflows at the start point.
-_FAILS_LATE = {("pressure_Pa = 1e7", token) for token in ("inf", "1e308", "1e-300")} | {
+_FAILS_LATE = {
     (line, "1e308") for line in (
         "hot_exp_cp = 0.3", "hot_exp_eta = -0.4", "hot_exp_lam = 0.6",
         "cold_exp_mdot = 0.8", "cold_exp_cp = 0.3", "cold_exp_eta = -0.4",
@@ -397,6 +397,16 @@ def test_values_that_still_fail_late(table_dir, line, token):
         text = _PROPERTY_TEMPLATES[t]
         if text.splitlines()[index] == line:
             _check_start_point(_replace_value(text, index, token), table_dir)
+
+
+@pytest.mark.parametrize("value", ["1e5", "1.3e7", "inf", "1e-300"])
+def test_table_pressure_off_the_axis_rejected_on_its_line(table_dir, value):
+    text = _PROPERTY_TEMPLATES[2].replace("pressure_Pa = 1e7", f"pressure_Pa = {value}")
+    line = text.splitlines().index(f"pressure_Pa = {value}") + 1
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(text), base_dir=table_dir)
+    assert str(exc.value) == (
+        f"line {line}: 'pressure_Pa' must lie on the table's pressure axis [8e+06, 1.2e+07] Pa")
 
 
 POLY_CFG = SMOKE_CFG.replace(
@@ -754,7 +764,8 @@ def test_run_truth_sim_deterministic_and_seed_sensitive():
 @pytest.mark.parametrize("name", ["smoke_constant", "coolant_step", "chirp_tracking"])
 def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
     # Every side solve of the shipped truth runs converges without a
-    # clamp.  Counts the warm starts that fall back to the bracketed search.
+    # clamp, and every warm start converges by Newton, also where the
+    # previous outlet lies outside the new bracket.
     counts = Counter()
     solve_side = reference_model._solve_side
     newton_side = reference_model._newton_side
@@ -788,6 +799,7 @@ def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
     assert counts["warm starts"] == counts["side solves"] - 2
     assert counts["flagged"] == 0
     assert counts["non-converged"] == 0
+    assert counts["fallbacks"] == 0
 
 
 def test_run_truth_sim_wall_init_relaxes():

@@ -245,17 +245,33 @@ CO2_STATE = (
 )
 
 
-@pytest.mark.parametrize("guess", ["below", "above", "nan", "lo", "hi"])
-def test_bad_guess_falls_back_to_the_bracket(guess, bracketed_calls):
+@pytest.mark.parametrize("guess", ["below", "above", "lo", "hi"])
+def test_guess_outside_the_bracket_starts_newton_inside(guess, bracketed_calls):
+    # e.g. the previous cold outlet below a cold inlet that just rose
     hot, cold = co2_streams()
     x, u, cond = CO2_STATE
     start = {
         "below": OutletTemps(x.T_w2 - 5.0, u.T_c1 - 5.0),
         "above": OutletTemps(u.T_h1 + 5.0, x.T_w1 + 5.0),
-        "nan": OutletTemps(math.nan, math.nan),
         "lo": OutletTemps(x.T_w2, u.T_c1),
         "hi": OutletTemps(u.T_h1, x.T_w1),
     }[guess]
+    expected = ref_output_detailed(x, u, cond, hot, cold)[0]
+    bracketed_calls.clear()
+    outlets, info = ref_output_detailed(x, u, cond, hot, cold, guess=start)
+    assert bracketed_calls == []
+    assert outlets.T_h2 == pytest.approx(expected.T_h2, abs=1e-9)
+    assert outlets.T_c2 == pytest.approx(expected.T_c2, abs=1e-9)
+    assert not info.flagged_hot and not info.flagged_cold
+    assert abs(info.residual_hot) <= OUTPUT_FTOL
+    assert abs(info.residual_cold) <= OUTPUT_FTOL
+
+
+@pytest.mark.parametrize("guess", ["nan"])
+def test_bad_guess_falls_back_to_the_bracket(guess, bracketed_calls):
+    hot, cold = co2_streams()
+    x, u, cond = CO2_STATE
+    start = OutletTemps(math.nan, math.nan)
     expected = ref_output_detailed(x, u, cond, hot, cold)
     bracketed_calls.clear()
     assert ref_output_detailed(x, u, cond, hot, cold, guess=start) == expected

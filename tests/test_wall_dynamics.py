@@ -24,6 +24,7 @@ from hxtwin.wall_dynamics import (
     reference_wall_rhs,
     wall_drift_rate,
     wall_rhs,
+    wall_rhs_jacobian,
 )
 from hxtwin.approx_model import CpParams
 
@@ -114,6 +115,67 @@ def test_wall_rhs_drift_floor_in_sector_iv():
     a = 2.0 * TDW_LOWER_BOUND / 5.0
     assert rate[0] == pytest.approx(a * 3.0, rel=1e-12)
     assert rate[1] == pytest.approx(a * -4.0, rel=1e-12)
+
+
+# Heat rates linear in the wall state, so that central differences of
+# wall_rhs are exact up to rounding away from sector boundaries.
+XS = WallState(352.0, 340.0)
+
+
+def linear_heat_rates(q_h, q_c, dQ_h, dQ_c):
+    def rates(x):
+        d1, d2 = x.T_w1 - XS.T_w1, x.T_w2 - XS.T_w2
+        return q_h + dQ_h[0] * d1 + dQ_h[1] * d2, q_c + dQ_c[0] * d1 + dQ_c[1] * d2
+    return rates
+
+
+@pytest.mark.parametrize("offset, sector", [
+    ((-2.0, -3.0), Sector.I),
+    ((1.0, -4.0), Sector.II),
+    ((2.5, 1.5), Sector.III),
+    ((-3.0, 4.0), Sector.IV),
+])
+@pytest.mark.parametrize("q_h, q_c", [(-4000.0, 1000.0), (2000.0, 1000.0), (-1000.0, 999.0)])
+def test_wall_rhs_jacobian_matches_central_differences(offset, sector, q_h, q_c):
+    dQ_h, dQ_c = (120.0, -30.0), (45.0, 210.0)
+    rates = linear_heat_rates(q_h, q_c, dQ_h, dQ_c)
+    x = WallState(XS.T_w1 + offset[0], XS.T_w2 + offset[1])
+    assert classify_sector(XS.T_w1 - x.T_w1, XS.T_w2 - x.T_w2, 1e-9) is sector
+
+    def rhs(w1, w2):
+        wall = WallState(w1, w2)
+        return wall_rhs(wall, XS, *rates(wall), CFG)[0]
+
+    h = 1e-5
+    columns = [
+        [(p - m) / (2.0 * h) for p, m in zip(rhs(x.T_w1 + h, x.T_w2), rhs(x.T_w1 - h, x.T_w2))],
+        [(p - m) / (2.0 * h) for p, m in zip(rhs(x.T_w1, x.T_w2 + h), rhs(x.T_w1, x.T_w2 - h))],
+    ]
+    J = wall_rhs_jacobian(x, XS, *rates(x), dQ_h, dQ_c, CFG)
+    scale = max(abs(v) for row in J for v in row)
+    for i in range(2):
+        for j in range(2):
+            assert J[i][j] == pytest.approx(columns[j][i], abs=1e-7 * scale)
+
+
+def test_wall_rhs_jacobian_floor_has_no_drift_slope():
+    # Below the floor, sectors II/IV pull at the floored speed: only the
+    # direction of e moves with x, whatever the heat-rate partials.
+    x = WallState(349.0, 344.0)  # e = (3, -4), sector IV
+    J = wall_rhs_jacobian(x, XS, -100.0, 100.0, (500.0, 7.0), (-3.0, 80.0), CFG)
+    a = 2.0 * TDW_LOWER_BOUND / 5.0
+    grad_a = (a * 3.0 / 25.0, a * -4.0 / 25.0)
+    assert J[0] == pytest.approx((3.0 * grad_a[0] - a, 3.0 * grad_a[1]), rel=1e-12)
+    assert J[1] == pytest.approx((-4.0 * grad_a[0], -4.0 * grad_a[1] - a), rel=1e-12)
+
+
+def test_wall_rhs_jacobian_sector_v_is_the_axis_limit():
+    dQ_h, dQ_c = (120.0, -30.0), (45.0, 210.0)
+    J = wall_rhs_jacobian(XS, XS, -100.0, 100.0, dQ_h, dQ_c, CFG)
+    assert J == (
+        (2.0 * wall_drift_rate(dQ_h[0], dQ_c[0], CFG.theta7), 0.0),
+        (0.0, 2.0 * wall_drift_rate(dQ_h[1], dQ_c[1], CFG.theta7)),
+    )
 
 
 def test_config_validation():
