@@ -13,7 +13,7 @@ substitution; the same closed form solves both.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,8 +46,8 @@ __all__ = [
     "update_cp_params",
     "approx_steady_selfconsistent",
     "evaluate_approx",
-    "WallPartials",
-    "approx_wall_partials",
+    "EvaluationPartials",
+    "approx_partials",
 ]
 
 # Steady differences closer than this (relative) use the analytic 2/3
@@ -137,28 +137,38 @@ def g_closed_form(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) 
 
 def g_partials(
     dT_I: float, dT_II: float, aA: float, C_p: float, beta: BetaSelection
-) -> tuple[float, float]:
-    """Partials (dG/d dT_I, dG/d dT_w) of the root dT_II = G at fixed beta.
+) -> tuple[float, float, float, float, float]:
+    """Partials of the root dT_II = G with the branch of ``beta`` held:
+    (dG/d dT_I, dG/d dT_w, dG/d aA, dG/d C_p, dG/d beta_LM).
 
-    The universal residual R vanishes at its root, so
-    dG = -(R_dT_I d dT_I + C_p d dT_w) / R_G with
-    R_G = -C_p - aA*(beta*sqrt(dT_I/G)/2 + (1-beta)/2) and
-    R_dT_I = C_p - aA*(beta*sqrt(G/dT_I)/2 + (1-beta)/2).  On the
-    beta*_2 branch G is identically 0, and a root G = 0 with beta > 0
-    has R_G = -inf; both give zero partials.
+    The universal residual R vanishes at its root, so dG/dq = -R_q / R_G
+    with
+    R_G = -C_p - aA*(beta*sqrt(dT_I/G)/2 + (1-beta)/2),
+    R_dT_I = C_p - aA*(beta*sqrt(G/dT_I)/2 + (1-beta)/2), R_dT_w = C_p,
+    R_aA = -WM, R_C_p = dT_I - G + dT_w = aA*WM/C_p (at the root) and
+    R_beta = -aA*(GM - AM) on the means of (dT_I, G).  beta follows
+    beta_LM on the beta_LM branch only; elsewhere the beta_LM partial is
+    0.  On the beta*_2 branch G is identically 0, and a root G = 0 with
+    beta > 0 has R_G = -inf; both give zero partials.
     """
     b = beta.beta
     if beta.branch is BetaBranch.BETA_STAR2 or (b > 0.0 and dT_II <= 0.0):
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    am = 0.5 * (dT_I + dT_II)
     am_part = 0.5 * aA * (1.0 - b)
     if b == 0.0:
         R_G = -C_p - am_part
         R_I = C_p - am_part
-    else:
+        wm = am
+        R_b = 0.0
+    else:  # beta > 0 off the beta*_2 branch: the beta_LM branch
         ratio = math.sqrt(dT_II / dT_I)
         R_G = -C_p - 0.5 * aA * b / ratio - am_part
         R_I = C_p - 0.5 * aA * b * ratio - am_part
-    return -R_I / R_G, -C_p / R_G
+        gm = math.sqrt(dT_I * dT_II)
+        wm = b * gm + (1.0 - b) * am
+        R_b = -aA * (gm - am)
+    return -R_I / R_G, -C_p / R_G, wm / R_G, -aA * wm / (C_p * R_G), -R_b / R_G
 
 
 def beta_lm_value(steady_dT_Is: float, steady_dT_IIs: float) -> float:
@@ -427,38 +437,52 @@ def evaluate_approx(
 
 
 @dataclass(frozen=True, slots=True)
-class WallPartials:
-    """Partials of an evaluation with respect to (T_w1, T_w2), each as the
-    pair (d/dT_w1, d/dT_w2), with both beta selections held."""
+class EvaluationPartials:
+    """Partials of an evaluation's outlets and heat rates, each a tuple
+    over the variables (T_w1, T_w2, q_1, ...), with both beta branches
+    held."""
 
-    T_h2: tuple[float, float]
-    T_c2: tuple[float, float]
-    Q_h: tuple[float, float]
-    Q_c: tuple[float, float]
+    T_h2: tuple[float, ...]
+    T_c2: tuple[float, ...]
+    Q_h: tuple[float, ...]
+    Q_c: tuple[float, ...]
 
 
-def approx_wall_partials(
+def approx_partials(
     x: WallState,
     u: InletConditions,
     cond_out: Conductances,
     cp: CpParams,
     ev: ApproxEvaluation,
-) -> WallPartials:
-    """Wall partials of the outlets and heat rates at ev = evaluate_approx(x,
-    u, cond_out, ...), by the chain rule through g_partials.
+    inputs: Sequence[Sequence[float]],
+) -> EvaluationPartials:
+    """Partials of the outlets and heat rates at ev = evaluate_approx(x, u,
+    cond_out, ...) over (T_w1, T_w2, q_1, ...), by the chain rule through
+    g_partials.
 
-    T_h2 = G_h + T_w2 and T_c2 = T_w1 - G_c.  At each root
+    ``inputs`` gives, for each further variable q_j, the partials of the
+    evaluation inputs (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold) in
+    q_j.  T_h2 = G_h + T_w2 and T_c2 = T_w1 - G_c.  At each root
     aA*WM = C_p*(dT_I - G + dT_w), so Q_h = C_h*(T_h2 - T_h1) and
-    Q_c = C_c*(T_c2 - T_c1): the heat rates move with the outlets.
+    Q_c = C_c*(T_c2 - T_c1): the heat rates move with the outlets, and
+    Q_c also with C_c = mdot_c*theta4.
     """
     C_h = u.mdot_h * cp.theta3
     C_c = u.mdot_c * cp.theta4
-    gI_h, gw_h = g_partials(
+    gI_h, gw_h, gA_h, _, gB_h = g_partials(
         u.T_h1 - x.T_w1, ev.outlets.T_h2 - x.T_w2, cond_out.aA_h, C_h, ev.beta_hot)
-    gI_c, gw_c = g_partials(
+    gI_c, gw_c, gA_c, gC_c, gB_c = g_partials(
         x.T_w2 - u.T_c1, x.T_w1 - ev.outlets.T_c2, cond_out.aA_c, C_c, ev.beta_cold)
     # dT_I_h = T_h1 - T_w1, dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2
-    d_h2 = (gw_h - gI_h, 1.0 - gw_h)
-    d_c2 = (1.0 - gw_c, gw_c - gI_c)
-    return WallPartials(
-        d_h2, d_c2, (C_h * d_h2[0], C_h * d_h2[1]), (C_c * d_c2[0], C_c * d_c2[1]))
+    d_h2 = [gw_h - gI_h, 1.0 - gw_h]
+    d_c2 = [1.0 - gw_c, gw_c - gI_c]
+    d_Qc = [C_c * d_c2[0], C_c * d_c2[1]]
+    gM_c = cp.theta4 * gC_c  # dG_c/dmdot_c
+    dQ_dmdot = cp.theta4 * (ev.outlets.T_c2 - u.T_c1)
+    for aA_h, aA_c, mdot_c, b_h, b_c in inputs:
+        d_h2.append(gA_h * aA_h + gB_h * b_h)
+        dc = -(gA_c * aA_c + gM_c * mdot_c + gB_c * b_c)
+        d_c2.append(dc)
+        d_Qc.append(C_c * dc + dQ_dmdot * mdot_c)
+    return EvaluationPartials(tuple(d_h2), tuple(d_c2), tuple([C_h * v for v in d_h2]),
+                              tuple(d_Qc))

@@ -16,12 +16,17 @@ the state between samples, and the measurement variance is divided by
 the sample interval in the gain.  Retuning is then unnecessary when the
 telemetry rate changes (Simon, Optimal State Estimation, 2006, §13.2).
 
-The wall columns of F and H are analytic: the closed-form root has
-closed-form partials (approx_model.approx_wall_partials), and the wall
+F and H come from the chain rule, not from differences of the whole
+model.  An evaluation and the wall dynamics read the parameter states
+p = x_v[2:] only through the parameter terms
+tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
+dtau/dp is one central stencil per predict or update (central_jacobian),
+taken on the map p -> tau, which does not read the walls and so never
+straddles a wall sector or a beta branch switch of the outlets.  The
+partials in the walls and in tau are closed form: the closed-form root
+has closed-form partials (approx_model.approx_partials), and the wall
 dynamics differentiate within their active sector
-(wall_dynamics.wall_rhs_jacobian).  The parameter columns are central
-differences over the parameter states alone (central_jacobian, whose
-step constants set only those columns).
+(wall_dynamics.wall_rhs_jacobian, which also states the sector-V rule).
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ import numpy as np
 from .approx_model import (
     ApproxEvaluation,
     CpParams,
+    approx_partials,
     approx_steady_terms,
-    approx_wall_partials,
     evaluate_approx,
 )
 from .correlations import CorrelationParams, alpha_A
@@ -196,28 +201,29 @@ def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: Cp
     return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
 
 
-def _terms_per_parameter_point(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions,
-                               cp: CpParams):
-    """terms(p) -> _parameter_terms at x_v with its parameter states
-    x_v[2:] replaced by p, computed once per distinct p over the life of
-    the returned function.
+def _tau(terms) -> np.ndarray:
+    """tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s):
+    the parameter terms that an evaluation and wall_rhs read."""
+    u_eff, cond_out, _, steady = terms
+    return np.array((cond_out.aA_h, cond_out.aA_c, u_eff.mdot_c, steady.beta_lm_hot.beta,
+                     steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2))
 
-    The parameter rows of f are zero, so every substep of a predict
-    visits the same few parameter points: the estimate and the points
-    of the parameter columns' stencil.
+
+def _tau_partials(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
+    """dtau/dp over the parameter states p = x_v[2:], by central_jacobian
+    of the map p -> tau, which does not read the walls.
+
+    Returns, per parameter, the partials of the five evaluation inputs
+    (the inputs of approx_partials), and the partials of the steady walls
+    over (T_w1, T_w2, p) (the dxs of wall_rhs_jacobian).
     """
-    cache = {}
+    def tau_at(p: np.ndarray) -> np.ndarray:
+        z = x_v.copy()
+        z[2:] = p
+        return _tau(_parameter_terms(cfg, z, u, cp))
 
-    def terms(p: np.ndarray):
-        key = p.tobytes()
-        found = cache.get(key)
-        if found is None:
-            z = x_v.copy()
-            z[2:] = p
-            found = cache[key] = _parameter_terms(cfg, z, u, cp)
-        return found
-
-    return terms
+    dtau = central_jacobian(tau_at, x_v[2:])
+    return dtau[:5].T.tolist(), ((0.0, 0.0, *dtau[5].tolist()), (0.0, 0.0, *dtau[6].tolist()))
 
 
 def _walls(x_v: np.ndarray) -> WallState:
@@ -282,14 +288,16 @@ def ekf_predict(
     """Propagate estimate and covariance over dt under zero-order-hold u.
 
     Both integrate with fixed-step RK4 using the wall config's substep
-    count; F is evaluated once per substep and held for the covariance
-    stages (the covariance ODE is linear given F).  The parameter states
-    do not move, so the walls integrate on floats at one parameter
-    point.  The wall columns of F are analytic (approx_wall_partials
-    and wall_rhs_jacobian at the first stage); the parameter columns are
-    central differences.  dt is one telemetry sample period: the
-    substep count is sized for that, so long horizons must loop rather
-    than stretch a single call past the integrator's stability region.
+    count.  The parameter states do not move, so the walls integrate on
+    floats at one parameter point, and dtau/dp is taken once.  F is
+    evaluated once per substep, at the first stage: its wall columns
+    and, through dtau/dp, its parameter columns by the chain rule.  With
+    F held the covariance ODE is linear, and its RK4 step is the
+    polynomial P + h (k + h/2 L(k + h/3 L(k + h/4 L(k)))) with
+    L(M) = F M + M F' and k = L(P) + Q, which is the four stages in
+    Horner form.  dt is one telemetry sample period: the substep count
+    is sized for that, so long horizons must loop rather than stretch a
+    single call past the integrator's stability region.
     """
     _check_state(cfg, state)
     if dt < 0.0:
@@ -300,42 +308,35 @@ def ekf_predict(
         Q = cfg.process_noise_density()
         substeps = cfg.wall.substeps_per_sample
         h = dt / substeps
-        params = x[2:]
-        terms_at = _terms_per_parameter_point(cfg, x, u, cp)
-        terms = terms_at(params)
+        terms = _parameter_terms(cfg, x, u, cp)
         u_eff, cond_out = terms[0], terms[1]
+        inputs, dxs = _tau_partials(cfg, x, u, cp)
         F = np.zeros((cfg.n_states, cfg.n_states))
 
         def rates(w1: float, w2: float) -> tuple[float, float]:
             wall = WallState(w1, w2)
             return _wall_rates(cfg, wall, _evaluate(wall, terms, cp))
 
-        def rates_at(p: np.ndarray) -> np.ndarray:  # at the current walls
-            return np.array(_wall_rates(cfg, wall, _evaluate(wall, terms_at(p), cp)))
-
-        def pdot(M: np.ndarray) -> np.ndarray:  # F M + M F' + Q, M symmetric
+        def lyap(M: np.ndarray) -> np.ndarray:  # F M + M F', M symmetric
             G = F @ M
-            return G + G.T + Q
+            return G + G.T
 
         w1, w2 = float(x[0]), float(x[1])
         for _ in range(substeps):
             wall = WallState(w1, w2)
             ev = _evaluate(wall, terms, cp)
             k1 = _wall_rates(cfg, wall, ev)
-            d = approx_wall_partials(wall, u_eff, cond_out, cp, ev)
-            F[:2, :2] = wall_rhs_jacobian(
-                wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall)
-            F[:2, 2:] = central_jacobian(rates_at, params)
-            p1 = pdot(P)
+            d = approx_partials(wall, u_eff, cond_out, cp, ev, inputs)
+            F[:2] = wall_rhs_jacobian(
+                wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, dxs)
             k2 = rates(w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1])
-            p2 = pdot(P + 0.5 * h * p1)
             k3 = rates(w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1])
-            p3 = pdot(P + 0.5 * h * p2)
             k4 = rates(w1 + h * k3[0], w2 + h * k3[1])
-            p4 = pdot(P + h * p3)
             w1 += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
             w2 += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            P = P + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            # the covariance RK4 with F held, in Horner form
+            k = lyap(P) + Q
+            P = P + h * (k + (h / 2.0) * lyap(k + (h / 3.0) * lyap(k + (h / 4.0) * lyap(k))))
         x[0], x[1] = w1, w2
         P = 0.5 * (P + P.T)
     return EkfState(x, P, state.t + dt)
@@ -381,20 +382,13 @@ def ekf_update(
         raise ValueError(f"dt must be positive, got {dt}")
 
     x = state.x_hat
-    terms_at = _terms_per_parameter_point(cfg, x, u, cp)
-    terms = terms_at(x[2:])
+    terms = _parameter_terms(cfg, x, u, cp)
     wall = _walls(x)
     ev = _evaluate(wall, terms, cp)
     y_pred = np.array((ev.outlets.T_h2, ev.outlets.T_c2))
-    d = approx_wall_partials(wall, terms[0], terms[1], cp, ev)
-    H = np.empty((2, cfg.n_states))
-    H[:, :2] = d.T_h2, d.T_c2
-
-    def outputs_at(p: np.ndarray) -> np.ndarray:
-        outlets = _evaluate(wall, terms_at(p), cp).outlets
-        return np.array((outlets.T_h2, outlets.T_c2))
-
-    H[:, 2:] = central_jacobian(outputs_at, x[2:])
+    inputs, _ = _tau_partials(cfg, x, u, cp)
+    d = approx_partials(wall, terms[0], terms[1], cp, ev, inputs)
+    H = np.array((d.T_h2, d.T_c2))
     H = H[list(rows), :]
     innovation = y_meas - y_pred[list(rows)]
     R_disc = (cfg.r_y_density / dt) * np.eye(len(rows))

@@ -209,7 +209,6 @@ _KNOWN_KEYS = {
 
 
 # (predicate, message) rules that the config getters check values against
-_POSITIVE = (lambda v: v > 0.0, "must be positive")
 _FINITE = (math.isfinite, "must be finite")
 _FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and positive")
 _NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
@@ -231,9 +230,9 @@ def _temperature_rule(stream: StreamConfig, name: str):
 
 def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
     kind = raw.get_choice(section, "kind", {"perfect", "polynomial", "table"})
-    pressure = raw.get_float(section, "pressure_Pa", check=_POSITIVE)
+    pressure_rule = _FINITE_POSITIVE
     if kind == "perfect":
-        fluid = CaloricallyPerfect(raw.get_float(section, "cp_J_kgK", check=_POSITIVE))
+        fluid = CaloricallyPerfect(raw.get_float(section, "cp_J_kgK", check=_FINITE_POSITIVE))
     elif kind == "polynomial":
         coeffs = raw.get_floats(section, "cp_coeffs")
         hull = raw.get_floats(section, "hull_K", None, check=(
@@ -255,9 +254,9 @@ def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
         except ValueError as exc:
             raise raw.error(f"fluid table {path}: {exc}", line) from None
         lo, hi = fluid.hull_p
-        if not lo <= pressure <= hi:
-            raise raw.error(f"'pressure_Pa' must lie on the table's pressure axis "
-                            f"[{lo:g}, {hi:g}] Pa", raw.line_of(section, "pressure_Pa"))
+        pressure_rule = ((lambda p: lo <= p <= hi),
+                         f"must lie on the table's pressure axis [{lo:g}, {hi:g}] Pa")
+    pressure = raw.get_float(section, "pressure_Pa", check=pressure_rule)
     return StreamConfig(fluid=fluid, pressure=pressure)
 
 
@@ -290,7 +289,7 @@ def _build_excitation(raw: RawConfig, duration: float, base: InletConditions,
         kind,
         f0_Hz=raw.get_float(sec, "f0_Hz", 0.0, _FINITE),
         f1_Hz=raw.get_float(sec, "f1_Hz", check=_FINITE),
-        span_s=raw.get_float(sec, "span_s", duration, _POSITIVE),
+        span_s=raw.get_float(sec, "span_s", duration, _FINITE_POSITIVE),
         T_h1_amp_K=raw.get_float(sec, "T_h1_amp_K", 0.0, swing("T_h1")),
         T_c1_amp_K=raw.get_float(sec, "T_c1_amp_K", 0.0, swing("T_c1")),
         mdot_h_amp_frac=raw.get_float(sec, "mdot_h_amp_frac", 0.0, fraction),
@@ -315,12 +314,12 @@ def _build_truth_cond(raw: RawConfig) -> TruthConductanceSpec:
     sec = "truth.conductances"
     kind = raw.get_choice(sec, "kind", {"constant", "ramp", "correlation"})
     if kind == "constant":
-        aA_h = raw.get_float(sec, "aA_h_W_K", check=_POSITIVE)
-        aA_c = raw.get_float(sec, "aA_c_W_K", check=_POSITIVE)
+        aA_h = raw.get_float(sec, "aA_h_W_K", check=_FINITE_POSITIVE)
+        aA_c = raw.get_float(sec, "aA_c_W_K", check=_FINITE_POSITIVE)
         return TruthConductanceSpec(kind, aA_h, aA_h, aA_c, aA_c)
     if kind == "ramp":
         return TruthConductanceSpec(kind, *(
-            raw.get_float(sec, key, check=_POSITIVE)
+            raw.get_float(sec, key, check=_FINITE_POSITIVE)
             for key in ("aA_h_start_W_K", "aA_h_end_W_K", "aA_c_start_W_K", "aA_c_end_W_K")
         ))
     return TruthConductanceSpec(
@@ -354,7 +353,7 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     hot = _build_stream(raw, "streams.hot", base_dir)
     cold = _build_stream(raw, "streams.cold", base_dir)
     rules = {"T_h1": _temperature_rule(hot, "hot"), "T_c1": _temperature_rule(cold, "cold"),
-             "mdot_h": _POSITIVE, "mdot_c": _POSITIVE}
+             "mdot_h": _FINITE_POSITIVE, "mdot_c": _FINITE_POSITIVE}
     base_inlets = InletConditions(**{
         name: raw.get_float("inputs", key, check=rules[name])
         for name, key in _INLET_KEYS.items()
@@ -373,7 +372,7 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     )
 
     sec, tuning = "monitoring", "monitoring.tuning"
-    q_design = raw.get_float(sec, "Q_design_W", check=_POSITIVE)
+    q_design = raw.get_float(sec, "Q_design_W", check=_FINITE_POSITIVE)
     noise_source = ((tuning, "assumed_noise_std_K") if raw.has(tuning, "assumed_noise_std_K")
                     else ("plant", "noise_std_K"))
     noise = raw.get_float(tuning, "assumed_noise_std_K", plant.noise_std_K, _FINITE_POSITIVE)
@@ -391,12 +390,12 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
         variant=raw.get_choice(sec, "variant", {"A", "B", "C"}, "A"),
         corr_hot=corr("hot"),
         corr_cold=corr("cold"),
-        upsilon0_h=raw.get_float(sec, "upsilon0_h_W_K", check=_POSITIVE),
-        upsilon0_c=raw.get_float(sec, "upsilon0_c_W_K", check=_POSITIVE),
-        mdot_c0=raw.get_float(sec, "mdot_c0_kg_s", base_inlets.mdot_c, _POSITIVE),
+        upsilon0_h=raw.get_float(sec, "upsilon0_h_W_K", check=_FINITE_POSITIVE),
+        upsilon0_c=raw.get_float(sec, "upsilon0_c_W_K", check=_FINITE_POSITIVE),
+        mdot_c0=raw.get_float(sec, "mdot_c0_kg_s", base_inlets.mdot_c, _FINITE_POSITIVE),
         Q_design=q_design,
         cp_model=raw.get_choice(sec, "cp_model", {"tracked", "constant"}, "tracked"),
-        cp_constant_hot=raw.get_float(sec, "cp_constant_hot_J_kgK", 2300.0, _POSITIVE),
+        cp_constant_hot=raw.get_float(sec, "cp_constant_hot_J_kgK", 2300.0, _FINITE_POSITIVE),
         trust_mdot_c=raw.get_bool(sec, "trust_mdot_c", True),
         r_x_density=_density(raw, "r_x_density",
                              lambda: 0.1 * (q_design / (100.0 * plant.theta7)) ** 2,

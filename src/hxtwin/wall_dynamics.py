@@ -113,44 +113,61 @@ def wall_rhs_jacobian(
     xs: WallState,
     Q_h: float,
     Q_c: float,
-    dQ_h: tuple[float, float],
-    dQ_c: tuple[float, float],
+    dQ_h: tuple[float, ...],
+    dQ_c: tuple[float, ...],
     cfg: WallDynamicsConfig,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """d(wall_rhs)/d(T_w1, T_w2) within the active sector, as rows.
+    dxs: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """d(wall_rhs)/dz within the active sector, as rows, for variables
+    z = (T_w1, T_w2, ...).
 
-    dQ_h and dQ_c are the wall partials of the heat rates; xs does not
-    depend on x.  With xdot = a*e and de/dx = -I the Jacobian is
-    e (grad a)' - a I.  In sector V, where wall_rhs is zero, it is the
-    limit along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what
-    central differences about the steady state take, and what keeps
-    the wall variance of the filter bounded there.
+    dQ_h and dQ_c are the partials of the heat rates over z, and dxs
+    those of (T_w1s, T_w2s) (None: xs does not move with z).  With
+    xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the Jacobian
+    is e (grad a)' + a de/dz, where a moves with e and with the drift.
+    In sector V, where wall_rhs is zero, the wall columns are the limit
+    along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what central
+    differences about the steady state take, and what keeps the wall
+    variance of the filter bounded there.  The other columns are zero:
+    the dead band holds wall_rhs at zero whatever the heat rates, and a
+    move of xs alone along an axis gives the same rate on both sides.
     """
     e1 = xs.T_w1 - x.T_w1
     e2 = xs.T_w2 - x.T_w2
-    g1 = wall_drift_rate(dQ_h[0], dQ_c[0], cfg.theta7)
-    g2 = wall_drift_rate(dQ_h[1], dQ_c[1], cfg.theta7)
+    g = [wall_drift_rate(h, c, cfg.theta7) for h, c in zip(dQ_h, dQ_c)]
     sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
     if sector is Sector.V:
-        return (2.0 * g1, 0.0), (0.0, 2.0 * g2)
+        rest = (0.0,) * (len(g) - 2)
+        return (2.0 * g[0], 0.0, *rest), (0.0, 2.0 * g[1], *rest)
     tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
+    # a and its partials a_e1, a_e2, a_t in e1, e2 and the drift
     if sector is Sector.I or sector is Sector.III:
         s = e1 + e2
         a = 2.0 * tdw / s
-        a1 = (2.0 * g1 + a) / s
-        a2 = (2.0 * g2 + a) / s
+        a_e1 = a_e2 = -a / s
+        a_t = 2.0 / s
     else:
         n = math.hypot(e1, e2)
         if abs(tdw) > TDW_LOWER_BOUND:
             a = 2.0 * abs(tdw) / n
-            sign = 1.0 if tdw > 0.0 else -1.0
-            g1, g2 = sign * g1, sign * g2
+            a_t = (2.0 if tdw > 0.0 else -2.0) / n
         else:  # the floor holds the speed: no slope from the drift
             a = 2.0 * TDW_LOWER_BOUND / n
-            g1 = g2 = 0.0
-        a1 = (2.0 * g1 + a * e1 / n) / n
-        a2 = (2.0 * g2 + a * e2 / n) / n
-    return (e1 * a1 - a, e1 * a2), (e2 * a1, e2 * a2 - a)
+            a_t = 0.0
+        a_e1 = -a * e1 / (n * n)
+        a_e2 = -a * e2 / (n * n)
+    if dxs is None:
+        dxs = ((0.0,) * len(g),) * 2
+    # da/dz = a_e1 de1/dz + a_e2 de2/dz + a_t dTdot_w/dz, with de/dz = dxs/dz
+    # here and -I added on the walls below
+    grad = [a_t * gk + a_e1 * s1 + a_e2 * s2 for gk, s1, s2 in zip(g, *dxs)]
+    grad[0] -= a_e1
+    grad[1] -= a_e2
+    row1 = [e1 * gk + a * s1 for gk, s1 in zip(grad, dxs[0])]
+    row2 = [e2 * gk + a * s2 for gk, s2 in zip(grad, dxs[1])]
+    row1[0] -= a
+    row2[1] -= a
+    return tuple(row1), tuple(row2)
 
 
 def integrate_step(

@@ -146,16 +146,27 @@ def test_g_rejects_bad_beta_and_domain():
             g_closed_form(*edge, beta)
 
 
-def central_g_partials(dT_I, dT_w, aA, C_p, beta):
-    """Central differences of g_closed_form in dT_I and dT_w at fixed beta."""
-    h_I = 1e-6 * max(abs(dT_I), 1.0)
-    h_w = 1e-6 * max(abs(dT_w), 1.0)
-    return (
-        (g_closed_form(dT_I + h_I, dT_w, aA, C_p, beta)
-         - g_closed_form(dT_I - h_I, dT_w, aA, C_p, beta)) / (2.0 * h_I),
-        (g_closed_form(dT_I, dT_w + h_w, aA, C_p, beta)
-         - g_closed_form(dT_I, dT_w - h_w, aA, C_p, beta)) / (2.0 * h_w),
-    )
+def central_g_partials(dT_I, dT_w, aA, C_p, beta, in_beta=True):
+    """Central differences of g_closed_form in dT_I, dT_w, aA and C_p at
+    fixed beta, and in beta when in_beta (one-sided, second order, at
+    beta = 1)."""
+    g = g_closed_form
+    args = [dT_I, dT_w, aA, C_p, beta]
+    out = []
+    for i, x in enumerate(args[:5 if in_beta else 4]):
+        h = 1e-6 * max(abs(x), 1.0)
+        step = list(args)
+        if i == 4 and x + h > 1.0:
+            step[i] = x - h
+            minus = g(*step)
+            step[i] = x - 2.0 * h
+            out.append((3.0 * g(*args) - 4.0 * minus + g(*step)) / (2.0 * h))
+            continue
+        step[i] = x + h
+        plus = g(*step)
+        step[i] = x - h
+        out.append((plus - g(*step)) / (2.0 * h))
+    return tuple(out)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -170,13 +181,18 @@ def test_g_partials_match_central_differences_on_the_beta_lm_branch(
         dT_I, w_ratio, aA, C_p, toward_one):
     # dT_w > -dT_I keeps the feasible set nonempty; beta lies between its
     # lowest member beta*_2 (or 0) and 1, so the stencil stays feasible.
+    # On this branch beta is beta_LM, so the last partial is in beta.
     dT_w = w_ratio * dT_I
     lowest = max(1.0 - 2.0 * C_p * (dT_I + dT_w) / (dT_I * aA), 0.0)
     beta = lowest + toward_one * (1.0 - lowest)
     G = g_closed_form(dT_I, dT_w, aA, C_p, beta)
     got = g_partials(dT_I, G, aA, C_p, BetaSelection(beta, BetaBranch.BETA_LM, False))
-    assert got == pytest.approx(central_g_partials(dT_I, dT_w, aA, C_p, beta),
-                                rel=1e-6, abs=1e-6)
+    want = central_g_partials(dT_I, dT_w, aA, C_p, beta)
+    assert got[:2] == pytest.approx(want[:2], rel=1e-6, abs=1e-6)
+    # the aA, C_p and beta partials per relative change of the input
+    scale = (aA, C_p, 1.0)
+    assert [d * s for d, s in zip(got[2:], scale)] == pytest.approx(
+        [d * s for d, s in zip(want[2:], scale)], rel=1e-6, abs=1e-6 * max(G, 1.0))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -189,10 +205,15 @@ def test_g_partials_match_central_differences_on_the_beta_lm_branch(
 )
 def test_g_partials_match_central_differences_on_the_beta_zero_branch(
         dT_I, dT_w, aA, C_p, empty):
+    # beta stays 0 whatever beta_LM is: no beta_LM partial
     G = g_closed_form(dT_I, dT_w, aA, C_p, 0.0)
     got = g_partials(dT_I, G, aA, C_p, BetaSelection(0.0, BetaBranch.ZERO, empty))
-    assert got == pytest.approx(central_g_partials(dT_I, dT_w, aA, C_p, 0.0),
-                                rel=1e-6, abs=1e-6)
+    assert got[4] == 0.0
+    want = central_g_partials(dT_I, dT_w, aA, C_p, 0.0, in_beta=False)
+    assert got[:2] == pytest.approx(want[:2], rel=1e-6, abs=1e-6)
+    scale = (aA, C_p)
+    assert [d * s for d, s in zip(got[2:4], scale)] == pytest.approx(
+        [d * s for d, s in zip(want[2:], scale)], rel=1e-6, abs=1e-6 * max(abs(G), 1.0))
 
 
 def test_g_partials_vanish_on_the_beta_star2_branch():
@@ -201,7 +222,7 @@ def test_g_partials_vanish_on_the_beta_star2_branch():
     sel = select_beta(*edge, beta_lm_selection(10.0, 10.0))
     assert sel.branch is BetaBranch.BETA_STAR2
     G = g_closed_form(*edge, sel.beta)
-    assert g_partials(edge[0], G, edge[2], edge[3], sel) == (0.0, 0.0)
+    assert g_partials(edge[0], G, edge[2], edge[3], sel) == (0.0,) * 5
 
 
 # ---------------------------------------------------------------------------

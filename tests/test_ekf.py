@@ -1,9 +1,17 @@
 """Tests for the joint extended Kalman filter."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from hxtwin.approx_model import CpParams, approx_wall_partials, evaluate_approx
+import hxtwin.ekf
+from hxtwin.approx_model import (
+    CpParams,
+    approx_partials,
+    approx_steady_terms,
+    evaluate_approx,
+)
 from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import (
     JACOBIAN_ABS_STEP,
@@ -272,25 +280,37 @@ def test_model_inputs_floors_leading_factors():
 
 
 # ---------------------------------------------------------------------------
-# Analytic wall columns against central differences
+# Chain-rule Jacobians against central differences
 
 
-def analytic_wall_columns(cfg, z, u, cp, evaluation=None):
-    """The analytic wall columns of f_v and g_v at z, from the public
-    partials, at ``evaluation`` (wall, ev, u_eff, cond_out) when given."""
-    if evaluation is None:
-        u_eff, cond_out, _ = model_inputs(cfg, z, u, cp)
-        evaluation = (WallState(float(z[0]), float(z[1])),
-                      ekf_evaluation(cfg, z, u, cp), u_eff, cond_out)
-    wall, ev, u_eff, cond_out = evaluation
-    d = approx_wall_partials(wall, u_eff, cond_out, cp, ev)
-    F_ww = wall_rhs_jacobian(wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall)
-    return np.array(F_ww), np.array((d.T_h2, d.T_c2))
+def chain_jacobians(cfg, z, u, cp, inputs=model_inputs):
+    """F[:2, :] and H at z, by the chain rule from the public partials,
+    with the model inputs of inputs(cfg, z, u, cp).  dtau/dp, the
+    parameter terms tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold,
+    T_w1s, T_w2s) over the parameter states p = z[2:], is a central
+    stencil of the wall-free map p -> tau."""
+    def evaluation_terms(w):
+        u_eff, cond_out, cond_steady = inputs(cfg, w, u, cp)
+        return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
+
+    def tau(p):
+        u_eff, cond_out, _, steady = evaluation_terms(np.concatenate((z[:2], p)))
+        return np.array((cond_out.aA_h, cond_out.aA_c, u_eff.mdot_c, steady.beta_lm_hot.beta,
+                         steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2))
+
+    dtau = reference_jacobian(tau, z[2:], JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
+    u_eff, cond_out, cond_steady, steady = evaluation_terms(z)
+    wall = WallState(float(z[0]), float(z[1]))
+    ev = evaluate_approx(wall, u_eff, cond_out, cond_steady, cp, steady)
+    d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau[:5].T.tolist())
+    dxs = ((0.0, 0.0, *dtau[5].tolist()), (0.0, 0.0, *dtau[6].tolist()))
+    F = wall_rhs_jacobian(wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, dxs)
+    return np.array(F), np.array((d.T_h2, d.T_c2))
 
 
-def stencil_keeps_sector_and_branches(cfg, z, u, cp):
-    """Whether every wall point of the central stencil about z has the
-    sector and both beta branches of z."""
+def stencil_keeps_sector_and_branches(cfg, z, u, cp, indices=(0, 1)):
+    """Whether every point of the central stencil about z in the states
+    ``indices`` has the sector and both beta branches of z."""
     def key(w):
         ev = ekf_evaluation(cfg, w, u, cp)
         sector = classify_sector(ev.steady_walls.T_w1 - w[0], ev.steady_walls.T_w2 - w[1],
@@ -299,7 +319,7 @@ def stencil_keeps_sector_and_branches(cfg, z, u, cp):
                 ev.beta_cold.branch, ev.beta_cold.feasible_set_empty)
 
     center = key(z)
-    for i in range(2):
+    for i in indices:
         h = max(JACOBIAN_REL_STEP * abs(z[i]), JACOBIAN_ABS_STEP)
         for sign in (1.0, -1.0):
             w = z.copy()
@@ -313,27 +333,50 @@ ORACLE_CFG = dict(
     corr_hot=CorrelationParams(upsilon=1.0, exp1=0.6, exp2=0.1),
     corr_cold=CorrelationParams(upsilon=1.0, exp1=0.8, offset=5.0),
 )
-
-
-@pytest.mark.parametrize("offset", [
+ORACLE_OFFSETS = [
     (2.0, 1.0), (-2.0, -1.0), (2.0, -1.0), (-1.0, 2.0),  # sectors III, I, II, IV
     (-20.0, -15.0), (25.0, 30.0),  # beta_LM on both sides, far out
     (-64.0, 40.0), (-48.0, 48.0), (-64.0, 8.0),  # beta*_2 on one side or both
     (40.0, -8.0), (-80.0, 8.0), (40.0, -72.0),  # beta = 0, an empty feasible set
-])
+]
+
+
+def oracle_point(cfg, offset):
+    ups = (1500.0, 3000.0)
+    steady = ekf_evaluation(cfg, np.array([350.0, 320.0, *ups, 0.8]), U, CP).steady_walls
+    return np.array([steady.T_w1 + offset[0], steady.T_w2 + offset[1], *ups]
+                    + ([0.8] if cfg.n_states == 5 else []))
+
+
+@pytest.mark.parametrize("offset", ORACLE_OFFSETS)
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_analytic_wall_columns_match_central_differences(variant, offset):
     cfg = make_cfg(variant, **ORACLE_CFG)
-    ups = (1500.0, 3000.0)
-    steady = ekf_evaluation(cfg, np.array([350.0, 320.0, *ups, 0.8]), U, CP).steady_walls
-    z = np.array([steady.T_w1 + offset[0], steady.T_w2 + offset[1], *ups]
-                 + ([0.8] if variant == "B" else []))
+    z = oracle_point(cfg, offset)
     assert stencil_keeps_sector_and_branches(cfg, z, U, CP)
-    F_ww, H_w = analytic_wall_columns(cfg, z, U, CP)
+    F, H = chain_jacobians(cfg, z, U, CP)
     F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, :2]
     H_num = central_jacobian(lambda w: g_v(cfg, w, U, CP), z)[:, :2]
-    assert np.max(np.abs(F_ww - F_num)) <= 1e-6 * np.max(np.abs(F_num))
-    assert np.max(np.abs(H_w - H_num)) <= 1e-6 * np.max(np.abs(H_num))
+    assert np.max(np.abs(F[:, :2] - F_num)) <= 1e-6 * np.max(np.abs(F_num))
+    assert np.max(np.abs(H[:, :2] - H_num)) <= 1e-6 * np.max(np.abs(H_num))
+
+
+@pytest.mark.parametrize("offset", ORACLE_OFFSETS)
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_chain_rule_parameter_columns_match_the_whole_stencil(variant, offset):
+    # The old parameter columns: central differences of f_v and g_v over
+    # the parameter states, which move the steady walls and beta_LM too.
+    cfg = make_cfg(variant, **ORACLE_CFG)
+    z = oracle_point(cfg, offset)
+    assert stencil_keeps_sector_and_branches(cfg, z, U, CP, indices=range(z.size))
+    F, H = chain_jacobians(cfg, z, U, CP)
+    F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, 2:]
+    H_num = central_jacobian(lambda w: g_v(cfg, w, U, CP), z)[:, 2:]
+    # per relative change of each parameter, so that the W/K and kg/s
+    # columns share one scale
+    scale = np.abs(z[2:])
+    for got, want in ((F[:, 2:], F_num), (H[:, 2:], H_num)):
+        assert np.max(np.abs(got - want) * scale) <= 1e-6 * np.max(np.abs(want) * scale)
 
 
 def test_analytic_wall_columns_at_the_steady_state_match_the_stencil():
@@ -344,21 +387,65 @@ def test_analytic_wall_columns_at_the_steady_state_match_the_stencil():
     walls = ekf_evaluation(cfg, st.x_hat, U, CP).steady_walls
     z = np.array([walls.T_w1, walls.T_w2, *st.x_hat[2:]])
     assert np.array_equal(f_v(cfg, z, U, CP), np.zeros(4))
-    F_ww, _ = analytic_wall_columns(cfg, z, U, CP)
+    F, _ = chain_jacobians(cfg, z, U, CP)
+    F_ww = F[:, :2]
     F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, :2]
     assert F_ww[0, 1] == F_ww[1, 0] == F_num[0, 1] == F_num[1, 0] == 0.0
     assert np.diag(F_ww) == pytest.approx(np.diag(F_num), rel=1e-6)
     assert np.all(np.diag(F_ww) < 0.0)
 
 
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_parameter_columns_at_the_steady_state_are_zero(variant):
+    # In the dead band wall_rhs is zero whatever the parameters, so its
+    # parameter columns are zero; the outlets still sense the parameters.
+    cfg = make_cfg(variant, **ORACLE_CFG)
+    z = oracle_point(cfg, (0.0, 0.0))
+    assert np.array_equal(f_v(cfg, z, U, CP), np.zeros(cfg.n_states))
+    F, H = chain_jacobians(cfg, z, U, CP)
+    assert np.array_equal(F[:, 2:], np.zeros((2, cfg.n_states - 2)))
+    assert np.all(np.diag(F[:, :2]) < 0.0)
+    assert H[0, 2] < 0.0 and H[1, 3] > 0.0
+    # the whole stencil leaves the dead band as the steady walls move
+    F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, 2:]
+    assert np.max(np.abs(F_num)) > 0.0
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch):
+    # Each predict visits one parameter point: four evaluations per
+    # substep (the RK4 stages) and one stencil of the wall-free tau map.
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(hxtwin.ekf, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cfg = make_cfg(variant, **ORACLE_CFG)
+    st = EkfState(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density(), 0.0)
+    for name in ("evaluate_approx", "central_jacobian"):
+        monkeypatch.setattr(hxtwin.ekf, name, counted(name))
+    pred = ekf_predict(st, cfg, U, CP, 1.0)
+    assert calls == {"evaluate_approx": 4 * cfg.wall.substeps_per_sample,
+                     "central_jacobian": 1}
+    y = g_v(cfg, pred.x_hat, U, CP)
+    calls.clear()
+    ekf_update(pred, cfg, U, CP, y, 1.0)
+    assert calls == {"evaluate_approx": 1, "central_jacobian": 1}
+
+
 # ---------------------------------------------------------------------------
 # Predict and update against an uncached reference: both compute the
 # parameter-only terms once per parameter point, with unchanged arithmetic.
-# The reference takes its parameter columns from the same stencil and its
-# wall columns from the same public partials.
+# The reference takes its F and H from the same chain rule, at every
+# substep, and integrates the covariance with the four RK4 stages.
 
 
-def reference_evaluation(cfg, z, u, cp):
+def reference_inputs(cfg, z, u, cp):
     if cfg.n_states == 5:
         u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, max(float(z[4]), MDOT_FLOOR))
     hot = CorrelationParams(max(float(z[2]), UPSILON_FLOOR), cfg.corr_hot.exp1,
@@ -369,12 +456,17 @@ def reference_evaluation(cfg, z, u, cp):
                             alpha_A(cold, u.mdot_c, cp.theta4))
     cond_steady = Conductances(alpha_A(hot, u.mdot_h, cp.theta5),
                                alpha_A(cold, u.mdot_c, cp.theta6))
+    return u, cond_out, cond_steady
+
+
+def reference_evaluation(cfg, z, u, cp):
     wall = WallState(float(z[0]), float(z[1]))
-    return wall, evaluate_approx(wall, u, cond_out, cond_steady, cp), u, cond_out
+    return evaluate_approx(wall, *reference_inputs(cfg, z, u, cp), cp)
 
 
 def reference_f(cfg, z, u, cp):
-    wall, ev, _, _ = reference_evaluation(cfg, z, u, cp)
+    ev = reference_evaluation(cfg, z, u, cp)
+    wall = WallState(float(z[0]), float(z[1]))
     (d1, d2), _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
     out = np.zeros(cfg.n_states)
     out[0] = d1
@@ -383,12 +475,8 @@ def reference_f(cfg, z, u, cp):
 
 
 def reference_g(cfg, z, u, cp):
-    ev = reference_evaluation(cfg, z, u, cp)[1]
+    ev = reference_evaluation(cfg, z, u, cp)
     return np.array([ev.outlets.T_h2, ev.outlets.T_c2])
-
-
-def reference_wall_columns(cfg, z, u, cp):
-    return analytic_wall_columns(cfg, z, u, cp, reference_evaluation(cfg, z, u, cp))
 
 
 def reference_predict(state, cfg, u, cp, dt):
@@ -403,8 +491,8 @@ def reference_predict(state, cfg, u, cp, dt):
         return F @ M + M @ F.T + Q
 
     for _ in range(cfg.wall.substeps_per_sample):
-        F = reference_jacobian(f, x, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
-        F[:2, :2] = reference_wall_columns(cfg, x, u, cp)[0]
+        F = np.zeros((cfg.n_states, cfg.n_states))
+        F[:2] = chain_jacobians(cfg, x, u, cp, reference_inputs)[0]
         k1 = f(x)
         p1 = pdot(P, F)
         k2 = f(x + 0.5 * h * k1)
@@ -421,10 +509,7 @@ def reference_predict(state, cfg, u, cp, dt):
 def reference_update(state, cfg, u, cp, y_meas, dt):
     rows = list(cfg.measured_rows)
     y_pred = reference_g(cfg, state.x_hat, u, cp)
-    H = reference_jacobian(lambda z: reference_g(cfg, z, u, cp), state.x_hat,
-                           JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
-    H[:, :2] = reference_wall_columns(cfg, state.x_hat, u, cp)[1]
-    H = H[rows, :]
+    H = chain_jacobians(cfg, state.x_hat, u, cp, reference_inputs)[1][rows, :]
     innovation = y_meas - y_pred[rows]
     K = kalman_gain(state.P, H, (cfg.r_y_density / dt) * np.eye(len(rows)))
     x = state.x_hat + K @ innovation
@@ -437,13 +522,15 @@ def reference_update(state, cfg, u, cp, y_meas, dt):
     return x, P, innovation, y_pred
 
 
+# The Horner covariance step is the same polynomial in h as the four
+# RK4 stages, rounded differently: a relative bound well above 1e-16
+# per operation and well below any effect on the filter.
+HORNER_REL = 1e-13
+
+
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_predict_and_update_match_uncached_reference(variant):
-    cfg = make_cfg(
-        variant,
-        corr_hot=CorrelationParams(upsilon=1.0, exp1=0.6, exp2=0.1),
-        corr_cold=CorrelationParams(upsilon=1.0, exp1=0.8, offset=5.0),
-    )
+    cfg = make_cfg(variant, **ORACLE_CFG)
     u = InletConditions(400.0, 300.0, 1.1, 0.9)
     cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
     x0 = [352.0, 331.0, 1450.0, 3100.0] + ([0.95] if variant == "B" else [])
@@ -453,7 +540,9 @@ def test_predict_and_update_match_uncached_reference(variant):
     for _ in range(3):
         pred = ekf_predict(st, cfg, u, cp, 0.5)
         x_ref, P_ref = reference_predict(st, cfg, u, cp, 0.5)
-        assert np.array_equal(pred.x_hat, x_ref) and np.array_equal(pred.P, P_ref)
+        assert np.array_equal(pred.x_hat, x_ref)
+        assert np.max(np.abs(pred.P - P_ref)) <= HORNER_REL * np.max(np.abs(P_ref))
+        assert np.array_equal(pred.P, pred.P.T)
         y_meas = reference_g(cfg, pred.x_hat, u, cp) + np.array([0.3, -0.2])
         post, innov, y_pred = ekf_update(pred, cfg, u, cp, y_meas, 0.5)
         ref = reference_update(pred, cfg, u, cp, y_meas, 0.5)

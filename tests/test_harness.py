@@ -183,6 +183,25 @@ mdot_h_amp_frac = 1.2
     assert "[0, 1)" in str(exc.value)
 
 
+def smoke_with_value(section, key, value):
+    """The smoke config with a step or chirp excitation (and a ramp for
+    the ramp keys) whose ``key`` reads ``value``, first in its section;
+    returns the text and the line of the value."""
+    excitation = ("kind = step\nstep_time_s = 10\n" if key.startswith("step_")
+                  else "kind = chirp\nf1_Hz = 0.5\n")
+    text = SMOKE_CFG + "\n[excitation]\n" + excitation
+    if "_start_" in key or "_end_" in key:
+        text = text.replace("kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000\n", (
+            "kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
+            "aA_c_start_W_K = 3000\naA_c_end_W_K = 2800\n"))
+    if key == "T_w2_init_K":
+        text = text.replace("[plant]\n", "[plant]\nT_w1_init_K = 350\n")
+    # drop the smoke value, if any, and put the bad one first in its section
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text, text.splitlines().index(f"{key} = {value}") + 1
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("excitation", "span_s", "0"),
     ("excitation", "span_s", "-30"),
@@ -220,23 +239,38 @@ mdot_h_amp_frac = 1.2
     ("truth.conductances", "aA_c_end_W_K", "-100"),
 ])
 def test_nonpositive_span_and_substeps_rejected_with_line(section, key, value):
-    excitation = ("kind = step\nstep_time_s = 10\n" if key.startswith("step_")
-                  else "kind = chirp\nf1_Hz = 0.5\n")
-    text = SMOKE_CFG + "\n[excitation]\n" + excitation
-    if "_start_" in key or "_end_" in key:
-        text = text.replace("kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000\n", (
-            "kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
-            "aA_c_start_W_K = 3000\naA_c_end_W_K = 2800\n"))
-    if key == "T_w2_init_K":
-        text = text.replace("[plant]\n", "[plant]\nT_w1_init_K = 350\n")
-    # drop the smoke value, if any, and put the bad one first in its section
-    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
-    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
-    line = text.splitlines().index(f"{key} = {value}") + 1
+    text, line = smoke_with_value(section, key, value)
     with pytest.raises(ConfigError) as exc:
         build_scenario(parse_config(text))
     assert exc.value.line == line
     assert f"'{key}'" in str(exc.value)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("inputs", "mdot_h_kg_s"),
+    ("inputs", "mdot_c_kg_s"),
+    ("excitation", "step_mdot_h_kg_s"),
+    ("excitation", "step_mdot_c_kg_s"),
+    ("excitation", "span_s"),
+    ("truth.conductances", "aA_h_W_K"),
+    ("truth.conductances", "aA_c_W_K"),
+    ("truth.conductances", "aA_h_start_W_K"),
+    ("truth.conductances", "aA_h_end_W_K"),
+    ("truth.conductances", "aA_c_start_W_K"),
+    ("truth.conductances", "aA_c_end_W_K"),
+    ("streams.hot", "cp_J_kgK"),
+    ("streams.hot", "pressure_Pa"),
+    ("monitoring", "upsilon0_h_W_K"),
+    ("monitoring", "upsilon0_c_W_K"),
+    ("monitoring", "mdot_c0_kg_s"),
+    ("monitoring", "Q_design_W"),
+    ("monitoring", "cp_constant_hot_J_kgK"),
+])
+def test_infinite_value_rejected_on_its_line(section, key):
+    text, line = smoke_with_value(section, key, "inf")
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(text))
+    assert str(exc.value) == f"line {line}: '{key}' must be finite and positive"
 
 
 class _RecordingEntries(dict):

@@ -178,6 +178,61 @@ def test_wall_rhs_jacobian_sector_v_is_the_axis_limit():
     )
 
 
+@pytest.mark.parametrize("offset, sector", [
+    ((-2.0, -3.0), Sector.I),
+    ((1.0, -4.0), Sector.II),
+    ((2.5, 1.5), Sector.III),
+    ((-3.0, 4.0), Sector.IV),
+])
+@pytest.mark.parametrize("q_h, q_c", [(-4000.0, 1000.0), (2000.0, 1000.0), (-100.0, 100.0)])
+def test_wall_rhs_jacobian_columns_beyond_the_walls(offset, sector, q_h, q_c):
+    # z = (T_w1, T_w2, q, s): q moves the heat rates only, s moves the
+    # steady walls along (0.5, -1) only
+    dQ_h, dQ_c = (120.0, -30.0, 7.0, 0.0), (45.0, 210.0, -3.0, 0.0)
+    dxs = ((0.0, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, -1.0))
+
+    def heat_rates(z):
+        d = (z[0] - XS.T_w1, z[1] - XS.T_w2, z[2], 0.0)
+        return (q_h + sum(p * v for p, v in zip(dQ_h, d)),
+                q_c + sum(p * v for p, v in zip(dQ_c, d)))
+
+    def rhs(z):
+        xs = WallState(XS.T_w1 + 0.5 * z[3], XS.T_w2 - z[3])
+        return wall_rhs(WallState(z[0], z[1]), xs, *heat_rates(z), CFG)[0]
+
+    z = [XS.T_w1 + offset[0], XS.T_w2 + offset[1], 0.0, 0.0]
+    x = WallState(z[0], z[1])
+    assert classify_sector(XS.T_w1 - x.T_w1, XS.T_w2 - x.T_w2, 1e-9) is sector
+    h = 1e-5
+    columns = []
+    for j in range(4):
+        zp, zm = list(z), list(z)
+        zp[j] += h
+        zm[j] -= h
+        columns.append([(p - m) / (2.0 * h) for p, m in zip(rhs(zp), rhs(zm))])
+    J = wall_rhs_jacobian(x, XS, *heat_rates(z), dQ_h, dQ_c, CFG, dxs)
+    scale = max(abs(v) for row in J for v in row)
+    for i in range(2):
+        for j in range(4):
+            assert J[i][j] == pytest.approx(columns[j][i], abs=1e-7 * scale)
+
+
+def test_wall_rhs_jacobian_sector_v_has_zero_columns_beyond_the_walls():
+    # In the dead band wall_rhs is zero whatever the heat rates, and a
+    # move of xs alone along an axis gives the same rate either way.
+    dQ_h, dQ_c = (120.0, -30.0, 7.0, 0.0), (45.0, 210.0, -3.0, 0.0)
+    dxs = ((0.0, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, -1.0))
+    J = wall_rhs_jacobian(XS, XS, -100.0, 100.0, dQ_h, dQ_c, CFG, dxs)
+    assert J == (
+        (2.0 * wall_drift_rate(dQ_h[0], dQ_c[0], CFG.theta7), 0.0, 0.0, 0.0),
+        (0.0, 2.0 * wall_drift_rate(dQ_h[1], dQ_c[1], CFG.theta7), 0.0, 0.0),
+    )
+    for e in ((1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
+        xs = WallState(XS.T_w1 + e[0], XS.T_w2 + e[1])
+        assert wall_rhs(XS, xs, -100.0, 100.0, CFG)[0] == wall_rhs(
+            XS, WallState(XS.T_w1 - e[0], XS.T_w2 - e[1]), -100.0, 100.0, CFG)[0]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         WallDynamicsConfig(theta7=0.0)
