@@ -46,6 +46,7 @@ __all__ = [
     "update_cp_params",
     "approx_steady_selfconsistent",
     "evaluate_approx",
+    "evaluation_tau",
     "EvaluationPartials",
     "approx_partials",
 ]
@@ -436,16 +437,31 @@ def evaluate_approx(
     )
 
 
+def evaluation_tau(
+    u: InletConditions, cond_out: Conductances, steady: SteadyTerms
+) -> tuple[float, ...]:
+    """tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
+
+    These are the terms of an evaluation at (u, cond_out, steady) that a
+    monitor's parameters can move and that evaluate_approx and wall_rhs
+    read; none depends on the walls.  approx_partials takes partials of
+    tau in this order.
+    """
+    return (cond_out.aA_h, cond_out.aA_c, u.mdot_c, steady.beta_lm_hot.beta,
+            steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2)
+
+
 @dataclass(frozen=True, slots=True)
 class EvaluationPartials:
-    """Partials of an evaluation's outlets and heat rates, each a tuple
-    over the variables (T_w1, T_w2, q_1, ...), with both beta branches
-    held."""
+    """Partials of an evaluation's outlets, heat rates and steady walls,
+    each a tuple over the variables (T_w1, T_w2, q_1, ...), with both beta
+    branches held."""
 
     T_h2: tuple[float, ...]
     T_c2: tuple[float, ...]
     Q_h: tuple[float, ...]
     Q_c: tuple[float, ...]
+    steady_walls: tuple[tuple[float, ...], tuple[float, ...]]
 
 
 def approx_partials(
@@ -454,18 +470,18 @@ def approx_partials(
     cond_out: Conductances,
     cp: CpParams,
     ev: ApproxEvaluation,
-    inputs: Sequence[Sequence[float]],
+    dtau: Sequence[Sequence[float]],
 ) -> EvaluationPartials:
     """Partials of the outlets and heat rates at ev = evaluate_approx(x, u,
     cond_out, ...) over (T_w1, T_w2, q_1, ...), by the chain rule through
     g_partials.
 
-    ``inputs`` gives, for each further variable q_j, the partials of the
-    evaluation inputs (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold) in
-    q_j.  T_h2 = G_h + T_w2 and T_c2 = T_w1 - G_c.  At each root
-    aA*WM = C_p*(dT_I - G + dT_w), so Q_h = C_h*(T_h2 - T_h1) and
+    ``dtau`` gives, for each further variable q_j, the partials of
+    evaluation_tau in q_j.  T_h2 = G_h + T_w2 and T_c2 = T_w1 - G_c.  At
+    each root aA*WM = C_p*(dT_I - G + dT_w), so Q_h = C_h*(T_h2 - T_h1) and
     Q_c = C_c*(T_c2 - T_c1): the heat rates move with the outlets, and
-    Q_c also with C_c = mdot_c*theta4.
+    Q_c also with C_c = mdot_c*theta4.  The steady walls do not move with
+    the walls.
     """
     C_h = u.mdot_h * cp.theta3
     C_c = u.mdot_c * cp.theta4
@@ -477,12 +493,16 @@ def approx_partials(
     d_h2 = [gw_h - gI_h, 1.0 - gw_h]
     d_c2 = [1.0 - gw_c, gw_c - gI_c]
     d_Qc = [C_c * d_c2[0], C_c * d_c2[1]]
+    d_w1s = [0.0, 0.0]
+    d_w2s = [0.0, 0.0]
     gM_c = cp.theta4 * gC_c  # dG_c/dmdot_c
     dQ_dmdot = cp.theta4 * (ev.outlets.T_c2 - u.T_c1)
-    for aA_h, aA_c, mdot_c, b_h, b_c in inputs:
+    for aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s in dtau:
         d_h2.append(gA_h * aA_h + gB_h * b_h)
         dc = -(gA_c * aA_c + gM_c * mdot_c + gB_c * b_c)
         d_c2.append(dc)
         d_Qc.append(C_c * dc + dQ_dmdot * mdot_c)
+        d_w1s.append(w1s)
+        d_w2s.append(w2s)
     return EvaluationPartials(tuple(d_h2), tuple(d_c2), tuple([C_h * v for v in d_h2]),
-                              tuple(d_Qc))
+                              tuple(d_Qc), (tuple(d_w1s), tuple(d_w2s)))

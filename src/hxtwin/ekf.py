@@ -41,6 +41,7 @@ from .approx_model import (
     approx_partials,
     approx_steady_terms,
     evaluate_approx,
+    evaluation_tau,
 )
 from .correlations import CorrelationParams, alpha_A
 from .reference_model import Conductances, InletConditions, WallState
@@ -201,29 +202,18 @@ def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: Cp
     return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
 
 
-def _tau(terms) -> np.ndarray:
-    """tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s):
-    the parameter terms that an evaluation and wall_rhs read."""
-    u_eff, cond_out, _, steady = terms
-    return np.array((cond_out.aA_h, cond_out.aA_c, u_eff.mdot_c, steady.beta_lm_hot.beta,
-                     steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2))
-
-
 def _tau_partials(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
-    """dtau/dp over the parameter states p = x_v[2:], by central_jacobian
-    of the map p -> tau, which does not read the walls.
-
-    Returns, per parameter, the partials of the five evaluation inputs
-    (the inputs of approx_partials), and the partials of the steady walls
-    over (T_w1, T_w2, p) (the dxs of wall_rhs_jacobian).
-    """
+    """dtau/dp over the parameter states p = x_v[2:], as one row of
+    evaluation_tau partials per parameter (the dtau of approx_partials),
+    by central_jacobian of the map p -> tau, which does not read the
+    walls."""
     def tau_at(p: np.ndarray) -> np.ndarray:
         z = x_v.copy()
         z[2:] = p
-        return _tau(_parameter_terms(cfg, z, u, cp))
+        u_eff, cond_out, _, steady = _parameter_terms(cfg, z, u, cp)
+        return np.array(evaluation_tau(u_eff, cond_out, steady))
 
-    dtau = central_jacobian(tau_at, x_v[2:])
-    return dtau[:5].T.tolist(), ((0.0, 0.0, *dtau[5].tolist()), (0.0, 0.0, *dtau[6].tolist()))
+    return central_jacobian(tau_at, x_v[2:]).T.tolist()
 
 
 def _walls(x_v: np.ndarray) -> WallState:
@@ -310,7 +300,7 @@ def ekf_predict(
         h = dt / substeps
         terms = _parameter_terms(cfg, x, u, cp)
         u_eff, cond_out = terms[0], terms[1]
-        inputs, dxs = _tau_partials(cfg, x, u, cp)
+        dtau = _tau_partials(cfg, x, u, cp)
         F = np.zeros((cfg.n_states, cfg.n_states))
 
         def rates(w1: float, w2: float) -> tuple[float, float]:
@@ -326,9 +316,9 @@ def ekf_predict(
             wall = WallState(w1, w2)
             ev = _evaluate(wall, terms, cp)
             k1 = _wall_rates(cfg, wall, ev)
-            d = approx_partials(wall, u_eff, cond_out, cp, ev, inputs)
+            d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau)
             F[:2] = wall_rhs_jacobian(
-                wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, dxs)
+                wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, d.steady_walls)
             k2 = rates(w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1])
             k3 = rates(w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1])
             k4 = rates(w1 + h * k3[0], w2 + h * k3[1])
@@ -386,8 +376,7 @@ def ekf_update(
     wall = _walls(x)
     ev = _evaluate(wall, terms, cp)
     y_pred = np.array((ev.outlets.T_h2, ev.outlets.T_c2))
-    inputs, _ = _tau_partials(cfg, x, u, cp)
-    d = approx_partials(wall, terms[0], terms[1], cp, ev, inputs)
+    d = approx_partials(wall, terms[0], terms[1], cp, ev, _tau_partials(cfg, x, u, cp))
     H = np.array((d.T_h2, d.T_c2))
     H = H[list(rows), :]
     innovation = y_meas - y_pred[list(rows)]

@@ -116,13 +116,13 @@ def wall_rhs_jacobian(
     dQ_h: tuple[float, ...],
     dQ_c: tuple[float, ...],
     cfg: WallDynamicsConfig,
-    dxs: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
+    dxs: tuple[tuple[float, ...], tuple[float, ...]],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """d(wall_rhs)/dz within the active sector, as rows, for variables
     z = (T_w1, T_w2, ...).
 
     dQ_h and dQ_c are the partials of the heat rates over z, and dxs
-    those of (T_w1s, T_w2s) (None: xs does not move with z).  With
+    those of the steady walls (T_w1s, T_w2s).  With
     xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the Jacobian
     is e (grad a)' + a de/dz, where a moves with e and with the drift.
     In sector V, where wall_rhs is zero, the wall columns are the limit
@@ -156,8 +156,6 @@ def wall_rhs_jacobian(
             a_t = 0.0
         a_e1 = -a * e1 / (n * n)
         a_e2 = -a * e2 / (n * n)
-    if dxs is None:
-        dxs = ((0.0,) * len(g),) * 2
     # da/dz = a_e1 de1/dz + a_e2 de2/dz + a_t dTdot_w/dz, with de/dz = dxs/dz
     # here and -I added on the walls below
     grad = [a_t * gk + a_e1 * s1 + a_e2 * s2 for gk, s1, s2 in zip(g, *dxs)]

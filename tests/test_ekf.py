@@ -11,6 +11,7 @@ from hxtwin.approx_model import (
     approx_partials,
     approx_steady_terms,
     evaluate_approx,
+    evaluation_tau,
 )
 from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import (
@@ -286,25 +287,23 @@ def test_model_inputs_floors_leading_factors():
 def chain_jacobians(cfg, z, u, cp, inputs=model_inputs):
     """F[:2, :] and H at z, by the chain rule from the public partials,
     with the model inputs of inputs(cfg, z, u, cp).  dtau/dp, the
-    parameter terms tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold,
-    T_w1s, T_w2s) over the parameter states p = z[2:], is a central
-    stencil of the wall-free map p -> tau."""
+    partials of evaluation_tau over the parameter states p = z[2:], is a
+    central stencil of the wall-free map p -> tau."""
     def evaluation_terms(w):
         u_eff, cond_out, cond_steady = inputs(cfg, w, u, cp)
         return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
 
     def tau(p):
         u_eff, cond_out, _, steady = evaluation_terms(np.concatenate((z[:2], p)))
-        return np.array((cond_out.aA_h, cond_out.aA_c, u_eff.mdot_c, steady.beta_lm_hot.beta,
-                         steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2))
+        return np.array(evaluation_tau(u_eff, cond_out, steady))
 
     dtau = reference_jacobian(tau, z[2:], JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
     u_eff, cond_out, cond_steady, steady = evaluation_terms(z)
     wall = WallState(float(z[0]), float(z[1]))
     ev = evaluate_approx(wall, u_eff, cond_out, cond_steady, cp, steady)
-    d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau[:5].T.tolist())
-    dxs = ((0.0, 0.0, *dtau[5].tolist()), (0.0, 0.0, *dtau[6].tolist()))
-    F = wall_rhs_jacobian(wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, dxs)
+    d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau.T.tolist())
+    F = wall_rhs_jacobian(wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall,
+                          d.steady_walls)
     return np.array(F), np.array((d.T_h2, d.T_c2))
 
 
@@ -439,10 +438,13 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# Predict and update against an uncached reference: both compute the
-# parameter-only terms once per parameter point, with unchanged arithmetic.
-# The reference takes its F and H from the same chain rule, at every
-# substep, and integrates the covariance with the four RK4 stages.
+# Predict and update against an uncached reference, which recomputes the
+# parameter-only terms at every evaluation.  The reference takes its F and
+# H from the same chain rule, at every substep, and integrates the
+# covariance with the four RK4 stages: x_hat and the update agree byte for
+# byte, the predicted P to the rounding of the Horner form (HORNER_REL).
+# The independent check of the parameter columns against the whole-model
+# stencil is test_chain_rule_parameter_columns_match_the_whole_stencil.
 
 
 def reference_inputs(cfg, z, u, cp):

@@ -120,6 +120,7 @@ def test_wall_rhs_drift_floor_in_sector_iv():
 # Heat rates linear in the wall state, so that central differences of
 # wall_rhs are exact up to rounding away from sector boundaries.
 XS = WallState(352.0, 340.0)
+STILL_XS = ((0.0, 0.0), (0.0, 0.0))  # steady walls that do not move with the walls
 
 
 def linear_heat_rates(q_h, q_c, dQ_h, dQ_c):
@@ -151,7 +152,7 @@ def test_wall_rhs_jacobian_matches_central_differences(offset, sector, q_h, q_c)
         [(p - m) / (2.0 * h) for p, m in zip(rhs(x.T_w1 + h, x.T_w2), rhs(x.T_w1 - h, x.T_w2))],
         [(p - m) / (2.0 * h) for p, m in zip(rhs(x.T_w1, x.T_w2 + h), rhs(x.T_w1, x.T_w2 - h))],
     ]
-    J = wall_rhs_jacobian(x, XS, *rates(x), dQ_h, dQ_c, CFG)
+    J = wall_rhs_jacobian(x, XS, *rates(x), dQ_h, dQ_c, CFG, STILL_XS)
     scale = max(abs(v) for row in J for v in row)
     for i in range(2):
         for j in range(2):
@@ -162,7 +163,7 @@ def test_wall_rhs_jacobian_floor_has_no_drift_slope():
     # Below the floor, sectors II/IV pull at the floored speed: only the
     # direction of e moves with x, whatever the heat-rate partials.
     x = WallState(349.0, 344.0)  # e = (3, -4), sector IV
-    J = wall_rhs_jacobian(x, XS, -100.0, 100.0, (500.0, 7.0), (-3.0, 80.0), CFG)
+    J = wall_rhs_jacobian(x, XS, -100.0, 100.0, (500.0, 7.0), (-3.0, 80.0), CFG, STILL_XS)
     a = 2.0 * TDW_LOWER_BOUND / 5.0
     grad_a = (a * 3.0 / 25.0, a * -4.0 / 25.0)
     assert J[0] == pytest.approx((3.0 * grad_a[0] - a, 3.0 * grad_a[1]), rel=1e-12)
@@ -171,7 +172,7 @@ def test_wall_rhs_jacobian_floor_has_no_drift_slope():
 
 def test_wall_rhs_jacobian_sector_v_is_the_axis_limit():
     dQ_h, dQ_c = (120.0, -30.0), (45.0, 210.0)
-    J = wall_rhs_jacobian(XS, XS, -100.0, 100.0, dQ_h, dQ_c, CFG)
+    J = wall_rhs_jacobian(XS, XS, -100.0, 100.0, dQ_h, dQ_c, CFG, STILL_XS)
     assert J == (
         (2.0 * wall_drift_rate(dQ_h[0], dQ_c[0], CFG.theta7), 0.0),
         (0.0, 2.0 * wall_drift_rate(dQ_h[1], dQ_c[1], CFG.theta7)),
