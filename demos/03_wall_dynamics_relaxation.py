@@ -18,12 +18,7 @@ from hxtwin.reference_model import (
     ref_steady_outlets,
     steady_wall_temps,
 )
-from hxtwin.wall_dynamics import (
-    WallDynamicsConfig,
-    approx_wall_rhs,
-    integrate_step,
-    reference_wall_rhs,
-)
+from hxtwin.wall_dynamics import approx_wall_rhs, integrate_step, reference_wall_rhs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,7 +34,7 @@ def main():
     steady = ref_steady_outlets(u, cond.kA, scn.hot, scn.cold)
     xs = steady_wall_temps(steady, u, cond)
     cp = update_cp_params(scn.hot, scn.cold, u, steady, steady)
-    cfg = WallDynamicsConfig(theta7=scn.plant.theta7)
+    cfg = scn.plant.wall
 
     rhs_ref = reference_wall_rhs(u, cond, scn.hot, scn.cold, cfg)
     rhs_apx = approx_wall_rhs(u, cond, cond, cp, cfg)

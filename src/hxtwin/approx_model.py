@@ -390,9 +390,8 @@ def evaluate_approx(
     x: WallState,
     u: InletConditions,
     cond_out: Conductances,
-    cond_steady: Conductances,
     cp: CpParams,
-    steady: SteadyTerms | None = None,
+    steady: SteadyTerms,
 ) -> ApproxEvaluation:
     """Evaluate steady state, beta choices, outlets, and heat rates.
 
@@ -408,13 +407,11 @@ def evaluate_approx(
     ====  ===========  =============  ===============  ====
 
     ``cond_out`` enters the output equations (transient mean cps in the
-    conductance correlation), ``cond_steady`` the steady-state rating;
-    they coincide whenever the correlation ignores the mean cp.
-    ``steady`` must be approx_steady_terms(u, cond_steady, cp); it is
-    computed here when not given.
+    conductance correlation).  ``steady`` is approx_steady_terms(u,
+    cond_steady, cp) at the steady-state rating ``cond_steady``, which
+    coincides with ``cond_out`` whenever the correlation ignores the
+    mean cp.
     """
-    if steady is None:
-        steady = approx_steady_terms(u, cond_steady, cp)
     dT_w = x.T_w1 - x.T_w2
 
     dT_I_h = u.T_h1 - x.T_w1

@@ -80,7 +80,7 @@ def _cmd_monitor(args) -> int:
     telemetry = read_telemetry_csv(args.telemetry)
     records = run_monitor(scn, telemetry, variant=args.variant)
     write_monitor_csv(records, args.output)
-    variant = args.variant or scn.monitoring.variant
+    variant = args.variant or scn.monitoring.ekf.variant
     print(f"wrote {len(records)} monitor records (variant {variant}) to {args.output}")
     return 0
 

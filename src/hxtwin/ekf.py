@@ -45,7 +45,7 @@ from .approx_model import (
 )
 from .correlations import CorrelationParams, alpha_A
 from .reference_model import Conductances, InletConditions, WallState
-from .wall_dynamics import WallDynamicsConfig, wall_rhs, wall_rhs_jacobian
+from .wall_dynamics import WallDynamicsConfig, rk4_step, wall_rhs, wall_rhs_jacobian
 
 __all__ = [
     "VARIANTS",
@@ -57,8 +57,6 @@ __all__ = [
     "floored_inputs",
     "steady_conductances",
     "model_inputs",
-    "f_v",
-    "g_v",
     "ekf_evaluation",
     "central_jacobian",
     "ekf_predict",
@@ -197,9 +195,10 @@ def model_inputs(
 
 def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
     """What an evaluation at x_v takes from the parameter states x_v[2:]
-    alone: model_inputs plus the steady terms."""
+    alone: the effective inlets, the output conductances and the steady
+    terms at the steady conductances of model_inputs."""
     u_eff, cond_out, cond_steady = model_inputs(cfg, x_v, u, cp)
-    return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
+    return u_eff, cond_out, approx_steady_terms(u_eff, cond_steady, cp)
 
 
 def _tau_partials(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
@@ -210,8 +209,7 @@ def _tau_partials(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpPar
     def tau_at(p: np.ndarray) -> np.ndarray:
         z = x_v.copy()
         z[2:] = p
-        u_eff, cond_out, _, steady = _parameter_terms(cfg, z, u, cp)
-        return np.array(evaluation_tau(u_eff, cond_out, steady))
+        return np.array(evaluation_tau(*_parameter_terms(cfg, z, u, cp)))
 
     return central_jacobian(tau_at, x_v[2:]).T.tolist()
 
@@ -221,8 +219,8 @@ def _walls(x_v: np.ndarray) -> WallState:
 
 
 def _evaluate(wall: WallState, terms, cp: CpParams) -> ApproxEvaluation:
-    u_eff, cond_out, cond_steady, steady = terms
-    return evaluate_approx(wall, u_eff, cond_out, cond_steady, cp, steady)
+    u_eff, cond_out, steady = terms
+    return evaluate_approx(wall, u_eff, cond_out, cp, steady)
 
 
 def _wall_rates(cfg: EkfConfig, wall: WallState, ev: ApproxEvaluation) -> tuple[float, float]:
@@ -235,19 +233,6 @@ def ekf_evaluation(
     """Approximate-model evaluation at the joint state x_v, with the
     inputs of model_inputs."""
     return _evaluate(_walls(x_v), _parameter_terms(cfg, x_v, u, cp), cp)
-
-
-def f_v(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams) -> np.ndarray:
-    """Joint state derivative: wall dynamics plus zero parameter drift."""
-    rates = _wall_rates(cfg, _walls(x_v), ekf_evaluation(cfg, x_v, u, cp))
-    return np.array(rates + (0.0,) * (cfg.n_states - 2))
-
-
-def g_v(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams) -> np.ndarray:
-    """Output equation: both outlet temperatures (row selection for the
-    measured subset happens in the update)."""
-    outlets = ekf_evaluation(cfg, x_v, u, cp).outlets
-    return np.array((outlets.T_h2, outlets.T_c2))
 
 
 def central_jacobian(fun, x: np.ndarray) -> np.ndarray:
@@ -278,12 +263,13 @@ def ekf_predict(
     """Propagate estimate and covariance over dt under zero-order-hold u.
 
     Both integrate with fixed-step RK4 using the wall config's substep
-    count.  The parameter states do not move, so the walls integrate on
-    floats at one parameter point, and dtau/dp is taken once.  F is
-    evaluated once per substep, at the first stage: its wall columns
-    and, through dtau/dp, its parameter columns by the chain rule.  With
-    F held the covariance ODE is linear, and its RK4 step is the
-    polynomial P + h (k + h/2 L(k + h/3 L(k + h/4 L(k)))) with
+    count.  The parameter states do not move, so the walls integrate by
+    wall_dynamics.rk4_step at one parameter point, and dtau/dp is taken
+    once.  F is evaluated once per substep, from the first-stage
+    evaluation that also gives k1: its wall columns and, through
+    dtau/dp, its parameter columns by the chain rule.  With F held the
+    covariance ODE is linear, and its RK4 step is the polynomial
+    P + h (k + h/2 L(k + h/3 L(k + h/4 L(k)))) with
     L(M) = F M + M F' and k = L(P) + Q, which is the four stages in
     Horner form.  dt is one telemetry sample period: the substep count
     is sized for that, so long horizons must loop rather than stretch a
@@ -299,35 +285,28 @@ def ekf_predict(
         substeps = cfg.wall.substeps_per_sample
         h = dt / substeps
         terms = _parameter_terms(cfg, x, u, cp)
-        u_eff, cond_out = terms[0], terms[1]
+        u_eff, cond_out, _ = terms
         dtau = _tau_partials(cfg, x, u, cp)
         F = np.zeros((cfg.n_states, cfg.n_states))
 
-        def rates(w1: float, w2: float) -> tuple[float, float]:
-            wall = WallState(w1, w2)
+        def rates(wall: WallState) -> tuple[float, float]:
             return _wall_rates(cfg, wall, _evaluate(wall, terms, cp))
 
         def lyap(M: np.ndarray) -> np.ndarray:  # F M + M F', M symmetric
             G = F @ M
             return G + G.T
 
-        w1, w2 = float(x[0]), float(x[1])
+        wall = _walls(x)
         for _ in range(substeps):
-            wall = WallState(w1, w2)
             ev = _evaluate(wall, terms, cp)
-            k1 = _wall_rates(cfg, wall, ev)
             d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau)
             F[:2] = wall_rhs_jacobian(
                 wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, d.steady_walls)
-            k2 = rates(w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1])
-            k3 = rates(w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1])
-            k4 = rates(w1 + h * k3[0], w2 + h * k3[1])
-            w1 += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            w2 += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
             # the covariance RK4 with F held, in Horner form
             k = lyap(P) + Q
             P = P + h * (k + (h / 2.0) * lyap(k + (h / 3.0) * lyap(k + (h / 4.0) * lyap(k))))
-        x[0], x[1] = w1, w2
+            wall = rk4_step(rates, wall, h, _wall_rates(cfg, wall, ev))
+        x[0], x[1] = wall.T_w1, wall.T_w2
         P = 0.5 * (P + P.T)
     return EkfState(x, P, state.t + dt)
 

@@ -152,9 +152,6 @@ class CaloricallyPerfect(FluidModel):
     def mean_specific_heat(self, T_from: float, T_to: float, p: float) -> float:
         return self.cp
 
-    def _point_cp(self, T: float, p: float) -> float:
-        return self.cp
-
     def __repr__(self):
         return f"CaloricallyPerfect(cp={self.cp!r})"
 

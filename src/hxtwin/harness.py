@@ -23,6 +23,7 @@ from .approx_model import (
     CpParams,
     approx_output,
     approx_steady_selfconsistent,
+    approx_steady_terms,
     approx_steady_walls,
     evaluate_approx,
     update_cp_params,
@@ -82,7 +83,6 @@ __all__ = [
     "write_monitor_csv",
     "read_monitor_csv",
     "run_truth_sim",
-    "build_ekf_config",
     "run_monitor",
     "model_free_rating",
     "WindowOutOfRange",
@@ -130,31 +130,22 @@ class TruthConductanceSpec:
 
 @dataclass(frozen=True)
 class PlantSpec:
-    theta7: float  # J/K
-    substeps_per_sample: int
+    wall: WallDynamicsConfig  # the filter's wall dynamics too
     noise_std_K: float
     wall_init: WallState | None  # None: settled at t = 0
 
 
 @dataclass(frozen=True)
 class MonitoringSpec:
-    variant: str
-    corr_hot: CorrelationParams
-    corr_cold: CorrelationParams
+    ekf: EkfConfig  # its wall is PlantSpec.wall
     upsilon0_h: float  # W/K
     upsilon0_c: float  # W/K
     mdot_c0: float  # kg/s
-    Q_design: float  # W
     cp_model: str  # tracked | constant
     cp_constant_hot: float  # J/(kg K)
     # False models a dead cold flow meter: variant A is fed the stale
     # nominal mdot_c0 instead of the telemetry column.
     trust_mdot_c: bool
-    # filter noise densities, per EkfConfig
-    r_x_density: float
-    r_upsilon_density: float
-    r_y_density: float
-    r_mdot_density: float
 
 
 @dataclass
@@ -363,13 +354,13 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     if raw.has("plant", "T_w1_init_K") or raw.has("plant", "T_w2_init_K"):
         wall_init = WallState(raw.get_float("plant", "T_w1_init_K", check=_FINITE),
                               raw.get_float("plant", "T_w2_init_K", check=_FINITE))
-    plant = PlantSpec(
+    wall = WallDynamicsConfig(
         theta7=raw.get_float("plant", "theta7_J_K", check=_FINITE_POSITIVE),
         substeps_per_sample=raw.get_int("plant", "substeps_per_sample", 10,
                                         (lambda n: n >= 1, "must be at least 1")),
-        noise_std_K=raw.get_float("plant", "noise_std_K", 0.1, _NONNEGATIVE),
-        wall_init=wall_init,
     )
+    plant = PlantSpec(wall, raw.get_float("plant", "noise_std_K", 0.1, _NONNEGATIVE),
+                      wall_init)
 
     sec, tuning = "monitoring", "monitoring.tuning"
     q_design = raw.get_float(sec, "Q_design_W", check=_FINITE_POSITIVE)
@@ -386,19 +377,13 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     # process noise scaled from the design duty and wall capacity,
     # parameter and flow random walks with fixed rates, and measurement
     # density from the assumed sensor noise.
-    monitoring = MonitoringSpec(
+    ekf = EkfConfig(
         variant=raw.get_choice(sec, "variant", {"A", "B", "C"}, "A"),
+        wall=wall,
         corr_hot=corr("hot"),
         corr_cold=corr("cold"),
-        upsilon0_h=raw.get_float(sec, "upsilon0_h_W_K", check=_FINITE_POSITIVE),
-        upsilon0_c=raw.get_float(sec, "upsilon0_c_W_K", check=_FINITE_POSITIVE),
-        mdot_c0=raw.get_float(sec, "mdot_c0_kg_s", base_inlets.mdot_c, _FINITE_POSITIVE),
-        Q_design=q_design,
-        cp_model=raw.get_choice(sec, "cp_model", {"tracked", "constant"}, "tracked"),
-        cp_constant_hot=raw.get_float(sec, "cp_constant_hot_J_kgK", 2300.0, _FINITE_POSITIVE),
-        trust_mdot_c=raw.get_bool(sec, "trust_mdot_c", True),
         r_x_density=_density(raw, "r_x_density",
-                             lambda: 0.1 * (q_design / (100.0 * plant.theta7)) ** 2,
+                             lambda: 0.1 * (q_design / (100.0 * wall.theta7)) ** 2,
                              (sec, "Q_design_W"), "0.1 (Q_design_W / (100 theta7_J_K))^2"),
         r_upsilon_density=raw.get_float(tuning, "r_upsilon_density", 0.1 * 100.0**2,
                                         _FINITE_POSITIVE),
@@ -406,7 +391,16 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
                              noise_source, f"{noise_source[1]}^2"),
         r_mdot_density=raw.get_float(tuning, "r_mdot_density", 0.1 * 1.0**2, _FINITE_POSITIVE),
     )
-    return ScenarioConfig(
+    monitoring = MonitoringSpec(
+        ekf=ekf,
+        upsilon0_h=raw.get_float(sec, "upsilon0_h_W_K", check=_FINITE_POSITIVE),
+        upsilon0_c=raw.get_float(sec, "upsilon0_c_W_K", check=_FINITE_POSITIVE),
+        mdot_c0=raw.get_float(sec, "mdot_c0_kg_s", base_inlets.mdot_c, _FINITE_POSITIVE),
+        cp_model=raw.get_choice(sec, "cp_model", {"tracked", "constant"}, "tracked"),
+        cp_constant_hot=raw.get_float(sec, "cp_constant_hot_J_kgK", 2300.0, _FINITE_POSITIVE),
+        trust_mdot_c=raw.get_bool(sec, "trust_mdot_c", True),
+    )
+    scn = ScenarioConfig(
         name=raw.get_str("scenario", "name"),
         duration_s=duration,
         dt_s=dt,
@@ -419,6 +413,31 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
         plant=plant,
         monitoring=monitoring,
     )
+    if scn.truth_cond.kind == "correlation":
+        _check_truth_factors(raw, scn)
+    return scn
+
+
+def _check_truth_factors(raw: RawConfig, scn: ScenarioConfig) -> None:
+    """Each power in the truth correlations must be finite and positive at
+    the start point (the t = 0 inlets, the point cps at their
+    temperatures), or initial_point would fail with no config line."""
+    u = inputs_at(scn, 0.0)
+    for side, corr, stream, mdot, T in (
+            ("hot", scn.truth_cond.corr_hot, scn.hot, u.mdot_h, u.T_h1),
+            ("cold", scn.truth_cond.corr_cold, scn.cold, u.mdot_c, u.T_c1)):
+        cp = stream.fluid.mean_specific_heat(T, T, stream.pressure)
+        for name, base in (("mdot", mdot), ("cp", cp), ("eta", corr.eta), ("lam", corr.lam)):
+            exp = getattr(corr, f"exp_{name}")
+            try:
+                value = base**exp
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                key = f"{side}_exp_{name}"
+                raise raw.error(f"'{key}' gives the start-point factor {name}^{key} = "
+                                f"{base:g}^{exp:g} = {value!r}, which must be finite and "
+                                "positive", raw.line_of("truth.conductances", key))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -614,10 +633,7 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
     given seed reproduces the telemetry bit for bit.
     """
     rng = np.random.default_rng(scn.seed if seed is None else seed)
-    wall_cfg = WallDynamicsConfig(
-        theta7=scn.plant.theta7,
-        substeps_per_sample=scn.plant.substeps_per_sample,
-    )
+    wall_cfg = scn.plant.wall
     p_h, p_c = scn.hot.pressure, scn.cold.pressure
 
     u, cond = initial_point(scn)
@@ -659,24 +675,6 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
 
 # ---------------------------------------------------------------------------
 # Monitoring
-
-
-def build_ekf_config(scn: ScenarioConfig, variant: str | None = None) -> EkfConfig:
-    """Filter configuration from the scenario's plant and monitoring sections."""
-    mon = scn.monitoring
-    return EkfConfig(
-        variant=variant if variant is not None else mon.variant,
-        wall=WallDynamicsConfig(
-            theta7=scn.plant.theta7,
-            substeps_per_sample=scn.plant.substeps_per_sample,
-        ),
-        corr_hot=mon.corr_hot,
-        corr_cold=mon.corr_cold,
-        r_x_density=mon.r_x_density,
-        r_upsilon_density=mon.r_upsilon_density,
-        r_y_density=mon.r_y_density,
-        r_mdot_density=mon.r_mdot_density,
-    )
 
 
 def _monitor_streams(scn: ScenarioConfig, cp_model: str) -> tuple[StreamConfig, StreamConfig]:
@@ -734,9 +732,9 @@ def run_monitor(
     """
     if not telemetry:
         raise ValueError("telemetry is empty")
-    ekf_cfg = build_ekf_config(scn, variant)
-    hot, cold = _monitor_streams(scn, cp_model or scn.monitoring.cp_model)
     mon = scn.monitoring
+    ekf_cfg = mon.ekf if variant is None else replace(mon.ekf, variant=variant)
+    hot, cold = _monitor_streams(scn, cp_model or mon.cp_model)
 
     rec0 = telemetry[0]
     estimates_flow = ekf_cfg.n_states == 5
@@ -1042,7 +1040,7 @@ def bench_models(
     ]
     betas = []
     for u in variants:
-        ev = evaluate_approx(x, u, cond, cond, cp)
+        ev = evaluate_approx(x, u, cond, cp, approx_steady_terms(u, cond, cp))
         betas.append((ev.beta_hot, ev.beta_cold))
 
     t0 = time.perf_counter()

@@ -525,14 +525,13 @@ def verify_uniqueness(
     # The wall-side bracket endpoints sit exactly on the arithmetic-mean
     # fallback (one temperature difference is zero there), so the
     # monotonicity scan covers the open interior.
-    n_mono = max(100, grid_n)
     hot_lo = walls_s.T_w2 + (u.T_h1 - walls_s.T_w2) * 1e-7
     hot_ts = [
-        hot_lo + (u.T_h1 - hot_lo) * k / (n_mono - 1) for k in range(n_mono)
+        hot_lo + (u.T_h1 - hot_lo) * k / (grid_n - 1) for k in range(grid_n)
     ]
     cold_hi = walls_s.T_w1 - (walls_s.T_w1 - u.T_c1) * 1e-7
     cold_ts = [
-        u.T_c1 + (cold_hi - u.T_c1) * k / (n_mono - 1) for k in range(n_mono)
+        u.T_c1 + (cold_hi - u.T_c1) * k / (grid_n - 1) for k in range(grid_n)
     ]
     monotone_hot = _strictly_increasing([res_h(t) for t in hot_ts])
     monotone_cold = _strictly_increasing([res_c(t) for t in cold_ts])

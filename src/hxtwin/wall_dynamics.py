@@ -35,6 +35,7 @@ __all__ = [
     "wall_drift_rate",
     "wall_rhs",
     "wall_rhs_jacobian",
+    "rk4_step",
     "integrate_step",
     "reference_wall_rhs",
     "approx_wall_rhs",
@@ -168,6 +169,22 @@ def wall_rhs_jacobian(
     return tuple(row1), tuple(row2)
 
 
+def rk4_step(
+    rhs: Callable[[WallState], tuple[float, float]],
+    x: WallState,
+    h: float,
+    k1: tuple[float, float],
+) -> WallState:
+    """One classical RK4 step of size h from x, given k1 = rhs(x), which
+    a caller may also need for something else (the filter's Jacobian)."""
+    w1, w2 = x.T_w1, x.T_w2
+    k2 = rhs(WallState(w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1]))
+    k3 = rhs(WallState(w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1]))
+    k4 = rhs(WallState(w1 + h * k3[0], w2 + h * k3[1]))
+    return WallState(w1 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                     w2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+
+
 def integrate_step(
     rhs: Callable[[WallState], tuple[float, float]],
     x: WallState,
@@ -180,15 +197,9 @@ def integrate_step(
     if dt == 0.0:
         return x
     h = dt / substeps
-    w1, w2 = x.T_w1, x.T_w2
     for _ in range(substeps):
-        k1 = rhs(WallState(w1, w2))
-        k2 = rhs(WallState(w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1]))
-        k3 = rhs(WallState(w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1]))
-        k4 = rhs(WallState(w1 + h * k3[0], w2 + h * k3[1]))
-        w1 += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        w2 += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return WallState(w1, w2)
+        x = rk4_step(rhs, x, h, rhs(x))
+    return x
 
 
 def reference_wall_rhs(
@@ -237,7 +248,7 @@ def approx_wall_rhs(
     steady = approx_steady_terms(u, cond_steady, cp)
 
     def rhs(x: WallState) -> tuple[float, float]:
-        ev = evaluate_approx(x, u, cond_out, cond_steady, cp, steady)
+        ev = evaluate_approx(x, u, cond_out, cp, steady)
         return wall_rhs(x, steady.walls, ev.Q_h, ev.Q_c, cfg)[0]
 
     return rhs

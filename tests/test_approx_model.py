@@ -499,8 +499,7 @@ def test_evaluate_with_and_without_steady_terms_is_exact():
     for T_w1, T_w2 in itertools.product((305.0, 340.0, 372.0, 395.0, 410.0),
                                         (290.0, 318.0, 331.0, 360.0)):
         x = WallState(T_w1, T_w2)
-        ev = evaluate_approx(x, u, cond_out, cond_steady, cp)
-        assert ev == evaluate_approx(x, u, cond_out, cond_steady, cp, steady)
+        ev = evaluate_approx(x, u, cond_out, cp, steady)
         assert ev == reference_evaluate(x, u, cond_out, cond_steady, cp)
         branches |= {ev.beta_hot.branch, ev.beta_cold.branch}
     assert {BetaBranch.BETA_LM, BetaBranch.ZERO} <= branches
@@ -521,7 +520,7 @@ def test_evaluate_matches_reference_at_steady_walls():
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     ev = evaluate_approx(
         steady_wall_temps(ref_steady_outlets(u, cond.kA, hot, cold), u, cond),
-        u, cond, cond, cp,
+        u, cond, cp, approx_steady_terms(u, cond, cp),
     )
     ref = ref_output(ev.steady_walls, u, cond, hot, cold)
     assert ev.outlets.T_h2 == pytest.approx(ref.T_h2, abs=1e-6)
@@ -534,10 +533,10 @@ def test_evaluate_close_to_reference_off_steady():
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
     cond = Conductances(1500.0, 3000.0)
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
-    _, walls_s = approx_steady_walls(u, cond, cp)
+    steady = approx_steady_terms(u, cond, cp)
     for dw1, dw2 in [(3.0, 3.0), (-3.0, -3.0), (2.0, -2.0)]:
-        x = WallState(walls_s.T_w1 + dw1, walls_s.T_w2 + dw2)
-        ev = evaluate_approx(x, u, cond, cond, cp)
+        x = WallState(steady.walls.T_w1 + dw1, steady.walls.T_w2 + dw2)
+        ev = evaluate_approx(x, u, cond, cp, steady)
         ref = ref_output(x, u, cond, hot, cold)
         assert ev.outlets.T_h2 == pytest.approx(ref.T_h2, abs=1.0)
         assert ev.outlets.T_c2 == pytest.approx(ref.T_c2, abs=1.0)
@@ -554,7 +553,7 @@ def test_evaluate_heat_rates_close_energy_identity():
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     _, walls_s = approx_steady_walls(u, cond, cp)
     x = WallState(walls_s.T_w1 + 2.0, walls_s.T_w2 - 1.0)
-    ev = evaluate_approx(x, u, cond, cond, cp)
+    ev = evaluate_approx(x, u, cond, cp, approx_steady_terms(u, cond, cp))
     assert ev.Q_h < 0.0 < ev.Q_c
     assert ev.Q_h == pytest.approx(
         -u.mdot_h * cp.theta3 * (u.T_h1 - ev.outlets.T_h2), abs=1e-6

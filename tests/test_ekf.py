@@ -29,8 +29,6 @@ from hxtwin.ekf import (
     ekf_predict,
     ekf_update,
     estimate_kA,
-    f_v,
-    g_v,
     kalman_gain,
     model_inputs,
 )
@@ -187,7 +185,23 @@ def test_kalman_gain_singular_raises():
 
 
 # ---------------------------------------------------------------------------
-# Joint model functions
+# Joint model functions: whole-model oracles of the filter's state
+# derivative and output equation, differenced by the tests below
+
+
+def f_v(cfg, x_v, u, cp):
+    """Joint state derivative: wall dynamics plus zero parameter drift."""
+    ev = ekf_evaluation(cfg, x_v, u, cp)
+    wall = WallState(float(x_v[0]), float(x_v[1]))
+    rates, _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
+    return np.array(rates + (0.0,) * (cfg.n_states - 2))
+
+
+def g_v(cfg, x_v, u, cp):
+    """Output equation: both outlet temperatures (row selection for the
+    measured subset happens in the update)."""
+    outlets = ekf_evaluation(cfg, x_v, u, cp).outlets
+    return np.array((outlets.T_h2, outlets.T_c2))
 
 
 def test_f_v_parameter_rows_are_zero():
@@ -300,7 +314,7 @@ def chain_jacobians(cfg, z, u, cp, inputs=model_inputs):
     dtau = reference_jacobian(tau, z[2:], JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
     u_eff, cond_out, cond_steady, steady = evaluation_terms(z)
     wall = WallState(float(z[0]), float(z[1]))
-    ev = evaluate_approx(wall, u_eff, cond_out, cond_steady, cp, steady)
+    ev = evaluate_approx(wall, u_eff, cond_out, cp, steady)
     d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau.T.tolist())
     F = wall_rhs_jacobian(wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall,
                           d.steady_walls)
@@ -463,7 +477,8 @@ def reference_inputs(cfg, z, u, cp):
 
 def reference_evaluation(cfg, z, u, cp):
     wall = WallState(float(z[0]), float(z[1]))
-    return evaluate_approx(wall, *reference_inputs(cfg, z, u, cp), cp)
+    u, cond_out, cond_steady = reference_inputs(cfg, z, u, cp)
+    return evaluate_approx(wall, u, cond_out, cp, approx_steady_terms(u, cond_steady, cp))
 
 
 def reference_f(cfg, z, u, cp):

@@ -4,11 +4,12 @@ simulation, monitoring replay, metrics, and the benchmark helper."""
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hxtwin.harness as harness
@@ -17,7 +18,6 @@ from hxtwin.approx_model import approx_steady_selfconsistent, update_cp_params
 from hxtwin.config import ConfigError, parse_config
 from hxtwin.correlations import (
     CorrelationParams,
-    NonPositiveConductanceError,
     alpha_A,
     reference_alpha_A,
     serial_conductance,
@@ -25,7 +25,6 @@ from hxtwin.correlations import (
 from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, model_inputs
 from hxtwin.fluids import (
     CaloricallyPerfect,
-    OutOfRangeError,
     StreamConfig,
     Tabulated,
     ThermallyPerfect,
@@ -39,7 +38,6 @@ from hxtwin.harness import (
     TelemetryRecord,
     WindowOutOfRange,
     bench_models,
-    build_ekf_config,
     build_scenario,
     compare_report,
     innovation_means,
@@ -125,10 +123,10 @@ def test_build_scenario_smoke_fields():
     assert scn.excitation.kind == "constant"
     assert scn.truth_cond.kind == "constant"
     assert scn.truth_cond.aA_h_start == scn.truth_cond.aA_h_end == 1500.0
-    assert scn.plant.theta7 == 2000.0
-    assert scn.plant.substeps_per_sample == 10  # default
+    assert scn.plant.wall.theta7 == 2000.0
+    assert scn.plant.wall.substeps_per_sample == 10  # default
     assert scn.plant.wall_init is None
-    assert scn.monitoring.variant == "A"
+    assert scn.monitoring.ekf.variant == "A"
     assert scn.monitoring.mdot_c0 == 1.0  # defaults to base cold flow
     assert scn.monitoring.trust_mdot_c is True
 
@@ -381,7 +379,7 @@ def _check_start_point(text: str, base_dir: str) -> None:
         scn = build_scenario(parse_config(text), base_dir=base_dir)
         initial_point(scn)
         for variant in ("A", "B", "C"):
-            build_ekf_config(scn, variant)
+            replace(scn.monitoring.ekf, variant=variant)
     except ConfigError as exc:
         assert exc.line > 0, str(exc)
 
@@ -396,18 +394,6 @@ def test_property_templates_build_and_list_every_key(table_dir):
     assert listed == known
 
 
-# (template line, token) pairs that still build and then fail in
-# initial_point with an error that names no line: a truth-correlation
-# power that overflows or underflows at the start point.
-_FAILS_LATE = {
-    (line, "1e308") for line in (
-        "hot_exp_cp = 0.3", "hot_exp_eta = -0.4", "hot_exp_lam = 0.6",
-        "cold_exp_mdot = 0.8", "cold_exp_cp = 0.3", "cold_exp_eta = -0.4",
-        "cold_exp_lam = 0.6",
-    )
-}
-
-
 def _replace_value(text: str, index: int, token: str) -> str:
     lines = text.splitlines()
     lines[index] = lines[index].split(" = ")[0] + " = " + token
@@ -418,19 +404,18 @@ def _replace_value(text: str, index: int, token: str) -> str:
 @given(slot=st.sampled_from(_PROPERTY_SLOTS), token=st.sampled_from(_PROPERTY_TOKENS))
 def test_any_one_bad_value_builds_or_raises_config_error_with_line(table_dir, slot, token):
     template, index = slot
-    text = _PROPERTY_TEMPLATES[template]
-    assume((text.splitlines()[index], token) not in _FAILS_LATE)
-    _check_start_point(_replace_value(text, index, token), table_dir)
+    _check_start_point(_replace_value(_PROPERTY_TEMPLATES[template], index, token), table_dir)
 
 
-@pytest.mark.xfail(strict=True, raises=(OutOfRangeError, OverflowError,
-                                        NonPositiveConductanceError))
-@pytest.mark.parametrize("line, token", sorted(_FAILS_LATE))
-def test_values_that_still_fail_late(table_dir, line, token):
-    for t, index in _PROPERTY_SLOTS:
-        text = _PROPERTY_TEMPLATES[t]
-        if text.splitlines()[index] == line:
-            _check_start_point(_replace_value(text, index, token), table_dir)
+def test_huge_truth_exponent_rejected_on_its_line(table_dir):
+    # the chirp starts the cold flow at 0.9 kg/s, and 0.9^1e308 underflows
+    text = _PROPERTY_TEMPLATES[2].replace("cold_exp_mdot = 0.8", "cold_exp_mdot = 1e308")
+    line = text.splitlines().index("cold_exp_mdot = 1e308") + 1
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(text), base_dir=table_dir)
+    assert str(exc.value) == (
+        f"line {line}: 'cold_exp_mdot' gives the start-point factor "
+        "mdot^cold_exp_mdot = 0.9^1e+308 = 0.0, which must be finite and positive")
 
 
 @pytest.mark.parametrize("value", ["1e5", "1.3e7", "inf", "1e-300"])
@@ -487,6 +472,8 @@ R_X_DEFAULT_INF = (
     ("truth.conductances", "hot_coefficient_W_K", "0", None, "must be finite and positive"),
     ("truth.conductances", "cold_eta_Pa_s", "-1", None, "must be finite and positive"),
     ("truth.conductances", "cold_exp_cp", "nan", None, "must be finite"),
+    ("truth.conductances", "cold_exp_cp", "1e308", None, "gives the start-point factor"
+     " cp^cold_exp_cp = 3400^1e+308 = inf, which must be finite and positive"),
 ])
 def test_bad_value_rejected_on_its_line(section, key, value, line_key, message):
     if key.startswith("step_"):
@@ -517,7 +504,7 @@ def test_zero_noise_needs_a_measurement_density():
     with pytest.raises(ConfigError, match="set r_y_density"):
         build_scenario(parse_config(quiet))
     scn = build_scenario(parse_config(quiet + "\n[monitoring.tuning]\nr_y_density = 0.01\n"))
-    assert build_ekf_config(scn).r_y_density == 0.01
+    assert scn.monitoring.ekf.r_y_density == 0.01
     rec = run_truth_sim(scn)[-1]
     assert (rec.T_h2_meas_K, rec.T_c2_meas_K) == (rec.T_h2_true_K, rec.T_c2_true_K)
 
@@ -870,21 +857,22 @@ step_mdot_c_kg_s = 0.5
 # Monitoring
 
 
-def test_build_ekf_config_defaults_and_tuning():
+def test_monitoring_ekf_defaults_and_tuning():
     scn = smoke_scenario()
-    cfg = build_ekf_config(scn)
+    cfg = scn.monitoring.ekf
+    assert cfg.wall is scn.plant.wall  # one wall config for plant and filter
     assert cfg.variant == "A"
     assert cfg.r_x_density == pytest.approx(0.1 * (60000.0 / (100.0 * 2000.0)) ** 2)
     assert cfg.r_upsilon_density == pytest.approx(1000.0)
     assert cfg.r_y_density == pytest.approx(0.05 ** 2)
     assert cfg.r_mdot_density == pytest.approx(0.1)
-    assert build_ekf_config(scn, variant="C").variant == "C"
+    assert replace(cfg, variant="C").variant == "C"
     tuned = build_scenario(parse_config(SMOKE_CFG + """
 [monitoring.tuning]
 r_y_density = 0.5
 assumed_noise_std_K = 0.2
 """))
-    cfg2 = build_ekf_config(tuned)
+    cfg2 = tuned.monitoring.ekf
     assert cfg2.r_y_density == 0.5  # explicit density wins over the noise rule
 
 

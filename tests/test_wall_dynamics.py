@@ -22,6 +22,7 @@ from hxtwin.wall_dynamics import (
     classify_sector,
     integrate_step,
     reference_wall_rhs,
+    rk4_step,
     wall_drift_rate,
     wall_rhs,
     wall_rhs_jacobian,
@@ -264,6 +265,22 @@ def test_integrate_step_rk4_order():
     # tenfold substeps: error drops by ~1e4
     assert err[2] / err[20] > 1.0e3
     assert err[20] < 1e-6
+
+
+def test_rk4_step_is_the_fourth_order_taylor_step_of_a_linear_ode():
+    # On xdot = a x one RK4 step multiplies x by 1 + z + z^2/2 + z^3/6 +
+    # z^4/24, z = a h, and it reads rhs only at the three later stages.
+    calls = []
+
+    def rhs(x: WallState) -> tuple[float, float]:
+        calls.append(x)
+        return -x.T_w1, -2.0 * x.T_w2
+
+    x0, h = WallState(1.0, 1.0), 0.1
+    out = rk4_step(rhs, x0, h, (-1.0, -2.0))
+    assert len(calls) == 3
+    for value, z in ((out.T_w1, -h), (out.T_w2, -2.0 * h)):
+        assert value == pytest.approx(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
 
 
 def test_integrate_step_edge_cases():
