@@ -12,12 +12,7 @@ a displaced wall, then times both on the tabulated-fluid scenario.
 from pathlib import Path
 
 from hxtwin.approx_model import approx_steady_terms, evaluate_approx, update_cp_params
-from hxtwin.harness import (
-    bench_models,
-    inputs_at,
-    load_scenario,
-    truth_conductances,
-)
+from hxtwin.harness import bench_models, initial_point, load_scenario
 from hxtwin.reference_model import (
     WallState,
     ref_output,
@@ -30,8 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def main():
     scn = load_scenario(ROOT / "scenarios" / "chirp_tracking.cfg")
-    u = inputs_at(scn, 0.0)
-    cond = truth_conductances(scn, u, 0.0, 2300.0, 3400.0)
+    u, cond = initial_point(scn)
 
     steady = ref_steady_outlets(u, cond.kA, scn.hot, scn.cold)
     xs = steady_wall_temps(steady, u, cond)

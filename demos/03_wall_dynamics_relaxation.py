@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from hxtwin.approx_model import update_cp_params
-from hxtwin.harness import inputs_at, load_scenario, truth_conductances
+from hxtwin.harness import initial_point, load_scenario
 from hxtwin.reference_model import (
     WallState,
     ref_steady_outlets,
@@ -29,8 +29,7 @@ def err(x, xs):
 
 def main():
     scn = load_scenario(ROOT / "scenarios" / "smoke_constant.cfg")
-    u = inputs_at(scn, 0.0)
-    cond = truth_conductances(scn, u, 0.0, 1000.0, 2000.0)
+    u, cond = initial_point(scn)
     steady = ref_steady_outlets(u, cond.kA, scn.hot, scn.cold)
     xs = steady_wall_temps(steady, u, cond)
     cp = update_cp_params(scn.hot, scn.cold, u, steady, steady)

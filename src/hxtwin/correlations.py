@@ -21,6 +21,7 @@ and the coefficient carry plain W/K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -108,7 +109,7 @@ def alpha_A(params: CorrelationParams, mdot: float, cp_mean: float = 1.0) -> flo
 def reference_alpha_A(
     corr: ReferenceCorrelation, mdot: float, cp_mean: float
 ) -> float:
-    """Evaluate the truth correlation at a mass flow and mean cp."""
+    """Evaluate the truth correlation, finite and positive, at a mass flow and mean cp."""
     if mdot <= 0.0 or cp_mean <= 0.0:
         raise NonPositiveConductanceError(
             f"mdot and cp_mean must be positive, got ({mdot}, {cp_mean})"
@@ -120,7 +121,7 @@ def reference_alpha_A(
         * corr.eta**corr.exp_eta
         * corr.lam**corr.exp_lam
     )
-    if not value > 0.0:
+    if not 0.0 < value < math.inf:
         raise NonPositiveConductanceError(f"truth correlation gave {value} W/K")
     return value
 

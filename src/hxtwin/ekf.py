@@ -54,8 +54,6 @@ __all__ = [
     "EkfConfig",
     "EkfState",
     "ekf_init",
-    "floored_inputs",
-    "steady_conductances",
     "model_inputs",
     "ekf_evaluation",
     "central_jacobian",
@@ -117,9 +115,10 @@ class EkfConfig:
 
 @dataclass
 class EkfState:
+    """Joint estimate and covariance; the caller keeps the time."""
+
     x_hat: np.ndarray  # [T_w1, T_w2, upsilon_h, upsilon_c(, mdot_c)]
     P: np.ndarray
-    t: float  # s
 
 
 def _check_state(cfg: EkfConfig, state: EkfState) -> None:
@@ -135,10 +134,9 @@ def ekf_init(
     cfg: EkfConfig,
     wall0: WallState,
     upsilon0: tuple[float, float],
-    t0: float = 0.0,
     mdot_c0: float | None = None,
 ) -> EkfState:
-    """Initial estimate with P(t0) = 1 s times the process noise density."""
+    """Initial estimate with P = 1 s times the process noise density."""
     x = [wall0.T_w1, wall0.T_w2, upsilon0[0], upsilon0[1]]
     if cfg.n_states == 5:
         if mdot_c0 is None:
@@ -147,30 +145,7 @@ def ekf_init(
             )
         x.append(mdot_c0)
     P0 = 1.0 * cfg.process_noise_density()
-    return EkfState(np.asarray(x, dtype=float), P0, t0)
-
-
-def floored_inputs(
-    cfg: EkfConfig, x_v: np.ndarray, u: InletConditions
-) -> tuple[InletConditions, CorrelationParams, CorrelationParams]:
-    """The effective inlets and the monitored correlations at the joint
-    state x_v, with the floors of model_inputs applied."""
-    if cfg.n_states == 5:
-        u = replace(u, mdot_c=max(float(x_v[4]), MDOT_FLOOR))
-    hot = cfg.corr_hot.with_upsilon(max(float(x_v[2]), UPSILON_FLOOR))
-    cold = cfg.corr_cold.with_upsilon(max(float(x_v[3]), UPSILON_FLOOR))
-    return u, hot, cold
-
-
-def steady_conductances(
-    hot: CorrelationParams, cold: CorrelationParams, u: InletConditions, cp: CpParams
-) -> Conductances:
-    """Conductances of the correlations at the inlet flows of u and the
-    steady mean cps theta5/theta6."""
-    return Conductances(
-        alpha_A(hot, u.mdot_h, cp.theta5),
-        alpha_A(cold, u.mdot_c, cp.theta6),
-    )
+    return EkfState(np.asarray(x, dtype=float), P0)
 
 
 def model_inputs(
@@ -178,19 +153,23 @@ def model_inputs(
 ) -> tuple[InletConditions, Conductances, Conductances]:
     """Approximate-model inputs at the joint state x_v.
 
-    Returns the effective inlets (variants B and C substitute the
-    estimated cold flow, floored at MDOT_FLOOR) and the output and
-    steady conductances of the monitored correlations at the leading
-    factors, floored at UPSILON_FLOOR.  The output conductances take the
-    transient mean cps theta3/theta4, the steady ones theta5/theta6.
-    Only the parameter states x_v[2:] are read.
+    The one place that floors the parameter states.  Returns the
+    effective inlets (variants B and C substitute the estimated cold
+    flow, floored at MDOT_FLOOR) and the output and steady conductances
+    of the monitored correlations at the leading factors, floored at
+    UPSILON_FLOOR.  The output conductances take the transient mean cps
+    theta3/theta4, the steady ones theta5/theta6.  Only the parameter
+    states x_v[2:] are read.
     """
-    u, hot, cold = floored_inputs(cfg, x_v, u)
-    cond_out = Conductances(
-        alpha_A(hot, u.mdot_h, cp.theta3),
-        alpha_A(cold, u.mdot_c, cp.theta4),
-    )
-    return u, cond_out, steady_conductances(hot, cold, u, cp)
+    if cfg.n_states == 5:
+        u = replace(u, mdot_c=max(float(x_v[4]), MDOT_FLOOR))
+    hot = cfg.corr_hot.with_upsilon(max(float(x_v[2]), UPSILON_FLOOR))
+    cold = cfg.corr_cold.with_upsilon(max(float(x_v[3]), UPSILON_FLOOR))
+
+    def conductances(cp_h: float, cp_c: float) -> Conductances:
+        return Conductances(alpha_A(hot, u.mdot_h, cp_h), alpha_A(cold, u.mdot_c, cp_c))
+
+    return u, conductances(cp.theta3, cp.theta4), conductances(cp.theta5, cp.theta6)
 
 
 def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
@@ -260,7 +239,7 @@ def ekf_predict(
     cp: CpParams,
     dt: float,
 ) -> EkfState:
-    """Propagate estimate and covariance over dt under zero-order-hold u.
+    """Propagate estimate and covariance over dt > 0 under zero-order-hold u.
 
     Both integrate with fixed-step RK4 using the wall config's substep
     count.  The parameter states do not move, so the walls integrate by
@@ -276,39 +255,38 @@ def ekf_predict(
     single call past the integrator's stability region.
     """
     _check_state(cfg, state)
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     x = state.x_hat.copy()
-    P = state.P.copy()
-    if dt > 0.0:
-        Q = cfg.process_noise_density()
-        substeps = cfg.wall.substeps_per_sample
-        h = dt / substeps
-        terms = _parameter_terms(cfg, x, u, cp)
-        u_eff, cond_out, _ = terms
-        dtau = _tau_partials(cfg, x, u, cp)
-        F = np.zeros((cfg.n_states, cfg.n_states))
+    P = state.P
+    Q = cfg.process_noise_density()
+    substeps = cfg.wall.substeps_per_sample
+    h = dt / substeps
+    terms = _parameter_terms(cfg, x, u, cp)
+    u_eff, cond_out, _ = terms
+    dtau = _tau_partials(cfg, x, u, cp)
+    F = np.zeros((cfg.n_states, cfg.n_states))
 
-        def rates(wall: WallState) -> tuple[float, float]:
-            return _wall_rates(cfg, wall, _evaluate(wall, terms, cp))
+    def rates(wall: WallState) -> tuple[float, float]:
+        return _wall_rates(cfg, wall, _evaluate(wall, terms, cp))
 
-        def lyap(M: np.ndarray) -> np.ndarray:  # F M + M F', M symmetric
-            G = F @ M
-            return G + G.T
+    def lyap(M: np.ndarray) -> np.ndarray:  # F M + M F', M symmetric
+        G = F @ M
+        return G + G.T
 
-        wall = _walls(x)
-        for _ in range(substeps):
-            ev = _evaluate(wall, terms, cp)
-            d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau)
-            F[:2] = wall_rhs_jacobian(
-                wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, d.steady_walls)
-            # the covariance RK4 with F held, in Horner form
-            k = lyap(P) + Q
-            P = P + h * (k + (h / 2.0) * lyap(k + (h / 3.0) * lyap(k + (h / 4.0) * lyap(k))))
-            wall = rk4_step(rates, wall, h, _wall_rates(cfg, wall, ev))
-        x[0], x[1] = wall.T_w1, wall.T_w2
-        P = 0.5 * (P + P.T)
-    return EkfState(x, P, state.t + dt)
+    wall = _walls(x)
+    for _ in range(substeps):
+        ev = _evaluate(wall, terms, cp)
+        d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau)
+        F[:2] = wall_rhs_jacobian(
+            wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, d.steady_walls)
+        # the covariance RK4 with F held, in Horner form
+        k = lyap(P) + Q
+        P = P + h * (k + (h / 2.0) * lyap(k + (h / 3.0) * lyap(k + (h / 4.0) * lyap(k))))
+        wall = rk4_step(rates, wall, h, _wall_rates(cfg, wall, ev))
+    x[0], x[1] = wall.T_w1, wall.T_w2
+    P = 0.5 * (P + P.T)
+    return EkfState(x, P)
 
 
 def kalman_gain(P: np.ndarray, H: np.ndarray, R_disc: np.ndarray) -> np.ndarray:
@@ -368,7 +346,7 @@ def ekf_update(
     x_new[3] = max(x_new[3], UPSILON_FLOOR)
     if cfg.n_states == 5:
         x_new[4] = max(x_new[4], MDOT_FLOOR)
-    return EkfState(x_new, P_new, state.t), innovation, y_pred
+    return EkfState(x_new, P_new), innovation, y_pred
 
 
 def estimate_kA(

@@ -42,9 +42,7 @@ from .ekf import (
     ekf_predict,
     ekf_update,
     estimate_kA,
-    floored_inputs,
     model_inputs,
-    steady_conductances,
 )
 from .fluids import CaloricallyPerfect, StreamConfig, ThermallyPerfect, load_fluid_table
 from .means import log_mean
@@ -419,14 +417,15 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
 
 
 def _check_truth_factors(raw: RawConfig, scn: ScenarioConfig) -> None:
-    """Each power in the truth correlations must be finite and positive at
-    the start point (the t = 0 inlets, the point cps at their
-    temperatures), or initial_point would fail with no config line."""
+    """Each power in the truth correlations, and each side's conductance,
+    must be finite and positive at the start point (the t = 0 inlets, the
+    point cps at their temperatures), or the run would fail with no line."""
     u = inputs_at(scn, 0.0)
     for side, corr, stream, mdot, T in (
             ("hot", scn.truth_cond.corr_hot, scn.hot, u.mdot_h, u.T_h1),
             ("cold", scn.truth_cond.corr_cold, scn.cold, u.mdot_c, u.T_c1)):
         cp = stream.fluid.mean_specific_heat(T, T, stream.pressure)
+        aA = corr.coefficient  # times each factor, in reference_alpha_A's order
         for name, base in (("mdot", mdot), ("cp", cp), ("eta", corr.eta), ("lam", corr.lam)):
             exp = getattr(corr, f"exp_{name}")
             try:
@@ -438,6 +437,12 @@ def _check_truth_factors(raw: RawConfig, scn: ScenarioConfig) -> None:
                 raise raw.error(f"'{key}' gives the start-point factor {name}^{key} = "
                                 f"{base:g}^{exp:g} = {value!r}, which must be finite and "
                                 "positive", raw.line_of("truth.conductances", key))
+            aA *= value
+        if not 0.0 < aA < math.inf:
+            key = f"{side}_coefficient_W_K"
+            raise raw.error(f"'{key}' gives the start-point conductance aA_{side[0]} = "
+                            f"{aA!r} W/K, which must be finite and positive",
+                            raw.line_of("truth.conductances", key))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -482,17 +487,18 @@ def truth_conductances(
     scn: ScenarioConfig,
     u: InletConditions,
     t: float,
-    cpm_h: float,
-    cpm_c: float,
+    outs: OutletTemps,
 ) -> Conductances:
     """Plant-truth conductances at time t.
 
-    For the correlation kind cpm_h/cpm_c are the current mean specific
-    heats over each stream's temperature span (previous-step outlets on
-    the truth path); ramps and constants ignore them.
+    The correlation kind takes the mean cp of each stream from its inlet
+    in u to its outlet in outs (the previous-step outlets on the truth
+    path); ramps and constants read only t.
     """
     spec = scn.truth_cond
     if spec.kind == "correlation":
+        cpm_h = scn.hot.fluid.mean_specific_heat(u.T_h1, outs.T_h2, scn.hot.pressure)
+        cpm_c = scn.cold.fluid.mean_specific_heat(u.T_c1, outs.T_c2, scn.cold.pressure)
         return Conductances(
             reference_alpha_A(spec.corr_hot, u.mdot_h, cpm_h),
             reference_alpha_A(spec.corr_cold, u.mdot_c, cpm_c),
@@ -608,20 +614,11 @@ def read_monitor_csv(path) -> list[MonitorRecord]:
 # Truth simulation
 
 
-def _truth_cond(
-    scn: ScenarioConfig, u: InletConditions, t: float, outs: OutletTemps
-) -> Conductances:
-    """truth_conductances at the mean cps over the spans from the inlets to outs."""
-    cpm_h = scn.hot.fluid.mean_specific_heat(u.T_h1, outs.T_h2, scn.hot.pressure)
-    cpm_c = scn.cold.fluid.mean_specific_heat(u.T_c1, outs.T_c2, scn.cold.pressure)
-    return truth_conductances(scn, u, t, cpm_h, cpm_c)
-
-
 def initial_point(scn: ScenarioConfig) -> tuple[InletConditions, Conductances]:
-    """Inlets and plant-truth conductances at t = 0, the mean cps taken at
-    the inlet temperatures."""
+    """Inlets and plant-truth conductances at t = 0, with the inlets as the
+    outlets, so the mean cps are taken at the inlet temperatures."""
     u = inputs_at(scn, 0.0)
-    return u, _truth_cond(scn, u, 0.0, OutletTemps(u.T_h1, u.T_c1))
+    return u, truth_conductances(scn, u, 0.0, OutletTemps(u.T_h1, u.T_c1))
 
 
 def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[TelemetryRecord]:
@@ -667,7 +664,7 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
         x = integrate_step(rhs, x, scn.dt_s, wall_cfg.substeps_per_sample)
         t = k * scn.dt_s
         u = inputs_at(scn, t)
-        cond = _truth_cond(scn, u, t, outs)
+        cond = truth_conductances(scn, u, t, outs)
         outs = ref_output(x, u, cond, scn.hot, scn.cold, guess=outs)
         emit(t, u, x, outs, cond)
     return records
@@ -706,10 +703,10 @@ def _monitor_cp(
     # inlets share with u
     cp = update_cp_params(hot, cold, u, prev_out, prev_steady)
 
-    u_eff, corr_hot, corr_cold = floored_inputs(ekf_cfg, x_v, u)
+    u_eff = model_inputs(ekf_cfg, x_v, u, cp)[0]
 
     def kA_of(cp2: CpParams) -> float:
-        return steady_conductances(corr_hot, corr_cold, u_eff, cp2).kA
+        return model_inputs(ekf_cfg, x_v, u, cp2)[2].kA
 
     _outlets, cp, _n = approx_steady_selfconsistent(u_eff, hot, cold, kA_of, cp)
     return cp
@@ -749,7 +746,7 @@ def run_monitor(
     u_prev = filter_inlets(rec0.inlets())
     # the walls start at the steady state of the initial parameter states
     state = ekf_init(ekf_cfg, WallState(math.nan, math.nan),
-                     (mon.upsilon0_h, mon.upsilon0_c), t0=rec0.t_s,
+                     (mon.upsilon0_h, mon.upsilon0_c),
                      mdot_c0=mon.mdot_c0 if estimates_flow else None)
     cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_prev, None, None)
     u0_eff, _cond_out, cond0 = model_inputs(ekf_cfg, state.x_hat, u_prev, cp)

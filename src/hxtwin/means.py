@@ -21,7 +21,6 @@ __all__ = [
     "weighted_mean",
     "heat_rate",
     "heat_rate_slope",
-    "in_lm_domain",
 ]
 
 # Relative closeness of z1/z2 to 1 below which log_mean switches to its
@@ -31,11 +30,6 @@ _LM_SERIES_SWITCH = 1e-8
 
 class DomainError(ValueError):
     """Arguments outside the mathematical domain of a mean function."""
-
-
-def in_lm_domain(z1: float, z2: float) -> bool:
-    """True iff (z1, z2) is in L = {z1 > 0, z2 > 0, z1 != z2}."""
-    return z1 > 0.0 and z2 > 0.0 and z1 != z2
 
 
 def arith_mean(z1: float, z2: float) -> float:

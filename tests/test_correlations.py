@@ -1,6 +1,7 @@
 """Tests for the conductance correlations."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +95,8 @@ def test_reference_rejects_bad_inputs():
         reference_alpha_A(REFERENCE_HOT, 0.0, 1000.0)
     with pytest.raises(NonPositiveConductanceError):
         reference_alpha_A(REFERENCE_HOT, 10.0, -1.0)
+    with pytest.raises(NonPositiveConductanceError, match="gave inf W/K"):
+        reference_alpha_A(replace(REFERENCE_HOT, coefficient=1e308), 30.0, 1319.0)
 
 
 def test_serial_conductance():

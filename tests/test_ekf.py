@@ -107,7 +107,6 @@ def test_process_noise_density_layout():
 def test_init_covariance_and_layout():
     cfg = make_cfg("A")
     st = ekf_init(cfg, WallState(350.0, 320.0), (1500.0, 3000.0))
-    assert st.t == 0.0
     assert np.allclose(st.x_hat, [350.0, 320.0, 1500.0, 3000.0])
     assert np.allclose(st.P, cfg.process_noise_density())  # 1 s horizon
     st5 = ekf_init(make_cfg("B"), WallState(350.0, 320.0), (1500.0, 3000.0),
@@ -439,7 +438,7 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
         return wrapper
 
     cfg = make_cfg(variant, **ORACLE_CFG)
-    st = EkfState(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density(), 0.0)
+    st = EkfState(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density())
     for name in ("evaluate_approx", "central_jacobian"):
         monkeypatch.setattr(hxtwin.ekf, name, counted(name))
     pred = ekf_predict(st, cfg, U, CP, 1.0)
@@ -553,7 +552,7 @@ def test_predict_and_update_match_uncached_reference(variant):
     x0 = [352.0, 331.0, 1450.0, 3100.0] + ([0.95] if variant == "B" else [])
     rng = np.random.default_rng(5)
     A = rng.standard_normal((len(x0), len(x0)))
-    st = EkfState(np.array(x0), A @ A.T + np.diag(np.abs(x0)), 0.0)
+    st = EkfState(np.array(x0), A @ A.T + np.diag(np.abs(x0)))
     for _ in range(3):
         pred = ekf_predict(st, cfg, u, cp, 0.5)
         x_ref, P_ref = reference_predict(st, cfg, u, cp, 0.5)
@@ -572,22 +571,12 @@ def test_predict_and_update_match_uncached_reference(variant):
 # Predict
 
 
-def test_predict_zero_dt_is_identity():
-    cfg = make_cfg("A")
-    st = steady_state_for(cfg)
-    out = ekf_predict(st, cfg, U, CP, 0.0)
-    assert np.array_equal(out.x_hat, st.x_hat)
-    assert np.array_equal(out.P, st.P)
-    assert out.t == st.t
-
-
 def test_predict_parameter_variance_grows_linearly():
     # Parameter rows of F vanish, so P[2,2] integrates exactly to
     # P0 + r_upsilon * dt regardless of the wall coupling.
     cfg = make_cfg("A")
     st = steady_state_for(cfg)
     out = ekf_predict(st, cfg, U, CP, 3.0)
-    assert out.t == 3.0
     assert out.P[2, 2] == pytest.approx(1000.0 + 3.0 * 1000.0, rel=1e-9)
     assert out.P[3, 3] == pytest.approx(1000.0 + 3.0 * 1000.0, rel=1e-9)
     assert np.allclose(out.P, out.P.T)
@@ -611,7 +600,7 @@ def test_predict_relaxes_wall_toward_steady():
     x = st.x_hat.copy()
     x[0] += 3.0
     x[1] += 3.0
-    moved = ekf_predict(EkfState(x, st.P.copy(), 0.0), cfg, U, CP, 10.0)
+    moved = ekf_predict(EkfState(x, st.P.copy()), cfg, U, CP, 10.0)
     assert abs(moved.x_hat[0] - st.x_hat[0]) < 3.0
     assert moved.x_hat[2] == x[2]  # parameters coast
 
@@ -619,9 +608,10 @@ def test_predict_relaxes_wall_toward_steady():
 def test_predict_validates_shapes_and_dt():
     cfg = make_cfg("A")
     st = steady_state_for(cfg)
-    with pytest.raises(ValueError):
-        ekf_predict(st, cfg, U, CP, -1.0)
-    bad = EkfState(np.zeros(5), np.eye(5), 0.0)
+    for dt in (0.0, -1.0):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            ekf_predict(st, cfg, U, CP, dt)
+    bad = EkfState(np.zeros(5), np.eye(5))
     with pytest.raises(DimensionMismatchError):
         ekf_predict(bad, cfg, U, CP, 1.0)
 

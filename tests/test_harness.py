@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hxtwin.harness as harness
@@ -56,7 +56,7 @@ from hxtwin.harness import (
     write_telemetry_csv,
 )
 from hxtwin.means import log_mean
-from hxtwin.reference_model import InletConditions
+from hxtwin.reference_model import InletConditions, OutletTemps
 from hxtwin.sampledata import make_co2_like_table, make_coolant_model
 from hxtwin.wall_dynamics import WallDynamicsConfig
 
@@ -373,11 +373,13 @@ def table_dir(tmp_path_factory):
 
 
 def _check_start_point(text: str, base_dir: str) -> None:
-    """The scenario builds and reaches its start point and a filter
-    configuration of every variant, or a ConfigError names a line."""
+    """The scenario builds and reaches its start point, with finite truth
+    conductances, and a filter configuration of every variant, or a
+    ConfigError names a line."""
     try:
         scn = build_scenario(parse_config(text), base_dir=base_dir)
-        initial_point(scn)
+        _u, cond = initial_point(scn)
+        assert math.isfinite(cond.aA_h) and math.isfinite(cond.aA_c), cond
         for variant in ("A", "B", "C"):
             replace(scn.monitoring.ekf, variant=variant)
     except ConfigError as exc:
@@ -402,6 +404,8 @@ def _replace_value(text: str, index: int, token: str) -> str:
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(slot=st.sampled_from(_PROPERTY_SLOTS), token=st.sampled_from(_PROPERTY_TOKENS))
+@example(slot=(2, _PROPERTY_TEMPLATES[2].splitlines().index("hot_coefficient_W_K = 100")),
+         token="1e308")  # an infinite start-point conductance
 def test_any_one_bad_value_builds_or_raises_config_error_with_line(table_dir, slot, token):
     template, index = slot
     _check_start_point(_replace_value(_PROPERTY_TEMPLATES[template], index, token), table_dir)
@@ -474,6 +478,8 @@ R_X_DEFAULT_INF = (
     ("truth.conductances", "cold_exp_cp", "nan", None, "must be finite"),
     ("truth.conductances", "cold_exp_cp", "1e308", None, "gives the start-point factor"
      " cp^cold_exp_cp = 3400^1e+308 = inf, which must be finite and positive"),
+    ("truth.conductances", "hot_coefficient_W_K", "1e308", None, "gives the start-point"
+     " conductance aA_h = inf W/K, which must be finite and positive"),
 ])
 def test_bad_value_rejected_on_its_line(section, key, value, line_key, message):
     if key.startswith("step_"):
@@ -630,19 +636,20 @@ T_h1_amp_K = 3
 def test_truth_conductances_constant_and_ramp():
     scn = smoke_scenario()
     u = scn.base_inlets
+    outs = OutletTemps(u.T_h1, u.T_c1)
     for t in (0.0, 30.0, 60.0):
-        cond = truth_conductances(scn, u, t, 1000.0, 2000.0)
+        cond = truth_conductances(scn, u, t, outs)
         assert (cond.aA_h, cond.aA_c) == (1500.0, 3000.0)
     ramp = build_scenario(parse_config(SMOKE_CFG.replace(
         "kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000",
         "kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
         "aA_c_start_W_K = 3000\naA_c_end_W_K = 2400",
     )))
-    assert truth_conductances(ramp, u, 0.0, 0, 0).aA_h == 1500.0
-    assert truth_conductances(ramp, u, 30.0, 0, 0).aA_h == pytest.approx(1350.0)
-    assert truth_conductances(ramp, u, 60.0, 0, 0).aA_c == 2400.0
+    assert truth_conductances(ramp, u, 0.0, outs).aA_h == 1500.0
+    assert truth_conductances(ramp, u, 30.0, outs).aA_h == pytest.approx(1350.0)
+    assert truth_conductances(ramp, u, 60.0, outs).aA_c == 2400.0
     # clamped beyond the run
-    assert truth_conductances(ramp, u, 90.0, 0, 0).aA_h == 1200.0
+    assert truth_conductances(ramp, u, 90.0, outs).aA_h == 1200.0
 
 
 def test_truth_conductances_correlation_kind():
@@ -656,12 +663,12 @@ def test_truth_conductances_correlation_kind():
         "cold_eta_Pa_s = 2.4e-4\ncold_lam_W_mK = 0.11",
     )))
     u = scn.base_inlets
-    cond = truth_conductances(scn, u, 0.0, 1319.0, 3420.0)
+    cond = truth_conductances(scn, u, 0.0, OutletTemps(350.0, 320.0))
     assert cond.aA_h == pytest.approx(
-        reference_alpha_A(scn.truth_cond.corr_hot, 1.0, 1319.0), rel=1e-14
+        reference_alpha_A(scn.truth_cond.corr_hot, 1.0, 1000.0), rel=1e-14
     )
     assert cond.aA_c == pytest.approx(
-        reference_alpha_A(scn.truth_cond.corr_cold, 1.0, 3420.0), rel=1e-14
+        reference_alpha_A(scn.truth_cond.corr_cold, 1.0, 2000.0), rel=1e-14
     )
 
 
@@ -823,6 +830,30 @@ def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
     assert counts["fallbacks"] == 0
 
 
+def test_truth_run_takes_mean_cps_only_for_a_correlation(monkeypatch):
+    # ramps and constants read no mean specific heat; a correlation
+    # takes one per side at the start point and at each step
+    ramp, correlation = (build_scenario(parse_config(SMOKE_CFG.replace(
+        "kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000", truth))) for truth in (
+        "kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
+        "aA_c_start_W_K = 3000\naA_c_end_W_K = 2400",
+        "kind = correlation\nhot_coefficient_W_K = 100\nhot_exp_mdot = 0.8\n"
+        "hot_exp_cp = 0.3\ncold_coefficient_W_K = 100\ncold_exp_mdot = 0.8\n"
+        "cold_exp_cp = 0.3"))
+    calls = []
+    mean_specific_heat = CaloricallyPerfect.mean_specific_heat
+
+    def counted(self, *args):
+        calls.append(args)
+        return mean_specific_heat(self, *args)
+
+    monkeypatch.setattr(CaloricallyPerfect, "mean_specific_heat", counted)
+    run_truth_sim(ramp)
+    assert calls == []
+    recs = run_truth_sim(correlation)
+    assert len(calls) == 2 * len(recs)
+
+
 def test_run_truth_sim_wall_init_relaxes():
     scn = build_scenario(parse_config(SMOKE_CFG.replace(
         "noise_std_K = 0.05",
@@ -959,7 +990,6 @@ def test_run_monitor_splits_a_time_gap_into_sample_periods(monkeypatch):
     assert calls[6][0] is calls[5][5]
     assert np.array_equal(gap_out.x_hat, state.x_hat)
     assert np.array_equal(gap_out.P, state.P)
-    assert gap_out.t == tel[6].t_s
 
 
 def test_run_monitor_variant_overrides():

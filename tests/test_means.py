@@ -11,7 +11,6 @@ from hxtwin.means import (
     geom_mean,
     heat_rate,
     heat_rate_slope,
-    in_lm_domain,
     log_mean,
     weighted_mean,
 )
@@ -144,10 +143,3 @@ def test_weighted_mean_monotone_in_beta_and_bounded():
             assert gm - 1e-12 <= v <= am + 1e-12
         if z1 != z2:
             assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_in_lm_domain_flags():
-    assert in_lm_domain(1.0, 2.0)
-    assert not in_lm_domain(2.0, 2.0)
-    assert not in_lm_domain(-1.0, 2.0)
-    assert not in_lm_domain(1.0, 0.0)
