@@ -10,8 +10,11 @@ Values stay strings until a typed getter pulls them.  A getter carries
 the key's default and, optionally, its rule; every complaint it raises
 carries the source and the line number the offending value came from, so
 a bad `duration_s = ten` points at its own line rather than at the
-loader.  Unknown keys are rejected when the scenario is assembled,
-catching typos like `druation_s` early.
+loader.  The getters are the schema: each notes the (section, key) it
+asks for, present or not, and once the scenario is assembled
+`reject_unasked` fails on the first section or key that no getter asked
+for, so a typo like `druation_s`, or a key the section's chosen kind does
+not read, is named on its line instead of being silently ignored.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ class RawConfig:
     entries: dict[tuple[str, str], tuple[str, int]] = field(default_factory=dict)
     sections: dict[str, int] = field(default_factory=dict)
     source: str = ""  # file name for messages; empty for in-memory text
+    asked: set[tuple[str, str]] = field(default_factory=set)  # by the getters
 
     def error(self, message: str, line: int = 0) -> ConfigError:
         return ConfigError(message, line, self.source)
@@ -70,7 +74,9 @@ class RawConfig:
     def _get(self, section: str, key: str, default, convert, expects: str, check=None):
         """convert(value) of the key, or default (unchecked) when it is absent.
         A missing required key, a value convert rejects with ValueError, or
-        one failing check = (predicate, message) raises ConfigError."""
+        one failing check = (predicate, message) raises ConfigError; the
+        message may be a function of the value."""
+        self.asked.add((section, key))
         if (section, key) not in self.entries:
             if default is not _REQUIRED:
                 return default
@@ -84,7 +90,8 @@ class RawConfig:
         except ValueError:
             raise self.error(f"'{key}' {expects}, got {value!r}", line) from None
         if check is not None and not check[0](result):
-            raise self.error(f"'{key}' {check[1]}", line)
+            message = check[1] if isinstance(check[1], str) else check[1](result)
+            raise self.error(f"'{key}' {message}", line)
         return result
 
     def get_str(self, section: str, key: str, default=_REQUIRED) -> str:
@@ -112,13 +119,14 @@ class RawConfig:
     def line_of(self, section: str, key: str) -> int:
         return self.entries[(section, key)][1]
 
-    def check_known(self, known: dict[str, set[str]]) -> None:
-        """Reject unknown sections and keys (typo guard)."""
+    def reject_unasked(self) -> None:
+        """Reject the first section, then the first key, that no getter asked for."""
+        asked_sections = {section for section, _key in self.asked}
         for name, line in self.sections.items():
-            if name not in known:
+            if name not in asked_sections:
                 raise self.error(f"unknown section [{name}]", line)
         for (section, key), (_v, line) in self.entries.items():
-            if key not in known[section]:
+            if (section, key) not in self.asked:
                 raise self.error(f"unknown key '{key}' in section [{section}]", line)
 
 

@@ -42,15 +42,12 @@ class NonPositiveConductanceError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class CorrelationParams:
-    """Monitored correlation alpha*A = upsilon * mdot^exp1 * cp^exp2 + offset."""
+    """Monitored correlation alpha*A = upsilon * mdot^exp1 * cp^exp2 + offset,
+    less its leading factor upsilon, which the filter state supplies."""
 
-    upsilon: float  # W/K
     exp1: float = 0.0  # mass flow exponent
     exp2: float = 0.0  # mean specific heat exponent
     offset: float = 0.0  # W/K
-
-    def with_upsilon(self, upsilon: float) -> "CorrelationParams":
-        return CorrelationParams(upsilon, self.exp1, self.exp2, self.offset)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,14 +88,16 @@ REFERENCE_COLD = ReferenceCorrelation(
 )
 
 
-def alpha_A(params: CorrelationParams, mdot: float, cp_mean: float = 1.0) -> float:
-    """Evaluate the monitored correlation; raises if the result is not
-    a usable conductance (for instance a negative offset dominating)."""
+def alpha_A(params: CorrelationParams, upsilon: float, mdot: float,
+            cp_mean: float = 1.0) -> float:
+    """Evaluate the monitored correlation at the leading factor upsilon (W/K);
+    raises if the result is not a usable conductance (for instance a
+    negative offset dominating)."""
     if mdot <= 0.0:
         raise NonPositiveConductanceError(f"mdot must be positive, got {mdot}")
     if cp_mean <= 0.0:
         raise NonPositiveConductanceError(f"cp_mean must be positive, got {cp_mean}")
-    value = params.upsilon * mdot**params.exp1 * cp_mean**params.exp2 + params.offset
+    value = upsilon * mdot**params.exp1 * cp_mean**params.exp2 + params.offset
     if not value > 0.0:
         raise NonPositiveConductanceError(
             f"correlation gave alpha*A = {value} W/K for mdot={mdot}"

@@ -83,7 +83,7 @@ class SingularInnovationCovarianceError(RuntimeError):
 class EkfConfig:
     variant: str
     wall: WallDynamicsConfig
-    corr_hot: CorrelationParams  # upsilon field supplied by the state
+    corr_hot: CorrelationParams  # upsilon supplied by the state
     corr_cold: CorrelationParams
     r_x_density: float  # K^2/s, per wall state
     r_upsilon_density: float  # (W/K)^2/s, per leading factor
@@ -163,11 +163,12 @@ def model_inputs(
     """
     if cfg.n_states == 5:
         u = replace(u, mdot_c=max(float(x_v[4]), MDOT_FLOOR))
-    hot = cfg.corr_hot.with_upsilon(max(float(x_v[2]), UPSILON_FLOOR))
-    cold = cfg.corr_cold.with_upsilon(max(float(x_v[3]), UPSILON_FLOOR))
+    ups_h = max(float(x_v[2]), UPSILON_FLOOR)
+    ups_c = max(float(x_v[3]), UPSILON_FLOOR)
 
     def conductances(cp_h: float, cp_c: float) -> Conductances:
-        return Conductances(alpha_A(hot, u.mdot_h, cp_h), alpha_A(cold, u.mdot_c, cp_c))
+        return Conductances(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp_h),
+                            alpha_A(cfg.corr_cold, ups_c, u.mdot_c, cp_c))
 
     return u, conductances(cp.theta3, cp.theta4), conductances(cp.theta5, cp.theta6)
 

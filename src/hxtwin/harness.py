@@ -161,42 +161,6 @@ class ScenarioConfig:
     monitoring: MonitoringSpec
 
 
-_STREAM_KEYS = {"kind", "cp_J_kgK", "cp_coeffs", "hull_K", "table_path", "pressure_Pa"}
-_KNOWN_KEYS = {
-    "scenario": {"name", "duration_s", "dt_s", "seed"},
-    "streams.hot": _STREAM_KEYS,
-    "streams.cold": _STREAM_KEYS,
-    "inputs": {"T_h1_K", "T_c1_K", "mdot_h_kg_s", "mdot_c_kg_s"},
-    "excitation": {
-        "kind", "step_time_s", "step_T_h1_K", "step_T_c1_K",
-        "step_mdot_h_kg_s", "step_mdot_c_kg_s", "f0_Hz", "f1_Hz", "span_s",
-        "T_h1_amp_K", "T_c1_amp_K", "mdot_h_amp_frac", "mdot_c_amp_frac",
-    },
-    "truth.conductances": {
-        "kind", "aA_h_W_K", "aA_c_W_K",
-        "aA_h_start_W_K", "aA_h_end_W_K", "aA_c_start_W_K", "aA_c_end_W_K",
-        "hot_coefficient_W_K", "hot_exp_mdot", "hot_exp_cp", "hot_exp_eta",
-        "hot_exp_lam", "hot_eta_Pa_s", "hot_lam_W_mK",
-        "cold_coefficient_W_K", "cold_exp_mdot", "cold_exp_cp", "cold_exp_eta",
-        "cold_exp_lam", "cold_eta_Pa_s", "cold_lam_W_mK",
-    },
-    "plant": {
-        "theta7_J_K", "substeps_per_sample", "noise_std_K",
-        "T_w1_init_K", "T_w2_init_K",
-    },
-    "monitoring": {
-        "variant", "exp1_hot", "exp2_hot", "offset_hot_W_K",
-        "exp1_cold", "exp2_cold", "offset_cold_W_K",
-        "upsilon0_h_W_K", "upsilon0_c_W_K", "mdot_c0_kg_s", "Q_design_W",
-        "cp_model", "cp_constant_hot_J_kgK", "trust_mdot_c",
-    },
-    "monitoring.tuning": {
-        "r_x_density", "r_upsilon_density", "r_y_density", "r_mdot_density",
-        "assumed_noise_std_K",
-    },
-}
-
-
 # (predicate, message) rules that the config getters check values against
 _FINITE = (math.isfinite, "must be finite")
 _FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and positive")
@@ -209,12 +173,22 @@ _INLET_KEYS = {
 }
 
 
-def _temperature_rule(stream: StreamConfig, name: str):
-    """Rule for a temperature of the stream: inside its fluid hull, finite for constant cp."""
-    lo, hi = stream.fluid.hull_T
-    if math.isinf(hi - lo):
-        return _FINITE
-    return (lambda T: lo <= T <= hi), f"must lie in the {name} fluid hull [{lo:g}, {hi:g}] K"
+def _temperature_rule(own: tuple, other: tuple):
+    """Rule for an inlet temperature of the (name, stream) own: inside its
+    fluid hull, then inside the other stream's, since that stream's outlet
+    and the walls lie between the two inlets; finite for constant cp.  The
+    message names the hull the value leaves."""
+    def fault(T: float) -> str | None:
+        for name, stream in (own, other):
+            lo, hi = stream.fluid.hull_T
+            if math.isinf(hi - lo):
+                if not math.isfinite(T):
+                    return _FINITE[1]
+            elif not lo <= T <= hi:
+                return f"must lie in the {name} fluid hull [{lo:g}, {hi:g}] K"
+        return None
+
+    return (lambda T: fault(T) is None), fault
 
 
 def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
@@ -269,9 +243,10 @@ def _build_excitation(raw: RawConfig, duration: float, base: InletConditions,
         return ExcitationSpec(kind, step_time_s=step_time, step_targets=targets)
 
     def swing(name: str):  # the inlet swings by the amplitude either way around its base
-        (ok, message), value = rules[name], getattr(base, name)
+        (ok, fault), value = rules[name], getattr(base, name)
         return ((lambda amp: ok(value - amp) and ok(value + amp)),
-                f"swings {_INLET_KEYS[name]} = {value:g} out of range: it {message}")
+                lambda amp: f"swings {_INLET_KEYS[name]} = {value:g} out of range: "
+                            f"it {fault(value - amp) or fault(value + amp)}")
 
     fraction = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
     return ExcitationSpec(
@@ -336,12 +311,12 @@ def _density(raw: RawConfig, key: str, default, source: tuple, formula: str) -> 
 
 def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     """Assemble and validate a scenario from parsed configuration."""
-    raw.check_known(_KNOWN_KEYS)
     duration = raw.get_float("scenario", "duration_s", check=_FINITE_POSITIVE)
     dt = raw.get_float("scenario", "dt_s", check=_FINITE_POSITIVE)
     hot = _build_stream(raw, "streams.hot", base_dir)
     cold = _build_stream(raw, "streams.cold", base_dir)
-    rules = {"T_h1": _temperature_rule(hot, "hot"), "T_c1": _temperature_rule(cold, "cold"),
+    rules = {"T_h1": _temperature_rule(("hot", hot), ("cold", cold)),
+             "T_c1": _temperature_rule(("cold", cold), ("hot", hot)),
              "mdot_h": _FINITE_POSITIVE, "mdot_c": _FINITE_POSITIVE}
     base_inlets = InletConditions(**{
         name: raw.get_float("inputs", key, check=rules[name])
@@ -367,7 +342,7 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     noise = raw.get_float(tuning, "assumed_noise_std_K", plant.noise_std_K, _FINITE_POSITIVE)
 
     def corr(side: str) -> CorrelationParams:
-        return CorrelationParams(1.0, raw.get_float(sec, f"exp1_{side}", 0.0, _FINITE),
+        return CorrelationParams(raw.get_float(sec, f"exp1_{side}", 0.0, _FINITE),
                                  raw.get_float(sec, f"exp2_{side}", 0.0, _FINITE),
                                  raw.get_float(sec, f"offset_{side}_W_K", 0.0, _FINITE))
 
@@ -411,6 +386,7 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
         plant=plant,
         monitoring=monitoring,
     )
+    raw.reject_unasked()
     if scn.truth_cond.kind == "correlation":
         _check_truth_factors(raw, scn)
     return scn

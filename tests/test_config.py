@@ -155,28 +155,29 @@ def test_comment_only_hash_inside_value_is_stripped():
     assert raw.get_str("a", "x") == "5"
 
 
-def test_check_known_accepts_exact_schema():
-    raw = parse_sample()
-    known = {
-        "run": {"duration_s", "dt_s", "label"},
-        "hot.inlet": {"T_K", "mdot_kg_s", "enabled", "cp_coeffs", "variant"},
-    }
-    raw.check_known(known)  # should not raise
+def test_reject_unasked_passes_asked_keys_present_or_absent():
+    raw = parse_config("[run]\nduration_s = 600\n")
+    assert raw.get_int("run", "duration_s") == 600
+    assert raw.get_float("run", "dt_s", 1.0) == 1.0  # asked, absent: default
+    assert raw.asked == {("run", "duration_s"), ("run", "dt_s")}
+    raw.reject_unasked()  # should not raise
 
 
-def test_check_known_flags_unknown_section():
-    raw = parse_config("[rnu]\nx = 1\n")
+def test_reject_unasked_flags_unknown_section():
+    raw = parse_config("[run]\nx = 1\n\n[rnu]\nx = 1\n")
+    raw.get_int("run", "x")
     with pytest.raises(ConfigError) as exc:
-        raw.check_known({"run": {"x"}})
+        raw.reject_unasked()
     assert "unknown section [rnu]" in str(exc.value)
-    assert exc.value.line == 1
+    assert exc.value.line == 4
 
 
-def test_check_known_flags_typo_key():
+def test_reject_unasked_flags_unasked_key():
     raw = parse_config("[run]\ndruation_s = 600\n")
+    assert raw.get_int("run", "duration_s", 300) == 300
     with pytest.raises(ConfigError) as exc:
-        raw.check_known({"run": {"duration_s"}})
-    assert "unknown key 'druation_s'" in str(exc.value)
+        raw.reject_unasked()
+    assert "unknown key 'druation_s' in section [run]" in str(exc.value)
     assert exc.value.line == 2
 
 

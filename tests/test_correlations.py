@@ -18,49 +18,41 @@ from hxtwin.correlations import (
 
 def test_alpha_A_worked_example():
     # upsilon = 100 W/K, mdot exponent 0.6 at 41 kg/s
-    p = CorrelationParams(upsilon=100.0, exp1=0.6)
-    value = alpha_A(p, 41.0)
+    p = CorrelationParams(exp1=0.6)
+    value = alpha_A(p, 100.0, 41.0)
     assert value == pytest.approx(100.0 * math.exp(0.6 * math.log(41.0)), rel=1e-12)
     assert value == pytest.approx(928.2614481346684, rel=1e-12)
 
 
 def test_alpha_A_constant_form():
-    p = CorrelationParams(upsilon=66000.0)
-    assert alpha_A(p, 30.0) == 66000.0
-    assert alpha_A(p, 0.5, cp_mean=4000.0) == 66000.0
+    p = CorrelationParams()
+    assert alpha_A(p, 66000.0, 30.0) == 66000.0
+    assert alpha_A(p, 66000.0, 0.5, cp_mean=4000.0) == 66000.0
 
 
 def test_alpha_A_offset_and_cp_exponent():
-    p = CorrelationParams(upsilon=50.0, exp1=0.0, exp2=0.5, offset=25.0)
-    assert alpha_A(p, 3.0, cp_mean=4.0) == pytest.approx(50.0 * 2.0 + 25.0, rel=1e-12)
+    p = CorrelationParams(exp1=0.0, exp2=0.5, offset=25.0)
+    assert alpha_A(p, 50.0, 3.0, cp_mean=4.0) == pytest.approx(50.0 * 2.0 + 25.0, rel=1e-12)
 
 
 def test_alpha_A_power_law_homogeneity():
-    p = CorrelationParams(upsilon=120.0, exp1=0.8, exp2=0.3)
-    base = alpha_A(p, 10.0, cp_mean=1000.0)
-    assert alpha_A(p, 20.0, cp_mean=1000.0) / base == pytest.approx(2.0**0.8, rel=1e-12)
-    assert alpha_A(p, 10.0, cp_mean=2000.0) / base == pytest.approx(2.0**0.3, rel=1e-12)
+    p = CorrelationParams(exp1=0.8, exp2=0.3)
+    base = alpha_A(p, 120.0, 10.0, cp_mean=1000.0)
+    assert alpha_A(p, 120.0, 20.0, cp_mean=1000.0) / base == pytest.approx(2.0**0.8, rel=1e-12)
+    assert alpha_A(p, 120.0, 10.0, cp_mean=2000.0) / base == pytest.approx(2.0**0.3, rel=1e-12)
 
 
 def test_alpha_A_rejects_bad_inputs():
-    p = CorrelationParams(upsilon=100.0, exp1=0.6)
+    p = CorrelationParams(exp1=0.6)
     with pytest.raises(NonPositiveConductanceError):
-        alpha_A(p, 0.0)
+        alpha_A(p, 100.0, 0.0)
     with pytest.raises(NonPositiveConductanceError):
-        alpha_A(p, -1.0)
+        alpha_A(p, 100.0, -1.0)
     with pytest.raises(NonPositiveConductanceError):
-        alpha_A(p, 1.0, cp_mean=0.0)
-    sink = CorrelationParams(upsilon=10.0, offset=-100.0)
+        alpha_A(p, 100.0, 1.0, cp_mean=0.0)
+    sink = CorrelationParams(offset=-100.0)
     with pytest.raises(NonPositiveConductanceError):
-        alpha_A(sink, 5.0)
-
-
-def test_with_upsilon_replaces_only_upsilon():
-    p = CorrelationParams(upsilon=100.0, exp1=0.6, exp2=0.2, offset=5.0)
-    q = p.with_upsilon(140.0)
-    assert q.upsilon == 140.0
-    assert (q.exp1, q.exp2, q.offset) == (0.6, 0.2, 5.0)
-    assert p.upsilon == 100.0  # frozen original untouched
+        alpha_A(sink, 10.0, 5.0)
 
 
 def test_reference_hot_frozen_value():

@@ -52,8 +52,8 @@ def make_cfg(variant="A", **kw):
     defaults = dict(
         variant=variant,
         wall=WallDynamicsConfig(theta7=2000.0),
-        corr_hot=CorrelationParams(upsilon=1.0),  # constant: alpha_A = upsilon
-        corr_cold=CorrelationParams(upsilon=1.0),
+        corr_hot=CorrelationParams(),  # constant: alpha_A = upsilon
+        corr_cold=CorrelationParams(),
         r_x_density=0.01,
         r_upsilon_density=1000.0,
         r_y_density=0.01,
@@ -268,29 +268,28 @@ def test_model_inputs_variant_a_passes_inlets_through():
 @pytest.mark.parametrize("variant", ["B", "C"])
 @pytest.mark.parametrize("mdot_state, mdot_used", [(0.7, 0.7), (0.004, 0.01), (-2.0, 0.01)])
 def test_model_inputs_substitutes_floored_cold_flow(variant, mdot_state, mdot_used):
-    cfg = make_cfg(variant, corr_cold=CorrelationParams(upsilon=1.0, exp1=0.8))
+    cfg = make_cfg(variant, corr_cold=CorrelationParams(exp1=0.8))
     assert MDOT_FLOOR == 0.01
     x = np.array([350.0, 320.0, 1500.0, 3000.0, mdot_state])
     u_eff, cond_out, cond_steady = model_inputs(cfg, x, U, CP)
     assert u_eff == InletConditions(U.T_h1, U.T_c1, U.mdot_h, mdot_used)
-    expected = alpha_A(CorrelationParams(3000.0, exp1=0.8), mdot_used, CP.theta4)
+    expected = alpha_A(CorrelationParams(exp1=0.8), 3000.0, mdot_used, CP.theta4)
     assert cond_out.aA_c == cond_steady.aA_c == expected
 
 
 def test_model_inputs_floors_leading_factors():
     cfg = make_cfg(
         "A",
-        corr_hot=CorrelationParams(upsilon=1.0, exp1=0.6, exp2=0.3),
-        corr_cold=CorrelationParams(upsilon=1.0, exp2=0.2, offset=5.0),
+        corr_hot=CorrelationParams(exp1=0.6, exp2=0.3),
+        corr_cold=CorrelationParams(exp2=0.2, offset=5.0),
     )
     cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
     _, cond_out, cond_steady = model_inputs(cfg, np.array([350.0, 320.0, 0.2, -40.0]), U, cp)
-    hot = CorrelationParams(UPSILON_FLOOR, exp1=0.6, exp2=0.3)
-    cold = CorrelationParams(UPSILON_FLOOR, exp2=0.2, offset=5.0)
-    assert cond_out == Conductances(
-        alpha_A(hot, U.mdot_h, cp.theta3), alpha_A(cold, U.mdot_c, cp.theta4))
-    assert cond_steady == Conductances(
-        alpha_A(hot, U.mdot_h, cp.theta5), alpha_A(cold, U.mdot_c, cp.theta6))
+    hot, cold = cfg.corr_hot, cfg.corr_cold
+    assert cond_out == Conductances(alpha_A(hot, UPSILON_FLOOR, U.mdot_h, cp.theta3),
+                                    alpha_A(cold, UPSILON_FLOOR, U.mdot_c, cp.theta4))
+    assert cond_steady == Conductances(alpha_A(hot, UPSILON_FLOOR, U.mdot_h, cp.theta5),
+                                       alpha_A(cold, UPSILON_FLOOR, U.mdot_c, cp.theta6))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +341,8 @@ def stencil_keeps_sector_and_branches(cfg, z, u, cp, indices=(0, 1)):
 
 
 ORACLE_CFG = dict(
-    corr_hot=CorrelationParams(upsilon=1.0, exp1=0.6, exp2=0.1),
-    corr_cold=CorrelationParams(upsilon=1.0, exp1=0.8, offset=5.0),
+    corr_hot=CorrelationParams(exp1=0.6, exp2=0.1),
+    corr_cold=CorrelationParams(exp1=0.8, offset=5.0),
 )
 ORACLE_OFFSETS = [
     (2.0, 1.0), (-2.0, -1.0), (2.0, -1.0), (-1.0, 2.0),  # sectors III, I, II, IV
@@ -463,14 +462,11 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
 def reference_inputs(cfg, z, u, cp):
     if cfg.n_states == 5:
         u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, max(float(z[4]), MDOT_FLOOR))
-    hot = CorrelationParams(max(float(z[2]), UPSILON_FLOOR), cfg.corr_hot.exp1,
-                            cfg.corr_hot.exp2, cfg.corr_hot.offset)
-    cold = CorrelationParams(max(float(z[3]), UPSILON_FLOOR), cfg.corr_cold.exp1,
-                             cfg.corr_cold.exp2, cfg.corr_cold.offset)
-    cond_out = Conductances(alpha_A(hot, u.mdot_h, cp.theta3),
-                            alpha_A(cold, u.mdot_c, cp.theta4))
-    cond_steady = Conductances(alpha_A(hot, u.mdot_h, cp.theta5),
-                               alpha_A(cold, u.mdot_c, cp.theta6))
+    ups_h, ups_c = max(float(z[2]), UPSILON_FLOOR), max(float(z[3]), UPSILON_FLOOR)
+    cond_out = Conductances(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp.theta3),
+                            alpha_A(cfg.corr_cold, ups_c, u.mdot_c, cp.theta4))
+    cond_steady = Conductances(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp.theta5),
+                               alpha_A(cfg.corr_cold, ups_c, u.mdot_c, cp.theta6))
     return u, cond_out, cond_steady
 
 

@@ -132,9 +132,15 @@ def test_build_scenario_smoke_fields():
 
 
 def test_build_scenario_rejects_typo_key():
+    # a typo of an optional key leaves the default in place and is itself unknown
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(SMOKE_CFG.replace("seed =", "sede =")))
+    assert "unknown key 'sede' in section [scenario]" in str(exc.value)
+    assert exc.value.line == SMOKE_CFG.splitlines().index("seed = 11") + 1
+    # a typo of a required key fails its getter first
     with pytest.raises(ConfigError) as exc:
         build_scenario(parse_config(SMOKE_CFG.replace("dt_s =", "dt_z =")))
-    assert "unknown key" in str(exc.value)
+    assert "missing key 'dt_s' in section [scenario]" in str(exc.value)
 
 
 def test_build_scenario_rejects_nonpositive_duration():
@@ -271,57 +277,10 @@ def test_infinite_value_rejected_on_its_line(section, key):
     assert str(exc.value) == f"line {line}: '{key}' must be finite and positive"
 
 
-class _RecordingEntries(dict):
-    """Config entries that note every (section, key) looked up."""
-
-    def __init__(self, entries, seen: set):
-        super().__init__(entries)
-        self.seen = seen
-
-    def __contains__(self, section_key):
-        self.seen.add(section_key)
-        return super().__contains__(section_key)
-
-
-def test_known_keys_are_exactly_the_keys_the_builders_read(tmp_path):
-    # three configs reach every kind branch: perfect, polynomial and table
-    # streams on both sides; constant, step and chirp excitation; constant,
-    # ramp and correlation truth; a wall init; every tuning key
-    save_fluid_table(make_co2_like_table(300.0, 430.0, 10.0), tmp_path / "gas.txt")
-    hot = "kind = perfect\ncp_J_kgK = 1000\npressure_Pa = 1e5"
-    cold = "kind = perfect\ncp_J_kgK = 2000\npressure_Pa = 1e5"
-    poly = "kind = polynomial\ncp_coeffs = 2800, 2.0\nhull_K = 200, 600\npressure_Pa = 1e5"
-    table = "kind = table\ntable_path = gas.txt\npressure_Pa = 1e7"
-    truth = "kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000"
-    ramp = ("kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\n"
-            "aA_c_start_W_K = 3000\naA_c_end_W_K = 2800")
-    corr = "kind = correlation\n" + "".join(
-        f"{side}_coefficient_W_K = 100\n{side}_exp_mdot = 0.8\n{side}_exp_cp = 0.3\n"
-        for side in ("hot", "cold"))
-    tuning = "\n[monitoring.tuning]\n" + "".join(
-        f"{key} = 1.0\n" for key in sorted(harness._KNOWN_KEYS["monitoring.tuning"]))
-    texts = [
-        SMOKE_CFG,
-        SMOKE_CFG.replace(hot, poly).replace(cold, table).replace(truth, ramp)
-        .replace("[plant]\n", "[plant]\nT_w1_init_K = 360\nT_w2_init_K = 310\n")
-        + "\n[excitation]\nkind = step\nstep_time_s = 10\nstep_T_h1_K = 410\n" + tuning,
-        SMOKE_CFG.replace(hot, table).replace(cold, poly).replace(truth, corr)
-        + "\n[excitation]\nkind = chirp\nf1_Hz = 0.5\n",
-    ]
-    seen = set()
-    for text in texts:
-        raw = parse_config(text)
-        raw.entries = _RecordingEntries(raw.entries, seen)
-        build_scenario(raw, base_dir=str(tmp_path))
-    known = {(sec, key) for sec, keys in harness._KNOWN_KEYS.items() for key in keys}
-    assert seen - known == set(), "read but not listed"
-    assert known - seen == set(), "listed but never read"
-
-
 # Templates for the property below: together they reach every kind
-# branch and list every known key, each with a valid value.  Template 0
-# leaves the filter densities to their defaults, template 1 pins every
-# tuning key and template 2 only the assumed sensor noise.
+# branch and list every key a builder asks for, each with a valid value.
+# Template 0 leaves the filter densities to their defaults, template 1
+# pins every tuning key and template 2 only the assumed sensor noise.
 _PROPERTY_TEMPLATES = [
     SMOKE_CFG.replace("[plant]\n", "[plant]\nsubsteps_per_sample = 10\n")
     + "mdot_c0_kg_s = 1.0\ncp_model = constant\ncp_constant_hot_J_kgK = 1000\n"
@@ -368,7 +327,7 @@ _PROPERTY_TOKENS = [
 @pytest.fixture(scope="module")
 def table_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("tables")
-    save_fluid_table(make_co2_like_table(300.0, 430.0, 10.0), path / "gas.txt")
+    save_fluid_table(make_co2_like_table(290.0, 430.0, 10.0), path / "gas.txt")
     return str(path)
 
 
@@ -387,13 +346,13 @@ def _check_start_point(text: str, base_dir: str) -> None:
 
 
 def test_property_templates_build_and_list_every_key(table_dir):
-    listed = set()
+    listed, asked = set(), set()
     for text in _PROPERTY_TEMPLATES:
         raw = parse_config(text)
-        listed |= set(raw.entries)
         initial_point(build_scenario(raw, base_dir=table_dir))
-    known = {(sec, key) for sec, keys in harness._KNOWN_KEYS.items() for key in keys}
-    assert listed == known
+        listed |= set(raw.entries)
+        asked |= raw.asked
+    assert listed == asked
 
 
 def _replace_value(text: str, index: int, token: str) -> str:
@@ -472,6 +431,11 @@ R_X_DEFAULT_INF = (
      "swings T_c1_K = 300 out of range: it must lie in the cold fluid hull [200, 600] K"),
     ("excitation", "T_h1_amp_K", "nan", None,
      "swings T_h1_K = 400 out of range: it must be finite"),
+    # a hot inlet must also lie in the cold fluid hull
+    ("inputs", "T_h1_K", "650", None, "must lie in the cold fluid hull [200, 600] K"),
+    ("excitation", "step_T_h1_K", "150", None, "must lie in the cold fluid hull [200, 600] K"),
+    ("excitation", "T_h1_amp_K", "250", None,
+     "swings T_h1_K = 400 out of range: it must lie in the cold fluid hull [200, 600] K"),
     # truth correlation
     ("truth.conductances", "hot_coefficient_W_K", "0", None, "must be finite and positive"),
     ("truth.conductances", "cold_eta_Pa_s", "-1", None, "must be finite and positive"),
@@ -503,6 +467,45 @@ def test_bad_value_rejected_on_its_line(section, key, value, line_key, message):
         build_scenario(parse_config(text))
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: '{line_key[1] if line_key else key}' {message}"
+
+
+@pytest.mark.parametrize("section, bad_line, text", [
+    ("streams.cold", "cp_J_kgK = 2000", SMOKE_CFG.replace(
+        "kind = perfect\ncp_J_kgK = 2000", "kind = polynomial\ncp_coeffs = 2800, 2.0\n"
+        "cp_J_kgK = 2000")),
+    ("excitation", "step_time_s = 10",
+     SMOKE_CFG + "\n[excitation]\nkind = chirp\nf1_Hz = 0.5\nstep_time_s = 10\n"),
+    ("truth.conductances", "aA_h_W_K = 1500", SMOKE_CFG.replace(
+        "kind = constant\naA_h_W_K = 1500\naA_c_W_K = 3000\n",
+        "kind = ramp\naA_h_start_W_K = 1500\naA_h_end_W_K = 1200\naA_c_start_W_K = 3000\n"
+        "aA_c_end_W_K = 2800\naA_h_W_K = 1500\n")),
+    ("truth.conductances", "hot_coefficient_W_K = 100", SMOKE_CFG.replace(
+        "aA_c_W_K = 3000\n", "aA_c_W_K = 3000\nhot_coefficient_W_K = 100\n")),
+    ("excitation", "f0_Hz = 0.01", SMOKE_CFG + "\n[excitation]\nkind = step\n"
+     "step_time_s = 10\nstep_T_h1_K = 410\nf0_Hz = 0.01\n"),
+], ids=["perfect-on-polynomial", "step-on-chirp", "constant-on-ramp",
+        "correlation-on-constant", "chirp-on-step"])
+def test_key_of_another_kind_rejected_on_its_line(section, bad_line, text):
+    line = text.splitlines().index(bad_line) + 1
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(text))
+    key = bad_line.split(" = ")[0]
+    assert str(exc.value) == f"line {line}: unknown key '{key}' in section [{section}]"
+
+
+def test_cold_swing_below_a_hot_table_hull_rejected_on_its_line(tmp_path):
+    # the hot outlet and the walls follow the cold inlet, so this swing
+    # would take the hot table below its hull in the middle of a run
+    save_fluid_table(make_co2_like_table(300.0, 430.0, 10.0), tmp_path / "gas.txt")
+    text = SMOKE_CFG.replace(
+        "kind = perfect\ncp_J_kgK = 1000\npressure_Pa = 1e5",
+        "kind = table\ntable_path = gas.txt\npressure_Pa = 1e7",
+    ) + "\n[excitation]\nkind = chirp\nf1_Hz = 0.5\nT_c1_amp_K = 3\n"
+    line = text.splitlines().index("T_c1_amp_K = 3") + 1
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(text), base_dir=str(tmp_path))
+    assert str(exc.value) == (f"line {line}: 'T_c1_amp_K' swings T_c1_K = 300 out of range: "
+                              "it must lie in the hot fluid hull [300, 430] K")
 
 
 def test_zero_noise_needs_a_measurement_density():
@@ -913,8 +916,8 @@ def test_monitor_cp_uses_the_floored_steady_conductances():
     # so the steady cp fixed point moves theta5/theta6
     cfg = EkfConfig(
         variant="B", wall=WallDynamicsConfig(theta7=2000.0),
-        corr_hot=CorrelationParams(1.0, exp1=0.6, exp2=0.3),
-        corr_cold=CorrelationParams(1.0, exp1=0.8, exp2=0.2, offset=5.0),
+        corr_hot=CorrelationParams(exp1=0.6, exp2=0.3),
+        corr_cold=CorrelationParams(exp1=0.8, exp2=0.2, offset=5.0),
         r_x_density=0.01, r_upsilon_density=1000.0, r_y_density=0.01,
     )
     hot = StreamConfig(CaloricallyPerfect(1000.0), 1e5)
@@ -924,9 +927,8 @@ def test_monitor_cp_uses_the_floored_steady_conductances():
 
     def kA_of(cp):
         return serial_conductance(
-            alpha_A(CorrelationParams(1450.0, 0.6, 0.3), 1.0, cp.theta5),
-            alpha_A(CorrelationParams(UPSILON_FLOOR, 0.8, 0.2, 5.0),
-                    MDOT_FLOOR, cp.theta6),
+            alpha_A(CorrelationParams(0.6, 0.3), 1450.0, 1.0, cp.theta5),
+            alpha_A(CorrelationParams(0.8, 0.2, 5.0), UPSILON_FLOOR, MDOT_FLOOR, cp.theta6),
         )
 
     u_eff = InletConditions(400.0, 300.0, 1.0, MDOT_FLOOR)
