@@ -12,13 +12,14 @@ a displaced wall, then times both on the tabulated-fluid scenario.
 from pathlib import Path
 
 from hxtwin.approx_model import approx_steady_terms, evaluate_approx, update_cp_params
-from hxtwin.harness import bench_models, initial_point, load_scenario
+from hxtwin.harness import bench_models
 from hxtwin.reference_model import (
     WallState,
     ref_output,
     ref_steady_outlets,
     steady_wall_temps,
 )
+from hxtwin.scenario import initial_point, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -12,12 +12,12 @@ import math
 from pathlib import Path
 
 from hxtwin.approx_model import update_cp_params
-from hxtwin.harness import initial_point, load_scenario
 from hxtwin.reference_model import (
     WallState,
     ref_steady_outlets,
     steady_wall_temps,
 )
+from hxtwin.scenario import initial_point, load_scenario
 from hxtwin.wall_dynamics import approx_wall_rhs, integrate_step, reference_wall_rhs
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -15,16 +15,10 @@ the telemetry and monitor CSVs next to this script under demo_out/.
 
 from pathlib import Path
 
-from hxtwin.harness import (
-    innovation_means,
-    load_scenario,
-    model_free_rating,
-    run_monitor,
-    run_truth_sim,
-    window_errors,
-    write_monitor_csv,
-    write_telemetry_csv,
-)
+from hxtwin.harness import run_monitor, run_truth_sim
+from hxtwin.metrics import innovation_means, model_free_rating, window_errors
+from hxtwin.records import write_monitor_csv, write_telemetry_csv
+from hxtwin.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -15,13 +15,9 @@ a sustained cold-side innovation bias and a wrong rating.
 
 from pathlib import Path
 
-from hxtwin.harness import (
-    innovation_means,
-    load_scenario,
-    recovery_time,
-    run_monitor,
-    run_truth_sim,
-)
+from hxtwin.harness import run_monitor, run_truth_sim
+from hxtwin.metrics import innovation_means, recovery_time
+from hxtwin.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 T_STEP = 120.0

@@ -11,10 +11,13 @@ Three layers, each imported from its own module:
   temperatures and heat transfer parameters from noisy outlet
   measurements, yielding a live estimate of the thermal rating kA.
 
-``hxtwin.harness`` wires these into scenario-driven experiments with a
-CSV/config file interface; ``hxtwin.cli`` is the `hxtwin` console
-script.  Import names from their modules; each library module lists its
-public names in ``__all__``.
+Scenario-driven experiments with a CSV/config file interface sit on
+top: ``hxtwin.scenario`` loads a scenario config, ``hxtwin.harness``
+runs the truth simulation and the monitor, ``hxtwin.records`` reads and
+writes their CSV files, and ``hxtwin.metrics`` compares the estimates
+against truth.  ``hxtwin.cli`` is the `hxtwin` console script.  Import
+names from their modules; each library module lists its public names in
+``__all__``.
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,8 @@
-"""Command line entry points for the digital twin harness.
+"""Command line entry points: the `hxtwin` console script.
+
+The subcommands are thin: scenarios load through ``hxtwin.scenario``,
+runs go through ``hxtwin.harness``, CSV files through ``hxtwin.records``
+and the ``compare`` report through ``hxtwin.metrics``.
 
 Subcommands:
 
@@ -14,17 +18,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (
-    bench_models,
-    compare_report,
-    load_scenario,
+from . import reference_model
+from .harness import bench_models, run_monitor, run_truth_sim
+from .metrics import compare_report
+from .records import (
     read_monitor_csv,
     read_telemetry_csv,
-    run_monitor,
-    run_truth_sim,
     write_monitor_csv,
     write_telemetry_csv,
 )
+from .scenario import initial_point, load_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,12 +110,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .harness import initial_point
-    from .reference_model import verify_uniqueness
-
     scn = load_scenario(args.config)
     u0, cond = initial_point(scn)
-    report = verify_uniqueness(u0, cond, scn.hot, scn.cold, grid_n=args.grid_n)
+    report = reference_model.verify_uniqueness(u0, cond, scn.hot, scn.cold,
+                                               grid_n=args.grid_n)
     print(f"scenario:            {scn.name}")
     print(f"grid points:         {args.grid_n}")
     print(f"sign changes:        {report.sign_changes}")

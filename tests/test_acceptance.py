@@ -21,18 +21,9 @@ from hxtwin.approx_model import (
 )
 from hxtwin.correlations import serial_conductance
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
-from hxtwin.harness import (
-    bench_models,
-    innovation_means,
-    load_scenario,
-    model_free_rating,
-    recovery_time,
-    run_monitor,
-    run_truth_sim,
-    window_errors,
-    write_monitor_csv,
-    write_telemetry_csv,
-)
+from hxtwin.harness import bench_models, run_monitor, run_truth_sim
+from hxtwin.metrics import innovation_means, model_free_rating, recovery_time, window_errors
+from hxtwin.records import write_monitor_csv, write_telemetry_csv
 from hxtwin.reference_model import (
     Conductances,
     InletConditions,
@@ -42,6 +33,7 @@ from hxtwin.reference_model import (
     verify_uniqueness,
 )
 from hxtwin.sampledata import make_coolant_model
+from hxtwin.scenario import load_scenario
 from hxtwin.wall_dynamics import (
     WallDynamicsConfig,
     integrate_step,

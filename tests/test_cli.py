@@ -6,7 +6,7 @@ import pytest
 
 import hxtwin.cli as cli
 import hxtwin.reference_model as reference_model
-from hxtwin.harness import read_monitor_csv, read_telemetry_csv
+from hxtwin.records import read_monitor_csv, read_telemetry_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMOKE = str(SCENARIOS / "smoke_constant.cfg")
@@ -89,8 +89,12 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
     cli.main(["simulate", SMOKE, "-o", str(tel)])
     cli.main(["monitor", str(tel), SMOKE, "-o", str(mon)])
     capsys.readouterr()
+    compare = ["compare", str(tel), str(mon), "-o", str(tmp_path / "r.txt")]
     # 60 s of data leave no room for the default 300 s window
-    assert cli.main(["compare", str(tel), str(mon), "-o", str(tmp_path / "r.txt")]) == 1
+    assert cli.main(compare) == 1
+    assert cli.main(compare + ["--window-s", "1e-300", "--settle-s", "10"]) == 1
+    for settle_s in ("nan", "-1000"):
+        assert cli.main(compare + ["--window-s", "20", "--settle-s", settle_s]) == 1
     missing = str(tmp_path / "missing.cfg")
     assert cli.main(["simulate", missing, "-o", str(tel)]) == 1
     out, err = capsys.readouterr()
@@ -98,6 +102,10 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
     assert err.splitlines() == [
         "hxtwin compare: no full window of 300.0 s fits after t=300.0 s "
         "(data ends at 60.0)",
+        "hxtwin compare: window_s = 1e-300 s is too small: it gives more full "
+        "windows after t=10.0 s than the 121 samples",
+        "hxtwin compare: settle_s must be finite and nonnegative, got nan",
+        "hxtwin compare: settle_s must be finite and nonnegative, got -1000.0",
         f"hxtwin simulate: [Errno 2] No such file or directory: '{missing}'",
     ]
 

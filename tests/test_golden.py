@@ -30,14 +30,9 @@ from pathlib import Path
 
 import pytest
 
-from hxtwin.harness import (
-    load_scenario,
-    read_telemetry_csv,
-    run_monitor,
-    run_truth_sim,
-    write_monitor_csv,
-    write_telemetry_csv,
-)
+from hxtwin.harness import run_monitor, run_truth_sim
+from hxtwin.records import read_telemetry_csv, write_monitor_csv, write_telemetry_csv
+from hxtwin.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"

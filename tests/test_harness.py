@@ -30,34 +30,35 @@ from hxtwin.fluids import (
     ThermallyPerfect,
     save_fluid_table,
 )
-from hxtwin.harness import (
-    MONITOR_COLUMNS,
-    TELEMETRY_COLUMNS,
-    BenchResult,
-    MonitorRecord,
-    TelemetryRecord,
+from hxtwin.harness import BenchResult, bench_models, run_monitor, run_truth_sim
+from hxtwin.means import log_mean
+from hxtwin.metrics import (
     WindowOutOfRange,
-    bench_models,
-    build_scenario,
     compare_report,
     innovation_means,
-    initial_point,
-    inputs_at,
-    load_scenario,
     model_free_rating,
+    recovery_time,
+    window_errors,
+)
+from hxtwin.records import (
+    MONITOR_COLUMNS,
+    TELEMETRY_COLUMNS,
+    MonitorRecord,
+    TelemetryRecord,
     read_monitor_csv,
     read_telemetry_csv,
-    recovery_time,
-    run_monitor,
-    run_truth_sim,
-    truth_conductances,
-    window_errors,
     write_monitor_csv,
     write_telemetry_csv,
 )
-from hxtwin.means import log_mean
 from hxtwin.reference_model import InletConditions, OutletTemps
 from hxtwin.sampledata import make_co2_like_table, make_coolant_model
+from hxtwin.scenario import (
+    build_scenario,
+    initial_point,
+    inputs_at,
+    load_scenario,
+    truth_conductances,
+)
 from hxtwin.wall_dynamics import WallDynamicsConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1043,6 +1044,15 @@ def test_window_errors_mean_max_and_nan():
     for window_s in (0.0, -2.0, math.nan):
         with pytest.raises(ValueError, match="window_s must be positive"):
             window_errors(times, est, tru, 0.0, window_s)
+    # a start that is not finite, or a window so small that the start
+    # barely moves (1e-300 from 0) or not at all (from 1), gives windows
+    # without end
+    for t_start in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="t_start must be finite"):
+            window_errors(times, est, tru, t_start, 2.0)
+    for t_start in (0.0, 1.0):
+        with pytest.raises(ValueError, match="window_s = 1e-300 s is too small"):
+            window_errors([0.0, 1.0, 2.0], [1.0] * 3, [1.0] * 3, t_start, 1e-300)
 
 
 def make_mon(t, innov_h=0.0, innov_c=0.0, mdot=41.0):

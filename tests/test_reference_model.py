@@ -8,7 +8,7 @@ import pytest
 
 import hxtwin.reference_model as reference_model
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig, ThermallyPerfect
-from hxtwin.harness import load_scenario, run_truth_sim
+from hxtwin.harness import run_truth_sim
 from hxtwin.means import heat_rate
 from hxtwin.reference_model import (
     OUTPUT_FTOL,
@@ -26,6 +26,7 @@ from hxtwin.reference_model import (
     verify_uniqueness,
 )
 from hxtwin.sampledata import make_co2_like_table, make_coolant_model
+from hxtwin.scenario import load_scenario
 
 
 def perfect_streams(cp_h=1000.0, cp_c=2000.0):
