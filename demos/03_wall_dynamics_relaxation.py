@@ -11,14 +11,14 @@ should land on the same steady wall state.
 import math
 from pathlib import Path
 
-from hxtwin.approx_model import update_cp_params
+from hxtwin.approx_model import approx_steady_terms, update_cp_params
 from hxtwin.reference_model import (
     WallState,
     ref_steady_outlets,
     steady_wall_temps,
 )
 from hxtwin.scenario import initial_point, load_scenario
-from hxtwin.wall_dynamics import approx_wall_rhs, integrate_step, reference_wall_rhs
+from hxtwin.wall_dynamics import ApproxStage, integrate_step, reference_wall_rhs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,7 +36,10 @@ def main():
     cfg = scn.plant.wall
 
     rhs_ref = reference_wall_rhs(u, cond, scn.hot, scn.cold, cfg)
-    rhs_apx = approx_wall_rhs(u, cond, cond, cp, cfg)
+    stage = ApproxStage(u, cond, cp, approx_steady_terms(u, cond, cp), cfg)
+
+    def rhs_apx(x):
+        return stage.rates(x.T_w1, x.T_w2)
 
     x_ref = WallState(xs.T_w1 + 4.0, xs.T_w2 + 4.0)
     x_apx = x_ref

@@ -17,6 +17,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
+from .correlations import serial_conductance
 from .fluids import StreamConfig
 from .means import DomainError, arith_mean, geom_mean, log_mean, weighted_mean
 from .reference_model import (
@@ -25,6 +26,7 @@ from .reference_model import (
     OutletTemps,
     WallState,
     steady_wall_temps,
+    steady_walls,
 )
 
 __all__ = [
@@ -41,14 +43,18 @@ __all__ = [
     "select_beta",
     "approx_output",
     "approx_steady",
+    "steady_outlets",
     "approx_steady_walls",
     "approx_steady_terms",
+    "steady_terms",
     "update_cp_params",
     "approx_steady_selfconsistent",
+    "approx_sides",
     "evaluate_approx",
     "evaluation_tau",
     "EvaluationPartials",
     "approx_partials",
+    "partial_rows",
 ]
 
 # Steady differences closer than this (relative) use the analytic 2/3
@@ -257,7 +263,14 @@ def approx_output(
 
 
 def approx_steady(u: InletConditions, kA: float, cp: CpParams) -> OutletTemps:
-    """One-step steady outlet temperatures with frozen mean specific heats.
+    """One-step steady outlet temperatures with frozen mean specific heats."""
+    return OutletTemps(*steady_outlets(
+        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, kA))
+
+
+def steady_outlets(T_h1: float, T_c1: float, W_h: float, W_c: float,
+                   kA: float) -> tuple[float, float]:
+    """approx_steady on floats, with the heat capacity rates W_h and W_c.
 
     Branches on the heat-capacity-rate ratio: the generic counterflow
     expression with xi_s = exp(kA/W_h - kA/W_c), or the balanced-capacity
@@ -265,16 +278,13 @@ def approx_steady(u: InletConditions, kA: float, cp: CpParams) -> OutletTemps:
     """
     if kA <= 0.0:
         raise ValueError(f"kA must be positive, got {kA}")
-    W_h = u.mdot_h * cp.theta5
-    W_c = u.mdot_c * cp.theta6
     if abs(W_h / W_c - 1.0) < _BALANCED_SWITCH:
-        T_h2s = (u.T_c1 * kA + u.T_h1 * W_h) / (kA + W_h)
+        T_h2s = (T_c1 * kA + T_h1 * W_h) / (kA + W_h)
     else:
         arg = kA / W_h - kA / W_c
         xi_s = math.exp(min(max(arg, -_EXP_CLAMP), _EXP_CLAMP))
-        T_h2s = u.T_c1 + (u.T_c1 - u.T_h1) * (W_c - W_h) / (W_h - W_c * xi_s)
-    T_c2s = u.T_c1 + (W_h / W_c) * (u.T_h1 - T_h2s)
-    return OutletTemps(T_h2s, T_c2s)
+        T_h2s = T_c1 + (T_c1 - T_h1) * (W_c - W_h) / (W_h - W_c * xi_s)
+    return T_h2s, T_c1 + (W_h / W_c) * (T_h1 - T_h2s)
 
 
 def approx_steady_walls(
@@ -377,13 +387,38 @@ def approx_steady_terms(
     They do not depend on the wall state, so a caller evaluating many
     wall states at one (u, theta) computes them once and passes them in.
     """
-    outlets, walls = approx_steady_walls(u, cond_steady, cp)
-    return SteadyTerms(
-        outlets,
-        walls,
-        beta_lm_selection(u.T_h1 - walls.T_w1, outlets.T_h2 - walls.T_w2),
-        beta_lm_selection(walls.T_w2 - u.T_c1, walls.T_w1 - outlets.T_c2),
-    )
+    T_h2s, T_c2s, T_w1s, T_w2s, b_h, b_c = steady_terms(
+        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6,
+        cond_steady.aA_h, cond_steady.aA_c)
+    return SteadyTerms(OutletTemps(T_h2s, T_c2s), WallState(T_w1s, T_w2s),
+                       BetaSelection(b_h, BetaBranch.BETA_LM, False),
+                       BetaSelection(b_c, BetaBranch.BETA_LM, False))
+
+
+def steady_terms(T_h1: float, T_c1: float, W_h: float, W_c: float,
+                 aA_h: float, aA_c: float) -> tuple[float, ...]:
+    """approx_steady_terms on floats, with W_h = mdot_h*theta5, W_c = mdot_c*theta6:
+    (T_h2s, T_c2s, T_w1s, T_w2s, beta_LM hot, beta_LM cold)."""
+    T_h2s, T_c2s = steady_outlets(T_h1, T_c1, W_h, W_c, serial_conductance(aA_h, aA_c))
+    T_w1s, T_w2s = steady_walls(T_h1, T_c1, T_h2s, T_c2s, aA_h, aA_c)
+    return (T_h2s, T_c2s, T_w1s, T_w2s, beta_lm_value(T_h1 - T_w1s, T_h2s - T_w2s),
+            beta_lm_value(T_w2s - T_c1, T_w1s - T_c2s))
+
+
+def approx_sides(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA_c: float,
+                 C_h: float, C_c: float, lm_h: BetaSelection, lm_c: BetaSelection) -> tuple:
+    """evaluate_approx on floats at the walls, with C_h = mdot_h*theta3 and
+    C_c = mdot_c*theta4: (beta_hot, beta_cold, T_h2, T_c2, Q_h, Q_c)."""
+    dT_w = w1 - w2
+    dT_I_h = T_h1 - w1
+    beta_h = select_beta(dT_I_h, dT_w, aA_h, C_h, lm_h)
+    G_h = g_closed_form(dT_I_h, dT_w, aA_h, C_h, beta_h.beta)
+    dT_I_c = w2 - T_c1
+    beta_c = select_beta(dT_I_c, dT_w, aA_c, C_c, lm_c)
+    G_c = g_closed_form(dT_I_c, dT_w, aA_c, C_c, beta_c.beta)
+    return (beta_h, beta_c, G_h + w2, w1 - G_c,
+            -aA_h * weighted_mean(dT_I_h, G_h, beta_h.beta),
+            aA_c * weighted_mean(dT_I_c, G_c, beta_c.beta))
 
 
 def evaluate_approx(
@@ -397,7 +432,7 @@ def evaluate_approx(
 
     Each side solves the universal residual by select_beta and
     g_closed_form under its own substitution, with dT_w = T_w1 - T_w2 and
-    aA from ``cond_out``:
+    aA from ``cond_out`` (approx_sides):
 
     ====  ===========  =============  ===============  ====
     side  dT_I         unknown dT_II  C_p              aA
@@ -412,26 +447,11 @@ def evaluate_approx(
     coincides with ``cond_out`` whenever the correlation ignores the
     mean cp.
     """
-    dT_w = x.T_w1 - x.T_w2
-
-    dT_I_h = u.T_h1 - x.T_w1
-    aA_h = cond_out.aA_h
-    C_h = u.mdot_h * cp.theta3
-    beta_h = select_beta(dT_I_h, dT_w, aA_h, C_h, steady.beta_lm_hot)
-    dT_II_h = g_closed_form(dT_I_h, dT_w, aA_h, C_h, beta_h.beta)
-
-    dT_I_c = x.T_w2 - u.T_c1
-    aA_c = cond_out.aA_c
-    C_c = u.mdot_c * cp.theta4
-    beta_c = select_beta(dT_I_c, dT_w, aA_c, C_c, steady.beta_lm_cold)
-    dT_II_c = g_closed_form(dT_I_c, dT_w, aA_c, C_c, beta_c.beta)
-
-    outlets = OutletTemps(dT_II_h + x.T_w2, x.T_w1 - dT_II_c)
-    Q_h = -aA_h * weighted_mean(dT_I_h, dT_II_h, beta_h.beta)
-    Q_c = aA_c * weighted_mean(dT_I_c, dT_II_c, beta_c.beta)
+    sel_h, sel_c, T_h2, T_c2, Q_h, Q_c = approx_sides(
+        x.T_w1, x.T_w2, u.T_h1, u.T_c1, cond_out.aA_h, cond_out.aA_c,
+        u.mdot_h * cp.theta3, u.mdot_c * cp.theta4, steady.beta_lm_hot, steady.beta_lm_cold)
     return ApproxEvaluation(
-        outlets, steady.outlets, steady.walls, beta_h, beta_c, Q_h, Q_c
-    )
+        OutletTemps(T_h2, T_c2), steady.outlets, steady.walls, sel_h, sel_c, Q_h, Q_c)
 
 
 def evaluation_tau(
@@ -480,20 +500,29 @@ def approx_partials(
     Q_c also with C_c = mdot_c*theta4.  The steady walls do not move with
     the walls.
     """
-    C_h = u.mdot_h * cp.theta3
-    C_c = u.mdot_c * cp.theta4
-    gI_h, gw_h, gA_h, _, gB_h = g_partials(
-        u.T_h1 - x.T_w1, ev.outlets.T_h2 - x.T_w2, cond_out.aA_h, C_h, ev.beta_hot)
-    gI_c, gw_c, gA_c, gC_c, gB_c = g_partials(
-        x.T_w2 - u.T_c1, x.T_w1 - ev.outlets.T_c2, cond_out.aA_c, C_c, ev.beta_cold)
+    d_h2, d_c2, d_Qh, d_Qc, d_w1s, d_w2s = map(tuple, partial_rows(
+        x.T_w1, x.T_w2, u.T_h1, u.T_c1, cond_out.aA_h, cond_out.aA_c,
+        u.mdot_h * cp.theta3, u.mdot_c * cp.theta4, cp.theta4,
+        ev.beta_hot, ev.beta_cold, ev.outlets.T_h2, ev.outlets.T_c2, dtau))
+    return EvaluationPartials(d_h2, d_c2, d_Qh, d_Qc, (d_w1s, d_w2s))
+
+
+def partial_rows(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA_c: float,
+                 C_h: float, C_c: float, theta4: float, beta_hot: BetaSelection,
+                 beta_cold: BetaSelection, T_h2: float, T_c2: float,
+                 dtau: Sequence[Sequence[float]]) -> tuple[list[float], ...]:
+    """approx_partials on floats, given approx_sides' arguments and results:
+    lists over (T_w1, T_w2, q_1, ...) of (T_h2, T_c2, Q_h, Q_c, T_w1s, T_w2s)."""
+    gI_h, gw_h, gA_h, _, gB_h = g_partials(T_h1 - w1, T_h2 - w2, aA_h, C_h, beta_hot)
+    gI_c, gw_c, gA_c, gC_c, gB_c = g_partials(w2 - T_c1, w1 - T_c2, aA_c, C_c, beta_cold)
     # dT_I_h = T_h1 - T_w1, dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2
     d_h2 = [gw_h - gI_h, 1.0 - gw_h]
     d_c2 = [1.0 - gw_c, gw_c - gI_c]
     d_Qc = [C_c * d_c2[0], C_c * d_c2[1]]
     d_w1s = [0.0, 0.0]
     d_w2s = [0.0, 0.0]
-    gM_c = cp.theta4 * gC_c  # dG_c/dmdot_c
-    dQ_dmdot = cp.theta4 * (ev.outlets.T_c2 - u.T_c1)
+    gM_c = theta4 * gC_c  # dG_c/dmdot_c
+    dQ_dmdot = theta4 * (T_c2 - T_c1)
     for aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s in dtau:
         d_h2.append(gA_h * aA_h + gB_h * b_h)
         dc = -(gA_c * aA_c + gM_c * mdot_c + gB_c * b_c)
@@ -501,5 +530,4 @@ def approx_partials(
         d_Qc.append(C_c * dc + dQ_dmdot * mdot_c)
         d_w1s.append(w1s)
         d_w2s.append(w2s)
-    return EvaluationPartials(tuple(d_h2), tuple(d_c2), tuple([C_h * v for v in d_h2]),
-                              tuple(d_Qc), (tuple(d_w1s), tuple(d_w2s)))
+    return d_h2, d_c2, [C_h * v for v in d_h2], d_Qc, d_w1s, d_w2s

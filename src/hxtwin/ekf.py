@@ -21,17 +21,17 @@ model.  An evaluation and the wall dynamics read the parameter states
 p = x_v[2:] only through the parameter terms
 tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
 dtau/dp is one central stencil per predict or update (central_jacobian),
-taken on the map p -> tau, which does not read the walls and so never
-straddles a wall sector or a beta branch switch of the outlets.  The
-partials in the walls and in tau are closed form: the closed-form root
-has closed-form partials (approx_model.approx_partials), and the wall
-dynamics differentiate within their active sector
-(wall_dynamics.wall_rhs_jacobian, which also states the sector-V rule).
+taken on floats on the map p -> tau, which does not read the walls and
+so never straddles a wall sector or a beta branch switch.  The partials
+in the walls and in tau are closed form (approx_model.approx_partials,
+and wall_dynamics.wall_rhs_jacobian within the active wall sector).  A
+predict takes its RK4 stages and F rows from one ApproxStage on floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +41,11 @@ from .approx_model import (
     approx_partials,
     approx_steady_terms,
     evaluate_approx,
-    evaluation_tau,
+    steady_terms,
 )
 from .correlations import CorrelationParams, alpha_A
 from .reference_model import Conductances, InletConditions, WallState
-from .wall_dynamics import WallDynamicsConfig, rk4_step, wall_rhs, wall_rhs_jacobian
+from .wall_dynamics import ApproxStage, WallDynamicsConfig, rk4_pair
 
 __all__ = [
     "VARIANTS",
@@ -148,29 +148,36 @@ def ekf_init(
     return EkfState(np.asarray(x, dtype=float), P0)
 
 
+def _conductances(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
+    """(mdot_c, aA_h, aA_c, steady aA_h, steady aA_c): the effective cold
+    flow and the conductances of model_inputs at the parameter states
+    p = x_v[2:], on floats."""
+    ups_h = max(float(p[0]), UPSILON_FLOOR)
+    ups_c = max(float(p[1]), UPSILON_FLOOR)
+    mdot_c = max(float(p[2]), MDOT_FLOOR) if cfg.n_states == 5 else u.mdot_c
+    hot, cold = cfg.corr_hot, cfg.corr_cold
+    return (mdot_c, alpha_A(hot, ups_h, u.mdot_h, cp.theta3),
+            alpha_A(cold, ups_c, mdot_c, cp.theta4),
+            alpha_A(hot, ups_h, u.mdot_h, cp.theta5), alpha_A(cold, ups_c, mdot_c, cp.theta6))
+
+
 def model_inputs(
     cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
 ) -> tuple[InletConditions, Conductances, Conductances]:
     """Approximate-model inputs at the joint state x_v.
 
-    The one place that floors the parameter states.  Returns the
-    effective inlets (variants B and C substitute the estimated cold
-    flow, floored at MDOT_FLOOR) and the output and steady conductances
-    of the monitored correlations at the leading factors, floored at
-    UPSILON_FLOOR.  The output conductances take the transient mean cps
-    theta3/theta4, the steady ones theta5/theta6.  Only the parameter
-    states x_v[2:] are read.
+    Through _conductances, the one place that floors the parameter
+    states, it returns the effective inlets (variants B and C substitute
+    the estimated cold flow, floored at MDOT_FLOOR) and the output and
+    steady conductances of the monitored correlations at the leading
+    factors, floored at UPSILON_FLOOR.  The output conductances take the
+    transient mean cps theta3/theta4, the steady ones theta5/theta6.
+    Only the parameter states x_v[2:] are read.
     """
+    mdot_c, aA_h, aA_c, s_h, s_c = _conductances(cfg, x_v[2:], u, cp)
     if cfg.n_states == 5:
-        u = replace(u, mdot_c=max(float(x_v[4]), MDOT_FLOOR))
-    ups_h = max(float(x_v[2]), UPSILON_FLOOR)
-    ups_c = max(float(x_v[3]), UPSILON_FLOOR)
-
-    def conductances(cp_h: float, cp_c: float) -> Conductances:
-        return Conductances(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp_h),
-                            alpha_A(cfg.corr_cold, ups_c, u.mdot_c, cp_c))
-
-    return u, conductances(cp.theta3, cp.theta4), conductances(cp.theta5, cp.theta6)
+        u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, mdot_c)
+    return u, Conductances(aA_h, aA_c), Conductances(s_h, s_c)
 
 
 def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
@@ -185,26 +192,16 @@ def _tau_partials(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpPar
     """dtau/dp over the parameter states p = x_v[2:], as one row of
     evaluation_tau partials per parameter (the dtau of approx_partials),
     by central_jacobian of the map p -> tau, which does not read the
-    walls."""
-    def tau_at(p: np.ndarray) -> np.ndarray:
-        z = x_v.copy()
-        z[2:] = p
-        return np.array(evaluation_tau(*_parameter_terms(cfg, z, u, cp)))
+    walls and runs on floats."""
+    W_h = u.mdot_h * cp.theta5
+
+    def tau_at(p):
+        mdot_c, aA_h, aA_c, s_h, s_c = _conductances(cfg, p, u, cp)
+        _, _, w1s, w2s, b_h, b_c = steady_terms(
+            u.T_h1, u.T_c1, W_h, mdot_c * cp.theta6, s_h, s_c)
+        return aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s
 
     return central_jacobian(tau_at, x_v[2:]).T.tolist()
-
-
-def _walls(x_v: np.ndarray) -> WallState:
-    return WallState(float(x_v[0]), float(x_v[1]))
-
-
-def _evaluate(wall: WallState, terms, cp: CpParams) -> ApproxEvaluation:
-    u_eff, cond_out, steady = terms
-    return evaluate_approx(wall, u_eff, cond_out, cp, steady)
-
-
-def _wall_rates(cfg: EkfConfig, wall: WallState, ev: ApproxEvaluation) -> tuple[float, float]:
-    return wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)[0]
 
 
 def ekf_evaluation(
@@ -212,25 +209,24 @@ def ekf_evaluation(
 ) -> ApproxEvaluation:
     """Approximate-model evaluation at the joint state x_v, with the
     inputs of model_inputs."""
-    return _evaluate(_walls(x_v), _parameter_terms(cfg, x_v, u, cp), cp)
+    u_eff, cond_out, steady = _parameter_terms(cfg, x_v, u, cp)
+    return evaluate_approx(WallState(float(x_v[0]), float(x_v[1])), u_eff, cond_out, cp, steady)
 
 
 def central_jacobian(fun, x: np.ndarray) -> np.ndarray:
     """Central finite differences of fun with per-component steps
-    max(JACOBIAN_REL_STEP * |x_i|, JACOBIAN_ABS_STEP)."""
-    x = np.asarray(x, dtype=float)
-    J = None
-    for i in range(x.size):
-        h = max(JACOBIAN_REL_STEP * abs(x[i]), JACOBIAN_ABS_STEP)
+    max(JACOBIAN_REL_STEP * |x_i|, JACOBIAN_ABS_STEP).  fun takes a list
+    of floats and returns a sequence."""
+    x = np.asarray(x, dtype=float).tolist()
+    cols = []
+    for i, xi in enumerate(x):
+        h = max(JACOBIAN_REL_STEP * abs(xi), JACOBIAN_ABS_STEP)
         xp = x.copy()
         xp[i] += h
         xm = x.copy()
         xm[i] -= h
-        col = (fun(xp) - fun(xm)) / (2.0 * h)
-        if J is None:
-            J = np.empty((np.size(col), x.size))
-        J[:, i] = col
-    return J
+        cols.append([(p - m) / (2.0 * h) for p, m in zip(fun(xp), fun(xm))])
+    return np.array(cols).T
 
 
 def ekf_predict(
@@ -240,15 +236,16 @@ def ekf_predict(
     cp: CpParams,
     dt: float,
 ) -> EkfState:
-    """Propagate estimate and covariance over dt > 0 under zero-order-hold u.
+    """Propagate estimate and covariance over a finite dt > 0 under
+    zero-order-hold u.
 
     Both integrate with fixed-step RK4 using the wall config's substep
     count.  The parameter states do not move, so the walls integrate by
-    wall_dynamics.rk4_step at one parameter point, and dtau/dp is taken
-    once.  F is evaluated once per substep, from the first-stage
-    evaluation that also gives k1: its wall columns and, through
-    dtau/dp, its parameter columns by the chain rule.  With F held the
-    covariance ODE is linear, and its RK4 step is the polynomial
+    wall_dynamics.rk4_pair on one ApproxStage, built once with dtau/dp.
+    F is evaluated once per substep, with k1 by the stage's first call:
+    its wall columns and, through dtau/dp, its parameter columns by the
+    chain rule.  With F held the covariance ODE is linear, and its RK4
+    step is the polynomial
     P + h (k + h/2 L(k + h/3 L(k + h/4 L(k)))) with
     L(M) = F M + M F' and k = L(P) + Q, which is the four stages in
     Horner form.  dt is one telemetry sample period: the substep count
@@ -256,36 +253,29 @@ def ekf_predict(
     single call past the integrator's stability region.
     """
     _check_state(cfg, state)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     x = state.x_hat.copy()
     P = state.P
     Q = cfg.process_noise_density()
     substeps = cfg.wall.substeps_per_sample
     h = dt / substeps
-    terms = _parameter_terms(cfg, x, u, cp)
-    u_eff, cond_out, _ = terms
-    dtau = _tau_partials(cfg, x, u, cp)
+    u_eff, cond_out, steady = _parameter_terms(cfg, x, u, cp)
+    stage = ApproxStage(u_eff, cond_out, cp, steady, cfg.wall, _tau_partials(cfg, x, u, cp))
     F = np.zeros((cfg.n_states, cfg.n_states))
-
-    def rates(wall: WallState) -> tuple[float, float]:
-        return _wall_rates(cfg, wall, _evaluate(wall, terms, cp))
 
     def lyap(M: np.ndarray) -> np.ndarray:  # F M + M F', M symmetric
         G = F @ M
         return G + G.T
 
-    wall = _walls(x)
+    w1, w2 = float(x[0]), float(x[1])
     for _ in range(substeps):
-        ev = _evaluate(wall, terms, cp)
-        d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau)
-        F[:2] = wall_rhs_jacobian(
-            wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall, d.steady_walls)
+        k1, F[:2] = stage.rates_and_rows(w1, w2)
         # the covariance RK4 with F held, in Horner form
         k = lyap(P) + Q
         P = P + h * (k + (h / 2.0) * lyap(k + (h / 3.0) * lyap(k + (h / 4.0) * lyap(k))))
-        wall = rk4_step(rates, wall, h, _wall_rates(cfg, wall, ev))
-    x[0], x[1] = wall.T_w1, wall.T_w2
+        w1, w2 = rk4_pair(stage.rates, w1, w2, h, k1)
+    x[0], x[1] = w1, w2
     P = 0.5 * (P + P.T)
     return EkfState(x, P)
 
@@ -326,15 +316,15 @@ def ekf_update(
             f"variant {cfg.variant} measures {len(rows)} channel(s), "
             f"got y_meas shape {y_meas.shape}"
         )
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     x = state.x_hat
-    terms = _parameter_terms(cfg, x, u, cp)
-    wall = _walls(x)
-    ev = _evaluate(wall, terms, cp)
+    u_eff, cond_out, steady = _parameter_terms(cfg, x, u, cp)
+    wall = WallState(float(x[0]), float(x[1]))
+    ev = evaluate_approx(wall, u_eff, cond_out, cp, steady)
     y_pred = np.array((ev.outlets.T_h2, ev.outlets.T_c2))
-    d = approx_partials(wall, terms[0], terms[1], cp, ev, _tau_partials(cfg, x, u, cp))
+    d = approx_partials(wall, u_eff, cond_out, cp, ev, _tau_partials(cfg, x, u, cp))
     H = np.array((d.T_h2, d.T_c2))
     H = H[list(rows), :]
     innovation = y_meas - y_pred[list(rows)]

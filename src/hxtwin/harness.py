@@ -220,8 +220,10 @@ def run_monitor(
     for rec in telemetry[1:]:
         u_k = filter_inlets(rec.inlets())
         dt = rec.t_s - records[-1].t_s
-        if dt <= 0.0:
-            raise ValueError(f"telemetry times must increase, got dt={dt} at t={rec.t_s}")
+        # NaN fails this too; the bound caps the predictions made below
+        if not 0.0 < dt <= scn.duration_s:
+            raise ValueError(f"telemetry times must increase by at most duration_s = "
+                             f"{scn.duration_s} s, got dt={dt} at t={rec.t_s}")
         cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_k, prev_out, prev_steady)
         # ekf_predict sizes its substeps for one sample period, so a gap
         # in the telemetry is crossed in n predictions of dt / n each
@@ -295,9 +297,9 @@ def bench_models(
     so neither path can exploit repeated identical calls.  The timed
     approximate unit is the closed-form approx_output call with its beta
     selections precomputed per input variant.  The monitor loop does not
-    make this call: it selects beta in every evaluate_approx call, so its
-    speedup over ref_output is smaller (``perfbench/run.py --trace 1``
-    reports it as approx_model.in_loop_speedup).
+    make this call: each RK4 stage of a predict is one
+    wall_dynamics.ApproxStage call, which also selects beta and gives the
+    wall rates, so its speedup over ref_output is smaller.
     """
     if n_evals < 1:
         raise ValueError("n_evals must be at least 1")

@@ -35,6 +35,7 @@ __all__ = [
     "ref_output_detailed",
     "ref_steady_outlets",
     "steady_wall_temps",
+    "steady_walls",
     "verify_uniqueness",
 ]
 
@@ -453,15 +454,20 @@ def ref_steady_outlets(
 def steady_wall_temps(
     outlets_s: OutletTemps, u: InletConditions, cond: Conductances
 ) -> WallState:
-    """Closed-form steady wall temperatures.
+    """Closed-form steady wall temperatures."""
+    return WallState(*steady_walls(u.T_h1, u.T_c1, outlets_s.T_h2, outlets_s.T_c2,
+                                   cond.aA_h, cond.aA_c))
+
+
+def steady_walls(T_h1: float, T_c1: float, T_h2s: float, T_c2s: float,
+                 aA_h: float, aA_c: float) -> tuple[float, float]:
+    """steady_wall_temps on floats.
 
     Convex combinations weighted by the cold-side share of the total
     conductance; they zero the wall flux balances at both ends.
     """
-    w = cond.aA_c / (cond.aA_h + cond.aA_c)
-    T_w1s = u.T_h1 + w * (outlets_s.T_c2 - u.T_h1)
-    T_w2s = outlets_s.T_h2 + w * (u.T_c1 - outlets_s.T_h2)
-    return WallState(T_w1s, T_w2s)
+    w = aA_c / (aA_h + aA_c)
+    return T_h1 + w * (T_c2s - T_h1), T_h2s + w * (T_c1 - T_h2s)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
-from .approx_model import CpParams, approx_steady_terms, evaluate_approx
+from .approx_model import CpParams, SteadyTerms, approx_sides, partial_rows
 from .fluids import StreamConfig
 from .means import heat_rate
 from .reference_model import (
@@ -33,12 +33,15 @@ __all__ = [
     "WallDynamicsConfig",
     "classify_sector",
     "wall_drift_rate",
+    "sector_gain",
     "wall_rhs",
     "wall_rhs_jacobian",
+    "rhs_rows",
+    "rk4_pair",
     "rk4_step",
     "integrate_step",
     "reference_wall_rhs",
-    "approx_wall_rhs",
+    "ApproxStage",
 ]
 
 
@@ -52,6 +55,8 @@ class Sector(Enum):
 
 SECTOR_V_EPSILON = 1e-9  # K, dead band around the steady state
 TDW_LOWER_BOUND = 1e-6  # K/s, drift floor in sectors II/IV
+# module globals load faster than enum members, once per RK4 stage
+_I, _II, _III, _IV, _V = Sector.I, Sector.II, Sector.III, Sector.IV, Sector.V
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,17 +74,34 @@ class WallDynamicsConfig:
 def classify_sector(e1: float, e2: float, epsilon: float) -> Sector:
     """Sector of the error vector; ties on the axes join sectors I/III."""
     if max(abs(e1), abs(e2)) < epsilon:
-        return Sector.V
+        return _V
     if e1 >= 0.0 and e2 >= 0.0:
-        return Sector.I
+        return _I
     if e1 <= 0.0 and e2 <= 0.0:
-        return Sector.III
-    return Sector.II if e2 > 0.0 else Sector.IV
+        return _III
+    return _II if e2 > 0.0 else _IV
 
 
 def wall_drift_rate(Q_h: float, Q_c: float, theta7: float) -> float:
     """Tdot_w in K/s; Q_h and Q_c are heat rates into the two fluids."""
     return (-Q_h - Q_c) / theta7
+
+
+def sector_gain(e1: float, e2: float, tdw: float) -> tuple[Sector, float]:
+    """The active sector of the error e = xs - x and the gain a of
+    xdot = a * e at the drift rate tdw.
+
+    Sectors I/III: a = 2 Tdot_w / (e1 + e2), matching the drift exactly
+    in the mean.  Sectors II/IV: direction from e, magnitude from
+    |Tdot_w| (floored), a = 2 max(|Tdot_w|, floor)/||e||.  Sector V
+    freezes the state: a = 0.
+    """
+    sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
+    if sector is _V:
+        return sector, 0.0
+    if sector is _I or sector is _III:
+        return sector, 2.0 * tdw / (e1 + e2)
+    return sector, 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
 
 
 def wall_rhs(
@@ -89,23 +111,10 @@ def wall_rhs(
     Q_c: float,
     cfg: WallDynamicsConfig,
 ) -> tuple[tuple[float, float], Sector]:
-    """Right-hand side xdot = a * e plus the active sector.
-
-    Sectors I/III: a = 2 Tdot_w / (e1 + e2), matching the drift exactly
-    in the mean.  Sectors II/IV: direction from e, magnitude from
-    |Tdot_w| (floored), a = 2 max(|Tdot_w|, floor)/||e||.  Sector V
-    freezes the state.
-    """
+    """Right-hand side xdot = a * e plus the active sector (sector_gain)."""
     e1 = xs.T_w1 - x.T_w1
     e2 = xs.T_w2 - x.T_w2
-    sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
-    if sector is Sector.V:
-        return (0.0, 0.0), sector
-    tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
-    if sector is Sector.I or sector is Sector.III:
-        a = 2.0 * tdw / (e1 + e2)
-    else:
-        a = 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
+    sector, a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, cfg.theta7))
     return (a * e1, a * e2), sector
 
 
@@ -120,53 +129,75 @@ def wall_rhs_jacobian(
     dxs: tuple[tuple[float, ...], tuple[float, ...]],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """d(wall_rhs)/dz within the active sector, as rows, for variables
-    z = (T_w1, T_w2, ...).
+    z = (T_w1, T_w2, ...) (rhs_rows).
 
     dQ_h and dQ_c are the partials of the heat rates over z, and dxs
-    those of the steady walls (T_w1s, T_w2s).  With
-    xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the Jacobian
-    is e (grad a)' + a de/dz, where a moves with e and with the drift.
-    In sector V, where wall_rhs is zero, the wall columns are the limit
-    along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what central
-    differences about the steady state take, and what keeps the wall
-    variance of the filter bounded there.  The other columns are zero:
-    the dead band holds wall_rhs at zero whatever the heat rates, and a
-    move of xs alone along an axis gives the same rate on both sides.
+    those of the steady walls (T_w1s, T_w2s).
     """
     e1 = xs.T_w1 - x.T_w1
     e2 = xs.T_w2 - x.T_w2
-    g = [wall_drift_rate(h, c, cfg.theta7) for h, c in zip(dQ_h, dQ_c)]
-    sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
-    if sector is Sector.V:
-        rest = (0.0,) * (len(g) - 2)
-        return (2.0 * g[0], 0.0, *rest), (0.0, 2.0 * g[1], *rest)
     tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
-    # a and its partials a_e1, a_e2, a_t in e1, e2 and the drift
-    if sector is Sector.I or sector is Sector.III:
+    row1, row2 = rhs_rows(e1, e2, *sector_gain(e1, e2, tdw), tdw, dQ_h, dQ_c,
+                          cfg.theta7, dxs)
+    return tuple(row1), tuple(row2)
+
+
+def rhs_rows(e1: float, e2: float, sector: Sector, a: float, tdw: float,
+             dQ_h: Sequence[float], dQ_c: Sequence[float], theta7: float,
+             dxs: tuple[Sequence[float], Sequence[float]]) -> tuple[list[float], list[float]]:
+    """wall_rhs_jacobian on floats, given the error, sector_gain at it and
+    the drift rate.
+
+    With xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the
+    Jacobian is e (grad a)' + a de/dz, where a moves with e and with the
+    drift.  In sector V, where wall_rhs is zero, the wall columns are the
+    limit along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what
+    central differences about the steady state take, and what keeps the
+    wall variance of the filter bounded there.  The other columns are
+    zero: the dead band holds wall_rhs at zero whatever the heat rates,
+    and a move of xs alone along an axis gives the same rate on both
+    sides.
+    """
+    g = [wall_drift_rate(h, c, theta7) for h, c in zip(dQ_h, dQ_c)]
+    if sector is _V:
+        rest = [0.0] * (len(g) - 2)
+        return [2.0 * g[0], 0.0, *rest], [0.0, 2.0 * g[1], *rest]
+    # the partials a_e1, a_e2, a_t of a in e1, e2 and the drift
+    if sector is _I or sector is _III:
         s = e1 + e2
-        a = 2.0 * tdw / s
         a_e1 = a_e2 = -a / s
         a_t = 2.0 / s
     else:
         n = math.hypot(e1, e2)
-        if abs(tdw) > TDW_LOWER_BOUND:
-            a = 2.0 * abs(tdw) / n
-            a_t = (2.0 if tdw > 0.0 else -2.0) / n
-        else:  # the floor holds the speed: no slope from the drift
-            a = 2.0 * TDW_LOWER_BOUND / n
-            a_t = 0.0
+        # the floor holds the speed: no slope from the drift
+        a_t = 0.0 if abs(tdw) <= TDW_LOWER_BOUND else (2.0 if tdw > 0.0 else -2.0) / n
         a_e1 = -a * e1 / (n * n)
         a_e2 = -a * e2 / (n * n)
-    # da/dz = a_e1 de1/dz + a_e2 de2/dz + a_t dTdot_w/dz, with de/dz = dxs/dz
-    # here and -I added on the walls below
-    grad = [a_t * gk + a_e1 * s1 + a_e2 * s2 for gk, s1, s2 in zip(g, *dxs)]
-    grad[0] -= a_e1
-    grad[1] -= a_e2
-    row1 = [e1 * gk + a * s1 for gk, s1 in zip(grad, dxs[0])]
-    row2 = [e2 * gk + a * s2 for gk, s2 in zip(grad, dxs[1])]
+    s1, s2 = dxs
+    row1, row2 = [], []
+    for j, gk in enumerate(g):
+        # da/dz = a_e1 de1/dz + a_e2 de2/dz + a_t dTdot_w/dz, with
+        # de/dz = dxs/dz less the identity on the walls
+        grad = a_t * gk + a_e1 * s1[j] + a_e2 * s2[j]
+        if j < 2:
+            grad -= a_e2 if j else a_e1
+        row1.append(e1 * grad + a * s1[j])
+        row2.append(e2 * grad + a * s2[j])
     row1[0] -= a
     row2[1] -= a
-    return tuple(row1), tuple(row2)
+    return row1, row2
+
+
+def rk4_pair(rhs: Callable[[float, float], tuple[float, float]], w1: float, w2: float,
+             h: float, k1: tuple[float, float]) -> tuple[float, float]:
+    """One classical RK4 step of size h from the walls (w1, w2), given
+    k1 = rhs(w1, w2), which a caller may also need for something else
+    (the filter's Jacobian)."""
+    k2 = rhs(w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1])
+    k3 = rhs(w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1])
+    k4 = rhs(w1 + h * k3[0], w2 + h * k3[1])
+    return (w1 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            w2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
 def rk4_step(
@@ -175,14 +206,9 @@ def rk4_step(
     h: float,
     k1: tuple[float, float],
 ) -> WallState:
-    """One classical RK4 step of size h from x, given k1 = rhs(x), which
-    a caller may also need for something else (the filter's Jacobian)."""
-    w1, w2 = x.T_w1, x.T_w2
-    k2 = rhs(WallState(w1 + 0.5 * h * k1[0], w2 + 0.5 * h * k1[1]))
-    k3 = rhs(WallState(w1 + 0.5 * h * k2[0], w2 + 0.5 * h * k2[1]))
-    k4 = rhs(WallState(w1 + h * k3[0], w2 + h * k3[1]))
-    return WallState(w1 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-                     w2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+    """rk4_pair for a right-hand side of the wall state."""
+    return WallState(*rk4_pair(lambda w1, w2: rhs(WallState(w1, w2)),
+                               x.T_w1, x.T_w2, h, k1))
 
 
 def integrate_step(
@@ -232,23 +258,41 @@ def reference_wall_rhs(
     return rhs
 
 
-def approx_wall_rhs(
-    u: InletConditions,
-    cond_out: Conductances,
-    cond_steady: Conductances,
-    cp: CpParams,
-    cfg: WallDynamicsConfig,
-) -> Callable[[WallState], tuple[float, float]]:
-    """RHS closure for the approximate model with u and theta frozen.
+class ApproxStage:
+    """The approximate model's wall dynamics at one (u, theta), on floats,
+    from what evaluate_approx takes besides the walls, and approx_partials'
+    dtau for the Jacobian rows.  ``rates(w1, w2)`` is wall_rhs of
+    evaluate_approx at the walls; ``rates_and_rows(w1, w2)`` also gives
+    wall_rhs_jacobian's rows over (T_w1, T_w2, q_1, ...)."""
 
-    The steady state and both beta_LM selections are computed once here
-    (they depend only on u and theta); each stage evaluation then needs
-    just the closed-form outlets and heat rates.
-    """
-    steady = approx_steady_terms(u, cond_steady, cp)
+    __slots__ = ("rates", "rates_and_rows")
 
-    def rhs(x: WallState) -> tuple[float, float]:
-        ev = evaluate_approx(x, u, cond_out, cp, steady)
-        return wall_rhs(x, steady.walls, ev.Q_h, ev.Q_c, cfg)[0]
+    def __init__(self, u: InletConditions, cond_out: Conductances, cp: CpParams,
+                 steady: SteadyTerms, cfg: WallDynamicsConfig,
+                 dtau: Sequence[Sequence[float]] = ()):
+        # the constants as closure cells, the cheapest loads per call
+        T_h1, T_c1, aA_h, aA_c = u.T_h1, u.T_c1, cond_out.aA_h, cond_out.aA_c
+        C_h, C_c, theta4 = u.mdot_h * cp.theta3, u.mdot_c * cp.theta4, cp.theta4
+        lm_h, lm_c = steady.beta_lm_hot, steady.beta_lm_cold
+        w1s, w2s, theta7 = steady.walls.T_w1, steady.walls.T_w2, cfg.theta7
 
-    return rhs
+        def rates(w1: float, w2: float) -> tuple[float, float]:
+            Q_h, Q_c = approx_sides(w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, lm_h, lm_c)[4:]
+            e1, e2 = w1s - w1, w2s - w2
+            a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, theta7))[1]
+            return a * e1, a * e2
+
+        def rates_and_rows(w1: float, w2: float):
+            sel_h, sel_c, T_h2, T_c2, Q_h, Q_c = approx_sides(
+                w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, lm_h, lm_c)
+            _, _, dQ_h, dQ_c, dw1s, dw2s = partial_rows(
+                w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, theta4,
+                sel_h, sel_c, T_h2, T_c2, dtau)
+            e1, e2 = w1s - w1, w2s - w2
+            tdw = wall_drift_rate(Q_h, Q_c, theta7)
+            sector, a = sector_gain(e1, e2, tdw)
+            return (a * e1, a * e2), rhs_rows(e1, e2, sector, a, tdw, dQ_h, dQ_c, theta7,
+                                              (dw1s, dw2s))
+
+        self.rates = rates
+        self.rates_and_rows = rates_and_rows

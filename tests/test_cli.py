@@ -1,12 +1,13 @@
 """End-to-end tests for the hxtwin command line."""
 
+import math
 from pathlib import Path
 
 import pytest
 
 import hxtwin.cli as cli
 import hxtwin.reference_model as reference_model
-from hxtwin.records import read_monitor_csv, read_telemetry_csv
+from hxtwin.records import read_monitor_csv, read_telemetry_csv, write_telemetry_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMOKE = str(SCENARIOS / "smoke_constant.cfg")
@@ -97,6 +98,12 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
         assert cli.main(compare + ["--window-s", "20", "--settle-s", settle_s]) == 1
     missing = str(tmp_path / "missing.cfg")
     assert cli.main(["simulate", missing, "-o", str(tel)]) == 1
+    # a bad time at record 30 (t = 15 s): not finite, or a jump to 1e12 s
+    records = read_telemetry_csv(tel)
+    for t_s in (math.inf, math.nan, 1e12):
+        records[30].t_s = t_s
+        write_telemetry_csv(records, tmp_path / "bad.csv")
+        assert cli.main(["monitor", str(tmp_path / "bad.csv"), SMOKE, "-o", str(mon)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
@@ -107,6 +114,12 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
         "hxtwin compare: settle_s must be finite and nonnegative, got nan",
         "hxtwin compare: settle_s must be finite and nonnegative, got -1000.0",
         f"hxtwin simulate: [Errno 2] No such file or directory: '{missing}'",
+        "hxtwin monitor: telemetry times must increase by at most duration_s = 60.0 s, "
+        "got dt=inf at t=inf",
+        "hxtwin monitor: telemetry times must increase by at most duration_s = 60.0 s, "
+        "got dt=nan at t=nan",
+        "hxtwin monitor: telemetry times must increase by at most duration_s = 60.0 s, "
+        "got dt=999999999985.5 at t=1000000000000.0",
     ]
 
 

@@ -37,6 +37,7 @@ from hxtwin.approx_model import approx_steady_walls
 from hxtwin.reference_model import Conductances
 from hxtwin.wall_dynamics import (
     SECTOR_V_EPSILON,
+    ApproxStage,
     WallDynamicsConfig,
     classify_sector,
     wall_rhs,
@@ -424,13 +425,12 @@ def test_parameter_columns_at_the_steady_state_are_zero(variant):
 
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch):
-    # Each predict visits one parameter point: four evaluations per
-    # substep (the RK4 stages) and one stencil of the wall-free tau map.
+    # Each predict visits one parameter point: one stencil of the wall-free
+    # tau map, and four stage calls per substep (the RK4 stages, the first
+    # with the F rows) on one ApproxStage, without an evaluate_approx call.
     calls = Counter()
 
-    def counted(name):
-        fn = getattr(hxtwin.ekf, name)
-
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
@@ -439,10 +439,20 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
     cfg = make_cfg(variant, **ORACLE_CFG)
     st = EkfState(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density())
     for name in ("evaluate_approx", "central_jacobian"):
-        monkeypatch.setattr(hxtwin.ekf, name, counted(name))
+        monkeypatch.setattr(hxtwin.ekf, name, counted(name, getattr(hxtwin.ekf, name)))
+
+    def counted_stage(*args):
+        stage = ApproxStage(*args)
+        for name in ("rates", "rates_and_rows"):
+            setattr(stage, name, counted(name, getattr(stage, name)))
+        return stage
+
+    monkeypatch.setattr(hxtwin.ekf, "ApproxStage", counted_stage)
     pred = ekf_predict(st, cfg, U, CP, 1.0)
-    assert calls == {"evaluate_approx": 4 * cfg.wall.substeps_per_sample,
-                     "central_jacobian": 1}
+    substeps = cfg.wall.substeps_per_sample
+    # Counters compare a missing count as zero
+    assert calls == Counter(evaluate_approx=0, central_jacobian=1,
+                            rates_and_rows=substeps, rates=3 * substeps)
     y = g_v(cfg, pred.x_hat, U, CP)
     calls.clear()
     ekf_update(pred, cfg, U, CP, y, 1.0)
@@ -610,6 +620,17 @@ def test_predict_validates_shapes_and_dt():
     bad = EkfState(np.zeros(5), np.eye(5))
     with pytest.raises(DimensionMismatchError):
         ekf_predict(bad, cfg, U, CP, 1.0)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan])
+def test_predict_and_update_reject_a_dt_that_is_not_finite(dt):
+    cfg = make_cfg("A")
+    st = steady_state_for(cfg)
+    y = g_v(cfg, st.x_hat, U, CP)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        ekf_predict(st, cfg, U, CP, dt)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        ekf_update(st, cfg, U, CP, y, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,282 @@
+"""The float cores of the filter's inner loop against the object API, bit
+for bit (==, not approx).
+
+A predict runs on wall_dynamics.ApproxStage and the map p -> tau of
+ekf._tau_partials, both on plain floats.  Each property below evaluates
+one point both ways: through the float cores, and through the object API
+and a reference written out here in the objects' terms.  The explicit
+examples put every beta branch (beta_LM, beta*_2, zero, empty), every
+wall sector (I-V), both parameter floors and the balanced-capacity branch
+under test; test_examples_cover_every_branch checks that they still do.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import hxtwin.ekf as ekf
+from hxtwin.approx_model import (
+    ApproxEvaluation,
+    BetaBranch,
+    CpParams,
+    OutletTemps,
+    SteadyTerms,
+    approx_partials,
+    approx_steady_terms,
+    approx_steady_walls,
+    beta_lm_selection,
+    evaluate_approx,
+    evaluation_tau,
+    g_closed_form,
+    select_beta,
+    steady_terms,
+)
+from hxtwin.correlations import CorrelationParams, alpha_A
+from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, model_inputs
+from hxtwin.means import weighted_mean
+from hxtwin.reference_model import Conductances, InletConditions, WallState
+from hxtwin.wall_dynamics import (
+    SECTOR_V_EPSILON,
+    TDW_LOWER_BOUND,
+    ApproxStage,
+    Sector,
+    WallDynamicsConfig,
+    classify_sector,
+    rk4_pair,
+    rk4_step,
+    wall_drift_rate,
+    wall_rhs,
+    wall_rhs_jacobian,
+)
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+U = InletConditions(400.0, 300.0, 1.0, 1.0)
+CP = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
+UPS = (1500.0, 3000.0)
+# wall offsets from the steady walls: sectors III, I, II, IV and V;
+# beta_LM on both sides; beta*_2 on one side or both; beta = 0 and an
+# empty feasible set
+BRANCH_OFFSETS = [
+    (2.0, 1.0), (-2.0, -1.0), (2.0, -1.0), (-1.0, 2.0), (0.0, 0.0),
+    (-20.0, -15.0), (25.0, 30.0),
+    (-64.0, 40.0), (-48.0, 48.0), (-64.0, 8.0),
+    (40.0, -8.0), (-80.0, 8.0), (40.0, -72.0),
+]
+
+
+def make_cfg(variant):
+    return EkfConfig(
+        variant=variant,
+        wall=WallDynamicsConfig(theta7=2000.0),
+        corr_hot=CorrelationParams(exp1=0.6, exp2=0.1),
+        corr_cold=CorrelationParams(exp1=0.8, offset=5.0),
+        r_x_density=0.01, r_upsilon_density=1000.0, r_y_density=0.01,
+    )
+
+
+def joint_state(cfg, offset, params=(*UPS, 0.8)):
+    """[T_w1, T_w2, p...]: the steady walls of the parameter states plus
+    the wall offset."""
+    p = list(params[:cfg.n_states - 2])
+    u_eff, _, cond_steady = reference_inputs(cfg, [0.0, 0.0, *p], U, CP)
+    walls = approx_steady_walls(u_eff, cond_steady, CP)[1]
+    return np.array([walls.T_w1 + offset[0], walls.T_w2 + offset[1], *p])
+
+
+# ---------------------------------------------------------------------------
+# References in the objects' terms
+
+
+def reference_inputs(cfg, z, u, cp):
+    if cfg.n_states == 5:
+        u = replace(u, mdot_c=max(float(z[4]), MDOT_FLOOR))
+    ups_h, ups_c = max(float(z[2]), UPSILON_FLOOR), max(float(z[3]), UPSILON_FLOOR)
+    return (u,
+            Conductances(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp.theta3),
+                         alpha_A(cfg.corr_cold, ups_c, u.mdot_c, cp.theta4)),
+            Conductances(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp.theta5),
+                         alpha_A(cfg.corr_cold, ups_c, u.mdot_c, cp.theta6)))
+
+
+def reference_steady(u, cond_steady, cp):
+    outlets, walls = approx_steady_walls(u, cond_steady, cp)
+    return (outlets, walls,
+            beta_lm_selection(u.T_h1 - walls.T_w1, outlets.T_h2 - walls.T_w2),
+            beta_lm_selection(walls.T_w2 - u.T_c1, walls.T_w1 - outlets.T_c2))
+
+
+def reference_evaluate(x, u, cond_out, cp, steady_outlets, steady_walls, lm_h, lm_c):
+    dT_w = x.T_w1 - x.T_w2
+    hot = (u.T_h1 - x.T_w1, dT_w, cond_out.aA_h, u.mdot_h * cp.theta3)
+    cold = (x.T_w2 - u.T_c1, dT_w, cond_out.aA_c, u.mdot_c * cp.theta4)
+    beta_h = select_beta(*hot, lm_h)
+    beta_c = select_beta(*cold, lm_c)
+    G_h = g_closed_form(*hot, beta_h.beta)
+    G_c = g_closed_form(*cold, beta_c.beta)
+    return ApproxEvaluation(
+        OutletTemps(G_h + x.T_w2, x.T_w1 - G_c), steady_outlets, steady_walls,
+        beta_h, beta_c, -hot[2] * weighted_mean(hot[0], G_h, beta_h.beta),
+        cold[2] * weighted_mean(cold[0], G_c, beta_c.beta))
+
+
+def reference_rhs(x, xs, Q_h, Q_c, cfg):
+    e1, e2 = xs.T_w1 - x.T_w1, xs.T_w2 - x.T_w2
+    sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
+    if sector is Sector.V:
+        return (0.0, 0.0), sector
+    tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
+    if sector in (Sector.I, Sector.III):
+        a = 2.0 * tdw / (e1 + e2)
+    else:
+        a = 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
+    return (a * e1, a * e2), sector
+
+
+def reference_rows(x, xs, Q_h, Q_c, dQ_h, dQ_c, cfg, dxs):
+    e1, e2 = xs.T_w1 - x.T_w1, xs.T_w2 - x.T_w2
+    g = [wall_drift_rate(h, c, cfg.theta7) for h, c in zip(dQ_h, dQ_c)]
+    sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
+    if sector is Sector.V:
+        rest = (0.0,) * (len(g) - 2)
+        return (2.0 * g[0], 0.0, *rest), (0.0, 2.0 * g[1], *rest)
+    tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
+    if sector in (Sector.I, Sector.III):
+        s = e1 + e2
+        a = 2.0 * tdw / s
+        a_e1 = a_e2 = -a / s
+        a_t = 2.0 / s
+    else:
+        n = math.hypot(e1, e2)
+        if abs(tdw) > TDW_LOWER_BOUND:
+            a = 2.0 * abs(tdw) / n
+            a_t = (2.0 if tdw > 0.0 else -2.0) / n
+        else:
+            a = 2.0 * TDW_LOWER_BOUND / n
+            a_t = 0.0
+        a_e1 = -a * e1 / (n * n)
+        a_e2 = -a * e2 / (n * n)
+    grad = [a_t * gk + a_e1 * s1 + a_e2 * s2 for gk, s1, s2 in zip(g, *dxs)]
+    grad[0] -= a_e1
+    grad[1] -= a_e2
+    row1 = [e1 * gk + a * s1 for gk, s1 in zip(grad, dxs[0])]
+    row2 = [e2 * gk + a * s2 for gk, s2 in zip(grad, dxs[1])]
+    row1[0] -= a
+    row2[1] -= a
+    return tuple(row1), tuple(row2)
+
+
+def reference_dtau(cfg, z, u, cp):
+    """dtau/dp rows by numpy central differences of evaluation_tau over
+    the reference inputs and steady terms."""
+    def tau(p):
+        u_eff, cond_out, cond_steady = reference_inputs(cfg, np.concatenate((z[:2], p)), u, cp)
+        steady = approx_steady_terms(u_eff, cond_steady, cp)
+        return np.array(evaluation_tau(u_eff, cond_out, steady))
+
+    cols = []
+    for i in range(2, z.size):
+        h = max(ekf.JACOBIAN_REL_STEP * abs(z[i]), ekf.JACOBIAN_ABS_STEP)
+        zp, zm = z[2:].copy(), z[2:].copy()
+        zp[i - 2] += h
+        zm[i - 2] -= h
+        cols.append((tau(zp) - tau(zm)) / (2.0 * h))
+    return np.array(cols).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+
+offsets = st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0))
+# leading factors and cold flows across the floors UPSILON_FLOOR = 1 W/K
+# and MDOT_FLOOR = 0.01 kg/s
+params = st.tuples(st.floats(-50.0, 5000.0), st.floats(-50.0, 5000.0), st.floats(-0.5, 2.0))
+
+
+def branch_examples(test):
+    for variant in "ABC":
+        for offset in BRANCH_OFFSETS:
+            test = example(variant=variant, offset=offset, p=(*UPS, 0.8))(test)
+    # both floors: leading factors and the cold flow below them
+    return example(variant="B", offset=(3.0, -2.0), p=(0.5, -20.0, 0.004))(test)
+
+
+@SETTINGS
+@given(variant=st.sampled_from("ABC"), offset=offsets, p=params)
+@branch_examples
+def test_stage_is_the_object_api_at_every_branch_and_sector(variant, offset, p):
+    cfg = make_cfg(variant)
+    z = joint_state(cfg, (0.0, 0.0), p)
+    z[:2] += offset
+    wall = WallState(float(z[0]), float(z[1]))
+    u_eff, cond_out, cond_steady = reference_inputs(cfg, z, U, CP)
+    assert model_inputs(cfg, z, U, CP) == (u_eff, cond_out, cond_steady)
+    outlets_s, walls_s, lm_h, lm_c = reference_steady(u_eff, cond_steady, CP)
+    steady = approx_steady_terms(u_eff, cond_steady, CP)
+    assert steady == SteadyTerms(outlets_s, walls_s, lm_h, lm_c)
+    ev = evaluate_approx(wall, u_eff, cond_out, CP, steady)
+    assert ev == reference_evaluate(wall, u_eff, cond_out, CP, outlets_s, walls_s, lm_h, lm_c)
+
+    dtau = ekf._tau_partials(cfg, z, U, CP)
+    assert dtau == reference_dtau(cfg, z, U, CP)
+    rates, sector = wall_rhs(wall, walls_s, ev.Q_h, ev.Q_c, cfg.wall)
+    assert (rates, sector) == reference_rhs(wall, walls_s, ev.Q_h, ev.Q_c, cfg.wall)
+    d = approx_partials(wall, u_eff, cond_out, CP, ev, dtau)
+    rows = wall_rhs_jacobian(wall, walls_s, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall,
+                             d.steady_walls)
+    assert rows == reference_rows(wall, walls_s, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall,
+                                  d.steady_walls)
+
+    stage = ApproxStage(u_eff, cond_out, CP, steady, cfg.wall, dtau)
+    assert stage.rates(wall.T_w1, wall.T_w2) == rates
+    k1, stage_rows = stage.rates_and_rows(wall.T_w1, wall.T_w2)
+    assert k1 == rates
+    assert tuple(map(tuple, stage_rows)) == rows
+
+
+@SETTINGS
+@given(mdot_c=st.floats(0.05, 5.0), theta6=st.floats(500.0, 5000.0),
+       aA=st.tuples(st.floats(10.0, 1e5), st.floats(10.0, 1e5)), balanced=st.booleans())
+@example(mdot_c=1.0, theta6=1000.0, aA=(1500.0, 3000.0), balanced=True)
+def test_steady_core_is_approx_steady_terms(mdot_c, theta6, aA, balanced):
+    # balanced: W_c = W_h exactly, the balanced-capacity branch
+    cp = replace(CP, theta6=U.mdot_h * CP.theta5 / mdot_c if balanced else theta6)
+    u = replace(U, mdot_c=mdot_c)
+    cond = Conductances(*aA)
+    outlets_s, walls_s, lm_h, lm_c = reference_steady(u, cond, cp)
+    assert steady_terms(u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, *aA) == (
+        outlets_s.T_h2, outlets_s.T_c2, walls_s.T_w1, walls_s.T_w2, lm_h.beta, lm_c.beta)
+
+
+@SETTINGS
+@given(w=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), h=st.floats(0.001, 1.0))
+def test_rk4_pair_is_rk4_step(w, h):
+    def rhs(x):
+        return -1.3 * x.T_w1 + 0.2 * x.T_w2, math.sin(x.T_w1) - x.T_w2
+
+    x = WallState(*w)
+    out = rk4_step(rhs, x, h, rhs(x))
+    assert rk4_pair(lambda w1, w2: rhs(WallState(w1, w2)), *w, h, rhs(x)) == (out.T_w1, out.T_w2)
+
+
+def test_examples_cover_every_branch():
+    seen = set()
+    for variant in "ABC":
+        cfg = make_cfg(variant)
+        for offset in BRANCH_OFFSETS:
+            z = joint_state(cfg, offset)
+            ev = ekf.ekf_evaluation(cfg, z, U, CP)
+            seen.add(classify_sector(ev.steady_walls.T_w1 - z[0], ev.steady_walls.T_w2 - z[1],
+                                     SECTOR_V_EPSILON))
+            for sel in (ev.beta_hot, ev.beta_cold):
+                seen.add("empty" if sel.feasible_set_empty else sel.branch)
+    assert seen == {*Sector, BetaBranch.BETA_LM, BetaBranch.BETA_STAR2, BetaBranch.ZERO, "empty"}
+    floored = model_inputs(make_cfg("B"), np.array([0.0, 0.0, 0.5, -20.0, 0.004]), U, CP)
+    assert floored[0].mdot_c == MDOT_FLOOR
+    assert floored[1] == Conductances(alpha_A(make_cfg("B").corr_hot, UPSILON_FLOOR, 1.0, 1000.0),
+                                      alpha_A(make_cfg("B").corr_cold, UPSILON_FLOOR,
+                                              MDOT_FLOOR, 2000.0))

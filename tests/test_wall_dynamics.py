@@ -16,9 +16,9 @@ from hxtwin.reference_model import (
 )
 from hxtwin.wall_dynamics import (
     TDW_LOWER_BOUND,
+    ApproxStage,
     Sector,
     WallDynamicsConfig,
-    approx_wall_rhs,
     classify_sector,
     integrate_step,
     reference_wall_rhs,
@@ -27,7 +27,7 @@ from hxtwin.wall_dynamics import (
     wall_rhs,
     wall_rhs_jacobian,
 )
-from hxtwin.approx_model import CpParams
+from hxtwin.approx_model import CpParams, approx_steady_terms
 
 
 CFG = WallDynamicsConfig(theta7=1000.0)
@@ -366,7 +366,11 @@ def test_approx_rhs_agrees_with_reference_near_steady():
     cfg = WallDynamicsConfig(theta7=2000.0)
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     r_ref = reference_wall_rhs(u, cond, hot, cold, cfg)
-    r_apx = approx_wall_rhs(u, cond, cond, cp, cfg)
+    stage = ApproxStage(u, cond, cp, approx_steady_terms(u, cond, cp), cfg)
+
+    def r_apx(x):
+        return stage.rates(x.T_w1, x.T_w2)
+
     x = WallState(xs.T_w1 + 1.5, xs.T_w2 + 1.5)
     a, b = r_ref(x), r_apx(x)
     assert a[0] == pytest.approx(b[0], rel=0.05)
