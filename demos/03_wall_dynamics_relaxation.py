@@ -36,10 +36,7 @@ def main():
     cfg = scn.plant.wall
 
     rhs_ref = reference_wall_rhs(u, cond, scn.hot, scn.cold, cfg)
-    stage = ApproxStage(u, cond, cp, approx_steady_terms(u, cond, cp), cfg)
-
-    def rhs_apx(x):
-        return stage.rates(x.T_w1, x.T_w2)
+    rhs_apx = ApproxStage(u, cond, cp, approx_steady_terms(u, cond, cp), cfg).rates
 
     x_ref = WallState(xs.T_w1 + 4.0, xs.T_w2 + 4.0)
     x_apx = x_ref

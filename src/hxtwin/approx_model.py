@@ -25,7 +25,6 @@ from .reference_model import (
     InletConditions,
     OutletTemps,
     WallState,
-    steady_wall_temps,
     steady_walls,
 )
 
@@ -35,25 +34,19 @@ __all__ = [
     "CpParams",
     "ApproxEvaluation",
     "SteadyTerms",
-    "universal_residual",
     "g_closed_form",
     "g_partials",
     "beta_lm_value",
-    "beta_lm_selection",
     "select_beta",
     "approx_output",
     "approx_steady",
     "steady_outlets",
-    "approx_steady_walls",
     "approx_steady_terms",
     "steady_terms",
     "update_cp_params",
     "approx_steady_selfconsistent",
     "approx_sides",
     "evaluate_approx",
-    "evaluation_tau",
-    "EvaluationPartials",
-    "approx_partials",
     "partial_rows",
 ]
 
@@ -96,20 +89,9 @@ class CpParams:
             raise ValueError("mean specific heats must be positive")
 
 
-def universal_residual(
-    dT_I: float, dT_w: float, aA: float, C_p: float, dT_II: float, beta: float
-) -> float:
-    """Residual R~ = C_p*(dT_I - dT_II + dT_w) - aA*WM(dT_I, dT_II).
-
-    The published form carries a factor gamma = -1 (hot) or +1 (cold) on
-    the whole residual; it moves no root, so it is left out.  Used for
-    verification; g_closed_form returns its root directly.
-    """
-    return C_p * (dT_I - dT_II + dT_w) - aA * weighted_mean(dT_I, dT_II, beta)
-
-
 def g_closed_form(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) -> float:
-    """Closed-form root G(dT_I, dT_w, aA, C_p, beta) of the universal residual.
+    """Closed-form root G(dT_I, dT_w, aA, C_p, beta) in dT_II of the universal
+    residual C_p*(dT_I - dT_II + dT_w) - aA*WM(dT_I, dT_II), WM weighted by beta.
 
     For beta = 0 this reduces to the linear arithmetic-mean solution,
     valid for any dT_I; for beta > 0 the caller must have verified
@@ -197,13 +179,6 @@ _BETA_ZERO = BetaSelection(0.0, BetaBranch.ZERO, False)
 _BETA_EMPTY = BetaSelection(0.0, BetaBranch.ZERO, True)
 
 
-def beta_lm_selection(steady_dT_Is: float, steady_dT_IIs: float) -> BetaSelection:
-    """The beta_LM candidate of select_beta, from the steady differences."""
-    return BetaSelection(
-        beta_lm_value(steady_dT_Is, steady_dT_IIs), BetaBranch.BETA_LM, False
-    )
-
-
 def select_beta(
     dT_I: float, dT_w: float, aA: float, C_p: float, lm: BetaSelection
 ) -> BetaSelection:
@@ -222,8 +197,9 @@ def select_beta(
     0.5*aA*(1 - beta)*dT_I <= slack, the closed form's c0 <= 0.  The rule
     is then: beta_LM if it passes, else beta*_2 if positive, else empty.
 
-    ``lm`` is beta_lm_selection of the steady differences, made once per
-    steady state and returned whenever beta_LM is feasible.
+    ``lm`` is the beta_LM selection of the steady differences (a
+    SteadyTerms' beta_lm_hot or beta_lm_cold), made once per steady state
+    and returned whenever beta_LM is feasible.
     """
     if dT_I <= 0.0:
         return _BETA_ZERO
@@ -285,14 +261,6 @@ def steady_outlets(T_h1: float, T_c1: float, W_h: float, W_c: float,
         xi_s = math.exp(min(max(arg, -_EXP_CLAMP), _EXP_CLAMP))
         T_h2s = T_c1 + (T_c1 - T_h1) * (W_c - W_h) / (W_h - W_c * xi_s)
     return T_h2s, T_c1 + (W_h / W_c) * (T_h1 - T_h2s)
-
-
-def approx_steady_walls(
-    u: InletConditions, kA_cond: Conductances, cp: CpParams
-) -> tuple[OutletTemps, WallState]:
-    """Steady outlets plus the closed-form steady wall temperatures."""
-    outlets = approx_steady(u, kA_cond.kA, cp)
-    return outlets, steady_wall_temps(outlets, u, kA_cond)
 
 
 def update_cp_params(
@@ -454,65 +422,19 @@ def evaluate_approx(
         OutletTemps(T_h2, T_c2), steady.outlets, steady.walls, sel_h, sel_c, Q_h, Q_c)
 
 
-def evaluation_tau(
-    u: InletConditions, cond_out: Conductances, steady: SteadyTerms
-) -> tuple[float, ...]:
-    """tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
-
-    These are the terms of an evaluation at (u, cond_out, steady) that a
-    monitor's parameters can move and that evaluate_approx and wall_rhs
-    read; none depends on the walls.  approx_partials takes partials of
-    tau in this order.
-    """
-    return (cond_out.aA_h, cond_out.aA_c, u.mdot_c, steady.beta_lm_hot.beta,
-            steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2)
-
-
-@dataclass(frozen=True, slots=True)
-class EvaluationPartials:
-    """Partials of an evaluation's outlets, heat rates and steady walls,
-    each a tuple over the variables (T_w1, T_w2, q_1, ...), with both beta
-    branches held."""
-
-    T_h2: tuple[float, ...]
-    T_c2: tuple[float, ...]
-    Q_h: tuple[float, ...]
-    Q_c: tuple[float, ...]
-    steady_walls: tuple[tuple[float, ...], tuple[float, ...]]
-
-
-def approx_partials(
-    x: WallState,
-    u: InletConditions,
-    cond_out: Conductances,
-    cp: CpParams,
-    ev: ApproxEvaluation,
-    dtau: Sequence[Sequence[float]],
-) -> EvaluationPartials:
-    """Partials of the outlets and heat rates at ev = evaluate_approx(x, u,
-    cond_out, ...) over (T_w1, T_w2, q_1, ...), by the chain rule through
-    g_partials.
-
-    ``dtau`` gives, for each further variable q_j, the partials of
-    evaluation_tau in q_j.  T_h2 = G_h + T_w2 and T_c2 = T_w1 - G_c.  At
-    each root aA*WM = C_p*(dT_I - G + dT_w), so Q_h = C_h*(T_h2 - T_h1) and
-    Q_c = C_c*(T_c2 - T_c1): the heat rates move with the outlets, and
-    Q_c also with C_c = mdot_c*theta4.  The steady walls do not move with
-    the walls.
-    """
-    d_h2, d_c2, d_Qh, d_Qc, d_w1s, d_w2s = map(tuple, partial_rows(
-        x.T_w1, x.T_w2, u.T_h1, u.T_c1, cond_out.aA_h, cond_out.aA_c,
-        u.mdot_h * cp.theta3, u.mdot_c * cp.theta4, cp.theta4,
-        ev.beta_hot, ev.beta_cold, ev.outlets.T_h2, ev.outlets.T_c2, dtau))
-    return EvaluationPartials(d_h2, d_c2, d_Qh, d_Qc, (d_w1s, d_w2s))
-
-
 def partial_rows(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA_c: float,
                  C_h: float, C_c: float, theta4: float, beta_hot: BetaSelection,
                  beta_cold: BetaSelection, T_h2: float, T_c2: float,
                  dtau: Sequence[Sequence[float]]) -> tuple[list[float], ...]:
-    """approx_partials on floats, given approx_sides' arguments and results:
-    lists over (T_w1, T_w2, q_1, ...) of (T_h2, T_c2, Q_h, Q_c, T_w1s, T_w2s)."""
+    """Partials of approx_sides' outlets and heat rates, and of the steady
+    walls, with both beta branches held: lists over (T_w1, T_w2, q_1, ...)
+    of (T_h2, T_c2, Q_h, Q_c, T_w1s, T_w2s), given approx_sides' arguments
+    and results.  Row j of ``dtau`` holds the q_j partials of
+    tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
+
+    By the chain rule through g_partials: T_h2 = G_h + T_w2, T_c2 = T_w1 - G_c,
+    and at each root Q_h = C_h*(T_h2 - T_h1), Q_c = C_c*(T_c2 - T_c1), C_c = mdot_c*theta4.
+    """
     gI_h, gw_h, gA_h, _, gB_h = g_partials(T_h1 - w1, T_h2 - w2, aA_h, C_h, beta_hot)
     gI_c, gw_c, gA_c, gC_c, gB_c = g_partials(w2 - T_c1, w1 - T_c2, aA_c, C_c, beta_cold)
     # dT_I_h = T_h1 - T_w1, dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2

@@ -23,9 +23,9 @@ tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
 dtau/dp is one central stencil per predict or update (central_jacobian),
 taken on floats on the map p -> tau, which does not read the walls and
 so never straddles a wall sector or a beta branch switch.  The partials
-in the walls and in tau are closed form (approx_model.approx_partials,
-and wall_dynamics.wall_rhs_jacobian within the active wall sector).  A
-predict takes its RK4 stages and F rows from one ApproxStage on floats.
+in the walls and in tau are closed form (approx_model.partial_rows, and
+wall_dynamics.rhs_rows within the active wall sector).  A predict takes
+its RK4 stages and F rows from one ApproxStage on floats.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ import numpy as np
 from .approx_model import (
     ApproxEvaluation,
     CpParams,
-    approx_partials,
     approx_steady_terms,
     evaluate_approx,
+    partial_rows,
     steady_terms,
 )
 from .correlations import CorrelationParams, alpha_A
@@ -189,10 +189,9 @@ def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: Cp
 
 
 def _tau_partials(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
-    """dtau/dp over the parameter states p = x_v[2:], as one row of
-    evaluation_tau partials per parameter (the dtau of approx_partials),
-    by central_jacobian of the map p -> tau, which does not read the
-    walls and runs on floats."""
+    """dtau/dp over the parameter states p = x_v[2:], as one row of tau
+    partials per parameter (the dtau of partial_rows), by central_jacobian
+    of the map p -> tau, which does not read the walls and runs on floats."""
     W_h = u.mdot_h * cp.theta5
 
     def tau_at(p):
@@ -321,12 +320,14 @@ def ekf_update(
 
     x = state.x_hat
     u_eff, cond_out, steady = _parameter_terms(cfg, x, u, cp)
-    wall = WallState(float(x[0]), float(x[1]))
-    ev = evaluate_approx(wall, u_eff, cond_out, cp, steady)
-    y_pred = np.array((ev.outlets.T_h2, ev.outlets.T_c2))
-    d = approx_partials(wall, u_eff, cond_out, cp, ev, _tau_partials(cfg, x, u, cp))
-    H = np.array((d.T_h2, d.T_c2))
-    H = H[list(rows), :]
+    w1, w2 = float(x[0]), float(x[1])
+    ev = evaluate_approx(WallState(w1, w2), u_eff, cond_out, cp, steady)
+    T_h2, T_c2 = ev.outlets.T_h2, ev.outlets.T_c2
+    y_pred = np.array((T_h2, T_c2))
+    H = np.array(partial_rows(
+        w1, w2, u_eff.T_h1, u_eff.T_c1, cond_out.aA_h, cond_out.aA_c, u_eff.mdot_h * cp.theta3,
+        u_eff.mdot_c * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, T_h2, T_c2,
+        _tau_partials(cfg, x, u, cp))[:2])[list(rows), :]
     innovation = y_meas - y_pred[list(rows)]
     R_disc = (cfg.r_y_density / dt) * np.eye(len(rows))
     K = kalman_gain(state.P, H, R_disc)

@@ -23,13 +23,13 @@ from .approx_model import (
     approx_output,
     approx_steady_selfconsistent,
     approx_steady_terms,
-    approx_steady_walls,
     evaluate_approx,
     update_cp_params,
 )
 from .correlations import serial_conductance
 from .ekf import (
     EkfConfig,
+    _conductances,
     ekf_evaluation,
     ekf_init,
     ekf_predict,
@@ -151,7 +151,7 @@ def _monitor_cp(
     u_eff = model_inputs(ekf_cfg, x_v, u, cp)[0]
 
     def kA_of(cp2: CpParams) -> float:
-        return model_inputs(ekf_cfg, x_v, u, cp2)[2].kA
+        return serial_conductance(*_conductances(ekf_cfg, x_v[2:], u, cp2)[3:])
 
     _outlets, cp, _n = approx_steady_selfconsistent(u_eff, hot, cold, kA_of, cp)
     return cp
@@ -170,7 +170,9 @@ def run_monitor(
     compare the predicted outputs against the measurements at the new
     inputs, update, and log.  Record 0 only initializes.  eps_* columns
     hold the noise-free prediction errors y_true - y_pred, available
-    here because the telemetry carries the true outlets.
+    here because the telemetry carries the true outlets.  A reading the
+    variant takes that is not finite raises a ValueError naming its
+    column and time.
     """
     if not telemetry:
         raise ValueError("telemetry is empty")
@@ -180,6 +182,17 @@ def run_monitor(
 
     rec0 = telemetry[0]
     estimates_flow = ekf_cfg.n_states == 5
+    # the readings the filter takes, the measured outlets after record 0:
+    # a non-finite one would surface later as a misleading model error
+    measured = [("T_h2_meas_K", "T_c2_meas_K")[i] for i in ekf_cfg.measured_rows]
+    inlets = ["T_h1_K", "T_c1_K", "mdot_h_kg_s"]
+    if not estimates_flow and mon.trust_mdot_c:
+        inlets.append("mdot_c_kg_s")
+    for k, rec in enumerate(telemetry):
+        for name in inlets + measured if k else inlets:
+            if not math.isfinite(value := getattr(rec, name)):
+                raise ValueError(f"telemetry reading {name} must be finite, got {value} "
+                                 f"at t={rec.t_s}")
 
     def filter_inlets(u: InletConditions) -> InletConditions:
         # With a distrusted flow meter, variant A runs on the stale
@@ -195,7 +208,7 @@ def run_monitor(
                      mdot_c0=mon.mdot_c0 if estimates_flow else None)
     cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_prev, None, None)
     u0_eff, _cond_out, cond0 = model_inputs(ekf_cfg, state.x_hat, u_prev, cp)
-    _souts, wall0 = approx_steady_walls(u0_eff, cond0, cp)
+    wall0 = approx_steady_terms(u0_eff, cond0, cp).walls
     state.x_hat[:2] = wall0.T_w1, wall0.T_w2
 
     ev = ekf_evaluation(ekf_cfg, state.x_hat, u_prev, cp)
@@ -236,8 +249,7 @@ def run_monitor(
         ev_pred = ekf_evaluation(ekf_cfg, state.x_hat, u_k, cp)
         cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_k,
                          ev_pred.outlets, ev_pred.steady_outlets)
-        y_full = (rec.T_h2_meas_K, rec.T_c2_meas_K)
-        y_meas = np.array([y_full[i] for i in ekf_cfg.measured_rows])
+        y_meas = np.array([getattr(rec, name) for name in measured])
         state, innov, y_pred = ekf_update(state, ekf_cfg, u_k, cp, y_meas, dt)
 
         ev = ekf_evaluation(ekf_cfg, state.x_hat, u_k, cp)

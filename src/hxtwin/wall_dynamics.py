@@ -5,7 +5,8 @@ xs(u, theta) along a direction set by the error e = xs - x, with a speed
 tied to the thermal drift rate Tdot_w = (-Q_h - Q_c)/theta7 (the net
 heat flow parked in the wall divided by its heat capacity).  The error
 plane splits into five sectors that fix the scalar gain a in
-xdot = a * e.
+xdot = a * e.  Truth (reference_wall_rhs) and filter (ApproxStage.rates)
+give the rates as rhs(w1, w2) on floats, and rk4_pair steps both.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ __all__ = [
     "wall_drift_rate",
     "sector_gain",
     "wall_rhs",
-    "wall_rhs_jacobian",
     "rhs_rows",
     "rk4_pair",
-    "rk4_step",
     "integrate_step",
     "reference_wall_rhs",
     "ApproxStage",
@@ -118,35 +117,12 @@ def wall_rhs(
     return (a * e1, a * e2), sector
 
 
-def wall_rhs_jacobian(
-    x: WallState,
-    xs: WallState,
-    Q_h: float,
-    Q_c: float,
-    dQ_h: tuple[float, ...],
-    dQ_c: tuple[float, ...],
-    cfg: WallDynamicsConfig,
-    dxs: tuple[tuple[float, ...], tuple[float, ...]],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """d(wall_rhs)/dz within the active sector, as rows, for variables
-    z = (T_w1, T_w2, ...) (rhs_rows).
-
-    dQ_h and dQ_c are the partials of the heat rates over z, and dxs
-    those of the steady walls (T_w1s, T_w2s).
-    """
-    e1 = xs.T_w1 - x.T_w1
-    e2 = xs.T_w2 - x.T_w2
-    tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
-    row1, row2 = rhs_rows(e1, e2, *sector_gain(e1, e2, tdw), tdw, dQ_h, dQ_c,
-                          cfg.theta7, dxs)
-    return tuple(row1), tuple(row2)
-
-
 def rhs_rows(e1: float, e2: float, sector: Sector, a: float, tdw: float,
              dQ_h: Sequence[float], dQ_c: Sequence[float], theta7: float,
              dxs: tuple[Sequence[float], Sequence[float]]) -> tuple[list[float], list[float]]:
-    """wall_rhs_jacobian on floats, given the error, sector_gain at it and
-    the drift rate.
+    """Rows of d(wall_rhs)/dz in the active sector over z = (T_w1, T_w2,
+    q_1, ...), given e = xs - x, sector_gain at it, the drift tdw, and the
+    z partials of the heat rates (dQ_h, dQ_c) and steady walls (dxs).
 
     With xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the
     Jacobian is e (grad a)' + a de/dz, where a moves with e and with the
@@ -200,32 +176,18 @@ def rk4_pair(rhs: Callable[[float, float], tuple[float, float]], w1: float, w2: 
             w2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
-def rk4_step(
-    rhs: Callable[[WallState], tuple[float, float]],
-    x: WallState,
-    h: float,
-    k1: tuple[float, float],
-) -> WallState:
-    """rk4_pair for a right-hand side of the wall state."""
-    return WallState(*rk4_pair(lambda w1, w2: rhs(WallState(w1, w2)),
-                               x.T_w1, x.T_w2, h, k1))
-
-
-def integrate_step(
-    rhs: Callable[[WallState], tuple[float, float]],
-    x: WallState,
-    dt: float,
-    substeps: int,
-) -> WallState:
-    """Advance the wall state by dt using fixed-step classical RK4."""
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+def integrate_step(rhs: Callable[[float, float], tuple[float, float]], x: WallState,
+                   dt: float, substeps: int) -> WallState:
+    """Advance the walls by a finite dt >= 0 in substeps rk4_pair steps."""
+    if not 0.0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     if dt == 0.0:
         return x
     h = dt / substeps
+    w1, w2 = x.T_w1, x.T_w2
     for _ in range(substeps):
-        x = rk4_step(rhs, x, h, rhs(x))
-    return x
+        w1, w2 = rk4_pair(rhs, w1, w2, h, rhs(w1, w2))
+    return WallState(w1, w2)
 
 
 def reference_wall_rhs(
@@ -235,8 +197,8 @@ def reference_wall_rhs(
     cold: StreamConfig,
     cfg: WallDynamicsConfig,
     start: OutletTemps | None = None,
-) -> Callable[[WallState], tuple[float, float]]:
-    """RHS closure for the reference model with u and theta frozen.
+) -> Callable[[float, float], tuple[float, float]]:
+    """The wall rates rhs(w1, w2) of the reference model, u and theta frozen.
 
     The steady wall state is solved once here (it depends only on u and
     theta); each stage evaluation then needs just the two transient root
@@ -248,11 +210,12 @@ def reference_wall_rhs(
     xs = steady_wall_temps(steady, u, cond)
     guess = start
 
-    def rhs(x: WallState) -> tuple[float, float]:
+    def rhs(w1: float, w2: float) -> tuple[float, float]:
         nonlocal guess
+        x = WallState(w1, w2)
         outs = guess = ref_output(x, u, cond, hot, cold, guess=guess)
-        Q_h = -heat_rate(u.T_h1 - x.T_w1, outs.T_h2 - x.T_w2, cond.aA_h)
-        Q_c = heat_rate(x.T_w1 - outs.T_c2, x.T_w2 - u.T_c1, cond.aA_c)
+        Q_h = -heat_rate(u.T_h1 - w1, outs.T_h2 - w2, cond.aA_h)
+        Q_c = heat_rate(w1 - outs.T_c2, w2 - u.T_c1, cond.aA_c)
         return wall_rhs(x, xs, Q_h, Q_c, cfg)[0]
 
     return rhs
@@ -260,10 +223,10 @@ def reference_wall_rhs(
 
 class ApproxStage:
     """The approximate model's wall dynamics at one (u, theta), on floats,
-    from what evaluate_approx takes besides the walls, and approx_partials'
+    from what evaluate_approx takes besides the walls, and partial_rows'
     dtau for the Jacobian rows.  ``rates(w1, w2)`` is wall_rhs of
     evaluate_approx at the walls; ``rates_and_rows(w1, w2)`` also gives
-    wall_rhs_jacobian's rows over (T_w1, T_w2, q_1, ...)."""
+    rhs_rows over (T_w1, T_w2, q_1, ...)."""
 
     __slots__ = ("rates", "rates_and_rows")
 

@@ -13,15 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hxtwin.approx_model import (
-    CpParams,
-    approx_steady,
-    g_closed_form,
-    universal_residual,
-)
+from hxtwin.approx_model import CpParams, approx_steady, g_closed_form
 from hxtwin.correlations import serial_conductance
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
 from hxtwin.harness import bench_models, run_monitor, run_truth_sim
+from hxtwin.means import weighted_mean
 from hxtwin.metrics import innovation_means, model_free_rating, recovery_time, window_errors
 from hxtwin.records import write_monitor_csv, write_telemetry_csv
 from hxtwin.reference_model import (
@@ -154,8 +150,9 @@ def test_criterion_02_closed_form_residual(acceptance_log):
         beta = lo + (1.0 - lo) * rng.uniform()
         side = (dT_I, dT_w, aA, C_p)
         g = g_closed_form(*side, beta)
-        # the published residual carries gamma; it scales, never moves, the root
-        residual = gamma * universal_residual(*side, g, beta)
+        # the universal residual C_p*(dT_I - G + dT_w) - aA*WM(dT_I, G) as
+        # published, with gamma; gamma scales, never moves, the root
+        residual = gamma * (C_p * (dT_I - g + dT_w) - aA * weighted_mean(dT_I, g, beta))
         worst_residual = max(worst_residual, abs(residual))
     worst_linear = 0.0
     for _ in range(200):

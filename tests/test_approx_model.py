@@ -19,14 +19,11 @@ from hxtwin.approx_model import (
     approx_steady,
     approx_steady_terms,
     approx_steady_selfconsistent,
-    approx_steady_walls,
-    beta_lm_selection,
     beta_lm_value,
     evaluate_approx,
     g_closed_form,
     g_partials,
     select_beta,
-    universal_residual,
     update_cp_params,
 )
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
@@ -48,6 +45,17 @@ def perfect_streams(cp_h=1000.0, cp_c=2000.0):
         StreamConfig(CaloricallyPerfect(cp_h), 1.0e6),
         StreamConfig(CaloricallyPerfect(cp_c), 5.0e5),
     )
+
+
+def universal_residual(dT_I, dT_w, aA, C_p, dT_II, beta):
+    """R~ = C_p*(dT_I - dT_II + dT_w) - aA*WM(dT_I, dT_II), whose root in
+    dT_II g_closed_form returns."""
+    return C_p * (dT_I - dT_II + dT_w) - aA * weighted_mean(dT_I, dT_II, beta)
+
+
+def beta_lm_selection(steady_dT_Is, steady_dT_IIs):
+    """The beta_LM candidate of select_beta, from the steady differences."""
+    return BetaSelection(beta_lm_value(steady_dT_Is, steady_dT_IIs), BetaBranch.BETA_LM, False)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +434,9 @@ def test_approx_steady_walls_match_reference_helper():
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
     cond = Conductances(1500.0, 3000.0)
-    outs, walls = approx_steady_walls(u, cond, cp)
+    steady = approx_steady_terms(u, cond, cp)
+    outs, walls = steady.outlets, steady.walls
+    assert outs == approx_steady(u, cond.kA, cp)
     ref_walls = steady_wall_temps(outs, u, cond)
     assert walls.T_w1 == pytest.approx(ref_walls.T_w1, rel=1e-14)
     assert walls.T_w2 == pytest.approx(ref_walls.T_w2, rel=1e-14)
@@ -471,7 +481,8 @@ def test_approx_output_wall_referenced():
 
 
 def reference_evaluate(x, u, cond_out, cond_steady, cp) -> ApproxEvaluation:
-    steady_outlets, steady_walls = approx_steady_walls(u, cond_steady, cp)
+    steady_outlets = approx_steady(u, cond_steady.kA, cp)
+    steady_walls = steady_wall_temps(steady_outlets, u, cond_steady)
     hot, cold = substitutions(x, u, cond_out, cp)
     beta_h = select_beta(*hot, beta_lm_selection(
         u.T_h1 - steady_walls.T_w1, steady_outlets.T_h2 - steady_walls.T_w2))
@@ -551,7 +562,7 @@ def test_evaluate_heat_rates_close_energy_identity():
     u = InletConditions(400.0, 300.0, 1.3, 0.9)
     cond = Conductances(1500.0, 3000.0)
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
-    _, walls_s = approx_steady_walls(u, cond, cp)
+    walls_s = approx_steady_terms(u, cond, cp).walls
     x = WallState(walls_s.T_w1 + 2.0, walls_s.T_w2 - 1.0)
     ev = evaluate_approx(x, u, cond, cp, approx_steady_terms(u, cond, cp))
     assert ev.Q_h < 0.0 < ev.Q_c

@@ -104,6 +104,11 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
         records[30].t_s = t_s
         write_telemetry_csv(records, tmp_path / "bad.csv")
         assert cli.main(["monitor", str(tmp_path / "bad.csv"), SMOKE, "-o", str(mon)]) == 1
+    # a NaN measured hot outlet at record 60 (t = 30 s)
+    records = read_telemetry_csv(tel)
+    records[60].T_h2_meas_K = math.nan
+    write_telemetry_csv(records, tmp_path / "bad.csv")
+    assert cli.main(["monitor", str(tmp_path / "bad.csv"), SMOKE, "-o", str(mon)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
@@ -120,6 +125,7 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
         "got dt=nan at t=nan",
         "hxtwin monitor: telemetry times must increase by at most duration_s = 60.0 s, "
         "got dt=999999999985.5 at t=1000000000000.0",
+        "hxtwin monitor: telemetry reading T_h2_meas_K must be finite, got nan at t=30.0",
     ]
 
 

@@ -6,13 +6,32 @@ from dataclasses import replace
 import pytest
 
 from hxtwin.correlations import (
-    REFERENCE_COLD,
-    REFERENCE_HOT,
     CorrelationParams,
     NonPositiveConductanceError,
+    ReferenceCorrelation,
     alpha_A,
     reference_alpha_A,
     serial_conductance,
+)
+
+# The published plant-truth correlations of the reduced-information study.
+REFERENCE_HOT = ReferenceCorrelation(
+    coefficient=37.0,
+    exp_mdot=4.0 / 5.0,
+    exp_cp=1.0 / 3.0,
+    exp_eta=-7.0 / 15.0,
+    exp_lam=2.0 / 3.0,
+    eta=2.8e-5,
+    lam=0.085,
+)
+REFERENCE_COLD = ReferenceCorrelation(
+    coefficient=2.0,
+    exp_mdot=4.0 / 5.0,
+    exp_cp=1.0,
+    exp_eta=1.0 / 15.0,
+    exp_lam=0.0,
+    eta=2.4e-4,
+    lam=0.11,
 )
 
 

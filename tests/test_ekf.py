@@ -8,10 +8,9 @@ import pytest
 import hxtwin.ekf
 from hxtwin.approx_model import (
     CpParams,
-    approx_partials,
     approx_steady_terms,
     evaluate_approx,
-    evaluation_tau,
+    partial_rows,
 )
 from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import (
@@ -33,15 +32,16 @@ from hxtwin.ekf import (
     model_inputs,
 )
 from hxtwin.reference_model import InletConditions, WallState
-from hxtwin.approx_model import approx_steady_walls
 from hxtwin.reference_model import Conductances
 from hxtwin.wall_dynamics import (
     SECTOR_V_EPSILON,
     ApproxStage,
     WallDynamicsConfig,
     classify_sector,
+    rhs_rows,
+    sector_gain,
+    wall_drift_rate,
     wall_rhs,
-    wall_rhs_jacobian,
 )
 
 
@@ -64,7 +64,7 @@ def make_cfg(variant="A", **kw):
 
 
 def steady_state_for(cfg, ups=(1500.0, 3000.0), mdot_c0=None):
-    _, walls = approx_steady_walls(U, Conductances(*ups), CP)
+    walls = approx_steady_terms(U, Conductances(*ups), CP).walls
     return ekf_init(cfg, walls, ups, mdot_c0=mdot_c0)
 
 
@@ -298,9 +298,10 @@ def test_model_inputs_floors_leading_factors():
 
 
 def chain_jacobians(cfg, z, u, cp, inputs=model_inputs):
-    """F[:2, :] and H at z, by the chain rule from the public partials,
-    with the model inputs of inputs(cfg, z, u, cp).  dtau/dp, the
-    partials of evaluation_tau over the parameter states p = z[2:], is a
+    """F[:2, :] and H at z, by the chain rule from the public partials
+    (partial_rows, rhs_rows), with the model inputs of inputs(cfg, z, u,
+    cp).  dtau/dp, the partials of tau = (aA_h, aA_c, mdot_c, beta_LM hot,
+    beta_LM cold, T_w1s, T_w2s) over the parameter states p = z[2:], is a
     central stencil of the wall-free map p -> tau."""
     def evaluation_terms(w):
         u_eff, cond_out, cond_steady = inputs(cfg, w, u, cp)
@@ -308,16 +309,22 @@ def chain_jacobians(cfg, z, u, cp, inputs=model_inputs):
 
     def tau(p):
         u_eff, cond_out, _, steady = evaluation_terms(np.concatenate((z[:2], p)))
-        return np.array(evaluation_tau(u_eff, cond_out, steady))
+        return np.array((cond_out.aA_h, cond_out.aA_c, u_eff.mdot_c, steady.beta_lm_hot.beta,
+                         steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2))
 
     dtau = reference_jacobian(tau, z[2:], JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
     u_eff, cond_out, cond_steady, steady = evaluation_terms(z)
-    wall = WallState(float(z[0]), float(z[1]))
-    ev = evaluate_approx(wall, u_eff, cond_out, cp, steady)
-    d = approx_partials(wall, u_eff, cond_out, cp, ev, dtau.T.tolist())
-    F = wall_rhs_jacobian(wall, ev.steady_walls, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall,
-                          d.steady_walls)
-    return np.array(F), np.array((d.T_h2, d.T_c2))
+    w1, w2 = float(z[0]), float(z[1])
+    ev = evaluate_approx(WallState(w1, w2), u_eff, cond_out, cp, steady)
+    d_h2, d_c2, dQ_h, dQ_c, dw1s, dw2s = partial_rows(
+        w1, w2, u_eff.T_h1, u_eff.T_c1, cond_out.aA_h, cond_out.aA_c, u_eff.mdot_h * cp.theta3,
+        u_eff.mdot_c * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, ev.outlets.T_h2,
+        ev.outlets.T_c2, dtau.T.tolist())
+    e1, e2 = ev.steady_walls.T_w1 - w1, ev.steady_walls.T_w2 - w2
+    tdw = wall_drift_rate(ev.Q_h, ev.Q_c, cfg.wall.theta7)
+    F = rhs_rows(e1, e2, *sector_gain(e1, e2, tdw), tdw, dQ_h, dQ_c, cfg.wall.theta7,
+                 (dw1s, dw2s))
+    return np.array(F), np.array((d_h2, d_c2))
 
 
 def stencil_keeps_sector_and_branches(cfg, z, u, cp, indices=(0, 1)):
@@ -715,7 +722,7 @@ def test_filter_converges_to_true_overall_rating():
     # pull kA back to the truth when fed self-consistent measurements.
     cfg = make_cfg("A")
     true_ups = (1500.0, 3000.0)
-    _, walls = approx_steady_walls(U, Conductances(*true_ups), CP)
+    walls = approx_steady_terms(U, Conductances(*true_ups), CP).walls
     x_true = np.array([walls.T_w1, walls.T_w2, *true_ups])
     y_true = g_v(cfg, x_true, U, CP)
 

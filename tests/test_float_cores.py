@@ -21,23 +21,23 @@ import hxtwin.ekf as ekf
 from hxtwin.approx_model import (
     ApproxEvaluation,
     BetaBranch,
+    BetaSelection,
     CpParams,
     OutletTemps,
     SteadyTerms,
-    approx_partials,
+    approx_steady,
     approx_steady_terms,
-    approx_steady_walls,
-    beta_lm_selection,
+    beta_lm_value,
     evaluate_approx,
-    evaluation_tau,
     g_closed_form,
+    partial_rows,
     select_beta,
     steady_terms,
 )
 from hxtwin.correlations import CorrelationParams, alpha_A
 from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, model_inputs
 from hxtwin.means import weighted_mean
-from hxtwin.reference_model import Conductances, InletConditions, WallState
+from hxtwin.reference_model import Conductances, InletConditions, WallState, steady_wall_temps
 from hxtwin.wall_dynamics import (
     SECTOR_V_EPSILON,
     TDW_LOWER_BOUND,
@@ -45,11 +45,10 @@ from hxtwin.wall_dynamics import (
     Sector,
     WallDynamicsConfig,
     classify_sector,
+    integrate_step,
     rk4_pair,
-    rk4_step,
     wall_drift_rate,
     wall_rhs,
-    wall_rhs_jacobian,
 )
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -83,7 +82,7 @@ def joint_state(cfg, offset, params=(*UPS, 0.8)):
     the wall offset."""
     p = list(params[:cfg.n_states - 2])
     u_eff, _, cond_steady = reference_inputs(cfg, [0.0, 0.0, *p], U, CP)
-    walls = approx_steady_walls(u_eff, cond_steady, CP)[1]
+    walls = approx_steady_terms(u_eff, cond_steady, CP).walls
     return np.array([walls.T_w1 + offset[0], walls.T_w2 + offset[1], *p])
 
 
@@ -103,10 +102,20 @@ def reference_inputs(cfg, z, u, cp):
 
 
 def reference_steady(u, cond_steady, cp):
-    outlets, walls = approx_steady_walls(u, cond_steady, cp)
+    outlets = approx_steady(u, cond_steady.kA, cp)
+    walls = steady_wall_temps(outlets, u, cond_steady)
     return (outlets, walls,
-            beta_lm_selection(u.T_h1 - walls.T_w1, outlets.T_h2 - walls.T_w2),
-            beta_lm_selection(walls.T_w2 - u.T_c1, walls.T_w1 - outlets.T_c2))
+            BetaSelection(beta_lm_value(u.T_h1 - walls.T_w1, outlets.T_h2 - walls.T_w2),
+                          BetaBranch.BETA_LM, False),
+            BetaSelection(beta_lm_value(walls.T_w2 - u.T_c1, walls.T_w1 - outlets.T_c2),
+                          BetaBranch.BETA_LM, False))
+
+
+def reference_tau(u, cond_out, steady):
+    """The terms of an evaluation that the parameter states move, in the
+    order of partial_rows' dtau."""
+    return (cond_out.aA_h, cond_out.aA_c, u.mdot_c, steady.beta_lm_hot.beta,
+            steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2)
 
 
 def reference_evaluate(x, u, cond_out, cp, steady_outlets, steady_walls, lm_h, lm_c):
@@ -169,13 +178,21 @@ def reference_rows(x, xs, Q_h, Q_c, dQ_h, dQ_c, cfg, dxs):
     return tuple(row1), tuple(row2)
 
 
+def partials_at(x, u, cond_out, cp, ev, dtau):
+    """partial_rows at ev = evaluate_approx(x, u, cond_out, ...): the
+    rows over (T_w1, T_w2, q_1, ...) of (T_h2, T_c2, Q_h, Q_c, T_w1s, T_w2s)."""
+    return partial_rows(x.T_w1, x.T_w2, u.T_h1, u.T_c1, cond_out.aA_h, cond_out.aA_c,
+                        u.mdot_h * cp.theta3, u.mdot_c * cp.theta4, cp.theta4,
+                        ev.beta_hot, ev.beta_cold, ev.outlets.T_h2, ev.outlets.T_c2, dtau)
+
+
 def reference_dtau(cfg, z, u, cp):
-    """dtau/dp rows by numpy central differences of evaluation_tau over
+    """dtau/dp rows by numpy central differences of reference_tau over
     the reference inputs and steady terms."""
     def tau(p):
         u_eff, cond_out, cond_steady = reference_inputs(cfg, np.concatenate((z[:2], p)), u, cp)
         steady = approx_steady_terms(u_eff, cond_steady, cp)
-        return np.array(evaluation_tau(u_eff, cond_out, steady))
+        return np.array(reference_tau(u_eff, cond_out, steady))
 
     cols = []
     for i in range(2, z.size):
@@ -225,11 +242,8 @@ def test_stage_is_the_object_api_at_every_branch_and_sector(variant, offset, p):
     assert dtau == reference_dtau(cfg, z, U, CP)
     rates, sector = wall_rhs(wall, walls_s, ev.Q_h, ev.Q_c, cfg.wall)
     assert (rates, sector) == reference_rhs(wall, walls_s, ev.Q_h, ev.Q_c, cfg.wall)
-    d = approx_partials(wall, u_eff, cond_out, CP, ev, dtau)
-    rows = wall_rhs_jacobian(wall, walls_s, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall,
-                             d.steady_walls)
-    assert rows == reference_rows(wall, walls_s, ev.Q_h, ev.Q_c, d.Q_h, d.Q_c, cfg.wall,
-                                  d.steady_walls)
+    _, _, dQ_h, dQ_c, dw1s, dw2s = partials_at(wall, u_eff, cond_out, CP, ev, dtau)
+    rows = reference_rows(wall, walls_s, ev.Q_h, ev.Q_c, dQ_h, dQ_c, cfg.wall, (dw1s, dw2s))
 
     stage = ApproxStage(u_eff, cond_out, CP, steady, cfg.wall, dtau)
     assert stage.rates(wall.T_w1, wall.T_w2) == rates
@@ -253,14 +267,17 @@ def test_steady_core_is_approx_steady_terms(mdot_c, theta6, aA, balanced):
 
 
 @SETTINGS
-@given(w=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), h=st.floats(0.001, 1.0))
-def test_rk4_pair_is_rk4_step(w, h):
-    def rhs(x):
-        return -1.3 * x.T_w1 + 0.2 * x.T_w2, math.sin(x.T_w1) - x.T_w2
+@given(w=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), dt=st.floats(0.001, 1.0),
+       substeps=st.integers(1, 12))
+def test_integrate_step_is_rk4_pair_looped(w, dt, substeps):
+    def rhs(w1, w2):
+        return -1.3 * w1 + 0.2 * w2, math.sin(w1) - w2
 
-    x = WallState(*w)
-    out = rk4_step(rhs, x, h, rhs(x))
-    assert rk4_pair(lambda w1, w2: rhs(WallState(w1, w2)), *w, h, rhs(x)) == (out.T_w1, out.T_w2)
+    h = dt / substeps
+    w1, w2 = w
+    for _ in range(substeps):
+        w1, w2 = rk4_pair(rhs, w1, w2, h, rhs(w1, w2))
+    assert integrate_step(rhs, WallState(*w), dt, substeps) == WallState(w1, w2)
 
 
 def test_examples_cover_every_branch():

@@ -969,6 +969,33 @@ def test_run_monitor_rejects_bad_telemetry():
     assert "must increase" in str(exc.value)
 
 
+@pytest.mark.parametrize("variant, column", [
+    ("A", "T_h2_meas_K"), ("C", "T_h2_meas_K"), ("A", "T_h1_K"), ("B", "T_c1_K"),
+    ("A", "T_c2_meas_K"), ("A", "mdot_h_kg_s"), ("A", "mdot_c_kg_s"),
+])
+def test_run_monitor_names_a_non_finite_reading(variant, column):
+    # before the check, a NaN measured outlet ended in a
+    # NonPositiveConductanceError, and a NaN inlet in a
+    # SingularInnovationCovarianceError
+    scn = smoke_scenario()
+    tel = run_truth_sim(scn)
+    setattr(tel[60], column, math.nan)
+    with pytest.raises(ValueError, match=f"^telemetry reading {column} must be finite, "
+                                         r"got nan at t=30\.0$"):
+        run_monitor(scn, tel, variant=variant)
+
+
+def test_run_monitor_ignores_a_reading_the_variant_does_not_take():
+    scn = smoke_scenario()
+    tel = run_truth_sim(scn)
+    clean_b, clean_c = run_monitor(scn, tel, variant="B"), run_monitor(scn, tel, variant="C")
+    tel[0].T_h2_meas_K = tel[0].T_c2_meas_K = math.nan  # record 0 only initializes
+    tel[70].mdot_c_kg_s = math.nan  # B and C estimate the cold flow
+    assert run_monitor(scn, tel, variant="B") == clean_b
+    tel[60].T_c2_meas_K = math.inf  # C does not measure the cold outlet
+    assert run_monitor(scn, tel, variant="C") == clean_c
+
+
 def test_run_monitor_splits_a_time_gap_into_sample_periods(monkeypatch):
     scn = smoke_scenario()
     tel = run_truth_sim(scn)[:12]

@@ -22,10 +22,11 @@ from hxtwin.wall_dynamics import (
     classify_sector,
     integrate_step,
     reference_wall_rhs,
-    rk4_step,
+    rhs_rows,
+    rk4_pair,
+    sector_gain,
     wall_drift_rate,
     wall_rhs,
-    wall_rhs_jacobian,
 )
 from hxtwin.approx_model import CpParams, approx_steady_terms
 
@@ -124,6 +125,14 @@ XS = WallState(352.0, 340.0)
 STILL_XS = ((0.0, 0.0), (0.0, 0.0))  # steady walls that do not move with the walls
 
 
+def wall_rhs_rows(x, xs, Q_h, Q_c, dQ_h, dQ_c, dxs):
+    """d(wall_rhs)/dz at x by rhs_rows, given the heat rates and their
+    partials and those of the steady walls over z = (T_w1, T_w2, ...)."""
+    e1, e2 = xs.T_w1 - x.T_w1, xs.T_w2 - x.T_w2
+    tdw = wall_drift_rate(Q_h, Q_c, CFG.theta7)
+    return rhs_rows(e1, e2, *sector_gain(e1, e2, tdw), tdw, dQ_h, dQ_c, CFG.theta7, dxs)
+
+
 def linear_heat_rates(q_h, q_c, dQ_h, dQ_c):
     def rates(x):
         d1, d2 = x.T_w1 - XS.T_w1, x.T_w2 - XS.T_w2
@@ -153,7 +162,7 @@ def test_wall_rhs_jacobian_matches_central_differences(offset, sector, q_h, q_c)
         [(p - m) / (2.0 * h) for p, m in zip(rhs(x.T_w1 + h, x.T_w2), rhs(x.T_w1 - h, x.T_w2))],
         [(p - m) / (2.0 * h) for p, m in zip(rhs(x.T_w1, x.T_w2 + h), rhs(x.T_w1, x.T_w2 - h))],
     ]
-    J = wall_rhs_jacobian(x, XS, *rates(x), dQ_h, dQ_c, CFG, STILL_XS)
+    J = wall_rhs_rows(x, XS, *rates(x), dQ_h, dQ_c, STILL_XS)
     scale = max(abs(v) for row in J for v in row)
     for i in range(2):
         for j in range(2):
@@ -164,7 +173,7 @@ def test_wall_rhs_jacobian_floor_has_no_drift_slope():
     # Below the floor, sectors II/IV pull at the floored speed: only the
     # direction of e moves with x, whatever the heat-rate partials.
     x = WallState(349.0, 344.0)  # e = (3, -4), sector IV
-    J = wall_rhs_jacobian(x, XS, -100.0, 100.0, (500.0, 7.0), (-3.0, 80.0), CFG, STILL_XS)
+    J = wall_rhs_rows(x, XS, -100.0, 100.0, (500.0, 7.0), (-3.0, 80.0), STILL_XS)
     a = 2.0 * TDW_LOWER_BOUND / 5.0
     grad_a = (a * 3.0 / 25.0, a * -4.0 / 25.0)
     assert J[0] == pytest.approx((3.0 * grad_a[0] - a, 3.0 * grad_a[1]), rel=1e-12)
@@ -173,10 +182,10 @@ def test_wall_rhs_jacobian_floor_has_no_drift_slope():
 
 def test_wall_rhs_jacobian_sector_v_is_the_axis_limit():
     dQ_h, dQ_c = (120.0, -30.0), (45.0, 210.0)
-    J = wall_rhs_jacobian(XS, XS, -100.0, 100.0, dQ_h, dQ_c, CFG, STILL_XS)
+    J = wall_rhs_rows(XS, XS, -100.0, 100.0, dQ_h, dQ_c, STILL_XS)
     assert J == (
-        (2.0 * wall_drift_rate(dQ_h[0], dQ_c[0], CFG.theta7), 0.0),
-        (0.0, 2.0 * wall_drift_rate(dQ_h[1], dQ_c[1], CFG.theta7)),
+        [2.0 * wall_drift_rate(dQ_h[0], dQ_c[0], CFG.theta7), 0.0],
+        [0.0, 2.0 * wall_drift_rate(dQ_h[1], dQ_c[1], CFG.theta7)],
     )
 
 
@@ -212,7 +221,7 @@ def test_wall_rhs_jacobian_columns_beyond_the_walls(offset, sector, q_h, q_c):
         zp[j] += h
         zm[j] -= h
         columns.append([(p - m) / (2.0 * h) for p, m in zip(rhs(zp), rhs(zm))])
-    J = wall_rhs_jacobian(x, XS, *heat_rates(z), dQ_h, dQ_c, CFG, dxs)
+    J = wall_rhs_rows(x, XS, *heat_rates(z), dQ_h, dQ_c, dxs)
     scale = max(abs(v) for row in J for v in row)
     for i in range(2):
         for j in range(4):
@@ -224,10 +233,10 @@ def test_wall_rhs_jacobian_sector_v_has_zero_columns_beyond_the_walls():
     # move of xs alone along an axis gives the same rate either way.
     dQ_h, dQ_c = (120.0, -30.0, 7.0, 0.0), (45.0, 210.0, -3.0, 0.0)
     dxs = ((0.0, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, -1.0))
-    J = wall_rhs_jacobian(XS, XS, -100.0, 100.0, dQ_h, dQ_c, CFG, dxs)
+    J = wall_rhs_rows(XS, XS, -100.0, 100.0, dQ_h, dQ_c, dxs)
     assert J == (
-        (2.0 * wall_drift_rate(dQ_h[0], dQ_c[0], CFG.theta7), 0.0, 0.0, 0.0),
-        (0.0, 2.0 * wall_drift_rate(dQ_h[1], dQ_c[1], CFG.theta7), 0.0, 0.0),
+        [2.0 * wall_drift_rate(dQ_h[0], dQ_c[0], CFG.theta7), 0.0, 0.0, 0.0],
+        [0.0, 2.0 * wall_drift_rate(dQ_h[1], dQ_c[1], CFG.theta7), 0.0, 0.0],
     )
     for e in ((1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
         xs = WallState(XS.T_w1 + e[0], XS.T_w2 + e[1])
@@ -252,8 +261,8 @@ def test_integrate_step_rk4_order():
     # Linear decay toward (1, -1): global error scales like h^4.
     lam = 1.3
 
-    def rhs(x: WallState) -> tuple[float, float]:
-        return lam * (1.0 - x.T_w1), lam * (-1.0 - x.T_w2)
+    def rhs(w1: float, w2: float) -> tuple[float, float]:
+        return lam * (1.0 - w1), lam * (-1.0 - w2)
 
     x0 = WallState(3.0, 2.0)
     t = 1.0
@@ -267,24 +276,24 @@ def test_integrate_step_rk4_order():
     assert err[20] < 1e-6
 
 
-def test_rk4_step_is_the_fourth_order_taylor_step_of_a_linear_ode():
+def test_rk4_pair_is_the_fourth_order_taylor_step_of_a_linear_ode():
     # On xdot = a x one RK4 step multiplies x by 1 + z + z^2/2 + z^3/6 +
     # z^4/24, z = a h, and it reads rhs only at the three later stages.
     calls = []
 
-    def rhs(x: WallState) -> tuple[float, float]:
-        calls.append(x)
-        return -x.T_w1, -2.0 * x.T_w2
+    def rhs(w1: float, w2: float) -> tuple[float, float]:
+        calls.append((w1, w2))
+        return -w1, -2.0 * w2
 
-    x0, h = WallState(1.0, 1.0), 0.1
-    out = rk4_step(rhs, x0, h, (-1.0, -2.0))
+    h = 0.1
+    out = rk4_pair(rhs, 1.0, 1.0, h, (-1.0, -2.0))
     assert len(calls) == 3
-    for value, z in ((out.T_w1, -h), (out.T_w2, -2.0 * h)):
+    for value, z in zip(out, (-h, -2.0 * h)):
         assert value == pytest.approx(1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
 
 
 def test_integrate_step_edge_cases():
-    def rhs(x: WallState):
+    def rhs(w1: float, w2: float):
         return 1.0, -1.0
 
     x0 = WallState(300.0, 310.0)
@@ -292,8 +301,10 @@ def test_integrate_step_edge_cases():
     out = integrate_step(rhs, x0, 2.0, 4)
     assert out.T_w1 == pytest.approx(302.0, rel=1e-12)
     assert out.T_w2 == pytest.approx(308.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        integrate_step(rhs, x0, -1.0, 10)
+    # a negative or non-finite dt would return walls without an error
+    for dt in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            integrate_step(rhs, x0, dt, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +329,13 @@ def test_reference_rhs_matches_manual_assembly():
     Q_h = -heat_rate(u.T_h1 - x.T_w1, outs.T_h2 - x.T_w2, cond.aA_h)
     Q_c = heat_rate(x.T_w1 - outs.T_c2, x.T_w2 - u.T_c1, cond.aA_c)
     manual = wall_rhs(x, xs, Q_h, Q_c, cfg)[0]
-    assert rhs(x) == pytest.approx(manual, rel=1e-12)
+    assert rhs(x.T_w1, x.T_w2) == pytest.approx(manual, rel=1e-12)
 
 
 def test_reference_rhs_zero_at_steady_state():
     hot, cold, u, cond, xs = steady_setup()
     rhs = reference_wall_rhs(u, cond, hot, cold, WallDynamicsConfig(theta7=2000.0))
-    rate = rhs(xs)
+    rate = rhs(xs.T_w1, xs.T_w2)
     assert max(abs(rate[0]), abs(rate[1])) < 1e-4
 
 
@@ -366,13 +377,9 @@ def test_approx_rhs_agrees_with_reference_near_steady():
     cfg = WallDynamicsConfig(theta7=2000.0)
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     r_ref = reference_wall_rhs(u, cond, hot, cold, cfg)
-    stage = ApproxStage(u, cond, cp, approx_steady_terms(u, cond, cp), cfg)
-
-    def r_apx(x):
-        return stage.rates(x.T_w1, x.T_w2)
-
-    x = WallState(xs.T_w1 + 1.5, xs.T_w2 + 1.5)
-    a, b = r_ref(x), r_apx(x)
+    r_apx = ApproxStage(u, cond, cp, approx_steady_terms(u, cond, cp), cfg).rates
+    w = (xs.T_w1 + 1.5, xs.T_w2 + 1.5)
+    a, b = r_ref(*w), r_apx(*w)
     assert a[0] == pytest.approx(b[0], rel=0.05)
     assert a[1] == pytest.approx(b[1], rel=0.05)
     # and the approximate steady state is the same fixed point
