@@ -2,7 +2,8 @@
 
 The subcommands are thin: scenarios load through ``hxtwin.scenario``,
 runs go through ``hxtwin.harness``, CSV files through ``hxtwin.records``
-and the ``compare`` report through ``hxtwin.metrics``.
+and the ``compare`` report through ``hxtwin.metrics``.  ``monitor``
+replays a file with ``run_monitor``; a live feed steps a ``Monitor``.
 
 Subcommands:
 

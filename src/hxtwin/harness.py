@@ -1,11 +1,11 @@
 """Scenario runs: truth simulation, online monitoring and the model bench.
 
 ``run_truth_sim`` integrates the reference model and emits telemetry
-with seeded measurement noise; ``run_monitor`` replays that telemetry
-through the joint EKF; ``bench_models`` times the two models' output
-evaluations.  The scenario schema lives in ``hxtwin.scenario``, the
-records and their CSV files in ``hxtwin.records``, and the comparison
-metrics in ``hxtwin.metrics``.
+with seeded measurement noise.  ``Monitor`` is the live joint EKF, one
+``step`` per record; ``run_monitor`` is its replay of a telemetry list.
+``bench_models`` times the two models' output evaluations.  The schema
+is in ``hxtwin.scenario``, the records and their CSV files in
+``hxtwin.records``, and the comparison metrics in ``hxtwin.metrics``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .scenario import load_scenario
 
 __all__ = [
     "run_truth_sim",
+    "Monitor",
     "run_monitor",
     "BenchResult",
     "bench_models",
@@ -119,15 +120,6 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
 # Monitoring
 
 
-def _monitor_streams(scn: ScenarioConfig, cp_model: str) -> tuple[StreamConfig, StreamConfig]:
-    if cp_model == "constant":
-        hot = StreamConfig(
-            CaloricallyPerfect(scn.monitoring.cp_constant_hot), scn.hot.pressure
-        )
-        return hot, scn.cold
-    return scn.hot, scn.cold
-
-
 def _monitor_cp(
     ekf_cfg: EkfConfig,
     hot: StreamConfig,
@@ -157,116 +149,125 @@ def _monitor_cp(
     return cp
 
 
+class Monitor:
+    """The joint EKF online, one telemetry record per ``step``.
+
+    The first record only initializes; its log is ``init``.  Per later
+    record: refresh the mean specific heats from the previous post-update
+    outputs, predict under zero-order-hold previous inputs, compare the
+    predicted outputs against the measurements at the new inputs, update,
+    and log.  eps_* columns hold the noise-free prediction errors y_true -
+    y_pred, available here because the telemetry carries the true outlets.
+    A reading the variant takes that is not finite, or a flow it takes
+    that is not positive, raises a ValueError naming its column and time.
+    """
+
+    def __init__(
+        self,
+        scn: ScenarioConfig,
+        first_record: TelemetryRecord,
+        variant: str | None = None,
+        cp_model: str | None = None,
+    ):
+        mon = scn.monitoring
+        self._cfg = cfg = mon.ekf if variant is None else replace(mon.ekf, variant=variant)
+        self._scn, self._hot = scn, scn.hot
+        if (cp_model or mon.cp_model) == "constant":
+            self._hot = StreamConfig(CaloricallyPerfect(mon.cp_constant_hot), scn.hot.pressure)
+        estimates_flow = cfg.n_states == 5
+        # the readings the filter takes, the measured outlets after the
+        # first record: a bad one would surface as a misleading model error
+        trusted = not estimates_flow and mon.trust_mdot_c
+        self._inlets = ("T_h1_K", "T_c1_K", "mdot_h_kg_s", "mdot_c_kg_s")[:4 if trusted else 3]
+        self._measured = tuple(("T_h2_meas_K", "T_c2_meas_K")[i] for i in cfg.measured_rows)
+        # With a distrusted flow meter, variant A runs on the stale
+        # nominal value; B and C substitute their estimate anyway.
+        self._stale_mdot_c = None if estimates_flow or trusted else mon.mdot_c0
+
+        # the first clock reading has no dt that would catch it
+        u = self._inputs(first_record, ("t_s",) + self._inlets)
+        self._state = ekf_init(cfg, WallState(math.nan, math.nan),
+                               (mon.upsilon0_h, mon.upsilon0_c),
+                               mdot_c0=mon.mdot_c0 if estimates_flow else None)
+        cp = _monitor_cp(cfg, self._hot, scn.cold, self._state.x_hat, u, None, None)
+        u_eff, _cond_out, cond = model_inputs(cfg, self._state.x_hat, u, cp)
+        wall0 = approx_steady_terms(u_eff, cond, cp).walls
+        self._state.x_hat[:2] = wall0.T_w1, wall0.T_w2
+        self.init = self._log(first_record.t_s, u, cp, first=True)
+
+    def _inputs(self, rec: TelemetryRecord, names: tuple[str, ...]) -> InletConditions:
+        """The filter's inlets at rec, once the readings in names are valid."""
+        for name in names:
+            value = getattr(rec, name)
+            if not math.isfinite(value) or value <= 0.0 and name.startswith("mdot_"):
+                need = "finite" if not math.isfinite(value) else "positive"
+                raise ValueError(f"telemetry reading {name} must be {need}, got {value} "
+                                 f"at t={rec.t_s}")
+        mdot_c = rec.mdot_c_kg_s if self._stale_mdot_c is None else self._stale_mdot_c
+        return InletConditions(rec.T_h1_K, rec.T_c1_K, rec.mdot_h_kg_s, mdot_c)
+
+    def step(self, rec: TelemetryRecord) -> MonitorRecord:
+        """Take the next telemetry record through one filter cycle."""
+        cfg, scn, hot = self._cfg, self._scn, self._hot
+        u_k = self._inputs(rec, self._inlets + self._measured)
+        dt = rec.t_s - self._t_s
+        # NaN fails this too; the bound caps the predictions made below
+        if not 0.0 < dt <= scn.duration_s:
+            raise ValueError(f"telemetry times must increase by at most duration_s = "
+                             f"{scn.duration_s} s, got dt={dt} at t={rec.t_s}")
+        state = self._state
+        cp = _monitor_cp(cfg, hot, scn.cold, state.x_hat, u_k, *self._prev_outlets)
+        # ekf_predict sizes its substeps for one sample period, so a gap
+        # in the telemetry is crossed in n predictions of dt / n each
+        n = max(1, round(dt / scn.dt_s))
+        for _ in range(n):
+            state = ekf_predict(state, cfg, self._u_prev, cp, dt / n)
+        # the spans behind theta3/theta4 lag one sample; refresh them from
+        # the predicted outputs at the new inputs before comparing against
+        # the measurement (still causal, kills the lag at fast excitation)
+        ev_pred = ekf_evaluation(cfg, state.x_hat, u_k, cp)
+        cp = _monitor_cp(cfg, hot, scn.cold, state.x_hat, u_k,
+                         ev_pred.outlets, ev_pred.steady_outlets)
+        y_meas = np.array([getattr(rec, name) for name in self._measured])
+        self._state, innov, y_pred = ekf_update(state, cfg, u_k, cp, y_meas, dt)
+        innov_c = innov[1] if len(innov) > 1 else math.nan
+        return self._log(
+            rec.t_s, u_k, cp, (float(innov[0]), float(innov_c)),
+            (rec.T_h2_true_K - float(y_pred[0]), rec.T_c2_true_K - float(y_pred[1])),
+        )
+
+    def _log(self, t_s: float, u: InletConditions, cp: CpParams, innov=(math.nan, math.nan),
+             eps=(math.nan, math.nan), first: bool = False) -> MonitorRecord:
+        """Evaluate the outputs at the estimate, keep the time, inputs and
+        outputs that the next step starts from, and log the estimate."""
+        cfg, x = self._cfg, self._state.x_hat
+        ev = ekf_evaluation(cfg, x, u, cp)
+        self._t_s, self._u_prev = t_s, u
+        self._prev_outlets = ev.outlets, ev.steady_outlets
+        empty = [f"beta_empty_{side}" for side, beta in
+                 (("hot", ev.beta_hot), ("cold", ev.beta_cold)) if beta.feasible_set_empty]
+        return MonitorRecord(
+            t_s=t_s,
+            T_w1_hat_K=float(x[0]), T_w2_hat_K=float(x[1]),
+            upsilon_h_hat_W_K=float(x[2]), upsilon_c_hat_W_K=float(x[3]),
+            mdot_c_hat_kg_s=float(x[4]) if cfg.n_states == 5 else u.mdot_c,
+            kA_hat_W_K=estimate_kA(cfg, x, u, cp),
+            innov_h_K=innov[0], innov_c_K=innov[1], eps_h_K=eps[0], eps_c_K=eps[1],
+            flags="init" if first else "|".join(empty) or "ok",
+        )
+
+
 def run_monitor(
     scn: ScenarioConfig,
     telemetry: list[TelemetryRecord],
     variant: str | None = None,
     cp_model: str | None = None,
 ) -> list[MonitorRecord]:
-    """Replay telemetry through the joint EKF.
-
-    Per record: refresh the mean specific heats from the previous
-    post-update outputs, predict under zero-order-hold previous inputs,
-    compare the predicted outputs against the measurements at the new
-    inputs, update, and log.  Record 0 only initializes.  eps_* columns
-    hold the noise-free prediction errors y_true - y_pred, available
-    here because the telemetry carries the true outlets.  A reading the
-    variant takes that is not finite raises a ValueError naming its
-    column and time.
-    """
+    """Replay telemetry through a ``Monitor``, one ``step`` per later record."""
     if not telemetry:
         raise ValueError("telemetry is empty")
-    mon = scn.monitoring
-    ekf_cfg = mon.ekf if variant is None else replace(mon.ekf, variant=variant)
-    hot, cold = _monitor_streams(scn, cp_model or mon.cp_model)
-
-    rec0 = telemetry[0]
-    estimates_flow = ekf_cfg.n_states == 5
-    # the readings the filter takes, the measured outlets after record 0:
-    # a non-finite one would surface later as a misleading model error
-    measured = [("T_h2_meas_K", "T_c2_meas_K")[i] for i in ekf_cfg.measured_rows]
-    inlets = ["T_h1_K", "T_c1_K", "mdot_h_kg_s"]
-    if not estimates_flow and mon.trust_mdot_c:
-        inlets.append("mdot_c_kg_s")
-    for k, rec in enumerate(telemetry):
-        for name in inlets + measured if k else inlets:
-            if not math.isfinite(value := getattr(rec, name)):
-                raise ValueError(f"telemetry reading {name} must be finite, got {value} "
-                                 f"at t={rec.t_s}")
-
-    def filter_inlets(u: InletConditions) -> InletConditions:
-        # With a distrusted flow meter, variant A runs on the stale
-        # nominal value; B and C substitute their estimate anyway.
-        if estimates_flow or mon.trust_mdot_c:
-            return u
-        return replace(u, mdot_c=mon.mdot_c0)
-
-    u_prev = filter_inlets(rec0.inlets())
-    # the walls start at the steady state of the initial parameter states
-    state = ekf_init(ekf_cfg, WallState(math.nan, math.nan),
-                     (mon.upsilon0_h, mon.upsilon0_c),
-                     mdot_c0=mon.mdot_c0 if estimates_flow else None)
-    cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_prev, None, None)
-    u0_eff, _cond_out, cond0 = model_inputs(ekf_cfg, state.x_hat, u_prev, cp)
-    wall0 = approx_steady_terms(u0_eff, cond0, cp).walls
-    state.x_hat[:2] = wall0.T_w1, wall0.T_w2
-
-    ev = ekf_evaluation(ekf_cfg, state.x_hat, u_prev, cp)
-    prev_out, prev_steady = ev.outlets, ev.steady_outlets
-
-    records = []
-
-    def append_record(t_s, u_k, cp, innov_h, innov_c, eps_h, eps_c, flags) -> None:
-        x = state.x_hat
-        records.append(MonitorRecord(
-            t_s=t_s,
-            T_w1_hat_K=float(x[0]), T_w2_hat_K=float(x[1]),
-            upsilon_h_hat_W_K=float(x[2]), upsilon_c_hat_W_K=float(x[3]),
-            mdot_c_hat_kg_s=float(x[4]) if estimates_flow else u_k.mdot_c,
-            kA_hat_W_K=estimate_kA(ekf_cfg, x, u_k, cp),
-            innov_h_K=innov_h, innov_c_K=innov_c, eps_h_K=eps_h, eps_c_K=eps_c,
-            flags=flags,
-        ))
-
-    append_record(rec0.t_s, u_prev, cp, math.nan, math.nan, math.nan, math.nan, "init")
-
-    for rec in telemetry[1:]:
-        u_k = filter_inlets(rec.inlets())
-        dt = rec.t_s - records[-1].t_s
-        # NaN fails this too; the bound caps the predictions made below
-        if not 0.0 < dt <= scn.duration_s:
-            raise ValueError(f"telemetry times must increase by at most duration_s = "
-                             f"{scn.duration_s} s, got dt={dt} at t={rec.t_s}")
-        cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_k, prev_out, prev_steady)
-        # ekf_predict sizes its substeps for one sample period, so a gap
-        # in the telemetry is crossed in n predictions of dt / n each
-        n = max(1, round(dt / scn.dt_s))
-        for _ in range(n):
-            state = ekf_predict(state, ekf_cfg, u_prev, cp, dt / n)
-        # the spans behind theta3/theta4 lag one sample; refresh them from
-        # the predicted outputs at the new inputs before comparing against
-        # the measurement (still causal, kills the lag at fast excitation)
-        ev_pred = ekf_evaluation(ekf_cfg, state.x_hat, u_k, cp)
-        cp = _monitor_cp(ekf_cfg, hot, cold, state.x_hat, u_k,
-                         ev_pred.outlets, ev_pred.steady_outlets)
-        y_meas = np.array([getattr(rec, name) for name in measured])
-        state, innov, y_pred = ekf_update(state, ekf_cfg, u_k, cp, y_meas, dt)
-
-        ev = ekf_evaluation(ekf_cfg, state.x_hat, u_k, cp)
-        prev_out, prev_steady = ev.outlets, ev.steady_outlets
-        tokens = []
-        if ev.beta_hot.feasible_set_empty:
-            tokens.append("beta_empty_hot")
-        if ev.beta_cold.feasible_set_empty:
-            tokens.append("beta_empty_cold")
-        innov_c = innov[1] if len(innov) > 1 else math.nan
-        append_record(
-            rec.t_s, u_k, cp, float(innov[0]), float(innov_c),
-            rec.T_h2_true_K - float(y_pred[0]), rec.T_c2_true_K - float(y_pred[1]),
-            "|".join(tokens) if tokens else "ok",
-        )
-        u_prev = u_k
-    return records
+    monitor = Monitor(scn, telemetry[0], variant, cp_model)
+    return [monitor.init, *map(monitor.step, telemetry[1:])]
 
 
 # ---------------------------------------------------------------------------

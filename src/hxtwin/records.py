@@ -9,8 +9,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 
-from .reference_model import InletConditions
-
 __all__ = [
     "TelemetryRecord",
     "MonitorRecord",
@@ -41,11 +39,6 @@ class TelemetryRecord:
     kA_W_K: float
     p_h_Pa: float
     p_c_Pa: float
-
-    def inlets(self) -> InletConditions:
-        return InletConditions(
-            self.T_h1_K, self.T_c1_K, self.mdot_h_kg_s, self.mdot_c_kg_s
-        )
 
 
 @dataclass

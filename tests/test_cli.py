@@ -109,6 +109,12 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
     records[60].T_h2_meas_K = math.nan
     write_telemetry_csv(records, tmp_path / "bad.csv")
     assert cli.main(["monitor", str(tmp_path / "bad.csv"), SMOKE, "-o", str(mon)]) == 1
+    # a NaN first time, which no dt catches, and a zero hot flow at t = 30 s
+    for k, column, value in ((0, "t_s", math.nan), (60, "mdot_h_kg_s", 0.0)):
+        records = read_telemetry_csv(tel)
+        setattr(records[k], column, value)
+        write_telemetry_csv(records, tmp_path / "bad.csv")
+        assert cli.main(["monitor", str(tmp_path / "bad.csv"), SMOKE, "-o", str(mon)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
@@ -126,6 +132,8 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
         "hxtwin monitor: telemetry times must increase by at most duration_s = 60.0 s, "
         "got dt=999999999985.5 at t=1000000000000.0",
         "hxtwin monitor: telemetry reading T_h2_meas_K must be finite, got nan at t=30.0",
+        "hxtwin monitor: telemetry reading t_s must be finite, got nan at t=nan",
+        "hxtwin monitor: telemetry reading mdot_h_kg_s must be positive, got 0.0 at t=30.0",
     ]
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from hxtwin.harness import run_monitor, run_truth_sim
+from hxtwin.harness import Monitor, run_monitor, run_truth_sim
 from hxtwin.records import read_telemetry_csv, write_monitor_csv, write_telemetry_csv
 from hxtwin.scenario import load_scenario
 
@@ -155,6 +155,27 @@ def test_monitor_matches_golden(name, variant, tmp_path):
     out = tmp_path / "monitor.csv"
     write_monitor(name, variant, out)
     _assert_matches(monitor_path(name, variant), out)
+
+
+def test_monitors_stepped_in_turn_match_their_goldens(tmp_path):
+    # one record each in turn over the first 300 records (t < 300 s) of
+    # coolant_step, which cover the flow step at 120 s and C's indefinite P
+    # near 270 s: each run keeps its own golden's bytes, so the monitors
+    # share no state
+    name, n_records = "coolant_step", 300
+    scn, variants = _scenario(name), CASES[name][1]
+    telemetry = read_telemetry_csv(telemetry_path(name))[:n_records]
+    monitors = [Monitor(scn, telemetry[0], variant) for variant in variants]
+    logs = [[monitor.init] for monitor in monitors]
+    for rec in telemetry[1:]:
+        for monitor, log in zip(monitors, logs):
+            log.append(monitor.step(rec))
+    for variant, log in zip(variants, logs):
+        out = tmp_path / f"{variant}.monitor.csv"
+        write_monitor_csv(log, out)
+        lines = monitor_path(name, variant).read_bytes().splitlines(keepends=True)
+        diff = first_difference(b"".join(lines[:1 + n_records]), out.read_bytes())
+        assert diff is None, f"{name}.{variant} stepped in turn: {diff}"
 
 
 def test_first_difference_names_row_column_and_size():

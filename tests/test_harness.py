@@ -967,21 +967,45 @@ def test_run_monitor_rejects_bad_telemetry():
     with pytest.raises(ValueError) as exc:
         run_monitor(scn, tel)
     assert "must increase" in str(exc.value)
+    # no dt catches a first clock reading that is not finite
+    for t_s in (math.nan, math.inf, -math.inf):
+        tel[0].t_s = t_s
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"telemetry reading t_s must be finite, got {t_s} at t={t_s}") + "$"):
+            run_monitor(scn, tel)
 
 
-@pytest.mark.parametrize("variant, column", [
-    ("A", "T_h2_meas_K"), ("C", "T_h2_meas_K"), ("A", "T_h1_K"), ("B", "T_c1_K"),
-    ("A", "T_c2_meas_K"), ("A", "mdot_h_kg_s"), ("A", "mdot_c_kg_s"),
-])
-def test_run_monitor_names_a_non_finite_reading(variant, column):
-    # before the check, a NaN measured outlet ended in a
-    # NonPositiveConductanceError, and a NaN inlet in a
-    # SingularInnovationCovarianceError
+def test_run_monitor_reports_faults_in_record_order():
     scn = smoke_scenario()
     tel = run_truth_sim(scn)
-    setattr(tel[60], column, math.nan)
-    with pytest.raises(ValueError, match=f"^telemetry reading {column} must be finite, "
-                                         r"got nan at t=30\.0$"):
+    tel[5].t_s = tel[4].t_s  # stalled clock at t = 2 s
+    tel[60].T_h2_meas_K = math.nan
+    with pytest.raises(ValueError, match=r"^telemetry times must increase .* got dt=0\.0 "
+                                         r"at t=2\.0$"):
+        run_monitor(scn, tel)
+
+
+@pytest.mark.parametrize("variant, column, k, value", [
+    *(pytest.param(variant, column, 60, math.nan, id=f"{variant}-{column}")
+      for variant, column in [
+          ("A", "T_h2_meas_K"), ("C", "T_h2_meas_K"), ("A", "T_h1_K"), ("B", "T_c1_K"),
+          ("A", "T_c2_meas_K"), ("A", "mdot_h_kg_s"), ("A", "mdot_c_kg_s"),
+      ]),
+    ("A", "mdot_h_kg_s", 60, 0.0), ("A", "mdot_h_kg_s", 60, -1.0),
+    ("A", "mdot_h_kg_s", 0, 0.0), ("A", "mdot_h_kg_s", 0, -1.0),
+    ("C", "mdot_h_kg_s", 60, 0.0), ("A", "mdot_c_kg_s", 60, 0.0),
+])
+def test_run_monitor_names_a_non_finite_reading(variant, column, k, value):
+    # before the check, a NaN measured outlet ended in a
+    # NonPositiveConductanceError, and a NaN inlet in a
+    # SingularInnovationCovarianceError; a flow that is not positive
+    # ended in a NonPositiveConductanceError with no column or time
+    scn = smoke_scenario()
+    tel = run_truth_sim(scn)
+    setattr(tel[k], column, value)
+    need = "finite" if math.isnan(value) else "positive"
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"telemetry reading {column} must be {need}, got {value} at t={tel[k].t_s}") + "$"):
         run_monitor(scn, tel, variant=variant)
 
 
@@ -991,9 +1015,16 @@ def test_run_monitor_ignores_a_reading_the_variant_does_not_take():
     clean_b, clean_c = run_monitor(scn, tel, variant="B"), run_monitor(scn, tel, variant="C")
     tel[0].T_h2_meas_K = tel[0].T_c2_meas_K = math.nan  # record 0 only initializes
     tel[70].mdot_c_kg_s = math.nan  # B and C estimate the cold flow
+    tel[80].mdot_c_kg_s = 0.0
     assert run_monitor(scn, tel, variant="B") == clean_b
     tel[60].T_c2_meas_K = math.inf  # C does not measure the cold outlet
     assert run_monitor(scn, tel, variant="C") == clean_c
+    # A with a distrusted flow meter runs on the nominal cold flow
+    distrusted = smoke_scenario("trust_mdot_c = false\n")
+    tel = run_truth_sim(scn)
+    clean_a = run_monitor(distrusted, tel)
+    tel[70].mdot_c_kg_s, tel[80].mdot_c_kg_s = math.nan, -1.0
+    assert run_monitor(distrusted, tel) == clean_a
 
 
 def test_run_monitor_splits_a_time_gap_into_sample_periods(monkeypatch):

@@ -29,3 +29,7 @@ def test_traced_smoke_pipeline_reaches_every_layer(tmp_path):
                                  window_s=20.0, settle_s=10.0)
     tracer.require_calls(tracing.SPANNED)
     tracer.require_calls(tracing.COUNTED)
+    # sample_ms_p50/p99 time predictions within one run_monitor span
+    stats = tracing.SpanStats(tracer)
+    (monitor_span,) = stats.mask("run_monitor").nonzero()[0]
+    assert set(stats.parent[stats.mask("ekf_predict")].tolist()) == {monitor_span}
