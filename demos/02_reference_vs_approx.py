@@ -11,7 +11,8 @@ a displaced wall, then times both on the tabulated-fluid scenario.
 
 from pathlib import Path
 
-from hxtwin.approx_model import approx_steady_terms, evaluate_approx, update_cp_params
+from hxtwin.approx_model import evaluate_approx, update_cp_params
+from hxtwin.ekf import parameter_terms
 from hxtwin.harness import bench_models
 from hxtwin.reference_model import (
     WallState,
@@ -40,11 +41,13 @@ def main():
     print("\noutlets with the wall displaced from steady state:")
     print(f"{'dT_w / K':>10} {'ref T_h2':>12} {'apx T_h2':>12} "
           f"{'ref T_c2':>12} {'apx T_c2':>12} {'beta_h':>8} {'beta_c':>8}")
-    steady_terms = approx_steady_terms(u, cond, cp)
+    # the monitor's film model is alpha_A = upsilon, so leading factors
+    # equal to the truth conductances give the terms at the truth point
+    terms = parameter_terms(scn.monitoring.ekf, (cond.aA_h, cond.aA_c), u, cp)
     for d in (0.0, 1.0, 3.0, -3.0):
         x = WallState(xs.T_w1 + d, xs.T_w2 + d)
         ref = ref_output(x, u, cond, scn.hot, scn.cold)
-        ev = evaluate_approx(x, u, cond, cp, steady_terms)
+        ev = evaluate_approx(x, u, cp, terms)
         print(f"{d:10.1f} {ref.T_h2:12.4f} {ev.outlets.T_h2:12.4f} "
               f"{ref.T_c2:12.4f} {ev.outlets.T_c2:12.4f} "
               f"{ev.beta_hot.beta:8.4f} {ev.beta_cold.beta:8.4f}")

@@ -11,7 +11,8 @@ should land on the same steady wall state.
 import math
 from pathlib import Path
 
-from hxtwin.approx_model import approx_steady_terms, update_cp_params
+from hxtwin.approx_model import update_cp_params
+from hxtwin.ekf import parameter_terms
 from hxtwin.reference_model import (
     WallState,
     ref_steady_outlets,
@@ -36,7 +37,10 @@ def main():
     cfg = scn.plant.wall
 
     rhs_ref = reference_wall_rhs(u, cond, scn.hot, scn.cold, cfg)
-    rhs_apx = ApproxStage(u, cond, cp, approx_steady_terms(u, cond, cp), cfg).rates
+    # the monitor's film model is alpha_A = upsilon, so leading factors
+    # equal to the truth conductances give the terms at the truth point
+    terms = parameter_terms(scn.monitoring.ekf, (cond.aA_h, cond.aA_c), u, cp)
+    rhs_apx = ApproxStage(u, cp, terms, cfg).rates
 
     x_ref = WallState(xs.T_w1 + 4.0, xs.T_w2 + 4.0)
     x_apx = x_ref

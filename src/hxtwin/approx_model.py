@@ -33,15 +33,12 @@ __all__ = [
     "BetaSelection",
     "CpParams",
     "ApproxEvaluation",
-    "SteadyTerms",
     "g_closed_form",
     "g_partials",
     "beta_lm_value",
     "select_beta",
     "approx_output",
-    "approx_steady",
     "steady_outlets",
-    "approx_steady_terms",
     "steady_terms",
     "update_cp_params",
     "approx_steady_selfconsistent",
@@ -197,9 +194,9 @@ def select_beta(
     0.5*aA*(1 - beta)*dT_I <= slack, the closed form's c0 <= 0.  The rule
     is then: beta_LM if it passes, else beta*_2 if positive, else empty.
 
-    ``lm`` is the beta_LM selection of the steady differences (a
-    SteadyTerms' beta_lm_hot or beta_lm_cold), made once per steady state
-    and returned whenever beta_LM is feasible.
+    ``lm`` is the beta_LM selection of the steady differences (from
+    steady_terms), made once per steady state and returned whenever
+    beta_LM is feasible.
     """
     if dT_I <= 0.0:
         return _BETA_ZERO
@@ -238,15 +235,11 @@ def approx_output(
     return OutletTemps(T_h2 + x.T_w2, x.T_w1 - T_c2)
 
 
-def approx_steady(u: InletConditions, kA: float, cp: CpParams) -> OutletTemps:
-    """One-step steady outlet temperatures with frozen mean specific heats."""
-    return OutletTemps(*steady_outlets(
-        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, kA))
-
-
 def steady_outlets(T_h1: float, T_c1: float, W_h: float, W_c: float,
                    kA: float) -> tuple[float, float]:
-    """approx_steady on floats, with the heat capacity rates W_h and W_c.
+    """One-step steady outlet temperatures (T_h2s, T_c2s) with frozen mean
+    specific heats, in the heat capacity rates W_h = mdot_h*theta5 and
+    W_c = mdot_c*theta6.
 
     Branches on the heat-capacity-rate ratio: the generic counterflow
     expression with xi_s = exp(kA/W_h - kA/W_c), or the balanced-capacity
@@ -298,15 +291,19 @@ def approx_steady_selfconsistent(
     kA_of: Callable[[CpParams], float],
     cp0: CpParams,
 ) -> tuple[OutletTemps, CpParams, int]:
-    """Fixed-point refinement between approx_steady and the steady cps.
+    """Fixed-point refinement between steady_outlets and the steady cps.
 
     ``kA_of`` maps the mean specific heats to the rating kA, covering
     correlations whose conductance depends on them; ``cp0`` is the start.
     Stops after STEADY_CP_MAX_ITER sweeps or when both outlets move
     less than STEADY_CP_TOL kelvin.
     """
+    def outlets_at(cp: CpParams) -> OutletTemps:
+        return OutletTemps(*steady_outlets(
+            u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, kA_of(cp)))
+
     cp = cp0
-    outlets = approx_steady(u, kA_of(cp), cp)
+    outlets = outlets_at(cp)
     n = 0
     for n in range(1, STEADY_CP_MAX_ITER + 1):
         cp = CpParams(
@@ -315,7 +312,7 @@ def approx_steady_selfconsistent(
             hot.fluid.mean_specific_heat(u.T_h1, outlets.T_h2, hot.pressure),
             cold.fluid.mean_specific_heat(u.T_c1, outlets.T_c2, cold.pressure),
         )
-        new = approx_steady(u, kA_of(cp), cp)
+        new = outlets_at(cp)
         moved = max(abs(new.T_h2 - outlets.T_h2), abs(new.T_c2 - outlets.T_c2))
         outlets = new
         if moved < STEADY_CP_TOL:
@@ -336,41 +333,15 @@ class ApproxEvaluation:
     Q_c: float  # W, heat rate into the cold fluid
 
 
-@dataclass(frozen=True, slots=True)
-class SteadyTerms:
-    """The part of an approximate-model evaluation fixed by (u, theta):
-    steady outlets, steady walls, and the beta_LM selection of each side."""
-
-    outlets: OutletTemps
-    walls: WallState
-    beta_lm_hot: BetaSelection
-    beta_lm_cold: BetaSelection
-
-
-def approx_steady_terms(
-    u: InletConditions, cond_steady: Conductances, cp: CpParams
-) -> SteadyTerms:
-    """Steady state and both beta_LM selections for evaluate_approx.
-
-    They do not depend on the wall state, so a caller evaluating many
-    wall states at one (u, theta) computes them once and passes them in.
-    """
-    T_h2s, T_c2s, T_w1s, T_w2s, b_h, b_c = steady_terms(
-        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6,
-        cond_steady.aA_h, cond_steady.aA_c)
-    return SteadyTerms(OutletTemps(T_h2s, T_c2s), WallState(T_w1s, T_w2s),
-                       BetaSelection(b_h, BetaBranch.BETA_LM, False),
-                       BetaSelection(b_c, BetaBranch.BETA_LM, False))
-
-
 def steady_terms(T_h1: float, T_c1: float, W_h: float, W_c: float,
                  aA_h: float, aA_c: float) -> tuple[float, ...]:
-    """approx_steady_terms on floats, with W_h = mdot_h*theta5, W_c = mdot_c*theta6:
-    (T_h2s, T_c2s, T_w1s, T_w2s, beta_LM hot, beta_LM cold)."""
+    """The steady part of evaluate_approx's terms at the steady conductances
+    (aA_h, aA_c), with W_h = mdot_h*theta5 and W_c = mdot_c*theta6:
+    (beta_LM hot, beta_LM cold, T_w1s, T_w2s, T_h2s, T_c2s)."""
     T_h2s, T_c2s = steady_outlets(T_h1, T_c1, W_h, W_c, serial_conductance(aA_h, aA_c))
     T_w1s, T_w2s = steady_walls(T_h1, T_c1, T_h2s, T_c2s, aA_h, aA_c)
-    return (T_h2s, T_c2s, T_w1s, T_w2s, beta_lm_value(T_h1 - T_w1s, T_h2s - T_w2s),
-            beta_lm_value(T_w2s - T_c1, T_w1s - T_c2s))
+    return (beta_lm_value(T_h1 - T_w1s, T_h2s - T_w2s),
+            beta_lm_value(T_w2s - T_c1, T_w1s - T_c2s), T_w1s, T_w2s, T_h2s, T_c2s)
 
 
 def approx_sides(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA_c: float,
@@ -392,15 +363,22 @@ def approx_sides(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA
 def evaluate_approx(
     x: WallState,
     u: InletConditions,
-    cond_out: Conductances,
     cp: CpParams,
-    steady: SteadyTerms,
+    terms: Sequence[float],
 ) -> ApproxEvaluation:
     """Evaluate steady state, beta choices, outlets, and heat rates.
 
+    ``terms`` = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s,
+    T_w2s, T_h2s, T_c2s): the output conductances (at the transient mean
+    cps theta3/theta4), the cold flow, which replaces u.mdot_c, and
+    steady_terms at the steady conductances (at theta5/theta6).  The
+    filter makes them with ekf.parameter_terms; at known conductances
+    they are (aA_h, aA_c, mdot_c, *steady_terms(...)).  The first seven
+    are partial_rows' tau.
+
     Each side solves the universal residual by select_beta and
-    g_closed_form under its own substitution, with dT_w = T_w1 - T_w2 and
-    aA from ``cond_out`` (approx_sides):
+    g_closed_form under its own substitution, with dT_w = T_w1 - T_w2
+    (approx_sides):
 
     ====  ===========  =============  ===============  ====
     side  dT_I         unknown dT_II  C_p              aA
@@ -408,18 +386,14 @@ def evaluate_approx(
     hot   T_h1 - T_w1  T_h2 - T_w2    mdot_h * theta3  aA_h
     cold  T_w2 - T_c1  T_w1 - T_c2    mdot_c * theta4  aA_c
     ====  ===========  =============  ===============  ====
-
-    ``cond_out`` enters the output equations (transient mean cps in the
-    conductance correlation).  ``steady`` is approx_steady_terms(u,
-    cond_steady, cp) at the steady-state rating ``cond_steady``, which
-    coincides with ``cond_out`` whenever the correlation ignores the
-    mean cp.
     """
+    aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s, T_h2s, T_c2s = terms
     sel_h, sel_c, T_h2, T_c2, Q_h, Q_c = approx_sides(
-        x.T_w1, x.T_w2, u.T_h1, u.T_c1, cond_out.aA_h, cond_out.aA_c,
-        u.mdot_h * cp.theta3, u.mdot_c * cp.theta4, steady.beta_lm_hot, steady.beta_lm_cold)
-    return ApproxEvaluation(
-        OutletTemps(T_h2, T_c2), steady.outlets, steady.walls, sel_h, sel_c, Q_h, Q_c)
+        x.T_w1, x.T_w2, u.T_h1, u.T_c1, aA_h, aA_c, u.mdot_h * cp.theta3, mdot_c * cp.theta4,
+        BetaSelection(b_h, BetaBranch.BETA_LM, False),
+        BetaSelection(b_c, BetaBranch.BETA_LM, False))
+    return ApproxEvaluation(OutletTemps(T_h2, T_c2), OutletTemps(T_h2s, T_c2s),
+                            WallState(w1s, w2s), sel_h, sel_c, Q_h, Q_c)
 
 
 def partial_rows(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA_c: float,

@@ -16,16 +16,21 @@ the state between samples, and the measurement variance is divided by
 the sample interval in the gain.  Retuning is then unnecessary when the
 telemetry rate changes (Simon, Optimal State Estimation, 2006, §13.2).
 
-F and H come from the chain rule, not from differences of the whole
-model.  An evaluation and the wall dynamics read the parameter states
-p = x_v[2:] only through the parameter terms
+An evaluation and the wall dynamics read the parameter states
+p = x_v[2:] only through parameter_terms(cfg, p, u, cp), the one map from
+the parameter states to the model terms: the floored cold flow and
+conductances of ``conductances``, and approx_model.steady_terms at the
+steady pair.  Its first seven entries are
 tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
-dtau/dp is one central stencil per predict or update (central_jacobian),
-taken on floats on the map p -> tau, which does not read the walls and
-so never straddles a wall sector or a beta branch switch.  The partials
-in the walls and in tau are closed form (approx_model.partial_rows, and
-wall_dynamics.rhs_rows within the active wall sector).  A predict takes
-its RK4 stages and F rows from one ApproxStage on floats.
+
+F and H come from the chain rule, not from differences of the whole
+model.  dtau/dp is one central stencil per predict or update
+(central_jacobian) of parameter_terms(...)[:7] on floats, a map that
+does not read the walls and so never straddles a wall sector or a beta
+branch switch.  The partials in the walls and in tau are closed form
+(approx_model.partial_rows, and wall_dynamics.rhs_rows within the active
+wall sector).  A predict takes its RK4 stages and F rows from one
+ApproxStage on floats.
 """
 
 from __future__ import annotations
@@ -35,16 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_model import (
-    ApproxEvaluation,
-    CpParams,
-    approx_steady_terms,
-    evaluate_approx,
-    partial_rows,
-    steady_terms,
-)
-from .correlations import CorrelationParams, alpha_A
-from .reference_model import Conductances, InletConditions, WallState
+from .approx_model import ApproxEvaluation, CpParams, evaluate_approx, partial_rows, steady_terms
+from .correlations import CorrelationParams, alpha_A, serial_conductance
+from .reference_model import InletConditions, WallState
 from .wall_dynamics import ApproxStage, WallDynamicsConfig, rk4_pair
 
 __all__ = [
@@ -54,7 +52,8 @@ __all__ = [
     "EkfConfig",
     "EkfState",
     "ekf_init",
-    "model_inputs",
+    "conductances",
+    "parameter_terms",
     "ekf_evaluation",
     "central_jacobian",
     "ekf_predict",
@@ -148,10 +147,16 @@ def ekf_init(
     return EkfState(np.asarray(x, dtype=float), P0)
 
 
-def _conductances(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
-    """(mdot_c, aA_h, aA_c, steady aA_h, steady aA_c): the effective cold
-    flow and the conductances of model_inputs at the parameter states
-    p = x_v[2:], on floats."""
+def conductances(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
+    """(mdot_c, aA_h, aA_c, steady aA_h, steady aA_c) at the parameter
+    states p = x_v[2:], on floats: the one place that floors them.
+
+    The cold flow is u.mdot_c for variant A, the estimate floored at
+    MDOT_FLOOR for B and C.  The conductances are the monitored
+    correlations at the leading factors floored at UPSILON_FLOOR, the
+    output pair at the transient mean cps theta3/theta4, the steady pair
+    at theta5/theta6.
+    """
     ups_h = max(float(p[0]), UPSILON_FLOOR)
     ups_c = max(float(p[1]), UPSILON_FLOOR)
     mdot_c = max(float(p[2]), MDOT_FLOOR) if cfg.n_states == 5 else u.mdot_c
@@ -161,55 +166,28 @@ def _conductances(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
             alpha_A(hot, ups_h, u.mdot_h, cp.theta5), alpha_A(cold, ups_c, mdot_c, cp.theta6))
 
 
-def model_inputs(
-    cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
-) -> tuple[InletConditions, Conductances, Conductances]:
-    """Approximate-model inputs at the joint state x_v.
-
-    Through _conductances, the one place that floors the parameter
-    states, it returns the effective inlets (variants B and C substitute
-    the estimated cold flow, floored at MDOT_FLOOR) and the output and
-    steady conductances of the monitored correlations at the leading
-    factors, floored at UPSILON_FLOOR.  The output conductances take the
-    transient mean cps theta3/theta4, the steady ones theta5/theta6.
-    Only the parameter states x_v[2:] are read.
-    """
-    mdot_c, aA_h, aA_c, s_h, s_c = _conductances(cfg, x_v[2:], u, cp)
-    if cfg.n_states == 5:
-        u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, mdot_c)
-    return u, Conductances(aA_h, aA_c), Conductances(s_h, s_c)
-
-
-def _parameter_terms(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
-    """What an evaluation at x_v takes from the parameter states x_v[2:]
-    alone: the effective inlets, the output conductances and the steady
-    terms at the steady conductances of model_inputs."""
-    u_eff, cond_out, cond_steady = model_inputs(cfg, x_v, u, cp)
-    return u_eff, cond_out, approx_steady_terms(u_eff, cond_steady, cp)
+def parameter_terms(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
+    """The terms evaluate_approx takes at the parameter states p = x_v[2:]:
+    tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s) in
+    partial_rows' dtau order, then (T_h2s, T_c2s), on floats."""
+    mdot_c, aA_h, aA_c, s_h, s_c = conductances(cfg, p, u, cp)
+    return (aA_h, aA_c, mdot_c, *steady_terms(
+        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, mdot_c * cp.theta6, s_h, s_c))
 
 
 def _tau_partials(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
     """dtau/dp over the parameter states p = x_v[2:], as one row of tau
     partials per parameter (the dtau of partial_rows), by central_jacobian
-    of the map p -> tau, which does not read the walls and runs on floats."""
-    W_h = u.mdot_h * cp.theta5
-
-    def tau_at(p):
-        mdot_c, aA_h, aA_c, s_h, s_c = _conductances(cfg, p, u, cp)
-        _, _, w1s, w2s, b_h, b_c = steady_terms(
-            u.T_h1, u.T_c1, W_h, mdot_c * cp.theta6, s_h, s_c)
-        return aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s
-
-    return central_jacobian(tau_at, x_v[2:]).T.tolist()
+    of parameter_terms(...)[:7]."""
+    return central_jacobian(lambda p: parameter_terms(cfg, p, u, cp)[:7], x_v[2:]).T.tolist()
 
 
 def ekf_evaluation(
     cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
 ) -> ApproxEvaluation:
-    """Approximate-model evaluation at the joint state x_v, with the
-    inputs of model_inputs."""
-    u_eff, cond_out, steady = _parameter_terms(cfg, x_v, u, cp)
-    return evaluate_approx(WallState(float(x_v[0]), float(x_v[1])), u_eff, cond_out, cp, steady)
+    """Approximate-model evaluation at the joint state x_v."""
+    return evaluate_approx(WallState(float(x_v[0]), float(x_v[1])), u, cp,
+                           parameter_terms(cfg, x_v[2:], u, cp))
 
 
 def central_jacobian(fun, x: np.ndarray) -> np.ndarray:
@@ -259,8 +237,8 @@ def ekf_predict(
     Q = cfg.process_noise_density()
     substeps = cfg.wall.substeps_per_sample
     h = dt / substeps
-    u_eff, cond_out, steady = _parameter_terms(cfg, x, u, cp)
-    stage = ApproxStage(u_eff, cond_out, cp, steady, cfg.wall, _tau_partials(cfg, x, u, cp))
+    stage = ApproxStage(u, cp, parameter_terms(cfg, x[2:], u, cp), cfg.wall,
+                        _tau_partials(cfg, x, u, cp))
     F = np.zeros((cfg.n_states, cfg.n_states))
 
     def lyap(M: np.ndarray) -> np.ndarray:  # F M + M F', M symmetric
@@ -319,14 +297,14 @@ def ekf_update(
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
     x = state.x_hat
-    u_eff, cond_out, steady = _parameter_terms(cfg, x, u, cp)
+    terms = parameter_terms(cfg, x[2:], u, cp)
     w1, w2 = float(x[0]), float(x[1])
-    ev = evaluate_approx(WallState(w1, w2), u_eff, cond_out, cp, steady)
+    ev = evaluate_approx(WallState(w1, w2), u, cp, terms)
     T_h2, T_c2 = ev.outlets.T_h2, ev.outlets.T_c2
     y_pred = np.array((T_h2, T_c2))
     H = np.array(partial_rows(
-        w1, w2, u_eff.T_h1, u_eff.T_c1, cond_out.aA_h, cond_out.aA_c, u_eff.mdot_h * cp.theta3,
-        u_eff.mdot_c * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, T_h2, T_c2,
+        w1, w2, u.T_h1, u.T_c1, terms[0], terms[1], u.mdot_h * cp.theta3,
+        terms[2] * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, T_h2, T_c2,
         _tau_partials(cfg, x, u, cp))[:2])[list(rows), :]
     innovation = y_meas - y_pred[list(rows)]
     R_disc = (cfg.r_y_density / dt) * np.eye(len(rows))
@@ -344,5 +322,5 @@ def ekf_update(
 def estimate_kA(
     cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
 ) -> float:
-    """Serial overall rating of the output conductances of model_inputs."""
-    return model_inputs(cfg, x_v, u, cp)[1].kA
+    """Serial overall rating of the output conductances at x_v."""
+    return serial_conductance(*conductances(cfg, x_v[2:], u, cp)[1:3])

@@ -22,20 +22,20 @@ from .approx_model import (
     CpParams,
     approx_output,
     approx_steady_selfconsistent,
-    approx_steady_terms,
     evaluate_approx,
+    steady_terms,
     update_cp_params,
 )
 from .correlations import serial_conductance
 from .ekf import (
     EkfConfig,
-    _conductances,
+    conductances,
     ekf_evaluation,
     ekf_init,
     ekf_predict,
     ekf_update,
     estimate_kA,
-    model_inputs,
+    parameter_terms,
 )
 from .fluids import CaloricallyPerfect, StreamConfig
 from .records import MonitorRecord, TelemetryRecord
@@ -46,7 +46,13 @@ from .reference_model import (
     ref_steady_outlets,
     steady_wall_temps,
 )
-from .scenario import ScenarioConfig, initial_point, inputs_at, truth_conductances
+from .scenario import (
+    ScenarioConfig,
+    initial_point,
+    inputs_at,
+    temperature_rule,
+    truth_conductances,
+)
 from .wall_dynamics import integrate_step, reference_wall_rhs
 
 # Re-exported only because perfbench imports these names from here.
@@ -130,21 +136,20 @@ def _monitor_cp(
     prev_steady,
 ) -> CpParams:
     """Refresh theta3..theta6 and run the steady cp fixed point at the
-    model inputs of the joint state x_v.
+    parameter states x_v[2:], with the cold flow and steady conductances
+    of ekf.conductances.
 
     The steady rating kA feeding the fixed point tracks theta5/theta6
     through the monitored correlation, so correlations with a cp
     exponent stay self-consistent.
     """
-    # the mean cps read only the inlet temperatures, which the effective
-    # inlets share with u
     cp = update_cp_params(hot, cold, u, prev_out, prev_steady)
-
-    u_eff = model_inputs(ekf_cfg, x_v, u, cp)[0]
+    p = x_v[2:]
 
     def kA_of(cp2: CpParams) -> float:
-        return serial_conductance(*_conductances(ekf_cfg, x_v[2:], u, cp2)[3:])
+        return serial_conductance(*conductances(ekf_cfg, p, u, cp2)[3:])
 
+    u_eff = InletConditions(u.T_h1, u.T_c1, u.mdot_h, conductances(ekf_cfg, p, u, cp)[0])
     _outlets, cp, _n = approx_steady_selfconsistent(u_eff, hot, cold, kA_of, cp)
     return cp
 
@@ -158,8 +163,10 @@ class Monitor:
     predicted outputs against the measurements at the new inputs, update,
     and log.  eps_* columns hold the noise-free prediction errors y_true -
     y_pred, available here because the telemetry carries the true outlets.
-    A reading the variant takes that is not finite, or a flow it takes
-    that is not positive, raises a ValueError naming its column and time.
+    A reading the variant takes that is not finite, a flow it takes that
+    is not positive, or an inlet temperature that the scenario's
+    temperature_rule rejects for the monitor's streams raises a
+    ValueError naming its column and time.
     """
 
     def __init__(
@@ -180,6 +187,14 @@ class Monitor:
         trusted = not estimates_flow and mon.trust_mdot_c
         self._inlets = ("T_h1_K", "T_c1_K", "mdot_h_kg_s", "mdot_c_kg_s")[:4 if trusted else 3]
         self._measured = tuple(("T_h2_meas_K", "T_c2_meas_K")[i] for i in cfg.measured_rows)
+        # the fault of each inlet reading past finiteness, None if valid
+        def positive(v: float) -> str | None:
+            return None if v > 0.0 else "must be positive"
+
+        hot, cold = ("hot", self._hot), ("cold", scn.cold)
+        self._faults = {"T_h1_K": temperature_rule(hot, cold)[1],
+                        "T_c1_K": temperature_rule(cold, hot)[1],
+                        "mdot_h_kg_s": positive, "mdot_c_kg_s": positive}
         # With a distrusted flow meter, variant A runs on the stale
         # nominal value; B and C substitute their estimate anyway.
         self._stale_mdot_c = None if estimates_flow or trusted else mon.mdot_c0
@@ -189,20 +204,23 @@ class Monitor:
         self._state = ekf_init(cfg, WallState(math.nan, math.nan),
                                (mon.upsilon0_h, mon.upsilon0_c),
                                mdot_c0=mon.mdot_c0 if estimates_flow else None)
-        cp = _monitor_cp(cfg, self._hot, scn.cold, self._state.x_hat, u, None, None)
-        u_eff, _cond_out, cond = model_inputs(cfg, self._state.x_hat, u, cp)
-        wall0 = approx_steady_terms(u_eff, cond, cp).walls
-        self._state.x_hat[:2] = wall0.T_w1, wall0.T_w2
+        x = self._state.x_hat
+        cp = _monitor_cp(cfg, self._hot, scn.cold, x, u, None, None)
+        x[:2] = parameter_terms(cfg, x[2:], u, cp)[5:7]
         self.init = self._log(first_record.t_s, u, cp, first=True)
 
     def _inputs(self, rec: TelemetryRecord, names: tuple[str, ...]) -> InletConditions:
         """The filter's inlets at rec, once the readings in names are valid."""
         for name in names:
             value = getattr(rec, name)
-            if not math.isfinite(value) or value <= 0.0 and name.startswith("mdot_"):
-                need = "finite" if not math.isfinite(value) else "positive"
-                raise ValueError(f"telemetry reading {name} must be {need}, got {value} "
-                                 f"at t={rec.t_s}")
+            if not math.isfinite(value):
+                fault = "must be finite"
+            elif name in self._faults:
+                fault = self._faults[name](value)
+            else:
+                continue
+            if fault:
+                raise ValueError(f"telemetry reading {name} {fault}, got {value} at t={rec.t_s}")
         mdot_c = rec.mdot_c_kg_s if self._stale_mdot_c is None else self._stale_mdot_c
         return InletConditions(rec.T_h1_K, rec.T_c1_K, rec.mdot_h_kg_s, mdot_c)
 
@@ -328,7 +346,9 @@ def bench_models(
     ]
     betas = []
     for u in variants:
-        ev = evaluate_approx(x, u, cond, cp, approx_steady_terms(u, cond, cp))
+        terms = (cond.aA_h, cond.aA_c, u.mdot_c, *steady_terms(
+            u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, cond.aA_h, cond.aA_c))
+        ev = evaluate_approx(x, u, cp, terms)
         betas.append((ev.beta_hot, ev.beta_cold))
 
     t0 = time.perf_counter()

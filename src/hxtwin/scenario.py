@@ -27,6 +27,7 @@ __all__ = [
     "PlantSpec",
     "MonitoringSpec",
     "ScenarioConfig",
+    "temperature_rule",
     "build_scenario",
     "load_scenario",
     "inputs_at",
@@ -115,17 +116,20 @@ _INLET_KEYS = {
 }
 
 
-def _temperature_rule(own: tuple, other: tuple):
-    """Rule for an inlet temperature of the (name, stream) own: inside its
-    fluid hull, then inside the other stream's, since that stream's outlet
-    and the walls lie between the two inlets; finite for constant cp.  The
-    message names the hull the value leaves."""
+def temperature_rule(own: tuple, other: tuple):
+    """(ok, fault) rule for an inlet temperature of the (name, stream) own:
+    inside its fluid hull, then inside the other stream's, since that
+    stream's outlet and the walls lie between the two inlets; finite and
+    above 0 K where a hull is unbounded (constant cp).  fault(T) is None
+    or the message, which names the hull the value leaves."""
     def fault(T: float) -> str | None:
         for name, stream in (own, other):
             lo, hi = stream.fluid.hull_T
             if math.isinf(hi - lo):
                 if not math.isfinite(T):
                     return _FINITE[1]
+                if T <= 0.0:
+                    return "must be positive"
             elif not lo <= T <= hi:
                 return f"must lie in the {name} fluid hull [{lo:g}, {hi:g}] K"
         return None
@@ -257,8 +261,8 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
     dt = raw.get_float("scenario", "dt_s", check=_FINITE_POSITIVE)
     hot = _build_stream(raw, "streams.hot", base_dir)
     cold = _build_stream(raw, "streams.cold", base_dir)
-    rules = {"T_h1": _temperature_rule(("hot", hot), ("cold", cold)),
-             "T_c1": _temperature_rule(("cold", cold), ("hot", hot)),
+    rules = {"T_h1": temperature_rule(("hot", hot), ("cold", cold)),
+             "T_c1": temperature_rule(("cold", cold), ("hot", hot)),
              "mdot_h": _FINITE_POSITIVE, "mdot_c": _FINITE_POSITIVE}
     base_inlets = InletConditions(**{
         name: raw.get_float("inputs", key, check=rules[name])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .approx_model import CpParams, SteadyTerms, approx_sides, partial_rows
+from .approx_model import BetaBranch, BetaSelection, CpParams, approx_sides, partial_rows
 from .fluids import StreamConfig
 from .means import heat_rate
 from .reference_model import (
@@ -35,7 +35,6 @@ __all__ = [
     "classify_sector",
     "wall_drift_rate",
     "sector_gain",
-    "wall_rhs",
     "rhs_rows",
     "rk4_pair",
     "integrate_step",
@@ -103,34 +102,21 @@ def sector_gain(e1: float, e2: float, tdw: float) -> tuple[Sector, float]:
     return sector, 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
 
 
-def wall_rhs(
-    x: WallState,
-    xs: WallState,
-    Q_h: float,
-    Q_c: float,
-    cfg: WallDynamicsConfig,
-) -> tuple[tuple[float, float], Sector]:
-    """Right-hand side xdot = a * e plus the active sector (sector_gain)."""
-    e1 = xs.T_w1 - x.T_w1
-    e2 = xs.T_w2 - x.T_w2
-    sector, a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, cfg.theta7))
-    return (a * e1, a * e2), sector
-
-
 def rhs_rows(e1: float, e2: float, sector: Sector, a: float, tdw: float,
              dQ_h: Sequence[float], dQ_c: Sequence[float], theta7: float,
              dxs: tuple[Sequence[float], Sequence[float]]) -> tuple[list[float], list[float]]:
-    """Rows of d(wall_rhs)/dz in the active sector over z = (T_w1, T_w2,
-    q_1, ...), given e = xs - x, sector_gain at it, the drift tdw, and the
-    z partials of the heat rates (dQ_h, dQ_c) and steady walls (dxs).
+    """Rows of d(a*e)/dz, the wall rates' partials in the active sector,
+    over z = (T_w1, T_w2, q_1, ...), given e = xs - x, sector_gain at it,
+    the drift tdw, and the z partials of the heat rates (dQ_h, dQ_c) and
+    steady walls (dxs).
 
     With xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the
     Jacobian is e (grad a)' + a de/dz, where a moves with e and with the
-    drift.  In sector V, where wall_rhs is zero, the wall columns are the
+    drift.  In sector V, where the rates are zero, the wall columns are the
     limit along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what
     central differences about the steady state take, and what keeps the
     wall variance of the filter bounded there.  The other columns are
-    zero: the dead band holds wall_rhs at zero whatever the heat rates,
+    zero: the dead band holds the rates at zero whatever the heat rates,
     and a move of xs alone along an axis gives the same rate on both
     sides.
     """
@@ -212,32 +198,33 @@ def reference_wall_rhs(
 
     def rhs(w1: float, w2: float) -> tuple[float, float]:
         nonlocal guess
-        x = WallState(w1, w2)
-        outs = guess = ref_output(x, u, cond, hot, cold, guess=guess)
+        outs = guess = ref_output(WallState(w1, w2), u, cond, hot, cold, guess=guess)
         Q_h = -heat_rate(u.T_h1 - w1, outs.T_h2 - w2, cond.aA_h)
         Q_c = heat_rate(w1 - outs.T_c2, w2 - u.T_c1, cond.aA_c)
-        return wall_rhs(x, xs, Q_h, Q_c, cfg)[0]
+        e1, e2 = xs.T_w1 - w1, xs.T_w2 - w2
+        a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, cfg.theta7))[1]
+        return a * e1, a * e2
 
     return rhs
 
 
 class ApproxStage:
     """The approximate model's wall dynamics at one (u, theta), on floats,
-    from what evaluate_approx takes besides the walls, and partial_rows'
-    dtau for the Jacobian rows.  ``rates(w1, w2)`` is wall_rhs of
-    evaluate_approx at the walls; ``rates_and_rows(w1, w2)`` also gives
-    rhs_rows over (T_w1, T_w2, q_1, ...)."""
+    from evaluate_approx's (u, cp, terms), whose steady outlets it does not
+    read, and partial_rows' dtau for the Jacobian rows.  ``rates(w1, w2)``
+    is a*e of sector_gain at evaluate_approx's heat rates;
+    ``rates_and_rows(w1, w2)`` also gives rhs_rows over (T_w1, T_w2, q_1, ...)."""
 
     __slots__ = ("rates", "rates_and_rows")
 
-    def __init__(self, u: InletConditions, cond_out: Conductances, cp: CpParams,
-                 steady: SteadyTerms, cfg: WallDynamicsConfig,
-                 dtau: Sequence[Sequence[float]] = ()):
+    def __init__(self, u: InletConditions, cp: CpParams, terms: Sequence[float],
+                 cfg: WallDynamicsConfig, dtau: Sequence[Sequence[float]] = ()):
         # the constants as closure cells, the cheapest loads per call
-        T_h1, T_c1, aA_h, aA_c = u.T_h1, u.T_c1, cond_out.aA_h, cond_out.aA_c
-        C_h, C_c, theta4 = u.mdot_h * cp.theta3, u.mdot_c * cp.theta4, cp.theta4
-        lm_h, lm_c = steady.beta_lm_hot, steady.beta_lm_cold
-        w1s, w2s, theta7 = steady.walls.T_w1, steady.walls.T_w2, cfg.theta7
+        aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s = terms[:7]
+        T_h1, T_c1, theta4, theta7 = u.T_h1, u.T_c1, cp.theta4, cfg.theta7
+        C_h, C_c = u.mdot_h * cp.theta3, mdot_c * theta4
+        lm_h = BetaSelection(b_h, BetaBranch.BETA_LM, False)
+        lm_c = BetaSelection(b_c, BetaBranch.BETA_LM, False)
 
         def rates(w1: float, w2: float) -> tuple[float, float]:
             Q_h, Q_c = approx_sides(w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, lm_h, lm_c)[4:]

@@ -16,14 +16,14 @@ from hxtwin.approx_model import (
     BetaSelection,
     CpParams,
     approx_output,
-    approx_steady,
-    approx_steady_terms,
     approx_steady_selfconsistent,
     beta_lm_value,
     evaluate_approx,
     g_closed_form,
     g_partials,
     select_beta,
+    steady_outlets,
+    steady_terms,
     update_cp_params,
 )
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
@@ -51,6 +51,20 @@ def universal_residual(dT_I, dT_w, aA, C_p, dT_II, beta):
     """R~ = C_p*(dT_I - dT_II + dT_w) - aA*WM(dT_I, dT_II), whose root in
     dT_II g_closed_form returns."""
     return C_p * (dT_I - dT_II + dT_w) - aA * weighted_mean(dT_I, dT_II, beta)
+
+
+def steady_outlets_at(u, kA, cp):
+    """steady_outlets at the inlets u, with the steady mean cps of cp."""
+    return OutletTemps(*steady_outlets(
+        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, kA))
+
+
+def terms_at(u, cond_out, cp, cond_steady=None):
+    """evaluate_approx's terms at the output conductances cond_out and the
+    steady ones cond_steady, which default to cond_out."""
+    s = cond_steady or cond_out
+    return (cond_out.aA_h, cond_out.aA_c, u.mdot_c, *steady_terms(
+        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, s.aA_h, s.aA_c))
 
 
 def beta_lm_selection(steady_dT_Is, steady_dT_IIs):
@@ -390,7 +404,7 @@ def test_select_beta_core_matches_reference_on_all_branches():
 def test_approx_steady_frozen_values():
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
-    outs = approx_steady(u, 1000.0, cp)
+    outs = steady_outlets_at(u, 1000.0, cp)
     assert outs.T_h2 == pytest.approx(343.5266598393584, rel=1e-12)
     assert outs.T_c2 == pytest.approx(328.2366700803208, rel=1e-12)
 
@@ -398,11 +412,11 @@ def test_approx_steady_frozen_values():
 def test_approx_steady_balanced_branch():
     cp = CpParams(1000.0, 1000.0, 1000.0, 1000.0)
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
-    outs = approx_steady(u, 1000.0, cp)
+    outs = steady_outlets_at(u, 1000.0, cp)
     assert outs.T_h2 == pytest.approx(350.0, rel=1e-12)
     assert outs.T_c2 == pytest.approx(350.0, rel=1e-12)
     # Continuity across the balanced switch
-    near = approx_steady(u, 1000.0, CpParams(1000.0, 1000.0, 1000.0, 1000.0 * (1 + 5e-9)))
+    near = steady_outlets_at(u, 1000.0, CpParams(1000.0, 1000.0, 1000.0, 1000.0 * (1 + 5e-9)))
     assert near.T_h2 == pytest.approx(350.0, abs=1e-5)
 
 
@@ -416,7 +430,7 @@ def test_approx_steady_matches_reference_constant_cp():
         hot, cold = perfect_streams(cp_h, cp_c)
         u = InletConditions(th1, tc1, mh, mc)
         ref = ref_steady_outlets(u, kA, hot, cold)
-        apx = approx_steady(u, kA, CpParams(cp_h, cp_c, cp_h, cp_c))
+        apx = steady_outlets_at(u, kA, CpParams(cp_h, cp_c, cp_h, cp_c))
         assert apx.T_h2 == pytest.approx(ref.T_h2, abs=1e-6)
         assert apx.T_c2 == pytest.approx(ref.T_c2, abs=1e-6)
 
@@ -424,7 +438,7 @@ def test_approx_steady_matches_reference_constant_cp():
 def test_approx_steady_energy_balance():
     cp = CpParams(1100.0, 3100.0, 1100.0, 3100.0)
     u = InletConditions(420.0, 290.0, 1.4, 0.8)
-    outs = approx_steady(u, 1800.0, cp)
+    outs = steady_outlets_at(u, 1800.0, cp)
     q_hot = u.mdot_h * cp.theta5 * (u.T_h1 - outs.T_h2)
     q_cold = u.mdot_c * cp.theta6 * (outs.T_c2 - u.T_c1)
     assert q_hot == pytest.approx(q_cold, rel=1e-12)
@@ -434,17 +448,17 @@ def test_approx_steady_walls_match_reference_helper():
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
     cond = Conductances(1500.0, 3000.0)
-    steady = approx_steady_terms(u, cond, cp)
-    outs, walls = steady.outlets, steady.walls
-    assert outs == approx_steady(u, cond.kA, cp)
+    T_w1s, T_w2s, T_h2s, T_c2s = terms_at(u, cond, cp)[5:]
+    outs = OutletTemps(T_h2s, T_c2s)
+    assert outs == steady_outlets_at(u, cond.kA, cp)
     ref_walls = steady_wall_temps(outs, u, cond)
-    assert walls.T_w1 == pytest.approx(ref_walls.T_w1, rel=1e-14)
-    assert walls.T_w2 == pytest.approx(ref_walls.T_w2, rel=1e-14)
+    assert T_w1s == pytest.approx(ref_walls.T_w1, rel=1e-14)
+    assert T_w2s == pytest.approx(ref_walls.T_w2, rel=1e-14)
 
 
 def test_approx_steady_rejects_nonpositive_kA():
     with pytest.raises(ValueError):
-        approx_steady(
+        steady_outlets_at(
             InletConditions(400.0, 300.0, 1.0, 1.0),
             -5.0,
             CpParams(1.0, 1.0, 1000.0, 1000.0),
@@ -481,18 +495,18 @@ def test_approx_output_wall_referenced():
 
 
 def reference_evaluate(x, u, cond_out, cond_steady, cp) -> ApproxEvaluation:
-    steady_outlets = approx_steady(u, cond_steady.kA, cp)
-    steady_walls = steady_wall_temps(steady_outlets, u, cond_steady)
+    outlets_s = steady_outlets_at(u, cond_steady.kA, cp)
+    steady_walls = steady_wall_temps(outlets_s, u, cond_steady)
     hot, cold = substitutions(x, u, cond_out, cp)
     beta_h = select_beta(*hot, beta_lm_selection(
-        u.T_h1 - steady_walls.T_w1, steady_outlets.T_h2 - steady_walls.T_w2))
+        u.T_h1 - steady_walls.T_w1, outlets_s.T_h2 - steady_walls.T_w2))
     dT_II_h = g_closed_form(*hot, beta_h.beta)
     beta_c = select_beta(*cold, beta_lm_selection(
-        steady_walls.T_w2 - u.T_c1, steady_walls.T_w1 - steady_outlets.T_c2))
+        steady_walls.T_w2 - u.T_c1, steady_walls.T_w1 - outlets_s.T_c2))
     dT_II_c = g_closed_form(*cold, beta_c.beta)
     return ApproxEvaluation(
         OutletTemps(dT_II_h + x.T_w2, x.T_w1 - dT_II_c),
-        steady_outlets, steady_walls, beta_h, beta_c,
+        outlets_s, steady_walls, beta_h, beta_c,
         -hot[2] * weighted_mean(hot[0], dT_II_h, beta_h.beta),
         cold[2] * weighted_mean(cold[0], dT_II_c, beta_c.beta),
     )
@@ -503,14 +517,14 @@ def test_evaluate_with_and_without_steady_terms_is_exact():
     cond_out = Conductances(1400.0, 2900.0)
     cond_steady = Conductances(1500.0, 3000.0)
     cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
-    steady = approx_steady_terms(u, cond_steady, cp)
+    terms = terms_at(u, cond_out, cp, cond_steady)
     branches = set()
     # walls from settled to past both inlets, so both sides also hit the
     # beta = 0 fallback
     for T_w1, T_w2 in itertools.product((305.0, 340.0, 372.0, 395.0, 410.0),
                                         (290.0, 318.0, 331.0, 360.0)):
         x = WallState(T_w1, T_w2)
-        ev = evaluate_approx(x, u, cond_out, cp, steady)
+        ev = evaluate_approx(x, u, cp, terms)
         assert ev == reference_evaluate(x, u, cond_out, cond_steady, cp)
         branches |= {ev.beta_hot.branch, ev.beta_cold.branch}
     assert {BetaBranch.BETA_LM, BetaBranch.ZERO} <= branches
@@ -531,7 +545,7 @@ def test_evaluate_matches_reference_at_steady_walls():
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     ev = evaluate_approx(
         steady_wall_temps(ref_steady_outlets(u, cond.kA, hot, cold), u, cond),
-        u, cond, cp, approx_steady_terms(u, cond, cp),
+        u, cp, terms_at(u, cond, cp),
     )
     ref = ref_output(ev.steady_walls, u, cond, hot, cold)
     assert ev.outlets.T_h2 == pytest.approx(ref.T_h2, abs=1e-6)
@@ -544,10 +558,10 @@ def test_evaluate_close_to_reference_off_steady():
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
     cond = Conductances(1500.0, 3000.0)
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
-    steady = approx_steady_terms(u, cond, cp)
+    terms = terms_at(u, cond, cp)
     for dw1, dw2 in [(3.0, 3.0), (-3.0, -3.0), (2.0, -2.0)]:
-        x = WallState(steady.walls.T_w1 + dw1, steady.walls.T_w2 + dw2)
-        ev = evaluate_approx(x, u, cond, cp, steady)
+        x = WallState(terms[5] + dw1, terms[6] + dw2)
+        ev = evaluate_approx(x, u, cp, terms)
         ref = ref_output(x, u, cond, hot, cold)
         assert ev.outlets.T_h2 == pytest.approx(ref.T_h2, abs=1.0)
         assert ev.outlets.T_c2 == pytest.approx(ref.T_c2, abs=1.0)
@@ -562,9 +576,9 @@ def test_evaluate_heat_rates_close_energy_identity():
     u = InletConditions(400.0, 300.0, 1.3, 0.9)
     cond = Conductances(1500.0, 3000.0)
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
-    walls_s = approx_steady_terms(u, cond, cp).walls
-    x = WallState(walls_s.T_w1 + 2.0, walls_s.T_w2 - 1.0)
-    ev = evaluate_approx(x, u, cond, cp, approx_steady_terms(u, cond, cp))
+    terms = terms_at(u, cond, cp)
+    x = WallState(terms[5] + 2.0, terms[6] - 1.0)
+    ev = evaluate_approx(x, u, cp, terms)
     assert ev.Q_h < 0.0 < ev.Q_c
     assert ev.Q_h == pytest.approx(
         -u.mdot_h * cp.theta3 * (u.T_h1 - ev.outlets.T_h2), abs=1e-6
@@ -635,7 +649,7 @@ def test_selfconsistent_polynomial_converges():
         hot.fluid.mean_specific_heat(u.T_h1, outs.T_h2, hot.pressure),
         cold.fluid.mean_specific_heat(u.T_c1, outs.T_c2, cold.pressure),
     )
-    again = approx_steady(u, 2000.0, cp_chk)
+    again = steady_outlets_at(u, 2000.0, cp_chk)
     assert again.T_h2 == pytest.approx(outs.T_h2, abs=2e-4)
     assert again.T_c2 == pytest.approx(outs.T_c2, abs=2e-4)
 
@@ -652,5 +666,5 @@ def test_selfconsistent_callable_kA():
     outs, _, _ = approx_steady_selfconsistent(
         u, hot, cold, kA_of, update_cp_params(hot, cold, u))
     assert calls  # correlation consulted
-    fixed = approx_steady(u, 1000.0, CpParams(1000.0, 2000.0, 1000.0, 2000.0))
+    fixed = steady_outlets_at(u, 1000.0, CpParams(1000.0, 2000.0, 1000.0, 2000.0))
     assert outs.T_h2 == pytest.approx(fixed.T_h2, rel=1e-12)

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 import hxtwin.ekf
-from hxtwin.approx_model import (
-    CpParams,
-    approx_steady_terms,
-    evaluate_approx,
-    partial_rows,
-)
+from hxtwin.approx_model import CpParams, evaluate_approx, partial_rows, steady_terms
 from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import (
     JACOBIAN_ABS_STEP,
@@ -23,13 +18,14 @@ from hxtwin.ekf import (
     EkfState,
     SingularInnovationCovarianceError,
     central_jacobian,
+    conductances,
     ekf_evaluation,
     ekf_init,
     ekf_predict,
     ekf_update,
     estimate_kA,
     kalman_gain,
-    model_inputs,
+    parameter_terms,
 )
 from hxtwin.reference_model import InletConditions, WallState
 from hxtwin.reference_model import Conductances
@@ -41,7 +37,6 @@ from hxtwin.wall_dynamics import (
     rhs_rows,
     sector_gain,
     wall_drift_rate,
-    wall_rhs,
 )
 
 
@@ -63,9 +58,14 @@ def make_cfg(variant="A", **kw):
     return EkfConfig(**defaults)
 
 
+def steady_walls_at(ups):
+    """The steady walls at the side conductances ups, by the constant
+    correlations of make_cfg (alpha_A = upsilon)."""
+    return WallState(*parameter_terms(make_cfg(), ups, U, CP)[5:7])
+
+
 def steady_state_for(cfg, ups=(1500.0, 3000.0), mdot_c0=None):
-    walls = approx_steady_terms(U, Conductances(*ups), CP).walls
-    return ekf_init(cfg, walls, ups, mdot_c0=mdot_c0)
+    return ekf_init(cfg, steady_walls_at(ups), ups, mdot_c0=mdot_c0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +189,17 @@ def test_kalman_gain_singular_raises():
 # derivative and output equation, differenced by the tests below
 
 
+def wall_rates(cfg, z, ev):
+    """The wall rates a * e of sector_gain at the walls z[:2], given the
+    evaluation ev there."""
+    e1, e2 = ev.steady_walls.T_w1 - float(z[0]), ev.steady_walls.T_w2 - float(z[1])
+    a = sector_gain(e1, e2, wall_drift_rate(ev.Q_h, ev.Q_c, cfg.wall.theta7))[1]
+    return a * e1, a * e2
+
+
 def f_v(cfg, x_v, u, cp):
     """Joint state derivative: wall dynamics plus zero parameter drift."""
-    ev = ekf_evaluation(cfg, x_v, u, cp)
-    wall = WallState(float(x_v[0]), float(x_v[1]))
-    rates, _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
+    rates = wall_rates(cfg, x_v, ekf_evaluation(cfg, x_v, u, cp))
     return np.array(rates + (0.0,) * (cfg.n_states - 2))
 
 
@@ -255,15 +261,14 @@ def test_variant_b_uses_estimated_cold_flow():
 
 
 # ---------------------------------------------------------------------------
-# Model inputs at the joint state
+# Conductances and model terms at the parameter states
 
 
 def test_model_inputs_variant_a_passes_inlets_through():
-    x = np.array([350.0, 320.0, 1500.0, 3000.0])
-    u_eff, cond_out, cond_steady = model_inputs(make_cfg("A"), x, U, CP)
-    assert u_eff is U
+    p = np.array([1500.0, 3000.0])
     # constant correlations: alpha_A = upsilon
-    assert cond_out == cond_steady == Conductances(1500.0, 3000.0)
+    assert conductances(make_cfg("A"), p, U, CP) == (U.mdot_c, 1500.0, 3000.0, 1500.0, 3000.0)
+    assert parameter_terms(make_cfg("A"), p, U, CP)[:3] == (1500.0, 3000.0, U.mdot_c)
 
 
 @pytest.mark.parametrize("variant", ["B", "C"])
@@ -271,11 +276,12 @@ def test_model_inputs_variant_a_passes_inlets_through():
 def test_model_inputs_substitutes_floored_cold_flow(variant, mdot_state, mdot_used):
     cfg = make_cfg(variant, corr_cold=CorrelationParams(exp1=0.8))
     assert MDOT_FLOOR == 0.01
-    x = np.array([350.0, 320.0, 1500.0, 3000.0, mdot_state])
-    u_eff, cond_out, cond_steady = model_inputs(cfg, x, U, CP)
-    assert u_eff == InletConditions(U.T_h1, U.T_c1, U.mdot_h, mdot_used)
+    p = np.array([1500.0, 3000.0, mdot_state])
+    mdot_c, _, aA_c, _, s_c = conductances(cfg, p, U, CP)
+    assert mdot_c == mdot_used
     expected = alpha_A(CorrelationParams(exp1=0.8), 3000.0, mdot_used, CP.theta4)
-    assert cond_out.aA_c == cond_steady.aA_c == expected
+    assert aA_c == s_c == expected
+    assert parameter_terms(cfg, p, U, CP)[1:3] == (expected, mdot_used)
 
 
 def test_model_inputs_floors_leading_factors():
@@ -285,40 +291,33 @@ def test_model_inputs_floors_leading_factors():
         corr_cold=CorrelationParams(exp2=0.2, offset=5.0),
     )
     cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
-    _, cond_out, cond_steady = model_inputs(cfg, np.array([350.0, 320.0, 0.2, -40.0]), U, cp)
     hot, cold = cfg.corr_hot, cfg.corr_cold
-    assert cond_out == Conductances(alpha_A(hot, UPSILON_FLOOR, U.mdot_h, cp.theta3),
-                                    alpha_A(cold, UPSILON_FLOOR, U.mdot_c, cp.theta4))
-    assert cond_steady == Conductances(alpha_A(hot, UPSILON_FLOOR, U.mdot_h, cp.theta5),
-                                       alpha_A(cold, UPSILON_FLOOR, U.mdot_c, cp.theta6))
+    assert conductances(cfg, np.array([0.2, -40.0]), U, cp)[1:] == (
+        alpha_A(hot, UPSILON_FLOOR, U.mdot_h, cp.theta3),
+        alpha_A(cold, UPSILON_FLOOR, U.mdot_c, cp.theta4),
+        alpha_A(hot, UPSILON_FLOOR, U.mdot_h, cp.theta5),
+        alpha_A(cold, UPSILON_FLOOR, U.mdot_c, cp.theta6),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Chain-rule Jacobians against central differences
 
 
-def chain_jacobians(cfg, z, u, cp, inputs=model_inputs):
+def chain_jacobians(cfg, z, u, cp, terms_of=parameter_terms):
     """F[:2, :] and H at z, by the chain rule from the public partials
-    (partial_rows, rhs_rows), with the model inputs of inputs(cfg, z, u,
-    cp).  dtau/dp, the partials of tau = (aA_h, aA_c, mdot_c, beta_LM hot,
-    beta_LM cold, T_w1s, T_w2s) over the parameter states p = z[2:], is a
-    central stencil of the wall-free map p -> tau."""
-    def evaluation_terms(w):
-        u_eff, cond_out, cond_steady = inputs(cfg, w, u, cp)
-        return u_eff, cond_out, cond_steady, approx_steady_terms(u_eff, cond_steady, cp)
-
-    def tau(p):
-        u_eff, cond_out, _, steady = evaluation_terms(np.concatenate((z[:2], p)))
-        return np.array((cond_out.aA_h, cond_out.aA_c, u_eff.mdot_c, steady.beta_lm_hot.beta,
-                         steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2))
-
-    dtau = reference_jacobian(tau, z[2:], JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
-    u_eff, cond_out, cond_steady, steady = evaluation_terms(z)
+    (partial_rows, rhs_rows), with the model terms of terms_of(cfg, p, u,
+    cp) at the parameter states p = z[2:].  dtau/dp, the partials of its
+    first seven entries tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM
+    cold, T_w1s, T_w2s), is a central stencil of the wall-free map p -> tau."""
+    dtau = reference_jacobian(lambda p: np.array(terms_of(cfg, p, u, cp)[:7]), z[2:],
+                              JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP)
+    terms = terms_of(cfg, z[2:], u, cp)
     w1, w2 = float(z[0]), float(z[1])
-    ev = evaluate_approx(WallState(w1, w2), u_eff, cond_out, cp, steady)
+    ev = evaluate_approx(WallState(w1, w2), u, cp, terms)
     d_h2, d_c2, dQ_h, dQ_c, dw1s, dw2s = partial_rows(
-        w1, w2, u_eff.T_h1, u_eff.T_c1, cond_out.aA_h, cond_out.aA_c, u_eff.mdot_h * cp.theta3,
-        u_eff.mdot_c * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, ev.outlets.T_h2,
+        w1, w2, u.T_h1, u.T_c1, terms[0], terms[1], u.mdot_h * cp.theta3,
+        terms[2] * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, ev.outlets.T_h2,
         ev.outlets.T_c2, dtau.T.tolist())
     e1, e2 = ev.steady_walls.T_w1 - w1, ev.steady_walls.T_w2 - w2
     tdw = wall_drift_rate(ev.Q_h, ev.Q_c, cfg.wall.theta7)
@@ -399,7 +398,7 @@ def test_chain_rule_parameter_columns_match_the_whole_stencil(variant, offset):
 
 
 def test_analytic_wall_columns_at_the_steady_state_match_the_stencil():
-    # wall_rhs is zero in sector V; the stencil about the steady state
+    # The wall rates are zero in sector V; the stencil about the steady state
     # leaves it along the axes, and the analytic F takes that limit.
     cfg = make_cfg("A", **ORACLE_CFG)
     st = steady_state_for(cfg)
@@ -416,7 +415,7 @@ def test_analytic_wall_columns_at_the_steady_state_match_the_stencil():
 
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_parameter_columns_at_the_steady_state_are_zero(variant):
-    # In the dead band wall_rhs is zero whatever the parameters, so its
+    # In the dead band the wall rates are zero whatever the parameters, so their
     # parameter columns are zero; the outlets still sense the parameters.
     cfg = make_cfg(variant, **ORACLE_CFG)
     z = oracle_point(cfg, (0.0, 0.0))
@@ -476,30 +475,29 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
 # stencil is test_chain_rule_parameter_columns_match_the_whole_stencil.
 
 
-def reference_inputs(cfg, z, u, cp):
+def reference_terms(cfg, p, u, cp):
+    """parameter_terms through the objects: the effective inlets and the
+    output and steady Conductances at the floored parameter states p."""
     if cfg.n_states == 5:
-        u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, max(float(z[4]), MDOT_FLOOR))
-    ups_h, ups_c = max(float(z[2]), UPSILON_FLOOR), max(float(z[3]), UPSILON_FLOOR)
+        u = InletConditions(u.T_h1, u.T_c1, u.mdot_h, max(float(p[2]), MDOT_FLOOR))
+    ups_h, ups_c = max(float(p[0]), UPSILON_FLOOR), max(float(p[1]), UPSILON_FLOOR)
     cond_out = Conductances(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp.theta3),
                             alpha_A(cfg.corr_cold, ups_c, u.mdot_c, cp.theta4))
     cond_steady = Conductances(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp.theta5),
                                alpha_A(cfg.corr_cold, ups_c, u.mdot_c, cp.theta6))
-    return u, cond_out, cond_steady
+    return (cond_out.aA_h, cond_out.aA_c, u.mdot_c, *steady_terms(
+        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6,
+        cond_steady.aA_h, cond_steady.aA_c))
 
 
 def reference_evaluation(cfg, z, u, cp):
     wall = WallState(float(z[0]), float(z[1]))
-    u, cond_out, cond_steady = reference_inputs(cfg, z, u, cp)
-    return evaluate_approx(wall, u, cond_out, cp, approx_steady_terms(u, cond_steady, cp))
+    return evaluate_approx(wall, u, cp, reference_terms(cfg, z[2:], u, cp))
 
 
 def reference_f(cfg, z, u, cp):
-    ev = reference_evaluation(cfg, z, u, cp)
-    wall = WallState(float(z[0]), float(z[1]))
-    (d1, d2), _ = wall_rhs(wall, ev.steady_walls, ev.Q_h, ev.Q_c, cfg.wall)
     out = np.zeros(cfg.n_states)
-    out[0] = d1
-    out[1] = d2
+    out[:2] = wall_rates(cfg, z, reference_evaluation(cfg, z, u, cp))
     return out
 
 
@@ -521,7 +519,7 @@ def reference_predict(state, cfg, u, cp, dt):
 
     for _ in range(cfg.wall.substeps_per_sample):
         F = np.zeros((cfg.n_states, cfg.n_states))
-        F[:2] = chain_jacobians(cfg, x, u, cp, reference_inputs)[0]
+        F[:2] = chain_jacobians(cfg, x, u, cp, reference_terms)[0]
         k1 = f(x)
         p1 = pdot(P, F)
         k2 = f(x + 0.5 * h * k1)
@@ -538,7 +536,7 @@ def reference_predict(state, cfg, u, cp, dt):
 def reference_update(state, cfg, u, cp, y_meas, dt):
     rows = list(cfg.measured_rows)
     y_pred = reference_g(cfg, state.x_hat, u, cp)
-    H = chain_jacobians(cfg, state.x_hat, u, cp, reference_inputs)[1][rows, :]
+    H = chain_jacobians(cfg, state.x_hat, u, cp, reference_terms)[1][rows, :]
     innovation = y_meas - y_pred[rows]
     K = kalman_gain(state.P, H, (cfg.r_y_density / dt) * np.eye(len(rows)))
     x = state.x_hat + K @ innovation
@@ -722,7 +720,7 @@ def test_filter_converges_to_true_overall_rating():
     # pull kA back to the truth when fed self-consistent measurements.
     cfg = make_cfg("A")
     true_ups = (1500.0, 3000.0)
-    walls = approx_steady_terms(U, Conductances(*true_ups), CP).walls
+    walls = steady_walls_at(true_ups)
     x_true = np.array([walls.T_w1, walls.T_w2, *true_ups])
     y_true = g_v(cfg, x_true, U, CP)
 

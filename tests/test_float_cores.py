@@ -1,10 +1,11 @@
 """The float cores of the filter's inner loop against the object API, bit
 for bit (==, not approx).
 
-A predict runs on wall_dynamics.ApproxStage and the map p -> tau of
-ekf._tau_partials, both on plain floats.  Each property below evaluates
-one point both ways: through the float cores, and through the object API
-and a reference written out here in the objects' terms.  The explicit
+A predict runs on wall_dynamics.ApproxStage and on ekf.parameter_terms,
+the map from the parameter states to the model terms, both on plain
+floats.  Each property below evaluates one point both ways: through the
+float cores, and through the object API and a reference written out here
+in the objects' terms.  The explicit
 examples put every beta branch (beta_LM, beta*_2, zero, empty), every
 wall sector (I-V), both parameter floors and the balanced-capacity branch
 under test; test_examples_cover_every_branch checks that they still do.
@@ -24,18 +25,16 @@ from hxtwin.approx_model import (
     BetaSelection,
     CpParams,
     OutletTemps,
-    SteadyTerms,
-    approx_steady,
-    approx_steady_terms,
     beta_lm_value,
     evaluate_approx,
     g_closed_form,
     partial_rows,
     select_beta,
+    steady_outlets,
     steady_terms,
 )
 from hxtwin.correlations import CorrelationParams, alpha_A
-from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, model_inputs
+from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances, parameter_terms
 from hxtwin.means import weighted_mean
 from hxtwin.reference_model import Conductances, InletConditions, WallState, steady_wall_temps
 from hxtwin.wall_dynamics import (
@@ -48,7 +47,6 @@ from hxtwin.wall_dynamics import (
     integrate_step,
     rk4_pair,
     wall_drift_rate,
-    wall_rhs,
 )
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -82,7 +80,7 @@ def joint_state(cfg, offset, params=(*UPS, 0.8)):
     the wall offset."""
     p = list(params[:cfg.n_states - 2])
     u_eff, _, cond_steady = reference_inputs(cfg, [0.0, 0.0, *p], U, CP)
-    walls = approx_steady_terms(u_eff, cond_steady, CP).walls
+    walls = reference_steady(u_eff, cond_steady, CP)[1]
     return np.array([walls.T_w1 + offset[0], walls.T_w2 + offset[1], *p])
 
 
@@ -102,7 +100,8 @@ def reference_inputs(cfg, z, u, cp):
 
 
 def reference_steady(u, cond_steady, cp):
-    outlets = approx_steady(u, cond_steady.kA, cp)
+    outlets = OutletTemps(*steady_outlets(
+        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, cond_steady.kA))
     walls = steady_wall_temps(outlets, u, cond_steady)
     return (outlets, walls,
             BetaSelection(beta_lm_value(u.T_h1 - walls.T_w1, outlets.T_h2 - walls.T_w2),
@@ -113,9 +112,9 @@ def reference_steady(u, cond_steady, cp):
 
 def reference_tau(u, cond_out, steady):
     """The terms of an evaluation that the parameter states move, in the
-    order of partial_rows' dtau."""
-    return (cond_out.aA_h, cond_out.aA_c, u.mdot_c, steady.beta_lm_hot.beta,
-            steady.beta_lm_cold.beta, steady.walls.T_w1, steady.walls.T_w2)
+    order of partial_rows' dtau, given reference_steady's steady."""
+    _, walls, lm_h, lm_c = steady
+    return (cond_out.aA_h, cond_out.aA_c, u.mdot_c, lm_h.beta, lm_c.beta, walls.T_w1, walls.T_w2)
 
 
 def reference_evaluate(x, u, cond_out, cp, steady_outlets, steady_walls, lm_h, lm_c):
@@ -136,13 +135,13 @@ def reference_rhs(x, xs, Q_h, Q_c, cfg):
     e1, e2 = xs.T_w1 - x.T_w1, xs.T_w2 - x.T_w2
     sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
     if sector is Sector.V:
-        return (0.0, 0.0), sector
+        return 0.0, 0.0
     tdw = wall_drift_rate(Q_h, Q_c, cfg.theta7)
     if sector in (Sector.I, Sector.III):
         a = 2.0 * tdw / (e1 + e2)
     else:
         a = 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
-    return (a * e1, a * e2), sector
+    return a * e1, a * e2
 
 
 def reference_rows(x, xs, Q_h, Q_c, dQ_h, dQ_c, cfg, dxs):
@@ -191,8 +190,7 @@ def reference_dtau(cfg, z, u, cp):
     the reference inputs and steady terms."""
     def tau(p):
         u_eff, cond_out, cond_steady = reference_inputs(cfg, np.concatenate((z[:2], p)), u, cp)
-        steady = approx_steady_terms(u_eff, cond_steady, cp)
-        return np.array(reference_tau(u_eff, cond_out, steady))
+        return np.array(reference_tau(u_eff, cond_out, reference_steady(u_eff, cond_steady, cp)))
 
     cols = []
     for i in range(2, z.size):
@@ -231,21 +229,22 @@ def test_stage_is_the_object_api_at_every_branch_and_sector(variant, offset, p):
     z[:2] += offset
     wall = WallState(float(z[0]), float(z[1]))
     u_eff, cond_out, cond_steady = reference_inputs(cfg, z, U, CP)
-    assert model_inputs(cfg, z, U, CP) == (u_eff, cond_out, cond_steady)
-    outlets_s, walls_s, lm_h, lm_c = reference_steady(u_eff, cond_steady, CP)
-    steady = approx_steady_terms(u_eff, cond_steady, CP)
-    assert steady == SteadyTerms(outlets_s, walls_s, lm_h, lm_c)
-    ev = evaluate_approx(wall, u_eff, cond_out, CP, steady)
+    assert conductances(cfg, z[2:], U, CP) == (
+        u_eff.mdot_c, cond_out.aA_h, cond_out.aA_c, cond_steady.aA_h, cond_steady.aA_c)
+    steady = reference_steady(u_eff, cond_steady, CP)
+    outlets_s, walls_s, lm_h, lm_c = steady
+    terms = parameter_terms(cfg, z[2:], U, CP)
+    assert terms == (*reference_tau(u_eff, cond_out, steady), outlets_s.T_h2, outlets_s.T_c2)
+    ev = evaluate_approx(wall, U, CP, terms)
     assert ev == reference_evaluate(wall, u_eff, cond_out, CP, outlets_s, walls_s, lm_h, lm_c)
 
     dtau = ekf._tau_partials(cfg, z, U, CP)
     assert dtau == reference_dtau(cfg, z, U, CP)
-    rates, sector = wall_rhs(wall, walls_s, ev.Q_h, ev.Q_c, cfg.wall)
-    assert (rates, sector) == reference_rhs(wall, walls_s, ev.Q_h, ev.Q_c, cfg.wall)
+    rates = reference_rhs(wall, walls_s, ev.Q_h, ev.Q_c, cfg.wall)
     _, _, dQ_h, dQ_c, dw1s, dw2s = partials_at(wall, u_eff, cond_out, CP, ev, dtau)
     rows = reference_rows(wall, walls_s, ev.Q_h, ev.Q_c, dQ_h, dQ_c, cfg.wall, (dw1s, dw2s))
 
-    stage = ApproxStage(u_eff, cond_out, CP, steady, cfg.wall, dtau)
+    stage = ApproxStage(U, CP, terms, cfg.wall, dtau)
     assert stage.rates(wall.T_w1, wall.T_w2) == rates
     k1, stage_rows = stage.rates_and_rows(wall.T_w1, wall.T_w2)
     assert k1 == rates
@@ -263,7 +262,7 @@ def test_steady_core_is_approx_steady_terms(mdot_c, theta6, aA, balanced):
     cond = Conductances(*aA)
     outlets_s, walls_s, lm_h, lm_c = reference_steady(u, cond, cp)
     assert steady_terms(u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, *aA) == (
-        outlets_s.T_h2, outlets_s.T_c2, walls_s.T_w1, walls_s.T_w2, lm_h.beta, lm_c.beta)
+        lm_h.beta, lm_c.beta, walls_s.T_w1, walls_s.T_w2, outlets_s.T_h2, outlets_s.T_c2)
 
 
 @SETTINGS
@@ -292,8 +291,7 @@ def test_examples_cover_every_branch():
             for sel in (ev.beta_hot, ev.beta_cold):
                 seen.add("empty" if sel.feasible_set_empty else sel.branch)
     assert seen == {*Sector, BetaBranch.BETA_LM, BetaBranch.BETA_STAR2, BetaBranch.ZERO, "empty"}
-    floored = model_inputs(make_cfg("B"), np.array([0.0, 0.0, 0.5, -20.0, 0.004]), U, CP)
-    assert floored[0].mdot_c == MDOT_FLOOR
-    assert floored[1] == Conductances(alpha_A(make_cfg("B").corr_hot, UPSILON_FLOOR, 1.0, 1000.0),
-                                      alpha_A(make_cfg("B").corr_cold, UPSILON_FLOOR,
-                                              MDOT_FLOOR, 2000.0))
+    mdot_c, aA_h, aA_c, _, _ = conductances(make_cfg("B"), np.array([0.5, -20.0, 0.004]), U, CP)
+    assert mdot_c == MDOT_FLOOR
+    assert (aA_h, aA_c) == (alpha_A(make_cfg("B").corr_hot, UPSILON_FLOOR, 1.0, 1000.0),
+                            alpha_A(make_cfg("B").corr_cold, UPSILON_FLOOR, MDOT_FLOOR, 2000.0))

@@ -22,7 +22,7 @@ from hxtwin.correlations import (
     reference_alpha_A,
     serial_conductance,
 )
-from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, model_inputs
+from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances
 from hxtwin.fluids import (
     CaloricallyPerfect,
     StreamConfig,
@@ -62,6 +62,7 @@ from hxtwin.scenario import (
 from hxtwin.wall_dynamics import WallDynamicsConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SMOKE_CFG = """\
 [scenario]
@@ -437,6 +438,12 @@ R_X_DEFAULT_INF = (
     ("excitation", "step_T_h1_K", "150", None, "must lie in the cold fluid hull [200, 600] K"),
     ("excitation", "T_h1_amp_K", "250", None,
      "swings T_h1_K = 400 out of range: it must lie in the cold fluid hull [200, 600] K"),
+    # a perfect-gas stream has no hull, but a temperature must lie above 0 K
+    ("inputs", "T_h1_K", "0", None, "must be positive"),
+    ("inputs", "T_h1_K", "-5", None, "must be positive"),
+    ("excitation", "step_T_h1_K", "-5", None, "must be positive"),
+    ("excitation", "T_h1_amp_K", "450", None,
+     "swings T_h1_K = 400 out of range: it must be positive"),
     # truth correlation
     ("truth.conductances", "hot_coefficient_W_K", "0", None, "must be finite and positive"),
     ("truth.conductances", "cold_eta_Pa_s", "-1", None, "must be finite and positive"),
@@ -938,7 +945,7 @@ def test_monitor_cp_uses_the_floored_steady_conductances():
     assert n > 1
     got = harness._monitor_cp(cfg, hot, cold, x, u, None, None)
     assert got == want
-    assert model_inputs(cfg, x, u, got)[2].kA == kA_of(got)
+    assert serial_conductance(*conductances(cfg, x[2:], u, got)[3:]) == kA_of(got)
 
 
 def test_run_monitor_smoke_tracks_matched_plant():
@@ -994,6 +1001,9 @@ def test_run_monitor_reports_faults_in_record_order():
     ("A", "mdot_h_kg_s", 60, 0.0), ("A", "mdot_h_kg_s", 60, -1.0),
     ("A", "mdot_h_kg_s", 0, 0.0), ("A", "mdot_h_kg_s", 0, -1.0),
     ("C", "mdot_h_kg_s", 60, 0.0), ("A", "mdot_c_kg_s", 60, 0.0),
+    # perfect-gas streams: an inlet temperature at or below 0 K
+    ("A", "T_h1_K", 60, 0.0), ("A", "T_h1_K", 60, -5.0), ("A", "T_h1_K", 0, -5.0),
+    ("B", "T_c1_K", 60, 0.0), ("A", "T_c1_K", 0, 0.0),
 ])
 def test_run_monitor_names_a_non_finite_reading(variant, column, k, value):
     # before the check, a NaN measured outlet ended in a
@@ -1007,6 +1017,40 @@ def test_run_monitor_names_a_non_finite_reading(variant, column, k, value):
     with pytest.raises(ValueError, match="^" + re.escape(
             f"telemetry reading {column} must be {need}, got {value} at t={tel[k].t_s}") + "$"):
         run_monitor(scn, tel, variant=variant)
+
+
+@pytest.mark.parametrize("k", [0, 60])
+@pytest.mark.parametrize("column, value, hull", [
+    ("T_h1_K", 0.0, "hot fluid hull [270, 430]"),
+    ("T_h1_K", -5.0, "hot fluid hull [270, 430]"),
+    ("T_h1_K", 250.0, "hot fluid hull [270, 430]"),
+    ("T_c1_K", 1e4, "cold fluid hull [200, 600]"),
+])
+def test_run_monitor_names_an_inlet_outside_a_fluid_hull(column, value, hull, k):
+    # before the check, the cp refresh raised an OutOfRangeError with no
+    # column or time
+    scn = load_scenario(SCENARIOS / "coolant_step.cfg")
+    tel = read_telemetry_csv(GOLDEN / "coolant_step.telemetry.csv")[:k + 2]
+    setattr(tel[k], column, value)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"telemetry reading {column} must lie in the {hull} K, got {value} "
+            f"at t={tel[k].t_s}") + "$"):
+        run_monitor(scn, tel)
+
+
+def test_run_monitor_checks_the_hot_inlet_against_a_constant_cp_model():
+    # cp_model = constant replaces the table's hull with none; the cold
+    # stream's hull and 0 K still bound the hot inlet
+    scn = load_scenario(SCENARIOS / "coolant_step.cfg")
+    tel = read_telemetry_csv(GOLDEN / "coolant_step.telemetry.csv")[:62]
+    tel[60].T_h1_K = 250.0
+    assert len(run_monitor(scn, tel, cp_model="constant")) == 62
+    for value, fault in ((0.0, "must be positive"),
+                         (150.0, "must lie in the cold fluid hull [200, 600] K")):
+        tel[60].T_h1_K = value
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"telemetry reading T_h1_K {fault}, got {value} at t=60.0") + "$"):
+            run_monitor(scn, tel, cp_model="constant")
 
 
 def test_run_monitor_ignores_a_reading_the_variant_does_not_take():

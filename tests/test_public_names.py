@@ -1,6 +1,7 @@
 """Each hxtwin module's __all__ matches what the module defines, every
-name a module imports is used or exported, and every name the benchmark
-imports from hxtwin resolves."""
+name a module imports is used or exported, no module imports an
+underscore name of another, and every name the benchmark imports from
+hxtwin resolves."""
 
 import ast
 import importlib
@@ -75,3 +76,30 @@ def test_every_imported_name_is_used_or_exported(module):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in allowed)
     assert unused == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names that source imports from hxtwin modules."""
+    return [
+        f"line {node.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "hxtwin")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_imports_finds_relative_and_absolute_imports():
+    assert private_imports(
+        "from .ekf import EkfConfig, _conductances\n"
+        "from hxtwin.scenario import _FINITE\n"
+        "from numpy import _private\n"
+        "from . import _helpers\n"
+    ) == ["line 1: _conductances from .ekf", "line 2: _FINITE from hxtwin.scenario",
+          "line 4: _helpers from ."]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_module_imports_an_underscore_name_of_another(module):
+    assert private_imports(Path(module.__file__).read_text(encoding="utf-8")) == []

@@ -26,9 +26,8 @@ from hxtwin.wall_dynamics import (
     rk4_pair,
     sector_gain,
     wall_drift_rate,
-    wall_rhs,
 )
-from hxtwin.approx_model import CpParams, approx_steady_terms
+from hxtwin.approx_model import CpParams, steady_terms
 
 
 CFG = WallDynamicsConfig(theta7=1000.0)
@@ -67,12 +66,20 @@ def test_wall_drift_rate_sign_convention():
     assert wall_drift_rate(-200.0, 200.0, 400.0) == 0.0
 
 
+def sector_rates(x, xs, Q_h, Q_c, cfg=CFG):
+    """The wall rates a * e at the gain of sector_gain, e = xs - x, and the
+    active sector."""
+    e1, e2 = xs.T_w1 - x.T_w1, xs.T_w2 - x.T_w2
+    sector, a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, cfg.theta7))
+    return (a * e1, a * e2), sector
+
+
 def test_wall_rhs_sector_i_worked_example():
     # e = (2, 4), Tdot_w = (4000 - 1000)/1000 = 3 K/s,
     # a = 2*3/(2+4) = 1 -> xdot = (2, 4): the mean matches the drift.
     x = WallState(350.0, 340.0)
     xs = WallState(352.0, 344.0)
-    rate, sector = wall_rhs(x, xs, -4000.0, 1000.0, CFG)
+    rate, sector = sector_rates(x, xs, -4000.0, 1000.0)
     assert sector is Sector.I
     assert rate[0] == pytest.approx(2.0, rel=1e-12)
     assert rate[1] == pytest.approx(4.0, rel=1e-12)
@@ -84,7 +91,7 @@ def test_wall_rhs_sector_ii_worked_example():
     # -> xdot = (-1.2, 1.6): direction from e, magnitude from the drift.
     x = WallState(355.0, 336.0)
     xs = WallState(352.0, 340.0)
-    rate, sector = wall_rhs(x, xs, -2000.0, 1000.0, CFG)
+    rate, sector = sector_rates(x, xs, -2000.0, 1000.0)
     assert sector is Sector.II
     assert rate[0] == pytest.approx(-1.2, rel=1e-12)
     assert rate[1] == pytest.approx(1.6, rel=1e-12)
@@ -94,7 +101,7 @@ def test_wall_rhs_sector_ii_worked_example():
 def test_wall_rhs_sector_iii_mirrors():
     x = WallState(354.0, 348.0)
     xs = WallState(352.0, 344.0)  # e = (-2, -4)
-    rate, sector = wall_rhs(x, xs, 2000.0, 1000.0, CFG)  # Tdot_w = -3
+    rate, sector = sector_rates(x, xs, 2000.0, 1000.0)  # Tdot_w = -3
     assert sector is Sector.III
     assert rate[0] == pytest.approx(-2.0, rel=1e-12)
     assert rate[1] == pytest.approx(-4.0, rel=1e-12)
@@ -103,7 +110,7 @@ def test_wall_rhs_sector_iii_mirrors():
 def test_wall_rhs_sector_v_freezes():
     x = WallState(352.0, 344.0)
     xs = WallState(352.0 + 1e-10, 344.0 - 1e-10)
-    rate, sector = wall_rhs(x, xs, -4000.0, 1000.0, CFG)
+    rate, sector = sector_rates(x, xs, -4000.0, 1000.0)
     assert sector is Sector.V
     assert rate == (0.0, 0.0)
 
@@ -112,7 +119,7 @@ def test_wall_rhs_drift_floor_in_sector_iv():
     # Vanishing drift still produces a floored pull toward the target.
     x = WallState(349.0, 344.0)
     xs = WallState(352.0, 340.0)  # e = (3, -4), sector IV
-    rate, sector = wall_rhs(x, xs, -100.0, 100.0, CFG)  # Tdot_w = 0
+    rate, sector = sector_rates(x, xs, -100.0, 100.0)  # Tdot_w = 0
     assert sector is Sector.IV
     a = 2.0 * TDW_LOWER_BOUND / 5.0
     assert rate[0] == pytest.approx(a * 3.0, rel=1e-12)
@@ -120,13 +127,13 @@ def test_wall_rhs_drift_floor_in_sector_iv():
 
 
 # Heat rates linear in the wall state, so that central differences of
-# wall_rhs are exact up to rounding away from sector boundaries.
+# the wall rates are exact up to rounding away from sector boundaries.
 XS = WallState(352.0, 340.0)
 STILL_XS = ((0.0, 0.0), (0.0, 0.0))  # steady walls that do not move with the walls
 
 
 def wall_rhs_rows(x, xs, Q_h, Q_c, dQ_h, dQ_c, dxs):
-    """d(wall_rhs)/dz at x by rhs_rows, given the heat rates and their
+    """d(a * e)/dz at x by rhs_rows, given the heat rates and their
     partials and those of the steady walls over z = (T_w1, T_w2, ...)."""
     e1, e2 = xs.T_w1 - x.T_w1, xs.T_w2 - x.T_w2
     tdw = wall_drift_rate(Q_h, Q_c, CFG.theta7)
@@ -155,7 +162,7 @@ def test_wall_rhs_jacobian_matches_central_differences(offset, sector, q_h, q_c)
 
     def rhs(w1, w2):
         wall = WallState(w1, w2)
-        return wall_rhs(wall, XS, *rates(wall), CFG)[0]
+        return sector_rates(wall, XS, *rates(wall))[0]
 
     h = 1e-5
     columns = [
@@ -209,7 +216,7 @@ def test_wall_rhs_jacobian_columns_beyond_the_walls(offset, sector, q_h, q_c):
 
     def rhs(z):
         xs = WallState(XS.T_w1 + 0.5 * z[3], XS.T_w2 - z[3])
-        return wall_rhs(WallState(z[0], z[1]), xs, *heat_rates(z), CFG)[0]
+        return sector_rates(WallState(z[0], z[1]), xs, *heat_rates(z))[0]
 
     z = [XS.T_w1 + offset[0], XS.T_w2 + offset[1], 0.0, 0.0]
     x = WallState(z[0], z[1])
@@ -229,7 +236,7 @@ def test_wall_rhs_jacobian_columns_beyond_the_walls(offset, sector, q_h, q_c):
 
 
 def test_wall_rhs_jacobian_sector_v_has_zero_columns_beyond_the_walls():
-    # In the dead band wall_rhs is zero whatever the heat rates, and a
+    # In the dead band the rates are zero whatever the heat rates, and a
     # move of xs alone along an axis gives the same rate either way.
     dQ_h, dQ_c = (120.0, -30.0, 7.0, 0.0), (45.0, 210.0, -3.0, 0.0)
     dxs = ((0.0, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, -1.0))
@@ -240,8 +247,8 @@ def test_wall_rhs_jacobian_sector_v_has_zero_columns_beyond_the_walls():
     )
     for e in ((1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
         xs = WallState(XS.T_w1 + e[0], XS.T_w2 + e[1])
-        assert wall_rhs(XS, xs, -100.0, 100.0, CFG)[0] == wall_rhs(
-            XS, WallState(XS.T_w1 - e[0], XS.T_w2 - e[1]), -100.0, 100.0, CFG)[0]
+        assert sector_rates(XS, xs, -100.0, 100.0)[0] == sector_rates(
+            XS, WallState(XS.T_w1 - e[0], XS.T_w2 - e[1]), -100.0, 100.0)[0]
 
 
 def test_config_validation():
@@ -328,7 +335,7 @@ def test_reference_rhs_matches_manual_assembly():
     outs = ref_output(x, u, cond, hot, cold)
     Q_h = -heat_rate(u.T_h1 - x.T_w1, outs.T_h2 - x.T_w2, cond.aA_h)
     Q_c = heat_rate(x.T_w1 - outs.T_c2, x.T_w2 - u.T_c1, cond.aA_c)
-    manual = wall_rhs(x, xs, Q_h, Q_c, cfg)[0]
+    manual = sector_rates(x, xs, Q_h, Q_c, cfg)[0]
     assert rhs(x.T_w1, x.T_w2) == pytest.approx(manual, rel=1e-12)
 
 
@@ -377,7 +384,9 @@ def test_approx_rhs_agrees_with_reference_near_steady():
     cfg = WallDynamicsConfig(theta7=2000.0)
     cp = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
     r_ref = reference_wall_rhs(u, cond, hot, cold, cfg)
-    r_apx = ApproxStage(u, cond, cp, approx_steady_terms(u, cond, cp), cfg).rates
+    terms = (cond.aA_h, cond.aA_c, u.mdot_c, *steady_terms(
+        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, cond.aA_h, cond.aA_c))
+    r_apx = ApproxStage(u, cp, terms, cfg).rates
     w = (xs.T_w1 + 1.5, xs.T_w2 + 1.5)
     a, b = r_ref(*w), r_apx(*w)
     assert a[0] == pytest.approx(b[0], rel=0.05)
