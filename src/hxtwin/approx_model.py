@@ -7,7 +7,9 @@ geometric and arithmetic means.  Both side equations then admit a closed
 form root G, and the steady state collapses to explicit formulas.
 
 The hot and cold sides share one universal residual through a term
-substitution; the same closed form solves both.
+substitution; the same closed form solves both.  approx_side is one
+side's whole step on floats: it selects beta, takes the closed-form root
+and returns the weighted mean that gives the side's heat rate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 
 from .correlations import serial_conductance
 from .fluids import StreamConfig
-from .means import DomainError, arith_mean, geom_mean, log_mean, weighted_mean
+from .means import DomainError, arith_mean, geom_mean, log_mean
 from .reference_model import (
     Conductances,
     InletConditions,
@@ -36,7 +38,7 @@ __all__ = [
     "g_closed_form",
     "g_partials",
     "beta_lm_value",
-    "select_beta",
+    "approx_side",
     "approx_output",
     "steady_outlets",
     "steady_terms",
@@ -92,7 +94,7 @@ def g_closed_form(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) 
 
     For beta = 0 this reduces to the linear arithmetic-mean solution,
     valid for any dT_I; for beta > 0 the caller must have verified
-    (dT_I, beta) feasibility via select_beta.
+    (dT_I, beta) feasibility, as approx_side's beta rule does.
 
     The root is the square of the positive root of a quadratic in
     y = sqrt(dT_II).  Evaluating y through the rationalized quadratic
@@ -176,12 +178,14 @@ _BETA_ZERO = BetaSelection(0.0, BetaBranch.ZERO, False)
 _BETA_EMPTY = BetaSelection(0.0, BetaBranch.ZERO, True)
 
 
-def select_beta(
+def approx_side(
     dT_I: float, dT_w: float, aA: float, C_p: float, lm: BetaSelection
-) -> BetaSelection:
-    """Choose beta per the published rule.
+) -> tuple[BetaSelection, float, float]:
+    """One side of the approximate model: (selection, G, WM), the beta
+    chosen by the published rule, the root G = g_closed_form at it, and
+    the weighted mean WM = beta*GM + (1 - beta)*AM of (dT_I, G).
 
-    If dT_I > 0 and the feasible set B is nonempty, return the member of
+    If dT_I > 0 and the feasible set B is nonempty, beta is the member of
     {beta_LM, beta*_1, beta*_2} inside B nearest to beta_LM; otherwise
     beta = 0 (arithmetic-mean fallback).  B is the part of (0, 1] between
     beta*_2 <= beta*_1, the roots of the quadratic in beta that keeps the
@@ -199,18 +203,24 @@ def select_beta(
     beta_LM is feasible.
     """
     if dT_I <= 0.0:
-        return _BETA_ZERO
-    slack = C_p * (dT_I + dT_w)
-    if slack < 0.0:
-        return _BETA_EMPTY
-    # the product g_closed_form forms for c0, so a beta passing here
-    # passes there
-    if lm.beta <= 1.0 and 0.5 * aA * (1.0 - lm.beta) * dT_I <= slack:
-        return lm
-    b_star2 = 1.0 - 2.0 * slack / (dT_I * aA)
-    if b_star2 > 0.0:
-        return BetaSelection(b_star2, BetaBranch.BETA_STAR2, False)
-    return _BETA_EMPTY
+        sel = _BETA_ZERO
+    else:
+        slack = C_p * (dT_I + dT_w)
+        if slack < 0.0:
+            sel = _BETA_EMPTY
+        # the product g_closed_form forms for c0, so a beta passing here
+        # passes there
+        elif lm.beta <= 1.0 and 0.5 * aA * (1.0 - lm.beta) * dT_I <= slack:
+            sel = lm
+        else:
+            b_star2 = 1.0 - 2.0 * slack / (dT_I * aA)
+            sel = (BetaSelection(b_star2, BetaBranch.BETA_STAR2, False) if b_star2 > 0.0
+                   else _BETA_EMPTY)
+    b = sel.beta
+    G = g_closed_form(dT_I, dT_w, aA, C_p, b)
+    if b == 0.0:
+        return sel, G, 0.5 * (dT_I + G)
+    return sel, G, b * math.sqrt(dT_I * G) + (1.0 - b) * (0.5 * (dT_I + G))
 
 
 def approx_output(
@@ -349,15 +359,9 @@ def approx_sides(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA
     """evaluate_approx on floats at the walls, with C_h = mdot_h*theta3 and
     C_c = mdot_c*theta4: (beta_hot, beta_cold, T_h2, T_c2, Q_h, Q_c)."""
     dT_w = w1 - w2
-    dT_I_h = T_h1 - w1
-    beta_h = select_beta(dT_I_h, dT_w, aA_h, C_h, lm_h)
-    G_h = g_closed_form(dT_I_h, dT_w, aA_h, C_h, beta_h.beta)
-    dT_I_c = w2 - T_c1
-    beta_c = select_beta(dT_I_c, dT_w, aA_c, C_c, lm_c)
-    G_c = g_closed_form(dT_I_c, dT_w, aA_c, C_c, beta_c.beta)
-    return (beta_h, beta_c, G_h + w2, w1 - G_c,
-            -aA_h * weighted_mean(dT_I_h, G_h, beta_h.beta),
-            aA_c * weighted_mean(dT_I_c, G_c, beta_c.beta))
+    beta_h, G_h, WM_h = approx_side(T_h1 - w1, dT_w, aA_h, C_h, lm_h)
+    beta_c, G_c, WM_c = approx_side(w2 - T_c1, dT_w, aA_c, C_c, lm_c)
+    return beta_h, beta_c, G_h + w2, w1 - G_c, -aA_h * WM_h, aA_c * WM_c
 
 
 def evaluate_approx(
@@ -376,9 +380,8 @@ def evaluate_approx(
     they are (aA_h, aA_c, mdot_c, *steady_terms(...)).  The first seven
     are partial_rows' tau.
 
-    Each side solves the universal residual by select_beta and
-    g_closed_form under its own substitution, with dT_w = T_w1 - T_w2
-    (approx_sides):
+    Each side solves the universal residual by approx_side under its
+    own substitution, with dT_w = T_w1 - T_w2 (approx_sides):
 
     ====  ===========  =============  ===============  ====
     side  dT_I         unknown dT_II  C_p              aA

@@ -164,9 +164,10 @@ class Monitor:
     and log.  eps_* columns hold the noise-free prediction errors y_true -
     y_pred, available here because the telemetry carries the true outlets.
     A reading the variant takes that is not finite, a flow it takes that
-    is not positive, or an inlet temperature that the scenario's
-    temperature_rule rejects for the monitor's streams raises a
-    ValueError naming its column and time.
+    is not positive, an inlet temperature that the scenario's
+    temperature_rule rejects for the monitor's streams, or a hot inlet
+    at or below the cold one raises a ValueError naming its column and
+    time.
     """
 
     def __init__(
@@ -221,6 +222,9 @@ class Monitor:
                 continue
             if fault:
                 raise ValueError(f"telemetry reading {name} {fault}, got {value} at t={rec.t_s}")
+        if not rec.T_h1_K > rec.T_c1_K:
+            raise ValueError(f"telemetry reading T_h1_K must exceed T_c1_K = {rec.T_c1_K}, "
+                             f"got {rec.T_h1_K} at t={rec.t_s}")
         mdot_c = rec.mdot_c_kg_s if self._stale_mdot_c is None else self._stale_mdot_c
         return InletConditions(rec.T_h1_K, rec.T_c1_K, rec.mdot_h_kg_s, mdot_c)
 

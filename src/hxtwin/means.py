@@ -1,10 +1,9 @@
 """Mean-value functions and the unrestricted heat-rate function.
 
 Provides the arithmetic, geometric, and logarithmic means of two real
-arguments, the beta-weighted blend of geometric and arithmetic mean that
-serves as a one-step surrogate for the logarithmic mean, and the total
-(unrestricted) heat-rate function used by both exchanger models, with
-its partial derivative.
+arguments and the total (unrestricted) heat-rate function used by both
+exchanger models, with its partial derivative.  approx_model.approx_side
+blends GM and AM into its one-step surrogate for the logarithmic mean.
 
 All functions are pure and stateless.
 """
@@ -18,7 +17,6 @@ __all__ = [
     "arith_mean",
     "geom_mean",
     "log_mean",
-    "weighted_mean",
     "heat_rate",
     "heat_rate_slope",
 ]
@@ -63,25 +61,6 @@ def log_mean(z1: float, z2: float) -> float:
     if abs(z1 / z2 - 1.0) < _LM_SERIES_SWITCH:
         return 0.5 * (z1 + z2) * (1.0 - e * e / 3.0)
     return 0.5 * (z1 + z2) * e / math.atanh(e)
-
-
-def weighted_mean(z1: float, z2: float, beta: float) -> float:
-    """Weighted mean WM = beta * GM + (1 - beta) * AM.
-
-    Parameters
-    ----------
-    z1, z2 : float
-        Arguments with z1 * z2 >= 0.
-    beta : float
-        Weighting parameter in [0, 1]; beta = 0 gives the arithmetic
-        mean and beta = 1 the geometric mean.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    if beta == 0.0:
-        # Skip the GM domain check: the AM branch is total.
-        return arith_mean(z1, z2)
-    return beta * geom_mean(z1, z2) + (1.0 - beta) * arith_mean(z1, z2)
 
 
 def heat_rate(z1: float, z2: float, z3: float) -> float:

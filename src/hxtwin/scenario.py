@@ -186,6 +186,11 @@ def _build_excitation(raw: RawConfig, duration: float, base: InletConditions,
         if not targets:
             raise raw.error("step excitation needs at least one step_* target",
                             raw.sections.get(sec, 0))
+        T_h1, T_c1 = targets.get("T_h1", base.T_h1), targets.get("T_c1", base.T_c1)
+        if not T_h1 > T_c1:
+            key = "step_T_h1_K" if "T_h1" in targets else "step_T_c1_K"
+            raise raw.error(f"'{key}' leaves T_h1_K = {T_h1:g} at or below T_c1_K = "
+                            f"{T_c1:g} after the step", raw.line_of(sec, key))
         return ExcitationSpec(kind, step_time_s=step_time, step_targets=targets)
 
     def swing(name: str):  # the inlet swings by the amplitude either way around its base
@@ -195,7 +200,7 @@ def _build_excitation(raw: RawConfig, duration: float, base: InletConditions,
                             f"it {fault(value - amp) or fault(value + amp)}")
 
     fraction = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
-    return ExcitationSpec(
+    spec = ExcitationSpec(
         kind,
         f0_Hz=raw.get_float(sec, "f0_Hz", 0.0, _FINITE),
         f1_Hz=raw.get_float(sec, "f1_Hz", check=_FINITE),
@@ -205,6 +210,15 @@ def _build_excitation(raw: RawConfig, duration: float, base: InletConditions,
         mdot_h_amp_frac=raw.get_float(sec, "mdot_h_amp_frac", 0.0, fraction),
         mdot_c_amp_frac=raw.get_float(sec, "mdot_c_amp_frac", 0.0, fraction),
     )
+    # the two inlet swings are a quarter turn apart
+    dT = base.T_h1 - base.T_c1
+    gap = dT - math.hypot(spec.T_h1_amp_K, spec.T_c1_amp_K)
+    if not gap > 0.0:
+        key = "T_c1_amp_K" if raw.has(sec, "T_c1_amp_K") else "T_h1_amp_K"
+        raise raw.error(f"'{key}' swings T_h1_K to or below T_c1_K: the smallest T_h1_K - T_c1_K "
+                        f"is {dT:g} - hypot({spec.T_h1_amp_K:g}, {spec.T_c1_amp_K:g}) = "
+                        f"{gap:g} K", raw.line_of(sec, key))
+    return spec
 
 
 def _build_truth_corr(raw: RawConfig, side: str) -> ReferenceCorrelation:
@@ -268,6 +282,9 @@ def build_scenario(raw: RawConfig, base_dir: str = ".") -> ScenarioConfig:
         name: raw.get_float("inputs", key, check=rules[name])
         for name, key in _INLET_KEYS.items()
     })
+    if not base_inlets.T_h1 > base_inlets.T_c1:
+        raise raw.error(f"'T_h1_K' must exceed T_c1_K = {base_inlets.T_c1:g}, got "
+                        f"{base_inlets.T_h1:g}", raw.line_of("inputs", "T_h1_K"))
 
     wall_init = None
     if raw.has("plant", "T_w1_init_K") or raw.has("plant", "T_w2_init_K"):

@@ -5,8 +5,9 @@ xs(u, theta) along a direction set by the error e = xs - x, with a speed
 tied to the thermal drift rate Tdot_w = (-Q_h - Q_c)/theta7 (the net
 heat flow parked in the wall divided by its heat capacity).  The error
 plane splits into five sectors that fix the scalar gain a in
-xdot = a * e.  Truth (reference_wall_rhs) and filter (ApproxStage.rates)
-give the rates as rhs(w1, w2) on floats, and rk4_pair steps both.
+xdot = a * e; sector_gain picks the sector and its gain in one call.
+Truth (reference_wall_rhs) and filter (ApproxStage.rates) give the rates
+as rhs(w1, w2) on floats, and rk4_pair steps both.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .reference_model import (
 __all__ = [
     "Sector",
     "WallDynamicsConfig",
-    "classify_sector",
     "wall_drift_rate",
     "sector_gain",
     "rhs_rows",
@@ -69,17 +69,6 @@ class WallDynamicsConfig:
             raise ValueError("substeps_per_sample must be at least 1")
 
 
-def classify_sector(e1: float, e2: float, epsilon: float) -> Sector:
-    """Sector of the error vector; ties on the axes join sectors I/III."""
-    if max(abs(e1), abs(e2)) < epsilon:
-        return _V
-    if e1 >= 0.0 and e2 >= 0.0:
-        return _I
-    if e1 <= 0.0 and e2 <= 0.0:
-        return _III
-    return _II if e2 > 0.0 else _IV
-
-
 def wall_drift_rate(Q_h: float, Q_c: float, theta7: float) -> float:
     """Tdot_w in K/s; Q_h and Q_c are heat rates into the two fluids."""
     return (-Q_h - Q_c) / theta7
@@ -89,17 +78,19 @@ def sector_gain(e1: float, e2: float, tdw: float) -> tuple[Sector, float]:
     """The active sector of the error e = xs - x and the gain a of
     xdot = a * e at the drift rate tdw.
 
-    Sectors I/III: a = 2 Tdot_w / (e1 + e2), matching the drift exactly
-    in the mean.  Sectors II/IV: direction from e, magnitude from
-    |Tdot_w| (floored), a = 2 max(|Tdot_w|, floor)/||e||.  Sector V
-    freezes the state: a = 0.
+    Sector V is the dead band max(|e1|, |e2|) < SECTOR_V_EPSILON, where a
+    = 0 freezes the state.  Sectors I/III (ties on the axes join them):
+    a = 2 Tdot_w / (e1 + e2), matching the drift exactly in the mean.
+    Sectors II/IV: direction from e, magnitude from |Tdot_w| (floored),
+    a = 2 max(|Tdot_w|, floor)/||e||.
     """
-    sector = classify_sector(e1, e2, SECTOR_V_EPSILON)
-    if sector is _V:
-        return sector, 0.0
-    if sector is _I or sector is _III:
-        return sector, 2.0 * tdw / (e1 + e2)
-    return sector, 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
+    if max(abs(e1), abs(e2)) < SECTOR_V_EPSILON:
+        return _V, 0.0
+    if e1 >= 0.0 and e2 >= 0.0:
+        return _I, 2.0 * tdw / (e1 + e2)
+    if e1 <= 0.0 and e2 <= 0.0:
+        return _III, 2.0 * tdw / (e1 + e2)
+    return _II if e2 > 0.0 else _IV, 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
 
 
 def rhs_rows(e1: float, e2: float, sector: Sector, a: float, tdw: float,

@@ -17,7 +17,6 @@ from hxtwin.approx_model import g_closed_form, steady_outlets
 from hxtwin.correlations import serial_conductance
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
 from hxtwin.harness import bench_models, run_monitor, run_truth_sim
-from hxtwin.means import weighted_mean
 from hxtwin.metrics import innovation_means, model_free_rating, recovery_time, window_errors
 from hxtwin.records import write_monitor_csv, write_telemetry_csv
 from hxtwin.reference_model import (
@@ -35,6 +34,7 @@ from hxtwin.wall_dynamics import (
     integrate_step,
     reference_wall_rhs,
 )
+from oracles import weighted_mean
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -16,18 +16,18 @@ from hxtwin.approx_model import (
     BetaSelection,
     CpParams,
     approx_output,
+    approx_side,
     approx_steady_selfconsistent,
     beta_lm_value,
     evaluate_approx,
     g_closed_form,
     g_partials,
-    select_beta,
     steady_outlets,
     steady_terms,
     update_cp_params,
 )
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
-from hxtwin.means import DomainError, arith_mean, geom_mean, log_mean, weighted_mean
+from hxtwin.means import DomainError, arith_mean, geom_mean, log_mean
 from hxtwin.reference_model import (
     Conductances,
     InletConditions,
@@ -38,6 +38,7 @@ from hxtwin.reference_model import (
     steady_wall_temps,
 )
 from hxtwin.sampledata import make_coolant_model
+from oracles import select_beta, weighted_mean
 
 
 def perfect_streams(cp_h=1000.0, cp_c=2000.0):
@@ -68,7 +69,7 @@ def terms_at(u, cond_out, cp, cond_steady=None):
 
 
 def beta_lm_selection(steady_dT_Is, steady_dT_IIs):
-    """The beta_LM candidate of select_beta, from the steady differences."""
+    """The beta_LM candidate of approx_side, from the steady differences."""
     return BetaSelection(beta_lm_value(steady_dT_Is, steady_dT_IIs), BetaBranch.BETA_LM, False)
 
 
@@ -110,7 +111,7 @@ def test_g_zeroes_residual_over_feasible_samples():
         s1 = rng.uniform(0.5, 30.0)
         s2 = s1 * rng.uniform(0.25, 4.0)
         side = (dT_I, dT_w, aA, C_p)
-        sel = select_beta(*side, beta_lm_selection(s1, s2))
+        sel = approx_side(*side, beta_lm_selection(s1, s2))[0]
         assert not sel.feasible_set_empty
         assert 0.0 < sel.beta <= 1.0
         g = g_closed_form(*side, sel.beta)
@@ -241,7 +242,7 @@ def test_g_partials_match_central_differences_on_the_beta_zero_branch(
 def test_g_partials_vanish_on_the_beta_star2_branch():
     # G is 0 along the whole branch, whatever beta*_2 the inputs give
     edge = (10.0, -5.0, 1000.0, 200.0)  # beta*_2 = 0.8, as above
-    sel = select_beta(*edge, beta_lm_selection(10.0, 10.0))
+    sel = approx_side(*edge, beta_lm_selection(10.0, 10.0))[0]
     assert sel.branch is BetaBranch.BETA_STAR2
     G = g_closed_form(*edge, sel.beta)
     assert g_partials(edge[0], G, edge[2], edge[3], sel) == (0.0,) * 5
@@ -287,7 +288,7 @@ def test_discriminant_is_perfect_square():
 
 
 def test_select_beta_lm_branch():
-    sel = select_beta(10.0, 2.0, 500.0, 1000.0, beta_lm_selection(10.0, 6.0))
+    sel = approx_side(10.0, 2.0, 500.0, 1000.0, beta_lm_selection(10.0, 6.0))[0]
     assert sel.branch is BetaBranch.BETA_LM
     assert not sel.feasible_set_empty
     assert sel.beta == pytest.approx(beta_lm_value(10.0, 6.0), rel=1e-12)
@@ -297,7 +298,7 @@ def test_select_beta_star2_branch():
     # beta*_2 = 1 - 2 C_p (dT_I + dT_w)/(dT_I aA) = 1 - 200/1000 = 0.8,
     # above beta_LM = 2/3, so the lower feasibility edge wins.
     side = (10.0, -5.0, 1000.0, 200.0)  # dT_I, dT_w, aA, C_p
-    sel = select_beta(*side, beta_lm_selection(7.0, 7.0))
+    sel = approx_side(*side, beta_lm_selection(7.0, 7.0))[0]
     assert sel.branch is BetaBranch.BETA_STAR2
     assert sel.beta == pytest.approx(0.8, rel=1e-12)
     assert not sel.feasible_set_empty
@@ -308,7 +309,7 @@ def test_select_beta_star2_branch():
 def test_select_beta_star2_at_unit_edge():
     # dT_I + dT_w = 0 collapses the feasible set to {1}; the numbers are
     # chosen exactly representable so the edge computes to 1.0.
-    sel = select_beta(4.0, -4.0, 1000.0, 250.0, beta_lm_selection(6.0, 6.0))
+    sel = approx_side(4.0, -4.0, 1000.0, 250.0, beta_lm_selection(6.0, 6.0))[0]
     assert sel.branch is BetaBranch.BETA_STAR2
     assert sel.beta == 1.0
     assert not sel.feasible_set_empty
@@ -317,14 +318,14 @@ def test_select_beta_star2_at_unit_edge():
 def test_select_beta_empty_feasible_set():
     # dT_I + dT_w < 0 pushes both feasibility roots above 1: no valid beta.
     side = (3.0, -5.0, 1000.0, 100.0)  # dT_I, dT_w, aA, C_p
-    sel = select_beta(*side, beta_lm_selection(6.0, 6.0))
+    sel = approx_side(*side, beta_lm_selection(6.0, 6.0))[0]
     assert sel == BetaSelection(0.0, BetaBranch.ZERO, True)
     # The linear fallback still produces an output value.
     g_closed_form(*side, 0.0)
 
 
 def test_select_beta_nonpositive_dT_I():
-    sel = select_beta(-2.0, 3.0, 1000.0, 100.0, beta_lm_selection(6.0, 6.0))
+    sel = approx_side(-2.0, 3.0, 1000.0, 100.0, beta_lm_selection(6.0, 6.0))[0]
     assert sel.branch is BetaBranch.ZERO
     assert sel.beta == 0.0
     assert not sel.feasible_set_empty
@@ -334,7 +335,7 @@ def test_select_beta_boundary_gives_zero_root_position():
     # When the selection lands on a feasibility edge the root position of
     # the closed form touches zero: the predicted outlet meets the wall.
     side = (10.0, -5.0, 1000.0, 200.0)  # dT_I, dT_w, aA, C_p
-    sel = select_beta(*side, beta_lm_selection(7.0, 7.0))
+    sel = approx_side(*side, beta_lm_selection(7.0, 7.0))[0]
     assert sel.branch is BetaBranch.BETA_STAR2
     assert g_closed_form(*side, sel.beta) == pytest.approx(0.0, abs=1e-9)
 
@@ -381,7 +382,7 @@ def test_select_beta_core_matches_reference_on_all_branches():
     for (dT_I, dT_w, aA, C_p), b_lm in itertools.product(CORE_GRID, BETA_LMS):
         beta, branch, empty = exact_select_beta(dT_I, dT_w, aA, C_p, b_lm)
         lm = BetaSelection(b_lm, BetaBranch.BETA_LM, False)
-        sel = select_beta(dT_I, dT_w, aA, C_p, lm)
+        sel = approx_side(dT_I, dT_w, aA, C_p, lm)[0]
         assert (sel.branch.value, sel.feasible_set_empty) == (branch, empty)
         # the float beta*_2 = 1 - 2*slack/(dT_I*aA) rounds off the exact edge
         assert abs(Fraction(sel.beta) - beta) <= 2 * Fraction(math.ulp(1.0))

@@ -30,10 +30,8 @@ from hxtwin.ekf import (
 from hxtwin.reference_model import InletConditions, WallState
 from hxtwin.reference_model import Conductances
 from hxtwin.wall_dynamics import (
-    SECTOR_V_EPSILON,
     ApproxStage,
     WallDynamicsConfig,
-    classify_sector,
     rhs_rows,
     sector_gain,
     wall_drift_rate,
@@ -331,8 +329,8 @@ def stencil_keeps_sector_and_branches(cfg, z, u, cp, indices=(0, 1)):
     ``indices`` has the sector and both beta branches of z."""
     def key(w):
         ev = ekf_evaluation(cfg, w, u, cp)
-        sector = classify_sector(ev.steady_walls.T_w1 - w[0], ev.steady_walls.T_w2 - w[1],
-                                 SECTOR_V_EPSILON)
+        sector = sector_gain(ev.steady_walls.T_w1 - w[0], ev.steady_walls.T_w2 - w[1],
+                             0.0)[0]
         return (sector, ev.beta_hot.branch, ev.beta_hot.feasible_set_empty,
                 ev.beta_cold.branch, ev.beta_cold.feasible_set_empty)
 

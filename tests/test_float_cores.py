@@ -5,7 +5,8 @@ A predict runs on wall_dynamics.ApproxStage and on ekf.parameter_terms,
 the map from the parameter states to the model terms, both on plain
 floats.  Each property below evaluates one point both ways: through the
 float cores, and through the object API and a reference written out here
-in the objects' terms.  The explicit
+in the objects' terms, or the rules one at a time in tests/oracles.py
+(beta selection, root, weighted mean; the wall sector).  The explicit
 examples put every beta branch (beta_LM, beta*_2, zero, empty), every
 wall sector (I-V), both parameter floors and the balanced-capacity branch
 under test; test_examples_cover_every_branch checks that they still do.
@@ -15,6 +16,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,17 +27,16 @@ from hxtwin.approx_model import (
     BetaSelection,
     CpParams,
     OutletTemps,
+    approx_side,
     beta_lm_value,
     evaluate_approx,
     g_closed_form,
     partial_rows,
-    select_beta,
     steady_outlets,
     steady_terms,
 )
 from hxtwin.correlations import CorrelationParams, alpha_A
 from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances, parameter_terms
-from hxtwin.means import weighted_mean
 from hxtwin.reference_model import Conductances, InletConditions, WallState, steady_wall_temps
 from hxtwin.wall_dynamics import (
     SECTOR_V_EPSILON,
@@ -43,11 +44,12 @@ from hxtwin.wall_dynamics import (
     ApproxStage,
     Sector,
     WallDynamicsConfig,
-    classify_sector,
     integrate_step,
     rk4_pair,
+    sector_gain,
     wall_drift_rate,
 )
+from oracles import classify_sector, select_beta, weighted_mean
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -279,6 +281,89 @@ def test_integrate_step_is_rk4_pair_looped(w, dt, substeps):
     assert integrate_step(rhs, WallState(*w), dt, substeps) == WallState(w1, w2)
 
 
+# ---------------------------------------------------------------------------
+# The fused side and sector against the rules one at a time
+
+
+def oracle_side(dT_I, dT_w, aA, C_p, lm):
+    """approx_side as three calls: select_beta, then g_closed_form, then
+    weighted_mean."""
+    sel = select_beta(dT_I, dT_w, aA, C_p, lm)
+    G = g_closed_form(dT_I, dT_w, aA, C_p, sel.beta)
+    return sel, G, weighted_mean(dT_I, G, sel.beta)
+
+
+def lm_selection(b):
+    return BetaSelection(b, BetaBranch.BETA_LM, False)
+
+
+# (dT_I, dT_w, aA, C_p, beta_LM) of each outcome of the beta rule
+SIDE_OUTCOMES = {
+    "zero": (-2.0, 3.0, 1000.0, 100.0, 2.0 / 3.0),
+    "zero-at-dT_I-0": (0.0, 3.0, 1000.0, 100.0, 2.0 / 3.0),
+    "empty-slack": (3.0, -5.0, 1000.0, 100.0, 2.0 / 3.0),
+    "empty-beta_star2": (10.0, 2.0, 500.0, 1000.0, 1.5),
+    "beta_LM": (10.0, 2.0, 500.0, 1000.0, 0.55),
+    "beta_star2": (10.0, -5.0, 1000.0, 200.0, 2.0 / 3.0),
+    "beta_star2-at-1": (4.0, -4.0, 1000.0, 250.0, 2.0 / 3.0),
+    # beta_LM on the feasibility edge: c0 = 2500 - 2500 = 0, G = 0
+    "c0-edge": (10.0, 0.0, 1000.0, 250.0, 0.5),
+}
+
+
+def test_side_outcomes_reach_every_branch():
+    got = {name: approx_side(*side[:4], lm_selection(side[4]))
+           for name, side in SIDE_OUTCOMES.items()}
+    assert {(sel.branch, sel.feasible_set_empty) for sel, _, _ in got.values()} == {
+        (BetaBranch.ZERO, False), (BetaBranch.ZERO, True),
+        (BetaBranch.BETA_LM, False), (BetaBranch.BETA_STAR2, False)}
+    assert got["c0-edge"][0].branch is BetaBranch.BETA_LM
+    assert got["c0-edge"][1] == 0.0
+    assert got["beta_star2-at-1"][0].beta == 1.0
+
+
+def side_examples(test):
+    for side in SIDE_OUTCOMES.values():
+        test = example(*side)(test)
+    return test
+
+
+# one call per example, so many examples: a wrong rounding of WM shows
+# on a small share of the points
+@settings(SETTINGS, max_examples=200)
+@given(dT_I=st.floats(-5.0, 40.0), dT_w=st.floats(-20.0, 40.0), aA=st.floats(1.0, 1e5),
+       C_p=st.floats(1.0, 1e5), b_lm=st.floats(1e-12, 1.5))
+@side_examples
+def test_side_is_the_oracle_composition(dT_I, dT_w, aA, C_p, b_lm):
+    lm = lm_selection(b_lm)
+    assert approx_side(dT_I, dT_w, aA, C_p, lm) == oracle_side(dT_I, dT_w, aA, C_p, lm)
+
+
+@SETTINGS
+@given(variant=st.sampled_from("ABC"), offset=offsets, p=params)
+@branch_examples
+def test_side_at_the_parameter_terms_is_the_oracle_composition(variant, offset, p):
+    # the branch examples put both floors (leading factors and cold flow)
+    # under test through parameter_terms
+    cfg = make_cfg(variant)
+    z = joint_state(cfg, (0.0, 0.0), p)
+    w1, w2 = float(z[0]) + offset[0], float(z[1]) + offset[1]
+    aA_h, aA_c, mdot_c, b_h, b_c = parameter_terms(cfg, z[2:], U, CP)[:5]
+    for side in ((U.T_h1 - w1, w1 - w2, aA_h, U.mdot_h * CP.theta3, lm_selection(b_h)),
+                 (w2 - U.T_c1, w1 - w2, aA_c, mdot_c * CP.theta4, lm_selection(b_c))):
+        assert approx_side(*side) == oracle_side(*side)
+
+
+@pytest.mark.parametrize("e", [
+    (0.0, 0.0), (-0.0, 0.0), (5e-10, -5e-10), (-9.99e-10, 9.99e-10),
+    (1e-9, 0.0), (-1e-9, 0.0), (0.0, 1e-9), (1e-9, -1e-9),
+    (0.0, 4.0), (4.0, 0.0), (0.0, -4.0), (-4.0, 0.0), (-0.0, -4.0), (4.0, -0.0),
+])
+def test_sector_gain_decides_the_oracle_sector(e):
+    # the axis ties and the edges of the sector-V dead band
+    assert sector_gain(*e, 1.0)[0] is classify_sector(*e, SECTOR_V_EPSILON)
+
+
 def test_examples_cover_every_branch():
     seen = set()
     for variant in "ABC":
@@ -286,8 +371,8 @@ def test_examples_cover_every_branch():
         for offset in BRANCH_OFFSETS:
             z = joint_state(cfg, offset)
             ev = ekf.ekf_evaluation(cfg, z, U, CP)
-            seen.add(classify_sector(ev.steady_walls.T_w1 - z[0], ev.steady_walls.T_w2 - z[1],
-                                     SECTOR_V_EPSILON))
+            seen.add(sector_gain(ev.steady_walls.T_w1 - z[0], ev.steady_walls.T_w2 - z[1],
+                                 0.0)[0])
             for sel in (ev.beta_hot, ev.beta_cold):
                 seen.add("empty" if sel.feasible_set_empty else sel.branch)
     assert seen == {*Sector, BetaBranch.BETA_LM, BetaBranch.BETA_STAR2, BetaBranch.ZERO, "empty"}

