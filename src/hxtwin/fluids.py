@@ -170,9 +170,11 @@ class ThermallyPerfect(FluidModel):
         hull_T: tuple[float, float] = (150.0, 1500.0),
     ):
         self.hull_T = (float(hull_T[0]), float(hull_T[1]))
-        self._coeffs = [float(c) for c in cp_coeffs]
-        # Antiderivative coefficients for Horner evaluation of h(T).
-        self._int_coeffs = [c / (i + 1) for i, c in enumerate(self._coeffs)]
+        coeffs = [float(c) for c in cp_coeffs]
+        # Horner runs from the highest power down, over the coefficients
+        # of cp and of its antiderivative h(T)/T.
+        self._cp_rev = coeffs[::-1]
+        self._int_rev = [c / (i + 1) for i, c in enumerate(coeffs)][::-1]
         for T in _sample_grid(*self.hull_T, 64):
             if self._cp_poly(T) <= 0.0:
                 raise ValueError(f"cp polynomial nonpositive at T={T:.2f} K")
@@ -186,23 +188,36 @@ class ThermallyPerfect(FluidModel):
 
     def _cp_poly(self, T: float) -> float:
         acc = 0.0
-        for c in reversed(self._coeffs):
+        for c in self._cp_rev:
             acc = acc * T + c
         return acc
 
     def _h_poly(self, T: float) -> float:
         acc = 0.0
-        for c in reversed(self._int_coeffs):
+        for c in self._int_rev:
             acc = acc * T + c
         return acc * T - self._h_offset
 
+    # enthalpy and enthalpy_slope inline _h_poly and _cp_poly, and test
+    # the hull once: p's hull is the whole line, so only a NaN p leaves it
+
     def enthalpy(self, T: float, p: float) -> float:
-        self._check_hull(T, p)
-        return self._h_poly(T)
+        lo, hi = self.hull_T
+        if not lo <= T <= hi or p != p:
+            self._check_hull(T, p)
+        acc = 0.0
+        for c in self._int_rev:
+            acc = acc * T + c
+        return acc * T - self._h_offset
 
     def enthalpy_slope(self, T: float, p: float) -> float:
-        self._check_hull(T, p)
-        return self._cp_poly(T)
+        lo, hi = self.hull_T
+        if not lo <= T <= hi or p != p:
+            self._check_hull(T, p)
+        acc = 0.0
+        for c in self._cp_rev:
+            acc = acc * T + c
+        return acc
 
     def temperature(self, h: float, p: float) -> float:
         """Newton on h(T) - h with cp as the slope, safeguarded by
@@ -311,27 +326,28 @@ class Tabulated(FluidModel):
             self._slices[p] = H
         return H
 
-    def _cell(self, T: float) -> int:
-        """Index i of the T cell [T_i, T_i+1] holding T."""
+    # enthalpy and enthalpy_slope find the cell [T_i, T_i+1] holding T
+    # inline: bisecting over T[1:-1] gives i in [0, len - 2], so the hull
+    # edge T[-1] falls in the last cell.
+
+    def enthalpy(self, T: float, p: float) -> float:
         Tg = self._T
         if not Tg[0] <= T <= Tg[-1]:
             raise OutOfRangeError(f"T={T} K outside table hull [{Tg[0]}, {Tg[-1]}] K")
-        i = bisect_right(Tg, T) - 1
-        return i if i < len(Tg) - 2 else len(Tg) - 2
-
-    def enthalpy(self, T: float, p: float) -> float:
-        i = self._cell(T)
-        H = self._slice(p)
-        Tg = self._T
+        i = bisect_right(Tg, T, 1, len(Tg) - 1) - 1
+        H = self._slices.get(p) or self._slice(p)
         tt = (T - Tg[i]) / (Tg[i + 1] - Tg[i])
         return (1.0 - tt) * H[i] + tt * H[i + 1]
 
     def enthalpy_slope(self, T: float, p: float) -> float:
         """Slope of the slice over the cell holding T (the right-hand
         cell at an interior node)."""
-        i = self._cell(T)
-        H = self._slice(p)
-        return (H[i + 1] - H[i]) / (self._T[i + 1] - self._T[i])
+        Tg = self._T
+        if not Tg[0] <= T <= Tg[-1]:
+            raise OutOfRangeError(f"T={T} K outside table hull [{Tg[0]}, {Tg[-1]}] K")
+        i = bisect_right(Tg, T, 1, len(Tg) - 1) - 1
+        H = self._slices.get(p) or self._slice(p)
+        return (H[i + 1] - H[i]) / (Tg[i + 1] - Tg[i])
 
     def temperature(self, h: float, p: float) -> float:
         H = self._slice(p)

@@ -2,8 +2,10 @@
 
 Provides the arithmetic, geometric, and logarithmic means of two real
 arguments and the total (unrestricted) heat-rate function used by both
-exchanger models, with its partial derivative.  approx_model.approx_side
-blends GM and AM into its one-step surrogate for the logarithmic mean.
+exchanger models.  approx_model.approx_side blends GM and AM into its
+one-step surrogate for the logarithmic mean.  The reference model's
+Newton side solve (reference_model._solve_side) evaluates heat_rate and
+its slope inline, with the same float operations and LM_SERIES_SWITCH.
 
 All functions are pure and stateless.
 """
@@ -18,12 +20,11 @@ __all__ = [
     "geom_mean",
     "log_mean",
     "heat_rate",
-    "heat_rate_slope",
 ]
 
 # Relative closeness of z1/z2 to 1 below which log_mean switches to its
 # series expansion to avoid catastrophic cancellation in ln(z1/z2).
-_LM_SERIES_SWITCH = 1e-8
+LM_SERIES_SWITCH = 1e-8
 
 
 class DomainError(ValueError):
@@ -58,7 +59,7 @@ def log_mean(z1: float, z2: float) -> float:
     if z1 <= 0.0 or z2 <= 0.0 or z1 == z2:
         raise DomainError(f"log_mean needs z1, z2 > 0 and z1 != z2, got ({z1}, {z2})")
     e = (z1 - z2) / (z1 + z2)
-    if abs(z1 / z2 - 1.0) < _LM_SERIES_SWITCH:
+    if abs(z1 / z2 - 1.0) < LM_SERIES_SWITCH:
         return 0.5 * (z1 + z2) * (1.0 - e * e / 3.0)
     return 0.5 * (z1 + z2) * e / math.atanh(e)
 
@@ -75,16 +76,3 @@ def heat_rate(z1: float, z2: float, z3: float) -> float:
     if z1 > 0.0 and z2 > 0.0 and z1 != z2:
         return z3 * log_mean(z1, z2)
     return z3 * 0.5 * (z1 + z2)
-
-
-def heat_rate_slope(z1: float, z2: float, z3: float, q: float) -> float:
-    """Partial derivative of heat_rate(z1, z2, z3) in z1, given its value q.
-
-    On the log-mean branch, with M = q / z3 the log mean,
-    dM/dz1 = M (M - z1) / (z1 (z2 - z1)); on the arithmetic branch the
-    derivative is z3 / 2.  heat_rate is symmetric in (z1, z2), so the
-    derivative in z2 is heat_rate_slope(z2, z1, z3, q).
-    """
-    if z1 > 0.0 and z2 > 0.0 and z1 != z2:
-        return q * (q / z3 - z1) / (z1 * (z2 - z1))
-    return 0.5 * z3

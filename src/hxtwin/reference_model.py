@@ -2,10 +2,12 @@
 
 The reference model computes outlet temperatures as roots of side-wise
 residual functions that balance enthalpy rate against heat transfer rate
-through the wall, using the exact fluid enthalpy model.  Given a guess
-(in a simulation, the previous outlets), a root solve is a Newton
-iteration with a bracketed search as its fallback.  It also solves the
-coupled steady-state problem, evaluates the closed-form steady wall
+through the wall, using the exact fluid enthalpy model.  Each side is
+one call of _solve_side on floats: given a guess (in a simulation, the
+previous outlets), a Newton iteration that evaluates the side residual
+and its slope inline, with the bracketed search of _side_residual's
+closure as its fallback.  The module also solves the coupled
+steady-state problem, evaluates the closed-form steady wall
 temperatures, and provides a verification report for the uniqueness
 properties the models rely on.
 
@@ -16,10 +18,11 @@ stream has a negative heat rate while it is being cooled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import atanh
 
 from .correlations import serial_conductance
 from .fluids import StreamConfig
-from .means import heat_rate, heat_rate_slope
+from .means import LM_SERIES_SWITCH, heat_rate
 
 __all__ = [
     "BracketError",
@@ -190,37 +193,38 @@ def solve_bracketed(
 # ---------------------------------------------------------------------------
 
 
-def _newton_side(f_slope, a: float, b: float, x: float):
-    """Newton from x on a side residual, inside the open interval (a, b).
-
-    f_slope(T) returns the residual and its slope.  The residual is
-    strictly increasing, so an interior iterate whose residual is within
-    OUTPUT_FTOL is the root.  Returns (T, residual), or None when an
-    iterate leaves (a, b), the slope is unusable, a step stalls, or
-    NEWTON_MAX_ITER iterations pass without convergence.
-    """
-    for _ in range(NEWTON_MAX_ITER):
-        if not a < x < b:
-            return None
-        r, slope = f_slope(x)
-        if abs(r) <= OUTPUT_FTOL:
-            return x, r
-        if not slope > 0.0:
-            return None
-        x_next = x - r / slope
-        if x_next == x:
-            return None
-        x = x_next
-    return None
+def _side_residual(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
+                   lo: float, hi: float, hot: bool):
+    """The residual of one output side as a function of its outlet T, on
+    _solve_side's arguments: R_h(T) = mdot (h(T) - h1) + Q(dT, T - lo, aA)
+    on the hot side, R_c(T) = mdot (h(T) - h1) - Q(hi - T, dT, aA) on the
+    cold side."""
+    if hot:
+        return lambda T: mdot * (fluid.enthalpy(T, p) - h1) + heat_rate(dT, T - lo, aA)
+    return lambda T: mdot * (fluid.enthalpy(T, p) - h1) - heat_rate(hi - T, dT, aA)
 
 
-def _solve_side(f, f_slope, lo: float, hi: float, guess: float | None):
-    """Solve one side residual over its physical bracket.
+def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
+                lo: float, hi: float, hot: bool, guess: float | None):
+    """Solve one side residual over its physical bracket [lo, hi].
 
-    With a guess, Newton on f_slope (the residual with its slope) runs
-    first, inside the same open interval the bracketed search uses; the
-    bracketed search below is the fallback.  A guess outside that
-    interval starts Newton clamped to its inner 0.1 % margins instead.
+    The side is its fluid at pressure p, its flow mdot, its inlet
+    enthalpy h1, its fixed temperature difference dT (T_h1 - T_w1 on
+    the hot side, T_w2 - T_c1 on the cold side) and its conductance aA;
+    _side_residual gives the residual.
+
+    With a guess, Newton runs first, inside the same open interval the
+    bracketed search uses, with the residual and its slope written out
+    here: heat_rate's log-mean or arithmetic branch with log_mean's
+    series switch, in each side's own argument order, and the slope
+    dQ/dz = Q (Q/aA - z) / (z (dT - z)) of the log mean (aA/2 on the
+    arithmetic branch) in the side's variable difference z (T - lo hot,
+    hi - T cold).  The residual is strictly increasing, so an interior
+    iterate whose residual is within OUTPUT_FTOL is the root.  A guess
+    outside the interval starts Newton clamped to its inner 0.1 %
+    margins.  An iterate that leaves the interval, an unusable slope, a
+    stalled step or NEWTON_MAX_ITER iterations fall back to the
+    bracketed search below.
 
     The unrestricted heat rate switches branch exactly on the bracket
     boundary (one temperature difference is zero there), so the endpoint
@@ -233,17 +237,46 @@ def _solve_side(f, f_slope, lo: float, hi: float, guess: float | None):
     """
     if lo > hi:
         raise BracketError(f"inverted bracket [{lo}, {hi}] K")
-    if lo == hi:
-        r = f(lo)
-        return lo, r, abs(r) > OUTPUT_FTOL
     delta = 1e-7 * (hi - lo)
     a, b = lo + delta, hi - delta
     if guess is not None:
-        if not a < guess < b:
-            guess = min(max(guess, a + 1e-3 * (b - a)), b - 1e-3 * (b - a))
-        root = _newton_side(f_slope, a, b, guess)
-        if root is not None:
-            return (*root, False)
+        x = guess
+        if not a < x < b:
+            x = min(max(x, a + 1e-3 * (b - a)), b - 1e-3 * (b - a))
+        enthalpy, enthalpy_slope = fluid.enthalpy, fluid.enthalpy_slope
+        for _ in range(NEWTON_MAX_ITER):
+            if not a < x < b:
+                break
+            if hot:
+                z = x - lo
+                z1, z2 = dT, z
+            else:
+                z = hi - x
+                z1, z2 = z, dT
+            if z > 0.0 and dT > 0.0 and z != dT:
+                e = (z1 - z2) / (z1 + z2)
+                if abs(z1 / z2 - 1.0) < LM_SERIES_SWITCH:
+                    q = aA * (0.5 * (z1 + z2) * (1.0 - e * e / 3.0))
+                else:
+                    q = aA * (0.5 * (z1 + z2) * e / atanh(e))
+                dq = q * (q / aA - z) / (z * (dT - z))
+            else:
+                q = aA * 0.5 * (z1 + z2)
+                dq = 0.5 * aA
+            r = mdot * (enthalpy(x, p) - h1) + (q if hot else -q)
+            if abs(r) <= OUTPUT_FTOL:
+                return x, r, False
+            slope = mdot * enthalpy_slope(x, p) + dq
+            if not slope > 0.0:
+                break
+            x_next = x - r / slope
+            if x_next == x:
+                break
+            x = x_next
+    f = _side_residual(fluid, p, mdot, h1, dT, aA, lo, hi, hot)
+    if lo == hi:
+        r = f(lo)
+        return lo, r, abs(r) > OUTPUT_FTOL
     f_a, f_b = f(a), f(b)
     if f_a == 0.0:
         return a, 0.0, False
@@ -257,45 +290,15 @@ def _solve_side(f, f_slope, lo: float, hi: float, guess: float | None):
     return x, fx, not converged
 
 
-def _output_residuals(
-    x: WallState,
-    u: InletConditions,
-    cond: Conductances,
-    hot: StreamConfig,
-    cold: StreamConfig,
-):
-    """The side residuals R_h(T_h2), R_c(T_c2) of the output equations
-    (see ref_output_detailed), each also as a function returning the
-    residual, with the same arithmetic, together with its slope in T."""
-    hf, cf = hot.fluid, cold.fluid
-    h_h1 = hf.enthalpy(u.T_h1, hot.pressure)
-    h_c1 = cf.enthalpy(u.T_c1, cold.pressure)
-    T_w1, T_w2 = x.T_w1, x.T_w2
-    dT_h1 = u.T_h1 - T_w1
-    dT_c2 = T_w2 - u.T_c1
-    mdot_h, mdot_c = u.mdot_h, u.mdot_c
+def _sides(x: WallState, u: InletConditions, cond: Conductances,
+           hot: StreamConfig, cold: StreamConfig):
+    """The arguments of _side_residual for the hot and the cold side of
+    the output equations (see ref_output_detailed)."""
     p_h, p_c = hot.pressure, cold.pressure
-    aA_h, aA_c = cond.aA_h, cond.aA_c
-
-    def res_h(T):
-        return mdot_h * (hf.enthalpy(T, p_h) - h_h1) + heat_rate(dT_h1, T - T_w2, aA_h)
-
-    def res_c(T):
-        return mdot_c * (cf.enthalpy(T, p_c) - h_c1) - heat_rate(T_w1 - T, dT_c2, aA_c)
-
-    def res_slope_h(T):
-        z = T - T_w2
-        q = heat_rate(dT_h1, z, aA_h)
-        r = mdot_h * (hf.enthalpy(T, p_h) - h_h1) + q
-        return r, mdot_h * hf.enthalpy_slope(T, p_h) + heat_rate_slope(z, dT_h1, aA_h, q)
-
-    def res_slope_c(T):
-        z = T_w1 - T
-        q = heat_rate(z, dT_c2, aA_c)
-        r = mdot_c * (cf.enthalpy(T, p_c) - h_c1) - q
-        return r, mdot_c * cf.enthalpy_slope(T, p_c) + heat_rate_slope(z, dT_c2, aA_c, q)
-
-    return res_h, res_c, res_slope_h, res_slope_c
+    return ((hot.fluid, p_h, u.mdot_h, hot.fluid.enthalpy(u.T_h1, p_h), u.T_h1 - x.T_w1,
+             cond.aA_h, x.T_w2, u.T_h1, True),
+            (cold.fluid, p_c, u.mdot_c, cold.fluid.enthalpy(u.T_c1, p_c), x.T_w2 - u.T_c1,
+             cond.aA_c, u.T_c1, x.T_w1, False))
 
 
 def ref_output_detailed(
@@ -317,12 +320,12 @@ def ref_output_detailed(
     the outlets of the previous call in a simulation, starts each side
     with Newton; without one, each side is a bracketed search.
     """
-    res_h, res_c, slope_h, slope_c = _output_residuals(x, u, cond, hot, cold)
+    side_h, side_c = _sides(x, u, cond, hot, cold)
     g_h = g_c = None
     if guess is not None:
         g_h, g_c = guess.T_h2, guess.T_c2
-    T_h2, r_h, flag_h = _solve_side(res_h, slope_h, x.T_w2, u.T_h1, g_h)
-    T_c2, r_c, flag_c = _solve_side(res_c, slope_c, u.T_c1, x.T_w1, g_c)
+    T_h2, r_h, flag_h = _solve_side(*side_h, g_h)
+    T_c2, r_c, flag_c = _solve_side(*side_c, g_c)
     return OutletTemps(T_h2, T_c2), RefOutputInfo(flag_h, flag_c, r_h, r_c)
 
 
@@ -334,9 +337,13 @@ def ref_output(
     cold: StreamConfig,
     guess: OutletTemps | None = None,
 ) -> OutletTemps:
-    """Reference outlet temperatures (see ref_output_detailed)."""
-    outlets, _ = ref_output_detailed(x, u, cond, hot, cold, guess)
-    return outlets
+    """Reference outlet temperatures: the side solves of
+    ref_output_detailed, without its diagnostics."""
+    side_h, side_c = _sides(x, u, cond, hot, cold)
+    g_h = g_c = None
+    if guess is not None:
+        g_h, g_c = guess.T_h2, guess.T_c2
+    return OutletTemps(_solve_side(*side_h, g_h)[0], _solve_side(*side_c, g_c)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +365,24 @@ def _steady_outer_residual(u, kA, hot, cold):
     """
     hf, cf = hot.fluid, cold.fluid
     p_h, p_c = hot.pressure, cold.pressure
-    h_h1 = hf.enthalpy(u.T_h1, p_h)
-    h_c1 = cf.enthalpy(u.T_c1, p_c)
+    T_h1, T_c1 = u.T_h1, u.T_c1
+    h_h1 = hf.enthalpy(T_h1, p_h)
+    h_c1 = cf.enthalpy(T_c1, p_c)
     mdot_h, mdot_c = u.mdot_h, u.mdot_c
     # the hot enthalpy rate at the intake floor, the most the hot side gives
-    hdot_h_floor = mdot_h * (hf.enthalpy(u.T_c1, p_h) - h_h1)
-
-    def hdot_c(T):
-        return mdot_c * (cf.enthalpy(T, p_c) - h_c1)
+    hdot_h_floor = mdot_h * (hf.enthalpy(T_c1, p_h) - h_h1)
 
     def pair(T_c2s):
-        q = hdot_c(T_c2s)
+        q = mdot_c * (cf.enthalpy(T_c2s, p_c) - h_c1)
         if hdot_h_floor + q >= 0.0:
-            return u.T_c1
+            return T_c1
         return hf.temperature(h_h1 - q / mdot_h, p_h)
 
     def phi(T_c2s):
-        T_h2s = pair(T_c2s)
-        return hdot_c(T_c2s) - heat_rate(u.T_h1 - T_c2s, T_h2s - u.T_c1, kA)
+        # pair written out, so the cold enthalpy rate is taken once
+        q = mdot_c * (cf.enthalpy(T_c2s, p_c) - h_c1)
+        T_h2s = T_c1 if hdot_h_floor + q >= 0.0 else hf.temperature(h_h1 - q / mdot_h, p_h)
+        return q - heat_rate(T_h1 - T_c2s, T_h2s - T_c1, kA)
 
     return phi, pair
 
@@ -526,7 +533,7 @@ def verify_uniqueness(
 
     outlets_s = ref_steady_outlets(u, kA, hot, cold)
     walls_s = steady_wall_temps(outlets_s, u, cond)
-    res_h, res_c, _, _ = _output_residuals(walls_s, u, cond, hot, cold)
+    res_h, res_c = (_side_residual(*side) for side in _sides(walls_s, u, cond, hot, cold))
 
     # The wall-side bracket endpoints sit exactly on the arithmetic-mean
     # fallback (one temperature difference is zero there), so the

@@ -185,15 +185,18 @@ def reference_wall_rhs(
     """
     steady = ref_steady_outlets(u, cond.kA, hot, cold)
     xs = steady_wall_temps(steady, u, cond)
+    # the constants as closure cells, the cheapest loads per call
+    T_h1, T_c1, aA_h, aA_c = u.T_h1, u.T_c1, cond.aA_h, cond.aA_c
+    w1s, w2s, theta7 = xs.T_w1, xs.T_w2, cfg.theta7
     guess = start
 
     def rhs(w1: float, w2: float) -> tuple[float, float]:
         nonlocal guess
-        outs = guess = ref_output(WallState(w1, w2), u, cond, hot, cold, guess=guess)
-        Q_h = -heat_rate(u.T_h1 - w1, outs.T_h2 - w2, cond.aA_h)
-        Q_c = heat_rate(w1 - outs.T_c2, w2 - u.T_c1, cond.aA_c)
-        e1, e2 = xs.T_w1 - w1, xs.T_w2 - w2
-        a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, cfg.theta7))[1]
+        outs = guess = ref_output(WallState(w1, w2), u, cond, hot, cold, guess)
+        Q_h = -heat_rate(T_h1 - w1, outs.T_h2 - w2, aA_h)
+        Q_c = heat_rate(w1 - outs.T_c2, w2 - T_c1, aA_c)
+        e1, e2 = w1s - w1, w2s - w2
+        a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, theta7))[1]
         return a * e1, a * e2
 
     return rhs

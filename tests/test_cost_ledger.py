@@ -36,15 +36,15 @@ CEILINGS = {
     ("smoke_constant", "A"): 45_102,
     ("smoke_constant", "B"): 49_652,
     ("smoke_constant", "C"): 49_652,
-    ("smoke_constant", "truth"): 73_986,
-    ("coolant_step", "A"): 58_561,
-    ("coolant_step", "B"): 63_728,
-    ("coolant_step", "C"): 63_458,
-    ("coolant_step", "truth"): 147_665,
-    ("chirp_tracking", "A"): 51_456,
-    ("chirp_tracking", "B"): 56_006,
-    ("chirp_tracking", "C"): 56_006,
-    ("chirp_tracking", "truth"): 151_028,
+    ("smoke_constant", "truth"): 41_359,
+    ("coolant_step", "A"): 53_225,
+    ("coolant_step", "B"): 58_224,
+    ("coolant_step", "C"): 58_034,
+    ("coolant_step", "truth"): 50_138,
+    ("chirp_tracking", "A"): 48_240,
+    ("chirp_tracking", "B"): 52_790,
+    ("chirp_tracking", "C"): 52_790,
+    ("chirp_tracking", "truth"): 50_319,
 }
 
 

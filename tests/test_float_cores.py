@@ -1,4 +1,5 @@
-"""The float cores of the filter's inner loop against the object API, bit
+"""The float cores of the filter's inner loop against the object API, and
+the truth's side solve and fluid calls against their parent forms, bit
 for bit (==, not approx).
 
 A predict runs on wall_dynamics.ApproxStage and on ekf.parameter_terms,
@@ -10,6 +11,14 @@ in the objects' terms, or the rules one at a time in tests/oracles.py
 examples put every beta branch (beta_LM, beta*_2, zero, empty), every
 wall sector (I-V), both parameter floors and the balanced-capacity branch
 under test; test_examples_cover_every_branch checks that they still do.
+
+The truth's reference_model._solve_side writes the side residual and its
+slope out inline; it is pinned against the closures over heat_rate and
+heat_rate_slope solved by Newton with the bracketed fallback
+(tests/oracles.py), on every heat-rate branch of each side, every path
+of the solve and each fluid kind; test_side_solve_examples_cover_every_path
+checks the examples.  The fluids' inlined enthalpy and slope are pinned
+against the cell lookup and Horner steps written out.
 """
 
 import math
@@ -21,6 +30,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hxtwin.ekf as ekf
+import oracles
+from hxtwin import reference_model
 from hxtwin.approx_model import (
     ApproxEvaluation,
     BetaBranch,
@@ -37,6 +48,9 @@ from hxtwin.approx_model import (
 )
 from hxtwin.correlations import CorrelationParams, alpha_A
 from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances, parameter_terms
+from hxtwin.fluids import CaloricallyPerfect
+from hxtwin.means import heat_rate
+from hxtwin.sampledata import COOLANT_CP_COEFFS, make_co2_like_table, make_coolant_model
 from hxtwin.reference_model import Conductances, InletConditions, WallState, steady_wall_temps
 from hxtwin.wall_dynamics import (
     SECTOR_V_EPSILON,
@@ -380,3 +394,186 @@ def test_examples_cover_every_branch():
     assert mdot_c == MDOT_FLOOR
     assert (aA_h, aA_c) == (alpha_A(make_cfg("B").corr_hot, UPSILON_FLOOR, 1.0, 1000.0),
                             alpha_A(make_cfg("B").corr_cold, UPSILON_FLOOR, MDOT_FLOOR, 2000.0))
+
+
+# ---------------------------------------------------------------------------
+# The truth's side solve and fluid calls against their parent forms
+
+
+# kind -> (fluid, pressure); the table's T hull is [270, 430] K, the
+# polynomial's [200, 600] K
+SIDE_FLUIDS = {
+    "perfect": (CaloricallyPerfect(4180.0), 1e5),
+    "polynomial": (make_coolant_model(), 1e5),
+    "table": (make_co2_like_table(), 1e7),
+}
+# name -> (hot, mdot, dT, aA, lo, hi, guess), solved with each fluid.  The
+# hot side's difference is z = T - lo and its log mean heat_rate(dT, z);
+# the cold side's is z = hi - T and heat_rate(z, dT).  Newton's first
+# iterate is the guess, so a guess at z = dT takes the equal-difference
+# arithmetic branch, and one within a relative 1e-8 of it log_mean's
+# series switch (at guesses where the series and the atanh quotient
+# differ in the last bit).
+# In the examples marked root-at-guess the inlet enthalpy puts the root at
+# the guess, so the solve returns the bits of that first evaluation.
+SIDE_SOLVES = {
+    "hot-log-mean": (True, 0.5, 30.0, 3000.0, 300.0, 360.0, 345.0),
+    "hot-series": (True, 0.5, 30.0, 3000.0, 300.0, 360.0, 330.00000003),
+    "hot-equal": (True, 0.5, 30.0, 3000.0, 300.0, 360.0, 330.0),
+    "hot-arithmetic": (True, 0.5, -2.0, 3000.0, 300.0, 360.0, 345.0),
+    "cold-log-mean": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, 320.0),
+    "cold-series": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, 340.00000019),
+    "cold-equal": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, 340.0),
+    "cold-arithmetic": (False, 0.5, -1.0, 3000.0, 300.0, 360.0, 320.0),
+    "clamped-below": (True, 0.5, 30.0, 3000.0, 300.0, 360.0, 250.0),
+    "clamped-above": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, 400.0),
+    "no-guess": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, None),
+    # Newton leaves the interval: one ends at a flagged endpoint, one at
+    # the bracketed root
+    "fallback-flagged": (True, 0.001, 40.0, 30000.0, 340.0, 350.0, 334.0),
+    "fallback-bracketed": (False, 0.001, 5.0, 130.0, 348.0, 370.0, 350.0),
+    "lo-equals-hi": (True, 0.5, 30.0, 3000.0, 330.0, 330.0, 330.0),
+    "inverted": (False, 0.5, 20.0, 3000.0, 340.0, 330.0, 335.0),
+    # below both hulls (the perfect gas has none)
+    "out-of-hull": (False, 0.5, 20.0, 3000.0, 150.0, 260.0, 180.0),
+}
+ROOT_AT_GUESS = [name for name in SIDE_SOLVES if name.startswith(("hot-", "cold-"))]
+
+
+def solved_both_ways(kind, hot, mdot, dT, aA, lo, hi, guess, root_at_guess=False):
+    """(_solve_side, oracle) outcomes of one side solve: the float bits of
+    (T, residual, flagged), or the type and text of what was raised.  The
+    inlet enthalpy is taken at the hull edge nearest the inlet, or where
+    the residual is zero at the guess."""
+    fluid, p = SIDE_FLUIDS[kind]
+    if root_at_guess:
+        q = heat_rate(dT, guess - lo, aA) if hot else -heat_rate(hi - guess, dT, aA)
+        h1 = fluid.enthalpy(guess, p) + q / mdot
+    else:
+        inlet = hi if hot else lo
+        h1 = fluid.enthalpy(min(max(inlet, fluid.hull_T[0]), fluid.hull_T[1]), p)
+    side = (fluid, p, mdot, h1, dT, aA, lo, hi, hot)
+    return (outcome(reference_model._solve_side, *side, guess),
+            outcome(oracles.solve_side, *oracles.side_closures(*side), lo, hi, guess))
+
+
+def outcome(solve, *args):
+    try:
+        T, r, flagged = solve(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return T.hex(), r.hex(), flagged
+
+
+@pytest.mark.parametrize("kind", list(SIDE_FLUIDS))
+@pytest.mark.parametrize("name", ROOT_AT_GUESS)
+def test_side_solve_is_the_closure_newton_at_its_first_iterate(name, kind):
+    new, old = solved_both_ways(kind, *SIDE_SOLVES[name], root_at_guess=True)
+    assert new == old
+    assert new[0] == SIDE_SOLVES[name][-1].hex()
+
+
+@pytest.mark.parametrize("kind", list(SIDE_FLUIDS))
+@pytest.mark.parametrize("name", list(SIDE_SOLVES))
+def test_side_solve_is_the_closure_newton(name, kind):
+    new, old = solved_both_ways(kind, *SIDE_SOLVES[name])
+    assert new == old
+
+
+def test_side_solve_examples_cover_every_path(monkeypatch):
+    # the heat-rate branch of each Newton evaluation of the oracle, by
+    # side, and each path through the solve
+    seen = set()
+    hot = None
+    heat_rate_slope, newton_side = oracles.heat_rate_slope, oracles.newton_side
+
+    def slope(z, dT, aA, q):
+        if z > 0.0 and dT > 0.0 and z != dT:
+            ratio = dT / z if hot else z / dT
+            branch = "series" if abs(ratio - 1.0) < 1e-8 else "log-mean"
+        else:
+            branch = "equal" if z == dT else "arithmetic"
+        seen.add(("hot" if hot else "cold", branch))
+        return heat_rate_slope(z, dT, aA, q)
+
+    def newton(*args):
+        root = newton_side(*args)
+        seen.add("newton" if root else "fallback")
+        return root
+
+    monkeypatch.setattr(oracles, "heat_rate_slope", slope)
+    monkeypatch.setattr(oracles, "newton_side", newton)
+    for kind in SIDE_FLUIDS:
+        for name, (hot, *rest) in SIDE_SOLVES.items():
+            new, old = solved_both_ways(kind, hot, *rest, root_at_guess=name in ROOT_AT_GUESS)
+            lo, hi, guess = rest[-3:]
+            a, b = lo + 1e-7 * (hi - lo), hi - 1e-7 * (hi - lo)
+            if guess is not None and lo < hi and not a < guess < b:
+                seen.add("clamped")
+            seen.add(new[0] if new[0].endswith("Error") else f"flagged={new[2]}")
+    assert seen == {(side, branch) for side in ("hot", "cold")
+                    for branch in ("log-mean", "series", "equal", "arithmetic")} | {
+        "newton", "fallback", "clamped", "flagged=False", "flagged=True",
+        "BracketError", "OutOfRangeError"}
+
+
+side_solves = st.tuples(
+    st.sampled_from(list(SIDE_FLUIDS)), st.booleans(), st.floats(1e-3, 10.0),
+    st.floats(-5.0, 60.0), st.floats(1.0, 1e5), st.floats(280.0, 380.0),
+    st.floats(0.0, 40.0), st.floats(-10.0, 50.0))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(case=side_solves)
+def test_side_solve_is_the_closure_newton_anywhere(case):
+    # guesses from 10 K below the bracket to 10 K above it, so some are
+    # clamped; flows and conductances over four decades, so some Newton
+    # runs fall back
+    kind, hot, mdot, dT, aA, lo, span, offset = case
+    new, old = solved_both_ways(kind, hot, mdot, dT, aA, lo, lo + span, lo + offset)
+    assert new == old
+
+
+TABLE = SIDE_FLUIDS["table"][0]
+COOLANT = SIDE_FLUIDS["polynomial"][0]
+
+
+def fluid_both_ways(kind, T, p):
+    """(new, oracle) (enthalpy, slope) bits of the table or polynomial
+    fluid at (T, p), or the type and text of what was raised."""
+    if kind == "table":
+        calls = ((TABLE.enthalpy, TABLE.enthalpy_slope),
+                 (lambda T, p: oracles.table_enthalpy(TABLE, T, p),
+                  lambda T, p: oracles.table_enthalpy_slope(TABLE, T, p)))
+    else:
+        hull = COOLANT.hull_T
+        calls = ((COOLANT.enthalpy, COOLANT.enthalpy_slope),
+                 (lambda T, p: oracles.poly_enthalpy(COOLANT_CP_COEFFS, hull, T),
+                  lambda T, p: oracles.poly_cp(COOLANT_CP_COEFFS, hull, T)))
+    out = []
+    for enthalpy, slope in calls:
+        try:
+            out.append((enthalpy(T, p).hex(), slope(T, p).hex()))
+        except ValueError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["table", "polynomial"])
+def test_fluid_calls_are_the_cell_and_horner_steps_at_edges_and_nodes(kind):
+    lo, hi = (TABLE if kind == "table" else COOLANT).hull_T
+    temps = [lo, hi, *TABLE.T_grid, math.nextafter(lo, -math.inf),
+             math.nextafter(hi, math.inf), lo - 50.0, hi + 50.0]
+    for T in temps:
+        new, old = fluid_both_ways(kind, T, 1e7)
+        assert new == old, T
+    # below the hull, each raises the same text
+    assert fluid_both_ways(kind, lo - 50.0, 1e7)[0][0] == "OutOfRangeError"
+
+
+@settings(SETTINGS, max_examples=200)
+@given(kind=st.sampled_from(["table", "polynomial"]), T=st.floats(190.0, 610.0),
+       p=st.floats(8e6, 1.2e7))
+def test_fluid_calls_are_the_cell_and_horner_steps(kind, T, p):
+    new, old = fluid_both_ways(kind, T, p)
+    assert new == old

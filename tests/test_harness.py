@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import hxtwin.harness as harness
 import hxtwin.reference_model as reference_model
+import hxtwin.wall_dynamics as wall_dynamics
 from hxtwin.approx_model import approx_steady_selfconsistent, update_cp_params
 from hxtwin.config import ConfigError, parse_config
 from hxtwin.correlations import (
@@ -836,32 +837,53 @@ def test_run_truth_sim_deterministic_and_seed_sensitive():
 def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
     # Every side solve of the shipped truth runs converges without a
     # clamp, and every warm start converges by Newton, also where the
-    # previous outlet lies outside the new bracket.
+    # previous outlet lies outside the new bracket.  Each step makes one
+    # ref_output per RK4 stage and one at its record, the count that
+    # perfbench pins.
     counts = Counter()
+    refs_at_step = []
     solve_side = reference_model._solve_side
-    newton_side = reference_model._newton_side
+    side_residual = reference_model._side_residual
     bracketed = reference_model.solve_bracketed
+    integrate_step = harness.integrate_step
+    warm = False
 
     def counted_side(*args):
-        T, r, flagged = solve_side(*args)
+        nonlocal warm
+        warm = args[-1] is not None
         counts["side solves"] += 1
+        counts["warm starts"] += warm
+        T, r, flagged = solve_side(*args)
         counts["flagged"] += flagged
         return T, r, flagged
 
-    def counted_newton(*args):
-        root = newton_side(*args)
-        counts["warm starts"] += 1
-        counts["fallbacks"] += root is None
-        return root
+    def counted_residual(*args):
+        # the side solve builds its residual closure only for the
+        # bracketed search, so a warm start that builds one fell back
+        counts["fallbacks"] += warm
+        return side_residual(*args)
 
     def counted_bracketed(*args, **kwargs):
         result = bracketed(*args, **kwargs)
         counts["non-converged"] += not result[2]
         return result
 
+    def counted_ref_output(ref_output):
+        def counted(*args, **kwargs):
+            counts["ref_output"] += 1
+            return ref_output(*args, **kwargs)
+        return counted
+
+    def marked_step(*args):
+        refs_at_step.append(counts["ref_output"])
+        return integrate_step(*args)
+
     monkeypatch.setattr(reference_model, "_solve_side", counted_side)
-    monkeypatch.setattr(reference_model, "_newton_side", counted_newton)
+    monkeypatch.setattr(reference_model, "_side_residual", counted_residual)
     monkeypatch.setattr(reference_model, "solve_bracketed", counted_bracketed)
+    for module in (harness, wall_dynamics):
+        monkeypatch.setattr(module, "ref_output", counted_ref_output(module.ref_output))
+    monkeypatch.setattr(harness, "integrate_step", marked_step)
     recs = run_truth_sim(load_scenario(SCENARIOS / f"{name}.cfg"))
     with capsys.disabled():
         print(f"\n{name}: {dict(counts)}")
@@ -871,6 +893,9 @@ def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
     assert counts["flagged"] == 0
     assert counts["non-converged"] == 0
     assert counts["fallbacks"] == 0
+    marks = [*refs_at_step, counts["ref_output"]]
+    assert len(marks) == len(recs)
+    assert {b - a for a, b in zip(marks, marks[1:])} == {41}
 
 
 def test_truth_run_takes_mean_cps_only_for_a_correlation(monkeypatch):

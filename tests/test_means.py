@@ -10,10 +10,9 @@ from hxtwin.means import (
     arith_mean,
     geom_mean,
     heat_rate,
-    heat_rate_slope,
     log_mean,
 )
-from oracles import weighted_mean
+from oracles import heat_rate_slope, weighted_mean
 
 
 def test_arith_geom_textbook_values():
