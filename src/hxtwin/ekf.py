@@ -27,15 +27,21 @@ F and H come from the chain rule, not from differences of the whole
 model.  dtau/dp is one central stencil per predict or update
 (central_jacobian) of parameter_terms(...)[:7] on floats, a map that
 does not read the walls and so never straddles a wall sector or a beta
-branch switch.  The partials in the walls and in tau are closed form
-(approx_model.partial_rows, and wall_dynamics.rhs_rows within the active
-wall sector).  A predict takes its RK4 stages and F rows from one
-ApproxStage on floats.
+branch switch.  The partials in the walls and in tau are closed form:
+approx_model.partial_rows, put through the active wall sector's chain
+rule by wall_dynamics.ApproxStage.
+
+The covariance algebra runs on floats, so the filter's output does not
+depend on the BLAS kernel numpy picks for the CPU.  A predict takes its
+RK4 stages and F rows from one ApproxStage and its covariance step from
+covariance_step, on P's unique entries; an update forms S (1x1 or 2x2),
+the gain, x_hat and P in closed form.  EkfState holds numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +62,8 @@ __all__ = [
     "parameter_terms",
     "ekf_evaluation",
     "central_jacobian",
+    "covariance_step",
     "ekf_predict",
-    "kalman_gain",
     "ekf_update",
     "estimate_kA",
 ]
@@ -206,6 +212,74 @@ def central_jacobian(fun, x: np.ndarray) -> np.ndarray:
     return np.array(cols).T
 
 
+def covariance_step(P: Sequence[float], f0: Sequence[float], f1: Sequence[float],
+                    q: Sequence[float], h: float) -> tuple[float, ...]:
+    """One RK4 step of size h of Pdot = F P + P F' + Q with F held, on
+    floats, for 5 states: the polynomial
+    P + h (k + h/2 L(k + h/3 L(k + h/4 L(k)))) with L(M) = F M + M F' and
+    k = L(P) + Q, which is the four stages in Horner form.
+
+    P is the upper triangle of the symmetric P row by row (15 entries),
+    f0 and f1 are F's wall rows, F's parameter rows are zero, and
+    Q = diag(q).  So L(M) has a zero parameter block, and its wall rows
+    are F's wall rows times M plus, on the wall block, their transpose.
+    Each argument of L after the first has the parameter block diag(q[2:]),
+    and the parameter block of the result is exactly P's plus h q.  Four
+    states pad the third parameter with a zero row and column of P, a
+    zero F column and zero noise: the 0.0 products they add leave the
+    other entries as they are.  Returns the upper triangle of the result.
+    """
+    (p00, p01, p02, p03, p04, p11, p12, p13, p14,
+     p22, p23, p24, p33, p34, p44) = P
+    f00, f01, f02, f03, f04 = f0
+    f10, f11, f12, f13, f14 = f1
+    q0, q1, q2, q3, q4 = q
+    # k = L(P) + Q on the wall rows
+    g00 = f00 * p00 + f01 * p01 + f02 * p02 + f03 * p03 + f04 * p04
+    g01 = f00 * p01 + f01 * p11 + f02 * p12 + f03 * p13 + f04 * p14
+    g10 = f10 * p00 + f11 * p01 + f12 * p02 + f13 * p03 + f14 * p04
+    g11 = f10 * p01 + f11 * p11 + f12 * p12 + f13 * p13 + f14 * p14
+    k00, k01, k11 = g00 + g00 + q0, g01 + g10, g11 + g11 + q1
+    k02 = f00 * p02 + f01 * p12 + f02 * p22 + f03 * p23 + f04 * p24
+    k03 = f00 * p03 + f01 * p13 + f02 * p23 + f03 * p33 + f04 * p34
+    k04 = f00 * p04 + f01 * p14 + f02 * p24 + f03 * p34 + f04 * p44
+    k12 = f10 * p02 + f11 * p12 + f12 * p22 + f13 * p23 + f14 * p24
+    k13 = f10 * p03 + f11 * p13 + f12 * p23 + f13 * p33 + f14 * p34
+    k14 = f10 * p04 + f11 * p14 + f12 * p24 + f13 * p34 + f14 * p44
+    # F's wall rows times the parameter block diag(q[2:]) of the later
+    # arguments
+    fq02, fq03, fq04 = f02 * q2, f03 * q3, f04 * q4
+    fq12, fq13, fq14 = f12 * q2, f13 * q3, f14 * q4
+    m00, m01, m11, m02, m03, m04, m12, m13, m14 = k00, k01, k11, k02, k03, k04, k12, k13, k14
+    for c in (h / 4.0, h / 3.0, h / 2.0):  # m <- k + c L(m), innermost first
+        g00 = f00 * m00 + f01 * m01 + f02 * m02 + f03 * m03 + f04 * m04
+        g01 = f00 * m01 + f01 * m11 + f02 * m12 + f03 * m13 + f04 * m14
+        g10 = f10 * m00 + f11 * m01 + f12 * m02 + f13 * m03 + f14 * m04
+        g11 = f10 * m01 + f11 * m11 + f12 * m12 + f13 * m13 + f14 * m14
+        m00, m01, m11, m02, m03, m04, m12, m13, m14 = (
+            k00 + c * (g00 + g00), k01 + c * (g01 + g10), k11 + c * (g11 + g11),
+            k02 + c * (f00 * m02 + f01 * m12 + fq02),
+            k03 + c * (f00 * m03 + f01 * m13 + fq03),
+            k04 + c * (f00 * m04 + f01 * m14 + fq04),
+            k12 + c * (f10 * m02 + f11 * m12 + fq12),
+            k13 + c * (f10 * m03 + f11 * m13 + fq13),
+            k14 + c * (f10 * m04 + f11 * m14 + fq14))
+    return (p00 + h * m00, p01 + h * m01, p02 + h * m02, p03 + h * m03, p04 + h * m04,
+            p11 + h * m11, p12 + h * m12, p13 + h * m13, p14 + h * m14,
+            p22 + h * q2, p23, p24, p33 + h * q3, p34, p44 + h * q4)
+
+
+# covariance_step's order of P's entries, the upper triangle row by row,
+# as (rows, columns), and the index in it of each entry of the symmetric P.
+# Plain Python builds them: np.triu_indices would page in numpy code that
+# every importer, the truth simulation too, then holds in its memory.
+_PAIRS = [(i, j) for i in range(5) for j in range(i, 5)]
+UPPER = tuple(zip(*_PAIRS))
+SYMMETRIC = np.array([[_PAIRS.index((min(i, j), max(i, j))) for j in range(5)]
+                      for i in range(5)])
+_NO_TAU = (0.0,) * 7  # the dtau row of a padded parameter
+
+
 def ekf_predict(
     state: EkfState,
     cfg: EkfConfig,
@@ -221,54 +295,56 @@ def ekf_predict(
     wall_dynamics.rk4_pair on one ApproxStage, built once with dtau/dp.
     F is evaluated once per substep, with k1 by the stage's first call:
     its wall columns and, through dtau/dp, its parameter columns by the
-    chain rule.  With F held the covariance ODE is linear, and its RK4
-    step is the polynomial
-    P + h (k + h/2 L(k + h/3 L(k + h/4 L(k)))) with
-    L(M) = F M + M F' and k = L(P) + Q, which is the four stages in
-    Horner form.  dt is one telemetry sample period: the substep count
-    is sized for that, so long horizons must loop rather than stretch a
-    single call past the integrator's stability region.
+    chain rule.  With F held the covariance ODE is linear, and
+    covariance_step takes its RK4 step on floats.  Four states pad a third
+    parameter with a zero dtau row, a zero row and column of P and zero
+    noise, so one kernel serves every variant.  dt is one telemetry sample
+    period: the substep count is sized for that, so long horizons must
+    loop rather than stretch a single call past the integrator's
+    stability region.
     """
     _check_state(cfg, state)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     x = state.x_hat.copy()
-    P = state.P
-    Q = cfg.process_noise_density()
+    n = cfg.n_states
+    dtau = _tau_partials(cfg, x, u, cp)
+    if n == 4:
+        dtau.append(_NO_TAU)
+    q_x, q_ups = cfg.r_x_density, cfg.r_upsilon_density
+    q = (q_x, q_x, q_ups, q_ups, cfg.r_mdot_density if n == 5 else 0.0)
+    full = np.zeros((5, 5))
+    full[:n, :n] = state.P
+    P = full[UPPER].tolist()
     substeps = cfg.wall.substeps_per_sample
     h = dt / substeps
-    stage = ApproxStage(u, cp, parameter_terms(cfg, x[2:], u, cp), cfg.wall,
-                        _tau_partials(cfg, x, u, cp))
-    F = np.zeros((cfg.n_states, cfg.n_states))
-
-    def lyap(M: np.ndarray) -> np.ndarray:  # F M + M F', M symmetric
-        G = F @ M
-        return G + G.T
-
+    stage = ApproxStage(u, cp, parameter_terms(cfg, x[2:], u, cp), cfg.wall, dtau)
     w1, w2 = float(x[0]), float(x[1])
     for _ in range(substeps):
-        k1, F[:2] = stage.rates_and_rows(w1, w2)
-        # the covariance RK4 with F held, in Horner form
-        k = lyap(P) + Q
-        P = P + h * (k + (h / 2.0) * lyap(k + (h / 3.0) * lyap(k + (h / 4.0) * lyap(k))))
+        k1, (f0, f1) = stage.rates_and_rows(w1, w2)
+        P = covariance_step(P, f0, f1, q, h)
         w1, w2 = rk4_pair(stage.rates, w1, w2, h, k1)
     x[0], x[1] = w1, w2
-    P = 0.5 * (P + P.T)
-    return EkfState(x, P)
+    return EkfState(x, np.array(P)[SYMMETRIC[:n, :n]])
 
 
-def kalman_gain(P: np.ndarray, H: np.ndarray, R_disc: np.ndarray) -> np.ndarray:
-    """K = P H' (H P H' + R_disc)^-1 via a linear solve."""
-    S = H @ P @ H.T + R_disc
-    try:
-        K = np.linalg.solve(S.T, (P @ H.T).T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCovarianceError(str(exc)) from exc
-    if not np.all(np.isfinite(K)):
-        raise SingularInnovationCovarianceError(
-            "innovation covariance produced a non-finite gain"
-        )
-    return K
+def _times(P: list, v: list) -> list:
+    """P v' on floats, P a list of rows."""
+    out = []
+    for row in P:
+        s = 0.0
+        for a, b in zip(row, v):
+            s += a * b
+        out.append(s)
+    return out
+
+
+def _dot(a: list, b: list) -> float:
+    """a b' on floats."""
+    s = 0.0
+    for ai, bi in zip(a, b):
+        s += ai * bi
+    return s
 
 
 def ekf_update(
@@ -279,11 +355,19 @@ def ekf_update(
     y_meas: np.ndarray,
     dt: float,
 ) -> tuple[EkfState, np.ndarray, np.ndarray]:
-    """Measurement update at the current time.
+    """Measurement update at the current time, on floats.
 
     ``y_meas`` holds only the measured channels (hot outlet alone for
     variant C).  Returns the posterior state, the innovation, and the
     full predicted output vector.
+
+    H's rows are partial_rows' outlet rows.  The gain K = P H' S^-1 takes
+    the 2x2 S = H P H' + R_disc in closed form; variant C's unmeasured
+    cold channel enters as a zero H row with unit variance, which adds
+    nothing to the gain.  P - K H P is formed on the upper triangle and
+    mirrored, so the posterior P is exactly symmetric.  A zero determinant
+    of S or a gain that is not finite raises
+    SingularInnovationCovarianceError.
     """
     _check_state(cfg, state)
     rows = cfg.measured_rows
@@ -296,27 +380,53 @@ def ekf_update(
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
-    x = state.x_hat
+    x = state.x_hat.tolist()
+    P = state.P.tolist()
+    n = len(x)
     terms = parameter_terms(cfg, x[2:], u, cp)
-    w1, w2 = float(x[0]), float(x[1])
+    w1, w2 = x[0], x[1]
     ev = evaluate_approx(WallState(w1, w2), u, cp, terms)
     T_h2, T_c2 = ev.outlets.T_h2, ev.outlets.T_c2
-    y_pred = np.array((T_h2, T_c2))
-    H = np.array(partial_rows(
+    H_h, H_c = partial_rows(
         w1, w2, u.T_h1, u.T_c1, terms[0], terms[1], u.mdot_h * cp.theta3,
         terms[2] * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, T_h2, T_c2,
-        _tau_partials(cfg, x, u, cp))[:2])[list(rows), :]
-    innovation = y_meas - y_pred[list(rows)]
-    R_disc = (cfg.r_y_density / dt) * np.eye(len(rows))
-    K = kalman_gain(state.P, H, R_disc)
-    x_new = state.x_hat + K @ innovation
-    P_new = state.P - K @ H @ state.P
-    P_new = 0.5 * (P_new + P_new.T)
-    x_new[2] = max(x_new[2], UPSILON_FLOOR)
-    x_new[3] = max(x_new[3], UPSILON_FLOOR)
-    if cfg.n_states == 5:
-        x_new[4] = max(x_new[4], MDOT_FLOOR)
-    return EkfState(x_new, P_new), innovation, y_pred
+        _tau_partials(cfg, state.x_hat, u, cp))[:2]
+    r_disc = cfg.r_y_density / dt
+    y = y_meas.tolist()
+    # S = [[s_hh, s_hc], [s_hc, s_cc]] from the columns P H'
+    col_h = _times(P, H_h)
+    s_hh = _dot(H_h, col_h) + r_disc
+    if len(y) == 2:
+        col_c = _times(P, H_c)
+        s_hc, s_cc = _dot(H_h, col_c), _dot(H_c, col_c) + r_disc
+        innov = [y[0] - T_h2, y[1] - T_c2]
+    else:
+        col_c, s_hc, s_cc = [0.0] * n, 0.0, 1.0
+        innov = [y[0] - T_h2, 0.0]
+    det = s_hh * s_cc - s_hc * s_hc
+    if det == 0.0:
+        raise SingularInnovationCovarianceError("innovation covariance is singular")
+    gain_h, gain_c = [], []
+    for i in range(n):
+        k_h = (col_h[i] * s_cc - col_c[i] * s_hc) / det
+        k_c = (col_c[i] * s_hh - col_h[i] * s_hc) / det
+        if not (-math.inf < k_h < math.inf and -math.inf < k_c < math.inf):
+            raise SingularInnovationCovarianceError(
+                "innovation covariance produced a non-finite gain")
+        gain_h.append(k_h)
+        gain_c.append(k_c)
+        x[i] += k_h * innov[0] + k_c * innov[1]
+    # P - K (P H')' on the upper triangle, mirrored
+    for i in range(n):
+        row, k_h, k_c = P[i], gain_h[i], gain_c[i]
+        for j in range(i, n):
+            P[j][i] = row[j] = row[j] - (k_h * col_h[j] + k_c * col_c[j])
+    x[2] = max(x[2], UPSILON_FLOOR)
+    x[3] = max(x[3], UPSILON_FLOOR)
+    if n == 5:
+        x[4] = max(x[4], MDOT_FLOOR)
+    return (EkfState(np.array(x), np.array(P)), np.array(innov[:len(y)]),
+            np.array((T_h2, T_c2)))
 
 
 def estimate_kA(

@@ -376,8 +376,8 @@ class StreamConfig:
     pressure: float  # Pa
 
     def __post_init__(self):
-        if self.pressure <= 0.0:
-            raise ValueError(f"pressure must be positive, got {self.pressure}")
+        if not 0.0 < self.pressure < math.inf:
+            raise ValueError(f"pressure must be positive and finite, got {self.pressure}")
 
 
 def _sample_grid(lo: float, hi: float, n: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .approx_model import BetaBranch, BetaSelection, CpParams, approx_sides, partial_rows
+from .approx_model import BetaBranch, BetaSelection, CpParams, approx_sides, g_partials
 from .fluids import StreamConfig
 from .means import heat_rate
 from .reference_model import (
@@ -35,7 +35,6 @@ __all__ = [
     "WallDynamicsConfig",
     "wall_drift_rate",
     "sector_gain",
-    "rhs_rows",
     "rk4_pair",
     "integrate_step",
     "reference_wall_rhs",
@@ -91,54 +90,6 @@ def sector_gain(e1: float, e2: float, tdw: float) -> tuple[Sector, float]:
     if e1 <= 0.0 and e2 <= 0.0:
         return _III, 2.0 * tdw / (e1 + e2)
     return _II if e2 > 0.0 else _IV, 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / math.hypot(e1, e2)
-
-
-def rhs_rows(e1: float, e2: float, sector: Sector, a: float, tdw: float,
-             dQ_h: Sequence[float], dQ_c: Sequence[float], theta7: float,
-             dxs: tuple[Sequence[float], Sequence[float]]) -> tuple[list[float], list[float]]:
-    """Rows of d(a*e)/dz, the wall rates' partials in the active sector,
-    over z = (T_w1, T_w2, q_1, ...), given e = xs - x, sector_gain at it,
-    the drift tdw, and the z partials of the heat rates (dQ_h, dQ_c) and
-    steady walls (dxs).
-
-    With xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the
-    Jacobian is e (grad a)' + a de/dz, where a moves with e and with the
-    drift.  In sector V, where the rates are zero, the wall columns are the
-    limit along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what
-    central differences about the steady state take, and what keeps the
-    wall variance of the filter bounded there.  The other columns are
-    zero: the dead band holds the rates at zero whatever the heat rates,
-    and a move of xs alone along an axis gives the same rate on both
-    sides.
-    """
-    g = [wall_drift_rate(h, c, theta7) for h, c in zip(dQ_h, dQ_c)]
-    if sector is _V:
-        rest = [0.0] * (len(g) - 2)
-        return [2.0 * g[0], 0.0, *rest], [0.0, 2.0 * g[1], *rest]
-    # the partials a_e1, a_e2, a_t of a in e1, e2 and the drift
-    if sector is _I or sector is _III:
-        s = e1 + e2
-        a_e1 = a_e2 = -a / s
-        a_t = 2.0 / s
-    else:
-        n = math.hypot(e1, e2)
-        # the floor holds the speed: no slope from the drift
-        a_t = 0.0 if abs(tdw) <= TDW_LOWER_BOUND else (2.0 if tdw > 0.0 else -2.0) / n
-        a_e1 = -a * e1 / (n * n)
-        a_e2 = -a * e2 / (n * n)
-    s1, s2 = dxs
-    row1, row2 = [], []
-    for j, gk in enumerate(g):
-        # da/dz = a_e1 de1/dz + a_e2 de2/dz + a_t dTdot_w/dz, with
-        # de/dz = dxs/dz less the identity on the walls
-        grad = a_t * gk + a_e1 * s1[j] + a_e2 * s2[j]
-        if j < 2:
-            grad -= a_e2 if j else a_e1
-        row1.append(e1 * grad + a * s1[j])
-        row2.append(e2 * grad + a * s2[j])
-    row1[0] -= a
-    row2[1] -= a
-    return row1, row2
 
 
 def rk4_pair(rhs: Callable[[float, float], tuple[float, float]], w1: float, w2: float,
@@ -207,7 +158,20 @@ class ApproxStage:
     from evaluate_approx's (u, cp, terms), whose steady outlets it does not
     read, and partial_rows' dtau for the Jacobian rows.  ``rates(w1, w2)``
     is a*e of sector_gain at evaluate_approx's heat rates;
-    ``rates_and_rows(w1, w2)`` also gives rhs_rows over (T_w1, T_w2, q_1, ...)."""
+    ``rates_and_rows(w1, w2)`` also gives the rows of d(a*e)/dz over
+    z = (T_w1, T_w2, q_1, ...), the filter's F rows.
+
+    The rows are partial_rows' heat-rate and steady-wall partials put
+    through the chain rule of the active sector, written out inline.  With
+    xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the Jacobian is
+    e (grad a)' + a de/dz, where a moves with e and with the drift.  In
+    sector V, where the rates are zero, the wall columns are the limit
+    along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what central
+    differences about the steady state take, and what keeps the wall
+    variance of the filter bounded there.  The other columns are zero: the
+    dead band holds the rates at zero whatever the heat rates, and a move
+    of xs alone along an axis gives the same rate on both sides.
+    """
 
     __slots__ = ("rates", "rates_and_rows")
 
@@ -219,24 +183,57 @@ class ApproxStage:
         C_h, C_c = u.mdot_h * cp.theta3, mdot_c * theta4
         lm_h = BetaSelection(b_h, BetaBranch.BETA_LM, False)
         lm_c = BetaSelection(b_c, BetaBranch.BETA_LM, False)
+        rest = [0.0] * len(dtau)
 
         def rates(w1: float, w2: float) -> tuple[float, float]:
             Q_h, Q_c = approx_sides(w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, lm_h, lm_c)[4:]
             e1, e2 = w1s - w1, w2s - w2
-            a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, theta7))[1]
+            a = sector_gain(e1, e2, (-Q_h - Q_c) / theta7)[1]
             return a * e1, a * e2
 
         def rates_and_rows(w1: float, w2: float):
             sel_h, sel_c, T_h2, T_c2, Q_h, Q_c = approx_sides(
                 w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, lm_h, lm_c)
-            _, _, dQ_h, dQ_c, dw1s, dw2s = partial_rows(
-                w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, theta4,
-                sel_h, sel_c, T_h2, T_c2, dtau)
             e1, e2 = w1s - w1, w2s - w2
-            tdw = wall_drift_rate(Q_h, Q_c, theta7)
+            tdw = (-Q_h - Q_c) / theta7
             sector, a = sector_gain(e1, e2, tdw)
-            return (a * e1, a * e2), rhs_rows(e1, e2, sector, a, tdw, dQ_h, dQ_c, theta7,
-                                              (dw1s, dw2s))
+            gI_h, gw_h, gA_h, _, gB_h = g_partials(T_h1 - w1, T_h2 - w2, aA_h, C_h, sel_h)
+            gI_c, gw_c, gA_c, gC_c, gB_c = g_partials(w2 - T_c1, w1 - T_c2, aA_c, C_c, sel_c)
+            # the wall partials of the drift, (-dQ_h - dQ_c)/theta7, with
+            # dQ_h = C_h dT_h2 and dQ_c = C_c dT_c2 (dT_I_h = T_h1 - T_w1,
+            # dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2)
+            g1 = (-(C_h * (gw_h - gI_h)) - C_c * (1.0 - gw_c)) / theta7
+            g2 = (-(C_h * (1.0 - gw_h)) - C_c * (gw_c - gI_c)) / theta7
+            if sector is _V:
+                return (a * e1, a * e2), ([2.0 * g1, 0.0, *rest], [0.0, 2.0 * g2, *rest])
+            # the partials a_e1, a_e2, a_t of a in e1, e2 and the drift
+            if sector is _I or sector is _III:
+                s = e1 + e2
+                a_e1 = a_e2 = -a / s
+                a_t = 2.0 / s
+            else:
+                n = math.hypot(e1, e2)
+                # the floor holds the speed: no slope from the drift
+                a_t = 0.0 if abs(tdw) <= TDW_LOWER_BOUND else (2.0 if tdw > 0.0 else -2.0) / n
+                a_e1 = -a * e1 / (n * n)
+                a_e2 = -a * e2 / (n * n)
+            # da/dz = a_t dTdot_w/dz + a_e1 de1/dz + a_e2 de2/dz, with
+            # de/dz = dxs/dz less the identity on the walls; the products
+            # with the steady walls' zero wall partials keep every bit of
+            # partial_rows then the sector's rows, signed zeros included
+            grad1 = a_t * g1 + a_e1 * 0.0 + a_e2 * 0.0 - a_e1
+            grad2 = a_t * g2 + a_e1 * 0.0 + a_e2 * 0.0 - a_e2
+            row1 = [e1 * grad1 + a * 0.0 - a, e1 * grad2 + a * 0.0]
+            row2 = [e2 * grad1 + a * 0.0, e2 * grad2 + a * 0.0 - a]
+            gM_c = theta4 * gC_c  # dG_c/dmdot_c
+            dQ_dmdot = theta4 * (T_c2 - T_c1)
+            for daA_h, daA_c, dmdot_c, db_h, db_c, dw1s, dw2s in dtau:
+                dQ_c = C_c * -(gA_c * daA_c + gM_c * dmdot_c + gB_c * db_c) + dQ_dmdot * dmdot_c
+                grad = (a_t * ((-(C_h * (gA_h * daA_h + gB_h * db_h)) - dQ_c) / theta7)
+                        + a_e1 * dw1s + a_e2 * dw2s)
+                row1.append(e1 * grad + a * dw1s)
+                row2.append(e2 * grad + a * dw2s)
+            return (a * e1, a * e2), (row1, row2)
 
         self.rates = rates
         self.rates_and_rows = rates_and_rows

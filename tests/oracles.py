@@ -11,15 +11,25 @@ heat_rate_slope, solved by newton_side with solve_side's fallback.  The
 fluids' enthalpy and enthalpy_slope find the table cell and run Horner
 inline; table_enthalpy, table_enthalpy_slope, poly_enthalpy and poly_cp
 are those rules as separate steps.
+
+The filter's predict and update run on floats: wall_dynamics.ApproxStage
+writes partial_rows and rhs_rows out inline for the F rows, and
+ekf.covariance_step takes the covariance RK4 step on P's unique entries.
+rhs_rows, horner_covariance_step (the numpy Horner step with F held) and
+kalman_gain (a linear solve) are the parent forms those are pinned to.
 """
 
+import math
 from bisect import bisect_right
+
+import numpy as np
 
 from hxtwin.approx_model import BetaBranch, BetaSelection
 from hxtwin.fluids import OutOfRangeError
 from hxtwin.means import DomainError, arith_mean, geom_mean, heat_rate
 from hxtwin.reference_model import NEWTON_MAX_ITER, OUTPUT_FTOL, BracketError, solve_bracketed
-from hxtwin.wall_dynamics import Sector
+from hxtwin.ekf import SingularInnovationCovarianceError
+from hxtwin.wall_dynamics import TDW_LOWER_BOUND, Sector, wall_drift_rate
 
 # The two outcomes without a beta.
 BETA_ZERO = BetaSelection(0.0, BetaBranch.ZERO, False)
@@ -206,3 +216,75 @@ def poly_enthalpy(coeffs, hull_T, T):
     _check_poly_hull(hull_T, T)
     ints = [c / (i + 1) for i, c in enumerate(coeffs)]
     return _horner(ints, T) * T - _horner(ints, hull_T[0]) * hull_T[0]
+
+
+def rhs_rows(e1, e2, sector, a, tdw, dQ_h, dQ_c, theta7, dxs):
+    """Rows of d(a*e)/dz, the wall rates' partials in the active sector,
+    over z = (T_w1, T_w2, q_1, ...), given e = xs - x, sector_gain at it,
+    the drift tdw, and the z partials of the heat rates (dQ_h, dQ_c) and
+    steady walls (dxs).
+
+    With xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the
+    Jacobian is e (grad a)' + a de/dz, where a moves with e and with the
+    drift.  In sector V, where the rates are zero, the wall columns are the
+    limit along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what
+    central differences about the steady state take, and what keeps the
+    wall variance of the filter bounded there.  The other columns are
+    zero: the dead band holds the rates at zero whatever the heat rates,
+    and a move of xs alone along an axis gives the same rate on both
+    sides.
+    """
+    g = [wall_drift_rate(h, c, theta7) for h, c in zip(dQ_h, dQ_c)]
+    if sector is Sector.V:
+        rest = [0.0] * (len(g) - 2)
+        return [2.0 * g[0], 0.0, *rest], [0.0, 2.0 * g[1], *rest]
+    # the partials a_e1, a_e2, a_t of a in e1, e2 and the drift
+    if sector is Sector.I or sector is Sector.III:
+        s = e1 + e2
+        a_e1 = a_e2 = -a / s
+        a_t = 2.0 / s
+    else:
+        n = math.hypot(e1, e2)
+        # the floor holds the speed: no slope from the drift
+        a_t = 0.0 if abs(tdw) <= TDW_LOWER_BOUND else (2.0 if tdw > 0.0 else -2.0) / n
+        a_e1 = -a * e1 / (n * n)
+        a_e2 = -a * e2 / (n * n)
+    s1, s2 = dxs
+    row1, row2 = [], []
+    for j, gk in enumerate(g):
+        # da/dz = a_e1 de1/dz + a_e2 de2/dz + a_t dTdot_w/dz, with
+        # de/dz = dxs/dz less the identity on the walls
+        grad = a_t * gk + a_e1 * s1[j] + a_e2 * s2[j]
+        if j < 2:
+            grad -= a_e2 if j else a_e1
+        row1.append(e1 * grad + a * s1[j])
+        row2.append(e2 * grad + a * s2[j])
+    row1[0] -= a
+    row2[1] -= a
+    return row1, row2
+
+
+def horner_covariance_step(P, F, Q, h):
+    """One RK4 step of Pdot = F P + P F' + Q with F held, as numpy arrays:
+    P + h (k + h/2 L(k + h/3 L(k + h/4 L(k)))) with L(M) = F M + M F' and
+    k = L(P) + Q."""
+    def lyap(M):
+        G = F @ M
+        return G + G.T
+
+    k = lyap(P) + Q
+    return P + h * (k + (h / 2.0) * lyap(k + (h / 3.0) * lyap(k + (h / 4.0) * lyap(k))))
+
+
+def kalman_gain(P, H, R_disc):
+    """K = P H' (H P H' + R_disc)^-1 via a linear solve."""
+    S = H @ P @ H.T + R_disc
+    try:
+        K = np.linalg.solve(S.T, (P @ H.T).T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovationCovarianceError(str(exc)) from exc
+    if not np.all(np.isfinite(K)):
+        raise SingularInnovationCovarianceError(
+            "innovation covariance produced a non-finite gain"
+        )
+    return K

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies
 
 import hxtwin.ekf
 from hxtwin.approx_model import CpParams, evaluate_approx, partial_rows, steady_terms
@@ -23,8 +25,8 @@ from hxtwin.ekf import (
     ekf_init,
     ekf_predict,
     ekf_update,
+    covariance_step,
     estimate_kA,
-    kalman_gain,
     parameter_terms,
 )
 from hxtwin.reference_model import InletConditions, WallState
@@ -32,10 +34,10 @@ from hxtwin.reference_model import Conductances
 from hxtwin.wall_dynamics import (
     ApproxStage,
     WallDynamicsConfig,
-    rhs_rows,
     sector_gain,
     wall_drift_rate,
 )
+from oracles import horner_covariance_step, kalman_gain, rhs_rows
 
 
 CP = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
@@ -161,6 +163,8 @@ def test_central_jacobian_matches_column_stack():
         J, reference_jacobian(fun, x, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP))
 
 
+# kalman_gain is the linear-solve oracle (tests/oracles.py) of the closed-form
+# gain in ekf_update
 def test_kalman_gain_scalar_oracle():
     K = kalman_gain(np.array([[4.0]]), np.array([[1.0]]), np.array([[1.0]]))
     assert K[0, 0] == pytest.approx(4.0 / 5.0, rel=1e-12)
@@ -466,11 +470,13 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
 # ---------------------------------------------------------------------------
 # Predict and update against an uncached reference, which recomputes the
 # parameter-only terms at every evaluation.  The reference takes its F and
-# H from the same chain rule, at every substep, and integrates the
-# covariance with the four RK4 stages: x_hat and the update agree byte for
-# byte, the predicted P to the rounding of the Horner form (HORNER_REL).
-# The independent check of the parameter columns against the whole-model
-# stencil is test_chain_rule_parameter_columns_match_the_whole_stencil.
+# H from the same chain rule, at every substep, integrates the covariance
+# with the four RK4 stages and takes the gain by a linear solve: x_hat,
+# the innovation and the predicted outputs agree byte for byte, the
+# predicted P and the update's x_hat and P to the rounding of the float
+# forms (HORNER_REL).  The independent check of the parameter columns
+# against the whole-model stencil is
+# test_chain_rule_parameter_columns_match_the_whole_stencil.
 
 
 def reference_terms(cfg, p, u, cp):
@@ -548,32 +554,121 @@ def reference_update(state, cfg, u, cp, y_meas, dt):
 
 
 # The Horner covariance step is the same polynomial in h as the four
-# RK4 stages, rounded differently: a relative bound well above 1e-16
-# per operation and well below any effect on the filter.
+# RK4 stages, rounded differently, and the float gain the linear solve's
+# result: a relative bound well above 1e-16 per operation and well below
+# any effect on the filter.
 HORNER_REL = 1e-13
 
 
-@pytest.mark.parametrize("variant", ["A", "B"])
+def within_horner(got, want):
+    return np.max(np.abs(got - want)) <= HORNER_REL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "C"])
 def test_predict_and_update_match_uncached_reference(variant):
     cfg = make_cfg(variant, **ORACLE_CFG)
     u = InletConditions(400.0, 300.0, 1.1, 0.9)
     cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
-    x0 = [352.0, 331.0, 1450.0, 3100.0] + ([0.95] if variant == "B" else [])
+    x0 = [352.0, 331.0, 1450.0, 3100.0] + ([0.95] if cfg.n_states == 5 else [])
     rng = np.random.default_rng(5)
     A = rng.standard_normal((len(x0), len(x0)))
     st = EkfState(np.array(x0), A @ A.T + np.diag(np.abs(x0)))
+    rows = list(cfg.measured_rows)
     for _ in range(3):
         pred = ekf_predict(st, cfg, u, cp, 0.5)
         x_ref, P_ref = reference_predict(st, cfg, u, cp, 0.5)
         assert np.array_equal(pred.x_hat, x_ref)
-        assert np.max(np.abs(pred.P - P_ref)) <= HORNER_REL * np.max(np.abs(P_ref))
+        assert within_horner(pred.P, P_ref)
         assert np.array_equal(pred.P, pred.P.T)
-        y_meas = reference_g(cfg, pred.x_hat, u, cp) + np.array([0.3, -0.2])
+        y_meas = (reference_g(cfg, pred.x_hat, u, cp) + np.array([0.3, -0.2]))[rows]
         post, innov, y_pred = ekf_update(pred, cfg, u, cp, y_meas, 0.5)
-        ref = reference_update(pred, cfg, u, cp, y_meas, 0.5)
-        for got, want in zip((post.x_hat, post.P, innov, y_pred), ref):
-            assert np.array_equal(got, want)
+        x_ref, P_ref, innov_ref, y_pred_ref = reference_update(pred, cfg, u, cp, y_meas, 0.5)
+        assert np.array_equal(innov, innov_ref)
+        assert np.array_equal(y_pred, y_pred_ref)
+        assert within_horner(post.x_hat, x_ref)
+        assert within_horner(post.P, P_ref)
+        assert np.array_equal(post.P, post.P.T)
         st = post
+
+
+def padded_upper(P):
+    """covariance_step's P: the upper triangle, row by row, of P padded
+    to 5 states with zeros."""
+    full = np.zeros((5, 5))
+    full[:len(P), :len(P)] = P
+    return full[hxtwin.ekf.UPPER].tolist()
+
+
+def symmetric(upper, n):
+    return np.array(upper)[hxtwin.ekf.SYMMETRIC[:n, :n]]
+
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+unit = strategies.floats(-1.0, 1.0)
+
+
+@SETTINGS
+@given(n=strategies.sampled_from([4, 5]),
+       f=strategies.lists(unit, min_size=10, max_size=10),
+       p=strategies.lists(unit, min_size=15, max_size=15),
+       q=strategies.lists(strategies.floats(0.0, 10.0), min_size=5, max_size=5),
+       fh=strategies.floats(0.0, 20.0), h=strategies.floats(1e-3, 1.0))
+@example(n=5, f=[1.0] + [0.0] * 9, p=[1.0] * 15, q=[1.0] * 5, fh=20.0, h=0.1)
+@example(n=4, f=[-1.0, 0.5, 0.25, -0.5, 0.3, 0.2, -1.0, 0.1, 0.4, -0.7],
+         p=[0.5] * 15, q=[0.01, 0.01, 1e3, 1e3, 0.1], fh=18.0, h=0.1)
+def test_covariance_step_is_the_numpy_horner_step(n, f, p, q, fh, h):
+    # random wall rows of F, scaled to ||F||_inf h = fh, zero parameter
+    # rows, and a random symmetric P and diagonal Q
+    F = np.zeros((n, n))
+    F[:2] = np.array(f).reshape(2, 5)[:, :n]
+    norm = np.max(np.sum(np.abs(F), axis=1))
+    if norm > 0.0:
+        F *= fh / (norm * h)
+    P = symmetric(p, n)
+    q = q[:n] + [0.0] * (5 - n)
+    want = horner_covariance_step(P, F, np.diag(q[:n]), h)
+    rows = np.zeros((2, 5))
+    rows[:, :n] = F[:2]
+    upper = covariance_step(padded_upper(P), *rows.tolist(), q, h)
+    got = symmetric(upper, n)
+    assert np.array_equal(got, got.T)
+    assert within_horner(got, want)
+    # the parameter block gains exactly h Q, and a padded state stays zero
+    assert np.array_equal(got[2:, 2:], P[2:, 2:] + h * np.diag(q[2:n]))
+    assert all(v == 0.0 for v, col in zip(upper, hxtwin.ekf.UPPER[1]) if col >= n)
+
+
+def test_predict_pads_four_states_for_one_kernel(monkeypatch):
+    # variant A runs the same 5-state kernel with a zero third parameter
+    seen = []
+
+    def spy(P, f0, f1, q, h):
+        seen.append((P, f0, f1, q))
+        return covariance_step(P, f0, f1, q, h)
+
+    monkeypatch.setattr(hxtwin.ekf, "covariance_step", spy)
+    cfg = make_cfg("A", **ORACLE_CFG)
+    st = EkfState(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density())
+    ekf_predict(st, cfg, U, CP, 1.0)
+    assert len(seen) == cfg.wall.substeps_per_sample
+    for P, f0, f1, q in seen:
+        assert len(P) == 15 and P[4] == P[8] == P[11] == P[13] == P[14] == 0.0
+        assert f0[4] == f1[4] == 0.0 and q[4] == 0.0
+
+
+@pytest.mark.parametrize("variant", ["A", "C"])
+def test_update_with_a_singular_innovation_covariance_raises(variant):
+    # a zero P and an R_disc that underflows to zero make S exactly zero
+    cfg = make_cfg(variant, r_y_density=1e-300)
+    st = steady_state_for(cfg, mdot_c0=1.0 if cfg.n_states == 5 else None)
+    st.P[:] = 0.0
+    y = g_v(cfg, st.x_hat, U, CP)[list(cfg.measured_rows)]
+    with pytest.raises(SingularInnovationCovarianceError, match="singular"):
+        ekf_update(st, cfg, U, CP, y, 1e300)
+    # a P that is not finite gives a gain that is not finite
+    st.P[0, 0] = np.inf
+    with pytest.raises(SingularInnovationCovarianceError, match="non-finite gain"):
+        ekf_update(st, cfg, U, CP, y, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,39 @@ def test_stage_is_the_object_api_at_every_branch_and_sector(variant, offset, p):
     assert tuple(map(tuple, stage_rows)) == rows
 
 
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@SETTINGS
+@given(variant=st.sampled_from("ABC"), offset=offsets, p=params)
+@branch_examples
+def test_stage_rows_are_partial_rows_then_rhs_rows(variant, offset, p):
+    # rates_and_rows writes partial_rows and rhs_rows out inline: the same
+    # operations in the same order, so k1 and both F rows keep every bit,
+    # also with the zero dtau row that pads variant A to five states
+    cfg = make_cfg(variant)
+    z = joint_state(cfg, (0.0, 0.0), p)
+    z[:2] += offset
+    w1, w2 = float(z[0]), float(z[1])
+    terms = parameter_terms(cfg, z[2:], U, CP)
+    dtau = ekf._tau_partials(cfg, z, U, CP) + ([(0.0,) * 7] if variant == "A" else [])
+    ev = evaluate_approx(WallState(w1, w2), U, CP, terms)
+    C_h, C_c = U.mdot_h * CP.theta3, terms[2] * CP.theta4
+    _, _, dQ_h, dQ_c, dw1s, dw2s = partial_rows(
+        w1, w2, U.T_h1, U.T_c1, terms[0], terms[1], C_h, C_c, CP.theta4,
+        ev.beta_hot, ev.beta_cold, ev.outlets.T_h2, ev.outlets.T_c2, dtau)
+    e1, e2 = terms[5] - w1, terms[6] - w2
+    tdw = wall_drift_rate(ev.Q_h, ev.Q_c, cfg.wall.theta7)
+    sector, a = sector_gain(e1, e2, tdw)
+    row1, row2 = oracles.rhs_rows(e1, e2, sector, a, tdw, dQ_h, dQ_c, cfg.wall.theta7,
+                                  (dw1s, dw2s))
+    k1, (got1, got2) = ApproxStage(U, CP, terms, cfg.wall, dtau).rates_and_rows(w1, w2)
+    assert bits(k1) == bits((a * e1, a * e2))
+    assert bits(got1) == bits(row1)
+    assert bits(got2) == bits(row2)
+
+
 @SETTINGS
 @given(mdot_c=st.floats(0.05, 5.0), theta6=st.floats(500.0, 5000.0),
        aA=st.tuples(st.floats(10.0, 1e5), st.floats(10.0, 1e5)), balanced=st.booleans())

@@ -350,6 +350,12 @@ def test_stream_config_rejects_nonpositive_pressure():
         StreamConfig(CaloricallyPerfect(1000.0), 0.0)
 
 
+@pytest.mark.parametrize("pressure", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_stream_config_rejects_a_pressure_that_is_not_finite_and_positive(pressure):
+    with pytest.raises(ValueError, match="pressure must be positive and finite"):
+        StreamConfig(CaloricallyPerfect(1000.0), pressure)
+
+
 def test_mean_cp_secant_oracle_against_quadrature():
     # Independent oracle: midpoint-rule quadrature of the point cp of the
     # tabulated CO2-like model over the same span.

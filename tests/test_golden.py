@@ -4,7 +4,10 @@ must match the committed files.
 The monitor CSVs must match byte for byte.  The monitor runs over the
 committed telemetry, as ``hxtwin monitor`` does, so a telemetry change
 does not hide a monitor change.  A mismatch names the first differing
-row and column and the size of the difference.
+row and column and the size of the difference.  The filter's covariance
+algebra runs on floats, not on numpy's BLAS, so the bytes do not depend
+on the OpenBLAS kernel picked for the CPU: one test forces two other
+kernels (OPENBLAS_CORETYPE) in subprocesses.
 
 The telemetry CSVs are compared column by column within fixed bounds
 (tolerance mode): the reference root solves stop at a residual
@@ -25,6 +28,9 @@ run on an unchanged tree leaves every golden as it is.
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -176,6 +182,27 @@ def test_monitors_stepped_in_turn_match_their_goldens(tmp_path):
         lines = monitor_path(name, variant).read_bytes().splitlines(keepends=True)
         diff = first_difference(b"".join(lines[:1 + n_records]), out.read_bytes())
         assert diff is None, f"{name}.{variant} stepped in turn: {diff}"
+
+
+def test_monitor_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # numpy's matmul runs on an OpenBLAS kernel picked for the CPU; the
+    # filter's covariance algebra runs on floats, so forcing another
+    # kernel leaves the monitor's bytes as they are
+    name = "smoke_constant"
+    runs = {}
+    for core in ("Sandybridge", "Haswell"):
+        out = tmp_path / f"{core}.monitor.csv"
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        runs[core, out] = subprocess.Popen(
+            [sys.executable, "-m", "hxtwin.cli", "monitor", str(telemetry_path(name)),
+             str(ROOT / "scenarios" / f"{name}.cfg"), "-o", str(out), "--variant", "A"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for (core, out), proc in runs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, f"{core}: {err}"
+        diff = first_difference(monitor_path(name, "A").read_bytes(), out.read_bytes())
+        assert diff is None, f"OPENBLAS_CORETYPE={core}: {diff}"
 
 
 def test_first_difference_names_row_column_and_size():

@@ -21,12 +21,12 @@ from hxtwin.wall_dynamics import (
     WallDynamicsConfig,
     integrate_step,
     reference_wall_rhs,
-    rhs_rows,
     rk4_pair,
     sector_gain,
     wall_drift_rate,
 )
 from hxtwin.approx_model import CpParams, steady_terms
+from oracles import rhs_rows
 
 
 CFG = WallDynamicsConfig(theta7=1000.0)
