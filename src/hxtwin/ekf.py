@@ -31,11 +31,11 @@ branch switch.  The partials in the walls and in tau are closed form:
 approx_model.partial_rows, put through the active wall sector's chain
 rule by wall_dynamics.ApproxStage.
 
-The covariance algebra runs on floats, so the filter's output does not
-depend on the BLAS kernel numpy picks for the CPU.  A predict takes its
-RK4 stages and F rows from one ApproxStage and its covariance step from
-covariance_step, on P's unique entries; an update forms S (1x1 or 2x2),
-the gain, x_hat and P in closed form.  EkfState holds numpy arrays.
+The filter runs on plain floats, without numpy, so its output depends
+on no BLAS kernel.  A predict takes its RK4 stages and F rows from one
+ApproxStage and its covariance step from covariance_step, on P's unique
+entries; an update forms S (1x1 or 2x2), the gain, x_hat and P in closed
+form.  EkfState holds x_hat as a tuple and P as a tuple of row tuples.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
+from operator import add
 
 from .approx_model import ApproxEvaluation, CpParams, evaluate_approx, partial_rows, steady_terms
 from .correlations import CorrelationParams, alpha_A, serial_conductance
@@ -99,7 +99,7 @@ class EkfConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name in ("r_x_density", "r_upsilon_density", "r_y_density", "r_mdot_density"):
-            if not 0.0 < getattr(self, name) < np.inf:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
 
     @property
@@ -110,28 +110,27 @@ class EkfConfig:
     def measured_rows(self) -> tuple[int, ...]:
         return (0,) if self.variant == "C" else (0, 1)
 
-    def process_noise_density(self) -> np.ndarray:
-        d = [self.r_x_density, self.r_x_density,
-             self.r_upsilon_density, self.r_upsilon_density]
-        if self.n_states == 5:
-            d.append(self.r_mdot_density)
-        return np.diag(d)
+    def process_noise_density(self) -> tuple[tuple[float, ...], ...]:
+        d = (self.r_x_density,) * 2 + (self.r_upsilon_density,) * 2 + (self.r_mdot_density,)
+        n = self.n_states
+        return tuple((0.0,) * i + (d[i],) + (0.0,) * (n - 1 - i) for i in range(n))
 
 
 @dataclass
 class EkfState:
-    """Joint estimate and covariance; the caller keeps the time."""
+    """Joint estimate and covariance on floats; the caller keeps the time."""
 
-    x_hat: np.ndarray  # [T_w1, T_w2, upsilon_h, upsilon_c(, mdot_c)]
-    P: np.ndarray
+    x_hat: tuple[float, ...]  # (T_w1, T_w2, upsilon_h, upsilon_c(, mdot_c))
+    P: tuple[tuple[float, ...], ...]  # n rows of n
 
 
 def _check_state(cfg: EkfConfig, state: EkfState) -> None:
     n = cfg.n_states
-    if state.x_hat.shape != (n,) or state.P.shape != (n, n):
+    sizes = (len(state.x_hat), len(state.P), *map(len, state.P))
+    if sizes != (n,) * (n + 2):
         raise DimensionMismatchError(
-            f"variant {cfg.variant} needs x_hat ({n},) and P ({n}, {n}), "
-            f"got {state.x_hat.shape} and {state.P.shape}"
+            f"variant {cfg.variant} needs {n} states and P as {n} rows of {n}, "
+            f"got {sizes[0]} states and P rows of lengths {sizes[2:]}"
         )
 
 
@@ -149,8 +148,7 @@ def ekf_init(
                 f"variant {cfg.variant} estimates mdot_c; mdot_c0 is required"
             )
         x.append(mdot_c0)
-    P0 = 1.0 * cfg.process_noise_density()
-    return EkfState(np.asarray(x, dtype=float), P0)
+    return EkfState(tuple(map(float, x)), cfg.process_noise_density())
 
 
 def conductances(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
@@ -181,26 +179,26 @@ def parameter_terms(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tupl
         u.T_h1, u.T_c1, u.mdot_h * cp.theta5, mdot_c * cp.theta6, s_h, s_c))
 
 
-def _tau_partials(cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams):
+def _tau_partials(cfg: EkfConfig, x_v: Sequence[float], u: InletConditions, cp: CpParams):
     """dtau/dp over the parameter states p = x_v[2:], as one row of tau
-    partials per parameter (the dtau of partial_rows), by central_jacobian
-    of parameter_terms(...)[:7]."""
-    return central_jacobian(lambda p: parameter_terms(cfg, p, u, cp)[:7], x_v[2:]).T.tolist()
+    partials per parameter (the dtau of partial_rows): the columns of
+    central_jacobian of parameter_terms(...)[:7]."""
+    return list(zip(*central_jacobian(lambda p: parameter_terms(cfg, p, u, cp)[:7], x_v[2:])))
 
 
 def ekf_evaluation(
-    cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
+    cfg: EkfConfig, x_v: Sequence[float], u: InletConditions, cp: CpParams
 ) -> ApproxEvaluation:
     """Approximate-model evaluation at the joint state x_v."""
     return evaluate_approx(WallState(float(x_v[0]), float(x_v[1])), u, cp,
                            parameter_terms(cfg, x_v[2:], u, cp))
 
 
-def central_jacobian(fun, x: np.ndarray) -> np.ndarray:
+def central_jacobian(fun, x: Sequence[float]) -> list[tuple[float, ...]]:
     """Central finite differences of fun with per-component steps
-    max(JACOBIAN_REL_STEP * |x_i|, JACOBIAN_ABS_STEP).  fun takes a list
-    of floats and returns a sequence."""
-    x = np.asarray(x, dtype=float).tolist()
+    max(JACOBIAN_REL_STEP * |x_i|, JACOBIAN_ABS_STEP), as the rows of J
+    (one per output).  fun takes a list of floats and returns a sequence."""
+    x = list(map(float, x))
     cols = []
     for i, xi in enumerate(x):
         h = max(JACOBIAN_REL_STEP * abs(xi), JACOBIAN_ABS_STEP)
@@ -209,7 +207,7 @@ def central_jacobian(fun, x: np.ndarray) -> np.ndarray:
         xm = x.copy()
         xm[i] -= h
         cols.append([(p - m) / (2.0 * h) for p, m in zip(fun(xp), fun(xm))])
-    return np.array(cols).T
+    return list(zip(*cols))
 
 
 def covariance_step(P: Sequence[float], f0: Sequence[float], f1: Sequence[float],
@@ -271,12 +269,10 @@ def covariance_step(P: Sequence[float], f0: Sequence[float], f1: Sequence[float]
 
 # covariance_step's order of P's entries, the upper triangle row by row,
 # as (rows, columns), and the index in it of each entry of the symmetric P.
-# Plain Python builds them: np.triu_indices would page in numpy code that
-# every importer, the truth simulation too, then holds in its memory.
 _PAIRS = [(i, j) for i in range(5) for j in range(i, 5)]
 UPPER = tuple(zip(*_PAIRS))
-SYMMETRIC = np.array([[_PAIRS.index((min(i, j), max(i, j))) for j in range(5)]
-                      for i in range(5)])
+SYMMETRIC = tuple(tuple(_PAIRS.index((min(i, j), max(i, j))) for j in range(5))
+                  for i in range(5))
 _NO_TAU = (0.0,) * 7  # the dtau row of a padded parameter
 
 
@@ -306,26 +302,30 @@ def ekf_predict(
     _check_state(cfg, state)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    x = state.x_hat.copy()
+    x = state.x_hat
     n = cfg.n_states
     dtau = _tau_partials(cfg, x, u, cp)
-    if n == 4:
-        dtau.append(_NO_TAU)
     q_x, q_ups = cfg.r_x_density, cfg.r_upsilon_density
     q = (q_x, q_x, q_ups, q_ups, cfg.r_mdot_density if n == 5 else 0.0)
-    full = np.zeros((5, 5))
-    full[:n, :n] = state.P
-    P = full[UPPER].tolist()
+    if n == 4:
+        dtau.append(_NO_TAU)
+    # P's upper triangle row by row, padded to five states with zeros
+    rows = state.P if n == 5 else (*map(add, state.P, repeat((0.0,))), (0.0,) * 5)
+    P = (*rows[0], *rows[1][1:], *rows[2][2:], *rows[3][3:], rows[4][4])
     substeps = cfg.wall.substeps_per_sample
     h = dt / substeps
     stage = ApproxStage(u, cp, parameter_terms(cfg, x[2:], u, cp), cfg.wall, dtau)
-    w1, w2 = float(x[0]), float(x[1])
+    w1, w2 = x[0], x[1]
     for _ in range(substeps):
         k1, (f0, f1) = stage.rates_and_rows(w1, w2)
         P = covariance_step(P, f0, f1, q, h)
         w1, w2 = rk4_pair(stage.rates, w1, w2, h, k1)
-    x[0], x[1] = w1, w2
-    return EkfState(x, np.array(P)[SYMMETRIC[:n, :n]])
+    p00, p01, p02, p03, p04, p11, p12, p13, p14, p22, p23, p24, p33, p34, p44 = P
+    P = ((p00, p01, p02, p03, p04), (p01, p11, p12, p13, p14), (p02, p12, p22, p23, p24),
+         (p03, p13, p23, p33, p34), (p04, p14, p24, p34, p44))
+    if n == 4:
+        P = (P[0][:4], P[1][:4], P[2][:4], P[3][:4])
+    return EkfState((w1, w2, *x[2:]), P)
 
 
 def _times(P: list, v: list) -> list:
@@ -352,14 +352,15 @@ def ekf_update(
     cfg: EkfConfig,
     u: InletConditions,
     cp: CpParams,
-    y_meas: np.ndarray,
+    y_meas: Sequence[float],
     dt: float,
-) -> tuple[EkfState, np.ndarray, np.ndarray]:
+) -> tuple[EkfState, tuple[float, ...], tuple[float, float]]:
     """Measurement update at the current time, on floats.
 
     ``y_meas`` holds only the measured channels (hot outlet alone for
     variant C).  Returns the posterior state, the innovation, and the
-    full predicted output vector.
+    full predicted output pair (T_h2, T_c2).  A measurement that is not
+    finite raises a ValueError naming its channel.
 
     H's rows are partial_rows' outlet rows.  The gain K = P H' S^-1 takes
     the 2x2 S = H P H' + R_disc in closed form; variant C's unmeasured
@@ -370,18 +371,18 @@ def ekf_update(
     SingularInnovationCovarianceError.
     """
     _check_state(cfg, state)
-    rows = cfg.measured_rows
-    y_meas = np.asarray(y_meas, dtype=float)
-    if y_meas.shape != (len(rows),):
-        raise DimensionMismatchError(
-            f"variant {cfg.variant} measures {len(rows)} channel(s), "
-            f"got y_meas shape {y_meas.shape}"
-        )
+    y = tuple(map(float, y_meas))
+    if len(y) != len(cfg.measured_rows):
+        raise DimensionMismatchError(f"variant {cfg.variant} measures "
+                                     f"{len(cfg.measured_rows)} channel(s), got {len(y)}")
+    for channel, value in zip(("T_h2", "T_c2"), y):
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"measured {channel} must be finite, got {value}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
-    x = state.x_hat.tolist()
-    P = state.P.tolist()
+    x = list(state.x_hat)
+    P = list(map(list, state.P))
     n = len(x)
     terms = parameter_terms(cfg, x[2:], u, cp)
     w1, w2 = x[0], x[1]
@@ -392,17 +393,16 @@ def ekf_update(
         terms[2] * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, T_h2, T_c2,
         _tau_partials(cfg, state.x_hat, u, cp))[:2]
     r_disc = cfg.r_y_density / dt
-    y = y_meas.tolist()
     # S = [[s_hh, s_hc], [s_hc, s_cc]] from the columns P H'
     col_h = _times(P, H_h)
     s_hh = _dot(H_h, col_h) + r_disc
     if len(y) == 2:
         col_c = _times(P, H_c)
         s_hc, s_cc = _dot(H_h, col_c), _dot(H_c, col_c) + r_disc
-        innov = [y[0] - T_h2, y[1] - T_c2]
+        innov = (y[0] - T_h2, y[1] - T_c2)
     else:
         col_c, s_hc, s_cc = [0.0] * n, 0.0, 1.0
-        innov = [y[0] - T_h2, 0.0]
+        innov = (y[0] - T_h2, 0.0)
     det = s_hh * s_cc - s_hc * s_hc
     if det == 0.0:
         raise SingularInnovationCovarianceError("innovation covariance is singular")
@@ -425,12 +425,11 @@ def ekf_update(
     x[3] = max(x[3], UPSILON_FLOOR)
     if n == 5:
         x[4] = max(x[4], MDOT_FLOOR)
-    return (EkfState(np.array(x), np.array(P)), np.array(innov[:len(y)]),
-            np.array((T_h2, T_c2)))
+    return EkfState(tuple(x), tuple(map(tuple, P))), innov[:len(y)], (T_h2, T_c2)
 
 
 def estimate_kA(
-    cfg: EkfConfig, x_v: np.ndarray, u: InletConditions, cp: CpParams
+    cfg: EkfConfig, x_v: Sequence[float], u: InletConditions, cp: CpParams
 ) -> float:
     """Serial overall rating of the output conductances at x_v."""
     return serial_conductance(*conductances(cfg, x_v[2:], u, cp)[1:3])

@@ -1,6 +1,10 @@
 """End-to-end tests for the hxtwin command line."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,8 @@ import hxtwin.cli as cli
 import hxtwin.reference_model as reference_model
 from hxtwin.records import read_monitor_csv, read_telemetry_csv, write_telemetry_csv
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 SMOKE = str(SCENARIOS / "smoke_constant.cfg")
 
 
@@ -142,3 +147,36 @@ def test_missing_subcommand_exits():
         cli.main([])
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+# Runs the subcommands in one fresh process and reports, as JSON, their
+# exit codes and whether numpy was loaded before and after `simulate`.
+NUMPY_GUARD = """
+import json, sys
+from hxtwin.cli import main
+tel, cfg, out = sys.argv[1:]
+codes = [main(["monitor", tel, cfg, "-o", f"{out}/{v}.csv", "--variant", v]) for v in "ABC"]
+codes.append(main(["compare", tel, f"{out}/A.csv", "-o", f"{out}/report.txt",
+                   "--window-s", "30", "--settle-s", "10"]))
+codes.append(main(["bench", cfg, "-n", "10"]))
+codes.append(main(["verify-uniqueness", cfg]))
+before = "numpy" in sys.modules
+codes.append(main(["simulate", cfg, "-o", f"{out}/tel.csv"]))
+print(json.dumps([codes, before, "numpy" in sys.modules]))
+"""
+
+
+def test_only_simulate_loads_numpy(tmp_path):
+    # the filter runs on floats; numpy draws the truth's seeded noise only
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_GUARD, str(ROOT / "tests" / "golden" /
+                                                "smoke_constant.telemetry.csv"),
+         SMOKE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    codes, before, after = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * 7
+    assert not before, "monitor, compare, bench or verify-uniqueness loaded numpy"
+    assert after, "simulate did not load numpy"

@@ -1,5 +1,11 @@
-"""Tests for the joint extended Kalman filter."""
+"""Tests for the joint extended Kalman filter.
 
+The filter state is plain floats: x_hat a tuple, P a tuple of row
+tuples.  numpy serves here only as the oracle's algebra and as a view
+(np.asarray) for slicing and comparing.
+"""
+
+import math
 from collections import Counter
 
 import numpy as np
@@ -68,6 +74,24 @@ def steady_state_for(cfg, ups=(1500.0, 3000.0), mdot_c0=None):
     return ekf_init(cfg, steady_walls_at(ups), ups, mdot_c0=mdot_c0)
 
 
+def float_state(x, P):
+    """An EkfState on plain floats from the array-likes x and P."""
+    return EkfState(tuple(np.asarray(x, dtype=float).tolist()),
+                    tuple(map(tuple, np.asarray(P, dtype=float).tolist())))
+
+
+def with_entry(P, i, j, value):
+    """P with its entry (i, j) set to value."""
+    rows = [list(row) for row in P]
+    rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+def jacobian(fun, x):
+    """central_jacobian's rows as an array, for slicing."""
+    return np.array(central_jacobian(fun, x))
+
+
 # ---------------------------------------------------------------------------
 # Configuration and initialization
 
@@ -97,19 +121,22 @@ def test_config_rejects_densities_that_are_not_finite_and_positive(field, value)
 
 def test_process_noise_density_layout():
     q4 = make_cfg("A").process_noise_density()
+    assert type(q4) is tuple and all(type(row) is tuple for row in q4)
+    q4 = np.asarray(q4)
     assert q4.shape == (4, 4)
     assert np.allclose(np.diag(q4), [0.01, 0.01, 1000.0, 1000.0])
     assert np.count_nonzero(q4 - np.diag(np.diag(q4))) == 0
     q5 = make_cfg("B", r_mdot_density=0.1).process_noise_density()
-    assert q5.shape == (5, 5)
-    assert q5[4, 4] == 0.1
+    assert np.shape(q5) == (5, 5)
+    assert q5[4][4] == 0.1
 
 
 def test_init_covariance_and_layout():
     cfg = make_cfg("A")
     st = ekf_init(cfg, WallState(350.0, 320.0), (1500.0, 3000.0))
-    assert np.allclose(st.x_hat, [350.0, 320.0, 1500.0, 3000.0])
-    assert np.allclose(st.P, cfg.process_noise_density())  # 1 s horizon
+    assert st.x_hat == (350.0, 320.0, 1500.0, 3000.0)
+    assert all(type(v) is float for v in st.x_hat)
+    assert st.P == cfg.process_noise_density()  # 1 s horizon
     st5 = ekf_init(make_cfg("B"), WallState(350.0, 320.0), (1500.0, 3000.0),
                    mdot_c0=41.0)
     assert st5.x_hat[4] == 41.0
@@ -126,18 +153,18 @@ def test_init_requires_mdot_for_augmented_variants():
 
 def test_central_jacobian_polynomial():
     def fun(z):
-        return np.array([z[0] ** 2, z[0] * z[1]])
+        return (z[0] ** 2, z[0] * z[1])
 
-    J = central_jacobian(fun, np.array([3.0, 5.0]))
+    J = central_jacobian(fun, (3.0, 5.0))
     assert J == pytest.approx(np.array([[6.0, 0.0], [5.0, 3.0]]), abs=1e-6)
 
 
 def test_central_jacobian_abs_step_at_zero():
     def fun(z):
-        return np.array([np.sin(z[0])])
+        return (math.sin(z[0]),)
 
-    J = central_jacobian(fun, np.array([0.0]))
-    assert J[0, 0] == pytest.approx(1.0, abs=1e-9)
+    J = central_jacobian(fun, (0.0,))
+    assert J[0][0] == pytest.approx(1.0, abs=1e-9)
 
 
 def reference_jacobian(fun, x, rel_step, abs_step):
@@ -157,8 +184,8 @@ def test_central_jacobian_matches_column_stack():
         return np.array([z[0] ** 2 * z[2], np.sin(z[1]) + z[0], np.exp(z[2] / 7.0)])
 
     x = np.array([3.0, -0.25, 0.0, 12.5])
-    J = central_jacobian(fun, x)
-    assert J.shape == (3, 4)
+    J = central_jacobian(fun, tuple(x.tolist()))
+    assert np.shape(J) == (3, 4)
     assert np.array_equal(
         J, reference_jacobian(fun, x, JACOBIAN_REL_STEP, JACOBIAN_ABS_STEP))
 
@@ -215,7 +242,7 @@ def g_v(cfg, x_v, u, cp):
 def test_f_v_parameter_rows_are_zero():
     cfg = make_cfg("B")
     st = steady_state_for(cfg, mdot_c0=1.0)
-    x = st.x_hat.copy()
+    x = list(st.x_hat)
     x[0] += 2.0  # off steady so the wall actually moves
     dx = f_v(cfg, x, U, CP)
     assert dx.shape == (5,)
@@ -226,10 +253,10 @@ def test_f_v_parameter_rows_are_zero():
 def test_f_v_jacobian_structure():
     cfg = make_cfg("A")
     st = steady_state_for(cfg)
-    x = st.x_hat.copy()
+    x = list(st.x_hat)
     x[0] += 2.0
     x[1] += 1.0
-    F = central_jacobian(lambda z: f_v(cfg, z, U, CP), x)
+    F = jacobian(lambda z: f_v(cfg, z, U, CP), x)
     assert F.shape == (4, 4)
     assert np.all(F[2:, :] == 0.0)  # parameters have no dynamics
     assert abs(F[0, 0]) > 0.0  # wall relaxes on itself
@@ -242,7 +269,7 @@ def test_g_v_matches_evaluation_and_senses_upsilon():
     y = g_v(cfg, st.x_hat, U, CP)
     ev = ekf_evaluation(cfg, st.x_hat, U, CP)
     assert y == pytest.approx([ev.outlets.T_h2, ev.outlets.T_c2], rel=1e-12)
-    H = central_jacobian(lambda z: g_v(cfg, z, U, CP), st.x_hat)
+    H = jacobian(lambda z: g_v(cfg, z, U, CP), st.x_hat)
     # more hot-side conductance cools the hot outlet
     assert H[0, 2] < 0.0
     # more cold-side conductance warms the cold outlet
@@ -267,7 +294,7 @@ def test_variant_b_uses_estimated_cold_flow():
 
 
 def test_model_inputs_variant_a_passes_inlets_through():
-    p = np.array([1500.0, 3000.0])
+    p = (1500.0, 3000.0)
     # constant correlations: alpha_A = upsilon
     assert conductances(make_cfg("A"), p, U, CP) == (U.mdot_c, 1500.0, 3000.0, 1500.0, 3000.0)
     assert parameter_terms(make_cfg("A"), p, U, CP)[:3] == (1500.0, 3000.0, U.mdot_c)
@@ -278,7 +305,7 @@ def test_model_inputs_variant_a_passes_inlets_through():
 def test_model_inputs_substitutes_floored_cold_flow(variant, mdot_state, mdot_used):
     cfg = make_cfg(variant, corr_cold=CorrelationParams(exp1=0.8))
     assert MDOT_FLOOR == 0.01
-    p = np.array([1500.0, 3000.0, mdot_state])
+    p = (1500.0, 3000.0, mdot_state)
     mdot_c, _, aA_c, _, s_c = conductances(cfg, p, U, CP)
     assert mdot_c == mdot_used
     expected = alpha_A(CorrelationParams(exp1=0.8), 3000.0, mdot_used, CP.theta4)
@@ -294,7 +321,7 @@ def test_model_inputs_floors_leading_factors():
     )
     cp = CpParams(1010.0, 1990.0, 1000.0, 2000.0)
     hot, cold = cfg.corr_hot, cfg.corr_cold
-    assert conductances(cfg, np.array([0.2, -40.0]), U, cp)[1:] == (
+    assert conductances(cfg, (0.2, -40.0), U, cp)[1:] == (
         alpha_A(hot, UPSILON_FLOOR, U.mdot_h, cp.theta3),
         alpha_A(cold, UPSILON_FLOOR, U.mdot_c, cp.theta4),
         alpha_A(hot, UPSILON_FLOOR, U.mdot_h, cp.theta5),
@@ -375,8 +402,8 @@ def test_analytic_wall_columns_match_central_differences(variant, offset):
     z = oracle_point(cfg, offset)
     assert stencil_keeps_sector_and_branches(cfg, z, U, CP)
     F, H = chain_jacobians(cfg, z, U, CP)
-    F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, :2]
-    H_num = central_jacobian(lambda w: g_v(cfg, w, U, CP), z)[:, :2]
+    F_num = jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, :2]
+    H_num = jacobian(lambda w: g_v(cfg, w, U, CP), z)[:, :2]
     assert np.max(np.abs(F[:, :2] - F_num)) <= 1e-6 * np.max(np.abs(F_num))
     assert np.max(np.abs(H[:, :2] - H_num)) <= 1e-6 * np.max(np.abs(H_num))
 
@@ -390,8 +417,8 @@ def test_chain_rule_parameter_columns_match_the_whole_stencil(variant, offset):
     z = oracle_point(cfg, offset)
     assert stencil_keeps_sector_and_branches(cfg, z, U, CP, indices=range(z.size))
     F, H = chain_jacobians(cfg, z, U, CP)
-    F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, 2:]
-    H_num = central_jacobian(lambda w: g_v(cfg, w, U, CP), z)[:, 2:]
+    F_num = jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, 2:]
+    H_num = jacobian(lambda w: g_v(cfg, w, U, CP), z)[:, 2:]
     # per relative change of each parameter, so that the W/K and kg/s
     # columns share one scale
     scale = np.abs(z[2:])
@@ -409,7 +436,7 @@ def test_analytic_wall_columns_at_the_steady_state_match_the_stencil():
     assert np.array_equal(f_v(cfg, z, U, CP), np.zeros(4))
     F, _ = chain_jacobians(cfg, z, U, CP)
     F_ww = F[:, :2]
-    F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, :2]
+    F_num = jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, :2]
     assert F_ww[0, 1] == F_ww[1, 0] == F_num[0, 1] == F_num[1, 0] == 0.0
     assert np.diag(F_ww) == pytest.approx(np.diag(F_num), rel=1e-6)
     assert np.all(np.diag(F_ww) < 0.0)
@@ -427,7 +454,7 @@ def test_parameter_columns_at_the_steady_state_are_zero(variant):
     assert np.all(np.diag(F[:, :2]) < 0.0)
     assert H[0, 2] < 0.0 and H[1, 3] > 0.0
     # the whole stencil leaves the dead band as the steady walls move
-    F_num = central_jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, 2:]
+    F_num = jacobian(lambda w: f_v(cfg, w, U, CP), z)[:2, 2:]
     assert np.max(np.abs(F_num)) > 0.0
 
 
@@ -445,7 +472,7 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
         return wrapper
 
     cfg = make_cfg(variant, **ORACLE_CFG)
-    st = EkfState(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density())
+    st = float_state(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density())
     for name in ("evaluate_approx", "central_jacobian"):
         monkeypatch.setattr(hxtwin.ekf, name, counted(name, getattr(hxtwin.ekf, name)))
 
@@ -511,8 +538,8 @@ def reference_g(cfg, z, u, cp):
 
 
 def reference_predict(state, cfg, u, cp, dt):
-    x, P = state.x_hat.copy(), state.P.copy()
-    Q = cfg.process_noise_density()
+    x, P = np.array(state.x_hat), np.array(state.P)
+    Q = np.array(cfg.process_noise_density())
     h = dt / cfg.wall.substeps_per_sample
 
     def f(z):
@@ -539,12 +566,13 @@ def reference_predict(state, cfg, u, cp, dt):
 
 def reference_update(state, cfg, u, cp, y_meas, dt):
     rows = list(cfg.measured_rows)
-    y_pred = reference_g(cfg, state.x_hat, u, cp)
-    H = chain_jacobians(cfg, state.x_hat, u, cp, reference_terms)[1][rows, :]
+    x, P = np.array(state.x_hat), np.array(state.P)
+    y_pred = reference_g(cfg, x, u, cp)
+    H = chain_jacobians(cfg, x, u, cp, reference_terms)[1][rows, :]
     innovation = y_meas - y_pred[rows]
-    K = kalman_gain(state.P, H, (cfg.r_y_density / dt) * np.eye(len(rows)))
-    x = state.x_hat + K @ innovation
-    P = state.P - K @ H @ state.P
+    K = kalman_gain(P, H, (cfg.r_y_density / dt) * np.eye(len(rows)))
+    x = x + K @ innovation
+    P = P - K @ H @ P
     P = 0.5 * (P + P.T)
     x[2] = max(x[2], UPSILON_FLOOR)
     x[3] = max(x[3], UPSILON_FLOOR)
@@ -572,22 +600,22 @@ def test_predict_and_update_match_uncached_reference(variant):
     x0 = [352.0, 331.0, 1450.0, 3100.0] + ([0.95] if cfg.n_states == 5 else [])
     rng = np.random.default_rng(5)
     A = rng.standard_normal((len(x0), len(x0)))
-    st = EkfState(np.array(x0), A @ A.T + np.diag(np.abs(x0)))
+    st = float_state(x0, A @ A.T + np.diag(np.abs(x0)))
     rows = list(cfg.measured_rows)
     for _ in range(3):
         pred = ekf_predict(st, cfg, u, cp, 0.5)
         x_ref, P_ref = reference_predict(st, cfg, u, cp, 0.5)
         assert np.array_equal(pred.x_hat, x_ref)
-        assert within_horner(pred.P, P_ref)
-        assert np.array_equal(pred.P, pred.P.T)
+        assert within_horner(np.asarray(pred.P), P_ref)
+        assert np.array_equal(pred.P, np.transpose(pred.P))
         y_meas = (reference_g(cfg, pred.x_hat, u, cp) + np.array([0.3, -0.2]))[rows]
         post, innov, y_pred = ekf_update(pred, cfg, u, cp, y_meas, 0.5)
         x_ref, P_ref, innov_ref, y_pred_ref = reference_update(pred, cfg, u, cp, y_meas, 0.5)
         assert np.array_equal(innov, innov_ref)
         assert np.array_equal(y_pred, y_pred_ref)
-        assert within_horner(post.x_hat, x_ref)
-        assert within_horner(post.P, P_ref)
-        assert np.array_equal(post.P, post.P.T)
+        assert within_horner(np.asarray(post.x_hat), x_ref)
+        assert within_horner(np.asarray(post.P), P_ref)
+        assert np.array_equal(post.P, np.transpose(post.P))
         st = post
 
 
@@ -600,7 +628,7 @@ def padded_upper(P):
 
 
 def symmetric(upper, n):
-    return np.array(upper)[hxtwin.ekf.SYMMETRIC[:n, :n]]
+    return np.array(upper)[np.array(hxtwin.ekf.SYMMETRIC)[:n, :n]]
 
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -648,7 +676,7 @@ def test_predict_pads_four_states_for_one_kernel(monkeypatch):
 
     monkeypatch.setattr(hxtwin.ekf, "covariance_step", spy)
     cfg = make_cfg("A", **ORACLE_CFG)
-    st = EkfState(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density())
+    st = float_state(oracle_point(cfg, (2.0, -1.0)), cfg.process_noise_density())
     ekf_predict(st, cfg, U, CP, 1.0)
     assert len(seen) == cfg.wall.substeps_per_sample
     for P, f0, f1, q in seen:
@@ -661,12 +689,12 @@ def test_update_with_a_singular_innovation_covariance_raises(variant):
     # a zero P and an R_disc that underflows to zero make S exactly zero
     cfg = make_cfg(variant, r_y_density=1e-300)
     st = steady_state_for(cfg, mdot_c0=1.0 if cfg.n_states == 5 else None)
-    st.P[:] = 0.0
+    st.P = ((0.0,) * cfg.n_states,) * cfg.n_states
     y = g_v(cfg, st.x_hat, U, CP)[list(cfg.measured_rows)]
     with pytest.raises(SingularInnovationCovarianceError, match="singular"):
         ekf_update(st, cfg, U, CP, y, 1e300)
     # a P that is not finite gives a gain that is not finite
-    st.P[0, 0] = np.inf
+    st.P = with_entry(st.P, 0, 0, math.inf)
     with pytest.raises(SingularInnovationCovarianceError, match="non-finite gain"):
         ekf_update(st, cfg, U, CP, y, 1.0)
 
@@ -681,9 +709,9 @@ def test_predict_parameter_variance_grows_linearly():
     cfg = make_cfg("A")
     st = steady_state_for(cfg)
     out = ekf_predict(st, cfg, U, CP, 3.0)
-    assert out.P[2, 2] == pytest.approx(1000.0 + 3.0 * 1000.0, rel=1e-9)
-    assert out.P[3, 3] == pytest.approx(1000.0 + 3.0 * 1000.0, rel=1e-9)
-    assert np.allclose(out.P, out.P.T)
+    assert out.P[2][2] == pytest.approx(1000.0 + 3.0 * 1000.0, rel=1e-9)
+    assert out.P[3][3] == pytest.approx(1000.0 + 3.0 * 1000.0, rel=1e-9)
+    assert np.allclose(out.P, np.transpose(out.P))
 
 
 def test_predict_wall_variance_saturates_below_free_growth():
@@ -694,17 +722,17 @@ def test_predict_wall_variance_saturates_below_free_growth():
     st = steady_state_for(cfg)
     for _ in range(30):
         st = ekf_predict(st, cfg, U, CP, 1.0)
-    assert st.P[0, 0] < 0.01
-    assert st.P[0, 0] > 1e-4
+    assert st.P[0][0] < 0.01
+    assert st.P[0][0] > 1e-4
 
 
 def test_predict_relaxes_wall_toward_steady():
     cfg = make_cfg("A")
     st = steady_state_for(cfg)
-    x = st.x_hat.copy()
+    x = list(st.x_hat)
     x[0] += 3.0
     x[1] += 3.0
-    moved = ekf_predict(EkfState(x, st.P.copy()), cfg, U, CP, 10.0)
+    moved = ekf_predict(EkfState(tuple(x), st.P), cfg, U, CP, 10.0)
     assert abs(moved.x_hat[0] - st.x_hat[0]) < 3.0
     assert moved.x_hat[2] == x[2]  # parameters coast
 
@@ -715,7 +743,7 @@ def test_predict_validates_shapes_and_dt():
     for dt in (0.0, -1.0):
         with pytest.raises(ValueError, match="dt must be positive"):
             ekf_predict(st, cfg, U, CP, dt)
-    bad = EkfState(np.zeros(5), np.eye(5))
+    bad = EkfState((0.0,) * 5, make_cfg("B").process_noise_density())
     with pytest.raises(DimensionMismatchError):
         ekf_predict(bad, cfg, U, CP, 1.0)
 
@@ -762,13 +790,13 @@ def test_update_with_huge_noise_barely_moves():
     st = steady_state_for(cfg)
     y = g_v(cfg, st.x_hat, U, CP) + np.array([5.0, -5.0])
     new, _, _ = ekf_update(st, cfg, U, CP, y, 1.0)
-    assert np.max(np.abs(new.x_hat - st.x_hat)) < 1e-4
+    assert np.max(np.abs(np.subtract(new.x_hat, st.x_hat))) < 1e-4
 
 
 def test_update_applies_floors():
     cfg = make_cfg("A")
     st = steady_state_for(cfg)
-    st.P[2, 2] = 1e9  # make the filter willing to move upsilon far
+    st.P = with_entry(st.P, 2, 2, 1e9)  # make the filter willing to move upsilon far
     y = g_v(cfg, st.x_hat, U, CP) + np.array([50.0, -50.0])
     new, _, _ = ekf_update(st, cfg, U, CP, y, 1.0)
     assert new.x_hat[2] >= UPSILON_FLOOR
@@ -779,10 +807,24 @@ def test_update_variant_c_single_channel():
     cfg = make_cfg("C")
     st = steady_state_for(cfg, mdot_c0=1.0)
     y_pred = g_v(cfg, st.x_hat, U, CP)
-    new, innov, _ = ekf_update(st, cfg, U, CP, np.array([y_pred[0] + 0.2]), 1.0)
-    assert innov.shape == (1,)
+    new, innov, _ = ekf_update(st, cfg, U, CP, (y_pred[0] + 0.2,), 1.0)
+    assert len(innov) == 1
     with pytest.raises(DimensionMismatchError):
-        ekf_update(st, cfg, U, CP, np.array([1.0, 2.0]), 1.0)
+        ekf_update(st, cfg, U, CP, (1.0, 2.0), 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("variant", ["A", "B", "C"])
+def test_update_rejects_a_measurement_that_is_not_finite(variant, value):
+    # a NaN would spread to every state, an inf send the walls to +-inf
+    cfg = make_cfg(variant)
+    st = steady_state_for(cfg, mdot_c0=1.0 if cfg.n_states == 5 else None)
+    y = g_v(cfg, st.x_hat, U, CP)[list(cfg.measured_rows)].tolist()
+    for channel, name in enumerate(("T_h2", "T_c2")[:len(y)]):
+        bad = list(y)
+        bad[channel] = value
+        with pytest.raises(ValueError, match=f"measured {name} must be finite, got {value}"):
+            ekf_update(st, cfg, U, CP, bad, 1.0)
 
 
 def test_update_validates_dt():
@@ -799,9 +841,9 @@ def test_update_validates_dt():
 
 def test_estimate_kA_serial_composition():
     cfg = make_cfg("A")
-    x = np.array([350.0, 320.0, 1500.0, 3000.0])
+    x = (350.0, 320.0, 1500.0, 3000.0)
     assert estimate_kA(cfg, x, U, CP) == pytest.approx(1000.0, rel=1e-12)
-    floored = np.array([350.0, 320.0, -5.0, 3000.0])
+    floored = (350.0, 320.0, -5.0, 3000.0)
     assert estimate_kA(cfg, floored, U, CP) == pytest.approx(
         serial_conductance(1.0, 3000.0), rel=1e-12
     )
@@ -814,7 +856,7 @@ def test_filter_converges_to_true_overall_rating():
     cfg = make_cfg("A")
     true_ups = (1500.0, 3000.0)
     walls = steady_walls_at(true_ups)
-    x_true = np.array([walls.T_w1, walls.T_w2, *true_ups])
+    x_true = (walls.T_w1, walls.T_w2, *true_ups)
     y_true = g_v(cfg, x_true, U, CP)
 
     st = ekf_init(cfg, walls, (1800.0, 2700.0))

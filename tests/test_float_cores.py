@@ -202,8 +202,8 @@ def partials_at(x, u, cond_out, cp, ev, dtau):
 
 
 def reference_dtau(cfg, z, u, cp):
-    """dtau/dp rows by numpy central differences of reference_tau over
-    the reference inputs and steady terms."""
+    """dtau/dp rows, as tuples, by numpy central differences of
+    reference_tau over the reference inputs and steady terms."""
     def tau(p):
         u_eff, cond_out, cond_steady = reference_inputs(cfg, np.concatenate((z[:2], p)), u, cp)
         return np.array(reference_tau(u_eff, cond_out, reference_steady(u_eff, cond_steady, cp)))
@@ -215,7 +215,7 @@ def reference_dtau(cfg, z, u, cp):
         zp[i - 2] += h
         zm[i - 2] -= h
         cols.append((tau(zp) - tau(zm)) / (2.0 * h))
-    return np.array(cols).tolist()
+    return list(map(tuple, np.array(cols).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def test_examples_cover_every_branch():
             for sel in (ev.beta_hot, ev.beta_cold):
                 seen.add("empty" if sel.feasible_set_empty else sel.branch)
     assert seen == {*Sector, BetaBranch.BETA_LM, BetaBranch.BETA_STAR2, BetaBranch.ZERO, "empty"}
-    mdot_c, aA_h, aA_c, _, _ = conductances(make_cfg("B"), np.array([0.5, -20.0, 0.004]), U, CP)
+    mdot_c, aA_h, aA_c, _, _ = conductances(make_cfg("B"), (0.5, -20.0, 0.004), U, CP)
     assert mdot_c == MDOT_FLOOR
     assert (aA_h, aA_c) == (alpha_A(make_cfg("B").corr_hot, UPSILON_FLOOR, 1.0, 1000.0),
                             alpha_A(make_cfg("B").corr_cold, UPSILON_FLOOR, MDOT_FLOOR, 2000.0))

@@ -7,7 +7,6 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -988,7 +987,7 @@ def test_monitor_cp_uses_the_floored_steady_conductances():
     hot = StreamConfig(CaloricallyPerfect(1000.0), 1e5)
     cold = StreamConfig(make_coolant_model(), 5e5)
     u = InletConditions(400.0, 300.0, 1.0, 1.0)
-    x = np.array([350.0, 320.0, 1450.0, 0.5, 0.004])
+    x = (350.0, 320.0, 1450.0, 0.5, 0.004)
 
     def kA_of(cp):
         return serial_conductance(
@@ -1169,8 +1168,8 @@ def test_run_monitor_splits_a_time_gap_into_sample_periods(monkeypatch):
         state = real_predict(state, cfg, u, cp, 0.5)
     gap_out = calls[6][5]
     assert calls[6][0] is calls[5][5]
-    assert np.array_equal(gap_out.x_hat, state.x_hat)
-    assert np.array_equal(gap_out.P, state.P)
+    assert gap_out.x_hat == state.x_hat
+    assert gap_out.P == state.P
 
 
 def test_run_monitor_variant_overrides():
