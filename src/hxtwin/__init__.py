@@ -13,9 +13,10 @@ Three layers, each imported from its own module:
 
 Scenario-driven experiments with a CSV/config file interface sit on
 top: ``hxtwin.scenario`` loads a scenario config, ``hxtwin.harness``
-runs the truth simulation and the monitor (``Monitor.step`` live,
-``run_monitor`` its replay), ``hxtwin.records`` reads and writes their
-CSV files, and ``hxtwin.metrics`` compares the estimates against truth.
+runs the truth simulation (its seeded noise from ``hxtwin.noise``) and
+the monitor (``Monitor.step`` live, ``run_monitor`` its replay),
+``hxtwin.records`` reads and writes their CSV files, and
+``hxtwin.metrics`` compares the estimates against truth.
 ``hxtwin.cli`` is the `hxtwin` console script.  Import names from their
 modules; each library module lists its public names in ``__all__``.
 """

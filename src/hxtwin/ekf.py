@@ -124,7 +124,9 @@ class EkfState:
     P: tuple[tuple[float, ...], ...]  # n rows of n
 
 
-def _check_state(cfg: EkfConfig, state: EkfState) -> None:
+def _check_inputs(cfg: EkfConfig, state: EkfState, u: InletConditions) -> None:
+    """The state's sizes for the variant, and finite inlets where the
+    filter reads them: B and C take their cold flow from the state."""
     n = cfg.n_states
     sizes = (len(state.x_hat), len(state.P), *map(len, state.P))
     if sizes != (n,) * (n + 2):
@@ -132,6 +134,10 @@ def _check_state(cfg: EkfConfig, state: EkfState) -> None:
             f"variant {cfg.variant} needs {n} states and P as {n} rows of {n}, "
             f"got {sizes[0]} states and P rows of lengths {sizes[2:]}"
         )
+    inlets = (u.T_h1, u.T_c1, u.mdot_h, u.mdot_c) if n == 4 else (u.T_h1, u.T_c1, u.mdot_h)
+    for name, value in zip(("T_h1", "T_c1", "mdot_h", "mdot_c"), inlets):
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"inlet {name} must be finite, got {value}")
 
 
 def ekf_init(
@@ -297,9 +303,10 @@ def ekf_predict(
     noise, so one kernel serves every variant.  dt is one telemetry sample
     period: the substep count is sized for that, so long horizons must
     loop rather than stretch a single call past the integrator's
-    stability region.
+    stability region.  An inlet the variant reads that is not finite
+    raises a ValueError naming it.
     """
-    _check_state(cfg, state)
+    _check_inputs(cfg, state, u)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     x = state.x_hat
@@ -359,8 +366,8 @@ def ekf_update(
 
     ``y_meas`` holds only the measured channels (hot outlet alone for
     variant C).  Returns the posterior state, the innovation, and the
-    full predicted output pair (T_h2, T_c2).  A measurement that is not
-    finite raises a ValueError naming its channel.
+    full predicted output pair (T_h2, T_c2).  An inlet the variant reads
+    or a measurement that is not finite raises a ValueError naming it.
 
     H's rows are partial_rows' outlet rows.  The gain K = P H' S^-1 takes
     the 2x2 S = H P H' + R_disc in closed form; variant C's unmeasured
@@ -370,7 +377,7 @@ def ekf_update(
     of S or a gain that is not finite raises
     SingularInnovationCovarianceError.
     """
-    _check_state(cfg, state)
+    _check_inputs(cfg, state, u)
     y = tuple(map(float, y_meas))
     if len(y) != len(cfg.measured_rows):
         raise DimensionMismatchError(f"variant {cfg.variant} measures "

@@ -37,6 +37,7 @@ from .ekf import (
     parameter_terms,
 )
 from .fluids import CaloricallyPerfect, StreamConfig
+from .noise import standard_normals
 from .records import MonitorRecord, TelemetryRecord
 from .reference_model import (
     InletConditions,
@@ -76,15 +77,16 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
     """Simulate the plant with the reference model and seeded noise.
 
     Inputs and conductances are held over each sample interval
-    (zero-order hold); the wall integrates with fixed-step RK4.  The
-    noise stream draws two values per record in a fixed order, so a
-    given seed reproduces the telemetry bit for bit.
+    (zero-order hold); the wall integrates with fixed-step RK4.  Record k
+    takes normals 2k and 2k + 1 of noise.standard_normals, the stream of
+    ``numpy.random.default_rng(seed).standard_normal`` reproduced bit for
+    bit in plain Python: so a given seed gives the same telemetry with
+    or without numpy installed, whatever numpy's version, and a
+    simulation does not pay numpy's import time and memory.  A seed that
+    is negative or not an int raises a ValueError naming it.
     """
-    # numpy only here: the telemetry goldens pin its PCG64 stream and
-    # ziggurat normals bit for bit, and no other command needs it
-    import numpy as np
-
-    rng = np.random.default_rng(scn.seed if seed is None else seed)
+    n_steps = round(scn.duration_s / scn.dt_s)
+    draws = iter(standard_normals(scn.seed if seed is None else seed, 2 * (n_steps + 1)))
     wall_cfg = scn.plant.wall
     p_h, p_c = scn.hot.pressure, scn.cold.pressure
 
@@ -99,13 +101,12 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
     records = []
 
     def emit(t, u, x, outs, cond):
-        noise = rng.standard_normal(2)
         records.append(TelemetryRecord(
             t_s=t, T_h1_K=u.T_h1, T_c1_K=u.T_c1,
             mdot_h_kg_s=u.mdot_h, mdot_c_kg_s=u.mdot_c,
             T_h2_true_K=outs.T_h2, T_c2_true_K=outs.T_c2,
-            T_h2_meas_K=outs.T_h2 + scn.plant.noise_std_K * noise[0],
-            T_c2_meas_K=outs.T_c2 + scn.plant.noise_std_K * noise[1],
+            T_h2_meas_K=outs.T_h2 + scn.plant.noise_std_K * next(draws),
+            T_c2_meas_K=outs.T_c2 + scn.plant.noise_std_K * next(draws),
             T_w1_K=x.T_w1, T_w2_K=x.T_w2,
             aA_h_W_K=cond.aA_h, aA_c_W_K=cond.aA_c,
             kA_W_K=serial_conductance(cond.aA_h, cond.aA_c),
@@ -113,7 +114,6 @@ def run_truth_sim(scn: ScenarioConfig, seed: int | None = None) -> list[Telemetr
         ))
 
     emit(0.0, u, x, outs, cond)
-    n_steps = round(scn.duration_s / scn.dt_s)
     for k in range(1, n_steps + 1):
         rhs = reference_wall_rhs(u, cond, scn.hot, scn.cold, wall_cfg, outs)
         x = integrate_step(rhs, x, scn.dt_s, wall_cfg.substeps_per_sample)

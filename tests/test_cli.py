@@ -149,8 +149,8 @@ def test_missing_subcommand_exits():
         cli.main(["frobnicate"])
 
 
-# Runs the subcommands in one fresh process and reports, as JSON, their
-# exit codes and whether numpy was loaded before and after `simulate`.
+# Runs the seven subcommands in one fresh process and reports, as JSON,
+# their exit codes and whether numpy was loaded after them.
 NUMPY_GUARD = """
 import json, sys
 from hxtwin.cli import main
@@ -160,14 +160,13 @@ codes.append(main(["compare", tel, f"{out}/A.csv", "-o", f"{out}/report.txt",
                    "--window-s", "30", "--settle-s", "10"]))
 codes.append(main(["bench", cfg, "-n", "10"]))
 codes.append(main(["verify-uniqueness", cfg]))
-before = "numpy" in sys.modules
 codes.append(main(["simulate", cfg, "-o", f"{out}/tel.csv"]))
-print(json.dumps([codes, before, "numpy" in sys.modules]))
+print(json.dumps([codes, "numpy" in sys.modules]))
 """
 
 
-def test_only_simulate_loads_numpy(tmp_path):
-    # the filter runs on floats; numpy draws the truth's seeded noise only
+def test_no_command_loads_numpy(tmp_path):
+    # the filter runs on floats and noise.py draws the truth's seeded noise
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(
@@ -176,7 +175,15 @@ def test_only_simulate_loads_numpy(tmp_path):
          SMOKE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    codes, before, after = json.loads(run.stdout.splitlines()[-1])
+    codes, loaded = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0] * 7
-    assert not before, "monitor, compare, bench or verify-uniqueness loaded numpy"
-    assert after, "simulate did not load numpy"
+    assert not loaded, "an hxtwin command loaded numpy"
+
+
+@pytest.mark.parametrize("seed", ["-1", "-4294967297"])
+def test_simulate_rejects_a_negative_seed_in_one_line(tmp_path, capsys, seed):
+    out = tmp_path / "tel.csv"
+    assert cli.main(["simulate", SMOKE, "-o", str(out), "--seed", seed]) == 1
+    assert capsys.readouterr().err == (
+        f"hxtwin simulate: seed must be a non-negative int, got {seed}\n")
+    assert not out.exists()

@@ -5,7 +5,9 @@ tuples.  numpy serves here only as the oracle's algebra and as a view
 (np.asarray) for slicing and comparing.
 """
 
+import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -825,6 +827,28 @@ def test_update_rejects_a_measurement_that_is_not_finite(variant, value):
         bad[channel] = value
         with pytest.raises(ValueError, match=f"measured {name} must be finite, got {value}"):
             ekf_update(st, cfg, U, CP, bad, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["T_h1", "T_c1", "mdot_h", "mdot_c"])
+@pytest.mark.parametrize("variant", ["A", "B", "C"])
+def test_predict_and_update_reject_an_inlet_that_is_not_finite(variant, field, value):
+    # before the check, predict returned NaN walls and P, and update
+    # raised a SingularInnovationCovarianceError that named no input
+    cfg = make_cfg(variant)
+    st = steady_state_for(cfg, mdot_c0=1.0 if cfg.n_states == 5 else None)
+    y = g_v(cfg, st.x_hat, U, CP)[list(cfg.measured_rows)].tolist()
+    bad = dataclasses.replace(U, **{field: value})
+    if field == "mdot_c" and cfg.n_states == 5:
+        # B and C take the cold flow from their state, not from u
+        assert ekf_predict(st, cfg, bad, CP, 1.0) == ekf_predict(st, cfg, U, CP, 1.0)
+        assert ekf_update(st, cfg, bad, CP, y, 1.0) == ekf_update(st, cfg, U, CP, y, 1.0)
+        return
+    message = "^" + re.escape(f"inlet {field} must be finite, got {value}") + "$"
+    with pytest.raises(ValueError, match=message):
+        ekf_predict(st, cfg, bad, CP, 1.0)
+    with pytest.raises(ValueError, match=message):
+        ekf_update(st, cfg, bad, CP, y, 1.0)
 
 
 def test_update_validates_dt():

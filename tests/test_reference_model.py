@@ -5,6 +5,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hxtwin.reference_model as reference_model
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig, ThermallyPerfect
@@ -483,6 +485,72 @@ def test_verify_uniqueness_degenerate_intakes():
     report = verify_uniqueness(u, Conductances(1000.0, 1000.0), hot, cold, grid_n=100)
     assert report.degenerate
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# Properties of the output equations
+
+
+PROPERTY_STREAMS = {
+    "perfect": StreamConfig(CaloricallyPerfect(4180.0), 1e5),
+    "polynomial": StreamConfig(make_coolant_model(), 5e5),
+    "table": StreamConfig(make_co2_like_table(), 1e7),
+}
+# At 1e5 kg/s and cp = 4180 J/(kg K), one ulp of T near 280 K moves the
+# residual by 2.4e-5 W, past OUTPUT_FTOL: no float outlet closes the
+# balance, and the solve stops flagged after SOLVE_MAX_ITER.
+flows = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+conductances = st.floats(0.0, 5.0).map(lambda e: 10.0 ** e)
+states = st.tuples(
+    st.sampled_from(list(PROPERTY_STREAMS)), st.sampled_from(list(PROPERTY_STREAMS)),
+    st.floats(280.0, 330.0), st.floats(0.5, 90.0),  # T_c1, T_h1 - T_c1
+    st.floats(0.01, 0.99), st.floats(0.01, 0.99),  # the walls' places between the inlets
+    flows, flows, conductances, conductances,  # mdot_h, mdot_c, aA_h, aA_c
+    st.one_of(st.none(), st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2))))
+
+
+def property_case(case):
+    """(hot, cold, x, u, cond, guess) of a drawn state: walls strictly
+    between the inlets, flows over four decades and conductances over
+    five, and no guess or one from 20 % below to 20 % above the inlet
+    span."""
+    hot, cold, T_c1, span, f1, f2, mdot_h, mdot_c, aA_h, aA_c, guess = case
+    T_h1 = T_c1 + span
+    x = WallState(T_c1 + f1 * span, T_c1 + f2 * span)
+    if guess is not None:
+        guess = OutletTemps(T_c1 + guess[0] * span, T_c1 + guess[1] * span)
+    return (PROPERTY_STREAMS[hot], PROPERTY_STREAMS[cold], x,
+            InletConditions(T_h1, T_c1, mdot_h, mdot_c), Conductances(aA_h, aA_c), guess)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=states)
+def test_side_residuals_increase_strictly_over_their_brackets(case):
+    hot, cold, x, u, cond, _ = property_case(case)
+    for side in reference_model._sides(x, u, cond, hot, cold):
+        lo, hi = side[6:8]
+        a, b = lo + 1e-7 * (hi - lo), hi - 1e-7 * (hi - lo)  # the solver's open bracket
+        residual = reference_model._side_residual(*side)
+        values = [residual(a + (b - a) * k / 63) for k in range(64)]
+        assert all(v < w for v, w in zip(values, values[1:])), side
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=states)
+def test_ref_output_closes_each_side_energy_balance(case):
+    # where the residual changes sign inside the bracket; elsewhere (a
+    # tiny flow against a large conductance) the solve clamps to an end
+    hot, cold, x, u, cond, guess = property_case(case)
+    outlets = ref_output(x, u, cond, hot, cold, guess=guess)
+    for side, T in zip(reference_model._sides(x, u, cond, hot, cold),
+                       (outlets.T_h2, outlets.T_c2)):
+        lo, hi = side[6:8]
+        a, b = lo + 1e-7 * (hi - lo), hi - 1e-7 * (hi - lo)
+        residual = reference_model._side_residual(*side)
+        if residual(a) < 0.0 < residual(b):
+            assert abs(residual(T)) <= OUTPUT_FTOL, (side, T)
+        else:
+            assert T in (lo, hi), (side, T)
 
 
 # ---------------------------------------------------------------------------
