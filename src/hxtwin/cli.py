@@ -121,7 +121,6 @@ def _cmd_verify(args) -> int:
     print(f"monotone residuals:  hot={report.monotone_hot} cold={report.monotone_cold}")
     print(f"steady identities:   |rs3|={abs(report.rs3_residual):.3e} W "
           f"|rs4|={abs(report.rs4_residual):.3e} W")
-    print(f"degenerate:          {report.degenerate}")
     print(f"passed:              {report.passed}")
     return 0 if report.passed else 2
 

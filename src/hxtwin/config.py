@@ -166,6 +166,13 @@ def parse_config(text: str, source: str = "") -> RawConfig:
 
 
 def load_config(path) -> RawConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """parse_config of a file; a byte that is not UTF-8 raises ConfigError
+    on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text ({exc.reason})",
+                          data.count(b"\n", 0, exc.start) + 1, str(path)) from None
     return parse_config(text, source=str(path))

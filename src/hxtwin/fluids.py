@@ -401,8 +401,13 @@ def _content_lines(source):
     if hasattr(source, "read"):
         raw = source.read().splitlines()
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            raw = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})",
+                             data.count(b"\n", 0, exc.start) + 1) from None
     for n, line in enumerate(raw, start=1):
         content = line.split("#", 1)[0].strip()
         if content:

@@ -1,7 +1,8 @@
 """Telemetry and monitor records and their CSV round trip.
 
 The CSV columns are the record fields in order; the readers reject a
-bad header or row with a ValueError that names the file and the line.
+file that is not UTF-8 text, a bad header or a bad row with a ValueError
+that names the file and the line.
 """
 
 from __future__ import annotations
@@ -77,22 +78,29 @@ def _write_records(records, path, columns: tuple, n_numeric: int) -> None:
 
 def _read_records(path, kind: str, columns: tuple, n_numeric: int, make) -> list:
     """make(*row) for each row of a CSV with the given header, whose
-    first n_numeric fields are numbers; a bad header or row raises
-    ValueError naming the file and the line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != columns:
-            raise ValueError(f"unexpected {kind} header in {path}: {header}")
-        out = []
-        for row in reader:
-            try:
+    first n_numeric fields are numbers.  A byte that is not UTF-8, a
+    field over csv's size limit, a bad header or a bad row raises
+    ValueError naming the file and the line where the fault starts: a
+    quoted record spans lines, and its fault is named at its first."""
+    with open(path, "rb") as fh:
+        # one line decoded at a time, so a byte that is not UTF-8 fails on
+        # its line (the CSV lines end in b"\n")
+        reader = csv.reader(raw.decode("utf-8") for raw in fh)
+        line = 1  # where the record being read starts
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != columns:
+                raise ValueError(f"unexpected {kind} header: {header}")
+            out = []
+            line = reader.line_num + 1
+            for row in reader:
                 if len(row) != len(columns):
                     raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
                 out.append(make(*map(float, row[:n_numeric]), *row[n_numeric:]))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-        return out
+                line = reader.line_num + 1
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+    return out
 
 
 def write_telemetry_csv(records, path) -> None:

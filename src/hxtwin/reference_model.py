@@ -18,7 +18,7 @@ stream has a negative heat rate while it is being cooled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atanh
+from math import atanh, nextafter
 
 from .correlations import serial_conductance
 from .fluids import StreamConfig
@@ -114,7 +114,6 @@ class UniquenessReport:
     monotone_cold: bool
     rs3_residual: float  # W
     rs4_residual: float  # W
-    degenerate: bool
     passed: bool
 
 
@@ -140,8 +139,10 @@ def solve_bracketed(
     """Find a root of f inside [lo, hi] given a sign change.
 
     Bracketed bisection refined by regula falsi (Illinois weighting keeps
-    the secant step from stalling on one side).  Iterates until both the
-    bracket width drops below xtol and the residual magnitude below ftol,
+    the secant step from stalling on one side).  Iterates until the
+    bracket width drops below xtol and either the residual magnitude
+    drops below ftol or the bracket ends are adjacent floats (no float
+    lies between them, so the better end is the float nearest the root),
     capped at SOLVE_MAX_ITER.
 
     Returns (x, f(x), converged, iterations).
@@ -183,7 +184,7 @@ def solve_bracketed(
             if side == 1:
                 fa *= 0.5
             side = 1
-        if abs(b - a) <= xtol and abs(best_f) <= ftol:
+        if abs(b - a) <= xtol and (abs(best_f) <= ftol or nextafter(a, b) == b):
             return best_x, best_f, True, it
     return best_x, best_f, False, SOLVE_MAX_ITER
 
@@ -419,24 +420,18 @@ def ref_steady_outlets(
     Solved as a 1-D monotone root problem: the unknown is the cold outlet
     on the energy-feasible part of [T_c1, T_h1], paired with the hot
     outlet through the overall energy balance.  The pairing structure
-    makes the residual strictly increasing, so the root is unique.
+    makes the residual strictly increasing, so the root is unique.  The
+    residual is negative at T_c1 (no transfer, positive duty), so that
+    end closes the bracket from below.  Forward duty, T_h1 > T_c1, is
+    required; other inlets raise ValueError.
     """
     if kA <= 0.0:
         raise ValueError(f"kA must be positive, got {kA}")
-    if u.T_h1 == u.T_c1:
-        return OutletTemps(u.T_h1, u.T_c1)
-    if u.T_h1 < u.T_c1:
-        # Reversed duty: the nominally cold stream is hotter. Solve the
-        # role-swapped problem and swap back.
-        swapped = ref_steady_outlets(
-            InletConditions(u.T_c1, u.T_h1, u.mdot_c, u.mdot_h), kA, cold, hot
-        )
-        return OutletTemps(T_h2=swapped.T_c2, T_c2=swapped.T_h2)
-
+    if not u.T_h1 > u.T_c1:
+        raise ValueError(f"the reference model needs T_h1 > T_c1, got T_h1 = {u.T_h1!r} K "
+                         f"and T_c1 = {u.T_c1!r} K")
     phi, pair = _steady_outer_residual(u, kA, hot, cold)
     lo, f_lo = u.T_c1, phi(u.T_c1)
-    if f_lo == 0.0:  # kA -> 0 style degenerate: no transfer
-        return OutletTemps(u.T_h1, u.T_c1)
     cap = _feasible_cold_outlet_cap(u, hot, cold)
     hi, f_hi = cap, phi(cap)
     if f_hi <= 0.0:
@@ -499,23 +494,12 @@ def verify_uniqueness(
     expected), checks that both output residuals are strictly increasing
     over their brackets at the steady wall temperatures, and evaluates
     the wall flux balance residuals at the closed-form wall temperatures.
+    Like ref_steady_outlets, it raises ValueError unless T_h1 > T_c1.
     """
     if grid_n < 100:
         raise ValueError("grid_n must be at least 100")
-    if u.T_h1 == u.T_c1:
-        outlets = ref_steady_outlets(u, cond.kA, hot, cold)
-        fixed_ok = outlets.T_h2 == u.T_h1 and outlets.T_c2 == u.T_c1
-        return UniquenessReport(
-            sign_changes=0,
-            monotone_hot=True,
-            monotone_cold=True,
-            rs3_residual=0.0,
-            rs4_residual=0.0,
-            degenerate=True,
-            passed=fixed_ok,
-        )
-
     kA = cond.kA
+    outlets_s = ref_steady_outlets(u, kA, hot, cold)  # checks T_h1 > T_c1 first
     phi, _ = _steady_outer_residual(u, kA, hot, cold)
     # Scan only the energy-feasible part of the bracket; past the cap the
     # pairing clamps and the residual stops being meaningful.
@@ -531,7 +515,6 @@ def verify_uniqueness(
             sign_changes += 1
         prev = v
 
-    outlets_s = ref_steady_outlets(u, kA, hot, cold)
     walls_s = steady_wall_temps(outlets_s, u, cond)
     res_h, res_c = (_side_residual(*side) for side in _sides(walls_s, u, cond, hot, cold))
 
@@ -572,6 +555,5 @@ def verify_uniqueness(
         monotone_cold=monotone_cold,
         rs3_residual=rs3,
         rs4_residual=rs4,
-        degenerate=False,
         passed=passed,
     )

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hxtwin.approx_model import g_closed_form, steady_outlets
 from hxtwin.correlations import serial_conductance
@@ -132,6 +134,27 @@ def test_criterion_01_steady_equivalence(acceptance_log):
     _report(acceptance_log, 1,
             ok, f"steady equivalence: max |dT| = {worst:.2e} K over 200 "
                 f"constant-cp inputs (tol 1e-6 K), {elapsed:.1f} s (< 10 s)")
+
+
+class _Draws:
+    """rng.uniform over Hypothesis draws, so that a property draws from
+    _random_operating_point's admissible region."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def uniform(self, lo, hi):
+        return self.data.draw(st.floats(lo, hi))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_steady_outlets_agree_with_reference_at_constant_cp(data):
+    # the property behind criterion 1, over its region (NTU <= 4)
+    u, cond, hot, cold, cp_h, cp_c = _random_operating_point(_Draws(data), max_ntu=4.0)
+    ref = ref_steady_outlets(u, cond.kA, hot, cold)
+    T_h2, T_c2 = steady_outlets(u.T_h1, u.T_c1, u.mdot_h * cp_h, u.mdot_c * cp_c, cond.kA)
+    assert abs(T_h2 - ref.T_h2) <= 1e-6 and abs(T_c2 - ref.T_c2) <= 1e-6, (T_h2, T_c2, ref)
 
 
 def test_criterion_02_closed_form_residual(acceptance_log):

@@ -82,7 +82,7 @@ def test_verify_uniqueness_passes_smoke(capsys):
 def test_verify_uniqueness_failure_exit_code(monkeypatch, capsys):
     failing = reference_model.UniquenessReport(
         sign_changes=2, monotone_hot=False, monotone_cold=True,
-        rs3_residual=1.0, rs4_residual=0.0, degenerate=False, passed=False,
+        rs3_residual=1.0, rs4_residual=0.0, passed=False,
     )
     monkeypatch.setattr(reference_model, "verify_uniqueness",
                         lambda *a, **k: failing)
@@ -139,6 +139,42 @@ def test_input_errors_print_one_line_and_exit_1(tmp_path, capsys):
         "hxtwin monitor: telemetry reading T_h2_meas_K must be finite, got nan at t=30.0",
         "hxtwin monitor: telemetry reading t_s must be finite, got nan at t=nan",
         "hxtwin monitor: telemetry reading mdot_h_kg_s must be positive, got 0.0 at t=30.0",
+    ]
+
+
+def test_file_faults_print_one_line_naming_the_file_and_exit_1(tmp_path, capsys):
+    def damaged(source, name, line, edit):
+        lines = Path(source).read_bytes().split(b"\n")
+        lines[line - 1] = edit(lines[line - 1])
+        (tmp_path / name).write_bytes(b"\n".join(lines))
+        return str(tmp_path / name)
+
+    golden = ROOT / "tests" / "golden" / "smoke_constant.telemetry.csv"
+    big = damaged(golden, "big.csv", 6,
+                  lambda row: b'"' + b"9" * 140_000 + b'"' + row[row.index(b","):])
+    byte = damaged(golden, "byte.csv", 7, lambda row: b"\xff" + row)
+    quote = damaged(golden, "quote.csv", 4, lambda row: b'"' + row)
+    mon = str(tmp_path / "mon.csv")
+    for tel in (big, byte, quote):
+        assert cli.main(["monitor", tel, SMOKE, "-o", mon]) == 1
+    cfg = damaged(SMOKE, "byte.cfg", 4, lambda line: line + b" # \xff")
+    assert cli.main(["simulate", cfg, "-o", str(tmp_path / "tel.csv")]) == 1
+    # a table scenario beside a table with a bad byte on line 5
+    chirp = SCENARIOS / "chirp_tracking.cfg"
+    table = damaged(SCENARIOS / "co2_like.txt", "co2_like.txt", 5, lambda line: line + b"\xfe")
+    (tmp_path / "chirp.cfg").write_bytes(chirp.read_bytes())
+    table_line = chirp.read_text().splitlines().index("table_path = co2_like.txt") + 1
+    assert cli.main(["simulate", str(tmp_path / "chirp.cfg"), "-o", str(tmp_path / "t.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"hxtwin monitor: {big}, line 6: field larger than field limit (131072)",
+        f"hxtwin monitor: {byte}, line 7: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte",
+        f"hxtwin monitor: {quote}, line 4: expected 16 fields, got 1",
+        f"hxtwin simulate: {cfg}, line 4: not UTF-8 text (invalid start byte)",
+        f"hxtwin simulate: {tmp_path / 'chirp.cfg'}, line {table_line}: fluid table {table}: "
+        "line 5: not UTF-8 text (invalid start byte)",
     ]
 
 

@@ -798,6 +798,38 @@ def test_csv_readers_name_file_and_line_of_a_bad_row(
     assert message in str(exc.value)
 
 
+@pytest.fixture(scope="module")
+def fuzzed_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "records.csv"
+
+
+@pytest.mark.parametrize("write, read, sample", [
+    (write_telemetry_csv, read_telemetry_csv, sample_telemetry),
+    (write_monitor_csv, read_monitor_csv, sample_monitor),
+], ids=["telemetry", "monitor"])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(junk=st.binary(max_size=48), place=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_csv_readers_give_records_or_name_file_and_line(fuzzed_csv, write, read, sample,
+                                                        junk, place):
+    # arbitrary bytes alone (place None), or spliced into a good file so
+    # that some faults land in a row and some files still parse
+    write(sample(), fuzzed_csv)
+    data = junk
+    if place is not None:
+        good = fuzzed_csv.read_bytes()
+        k = round(place * len(good))
+        data = good[:k] + junk + good[k:]
+    fuzzed_csv.write_bytes(data)
+    try:
+        records = read(fuzzed_csv)
+    except ValueError as exc:
+        where = re.match(rf"{re.escape(str(fuzzed_csv))}, line (\d+): ", str(exc))
+        assert where, str(exc)
+        assert 1 <= int(where[1]) <= len(data.splitlines()) + 1, str(exc)
+    else:
+        assert all(type(rec) is type(sample()[0]) for rec in records)
+
+
 # ---------------------------------------------------------------------------
 # Truth simulation
 
