@@ -58,11 +58,14 @@ class OutOfRangeError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed fluid-table file; message carries the line number."""
+    """Malformed fluid-table file; the message starts with "<source>, line
+    N: ", or "line N: " for a source with no name (a file-like)."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, source: str = ""):
+        super().__init__(f"{source}, line {line}: {message}" if source
+                         else f"line {line}: {message}")
         self.line = line
+        self.reason = message
 
 
 class NonMonotonicAxisError(ValueError):
@@ -427,10 +430,20 @@ def _parse_floats(tokens, line_no):
 def load_fluid_table(source) -> Tabulated:
     """Load a Tabulated fluid model from a table file (path or file-like).
 
-    Raises ParseError (with line number) on malformed content and
-    NonMonotonicAxisError when an axis is not strictly increasing.
+    Raises ParseError on malformed content, naming the line and, for a
+    path, the file; and NonMonotonicAxisError when an axis is not
+    strictly increasing.
     """
-    lines = _content_lines(source)
+    try:
+        return _read_table(_content_lines(source))
+    except ParseError as exc:
+        if hasattr(source, "read"):
+            raise
+        raise ParseError(exc.reason, exc.line, str(source)) from None
+
+
+def _read_table(lines) -> Tabulated:
+    """load_fluid_table on the (line number, content) pairs of a table."""
     last_line = 0
     try:
         line_no, header = next(lines)

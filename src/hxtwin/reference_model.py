@@ -6,10 +6,13 @@ through the wall, using the exact fluid enthalpy model.  Each side is
 one call of _solve_side on floats: given a guess (in a simulation, the
 previous outlets), a Newton iteration that evaluates the side residual
 and its slope inline, with the bracketed search of _side_residual's
-closure as its fallback.  The module also solves the coupled
-steady-state problem, evaluates the closed-form steady wall
-temperatures, and provides a verification report for the uniqueness
-properties the models rely on.
+closure as its fallback; it also gives the side's heat rate at the
+outlet it returns.  output_solver fixes the inputs and conductances
+once, inlet enthalpies included, and solves both sides at any walls on
+floats: the truth's RK4 stages call it, and ref_output wraps it.  The
+module also solves the coupled steady-state problem, evaluates the
+closed-form steady wall temperatures, and provides a verification
+report for the uniqueness properties the models rely on.
 
 Sign conventions: heat rates are positive toward the fluid, so the hot
 stream has a negative heat rate while it is being cooled.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atanh, nextafter
+from typing import Callable
 
 from .correlations import serial_conductance
 from .fluids import StreamConfig
@@ -34,6 +38,7 @@ __all__ = [
     "RefOutputInfo",
     "UniquenessReport",
     "solve_bracketed",
+    "output_solver",
     "ref_output",
     "ref_output_detailed",
     "ref_steady_outlets",
@@ -234,7 +239,10 @@ def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
     residual has no interior sign change still clamps to the endpoint
     with the smaller residual magnitude, flagged; so is a search that
     stops at SOLVE_MAX_ITER without converging.
-    Returns (T, residual, flagged).
+    Returns (T, residual, flagged, q), where q is the side's heat rate
+    heat_rate at T (heat_rate(dT, T - lo, aA) hot, heat_rate(hi - T, dT,
+    aA) cold): Newton's own q, the same float operations, or heat_rate
+    at the outlet the other paths return.
     """
     if lo > hi:
         raise BracketError(f"inverted bracket [{lo}, {hi}] K")
@@ -266,7 +274,7 @@ def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
                 dq = 0.5 * aA
             r = mdot * (enthalpy(x, p) - h1) + (q if hot else -q)
             if abs(r) <= OUTPUT_FTOL:
-                return x, r, False
+                return x, r, False, q
             slope = mdot * enthalpy_slope(x, p) + dq
             if not slope > 0.0:
                 break
@@ -276,30 +284,57 @@ def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
             x = x_next
     f = _side_residual(fluid, p, mdot, h1, dT, aA, lo, hi, hot)
     if lo == hi:
-        r = f(lo)
-        return lo, r, abs(r) > OUTPUT_FTOL
-    f_a, f_b = f(a), f(b)
-    if f_a == 0.0:
-        return a, 0.0, False
-    if f_b == 0.0:
-        return b, 0.0, False
-    if (f_a > 0.0) == (f_b > 0.0):
-        if abs(f_a) <= abs(f_b):
-            return lo, f_a, True
-        return hi, f_b, True
-    x, fx, converged, _ = solve_bracketed(f, a, b, f_a, f_b, ftol=OUTPUT_FTOL)
-    return x, fx, not converged
+        x, r = lo, f(lo)
+        flagged = abs(r) > OUTPUT_FTOL
+    else:
+        f_a, f_b = f(a), f(b)
+        if f_a == 0.0:
+            x, r, flagged = a, 0.0, False
+        elif f_b == 0.0:
+            x, r, flagged = b, 0.0, False
+        elif (f_a > 0.0) == (f_b > 0.0):
+            x, r = (lo, f_a) if abs(f_a) <= abs(f_b) else (hi, f_b)
+            flagged = True
+        else:
+            x, r, converged, _ = solve_bracketed(f, a, b, f_a, f_b, ftol=OUTPUT_FTOL)
+            flagged = not converged
+    return x, r, flagged, heat_rate(dT, x - lo, aA) if hot else heat_rate(hi - x, dT, aA)
 
 
-def _sides(x: WallState, u: InletConditions, cond: Conductances,
-           hot: StreamConfig, cold: StreamConfig):
-    """The arguments of _side_residual for the hot and the cold side of
-    the output equations (see ref_output_detailed)."""
+def _side_constants(u: InletConditions, cond: Conductances,
+                    hot: StreamConfig, cold: StreamConfig):
+    """(fluid, pressure, flow, inlet enthalpy, conductance) of the hot and
+    of the cold side at fixed (u, cond): what the output solves at any
+    walls share, each inlet enthalpy evaluated once."""
     p_h, p_c = hot.pressure, cold.pressure
-    return ((hot.fluid, p_h, u.mdot_h, hot.fluid.enthalpy(u.T_h1, p_h), u.T_h1 - x.T_w1,
-             cond.aA_h, x.T_w2, u.T_h1, True),
-            (cold.fluid, p_c, u.mdot_c, cold.fluid.enthalpy(u.T_c1, p_c), x.T_w2 - u.T_c1,
-             cond.aA_c, u.T_c1, x.T_w1, False))
+    return ((hot.fluid, p_h, u.mdot_h, hot.fluid.enthalpy(u.T_h1, p_h), cond.aA_h),
+            (cold.fluid, p_c, u.mdot_c, cold.fluid.enthalpy(u.T_c1, p_c), cond.aA_c))
+
+
+def output_solver(u: InletConditions, cond: Conductances, hot: StreamConfig,
+                  cold: StreamConfig) -> Callable[..., tuple[float, float, float, float]]:
+    """The output solve of ref_output at fixed (u, cond), on floats.
+
+    solve(w1, w2, g_h, g_c) gives (T_h2, T_c2, Q_h, Q_c) at the walls
+    (w1, w2) from the outlet guesses g_h and g_c (None for a bracketed
+    search): the two side solves of ref_output_detailed, and the heat
+    rates into the hot and the cold fluid at those outlets,
+    Q_h = -Q(T_h1 - T_w1, T_h2 - T_w2, aA_h) and
+    Q_c = Q(T_w1 - T_c2, T_w2 - T_c1, aA_c), which the side solves form.
+    """
+    (f_h, p_h, mdot_h, h_h1, aA_h), (f_c, p_c, mdot_c, h_c1, aA_c) = _side_constants(
+        u, cond, hot, cold)
+    T_h1, T_c1 = u.T_h1, u.T_c1
+
+    def solve(w1: float, w2: float, g_h: float | None,
+              g_c: float | None) -> tuple[float, float, float, float]:
+        T_h2, _, _, q_h = _solve_side(f_h, p_h, mdot_h, h_h1, T_h1 - w1, aA_h, w2, T_h1, True,
+                                      g_h)
+        T_c2, _, _, q_c = _solve_side(f_c, p_c, mdot_c, h_c1, w2 - T_c1, aA_c, T_c1, w1, False,
+                                      g_c)
+        return T_h2, T_c2, -q_h, q_c
+
+    return solve
 
 
 def ref_output_detailed(
@@ -321,12 +356,16 @@ def ref_output_detailed(
     the outlets of the previous call in a simulation, starts each side
     with Newton; without one, each side is a bracketed search.
     """
-    side_h, side_c = _sides(x, u, cond, hot, cold)
+    (f_h, p_h, mdot_h, h_h1, aA_h), (f_c, p_c, mdot_c, h_c1, aA_c) = _side_constants(
+        u, cond, hot, cold)
+    T_h1, T_c1, w1, w2 = u.T_h1, u.T_c1, x.T_w1, x.T_w2
     g_h = g_c = None
     if guess is not None:
         g_h, g_c = guess.T_h2, guess.T_c2
-    T_h2, r_h, flag_h = _solve_side(*side_h, g_h)
-    T_c2, r_c, flag_c = _solve_side(*side_c, g_c)
+    T_h2, r_h, flag_h, _ = _solve_side(f_h, p_h, mdot_h, h_h1, T_h1 - w1, aA_h, w2, T_h1, True,
+                                       g_h)
+    T_c2, r_c, flag_c, _ = _solve_side(f_c, p_c, mdot_c, h_c1, w2 - T_c1, aA_c, T_c1, w1, False,
+                                       g_c)
     return OutletTemps(T_h2, T_c2), RefOutputInfo(flag_h, flag_c, r_h, r_c)
 
 
@@ -338,13 +377,13 @@ def ref_output(
     cold: StreamConfig,
     guess: OutletTemps | None = None,
 ) -> OutletTemps:
-    """Reference outlet temperatures: the side solves of
-    ref_output_detailed, without its diagnostics."""
-    side_h, side_c = _sides(x, u, cond, hot, cold)
+    """Reference outlet temperatures: output_solver's side solves at the
+    walls x, without ref_output_detailed's diagnostics."""
     g_h = g_c = None
     if guess is not None:
         g_h, g_c = guess.T_h2, guess.T_c2
-    return OutletTemps(_solve_side(*side_h, g_h)[0], _solve_side(*side_c, g_c)[0])
+    T_h2, T_c2, _, _ = output_solver(u, cond, hot, cold)(x.T_w1, x.T_w2, g_h, g_c)
+    return OutletTemps(T_h2, T_c2)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +555,12 @@ def verify_uniqueness(
         prev = v
 
     walls_s = steady_wall_temps(outlets_s, u, cond)
-    res_h, res_c = (_side_residual(*side) for side in _sides(walls_s, u, cond, hot, cold))
+    (f_h, p_h, mdot_h, h_h1, aA_h), (f_c, p_c, mdot_c, h_c1, aA_c) = _side_constants(
+        u, cond, hot, cold)
+    res_h = _side_residual(f_h, p_h, mdot_h, h_h1, u.T_h1 - walls_s.T_w1, aA_h, walls_s.T_w2,
+                           u.T_h1, True)
+    res_c = _side_residual(f_c, p_c, mdot_c, h_c1, walls_s.T_w2 - u.T_c1, aA_c, u.T_c1,
+                           walls_s.T_w1, False)
 
     # The wall-side bracket endpoints sit exactly on the arithmetic-mean
     # fallback (one temperature difference is zero there), so the

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field, replace
 from .config import RawConfig, load_config
 from .correlations import CorrelationParams, ReferenceCorrelation, reference_alpha_A
 from .ekf import EkfConfig
-from .fluids import CaloricallyPerfect, StreamConfig, ThermallyPerfect, load_fluid_table
+from .fluids import (
+    CaloricallyPerfect,
+    ParseError,
+    StreamConfig,
+    ThermallyPerfect,
+    load_fluid_table,
+)
 from .reference_model import Conductances, InletConditions, OutletTemps, WallState
 from .wall_dynamics import WallDynamicsConfig
 
@@ -160,6 +166,8 @@ def _build_stream(raw: RawConfig, section: str, base_dir: str) -> StreamConfig:
             fluid = load_fluid_table(path)
         except FileNotFoundError:
             raise raw.error(f"fluid table not found: {path}", line) from None
+        except ParseError as exc:  # names the file itself
+            raise raw.error(f"fluid table {exc}", line) from None
         except ValueError as exc:
             raise raw.error(f"fluid table {path}: {exc}", line) from None
         lo, hi = fluid.hull_p

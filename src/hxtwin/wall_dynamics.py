@@ -7,7 +7,10 @@ heat flow parked in the wall divided by its heat capacity).  The error
 plane splits into five sectors that fix the scalar gain a in
 xdot = a * e; sector_gain picks the sector and its gain in one call.
 Truth (reference_wall_rhs) and filter (ApproxStage.rates) give the rates
-as rhs(w1, w2) on floats, and rk4_pair steps both.
+as rhs(w1, w2) on floats, and rk4_pair steps both.  A truth stage takes
+its outlets and heat rates from one call of the
+reference_model.output_solver built for its sample, and builds no
+objects.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from typing import Callable, Sequence
 
 from .approx_model import BetaBranch, BetaSelection, CpParams, approx_sides, g_partials
 from .fluids import StreamConfig
-from .means import heat_rate
 from .reference_model import (
     Conductances,
     InletConditions,
     OutletTemps,
     WallState,
+    output_solver,
     ref_output,
     ref_steady_outlets,
     steady_wall_temps,
@@ -33,12 +36,14 @@ from .reference_model import (
 __all__ = [
     "Sector",
     "WallDynamicsConfig",
-    "wall_drift_rate",
     "sector_gain",
     "rk4_pair",
     "integrate_step",
     "reference_wall_rhs",
     "ApproxStage",
+    # re-exported, unused here: perfbench's tracer wraps ref_output as a
+    # global of this module, and stops when the name is missing
+    "ref_output",
 ]
 
 
@@ -66,11 +71,6 @@ class WallDynamicsConfig:
             raise ValueError(f"theta7 must be positive, got {self.theta7}")
         if self.substeps_per_sample < 1:
             raise ValueError("substeps_per_sample must be at least 1")
-
-
-def wall_drift_rate(Q_h: float, Q_c: float, theta7: float) -> float:
-    """Tdot_w in K/s; Q_h and Q_c are heat rates into the two fluids."""
-    return (-Q_h - Q_c) / theta7
 
 
 def sector_gain(e1: float, e2: float, tdw: float) -> tuple[Sector, float]:
@@ -128,26 +128,25 @@ def reference_wall_rhs(
 ) -> Callable[[float, float], tuple[float, float]]:
     """The wall rates rhs(w1, w2) of the reference model, u and theta frozen.
 
-    The steady wall state is solved once here (it depends only on u and
-    theta); each stage evaluation then needs just the two transient root
-    solves for the outlet temperatures.  Each solve starts from the
-    outlets of the previous stage, the first from ``start`` (the previous
-    sample's outlets in a simulation; None for a cold start).
+    The steady wall state and output_solver's side constants are formed
+    once here (they depend only on u and theta); each stage evaluation
+    then needs just the two transient root solves, which also give the
+    heat rates of the drift.  Each solve starts from the outlets of the
+    previous stage, the first from ``start`` (the previous sample's
+    outlets in a simulation; None for a cold start).
     """
     steady = ref_steady_outlets(u, cond.kA, hot, cold)
     xs = steady_wall_temps(steady, u, cond)
+    solve = output_solver(u, cond, hot, cold)
     # the constants as closure cells, the cheapest loads per call
-    T_h1, T_c1, aA_h, aA_c = u.T_h1, u.T_c1, cond.aA_h, cond.aA_c
     w1s, w2s, theta7 = xs.T_w1, xs.T_w2, cfg.theta7
-    guess = start
+    g_h, g_c = (None, None) if start is None else (start.T_h2, start.T_c2)
 
     def rhs(w1: float, w2: float) -> tuple[float, float]:
-        nonlocal guess
-        outs = guess = ref_output(WallState(w1, w2), u, cond, hot, cold, guess)
-        Q_h = -heat_rate(T_h1 - w1, outs.T_h2 - w2, aA_h)
-        Q_c = heat_rate(w1 - outs.T_c2, w2 - T_c1, aA_c)
+        nonlocal g_h, g_c
+        g_h, g_c, Q_h, Q_c = solve(w1, w2, g_h, g_c)
         e1, e2 = w1s - w1, w2s - w2
-        a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, theta7))[1]
+        a = sector_gain(e1, e2, (-Q_h - Q_c) / theta7)[1]
         return a * e1, a * e2
 
     return rhs

@@ -2,15 +2,18 @@
 
 approx_model.approx_side selects beta, takes the closed-form root and
 forms the weighted mean in one call, wall_dynamics.sector_gain decides
-the sector inside its gain, and reference_model._solve_side runs Newton
-on a side residual and its slope written out inline.  The tests pin
-those fused calls against the rules written out one at a time here:
-select_beta, then g_closed_form, then weighted_mean; classify_sector;
-and the side residual with its slope as closures over heat_rate and
-heat_rate_slope, solved by newton_side with solve_side's fallback.  The
-fluids' enthalpy and enthalpy_slope find the table cell and run Horner
-inline; table_enthalpy, table_enthalpy_slope, poly_enthalpy and poly_cp
-are those rules as separate steps.
+the sector inside its gain, reference_model._solve_side runs Newton on a
+side residual and its slope written out inline, and the truth's
+wall_dynamics.reference_wall_rhs takes outlets and heat rates from one
+float output solve.  The tests pin those fused calls against the rules
+written out one at a time here: select_beta, then g_closed_form, then
+weighted_mean; classify_sector; the side residual with its slope as
+closures over heat_rate and heat_rate_slope, solved by newton_side with
+solve_side's fallback; and reference_wall_rhs, the stage on ref_output's
+objects with heat_rate and wall_drift_rate.  The fluids' enthalpy and
+enthalpy_slope find the table cell and run Horner inline;
+table_enthalpy, table_enthalpy_slope, poly_enthalpy and poly_cp are
+those rules as separate steps.
 
 The filter's predict and update run on floats: wall_dynamics.ApproxStage
 writes partial_rows and rhs_rows out inline for the F rows, and
@@ -27,9 +30,18 @@ import numpy as np
 from hxtwin.approx_model import BetaBranch, BetaSelection
 from hxtwin.fluids import OutOfRangeError
 from hxtwin.means import DomainError, arith_mean, geom_mean, heat_rate
-from hxtwin.reference_model import NEWTON_MAX_ITER, OUTPUT_FTOL, BracketError, solve_bracketed
+from hxtwin.reference_model import (
+    NEWTON_MAX_ITER,
+    OUTPUT_FTOL,
+    BracketError,
+    WallState,
+    ref_output,
+    ref_steady_outlets,
+    solve_bracketed,
+    steady_wall_temps,
+)
 from hxtwin.ekf import SingularInnovationCovarianceError
-from hxtwin.wall_dynamics import TDW_LOWER_BOUND, Sector, wall_drift_rate
+from hxtwin.wall_dynamics import TDW_LOWER_BOUND, Sector, sector_gain
 
 # The two outcomes without a beta.
 BETA_ZERO = BetaSelection(0.0, BetaBranch.ZERO, False)
@@ -74,6 +86,31 @@ def classify_sector(e1: float, e2: float, epsilon: float) -> Sector:
     if e1 <= 0.0 and e2 <= 0.0:
         return Sector.III
     return Sector.II if e2 > 0.0 else Sector.IV
+
+
+def wall_drift_rate(Q_h: float, Q_c: float, theta7: float) -> float:
+    """Tdot_w in K/s; Q_h and Q_c are heat rates into the two fluids."""
+    return (-Q_h - Q_c) / theta7
+
+
+def reference_wall_rhs(u, cond, hot, cold, cfg, start=None):
+    """The truth's wall rates rhs(w1, w2) on objects: each stage builds a
+    WallState, calls ref_output from the previous stage's OutletTemps
+    (the first from start), and forms both heat rates with heat_rate and
+    the drift with wall_drift_rate."""
+    xs = steady_wall_temps(ref_steady_outlets(u, cond.kA, hot, cold), u, cond)
+    guess = start
+
+    def rhs(w1, w2):
+        nonlocal guess
+        outs = guess = ref_output(WallState(w1, w2), u, cond, hot, cold, guess)
+        Q_h = -heat_rate(u.T_h1 - w1, outs.T_h2 - w2, cond.aA_h)
+        Q_c = heat_rate(w1 - outs.T_c2, w2 - u.T_c1, cond.aA_c)
+        e1, e2 = xs.T_w1 - w1, xs.T_w2 - w2
+        a = sector_gain(e1, e2, wall_drift_rate(Q_h, Q_c, cfg.theta7))[1]
+        return a * e1, a * e2
+
+    return rhs
 
 
 def heat_rate_slope(z1: float, z2: float, z3: float, q: float) -> float:

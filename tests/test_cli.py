@@ -173,7 +173,7 @@ def test_file_faults_print_one_line_naming_the_file_and_exit_1(tmp_path, capsys)
         "position 0: invalid start byte",
         f"hxtwin monitor: {quote}, line 4: expected 16 fields, got 1",
         f"hxtwin simulate: {cfg}, line 4: not UTF-8 text (invalid start byte)",
-        f"hxtwin simulate: {tmp_path / 'chirp.cfg'}, line {table_line}: fluid table {table}: "
+        f"hxtwin simulate: {tmp_path / 'chirp.cfg'}, line {table_line}: fluid table {table}, "
         "line 5: not UTF-8 text (invalid start byte)",
     ]
 

@@ -36,15 +36,15 @@ CEILINGS = {
     ("smoke_constant", "A"): 36_502,
     ("smoke_constant", "B"): 40_552,
     ("smoke_constant", "C"): 40_402,
-    ("smoke_constant", "truth"): 41_392,
+    ("smoke_constant", "truth"): 21_698,
     ("coolant_step", "A"): 44_625,
     ("coolant_step", "B"): 49_124,
     ("coolant_step", "C"): 48_784,
-    ("coolant_step", "truth"): 50_171,
+    ("coolant_step", "truth"): 30_477,
     ("chirp_tracking", "A"): 39_640,
     ("chirp_tracking", "B"): 43_690,
     ("chirp_tracking", "C"): 43_540,
-    ("chirp_tracking", "truth"): 50_352,
+    ("chirp_tracking", "truth"): 30_658,
 }
 
 

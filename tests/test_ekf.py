@@ -43,9 +43,8 @@ from hxtwin.wall_dynamics import (
     ApproxStage,
     WallDynamicsConfig,
     sector_gain,
-    wall_drift_rate,
 )
-from oracles import horner_covariance_step, kalman_gain, rhs_rows
+from oracles import horner_covariance_step, kalman_gain, rhs_rows, wall_drift_rate
 
 
 CP = CpParams(1000.0, 2000.0, 1000.0, 2000.0)

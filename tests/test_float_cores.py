@@ -17,12 +17,17 @@ slope out inline; it is pinned against the closures over heat_rate and
 heat_rate_slope solved by Newton with the bracketed fallback
 (tests/oracles.py), on every heat-rate branch of each side, every path
 of the solve and each fluid kind; test_side_solve_examples_cover_every_path
-checks the examples.  The fluids' inlined enthalpy and slope are pinned
-against the cell lookup and Horner steps written out.
+checks the examples; the heat rate it also returns is heat_rate at its
+outlet on every path.  The truth's stage, wall_dynamics.reference_wall_rhs
+on output_solver's floats, is pinned against the stage on ref_output's
+objects over the first samples of each shipped scenario.  The fluids'
+inlined enthalpy and slope are pinned against the cell lookup and Horner
+steps written out.
 """
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +36,7 @@ from hypothesis import strategies as st
 
 import hxtwin.ekf as ekf
 import oracles
-from hxtwin import reference_model
+from hxtwin import harness, reference_model, wall_dynamics
 from hxtwin.approx_model import (
     ApproxEvaluation,
     BetaBranch,
@@ -51,6 +56,7 @@ from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances, param
 from hxtwin.fluids import CaloricallyPerfect
 from hxtwin.means import heat_rate
 from hxtwin.sampledata import COOLANT_CP_COEFFS, make_co2_like_table, make_coolant_model
+from hxtwin.scenario import load_scenario
 from hxtwin.reference_model import Conductances, InletConditions, WallState, steady_wall_temps
 from hxtwin.wall_dynamics import (
     SECTOR_V_EPSILON,
@@ -61,9 +67,8 @@ from hxtwin.wall_dynamics import (
     integrate_step,
     rk4_pair,
     sector_gain,
-    wall_drift_rate,
 )
-from oracles import classify_sector, select_beta, weighted_mean
+from oracles import classify_sector, select_beta, wall_drift_rate, weighted_mean
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -477,7 +482,9 @@ def solved_both_ways(kind, hot, mdot, dT, aA, lo, hi, guess, root_at_guess=False
     """(_solve_side, oracle) outcomes of one side solve: the float bits of
     (T, residual, flagged), or the type and text of what was raised.  The
     inlet enthalpy is taken at the hull edge nearest the inlet, or where
-    the residual is zero at the guess."""
+    the residual is zero at the guess.  The heat rate that _solve_side
+    also returns is asserted here to be heat_rate at its T, bit for bit,
+    on every path of the solve."""
     fluid, p = SIDE_FLUIDS[kind]
     if root_at_guess:
         q = heat_rate(dT, guess - lo, aA) if hot else -heat_rate(hi - guess, dT, aA)
@@ -486,16 +493,22 @@ def solved_both_ways(kind, hot, mdot, dT, aA, lo, hi, guess, root_at_guess=False
         inlet = hi if hot else lo
         h1 = fluid.enthalpy(min(max(inlet, fluid.hull_T[0]), fluid.hull_T[1]), p)
     side = (fluid, p, mdot, h1, dT, aA, lo, hi, hot)
-    return (outcome(reference_model._solve_side, *side, guess),
-            outcome(oracles.solve_side, *oracles.side_closures(*side), lo, hi, guess))
+    new = outcome(reference_model._solve_side, *side, guess)
+    if len(new) == 4:
+        T = float.fromhex(new[0])
+        assert new[3] == (heat_rate(dT, T - lo, aA) if hot else heat_rate(hi - T, dT, aA)).hex()
+        new = new[:3]
+    return new, outcome(oracles.solve_side, *oracles.side_closures(*side), lo, hi, guess)
 
 
 def outcome(solve, *args):
+    """The float bits of what solve(*args) returns, or the type and text of
+    what it raised."""
     try:
-        T, r, flagged = solve(*args)
+        result = solve(*args)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    return T.hex(), r.hex(), flagged
+    return tuple(v.hex() if isinstance(v, float) else v for v in result)
 
 
 @pytest.mark.parametrize("kind", list(SIDE_FLUIDS))
@@ -565,6 +578,37 @@ def test_side_solve_is_the_closure_newton_anywhere(case):
     kind, hot, mdot, dT, aA, lo, span, offset = case
     new, old = solved_both_ways(kind, hot, mdot, dT, aA, lo, lo + span, lo + offset)
     assert new == old
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["smoke_constant", "coolant_step", "chirp_tracking"])
+def test_truth_stage_is_the_object_rhs(name, monkeypatch):
+    # The first 50 samples of each shipped truth run: at every RK4 stage
+    # the float rhs and the object rhs of tests/oracles.py give the same
+    # rate bits, each carrying its own guesses from stage to stage, from
+    # the sample's start and from a cold start (start=None).
+    stages = 0
+
+    def both_ways(u, cond, hot, cold, cfg, start):
+        pairs = [(wall_dynamics.reference_wall_rhs(u, cond, hot, cold, cfg, s),
+                  oracles.reference_wall_rhs(u, cond, hot, cold, cfg, s)) for s in (start, None)]
+
+        def rhs(w1, w2):
+            nonlocal stages
+            stages += 1
+            rates = [(new(w1, w2), old(w1, w2)) for new, old in pairs]
+            for new, old in rates:
+                assert [v.hex() for v in new] == [v.hex() for v in old]
+            return rates[0][0]
+
+        return rhs
+
+    monkeypatch.setattr(harness, "reference_wall_rhs", both_ways)
+    scn = load_scenario(SCENARIOS / f"{name}.cfg")
+    harness.run_truth_sim(replace(scn, duration_s=50 * scn.dt_s))
+    assert stages == 50 * 4 * scn.plant.wall.substeps_per_sample
 
 
 TABLE = SIDE_FLUIDS["table"][0]

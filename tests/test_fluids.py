@@ -2,6 +2,7 @@
 
 import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from hxtwin.fluids import (
     save_fluid_table,
 )
 from hxtwin.sampledata import co2_like_enthalpy, make_co2_like_table, make_coolant_model
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_table():
@@ -303,6 +306,22 @@ def test_load_nonmonotone_axis_in_file():
     text = "T/K p/Pa h/(J/kg)\nT: 300 280\np: 1e6 2e6\n1\n2\n3\n4\n"
     with pytest.raises(NonMonotonicAxisError):
         load_fluid_table(io.StringIO(text))
+
+
+def test_load_from_a_path_names_the_file_and_line(tmp_path):
+    # a copy of the shipped table with a byte that is not UTF-8 on line 5
+    lines = (ROOT / "scenarios" / "co2_like.txt").read_bytes().split(b"\n")
+    lines[4] += b"\xfe"
+    path = tmp_path / "co2_like.txt"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_fluid_table(path)
+    assert str(err.value) == f"{path}, line 5: not UTF-8 text (invalid start byte)"
+    assert err.value.line == 5
+    # a file-like source has no name to give
+    with pytest.raises(ParseError) as err:
+        load_fluid_table(io.StringIO("T/K p/Pa h/(J/kg)\nT: 280 hot\n"))
+    assert str(err.value) == "line 2: expected a number, got 'hot'"
 
 
 def test_save_load_round_trip(tmp_path):

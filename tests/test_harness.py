@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import hxtwin.harness as harness
 import hxtwin.reference_model as reference_model
-import hxtwin.wall_dynamics as wall_dynamics
 from hxtwin.approx_model import approx_steady_selfconsistent, update_cp_params
 from hxtwin.config import ConfigError, parse_config
 from hxtwin.correlations import (
@@ -569,7 +568,7 @@ def test_load_scenario_errors_name_the_file(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_scenario(path)
     assert exc.value.line == line
-    assert str(exc.value) == (f"{path}, line {line}: fluid table {table}: "
+    assert str(exc.value) == (f"{path}, line {line}: fluid table {table}, "
                               "line 6: expected a number, got 'x'")
     path.write_text(SMOKE_CFG.replace("dt_s = 0.5", "dt_s = 0"), encoding="utf-8")
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}, line 4: 'dt_s' must be"):
@@ -868,11 +867,10 @@ def test_run_truth_sim_deterministic_and_seed_sensitive():
 def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
     # Every side solve of the shipped truth runs converges without a
     # clamp, and every warm start converges by Newton, also where the
-    # previous outlet lies outside the new bracket.  Each step makes one
-    # ref_output per RK4 stage and one at its record, the count that
-    # perfbench pins.
+    # previous outlet lies outside the new bracket.  Each step solves
+    # both sides once per RK4 stage and once at its record.
     counts = Counter()
-    refs_at_step = []
+    solves_at_step = []
     solve_side = reference_model._solve_side
     side_residual = reference_model._side_residual
     bracketed = reference_model.solve_bracketed
@@ -884,9 +882,9 @@ def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
         warm = args[-1] is not None
         counts["side solves"] += 1
         counts["warm starts"] += warm
-        T, r, flagged = solve_side(*args)
+        T, r, flagged, q = solve_side(*args)
         counts["flagged"] += flagged
-        return T, r, flagged
+        return T, r, flagged, q
 
     def counted_residual(*args):
         # the side solve builds its residual closure only for the
@@ -899,21 +897,13 @@ def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
         counts["non-converged"] += not result[2]
         return result
 
-    def counted_ref_output(ref_output):
-        def counted(*args, **kwargs):
-            counts["ref_output"] += 1
-            return ref_output(*args, **kwargs)
-        return counted
-
     def marked_step(*args):
-        refs_at_step.append(counts["ref_output"])
+        solves_at_step.append(counts["side solves"])
         return integrate_step(*args)
 
     monkeypatch.setattr(reference_model, "_solve_side", counted_side)
     monkeypatch.setattr(reference_model, "_side_residual", counted_residual)
     monkeypatch.setattr(reference_model, "solve_bracketed", counted_bracketed)
-    for module in (harness, wall_dynamics):
-        monkeypatch.setattr(module, "ref_output", counted_ref_output(module.ref_output))
     monkeypatch.setattr(harness, "integrate_step", marked_step)
     recs = run_truth_sim(load_scenario(SCENARIOS / f"{name}.cfg"))
     with capsys.disabled():
@@ -924,9 +914,9 @@ def test_truth_runs_flag_no_side_solve(name, monkeypatch, capsys):
     assert counts["flagged"] == 0
     assert counts["non-converged"] == 0
     assert counts["fallbacks"] == 0
-    marks = [*refs_at_step, counts["ref_output"]]
+    marks = [*solves_at_step, counts["side solves"]]
     assert len(marks) == len(recs)
-    assert {b - a for a, b in zip(marks, marks[1:])} == {41}
+    assert {b - a for a, b in zip(marks, marks[1:])} == {82}
 
 
 def test_truth_run_takes_mean_cps_only_for_a_correlation(monkeypatch):

@@ -208,6 +208,17 @@ def closes_or_is_next_to_root(residual, T):
     return (neighbour > 0.0) != (r > 0.0) and abs(r) <= abs(neighbour)
 
 
+def sides(x, u, cond, hot, cold):
+    """The arguments of reference_model._side_residual, and of _solve_side
+    before its guess, for the hot and the cold side of the output
+    equations at the walls x (see ref_output_detailed)."""
+    p_h, p_c = hot.pressure, cold.pressure
+    return ((hot.fluid, p_h, u.mdot_h, hot.fluid.enthalpy(u.T_h1, p_h), u.T_h1 - x.T_w1,
+             cond.aA_h, x.T_w2, u.T_h1, True),
+            (cold.fluid, p_c, u.mdot_c, cold.fluid.enthalpy(u.T_c1, p_c), x.T_w2 - u.T_c1,
+             cond.aA_c, u.T_c1, x.T_w1, False))
+
+
 class CountingPerfect(CaloricallyPerfect):
     """CaloricallyPerfect that counts its enthalpy evaluations."""
 
@@ -228,13 +239,14 @@ def test_side_too_stiff_for_output_ftol_stops_at_adjacent_floats(guess):
     fluid = CountingPerfect(4180.0)
     hot, cold = perfect_streams()[0], StreamConfig(fluid, 1e5)
     x, u = WallState(280.5, 280.5), InletConditions(281.0, 280.0, 1.0, 1e5)
-    side = reference_model._sides(x, u, Conductances(100.0, 100.0), hot, cold)[1]
+    side = sides(x, u, Conductances(100.0, 100.0), hot, cold)[1]
     fluid.calls = 0
-    T, r, flagged = reference_model._solve_side(*side, guess)
+    T, r, flagged, q = reference_model._solve_side(*side, guess)
     assert not flagged
     assert fluid.calls <= 10
     residual = reference_model._side_residual(*side)
     assert r == residual(T) and abs(r) > OUTPUT_FTOL
+    assert q == heat_rate(x.T_w1 - T, x.T_w2 - u.T_c1, 100.0)
     assert closes_or_is_next_to_root(residual, T)
 
 
@@ -560,7 +572,7 @@ def property_case(case):
 @given(case=states)
 def test_side_residuals_increase_strictly_over_their_brackets(case):
     hot, cold, x, u, cond, _ = property_case(case)
-    for side in reference_model._sides(x, u, cond, hot, cold):
+    for side in sides(x, u, cond, hot, cold):
         lo, hi = side[6:8]
         a, b = lo + 1e-7 * (hi - lo), hi - 1e-7 * (hi - lo)  # the solver's open bracket
         residual = reference_model._side_residual(*side)
@@ -576,7 +588,7 @@ def test_ref_output_closes_each_side_energy_balance(case):
     hot, cold, x, u, cond, guess = property_case(case)
     outlets = ref_output(x, u, cond, hot, cold, guess=guess)
     info = ref_output_detailed(x, u, cond, hot, cold, guess=guess)[1]
-    for side, T, flagged in zip(reference_model._sides(x, u, cond, hot, cold),
+    for side, T, flagged in zip(sides(x, u, cond, hot, cold),
                                 (outlets.T_h2, outlets.T_c2),
                                 (info.flagged_hot, info.flagged_cold)):
         lo, hi = side[6:8]

@@ -23,10 +23,9 @@ from hxtwin.wall_dynamics import (
     reference_wall_rhs,
     rk4_pair,
     sector_gain,
-    wall_drift_rate,
 )
 from hxtwin.approx_model import CpParams, steady_terms
-from oracles import rhs_rows
+from oracles import rhs_rows, wall_drift_rate
 
 
 CFG = WallDynamicsConfig(theta7=1000.0)
