@@ -8,8 +8,13 @@ Three interchangeable fluid models provide h(T, p) in J/kg:
 * ``Tabulated``: bilinear interpolation of h on a rectangular (T, p)
   grid, loaded from a plain-text table file.
 
-Each model also gives the slope dh/dT (``enthalpy_slope``) and the
-inverse T(h, p) (``temperature``).
+Each model also gives ``curve(p)``: a callable T -> (h, dh/dT) at a
+fixed pressure, with the float operations and the hull errors of
+``enthalpy``, that looks the pressure up once; the slope alone
+(``enthalpy_slope``) is its second value.  Each model gives the inverse
+T(h, p) (``temperature``) too.  The reference model's Newton takes h and
+its slope from one curve call per iterate; a ``StreamConfig`` builds
+its curve on first use and keeps it.
 
 All temperatures are absolute kelvin, pressures Pa, enthalpies J/kg.
 Models are immutable after construction, apart from the per-pressure
@@ -22,7 +27,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 __all__ = [
     "OutOfRangeError",
@@ -82,10 +88,10 @@ class NonMonotonicAxisError(ValueError):
 class FluidModel:
     """Base class for enthalpy providers.
 
-    Subclasses implement ``enthalpy(T, p)``, its slope
-    ``enthalpy_slope(T, p)`` and its inverse ``temperature(h, p)``, and
-    expose ``hull_T`` and ``hull_p`` as (min, max) tuples used for range
-    validation.
+    Subclasses implement ``enthalpy(T, p)``, ``curve(p)`` (h and its
+    slope dh/dT at a fixed pressure) and the inverse
+    ``temperature(h, p)``, and expose ``hull_T`` and ``hull_p`` as
+    (min, max) tuples used for range validation.
     """
 
     hull_T: tuple[float, float] = (-math.inf, math.inf)
@@ -94,9 +100,13 @@ class FluidModel:
     def enthalpy(self, T: float, p: float) -> float:
         raise NotImplementedError
 
-    def enthalpy_slope(self, T: float, p: float) -> float:
-        """dh/dT at (T, p) in J/(kg K)."""
+    def curve(self, p: float) -> Callable[[float], tuple[float, float]]:
+        """T -> (enthalpy(T, p), dh/dT in J/(kg K)) at the pressure p."""
         raise NotImplementedError
+
+    def enthalpy_slope(self, T: float, p: float) -> float:
+        """dh/dT at (T, p) in J/(kg K): the slope of ``curve(p)``."""
+        return self.curve(p)(T)[1]
 
     def temperature(self, h: float, p: float) -> float:
         """The T with enthalpy(T, p) = h; OutOfRangeError outside the hull."""
@@ -146,8 +156,9 @@ class CaloricallyPerfect(FluidModel):
     def enthalpy(self, T: float, p: float) -> float:
         return self.cp * T
 
-    def enthalpy_slope(self, T: float, p: float) -> float:
-        return self.cp
+    def curve(self, p: float) -> Callable[[float], tuple[float, float]]:
+        cp = self.cp
+        return lambda T: (cp * T, cp)
 
     def temperature(self, h: float, p: float) -> float:
         return h / self.cp
@@ -201,8 +212,8 @@ class ThermallyPerfect(FluidModel):
             acc = acc * T + c
         return acc * T - self._h_offset
 
-    # enthalpy and enthalpy_slope inline _h_poly and _cp_poly, and test
-    # the hull once: p's hull is the whole line, so only a NaN p leaves it
+    # enthalpy and curve inline _h_poly and _cp_poly, and test the hull
+    # once: p's hull is the whole line, so only a NaN p leaves it
 
     def enthalpy(self, T: float, p: float) -> float:
         lo, hi = self.hull_T
@@ -213,14 +224,23 @@ class ThermallyPerfect(FluidModel):
             acc = acc * T + c
         return acc * T - self._h_offset
 
-    def enthalpy_slope(self, T: float, p: float) -> float:
+    def curve(self, p: float) -> Callable[[float], tuple[float, float]]:
         lo, hi = self.hull_T
-        if not lo <= T <= hi or p != p:
-            self._check_hull(T, p)
-        acc = 0.0
-        for c in self._cp_rev:
-            acc = acc * T + c
-        return acc
+        int_rev, cp_rev, h_offset, check = (self._int_rev, self._cp_rev, self._h_offset,
+                                            self._check_hull)
+
+        def h_and_slope(T: float) -> tuple[float, float]:
+            if not lo <= T <= hi or p != p:
+                check(T, p)
+            h = 0.0
+            for c in int_rev:
+                h = h * T + c
+            dh = 0.0
+            for c in cp_rev:
+                dh = dh * T + c
+            return h * T - h_offset, dh
+
+        return h_and_slope
 
     def temperature(self, h: float, p: float) -> float:
         """Newton on h(T) - h with cp as the slope, safeguarded by
@@ -329,9 +349,8 @@ class Tabulated(FluidModel):
             self._slices[p] = H
         return H
 
-    # enthalpy and enthalpy_slope find the cell [T_i, T_i+1] holding T
-    # inline: bisecting over T[1:-1] gives i in [0, len - 2], so the hull
-    # edge T[-1] falls in the last cell.
+    # enthalpy and curve find the cell [T_i, T_i+1] holding T inline: bisecting over T[1:-1] gives i in [0, len - 2], so
+    # the hull edge T[-1] falls in the last cell.
 
     def enthalpy(self, T: float, p: float) -> float:
         Tg = self._T
@@ -342,15 +361,23 @@ class Tabulated(FluidModel):
         tt = (T - Tg[i]) / (Tg[i + 1] - Tg[i])
         return (1.0 - tt) * H[i] + tt * H[i + 1]
 
-    def enthalpy_slope(self, T: float, p: float) -> float:
-        """Slope of the slice over the cell holding T (the right-hand
-        cell at an interior node)."""
-        Tg = self._T
-        if not Tg[0] <= T <= Tg[-1]:
-            raise OutOfRangeError(f"T={T} K outside table hull [{Tg[0]}, {Tg[-1]}] K")
-        i = bisect_right(Tg, T, 1, len(Tg) - 1) - 1
-        H = self._slices.get(p) or self._slice(p)
-        return (H[i + 1] - H[i]) / (Tg[i + 1] - Tg[i])
+    def curve(self, p: float) -> Callable[[float], tuple[float, float]]:
+        """The slice at p, built here (the pressure's hull error raises
+        now), with enthalpy's value and the slope of the cell holding T
+        (the right-hand cell at an interior node), found once."""
+        H, Tg = self._slice(p), self._T
+        t_lo, t_hi, n = Tg[0], Tg[-1], len(Tg) - 1
+
+        def h_and_slope(T: float) -> tuple[float, float]:
+            if not t_lo <= T <= t_hi:
+                raise OutOfRangeError(f"T={T} K outside table hull [{t_lo}, {t_hi}] K")
+            i = bisect_right(Tg, T, 1, n) - 1
+            T_i, H_i, H_j = Tg[i], H[i], H[i + 1]
+            width = Tg[i + 1] - T_i
+            tt = (T - T_i) / width
+            return (1.0 - tt) * H_i + tt * H_j, (H_j - H_i) / width
+
+        return h_and_slope
 
     def temperature(self, h: float, p: float) -> float:
         H = self._slice(p)
@@ -381,6 +408,13 @@ class StreamConfig:
     def __post_init__(self):
         if not 0.0 < self.pressure < math.inf:
             raise ValueError(f"pressure must be positive and finite, got {self.pressure}")
+
+    @cached_property
+    def curve(self) -> Callable[[float], tuple[float, float]]:
+        """fluid.curve(pressure), built on first use and kept: once per
+        stream, and a table's pressure error stays where the stream is
+        first used, not where it is loaded."""
+        return self.fluid.curve(self.pressure)
 
 
 def _sample_grid(lo: float, hi: float, n: int):

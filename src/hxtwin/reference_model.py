@@ -5,12 +5,16 @@ residual functions that balance enthalpy rate against heat transfer rate
 through the wall, using the exact fluid enthalpy model.  Each side is
 one call of _solve_side on floats: given a guess (in a simulation, the
 previous outlets), a Newton iteration that evaluates the side residual
-and its slope inline, with the bracketed search of _side_residual's
-closure as its fallback; it also gives the side's heat rate at the
-outlet it returns.  output_solver fixes the inputs and conductances
-once, inlet enthalpies included, and solves both sides at any walls on
-floats: the truth's RK4 stages call it, and ref_output wraps it.  The
-module also solves the coupled steady-state problem, evaluates the
+and its slope inline, taking h and dh/dT from one call of the stream's
+curve (fluids.StreamConfig.curve), with the bracketed search of
+_side_residual's closure as its fallback; it also gives the side's heat
+rate at the outlet it returns and, from Newton, the tangent of that
+outlet in the two walls.  output_solver fixes the inputs and
+conductances once, inlet enthalpies included, and solves both sides at
+any walls on floats, each solve after its first starting from a
+continuation predictor: the last outlets moved along their tangents by
+the wall step.  The truth's RK4 stages call it, and ref_output wraps it.
+The module also solves the coupled steady-state problem, evaluates the
 closed-form steady wall temperatures, and provides a verification
 report for the uniqueness properties the models rely on.
 
@@ -199,38 +203,38 @@ def solve_bracketed(
 # ---------------------------------------------------------------------------
 
 
-def _side_residual(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
-                   lo: float, hi: float, hot: bool):
+def _side_residual(curve, mdot: float, h1: float, dT: float, aA: float, lo: float,
+                   hi: float, hot: bool):
     """The residual of one output side as a function of its outlet T, on
-    _solve_side's arguments: R_h(T) = mdot (h(T) - h1) + Q(dT, T - lo, aA)
-    on the hot side, R_c(T) = mdot (h(T) - h1) - Q(hi - T, dT, aA) on the
-    cold side."""
+    _solve_side's arguments, with h(T) = curve(T)[0]:
+    R_h(T) = mdot (h(T) - h1) + Q(dT, T - lo, aA) on the hot side,
+    R_c(T) = mdot (h(T) - h1) - Q(hi - T, dT, aA) on the cold side."""
     if hot:
-        return lambda T: mdot * (fluid.enthalpy(T, p) - h1) + heat_rate(dT, T - lo, aA)
-    return lambda T: mdot * (fluid.enthalpy(T, p) - h1) - heat_rate(hi - T, dT, aA)
+        return lambda T: mdot * (curve(T)[0] - h1) + heat_rate(dT, T - lo, aA)
+    return lambda T: mdot * (curve(T)[0] - h1) - heat_rate(hi - T, dT, aA)
 
 
-def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
-                lo: float, hi: float, hot: bool, guess: float | None):
+def _solve_side(curve, mdot: float, h1: float, dT: float, aA: float, lo: float, hi: float,
+                hot: bool, guess: float | None):
     """Solve one side residual over its physical bracket [lo, hi].
 
-    The side is its fluid at pressure p, its flow mdot, its inlet
-    enthalpy h1, its fixed temperature difference dT (T_h1 - T_w1 on
-    the hot side, T_w2 - T_c1 on the cold side) and its conductance aA;
-    _side_residual gives the residual.
+    The side is its fluid's curve at its pressure (T -> (h, dh/dT)), its
+    flow mdot, its inlet enthalpy h1, its fixed temperature difference dT
+    (T_h1 - T_w1 on the hot side, T_w2 - T_c1 on the cold side) and its
+    conductance aA; _side_residual gives the residual.
 
     With a guess, Newton runs first, inside the same open interval the
     bracketed search uses, with the residual and its slope written out
-    here: heat_rate's log-mean or arithmetic branch with log_mean's
-    series switch, in each side's own argument order, and the slope
-    dQ/dz = Q (Q/aA - z) / (z (dT - z)) of the log mean (aA/2 on the
-    arithmetic branch) in the side's variable difference z (T - lo hot,
-    hi - T cold).  The residual is strictly increasing, so an interior
-    iterate whose residual is within OUTPUT_FTOL is the root.  A guess
-    outside the interval starts Newton clamped to its inner 0.1 %
-    margins.  An iterate that leaves the interval, an unusable slope, a
-    stalled step or NEWTON_MAX_ITER iterations fall back to the
-    bracketed search below.
+    here: h and dh/dT from one curve call, heat_rate's log-mean or
+    arithmetic branch with log_mean's series switch, in each side's own
+    argument order, and the slope dQ/dz = Q (Q/aA - z) / (z (dT - z)) of
+    the log mean (aA/2 on the arithmetic branch) in the side's variable
+    difference z (T - lo hot, hi - T cold).  The residual is strictly
+    increasing, so an interior iterate whose residual is within
+    OUTPUT_FTOL is the root.  A guess outside the interval starts Newton
+    clamped to its inner 0.1 % margins.  An iterate that leaves the
+    interval, an unusable slope, a stalled step or NEWTON_MAX_ITER
+    iterations fall back to the bracketed search below.
 
     The unrestricted heat rate switches branch exactly on the bracket
     boundary (one temperature difference is zero there), so the endpoint
@@ -239,10 +243,15 @@ def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
     residual has no interior sign change still clamps to the endpoint
     with the smaller residual magnitude, flagged; so is a search that
     stops at SOLVE_MAX_ITER without converging.
-    Returns (T, residual, flagged, q), where q is the side's heat rate
-    heat_rate at T (heat_rate(dT, T - lo, aA) hot, heat_rate(hi - T, dT,
-    aA) cold): Newton's own q, the same float operations, or heat_rate
-    at the outlet the other paths return.
+
+    Returns (T, residual, flagged, q, t1, t2), where q is the side's heat
+    rate at T (heat_rate(dT, T - lo, aA) hot, heat_rate(hi - T, dT, aA)
+    cold): Newton's own q, the same float operations, or heat_rate at the
+    outlet the other paths return.  (t1, t2) is the tangent of the root
+    in the walls, dT/dT_w1 and dT/dT_w2 = -(dR/dw)/(dR/dT): on the Newton
+    path the slope at the root over the heat rate's partials in its two
+    differences, dQ/dz and the same formula with dT and z swapped (aA/2
+    on the arithmetic branch); (0.0, 0.0) on the other paths.
     """
     if lo > hi:
         raise BracketError(f"inverted bracket [{lo}, {hi}] K")
@@ -252,7 +261,6 @@ def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
         x = guess
         if not a < x < b:
             x = min(max(x, a + 1e-3 * (b - a)), b - 1e-3 * (b - a))
-        enthalpy, enthalpy_slope = fluid.enthalpy, fluid.enthalpy_slope
         for _ in range(NEWTON_MAX_ITER):
             if not a < x < b:
                 break
@@ -262,7 +270,9 @@ def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
             else:
                 z = hi - x
                 z1, z2 = z, dT
-            if z > 0.0 and dT > 0.0 and z != dT:
+            h, dh = curve(x)
+            log_branch = z > 0.0 and dT > 0.0 and z != dT
+            if log_branch:
                 e = (z1 - z2) / (z1 + z2)
                 if abs(z1 / z2 - 1.0) < LM_SERIES_SWITCH:
                     q = aA * (0.5 * (z1 + z2) * (1.0 - e * e / 3.0))
@@ -272,17 +282,22 @@ def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
             else:
                 q = aA * 0.5 * (z1 + z2)
                 dq = 0.5 * aA
-            r = mdot * (enthalpy(x, p) - h1) + (q if hot else -q)
+            r = mdot * (h - h1) + (q if hot else -q)
+            slope = mdot * dh + dq
             if abs(r) <= OUTPUT_FTOL:
-                return x, r, False, q
-            slope = mdot * enthalpy_slope(x, p) + dq
+                if not slope > 0.0:
+                    return x, r, False, q, 0.0, 0.0
+                dq_dT = q * (q / aA - dT) / (dT * (z - dT)) if log_branch else 0.5 * aA
+                if hot:
+                    return x, r, False, q, dq_dT / slope, dq / slope
+                return x, r, False, q, dq / slope, dq_dT / slope
             if not slope > 0.0:
                 break
             x_next = x - r / slope
             if x_next == x:
                 break
             x = x_next
-    f = _side_residual(fluid, p, mdot, h1, dT, aA, lo, hi, hot)
+    f = _side_residual(curve, mdot, h1, dT, aA, lo, hi, hot)
     if lo == hi:
         x, r = lo, f(lo)
         flagged = abs(r) > OUTPUT_FTOL
@@ -298,41 +313,59 @@ def _solve_side(fluid, p: float, mdot: float, h1: float, dT: float, aA: float,
         else:
             x, r, converged, _ = solve_bracketed(f, a, b, f_a, f_b, ftol=OUTPUT_FTOL)
             flagged = not converged
-    return x, r, flagged, heat_rate(dT, x - lo, aA) if hot else heat_rate(hi - x, dT, aA)
+    q = heat_rate(dT, x - lo, aA) if hot else heat_rate(hi - x, dT, aA)
+    return x, r, flagged, q, 0.0, 0.0
 
 
 def _side_constants(u: InletConditions, cond: Conductances,
                     hot: StreamConfig, cold: StreamConfig):
-    """(fluid, pressure, flow, inlet enthalpy, conductance) of the hot and
-    of the cold side at fixed (u, cond): what the output solves at any
-    walls share, each inlet enthalpy evaluated once."""
-    p_h, p_c = hot.pressure, cold.pressure
-    return ((hot.fluid, p_h, u.mdot_h, hot.fluid.enthalpy(u.T_h1, p_h), cond.aA_h),
-            (cold.fluid, p_c, u.mdot_c, cold.fluid.enthalpy(u.T_c1, p_c), cond.aA_c))
+    """(curve, flow, inlet enthalpy, conductance) of the hot and of the
+    cold side at fixed (u, cond): what the output solves at any walls
+    share, each inlet enthalpy evaluated once, each curve the stream's
+    own.  The inlet enthalpies come first, so an inlet or a pressure
+    outside a fluid's hull raises there, before a curve is built."""
+    h_h1 = hot.fluid.enthalpy(u.T_h1, hot.pressure)
+    h_c1 = cold.fluid.enthalpy(u.T_c1, cold.pressure)
+    return (hot.curve, u.mdot_h, h_h1, cond.aA_h), (cold.curve, u.mdot_c, h_c1, cond.aA_c)
 
 
 def output_solver(u: InletConditions, cond: Conductances, hot: StreamConfig,
-                  cold: StreamConfig) -> Callable[..., tuple[float, float, float, float]]:
+                  cold: StreamConfig, start: OutletTemps | None = None
+                  ) -> Callable[[float, float], tuple[float, float, float, float]]:
     """The output solve of ref_output at fixed (u, cond), on floats.
 
-    solve(w1, w2, g_h, g_c) gives (T_h2, T_c2, Q_h, Q_c) at the walls
-    (w1, w2) from the outlet guesses g_h and g_c (None for a bracketed
-    search): the two side solves of ref_output_detailed, and the heat
-    rates into the hot and the cold fluid at those outlets,
+    solve(w1, w2) gives (T_h2, T_c2, Q_h, Q_c) at the walls (w1, w2):
+    the two side solves of ref_output_detailed, and the heat rates into
+    the hot and the cold fluid at those outlets,
     Q_h = -Q(T_h1 - T_w1, T_h2 - T_w2, aA_h) and
     Q_c = Q(T_w1 - T_c2, T_w2 - T_c1, aA_c), which the side solves form.
-    """
-    (f_h, p_h, mdot_h, h_h1, aA_h), (f_c, p_c, mdot_c, h_c1, aA_c) = _side_constants(
-        u, cond, hot, cold)
-    T_h1, T_c1 = u.T_h1, u.T_c1
 
-    def solve(w1: float, w2: float, g_h: float | None,
-              g_c: float | None) -> tuple[float, float, float, float]:
-        T_h2, _, _, q_h = _solve_side(f_h, p_h, mdot_h, h_h1, T_h1 - w1, aA_h, w2, T_h1, True,
-                                      g_h)
-        T_c2, _, _, q_c = _solve_side(f_c, p_c, mdot_c, h_c1, w2 - T_c1, aA_c, T_c1, w1, False,
-                                      g_c)
-        return T_h2, T_c2, -q_h, q_c
+    The solver carries its own outlet guesses.  The first solve starts
+    from ``start`` (None for a bracketed search).  Each later solve starts
+    from a continuation predictor: the last roots plus their tangents in
+    the walls (from _solve_side) times the step from the last walls,
+    T + (t1 (w1 - w1') + t2 (w2 - w2')).  Only the start moves; each side
+    still closes within OUTPUT_FTOL.
+    """
+    (c_h, mdot_h, h_h1, aA_h), (c_c, mdot_c, h_c1, aA_c) = _side_constants(u, cond, hot, cold)
+    T_h1, T_c1 = u.T_h1, u.T_c1
+    g_h, g_c = (None, None) if start is None else (start.T_h2, start.T_c2)
+    # the last walls (None before the first solve) and the tangents there
+    v1 = v2 = None
+    t_h1 = t_h2 = t_c1 = t_c2 = 0.0
+
+    def solve(w1: float, w2: float) -> tuple[float, float, float, float]:
+        nonlocal g_h, g_c, v1, v2, t_h1, t_h2, t_c1, t_c2
+        if v1 is not None:
+            d1, d2 = w1 - v1, w2 - v2
+            g_h += t_h1 * d1 + t_h2 * d2
+            g_c += t_c1 * d1 + t_c2 * d2
+        g_h, _, _, q_h, t_h1, t_h2 = _solve_side(c_h, mdot_h, h_h1, T_h1 - w1, aA_h, w2, T_h1,
+                                                 True, g_h)
+        g_c, _, _, q_c, t_c1, t_c2 = _solve_side(c_c, mdot_c, h_c1, w2 - T_c1, aA_c, T_c1, w1,
+                                                 False, g_c)
+        v1, v2 = w1, w2
+        return g_h, g_c, -q_h, q_c
 
     return solve
 
@@ -356,16 +389,13 @@ def ref_output_detailed(
     the outlets of the previous call in a simulation, starts each side
     with Newton; without one, each side is a bracketed search.
     """
-    (f_h, p_h, mdot_h, h_h1, aA_h), (f_c, p_c, mdot_c, h_c1, aA_c) = _side_constants(
-        u, cond, hot, cold)
+    (c_h, mdot_h, h_h1, aA_h), (c_c, mdot_c, h_c1, aA_c) = _side_constants(u, cond, hot, cold)
     T_h1, T_c1, w1, w2 = u.T_h1, u.T_c1, x.T_w1, x.T_w2
     g_h = g_c = None
     if guess is not None:
         g_h, g_c = guess.T_h2, guess.T_c2
-    T_h2, r_h, flag_h, _ = _solve_side(f_h, p_h, mdot_h, h_h1, T_h1 - w1, aA_h, w2, T_h1, True,
-                                       g_h)
-    T_c2, r_c, flag_c, _ = _solve_side(f_c, p_c, mdot_c, h_c1, w2 - T_c1, aA_c, T_c1, w1, False,
-                                       g_c)
+    T_h2, r_h, flag_h = _solve_side(c_h, mdot_h, h_h1, T_h1 - w1, aA_h, w2, T_h1, True, g_h)[:3]
+    T_c2, r_c, flag_c = _solve_side(c_c, mdot_c, h_c1, w2 - T_c1, aA_c, T_c1, w1, False, g_c)[:3]
     return OutletTemps(T_h2, T_c2), RefOutputInfo(flag_h, flag_c, r_h, r_c)
 
 
@@ -378,11 +408,8 @@ def ref_output(
     guess: OutletTemps | None = None,
 ) -> OutletTemps:
     """Reference outlet temperatures: output_solver's side solves at the
-    walls x, without ref_output_detailed's diagnostics."""
-    g_h = g_c = None
-    if guess is not None:
-        g_h, g_c = guess.T_h2, guess.T_c2
-    T_h2, T_c2, _, _ = output_solver(u, cond, hot, cold)(x.T_w1, x.T_w2, g_h, g_c)
+    walls x from the guess, without ref_output_detailed's diagnostics."""
+    T_h2, T_c2, _, _ = output_solver(u, cond, hot, cold, guess)(x.T_w1, x.T_w2)
     return OutletTemps(T_h2, T_c2)
 
 
@@ -555,12 +582,11 @@ def verify_uniqueness(
         prev = v
 
     walls_s = steady_wall_temps(outlets_s, u, cond)
-    (f_h, p_h, mdot_h, h_h1, aA_h), (f_c, p_c, mdot_c, h_c1, aA_c) = _side_constants(
-        u, cond, hot, cold)
-    res_h = _side_residual(f_h, p_h, mdot_h, h_h1, u.T_h1 - walls_s.T_w1, aA_h, walls_s.T_w2,
-                           u.T_h1, True)
-    res_c = _side_residual(f_c, p_c, mdot_c, h_c1, walls_s.T_w2 - u.T_c1, aA_c, u.T_c1,
-                           walls_s.T_w1, False)
+    (c_h, mdot_h, h_h1, aA_h), (c_c, mdot_c, h_c1, aA_c) = _side_constants(u, cond, hot, cold)
+    res_h = _side_residual(c_h, mdot_h, h_h1, u.T_h1 - walls_s.T_w1, aA_h, walls_s.T_w2, u.T_h1,
+                           True)
+    res_c = _side_residual(c_c, mdot_c, h_c1, walls_s.T_w2 - u.T_c1, aA_c, u.T_c1, walls_s.T_w1,
+                           False)
 
     # The wall-side bracket endpoints sit exactly on the arithmetic-mean
     # fallback (one temperature difference is zero there), so the

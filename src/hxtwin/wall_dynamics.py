@@ -8,9 +8,10 @@ plane splits into five sectors that fix the scalar gain a in
 xdot = a * e; sector_gain picks the sector and its gain in one call.
 Truth (reference_wall_rhs) and filter (ApproxStage.rates) give the rates
 as rhs(w1, w2) on floats, and rk4_pair steps both.  A truth stage takes
-its outlets and heat rates from one call of the
-reference_model.output_solver built for its sample, and builds no
-objects.
+its heat rates from one call of the reference_model.output_solver built
+for its sample, and builds no objects; that solver starts each stage
+from the previous stage's outlets moved along their tangent in the
+walls.
 """
 
 from __future__ import annotations
@@ -131,20 +132,19 @@ def reference_wall_rhs(
     The steady wall state and output_solver's side constants are formed
     once here (they depend only on u and theta); each stage evaluation
     then needs just the two transient root solves, which also give the
-    heat rates of the drift.  Each solve starts from the outlets of the
-    previous stage, the first from ``start`` (the previous sample's
-    outlets in a simulation; None for a cold start).
+    heat rates of the drift.  The first solve starts from ``start`` (the
+    previous sample's outlets in a simulation; None for a cold start),
+    each later one from the previous stage's outlets moved along their
+    tangent in the walls (output_solver's predictor).
     """
     steady = ref_steady_outlets(u, cond.kA, hot, cold)
     xs = steady_wall_temps(steady, u, cond)
-    solve = output_solver(u, cond, hot, cold)
+    solve = output_solver(u, cond, hot, cold, start)
     # the constants as closure cells, the cheapest loads per call
     w1s, w2s, theta7 = xs.T_w1, xs.T_w2, cfg.theta7
-    g_h, g_c = (None, None) if start is None else (start.T_h2, start.T_c2)
 
     def rhs(w1: float, w2: float) -> tuple[float, float]:
-        nonlocal g_h, g_c
-        g_h, g_c, Q_h, Q_c = solve(w1, w2, g_h, g_c)
+        _, _, Q_h, Q_c = solve(w1, w2)
         e1, e2 = w1s - w1, w2s - w2
         a = sector_gain(e1, e2, (-Q_h - Q_c) / theta7)[1]
         return a * e1, a * e2

@@ -3,15 +3,17 @@
 approx_model.approx_side selects beta, takes the closed-form root and
 forms the weighted mean in one call, wall_dynamics.sector_gain decides
 the sector inside its gain, reference_model._solve_side runs Newton on a
-side residual and its slope written out inline, and the truth's
-wall_dynamics.reference_wall_rhs takes outlets and heat rates from one
-float output solve.  The tests pin those fused calls against the rules
-written out one at a time here: select_beta, then g_closed_form, then
-weighted_mean; classify_sector; the side residual with its slope as
-closures over heat_rate and heat_rate_slope, solved by newton_side with
-solve_side's fallback; and reference_wall_rhs, the stage on ref_output's
-objects with heat_rate and wall_drift_rate.  The fluids' enthalpy and
-enthalpy_slope find the table cell and run Horner inline;
+side residual and its slope written out inline and gives the tangent of
+its root in the walls, and the truth's wall_dynamics.reference_wall_rhs
+takes outlets and heat rates from one float output solve that predicts
+each start along that tangent.  The tests pin those fused calls against
+the rules written out one at a time here: select_beta, then
+g_closed_form, then weighted_mean; classify_sector; the side residual
+with its slope and its tangent as closures over heat_rate and
+heat_rate_slope, solved by newton_side with solve_side's fallback; and
+reference_wall_rhs, the stage on ref_output's objects with heat_rate and
+wall_drift_rate, its guesses moved along the tangent closure.  The
+fluids' enthalpy and curve find the table cell and run Horner inline;
 table_enthalpy, table_enthalpy_slope, poly_enthalpy and poly_cp are
 those rules as separate steps.
 
@@ -34,6 +36,7 @@ from hxtwin.reference_model import (
     NEWTON_MAX_ITER,
     OUTPUT_FTOL,
     BracketError,
+    OutletTemps,
     WallState,
     ref_output,
     ref_steady_outlets,
@@ -95,15 +98,38 @@ def wall_drift_rate(Q_h: float, Q_c: float, theta7: float) -> float:
 
 def reference_wall_rhs(u, cond, hot, cold, cfg, start=None):
     """The truth's wall rates rhs(w1, w2) on objects: each stage builds a
-    WallState, calls ref_output from the previous stage's OutletTemps
-    (the first from start), and forms both heat rates with heat_rate and
-    the drift with wall_drift_rate."""
+    WallState, calls ref_output from a guess, and forms both heat rates
+    with heat_rate and the drift with wall_drift_rate.
+
+    The first stage's guess is start.  Each later stage's guess is the
+    previous stage's outlets moved along their tangent in the walls,
+    T + (t1 (w1 - w1') + t2 (w2 - w2')), with (t1, t2) the tangent
+    closure of side_closures at those outlets; after a stage solved from
+    no guess, a bracketed search, the tangent is zero.  (A Newton that
+    falls back also gives a zero tangent in the library; the shipped
+    truth runs have none, tests/test_harness.py checks.)"""
     xs = steady_wall_temps(ref_steady_outlets(u, cond.kA, hot, cold), u, cond)
-    guess = start
+    h_h1 = hot.fluid.enthalpy(u.T_h1, hot.pressure)
+    h_c1 = cold.fluid.enthalpy(u.T_c1, cold.pressure)
+    guess, last = start, None
 
     def rhs(w1, w2):
-        nonlocal guess
-        outs = guess = ref_output(WallState(w1, w2), u, cond, hot, cold, guess)
+        nonlocal guess, last
+        if last is not None:
+            outs, v1, v2, (t_h1, t_h2), (t_c1, t_c2) = last
+            d1, d2 = w1 - v1, w2 - v2
+            guess = OutletTemps(outs.T_h2 + (t_h1 * d1 + t_h2 * d2),
+                                outs.T_c2 + (t_c1 * d1 + t_c2 * d2))
+        outs = ref_output(WallState(w1, w2), u, cond, hot, cold, guess)
+        if guess is None:
+            tangents = (0.0, 0.0), (0.0, 0.0)
+        else:
+            tangents = (
+                side_closures(hot.fluid, hot.pressure, u.mdot_h, h_h1, u.T_h1 - w1, cond.aA_h,
+                              w2, u.T_h1, True)[2](outs.T_h2),
+                side_closures(cold.fluid, cold.pressure, u.mdot_c, h_c1, w2 - u.T_c1,
+                              cond.aA_c, u.T_c1, w1, False)[2](outs.T_c2))
+        last = (outs, w1, w2, *tangents)
         Q_h = -heat_rate(u.T_h1 - w1, outs.T_h2 - w2, cond.aA_h)
         Q_c = heat_rate(w1 - outs.T_c2, w2 - u.T_c1, cond.aA_c)
         e1, e2 = xs.T_w1 - w1, xs.T_w2 - w2
@@ -127,10 +153,17 @@ def heat_rate_slope(z1: float, z2: float, z3: float, q: float) -> float:
 
 
 def side_closures(fluid, p, mdot, h1, dT, aA, lo, hi, hot):
-    """The residual of one output side and the residual with its slope,
-    as functions of the outlet T: R_h(T) = mdot (h(T) - h1) + Q(dT, T -
-    lo, aA) on the hot side [lo, hi] = [T_w2, T_h1], R_c(T) = mdot (h(T)
-    - h1) - Q(hi - T, dT, aA) on the cold side [T_c1, T_w1]."""
+    """The residual of one output side, the residual with its slope, and
+    the tangent of a root in the walls, as functions of the outlet T:
+    R_h(T) = mdot (h(T) - h1) + Q(dT, T - lo, aA) on the hot side [lo, hi]
+    = [T_w2, T_h1], with dT = T_h1 - T_w1; R_c(T) = mdot (h(T) - h1) -
+    Q(hi - T, dT, aA) on the cold side [T_c1, T_w1], with dT = T_w2 -
+    T_c1.
+
+    The tangent is the implicit function theorem on R(T; T_w1, T_w2) = 0,
+    (dT/dT_w1, dT/dT_w2) = -(dR/dT_w1, dR/dT_w2) / (dR/dT), where the
+    wall partials are heat_rate_slope in each of the heat rate's two
+    differences; (0.0, 0.0) where dR/dT is not positive."""
     if hot:
         def res(T):
             return mdot * (fluid.enthalpy(T, p) - h1) + heat_rate(dT, T - lo, aA)
@@ -140,6 +173,16 @@ def side_closures(fluid, p, mdot, h1, dT, aA, lo, hi, hot):
             q = heat_rate(dT, z, aA)
             r = mdot * (fluid.enthalpy(T, p) - h1) + q
             return r, mdot * fluid.enthalpy_slope(T, p) + heat_rate_slope(z, dT, aA, q)
+
+        def tangent(T):
+            # dT_w1 moves dT = T_h1 - T_w1 by -1, dT_w2 moves z = T - T_w2 by -1
+            z = T - lo
+            q = heat_rate(dT, z, aA)
+            dR_dT = mdot * fluid.enthalpy_slope(T, p) + heat_rate_slope(z, dT, aA, q)
+            dR_dw1, dR_dw2 = -heat_rate_slope(dT, z, aA, q), -heat_rate_slope(z, dT, aA, q)
+            if not dR_dT > 0.0:
+                return 0.0, 0.0
+            return -dR_dw1 / dR_dT, -dR_dw2 / dR_dT
     else:
         def res(T):
             return mdot * (fluid.enthalpy(T, p) - h1) - heat_rate(hi - T, dT, aA)
@@ -149,7 +192,17 @@ def side_closures(fluid, p, mdot, h1, dT, aA, lo, hi, hot):
             q = heat_rate(z, dT, aA)
             r = mdot * (fluid.enthalpy(T, p) - h1) - q
             return r, mdot * fluid.enthalpy_slope(T, p) + heat_rate_slope(z, dT, aA, q)
-    return res, res_slope
+
+        def tangent(T):
+            # dT_w1 moves z = T_w1 - T by +1, dT_w2 moves dT = T_w2 - T_c1 by +1
+            z = hi - T
+            q = heat_rate(z, dT, aA)
+            dR_dT = mdot * fluid.enthalpy_slope(T, p) + heat_rate_slope(z, dT, aA, q)
+            dR_dw1, dR_dw2 = -heat_rate_slope(z, dT, aA, q), -heat_rate_slope(dT, z, aA, q)
+            if not dR_dT > 0.0:
+                return 0.0, 0.0
+            return -dR_dw1 / dR_dT, -dR_dw2 / dR_dT
+    return res, res_slope, tangent
 
 
 def newton_side(f_slope, a, b, x):
@@ -172,16 +225,17 @@ def newton_side(f_slope, a, b, x):
     return None
 
 
-def solve_side(f, f_slope, lo, hi, guess):
+def solve_side(f, f_slope, tangent, lo, hi, guess):
     """One side solve: newton_side from the guess (clamped into the inner
     0.1 % margins of the open bracket), then the bracketed search, reading
     the endpoint signs a hair inside [lo, hi].  Returns (T, residual,
-    flagged)."""
+    flagged, t1, t2), with (t1, t2) = tangent(T) at a Newton root and
+    (0.0, 0.0) on every other path."""
     if lo > hi:
         raise BracketError(f"inverted bracket [{lo}, {hi}] K")
     if lo == hi:
         r = f(lo)
-        return lo, r, abs(r) > OUTPUT_FTOL
+        return lo, r, abs(r) > OUTPUT_FTOL, 0.0, 0.0
     delta = 1e-7 * (hi - lo)
     a, b = lo + delta, hi - delta
     if guess is not None:
@@ -189,18 +243,18 @@ def solve_side(f, f_slope, lo, hi, guess):
             guess = min(max(guess, a + 1e-3 * (b - a)), b - 1e-3 * (b - a))
         root = newton_side(f_slope, a, b, guess)
         if root is not None:
-            return (*root, False)
+            return (*root, False, *tangent(root[0]))
     f_a, f_b = f(a), f(b)
     if f_a == 0.0:
-        return a, 0.0, False
+        return a, 0.0, False, 0.0, 0.0
     if f_b == 0.0:
-        return b, 0.0, False
+        return b, 0.0, False, 0.0, 0.0
     if (f_a > 0.0) == (f_b > 0.0):
         if abs(f_a) <= abs(f_b):
-            return lo, f_a, True
-        return hi, f_b, True
+            return lo, f_a, True, 0.0, 0.0
+        return hi, f_b, True, 0.0, 0.0
     x, fx, converged, _ = solve_bracketed(f, a, b, f_a, f_b, ftol=OUTPUT_FTOL)
-    return x, fx, not converged
+    return x, fx, not converged, 0.0, 0.0
 
 
 def table_cell(model, T):

@@ -40,11 +40,11 @@ CEILINGS = {
     ("coolant_step", "A"): 44_625,
     ("coolant_step", "B"): 49_124,
     ("coolant_step", "C"): 48_784,
-    ("coolant_step", "truth"): 30_477,
+    ("coolant_step", "truth"): 22_034,
     ("chirp_tracking", "A"): 39_640,
     ("chirp_tracking", "B"): 43_690,
     ("chirp_tracking", "C"): 43_540,
-    ("chirp_tracking", "truth"): 30_658,
+    ("chirp_tracking", "truth"): 21_929,
 }
 
 

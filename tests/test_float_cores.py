@@ -20,9 +20,12 @@ of the solve and each fluid kind; test_side_solve_examples_cover_every_path
 checks the examples; the heat rate it also returns is heat_rate at its
 outlet on every path.  The truth's stage, wall_dynamics.reference_wall_rhs
 on output_solver's floats, is pinned against the stage on ref_output's
-objects over the first samples of each shipped scenario.  The fluids'
+objects over the first samples of each shipped scenario; its side solves
+start from the previous stage's outlets moved along the tangent that
+_solve_side returns, pinned against the oracle's tangent.  The fluids'
 inlined enthalpy and slope are pinned against the cell lookup and Horner
-steps written out.
+steps written out, and each fluid's curve against its enthalpy and
+slope.
 """
 
 import math
@@ -53,7 +56,7 @@ from hxtwin.approx_model import (
 )
 from hxtwin.correlations import CorrelationParams, alpha_A
 from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances, parameter_terms
-from hxtwin.fluids import CaloricallyPerfect
+from hxtwin.fluids import CaloricallyPerfect, StreamConfig
 from hxtwin.means import heat_rate
 from hxtwin.sampledata import COOLANT_CP_COEFFS, make_co2_like_table, make_coolant_model
 from hxtwin.scenario import load_scenario
@@ -480,11 +483,13 @@ ROOT_AT_GUESS = [name for name in SIDE_SOLVES if name.startswith(("hot-", "cold-
 
 def solved_both_ways(kind, hot, mdot, dT, aA, lo, hi, guess, root_at_guess=False):
     """(_solve_side, oracle) outcomes of one side solve: the float bits of
-    (T, residual, flagged), or the type and text of what was raised.  The
-    inlet enthalpy is taken at the hull edge nearest the inlet, or where
-    the residual is zero at the guess.  The heat rate that _solve_side
-    also returns is asserted here to be heat_rate at its T, bit for bit,
-    on every path of the solve."""
+    (T, residual, flagged, t1, t2), or the type and text of what was
+    raised; (t1, t2) is the tangent of the root in the walls, the
+    oracle's on the Newton path and zero on every other.  The inlet
+    enthalpy is taken at the hull edge nearest the inlet, or where the
+    residual is zero at the guess.  The heat rate q that _solve_side also
+    returns is asserted here to be heat_rate at its T, bit for bit, on
+    every path of the solve."""
     fluid, p = SIDE_FLUIDS[kind]
     if root_at_guess:
         q = heat_rate(dT, guess - lo, aA) if hot else -heat_rate(hi - guess, dT, aA)
@@ -492,13 +497,14 @@ def solved_both_ways(kind, hot, mdot, dT, aA, lo, hi, guess, root_at_guess=False
     else:
         inlet = hi if hot else lo
         h1 = fluid.enthalpy(min(max(inlet, fluid.hull_T[0]), fluid.hull_T[1]), p)
-    side = (fluid, p, mdot, h1, dT, aA, lo, hi, hot)
-    new = outcome(reference_model._solve_side, *side, guess)
-    if len(new) == 4:
+    side = (mdot, h1, dT, aA, lo, hi, hot)
+    new = outcome(reference_model._solve_side, fluid.curve(p), *side, guess)
+    if len(new) == 6:
         T = float.fromhex(new[0])
         assert new[3] == (heat_rate(dT, T - lo, aA) if hot else heat_rate(hi - T, dT, aA)).hex()
-        new = new[:3]
-    return new, outcome(oracles.solve_side, *oracles.side_closures(*side), lo, hi, guess)
+        new = new[:3] + new[4:]
+    return new, outcome(oracles.solve_side, *oracles.side_closures(fluid, p, *side), lo, hi,
+                        guess)
 
 
 def outcome(solve, *args):
@@ -557,10 +563,12 @@ def test_side_solve_examples_cover_every_path(monkeypatch):
             if guess is not None and lo < hi and not a < guess < b:
                 seen.add("clamped")
             seen.add(new[0] if new[0].endswith("Error") else f"flagged={new[2]}")
+            if len(new) == 5:
+                seen.add("zero tangent" if new[3:] == (0.0.hex(),) * 2 else "tangent")
     assert seen == {(side, branch) for side in ("hot", "cold")
                     for branch in ("log-mean", "series", "equal", "arithmetic")} | {
         "newton", "fallback", "clamped", "flagged=False", "flagged=True",
-        "BracketError", "OutOfRangeError"}
+        "BracketError", "OutOfRangeError", "tangent", "zero tangent"}
 
 
 side_solves = st.tuples(
@@ -654,3 +662,91 @@ def test_fluid_calls_are_the_cell_and_horner_steps_at_edges_and_nodes(kind):
 def test_fluid_calls_are_the_cell_and_horner_steps(kind, T, p):
     new, old = fluid_both_ways(kind, T, p)
     assert new == old
+
+
+# kind -> fluid whose curve is pinned against its enthalpy and slope
+CURVE_FLUIDS = {"table": TABLE, "polynomial": COOLANT, "perfect": SIDE_FLUIDS["perfect"][0]}
+
+
+def curve_both_ways(fluid, T, p):
+    """(curve, methods) bits of (h, dh/dT) at (T, p), or the type and text
+    of what was raised: fluid.curve(p)(T) against (fluid.enthalpy(T, p),
+    fluid.enthalpy_slope(T, p))."""
+    out = []
+    for call in (lambda T: fluid.curve(p)(T),
+                 lambda T: (fluid.enthalpy(T, p), fluid.enthalpy_slope(T, p))):
+        try:
+            out.append(tuple(v.hex() for v in call(T)))
+        except ValueError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("kind", list(CURVE_FLUIDS))
+def test_curve_is_enthalpy_and_slope_at_edges_nodes_and_cells(kind):
+    # the table's nodes and cell midpoints, each hull's edges, the floats
+    # just outside them and points well outside: the same bits, or the
+    # same error type and text
+    fluid = CURVE_FLUIDS[kind]
+    Tg = TABLE.T_grid
+    temps = [*Tg, *((a + b) / 2.0 for a, b in zip(Tg, Tg[1:]))]
+    for lo, hi in {TABLE.hull_T, COOLANT.hull_T}:
+        temps += [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+                  lo - 50.0, hi + 50.0]
+    for T in temps:
+        new, old = curve_both_ways(fluid, T, 1e7)
+        assert new == old, T
+    lo, hi = fluid.hull_T
+    if kind != "perfect":
+        assert curve_both_ways(fluid, lo - 50.0, 1e7)[0][0] == "OutOfRangeError"
+        assert curve_both_ways(fluid, math.nextafter(hi, math.inf), 1e7)[0][0] == "OutOfRangeError"
+
+
+@settings(SETTINGS, max_examples=200)
+@given(kind=st.sampled_from(list(CURVE_FLUIDS)), T=st.floats(190.0, 610.0),
+       p=st.floats(8e6, 1.2e7))
+def test_curve_is_enthalpy_and_slope(kind, T, p):
+    new, old = curve_both_ways(CURVE_FLUIDS[kind], T, p)
+    assert new == old
+
+
+def raised(call):
+    """The type and text of what call() raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def test_curve_raises_the_pressure_errors_of_enthalpy():
+    # the table's pressure outside its axis raises when the curve is
+    # built, with the type and text of enthalpy's at a T inside the hull;
+    # a stream at that pressure still loads, and raises at its first use.
+    # The polynomial's only bad pressure is NaN, which its curve meets at
+    # each evaluation, as enthalpy does, after a T outside the hull.
+    p = TABLE.hull_p[0] / 2.0
+    stream = StreamConfig(TABLE, p)
+    assert raised(lambda: stream.curve) == raised(lambda: TABLE.enthalpy(300.0, p))
+    assert raised(lambda: TABLE.curve(p)) == raised(lambda: TABLE.enthalpy(300.0, p))
+    for T in (300.0, 100.0):
+        new, old = curve_both_ways(COOLANT, T, math.nan)
+        assert new == old
+        assert new[0] == "OutOfRangeError"
+
+
+def test_a_truth_run_builds_each_stream_curve_once(monkeypatch):
+    # the truth's output solves take the stream's curve; a freshly loaded
+    # scenario builds it at its first solve, and no later sample rebuilds it
+    built = []
+
+    def counted(curve):
+        def build(self, p):
+            built.append((id(self), p))
+            return curve(self, p)
+
+        return build
+
+    scn = load_scenario(SCENARIOS / "chirp_tracking.cfg")
+    for cls in {type(scn.hot.fluid), type(scn.cold.fluid)}:
+        monkeypatch.setattr(cls, "curve", counted(cls.curve))
+    harness.run_truth_sim(replace(scn, duration_s=5 * scn.dt_s))
+    assert sorted(built) == sorted({(id(s.fluid), s.pressure) for s in (scn.hot, scn.cold)})

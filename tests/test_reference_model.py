@@ -213,14 +213,15 @@ def sides(x, u, cond, hot, cold):
     before its guess, for the hot and the cold side of the output
     equations at the walls x (see ref_output_detailed)."""
     p_h, p_c = hot.pressure, cold.pressure
-    return ((hot.fluid, p_h, u.mdot_h, hot.fluid.enthalpy(u.T_h1, p_h), u.T_h1 - x.T_w1,
+    return ((hot.curve, u.mdot_h, hot.fluid.enthalpy(u.T_h1, p_h), u.T_h1 - x.T_w1,
              cond.aA_h, x.T_w2, u.T_h1, True),
-            (cold.fluid, p_c, u.mdot_c, cold.fluid.enthalpy(u.T_c1, p_c), x.T_w2 - u.T_c1,
+            (cold.curve, u.mdot_c, cold.fluid.enthalpy(u.T_c1, p_c), x.T_w2 - u.T_c1,
              cond.aA_c, u.T_c1, x.T_w1, False))
 
 
 class CountingPerfect(CaloricallyPerfect):
-    """CaloricallyPerfect that counts its enthalpy evaluations."""
+    """CaloricallyPerfect that counts its enthalpy evaluations, through
+    enthalpy or through a curve."""
 
     def __init__(self, cp):
         super().__init__(cp)
@@ -229,6 +230,15 @@ class CountingPerfect(CaloricallyPerfect):
     def enthalpy(self, T, p):
         self.calls += 1
         return super().enthalpy(T, p)
+
+    def curve(self, p):
+        h_and_slope = super().curve(p)
+
+        def counted(T):
+            self.calls += 1
+            return h_and_slope(T)
+
+        return counted
 
 
 @pytest.mark.parametrize("guess", [None, 280.0, 280.5])
@@ -241,7 +251,7 @@ def test_side_too_stiff_for_output_ftol_stops_at_adjacent_floats(guess):
     x, u = WallState(280.5, 280.5), InletConditions(281.0, 280.0, 1.0, 1e5)
     side = sides(x, u, Conductances(100.0, 100.0), hot, cold)[1]
     fluid.calls = 0
-    T, r, flagged, q = reference_model._solve_side(*side, guess)
+    T, r, flagged, q, _, _ = reference_model._solve_side(*side, guess)
     assert not flagged
     assert fluid.calls <= 10
     residual = reference_model._side_residual(*side)
@@ -573,7 +583,7 @@ def property_case(case):
 def test_side_residuals_increase_strictly_over_their_brackets(case):
     hot, cold, x, u, cond, _ = property_case(case)
     for side in sides(x, u, cond, hot, cold):
-        lo, hi = side[6:8]
+        lo, hi = side[5:7]
         a, b = lo + 1e-7 * (hi - lo), hi - 1e-7 * (hi - lo)  # the solver's open bracket
         residual = reference_model._side_residual(*side)
         values = [residual(a + (b - a) * k / 63) for k in range(64)]
@@ -591,13 +601,64 @@ def test_ref_output_closes_each_side_energy_balance(case):
     for side, T, flagged in zip(sides(x, u, cond, hot, cold),
                                 (outlets.T_h2, outlets.T_c2),
                                 (info.flagged_hot, info.flagged_cold)):
-        lo, hi = side[6:8]
+        lo, hi = side[5:7]
         a, b = lo + 1e-7 * (hi - lo), hi - 1e-7 * (hi - lo)
         residual = reference_model._side_residual(*side)
         if residual(a) < 0.0 < residual(b):
             assert closes_or_is_next_to_root(residual, T) and not flagged, (side, T)
         else:
             assert T in (lo, hi), (side, T)
+
+
+def changes_sign_inside(side):
+    """Whether a side residual changes sign inside the solver's open
+    bracket, so that the side has an interior root."""
+    lo, hi = side[5:7]
+    residual = reference_model._side_residual(*side)
+    return residual(lo + 1e-7 * (hi - lo)) < 0.0 < residual(hi - 1e-7 * (hi - lo))
+
+
+predictor_cases = st.tuples(
+    st.sampled_from(list(PROPERTY_STREAMS)), st.sampled_from(list(PROPERTY_STREAMS)),
+    st.floats(280.0, 330.0), st.floats(10.0, 90.0),  # T_c1, T_h1 - T_c1
+    st.floats(0.05, 0.95), st.floats(0.05, 0.95),  # the walls' places between the inlets
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),  # the wall steps, K
+    st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e), st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e),
+    st.floats(2.0, 5.0).map(lambda e: 10.0 ** e), st.floats(2.0, 5.0).map(lambda e: 10.0 ** e))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=predictor_cases)
+def test_tangent_predicted_side_solve_closes_as_the_unpredicted_one(case):
+    # Each side's root at walls x0, solved again from itself so the
+    # Newton path gives its tangent, then the side at x0 plus a wall step
+    # of up to 1 K, from that root moved along the tangent and from the
+    # root alone: both close, unflagged, on the same root.  Walls at
+    # least 5 % of a span of 10 K or more from the inlets keep the step
+    # inside the brackets.  Only sides whose residual changes sign inside
+    # the bracket at both walls are solved (the others clamp to an end,
+    # flagged, on either start); "close" is closes_or_is_next_to_root,
+    # since next to a bracket end the log mean's slope can put OUTPUT_FTOL
+    # below one ulp of T.
+    hot, cold, T_c1, span, f1, f2, d1, d2, mdot_h, mdot_c, aA_h, aA_c = case
+    hot, cold = PROPERTY_STREAMS[hot], PROPERTY_STREAMS[cold]
+    u = InletConditions(T_c1 + span, T_c1, mdot_h, mdot_c)
+    cond = Conductances(aA_h, aA_c)
+    x0 = WallState(T_c1 + f1 * span, T_c1 + f2 * span)
+    x1 = WallState(x0.T_w1 + d1, x0.T_w2 + d2)
+    outlets = ref_output(x0, u, cond, hot, cold)
+    for side0, side1, T0 in zip(sides(x0, u, cond, hot, cold), sides(x1, u, cond, hot, cold),
+                                (outlets.T_h2, outlets.T_c2)):
+        if not all(changes_sign_inside(side) for side in (side0, side1)):
+            continue
+        T, r, flagged, _, t1, t2 = reference_model._solve_side(*side0, T0)
+        assert T == T0 and not flagged and (t1, t2) != (0.0, 0.0)
+        predicted = reference_model._solve_side(*side1, T0 + (t1 * d1 + t2 * d2))
+        unpredicted = reference_model._solve_side(*side1, T0)
+        residual = reference_model._side_residual(*side1)
+        for T, r, flagged in (predicted[:3], unpredicted[:3]):
+            assert closes_or_is_next_to_root(residual, T) and not flagged, (side1, T, r)
+        assert abs(predicted[0] - unpredicted[0]) <= 1e-9, (side1, predicted, unpredicted)
 
 
 # ---------------------------------------------------------------------------
