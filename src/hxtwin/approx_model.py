@@ -19,16 +19,10 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .correlations import serial_conductance
+from .correlations import NonPositiveConductanceError
 from .fluids import StreamConfig
 from .means import DomainError, arith_mean, geom_mean, log_mean
-from .reference_model import (
-    Conductances,
-    InletConditions,
-    OutletTemps,
-    WallState,
-    steady_walls,
-)
+from .reference_model import Conductances, InletConditions, OutletTemps, WallState
 
 __all__ = [
     "BetaBranch",
@@ -44,7 +38,6 @@ __all__ = [
     "steady_terms",
     "update_cp_params",
     "approx_steady_selfconsistent",
-    "approx_sides",
     "evaluate_approx",
     "partial_rows",
 ]
@@ -308,26 +301,21 @@ def approx_steady_selfconsistent(
     Stops after STEADY_CP_MAX_ITER sweeps or when both outlets move
     less than STEADY_CP_TOL kelvin.
     """
-    def outlets_at(cp: CpParams) -> OutletTemps:
-        return OutletTemps(*steady_outlets(
-            u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, kA_of(cp)))
-
+    T_h1, T_c1, mdot_h, mdot_c = u.T_h1, u.T_c1, u.mdot_h, u.mdot_c
+    cp_hot, cp_cold = hot.fluid.mean_specific_heat, cold.fluid.mean_specific_heat
     cp = cp0
-    outlets = outlets_at(cp)
+    T_h2, T_c2 = steady_outlets(T_h1, T_c1, mdot_h * cp.theta5, mdot_c * cp.theta6, kA_of(cp))
     n = 0
     for n in range(1, STEADY_CP_MAX_ITER + 1):
-        cp = CpParams(
-            cp.theta3,
-            cp.theta4,
-            hot.fluid.mean_specific_heat(u.T_h1, outlets.T_h2, hot.pressure),
-            cold.fluid.mean_specific_heat(u.T_c1, outlets.T_c2, cold.pressure),
-        )
-        new = outlets_at(cp)
-        moved = max(abs(new.T_h2 - outlets.T_h2), abs(new.T_c2 - outlets.T_c2))
-        outlets = new
+        cp = CpParams(cp.theta3, cp.theta4, cp_hot(T_h1, T_h2, hot.pressure),
+                      cp_cold(T_c1, T_c2, cold.pressure))
+        new_h, new_c = steady_outlets(
+            T_h1, T_c1, mdot_h * cp.theta5, mdot_c * cp.theta6, kA_of(cp))
+        moved = max(abs(new_h - T_h2), abs(new_c - T_c2))
+        T_h2, T_c2 = new_h, new_c
         if moved < STEADY_CP_TOL:
             break
-    return outlets, cp, n
+    return OutletTemps(T_h2, T_c2), cp, n
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,21 +335,52 @@ def steady_terms(T_h1: float, T_c1: float, W_h: float, W_c: float,
                  aA_h: float, aA_c: float) -> tuple[float, ...]:
     """The steady part of evaluate_approx's terms at the steady conductances
     (aA_h, aA_c), with W_h = mdot_h*theta5 and W_c = mdot_c*theta6:
-    (beta_LM hot, beta_LM cold, T_w1s, T_w2s, T_h2s, T_c2s)."""
-    T_h2s, T_c2s = steady_outlets(T_h1, T_c1, W_h, W_c, serial_conductance(aA_h, aA_c))
-    T_w1s, T_w2s = steady_walls(T_h1, T_c1, T_h2s, T_c2s, aA_h, aA_c)
-    return (beta_lm_value(T_h1 - T_w1s, T_h2s - T_w2s),
-            beta_lm_value(T_w2s - T_c1, T_w1s - T_c2s), T_w1s, T_w2s, T_h2s, T_c2s)
+    (beta_LM hot, beta_LM cold, T_w1s, T_w2s, T_h2s, T_c2s).
 
-
-def approx_sides(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA_c: float,
-                 C_h: float, C_c: float, lm_h: BetaSelection, lm_c: BetaSelection) -> tuple:
-    """evaluate_approx on floats at the walls, with C_h = mdot_h*theta3 and
-    C_c = mdot_c*theta4: (beta_hot, beta_cold, T_h2, T_c2, Q_h, Q_c)."""
-    dT_w = w1 - w2
-    beta_h, G_h, WM_h = approx_side(T_h1 - w1, dT_w, aA_h, C_h, lm_h)
-    beta_c, G_c, WM_c = approx_side(w2 - T_c1, dT_w, aA_c, C_c, lm_c)
-    return beta_h, beta_c, G_h + w2, w1 - G_c, -aA_h * WM_h, aA_c * WM_c
+    In one frame on floats: serial_conductance, steady_outlets,
+    reference_model.steady_walls and both beta_lm_value calls written out,
+    each with its own float operations in its own order and its own
+    errors, so every result keeps the bits of that composition.
+    """
+    if aA_h <= 0.0 or aA_c <= 0.0:
+        raise NonPositiveConductanceError(
+            f"side conductances must be positive, got ({aA_h}, {aA_c})")
+    kA = 1.0 / (1.0 / aA_h + 1.0 / aA_c)
+    if kA <= 0.0:
+        raise ValueError(f"kA must be positive, got {kA}")
+    if abs(W_h / W_c - 1.0) < _BALANCED_SWITCH:
+        T_h2s = (T_c1 * kA + T_h1 * W_h) / (kA + W_h)
+    else:
+        # min(max(arg, -clamp), clamp) as max and min take it
+        arg = kA / W_h - kA / W_c
+        arg = -_EXP_CLAMP if -_EXP_CLAMP > arg else arg
+        xi_s = math.exp(_EXP_CLAMP if _EXP_CLAMP < arg else arg)
+        T_h2s = T_c1 + (T_c1 - T_h1) * (W_c - W_h) / (W_h - W_c * xi_s)
+    T_c2s = T_c1 + (W_h / W_c) * (T_h1 - T_h2s)
+    w = aA_c / (aA_h + aA_c)
+    T_w1s, T_w2s = T_h1 + w * (T_c2s - T_h1), T_h2s + w * (T_c1 - T_h2s)
+    # beta_lm_value of each side's steady differences (s1, s2), log_mean
+    # past its series switch (|s1/s2 - 1| >= 1e-6 > 1e-8), then the clamp
+    # min(max(value, 1e-12), 1) as max and min take it
+    s1, s2 = T_h1 - T_w1s, T_h2s - T_w2s
+    if s1 <= 0.0 or s2 <= 0.0 or abs(s1 / s2 - 1.0) < _BETA_LM_EQUAL_SWITCH:
+        b_h = 2.0 / 3.0
+    else:
+        am = 0.5 * (s1 + s2)
+        e = (s1 - s2) / (s1 + s2)
+        b_h = (am - am * e / math.atanh(e)) / (am - math.sqrt(s1 * s2))
+        b_h = 1e-12 if 1e-12 > b_h else b_h
+        b_h = 1.0 if 1.0 < b_h else b_h
+    s1, s2 = T_w2s - T_c1, T_w1s - T_c2s
+    if s1 <= 0.0 or s2 <= 0.0 or abs(s1 / s2 - 1.0) < _BETA_LM_EQUAL_SWITCH:
+        b_c = 2.0 / 3.0
+    else:
+        am = 0.5 * (s1 + s2)
+        e = (s1 - s2) / (s1 + s2)
+        b_c = (am - am * e / math.atanh(e)) / (am - math.sqrt(s1 * s2))
+        b_c = 1e-12 if 1e-12 > b_c else b_c
+        b_c = 1.0 if 1.0 < b_c else b_c
+    return b_h, b_c, T_w1s, T_w2s, T_h2s, T_c2s
 
 
 def evaluate_approx(
@@ -381,7 +400,7 @@ def evaluate_approx(
     are partial_rows' tau.
 
     Each side solves the universal residual by approx_side under its
-    own substitution, with dT_w = T_w1 - T_w2 (approx_sides):
+    own substitution, with dT_w = T_w1 - T_w2:
 
     ====  ===========  =============  ===============  ====
     side  dT_I         unknown dT_II  C_p              aA
@@ -391,22 +410,26 @@ def evaluate_approx(
     ====  ===========  =============  ===============  ====
     """
     aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s, T_h2s, T_c2s = terms
-    sel_h, sel_c, T_h2, T_c2, Q_h, Q_c = approx_sides(
-        x.T_w1, x.T_w2, u.T_h1, u.T_c1, aA_h, aA_c, u.mdot_h * cp.theta3, mdot_c * cp.theta4,
-        BetaSelection(b_h, BetaBranch.BETA_LM, False),
-        BetaSelection(b_c, BetaBranch.BETA_LM, False))
-    return ApproxEvaluation(OutletTemps(T_h2, T_c2), OutletTemps(T_h2s, T_c2s),
-                            WallState(w1s, w2s), sel_h, sel_c, Q_h, Q_c)
+    w1, w2 = x.T_w1, x.T_w2
+    dT_w = w1 - w2
+    sel_h, G_h, WM_h = approx_side(u.T_h1 - w1, dT_w, aA_h, u.mdot_h * cp.theta3,
+                                   BetaSelection(b_h, BetaBranch.BETA_LM, False))
+    sel_c, G_c, WM_c = approx_side(w2 - u.T_c1, dT_w, aA_c, mdot_c * cp.theta4,
+                                   BetaSelection(b_c, BetaBranch.BETA_LM, False))
+    return ApproxEvaluation(OutletTemps(G_h + w2, w1 - G_c), OutletTemps(T_h2s, T_c2s),
+                            WallState(w1s, w2s), sel_h, sel_c, -aA_h * WM_h, aA_c * WM_c)
 
 
 def partial_rows(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA_c: float,
                  C_h: float, C_c: float, theta4: float, beta_hot: BetaSelection,
                  beta_cold: BetaSelection, T_h2: float, T_c2: float,
                  dtau: Sequence[Sequence[float]]) -> tuple[list[float], ...]:
-    """Partials of approx_sides' outlets and heat rates, and of the steady
-    walls, with both beta branches held: lists over (T_w1, T_w2, q_1, ...)
-    of (T_h2, T_c2, Q_h, Q_c, T_w1s, T_w2s), given approx_sides' arguments
-    and results.  Row j of ``dtau`` holds the q_j partials of
+    """Partials of evaluate_approx's outlets and heat rates, and of the
+    steady walls, with both beta branches held: lists over (T_w1, T_w2,
+    q_1, ...) of (T_h2, T_c2, Q_h, Q_c, T_w1s, T_w2s), given the walls,
+    the inlets, the output conductances, C_h = mdot_h*theta3,
+    C_c = mdot_c*theta4 and theta4, and evaluate_approx's beta selections
+    and outlets.  Row j of ``dtau`` holds the q_j partials of
     tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
 
     By the chain rule through g_partials: T_h2 = G_h + T_w2, T_c2 = T_w1 - G_c,

@@ -20,8 +20,10 @@ An evaluation and the wall dynamics read the parameter states
 p = x_v[2:] only through parameter_terms(cfg, p, u, cp), the one map from
 the parameter states to the model terms: the floored cold flow and
 conductances of ``conductances``, and approx_model.steady_terms at the
-steady pair.  Its first seven entries are
+steady pair, formed in its own frame.  Its first seven entries are
 tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
+steady_rating gives the monitor's steady cp fixed point the same cold
+flow and the serial rating of the same steady pair.
 
 F and H come from the chain rule, not from differences of the whole
 model.  dtau/dp is one central stencil per predict or update
@@ -34,8 +36,9 @@ rule by wall_dynamics.ApproxStage.
 The filter runs on plain floats, without numpy, so its output depends
 on no BLAS kernel.  A predict takes its RK4 stages and F rows from one
 ApproxStage and its covariance step from covariance_step, on P's unique
-entries; an update forms S (1x1 or 2x2), the gain, x_hat and P in closed
-form.  EkfState holds x_hat as a tuple and P as a tuple of row tuples.
+entries; an update forms P H', S (1x1 or 2x2), the gain, x_hat and P in
+closed form, its sums written out in its own frame.  EkfState holds
+x_hat as a tuple and P as a tuple of row tuples.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
     "EkfState",
     "ekf_init",
     "conductances",
+    "steady_rating",
     "parameter_terms",
     "ekf_evaluation",
     "central_jacobian",
@@ -157,32 +161,55 @@ def ekf_init(
     return EkfState(tuple(map(float, x)), cfg.process_noise_density())
 
 
+def _floored(cfg: EkfConfig, p, u: InletConditions) -> tuple[float, float, float]:
+    """(upsilon_h, upsilon_c, mdot_c) at the parameter states p = x_v[2:]:
+    the one place that floors them.  The leading factors are floored at
+    UPSILON_FLOOR; the cold flow is u.mdot_c for variant A and the
+    estimate floored at MDOT_FLOOR for B and C."""
+    return (max(float(p[0]), UPSILON_FLOOR), max(float(p[1]), UPSILON_FLOOR),
+            u.mdot_c if cfg.variant == "A" else max(float(p[2]), MDOT_FLOOR))
+
+
 def conductances(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
     """(mdot_c, aA_h, aA_c, steady aA_h, steady aA_c) at the parameter
-    states p = x_v[2:], on floats: the one place that floors them.
-
-    The cold flow is u.mdot_c for variant A, the estimate floored at
-    MDOT_FLOOR for B and C.  The conductances are the monitored
-    correlations at the leading factors floored at UPSILON_FLOOR, the
-    output pair at the transient mean cps theta3/theta4, the steady pair
-    at theta5/theta6.
+    states p = x_v[2:], on floats: the monitored correlations at the
+    floored leading factors and cold flow (_floored), the output pair at
+    the transient mean cps theta3/theta4, the steady pair at
+    theta5/theta6.
     """
-    ups_h = max(float(p[0]), UPSILON_FLOOR)
-    ups_c = max(float(p[1]), UPSILON_FLOOR)
-    mdot_c = max(float(p[2]), MDOT_FLOOR) if cfg.n_states == 5 else u.mdot_c
+    ups_h, ups_c, mdot_c = _floored(cfg, p, u)
     hot, cold = cfg.corr_hot, cfg.corr_cold
     return (mdot_c, alpha_A(hot, ups_h, u.mdot_h, cp.theta3),
             alpha_A(cold, ups_c, mdot_c, cp.theta4),
             alpha_A(hot, ups_h, u.mdot_h, cp.theta5), alpha_A(cold, ups_c, mdot_c, cp.theta6))
 
 
+def steady_rating(cfg: EkfConfig, p, u: InletConditions) -> tuple:
+    """(mdot_c, kA_of) at the parameter states p = x_v[2:]: the cold flow
+    of ``conductances``, and its serial steady rating as a function of the
+    mean cps, which reads theta5/theta6 only (approx_steady_selfconsistent's
+    kA_of)."""
+    ups_h, ups_c, mdot_c = _floored(cfg, p, u)
+    hot, cold, mdot_h = cfg.corr_hot, cfg.corr_cold, u.mdot_h
+
+    def kA_of(cp: CpParams) -> float:
+        return serial_conductance(alpha_A(hot, ups_h, mdot_h, cp.theta5),
+                                  alpha_A(cold, ups_c, mdot_c, cp.theta6))
+
+    return mdot_c, kA_of
+
+
 def parameter_terms(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
     """The terms evaluate_approx takes at the parameter states p = x_v[2:]:
     tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s) in
-    partial_rows' dtau order, then (T_h2s, T_c2s), on floats."""
-    mdot_c, aA_h, aA_c, s_h, s_c = conductances(cfg, p, u, cp)
-    return (aA_h, aA_c, mdot_c, *steady_terms(
-        u.T_h1, u.T_c1, u.mdot_h * cp.theta5, mdot_c * cp.theta6, s_h, s_c))
+    partial_rows' dtau order, then (T_h2s, T_c2s), on floats: the
+    conductances of ``conductances`` and steady_terms at the steady pair."""
+    ups_h, ups_c, mdot_c = _floored(cfg, p, u)
+    hot, cold, mdot_h = cfg.corr_hot, cfg.corr_cold, u.mdot_h
+    return (alpha_A(hot, ups_h, mdot_h, cp.theta3), alpha_A(cold, ups_c, mdot_c, cp.theta4),
+            mdot_c, *steady_terms(u.T_h1, u.T_c1, mdot_h * cp.theta5, mdot_c * cp.theta6,
+                                  alpha_A(hot, ups_h, mdot_h, cp.theta5),
+                                  alpha_A(cold, ups_c, mdot_c, cp.theta6)))
 
 
 def _tau_partials(cfg: EkfConfig, x_v: Sequence[float], u: InletConditions, cp: CpParams):
@@ -335,25 +362,6 @@ def ekf_predict(
     return EkfState((w1, w2, *x[2:]), P)
 
 
-def _times(P: list, v: list) -> list:
-    """P v' on floats, P a list of rows."""
-    out = []
-    for row in P:
-        s = 0.0
-        for a, b in zip(row, v):
-            s += a * b
-        out.append(s)
-    return out
-
-
-def _dot(a: list, b: list) -> float:
-    """a b' on floats."""
-    s = 0.0
-    for ai, bi in zip(a, b):
-        s += ai * bi
-    return s
-
-
 def ekf_update(
     state: EkfState,
     cfg: EkfConfig,
@@ -400,12 +408,24 @@ def ekf_update(
         terms[2] * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, T_h2, T_c2,
         _tau_partials(cfg, state.x_hat, u, cp))[:2]
     r_disc = cfg.r_y_density / dt
-    # S = [[s_hh, s_hc], [s_hc, s_cc]] from the columns P H'
-    col_h = _times(P, H_h)
-    s_hh = _dot(H_h, col_h) + r_disc
+    # S = [[s_hh, s_hc], [s_hc, s_cc]] from the columns P H', each entry
+    # summed from 0.0 in index order
+    col_h, col_c = [], []
+    for row in P:
+        v_h = v_c = 0.0
+        for p_ij, h_j, c_j in zip(row, H_h, H_c):
+            v_h += p_ij * h_j
+            v_c += p_ij * c_j
+        col_h.append(v_h)
+        col_c.append(v_c)
+    s_hh = s_hc = s_cc = 0.0
+    for h_i, c_i, v_h, v_c in zip(H_h, H_c, col_h, col_c):
+        s_hh += h_i * v_h
+        s_hc += h_i * v_c
+        s_cc += c_i * v_c
+    s_hh += r_disc
     if len(y) == 2:
-        col_c = _times(P, H_c)
-        s_hc, s_cc = _dot(H_h, col_c), _dot(H_c, col_c) + r_disc
+        s_cc += r_disc
         innov = (y[0] - T_h2, y[1] - T_c2)
     else:
         col_c, s_hc, s_cc = [0.0] * n, 0.0, 1.0

@@ -28,13 +28,13 @@ from .approx_model import (
 from .correlations import serial_conductance
 from .ekf import (
     EkfConfig,
-    conductances,
     ekf_evaluation,
     ekf_init,
     ekf_predict,
     ekf_update,
     estimate_kA,
     parameter_terms,
+    steady_rating,
 )
 from .fluids import CaloricallyPerfect, StreamConfig
 from .noise import standard_normals
@@ -139,20 +139,16 @@ def _monitor_cp(
     prev_steady,
 ) -> CpParams:
     """Refresh theta3..theta6 and run the steady cp fixed point at the
-    parameter states x_v[2:], with the cold flow and steady conductances
-    of ekf.conductances.
+    parameter states x_v[2:], with the cold flow and steady rating of
+    ekf.steady_rating.
 
     The steady rating kA feeding the fixed point tracks theta5/theta6
     through the monitored correlation, so correlations with a cp
     exponent stay self-consistent.
     """
     cp = update_cp_params(hot, cold, u, prev_out, prev_steady)
-    p = x_v[2:]
-
-    def kA_of(cp2: CpParams) -> float:
-        return serial_conductance(*conductances(ekf_cfg, p, u, cp2)[3:])
-
-    u_eff = InletConditions(u.T_h1, u.T_c1, u.mdot_h, conductances(ekf_cfg, p, u, cp)[0])
+    mdot_c, kA_of = steady_rating(ekf_cfg, x_v[2:], u)
+    u_eff = InletConditions(u.T_h1, u.T_c1, u.mdot_h, mdot_c)
     _outlets, cp, _n = approx_steady_selfconsistent(u_eff, hot, cold, kA_of, cp)
     return cp
 

@@ -8,7 +8,9 @@ that names the file and the line.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 __all__ = [
     "TelemetryRecord",
@@ -63,17 +65,35 @@ class MonitorRecord:
 TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryRecord))
 MONITOR_COLUMNS = tuple(f.name for f in fields(MonitorRecord))
 _MONITOR_NUMERIC = len(MONITOR_COLUMNS) - 1
+# csv.writer's default dialect quotes a field that holds one of these
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 def _write_records(records, path, columns: tuple, n_numeric: int) -> None:
     """CSV with the given header, one row per record; the first n_numeric
-    fields are written as %.12g, the rest as they are."""
+    fields are written as %.12g, and a last text field, if any, as it is.
+
+    Each row is one attrgetter call and one %-format, in the bytes of
+    csv.writer's default dialect: "\r\n" line ends, and the text field
+    quoted, its quotes doubled, where it holds a comma, a quote, a
+    carriage return or a line feed.
+    """
+    row_of = attrgetter(*columns)
+    numbers = ",".join(["%.12g"] * n_numeric)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        write = fh.write
+        write(",".join(columns) + "\r\n")
+        if n_numeric == len(columns):
+            line = numbers + "\r\n"
+            for rec in records:
+                write(line % row_of(rec))
+            return
+        line = numbers + ",%s\r\n"
         for rec in records:
-            writer.writerow(["%.12g" % getattr(rec, col) for col in columns[:n_numeric]]
-                            + [getattr(rec, col) for col in columns[n_numeric:]])
+            row = row_of(rec)
+            if _NEEDS_QUOTES(row[-1]):
+                row = (*row[:-1], '"' + row[-1].replace('"', '""') + '"')
+            write(line % row)
 
 
 def _read_records(path, kind: str, columns: tuple, n_numeric: int, make) -> list:

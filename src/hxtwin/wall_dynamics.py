@@ -7,7 +7,10 @@ heat flow parked in the wall divided by its heat capacity).  The error
 plane splits into five sectors that fix the scalar gain a in
 xdot = a * e; sector_gain picks the sector and its gain in one call.
 Truth (reference_wall_rhs) and filter (ApproxStage.rates) give the rates
-as rhs(w1, w2) on floats, and rk4_pair steps both.  A truth stage takes
+as rhs(w1, w2) on floats, and rk4_pair steps both.  A filter stage runs
+in one frame: both sides' approx_model.approx_side, the drift and
+sector_gain written out, and for the Jacobian rows g_partials on each
+side's branch too, from constants formed once per stage.  A truth stage takes
 its heat rates from one call of the reference_model.output_solver built
 for its sample, and builds no objects; that solver starts each stage
 from the previous stage's outlets moved along their tangent in the
@@ -17,11 +20,12 @@ walls.
 from __future__ import annotations
 
 import math
+from math import hypot, sqrt
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .approx_model import BetaBranch, BetaSelection, CpParams, approx_sides, g_partials
+from .approx_model import CpParams, g_closed_form
 from .fluids import StreamConfig
 from .reference_model import (
     Conductances,
@@ -152,6 +156,21 @@ def reference_wall_rhs(
     return rhs
 
 
+def _side_constants(aA: float, C_p: float, b: float) -> tuple[float, ...]:
+    """One side's per-stage constants of approx_side and g_partials at
+    beta_LM = b, each formed as they form it (1.0 - 0.0 is their 1 - beta
+    at beta = 0): (0.5*aA*(1 - b), aA*b, 2*xi1 at b, xi1 at 0, 1 - b,
+    0.5*aA*b) for the root and the beta_LM partials, then the zero
+    branch's -R_I/R_G, -C_p/R_G and -R_b/R_G (R_b = 0), R_G and C_p*R_G.
+    A beta_LM above 1 never passes approx_side's test: its 0.5*aA*(1 - b)
+    is NaN, and every comparison with NaN is false."""
+    R_G = -C_p - 0.5 * aA * (1.0 - 0.0)
+    return (0.5 * aA * (1.0 - b) if b <= 1.0 else math.nan, aA * b,
+            2.0 * (aA * (1.0 - b) + 2.0 * C_p), aA * (1.0 - 0.0) + 2.0 * C_p, 1.0 - b,
+            0.5 * aA * b, -(C_p - 0.5 * aA * (1.0 - 0.0)) / R_G, -C_p / R_G, -0.0 / R_G,
+            R_G, C_p * R_G)
+
+
 class ApproxStage:
     """The approximate model's wall dynamics at one (u, theta), on floats,
     from evaluate_approx's (u, cp, terms), whose steady outlets it does not
@@ -159,6 +178,16 @@ class ApproxStage:
     is a*e of sector_gain at evaluate_approx's heat rates;
     ``rates_and_rows(w1, w2)`` also gives the rows of d(a*e)/dz over
     z = (T_w1, T_w2, q_1, ...), the filter's F rows.
+
+    Each call runs in one frame on floats: both sides' approx_side (the
+    beta rule, the closed-form root on the beta_LM and zero branches, the
+    weighted mean), the drift and sector_gain are written out, and the
+    rows write out g_partials on the branch each side took.  Only the rare
+    beta*_2 branch calls g_closed_form, which keeps its feasibility
+    tolerance.  The constants of a stage are formed once, in __init__, in
+    the float order of the calls they stand for, so every result keeps
+    the bits of those calls.  The beta_LM values are steady_terms' own, in
+    (0, 1]; one above 1 never passes the beta rule, as in approx_side.
 
     The rows are partial_rows' heat-rate and steady-wall partials put
     through the chain rule of the active sector, written out inline.  With
@@ -180,38 +209,147 @@ class ApproxStage:
         aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s = terms[:7]
         T_h1, T_c1, theta4, theta7 = u.T_h1, u.T_c1, cp.theta4, cfg.theta7
         C_h, C_c = u.mdot_h * cp.theta3, mdot_c * theta4
-        lm_h = BetaSelection(b_h, BetaBranch.BETA_LM, False)
-        lm_c = BetaSelection(b_c, BetaBranch.BETA_LM, False)
+        (k_h, ab_h, x2_h, x0_h, omb_h, hb_h,
+         gI0_h, gw0_h, gB0_h, RG0_h, _) = _side_constants(aA_h, C_h, b_h)
+        (k_c, ab_c, x2_c, x0_c, omb_c, hb_c,
+         gI0_c, gw0_c, gB0_c, RG0_c, CR0_c) = _side_constants(aA_c, C_c, b_c)
         rest = [0.0] * len(dtau)
+        # sector V's dead band; max(|e1|, |e2|) < eps is false for a NaN e1
+        # and decided by |e1| alone for a NaN e2, as the test below is
+        eps = SECTOR_V_EPSILON
 
         def rates(w1: float, w2: float) -> tuple[float, float]:
-            Q_h, Q_c = approx_sides(w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, lm_h, lm_c)[4:]
+            dT_w = w1 - w2
+            # hot side: dT_I = T_h1 - T_w1, C_p = C_h; the beta rule is
+            # beta_LM if it passes, else beta*_2 if positive, else 0
+            dI = T_h1 - w1
+            slack = C_h * (dI + dT_w)
+            if dI > 0.0 and slack >= 0.0 and k_h * dI <= slack:
+                c0 = k_h * dI - slack  # <= 0 by the test just made
+                y = ab_h * sqrt(dI)
+                y = -2.0 * c0 / (y + sqrt(y * y - x2_h * c0))
+                G = y * y
+                WM_h = b_h * sqrt(dI * G) + omb_h * (0.5 * (dI + G))
+            elif dI > 0.0 and slack >= 0.0 and (b := 1.0 - 2.0 * slack / (dI * aA_h)) > 0.0:
+                G = g_closed_form(dI, dT_w, aA_h, C_h, b)
+                WM_h = b * sqrt(dI * G) + (1.0 - b) * (0.5 * (dI + G))
+            else:
+                G = dI + dT_w - aA_h * (2.0 * dI + dT_w) / x0_h
+                WM_h = 0.5 * (dI + G)
+            # cold side: dT_I = T_w2 - T_c1, C_p = C_c
+            dI = w2 - T_c1
+            slack = C_c * (dI + dT_w)
+            if dI > 0.0 and slack >= 0.0 and k_c * dI <= slack:
+                c0 = k_c * dI - slack
+                y = ab_c * sqrt(dI)
+                y = -2.0 * c0 / (y + sqrt(y * y - x2_c * c0))
+                G = y * y
+                WM_c = b_c * sqrt(dI * G) + omb_c * (0.5 * (dI + G))
+            elif dI > 0.0 and slack >= 0.0 and (b := 1.0 - 2.0 * slack / (dI * aA_c)) > 0.0:
+                G = g_closed_form(dI, dT_w, aA_c, C_c, b)
+                WM_c = b * sqrt(dI * G) + (1.0 - b) * (0.5 * (dI + G))
+            else:
+                G = dI + dT_w - aA_c * (2.0 * dI + dT_w) / x0_c
+                WM_c = 0.5 * (dI + G)
+            # sector_gain at the drift (-Q_h - Q_c)/theta7, Q_h = -aA_h*WM_h
+            # and Q_c = aA_c*WM_c
             e1, e2 = w1s - w1, w2s - w2
-            a = sector_gain(e1, e2, (-Q_h - Q_c) / theta7)[1]
+            if -eps < e1 < eps and not abs(e2) >= eps:
+                a = 0.0
+            elif e1 >= 0.0 and e2 >= 0.0 or e1 <= 0.0 and e2 <= 0.0:
+                a = 2.0 * ((aA_h * WM_h - aA_c * WM_c) / theta7) / (e1 + e2)
+            else:
+                a = (2.0 * max(abs((aA_h * WM_h - aA_c * WM_c) / theta7), TDW_LOWER_BOUND)
+                     / hypot(e1, e2))
             return a * e1, a * e2
 
         def rates_and_rows(w1: float, w2: float):
-            sel_h, sel_c, T_h2, T_c2, Q_h, Q_c = approx_sides(
-                w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, lm_h, lm_c)
+            dT_w = w1 - w2
+            # hot side, and g_partials' (dG/d dT_I, dG/d dT_w, dG/d aA,
+            # dG/d beta_LM) on its branch, at dT_II = T_h2 - T_w2
+            dI = T_h1 - w1
+            slack = C_h * (dI + dT_w)
+            if dI > 0.0 and slack >= 0.0 and k_h * dI <= slack:
+                c0 = k_h * dI - slack
+                y = ab_h * sqrt(dI)
+                y = -2.0 * c0 / (y + sqrt(y * y - x2_h * c0))
+                G = y * y
+                WM_h = b_h * sqrt(dI * G) + omb_h * (0.5 * (dI + G))
+                dII = G + w2 - w2  # T_h2 - T_w2 as partial_rows forms it, not G
+                if dII <= 0.0:
+                    gI_h = gw_h = gA_h = gB_h = 0.0
+                else:
+                    am = 0.5 * (dI + dII)
+                    ratio = sqrt(dII / dI)
+                    gm = sqrt(dI * dII)
+                    R_G = -C_h - hb_h / ratio - k_h
+                    gI_h = -(C_h - hb_h * ratio - k_h) / R_G
+                    gw_h = -C_h / R_G
+                    gA_h = (b_h * gm + omb_h * am) / R_G
+                    gB_h = aA_h * (gm - am) / R_G
+            elif dI > 0.0 and slack >= 0.0 and (b := 1.0 - 2.0 * slack / (dI * aA_h)) > 0.0:
+                G = g_closed_form(dI, dT_w, aA_h, C_h, b)
+                WM_h = b * sqrt(dI * G) + (1.0 - b) * (0.5 * (dI + G))
+                gI_h = gw_h = gA_h = gB_h = 0.0  # G is 0 wherever beta*_2 holds
+            else:
+                G = dI + dT_w - aA_h * (2.0 * dI + dT_w) / x0_h
+                WM_h = 0.5 * (dI + G)
+                gI_h, gw_h, gB_h = gI0_h, gw0_h, gB0_h
+                gA_h = 0.5 * (dI + (G + w2 - w2)) / RG0_h
+            # cold side, with dG/d C_p as well, at dT_II = T_w1 - T_c2
+            dI = w2 - T_c1
+            slack = C_c * (dI + dT_w)
+            if dI > 0.0 and slack >= 0.0 and k_c * dI <= slack:
+                c0 = k_c * dI - slack
+                y = ab_c * sqrt(dI)
+                y = -2.0 * c0 / (y + sqrt(y * y - x2_c * c0))
+                G = y * y
+                WM_c = b_c * sqrt(dI * G) + omb_c * (0.5 * (dI + G))
+                dII = w1 - (w1 - G)  # T_w1 - T_c2, as for the hot side
+                if dII <= 0.0:
+                    gI_c = gw_c = gA_c = gC_c = gB_c = 0.0
+                else:
+                    am = 0.5 * (dI + dII)
+                    ratio = sqrt(dII / dI)
+                    gm = sqrt(dI * dII)
+                    wm = b_c * gm + omb_c * am
+                    R_G = -C_c - hb_c / ratio - k_c
+                    gI_c = -(C_c - hb_c * ratio - k_c) / R_G
+                    gw_c = -C_c / R_G
+                    gA_c = wm / R_G
+                    gC_c = -aA_c * wm / (C_c * R_G)
+                    gB_c = aA_c * (gm - am) / R_G
+            elif dI > 0.0 and slack >= 0.0 and (b := 1.0 - 2.0 * slack / (dI * aA_c)) > 0.0:
+                G = g_closed_form(dI, dT_w, aA_c, C_c, b)
+                WM_c = b * sqrt(dI * G) + (1.0 - b) * (0.5 * (dI + G))
+                gI_c = gw_c = gA_c = gC_c = gB_c = 0.0
+            else:
+                G = dI + dT_w - aA_c * (2.0 * dI + dT_w) / x0_c
+                WM_c = 0.5 * (dI + G)
+                gI_c, gw_c, gB_c = gI0_c, gw0_c, gB0_c
+                am = 0.5 * (dI + (w1 - (w1 - G)))
+                gA_c = am / RG0_c
+                gC_c = -aA_c * am / CR0_c
+            T_c2 = w1 - G
             e1, e2 = w1s - w1, w2s - w2
-            tdw = (-Q_h - Q_c) / theta7
-            sector, a = sector_gain(e1, e2, tdw)
-            gI_h, gw_h, gA_h, _, gB_h = g_partials(T_h1 - w1, T_h2 - w2, aA_h, C_h, sel_h)
-            gI_c, gw_c, gA_c, gC_c, gB_c = g_partials(w2 - T_c1, w1 - T_c2, aA_c, C_c, sel_c)
+            tdw = (aA_h * WM_h - aA_c * WM_c) / theta7
             # the wall partials of the drift, (-dQ_h - dQ_c)/theta7, with
             # dQ_h = C_h dT_h2 and dQ_c = C_c dT_c2 (dT_I_h = T_h1 - T_w1,
             # dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2)
             g1 = (-(C_h * (gw_h - gI_h)) - C_c * (1.0 - gw_c)) / theta7
             g2 = (-(C_h * (1.0 - gw_h)) - C_c * (gw_c - gI_c)) / theta7
-            if sector is _V:
-                return (a * e1, a * e2), ([2.0 * g1, 0.0, *rest], [0.0, 2.0 * g2, *rest])
-            # the partials a_e1, a_e2, a_t of a in e1, e2 and the drift
-            if sector is _I or sector is _III:
+            if -eps < e1 < eps and not abs(e2) >= eps:
+                return (0.0 * e1, 0.0 * e2), ([2.0 * g1, 0.0, *rest], [0.0, 2.0 * g2, *rest])
+            # sector_gain's a and its partials a_e1, a_e2, a_t in e1, e2
+            # and the drift
+            if e1 >= 0.0 and e2 >= 0.0 or e1 <= 0.0 and e2 <= 0.0:
                 s = e1 + e2
+                a = 2.0 * tdw / s
                 a_e1 = a_e2 = -a / s
                 a_t = 2.0 / s
             else:
-                n = math.hypot(e1, e2)
+                n = hypot(e1, e2)
+                a = 2.0 * max(abs(tdw), TDW_LOWER_BOUND) / n
                 # the floor holds the speed: no slope from the drift
                 a_t = 0.0 if abs(tdw) <= TDW_LOWER_BOUND else (2.0 if tdw > 0.0 else -2.0) / n
                 a_e1 = -a * e1 / (n * n)

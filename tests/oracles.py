@@ -18,7 +18,8 @@ table_enthalpy, table_enthalpy_slope, poly_enthalpy and poly_cp are
 those rules as separate steps.
 
 The filter's predict and update run on floats: wall_dynamics.ApproxStage
-writes partial_rows and rhs_rows out inline for the F rows, and
+writes approx_side and sector_gain out inline for its rates, and
+g_partials, partial_rows and rhs_rows for the F rows, and
 ekf.covariance_step takes the covariance RK4 step on P's unique entries.
 rhs_rows, horner_covariance_step (the numpy Horner step with F held) and
 kalman_gain (a linear solve) are the parent forms those are pinned to.

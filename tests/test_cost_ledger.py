@@ -33,17 +33,17 @@ ROOT = Path(__file__).resolve().parent.parent
 N = 50
 
 CEILINGS = {
-    ("smoke_constant", "A"): 36_502,
-    ("smoke_constant", "B"): 40_552,
-    ("smoke_constant", "C"): 40_402,
+    ("smoke_constant", "A"): 14_402,
+    ("smoke_constant", "B"): 16_052,
+    ("smoke_constant", "C"): 16_052,
     ("smoke_constant", "truth"): 21_698,
-    ("coolant_step", "A"): 44_625,
-    ("coolant_step", "B"): 49_124,
-    ("coolant_step", "C"): 48_784,
+    ("coolant_step", "A"): 20_323,
+    ("coolant_step", "B"): 22_296,
+    ("coolant_step", "C"): 22_166,
     ("coolant_step", "truth"): 22_034,
-    ("chirp_tracking", "A"): 39_640,
-    ("chirp_tracking", "B"): 43_690,
-    ("chirp_tracking", "C"): 43_540,
+    ("chirp_tracking", "A"): 16_928,
+    ("chirp_tracking", "B"): 18_578,
+    ("chirp_tracking", "C"): 18_578,
     ("chirp_tracking", "truth"): 21_929,
 }
 

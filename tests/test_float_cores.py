@@ -4,8 +4,13 @@ for bit (==, not approx).
 
 A predict runs on wall_dynamics.ApproxStage and on ekf.parameter_terms,
 the map from the parameter states to the model terms, both on plain
-floats.  Each property below evaluates one point both ways: through the
-float cores, and through the object API and a reference written out here
+floats.  ApproxStage writes approx_side, sector_gain, g_partials and the
+sector's rows out in one frame per call, and approx_model.steady_terms
+writes out its own sources; properties pin both to those sources as
+float hex, at any walls, inlets, conductances and flows, with examples
+at every beta outcome in every sector and at each clamp of steady_terms.
+Each property below evaluates one point both ways: through the float
+cores, and through the object API and a reference written out here
 in the objects' terms, or the rules one at a time in tests/oracles.py
 (beta selection, root, weighted mean; the wall sector).  The explicit
 examples put every beta branch (beta_LM, beta*_2, zero, empty), every
@@ -34,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import hxtwin.ekf as ekf
@@ -54,13 +59,19 @@ from hxtwin.approx_model import (
     steady_outlets,
     steady_terms,
 )
-from hxtwin.correlations import CorrelationParams, alpha_A
+from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances, parameter_terms
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
-from hxtwin.means import heat_rate
+from hxtwin.means import arith_mean, geom_mean, heat_rate, log_mean
 from hxtwin.sampledata import COOLANT_CP_COEFFS, make_co2_like_table, make_coolant_model
 from hxtwin.scenario import load_scenario
-from hxtwin.reference_model import Conductances, InletConditions, WallState, steady_wall_temps
+from hxtwin.reference_model import (
+    Conductances,
+    InletConditions,
+    WallState,
+    steady_wall_temps,
+    steady_walls,
+)
 from hxtwin.wall_dynamics import (
     SECTOR_V_EPSILON,
     TDW_LOWER_BOUND,
@@ -308,18 +319,196 @@ def test_stage_rows_are_partial_rows_then_rhs_rows(variant, offset, p):
     assert bits(got2) == bits(row2)
 
 
+# (dT_I, aA, C_p, beta_LM) of a side for each outcome of the beta rule at
+# dT_w = -5 K: beta_LM (also where its root G is 0 and g_partials gives
+# zeros), beta*_2, zero by dT_I <= 0, empty by slack < 0, and empty by
+# beta*_2 <= 0, which needs a beta_LM above 1 (any beta_LM in (0, 1]
+# passes where beta*_2 <= 0)
+STAGE_SIDES = {
+    "beta_LM": (10.0, 1000.0, 1000.0, 0.55),
+    "beta_LM-at-G-0": (10.0, 1000.0, 500.0, 0.5),
+    "beta_star2": (10.0, 1000.0, 200.0, 2.0 / 3.0),
+    "zero": (-2.0, 1000.0, 100.0, 2.0 / 3.0),
+    "zero-at-dT_I-0": (0.0, 1000.0, 100.0, 2.0 / 3.0),
+    "empty-slack": (3.0, 1000.0, 100.0, 2.0 / 3.0),
+    "empty-beta_star2": (10.0, 500.0, 1000.0, 1.5),
+}
+STAGE_DT_W = -5.0
+# (e, theta7): sectors I-IV, V, and II with the drift below its floor
+STAGE_SECTORS = [((2.0, 1.0), 2000.0), ((-1.0, 2.0), 2000.0), ((-2.0, -1.0), 2000.0),
+                 ((2.0, -1.0), 2000.0), ((5e-10, -5e-10), 2000.0), ((-1.0, 2.0), 1e15)]
+STAGE_DTAU = [(10.0, -20.0, 0.5, 0.01, -0.02, 0.3, -0.4), (0.0,) * 7]
+
+
+def stage_point(hot, cold, dT_w, e, theta7, dtau, flows=(1.0, 1.0)):
+    """ApproxStage's arguments and walls where the sides see (dT_I, aA, C_p,
+    beta_LM) = hot and cold at dT_w, the steady walls lie at the walls
+    plus e, and C_p = flow * mean cp on each side."""
+    (dI_h, aA_h, C_h, b_h), (dI_c, aA_c, C_c, b_c) = hot, cold
+    (mdot_h, mdot_c), w1 = flows, 350.0
+    w2 = w1 - dT_w
+    # the stage takes the cold flow from the terms, never from u
+    u = InletConditions(w1 + dI_h, w2 - dI_c, mdot_h, math.nan)
+    cp = CpParams(C_h / mdot_h, C_c / mdot_c, 1000.0, 1000.0)
+    terms = (aA_h, aA_c, mdot_c, b_h, b_c, w1 + e[0], w2 + e[1])
+    return (u, cp, terms, WallDynamicsConfig(theta7), list(dtau)), (w1, w2)
+
+
+def stage_by_its_sources(u, cp, terms, cfg, dtau, w1, w2):
+    """ApproxStage's rates, rows, beta selections and sector by the calls
+    it writes out: approx_side per side, sector_gain at the drift, then
+    partial_rows and the rhs_rows oracle."""
+    aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s = terms
+    C_h, C_c = u.mdot_h * cp.theta3, mdot_c * cp.theta4
+    sel_h, G_h, WM_h = approx_side(u.T_h1 - w1, w1 - w2, aA_h, C_h, lm_selection(b_h))
+    sel_c, G_c, WM_c = approx_side(w2 - u.T_c1, w1 - w2, aA_c, C_c, lm_selection(b_c))
+    e1, e2 = w1s - w1, w2s - w2
+    tdw = wall_drift_rate(-aA_h * WM_h, aA_c * WM_c, cfg.theta7)
+    sector, a = sector_gain(e1, e2, tdw)
+    _, _, dQ_h, dQ_c, dw1s, dw2s = partial_rows(
+        w1, w2, u.T_h1, u.T_c1, aA_h, aA_c, C_h, C_c, cp.theta4, sel_h, sel_c,
+        G_h + w2, w1 - G_c, dtau)
+    rows = oracles.rhs_rows(e1, e2, sector, a, tdw, dQ_h, dQ_c, cfg.theta7, (dw1s, dw2s))
+    return (a * e1, a * e2), rows, (sel_h, sel_c, sector, tdw)
+
+
+def stage_examples(test):
+    # every pair of side outcomes, each pair in one of the sectors
+    sides = list(STAGE_SIDES.values())
+    for i, hot in enumerate(sides):
+        for j, cold in enumerate(sides):
+            e, theta7 = STAGE_SECTORS[(i + j) % len(STAGE_SECTORS)]
+            test = example(hot=hot, cold=cold, dT_w=STAGE_DT_W, e=e, theta7=theta7,
+                           dtau=STAGE_DTAU[:1 + (i + j) % 2], flows=(1.0, 1.0))(test)
+    return test
+
+
+stage_sides = st.tuples(st.floats(-5.0, 40.0), st.floats(1.0, 1e5), st.floats(1.0, 1e5),
+                        st.floats(1e-12, 1.5))
+
+
+# no shrink phase: a failing draw of these 20 floats shrank for about 4
+# minutes in a scratch run; the draw is reported as it failed
+@settings(SETTINGS, max_examples=100, phases=(Phase.explicit, Phase.generate))
+@given(hot=stage_sides, cold=stage_sides, dT_w=st.floats(-20.0, 40.0),
+       e=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+       theta7=st.floats(1.0, 1e6),
+       dtau=st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 7), max_size=3),
+       flows=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)))
+@stage_examples
+def test_stage_is_its_sources_anywhere(hot, cold, dT_w, e, theta7, dtau, flows):
+    # rates and rates_and_rows write approx_side, sector_gain, g_partials
+    # (through partial_rows) and rhs_rows out in one frame each: the same
+    # float operations in the same order, so every bit is kept
+    args, (w1, w2) = stage_point(hot, cold, dT_w, e, theta7, dtau, flows)
+    rates, (row1, row2), _ = stage_by_its_sources(*args, w1, w2)
+    stage = ApproxStage(*args)
+    assert bits(stage.rates(w1, w2)) == bits(rates)
+    k1, (got1, got2) = stage.rates_and_rows(w1, w2)
+    assert bits(k1) == bits(rates)
+    assert bits(got1) == bits(row1)
+    assert bits(got2) == bits(row2)
+
+
+def test_stage_examples_reach_every_outcome_and_sector():
+    want = {"beta_LM": (BetaBranch.BETA_LM, False), "beta_star2": (BetaBranch.BETA_STAR2, False),
+            "zero": (BetaBranch.ZERO, False), "empty": (BetaBranch.ZERO, True)}
+    seen, sectors = set(), set()
+    for i, (name_h, hot) in enumerate(STAGE_SIDES.items()):
+        for j, (name_c, cold) in enumerate(STAGE_SIDES.items()):
+            e, theta7 = STAGE_SECTORS[(i + j) % len(STAGE_SECTORS)]
+            args, walls = stage_point(hot, cold, STAGE_DT_W, e, theta7, STAGE_DTAU)
+            sel_h, sel_c, sector, tdw = stage_by_its_sources(*args, *walls)[2]
+            for name, sel in ((name_h, sel_h), (name_c, sel_c)):
+                assert (sel.branch, sel.feasible_set_empty) == want[name.split("-")[0]], name
+                seen.add(name)
+            floored = sector in (Sector.II, Sector.IV) and abs(tdw) <= TDW_LOWER_BOUND
+            sectors.add("floor" if floored else sector)
+    assert seen == set(STAGE_SIDES)
+    assert sectors == {*Sector, "floor"}
+    # the edges the names promise: G = 0 on beta_LM, slack < 0, beta*_2 <= 0
+    dI, aA, C_p, b = STAGE_SIDES["beta_LM-at-G-0"]
+    assert approx_side(dI, STAGE_DT_W, aA, C_p, lm_selection(b))[1] == 0.0
+    dI, aA, C_p, b = STAGE_SIDES["empty-slack"]
+    assert C_p * (dI + STAGE_DT_W) < 0.0
+    dI, aA, C_p, b = STAGE_SIDES["empty-beta_star2"]
+    slack = C_p * (dI + STAGE_DT_W)
+    assert slack >= 0.0 and 1.0 - 2.0 * slack / (dI * aA) <= 0.0
+
+
+def steady_by_its_sources(T_h1, T_c1, W_h, W_c, aA_h, aA_c):
+    """steady_terms as the calls it writes out: serial_conductance,
+    steady_outlets, steady_walls, then beta_lm_value per side."""
+    T_h2s, T_c2s = steady_outlets(T_h1, T_c1, W_h, W_c, serial_conductance(aA_h, aA_c))
+    T_w1s, T_w2s = steady_walls(T_h1, T_c1, T_h2s, T_c2s, aA_h, aA_c)
+    return (beta_lm_value(T_h1 - T_w1s, T_h2s - T_w2s),
+            beta_lm_value(T_w2s - T_c1, T_w1s - T_c2s), T_w1s, T_w2s, T_h2s, T_c2s)
+
+
+# (T_h1, T_c1, W_h, W_c, aA_h, aA_c) at the edges of steady_terms: the
+# balanced-capacity branch, the exponent clamped at +700 and at -700, and
+# beta_LM clamped at 1e-12 (both sides) and at 1 (hot, then cold)
+STEADY_EDGES = {
+    "balanced": (400.0, 300.0, 1000.0, 1000.0, 1500.0, 3000.0),
+    "exp-clamp-high": (400.0, 300.0, 100.0, 1e6, 1e6, 1e6),
+    "exp-clamp-low": (400.0, 300.0, 1e6, 100.0, 1e6, 1e6),
+    "beta-clamp-low": (2.5889742997091363e-277, 1e-300, 1087.7890121921087, 1969.2968610705882,
+                       6.103681221411447, 0.00366084850047764),
+    "beta-clamp-high-hot": (3.758852134534202e-161, 0.0, 328.18167291717936, 36205.71818825133,
+                            29.86542798571118, 6185.122156419699),
+    "beta-clamp-high-cold": (3.716854282573868e-162, 0.0, 0.004408223537337697,
+                             369827.52629229723, 0.10444471514495976, 0.004873845458156751),
+}
+
+
+def steady_examples(test):
+    for T_h1, T_c1, W_h, W_c, aA_h, aA_c in STEADY_EDGES.values():
+        test = example(T_h1=T_h1, T_c1=T_c1, W_h=W_h, W_c=W_c, aA=(aA_h, aA_c))(test)
+    return test
+
+
 @SETTINGS
-@given(mdot_c=st.floats(0.05, 5.0), theta6=st.floats(500.0, 5000.0),
-       aA=st.tuples(st.floats(10.0, 1e5), st.floats(10.0, 1e5)), balanced=st.booleans())
-@example(mdot_c=1.0, theta6=1000.0, aA=(1500.0, 3000.0), balanced=True)
-def test_steady_core_is_approx_steady_terms(mdot_c, theta6, aA, balanced):
-    # balanced: W_c = W_h exactly, the balanced-capacity branch
-    cp = replace(CP, theta6=U.mdot_h * CP.theta5 / mdot_c if balanced else theta6)
-    u = replace(U, mdot_c=mdot_c)
-    cond = Conductances(*aA)
-    outlets_s, walls_s, lm_h, lm_c = reference_steady(u, cond, cp)
-    assert steady_terms(u.T_h1, u.T_c1, u.mdot_h * cp.theta5, u.mdot_c * cp.theta6, *aA) == (
-        lm_h.beta, lm_c.beta, walls_s.T_w1, walls_s.T_w2, outlets_s.T_h2, outlets_s.T_c2)
+@given(T_h1=st.floats(300.0, 600.0), T_c1=st.floats(250.0, 350.0),
+       W_h=st.floats(10.0, 1e5), W_c=st.floats(10.0, 1e5),
+       aA=st.tuples(st.floats(10.0, 1e5), st.floats(10.0, 1e5)))
+@steady_examples
+def test_steady_core_is_approx_steady_terms(T_h1, T_c1, W_h, W_c, aA):
+    # steady_terms writes its sources out in one frame: the same float
+    # operations in the same order, so every term keeps their bits
+    got = steady_terms(T_h1, T_c1, W_h, W_c, *aA)
+    assert bits(got) == bits(steady_by_its_sources(T_h1, T_c1, W_h, W_c, *aA))
+    u = InletConditions(T_h1, T_c1, 1.0, 1.0)
+    cp = replace(CP, theta5=W_h, theta6=W_c)
+    outlets_s, walls_s, lm_h, lm_c = reference_steady(u, Conductances(*aA), cp)
+    assert got == (lm_h.beta, lm_c.beta, walls_s.T_w1, walls_s.T_w2, outlets_s.T_h2,
+                   outlets_s.T_c2)
+
+
+def unclamped_beta_lm(s1, s2):
+    """beta_lm_value's quotient before its clamp, None where it takes 2/3."""
+    if s1 <= 0.0 or s2 <= 0.0 or abs(s1 / s2 - 1.0) < 1e-6:
+        return None
+    am = arith_mean(s1, s2)
+    return (am - log_mean(s1, s2)) / (am - geom_mean(s1, s2))
+
+
+def test_steady_examples_reach_every_edge():
+    for name, (T_h1, T_c1, W_h, W_c, aA_h, aA_c) in STEADY_EDGES.items():
+        kA = serial_conductance(aA_h, aA_c)
+        arg = kA / W_h - kA / W_c
+        T_h2s, T_c2s = steady_outlets(T_h1, T_c1, W_h, W_c, kA)
+        T_w1s, T_w2s = steady_walls(T_h1, T_c1, T_h2s, T_c2s, aA_h, aA_c)
+        hot = unclamped_beta_lm(T_h1 - T_w1s, T_h2s - T_w2s)
+        cold = unclamped_beta_lm(T_w2s - T_c1, T_w1s - T_c2s)
+        reached = {
+            "balanced": lambda: W_h == W_c,
+            "exp-clamp-high": lambda: arg > 700.0,
+            "exp-clamp-low": lambda: arg < -700.0,
+            "beta-clamp-low": lambda: hot < 1e-12 and cold < 1e-12,
+            "beta-clamp-high-hot": lambda: hot > 1.0,
+            "beta-clamp-high-cold": lambda: cold > 1.0,
+        }[name]
+        assert reached(), name
 
 
 @SETTINGS

@@ -45,9 +45,9 @@ GOLDEN = ROOT / "tests" / "golden"
 
 # scenario -> (duration override in s or None, monitored variants)
 CASES = {
-    "smoke_constant": (None, ("A",)),
+    "smoke_constant": (None, ("A", "B", "C")),
     "coolant_step": (None, ("A", "B", "C")),
-    "chirp_tracking": (600.0, ("A",)),
+    "chirp_tracking": (600.0, ("A", "B", "C")),
 }
 
 

@@ -1,6 +1,8 @@
 """Tests for the scenario harness: config assembly, excitation, truth
 simulation, monitoring replay, metrics, and the benchmark helper."""
 
+import csv
+import io
 import math
 import re
 from collections import Counter
@@ -773,6 +775,39 @@ def test_monitor_csv_round_trip(tmp_path):
     assert back[1].kA_hat_W_K == 29700.0
     with pytest.raises(ValueError):
         read_telemetry_csv(path)  # wrong schema for this reader
+
+
+def csv_writer_bytes(columns, rows) -> bytes:
+    """What csv.writer's default dialect writes for the header and rows."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("flags", [
+    "ok", 'a,b "c"\nd', "cr\rlf", 'only"quote', "comma,", "\n", "", "tail ", "|",
+], ids=["plain", "comma-quote-newline", "carriage-return", "quote", "comma", "newline",
+        "empty", "trailing-space", "bar"])
+def test_monitor_csv_is_csv_writer_bytes(tmp_path, flags):
+    # the writer formats each row in one step; its bytes are csv.writer's,
+    # quoting included, and the text reads back as written
+    recs = [replace(rec, flags=flags) for rec in sample_monitor()]
+    path = tmp_path / "mon.csv"
+    write_monitor_csv(recs, path)
+    rows = [["%.12g" % getattr(rec, col) for col in MONITOR_COLUMNS[:-1]] + [rec.flags]
+            for rec in recs]
+    assert path.read_bytes() == csv_writer_bytes(MONITOR_COLUMNS, rows)
+    assert [rec.flags for rec in read_monitor_csv(path)] == [flags, flags]
+
+
+def test_telemetry_csv_is_csv_writer_bytes(tmp_path):
+    recs = sample_telemetry() + [TelemetryRecord(*[-math.inf, math.nan] * 8)]
+    path = tmp_path / "tel.csv"
+    write_telemetry_csv(recs, path)
+    rows = [["%.12g" % getattr(rec, col) for col in TELEMETRY_COLUMNS] for rec in recs]
+    assert path.read_bytes() == csv_writer_bytes(TELEMETRY_COLUMNS, rows)
 
 
 @pytest.mark.parametrize("write, read, sample", [
