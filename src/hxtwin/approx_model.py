@@ -9,7 +9,9 @@ form root G, and the steady state collapses to explicit formulas.
 The hot and cold sides share one universal residual through a term
 substitution; the same closed form solves both.  approx_side is one
 side's whole step on floats: it selects beta, takes the closed-form root
-and returns the weighted mean that gives the side's heat rate.
+and returns the weighted mean that gives the side's heat rate.  The
+filter's F and H rows need the root's partials as well; the stage of
+wall_dynamics.ApproxStage forms them on the branch each side took.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from enum import Enum
 
 from .correlations import NonPositiveConductanceError
 from .fluids import StreamConfig
-from .means import DomainError, arith_mean, geom_mean, log_mean
+from .means import DomainError
 from .reference_model import Conductances, InletConditions, OutletTemps, WallState
 
 __all__ = [
@@ -30,8 +32,6 @@ __all__ = [
     "CpParams",
     "ApproxEvaluation",
     "g_closed_form",
-    "g_partials",
-    "beta_lm_value",
     "approx_side",
     "approx_output",
     "steady_outlets",
@@ -39,7 +39,6 @@ __all__ = [
     "update_cp_params",
     "approx_steady_selfconsistent",
     "evaluate_approx",
-    "partial_rows",
 ]
 
 # Steady differences closer than this (relative) use the analytic 2/3
@@ -114,56 +113,6 @@ def g_closed_form(dT_I: float, dT_w: float, aA: float, C_p: float, beta: float) 
         c0 = 0.0
     y = -2.0 * c0 / (b_lin + math.sqrt(b_lin * b_lin - 2.0 * xi1 * c0))
     return y * y
-
-
-def g_partials(
-    dT_I: float, dT_II: float, aA: float, C_p: float, beta: BetaSelection
-) -> tuple[float, float, float, float, float]:
-    """Partials of the root dT_II = G with the branch of ``beta`` held:
-    (dG/d dT_I, dG/d dT_w, dG/d aA, dG/d C_p, dG/d beta_LM).
-
-    The universal residual R vanishes at its root, so dG/dq = -R_q / R_G
-    with
-    R_G = -C_p - aA*(beta*sqrt(dT_I/G)/2 + (1-beta)/2),
-    R_dT_I = C_p - aA*(beta*sqrt(G/dT_I)/2 + (1-beta)/2), R_dT_w = C_p,
-    R_aA = -WM, R_C_p = dT_I - G + dT_w = aA*WM/C_p (at the root) and
-    R_beta = -aA*(GM - AM) on the means of (dT_I, G).  beta follows
-    beta_LM on the beta_LM branch only; elsewhere the beta_LM partial is
-    0.  On the beta*_2 branch G is identically 0, and a root G = 0 with
-    beta > 0 has R_G = -inf; both give zero partials.
-    """
-    b = beta.beta
-    if beta.branch is BetaBranch.BETA_STAR2 or (b > 0.0 and dT_II <= 0.0):
-        return 0.0, 0.0, 0.0, 0.0, 0.0
-    am = 0.5 * (dT_I + dT_II)
-    am_part = 0.5 * aA * (1.0 - b)
-    if b == 0.0:
-        R_G = -C_p - am_part
-        R_I = C_p - am_part
-        wm = am
-        R_b = 0.0
-    else:  # beta > 0 off the beta*_2 branch: the beta_LM branch
-        ratio = math.sqrt(dT_II / dT_I)
-        R_G = -C_p - 0.5 * aA * b / ratio - am_part
-        R_I = C_p - 0.5 * aA * b * ratio - am_part
-        gm = math.sqrt(dT_I * dT_II)
-        wm = b * gm + (1.0 - b) * am
-        R_b = -aA * (gm - am)
-    return -R_I / R_G, -C_p / R_G, wm / R_G, -aA * wm / (C_p * R_G), -R_b / R_G
-
-
-def beta_lm_value(steady_dT_Is: float, steady_dT_IIs: float) -> float:
-    """beta_LM = (AM - LM)/(AM - GM) on the steady differences.
-
-    Returns the analytic limit 2/3 for nearly equal (or degenerate
-    nonpositive) steady differences, clamped into (0, 1].
-    """
-    s1, s2 = steady_dT_Is, steady_dT_IIs
-    if s1 <= 0.0 or s2 <= 0.0 or abs(s1 / s2 - 1.0) < _BETA_LM_EQUAL_SWITCH:
-        return 2.0 / 3.0
-    am = arith_mean(s1, s2)
-    value = (am - log_mean(s1, s2)) / (am - geom_mean(s1, s2))
-    return min(max(value, 1e-12), 1.0)
 
 
 # The two outcomes without a beta, shared since BetaSelection is frozen.
@@ -338,9 +287,10 @@ def steady_terms(T_h1: float, T_c1: float, W_h: float, W_c: float,
     (beta_LM hot, beta_LM cold, T_w1s, T_w2s, T_h2s, T_c2s).
 
     In one frame on floats: serial_conductance, steady_outlets,
-    reference_model.steady_walls and both beta_lm_value calls written out,
-    each with its own float operations in its own order and its own
-    errors, so every result keeps the bits of that composition.
+    reference_model.steady_walls and each side's beta_LM, with log_mean,
+    written out, each with its own float operations in its own order and
+    its own errors, so every result keeps the bits of that composition.
+    tests/oracles.py keeps beta_LM as its own function, beta_lm_value.
     """
     if aA_h <= 0.0 or aA_c <= 0.0:
         raise NonPositiveConductanceError(
@@ -359,8 +309,10 @@ def steady_terms(T_h1: float, T_c1: float, W_h: float, W_c: float,
     T_c2s = T_c1 + (W_h / W_c) * (T_h1 - T_h2s)
     w = aA_c / (aA_h + aA_c)
     T_w1s, T_w2s = T_h1 + w * (T_c2s - T_h1), T_h2s + w * (T_c1 - T_h2s)
-    # beta_lm_value of each side's steady differences (s1, s2), log_mean
-    # past its series switch (|s1/s2 - 1| >= 1e-6 > 1e-8), then the clamp
+    # beta_LM = (AM - LM)/(AM - GM) on each side's steady differences
+    # (s1, s2), 2/3 (its limit) where they are nearly equal or not both
+    # positive, else with log_mean past its series switch
+    # (|s1/s2 - 1| >= 1e-6 > 1e-8) and clamped by
     # min(max(value, 1e-12), 1) as max and min take it
     s1, s2 = T_h1 - T_w1s, T_h2s - T_w2s
     if s1 <= 0.0 or s2 <= 0.0 or abs(s1 / s2 - 1.0) < _BETA_LM_EQUAL_SWITCH:
@@ -368,7 +320,11 @@ def steady_terms(T_h1: float, T_c1: float, W_h: float, W_c: float,
     else:
         am = 0.5 * (s1 + s2)
         e = (s1 - s2) / (s1 + s2)
-        b_h = (am - am * e / math.atanh(e)) / (am - math.sqrt(s1 * s2))
+        if -1.0 < e < 1.0:
+            lm = am * e / math.atanh(e)
+        else:  # log_mean's quotient, where atanh(e) is infinite
+            lm = (s1 - s2) / (math.log(s1) - math.log(s2))
+        b_h = (am - lm) / (am - math.sqrt(s1 * s2))
         b_h = 1e-12 if 1e-12 > b_h else b_h
         b_h = 1.0 if 1.0 < b_h else b_h
     s1, s2 = T_w2s - T_c1, T_w1s - T_c2s
@@ -377,7 +333,11 @@ def steady_terms(T_h1: float, T_c1: float, W_h: float, W_c: float,
     else:
         am = 0.5 * (s1 + s2)
         e = (s1 - s2) / (s1 + s2)
-        b_c = (am - am * e / math.atanh(e)) / (am - math.sqrt(s1 * s2))
+        if -1.0 < e < 1.0:
+            lm = am * e / math.atanh(e)
+        else:  # log_mean's quotient, where atanh(e) is infinite
+            lm = (s1 - s2) / (math.log(s1) - math.log(s2))
+        b_c = (am - lm) / (am - math.sqrt(s1 * s2))
         b_c = 1e-12 if 1e-12 > b_c else b_c
         b_c = 1.0 if 1.0 < b_c else b_c
     return b_h, b_c, T_w1s, T_w2s, T_h2s, T_c2s
@@ -397,7 +357,7 @@ def evaluate_approx(
     steady_terms at the steady conductances (at theta5/theta6).  The
     filter makes them with ekf.parameter_terms; at known conductances
     they are (aA_h, aA_c, mdot_c, *steady_terms(...)).  The first seven
-    are partial_rows' tau.
+    are wall_dynamics.ApproxStage's tau.
 
     Each side solves the universal residual by approx_side under its
     own substitution, with dT_w = T_w1 - T_w2:
@@ -418,38 +378,3 @@ def evaluate_approx(
                                    BetaSelection(b_c, BetaBranch.BETA_LM, False))
     return ApproxEvaluation(OutletTemps(G_h + w2, w1 - G_c), OutletTemps(T_h2s, T_c2s),
                             WallState(w1s, w2s), sel_h, sel_c, -aA_h * WM_h, aA_c * WM_c)
-
-
-def partial_rows(w1: float, w2: float, T_h1: float, T_c1: float, aA_h: float, aA_c: float,
-                 C_h: float, C_c: float, theta4: float, beta_hot: BetaSelection,
-                 beta_cold: BetaSelection, T_h2: float, T_c2: float,
-                 dtau: Sequence[Sequence[float]]) -> tuple[list[float], ...]:
-    """Partials of evaluate_approx's outlets and heat rates, and of the
-    steady walls, with both beta branches held: lists over (T_w1, T_w2,
-    q_1, ...) of (T_h2, T_c2, Q_h, Q_c, T_w1s, T_w2s), given the walls,
-    the inlets, the output conductances, C_h = mdot_h*theta3,
-    C_c = mdot_c*theta4 and theta4, and evaluate_approx's beta selections
-    and outlets.  Row j of ``dtau`` holds the q_j partials of
-    tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
-
-    By the chain rule through g_partials: T_h2 = G_h + T_w2, T_c2 = T_w1 - G_c,
-    and at each root Q_h = C_h*(T_h2 - T_h1), Q_c = C_c*(T_c2 - T_c1), C_c = mdot_c*theta4.
-    """
-    gI_h, gw_h, gA_h, _, gB_h = g_partials(T_h1 - w1, T_h2 - w2, aA_h, C_h, beta_hot)
-    gI_c, gw_c, gA_c, gC_c, gB_c = g_partials(w2 - T_c1, w1 - T_c2, aA_c, C_c, beta_cold)
-    # dT_I_h = T_h1 - T_w1, dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2
-    d_h2 = [gw_h - gI_h, 1.0 - gw_h]
-    d_c2 = [1.0 - gw_c, gw_c - gI_c]
-    d_Qc = [C_c * d_c2[0], C_c * d_c2[1]]
-    d_w1s = [0.0, 0.0]
-    d_w2s = [0.0, 0.0]
-    gM_c = theta4 * gC_c  # dG_c/dmdot_c
-    dQ_dmdot = theta4 * (T_c2 - T_c1)
-    for aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s in dtau:
-        d_h2.append(gA_h * aA_h + gB_h * b_h)
-        dc = -(gA_c * aA_c + gM_c * mdot_c + gB_c * b_c)
-        d_c2.append(dc)
-        d_Qc.append(C_c * dc + dQ_dmdot * mdot_c)
-        d_w1s.append(w1s)
-        d_w2s.append(w2s)
-    return d_h2, d_c2, [C_h * v for v in d_h2], d_Qc, d_w1s, d_w2s

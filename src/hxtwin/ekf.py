@@ -18,27 +18,30 @@ telemetry rate changes (Simon, Optimal State Estimation, 2006, §13.2).
 
 An evaluation and the wall dynamics read the parameter states
 p = x_v[2:] only through parameter_terms(cfg, p, u, cp), the one map from
-the parameter states to the model terms: the floored cold flow and
-conductances of ``conductances``, and approx_model.steady_terms at the
-steady pair, formed in its own frame.  Its first seven entries are
-tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
-steady_rating gives the monitor's steady cp fixed point the same cold
-flow and the serial rating of the same steady pair.
+the parameter states to the model terms: the output conductances and
+cold flow at the floored parameter states, and approx_model.steady_terms
+at the steady conductances, formed in its own frame.  Its first seven
+entries are tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s,
+T_w2s).  steady_rating gives the monitor's steady cp fixed point the same
+cold flow and the serial rating of the same steady pair, and estimate_kA
+the serial rating of the output pair.
 
 F and H come from the chain rule, not from differences of the whole
 model.  dtau/dp is one central stencil per predict or update
 (central_jacobian) of parameter_terms(...)[:7] on floats, a map that
 does not read the walls and so never straddles a wall sector or a beta
 branch switch.  The partials in the walls and in tau are closed form:
-approx_model.partial_rows, put through the active wall sector's chain
-rule by wall_dynamics.ApproxStage.
+one wall_dynamics.ApproxStage per predict or update forms the roots'
+partials on the branch each side took, and chains them into F's rows
+(rates_and_rows) or H's rows (outputs_and_rows).
 
 The filter runs on plain floats, without numpy, so its output depends
 on no BLAS kernel.  A predict takes its RK4 stages and F rows from one
 ApproxStage and its covariance step from covariance_step, on P's unique
-entries; an update forms P H', S (1x1 or 2x2), the gain, x_hat and P in
-closed form, its sums written out in its own frame.  EkfState holds
-x_hat as a tuple and P as a tuple of row tuples.
+entries; an update takes its outlets and H rows from one ApproxStage and
+forms P H', S (1x1 or 2x2), the gain, x_hat and P in closed form, its
+sums written out in its own frame.  EkfState holds x_hat as a tuple and
+P as a tuple of row tuples.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add
 
-from .approx_model import ApproxEvaluation, CpParams, evaluate_approx, partial_rows, steady_terms
+from .approx_model import ApproxEvaluation, CpParams, evaluate_approx, steady_terms
 from .correlations import CorrelationParams, alpha_A, serial_conductance
 from .reference_model import InletConditions, WallState
 from .wall_dynamics import ApproxStage, WallDynamicsConfig, rk4_pair
@@ -61,7 +64,6 @@ __all__ = [
     "EkfConfig",
     "EkfState",
     "ekf_init",
-    "conductances",
     "steady_rating",
     "parameter_terms",
     "ekf_evaluation",
@@ -170,25 +172,11 @@ def _floored(cfg: EkfConfig, p, u: InletConditions) -> tuple[float, float, float
             u.mdot_c if cfg.variant == "A" else max(float(p[2]), MDOT_FLOOR))
 
 
-def conductances(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
-    """(mdot_c, aA_h, aA_c, steady aA_h, steady aA_c) at the parameter
-    states p = x_v[2:], on floats: the monitored correlations at the
-    floored leading factors and cold flow (_floored), the output pair at
-    the transient mean cps theta3/theta4, the steady pair at
-    theta5/theta6.
-    """
-    ups_h, ups_c, mdot_c = _floored(cfg, p, u)
-    hot, cold = cfg.corr_hot, cfg.corr_cold
-    return (mdot_c, alpha_A(hot, ups_h, u.mdot_h, cp.theta3),
-            alpha_A(cold, ups_c, mdot_c, cp.theta4),
-            alpha_A(hot, ups_h, u.mdot_h, cp.theta5), alpha_A(cold, ups_c, mdot_c, cp.theta6))
-
-
 def steady_rating(cfg: EkfConfig, p, u: InletConditions) -> tuple:
-    """(mdot_c, kA_of) at the parameter states p = x_v[2:]: the cold flow
-    of ``conductances``, and its serial steady rating as a function of the
-    mean cps, which reads theta5/theta6 only (approx_steady_selfconsistent's
-    kA_of)."""
+    """(mdot_c, kA_of) at the parameter states p = x_v[2:]: the floored
+    cold flow, and the serial rating of the steady conductances as a
+    function of the mean cps, which reads theta5/theta6 only
+    (approx_steady_selfconsistent's kA_of)."""
     ups_h, ups_c, mdot_c = _floored(cfg, p, u)
     hot, cold, mdot_h = cfg.corr_hot, cfg.corr_cold, u.mdot_h
 
@@ -201,9 +189,11 @@ def steady_rating(cfg: EkfConfig, p, u: InletConditions) -> tuple:
 
 def parameter_terms(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tuple:
     """The terms evaluate_approx takes at the parameter states p = x_v[2:]:
-    tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s) in
-    partial_rows' dtau order, then (T_h2s, T_c2s), on floats: the
-    conductances of ``conductances`` and steady_terms at the steady pair."""
+    tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s),
+    then (T_h2s, T_c2s), on floats: the monitored correlations at the
+    floored leading factors and cold flow (_floored), the output pair
+    (aA_h, aA_c) at the transient mean cps theta3/theta4, and steady_terms
+    at the steady pair, at theta5/theta6."""
     ups_h, ups_c, mdot_c = _floored(cfg, p, u)
     hot, cold, mdot_h = cfg.corr_hot, cfg.corr_cold, u.mdot_h
     return (alpha_A(hot, ups_h, mdot_h, cp.theta3), alpha_A(cold, ups_c, mdot_c, cp.theta4),
@@ -214,7 +204,7 @@ def parameter_terms(cfg: EkfConfig, p, u: InletConditions, cp: CpParams) -> tupl
 
 def _tau_partials(cfg: EkfConfig, x_v: Sequence[float], u: InletConditions, cp: CpParams):
     """dtau/dp over the parameter states p = x_v[2:], as one row of tau
-    partials per parameter (the dtau of partial_rows): the columns of
+    partials per parameter (ApproxStage's dtau): the columns of
     central_jacobian of parameter_terms(...)[:7]."""
     return list(zip(*central_jacobian(lambda p: parameter_terms(cfg, p, u, cp)[:7], x_v[2:])))
 
@@ -377,7 +367,8 @@ def ekf_update(
     full predicted output pair (T_h2, T_c2).  An inlet the variant reads
     or a measurement that is not finite raises a ValueError naming it.
 
-    H's rows are partial_rows' outlet rows.  The gain K = P H' S^-1 takes
+    The outlets and H's rows come from one ApproxStage's
+    outputs_and_rows at the prior walls.  The gain K = P H' S^-1 takes
     the 2x2 S = H P H' + R_disc in closed form; variant C's unmeasured
     cold channel enters as a zero H row with unit variance, which adds
     nothing to the gain.  P - K H P is formed on the upper triangle and
@@ -399,14 +390,9 @@ def ekf_update(
     x = list(state.x_hat)
     P = list(map(list, state.P))
     n = len(x)
-    terms = parameter_terms(cfg, x[2:], u, cp)
-    w1, w2 = x[0], x[1]
-    ev = evaluate_approx(WallState(w1, w2), u, cp, terms)
-    T_h2, T_c2 = ev.outlets.T_h2, ev.outlets.T_c2
-    H_h, H_c = partial_rows(
-        w1, w2, u.T_h1, u.T_c1, terms[0], terms[1], u.mdot_h * cp.theta3,
-        terms[2] * cp.theta4, cp.theta4, ev.beta_hot, ev.beta_cold, T_h2, T_c2,
-        _tau_partials(cfg, state.x_hat, u, cp))[:2]
+    stage = ApproxStage(u, cp, parameter_terms(cfg, x[2:], u, cp), cfg.wall,
+                        _tau_partials(cfg, x, u, cp))
+    T_h2, T_c2, H_h, H_c = stage.outputs_and_rows(x[0], x[1])
     r_disc = cfg.r_y_density / dt
     # S = [[s_hh, s_hc], [s_hc, s_cc]] from the columns P H', each entry
     # summed from 0.0 in index order
@@ -458,5 +444,9 @@ def ekf_update(
 def estimate_kA(
     cfg: EkfConfig, x_v: Sequence[float], u: InletConditions, cp: CpParams
 ) -> float:
-    """Serial overall rating of the output conductances at x_v."""
-    return serial_conductance(*conductances(cfg, x_v[2:], u, cp)[1:3])
+    """Serial overall rating of the output conductances at x_v: the
+    monitored correlations at the floored parameter states and the
+    transient mean cps theta3/theta4, as parameter_terms forms them."""
+    ups_h, ups_c, mdot_c = _floored(cfg, x_v[2:], u)
+    return serial_conductance(alpha_A(cfg.corr_hot, ups_h, u.mdot_h, cp.theta3),
+                              alpha_A(cfg.corr_cold, ups_c, mdot_c, cp.theta4))

@@ -5,7 +5,8 @@ arguments and the total (unrestricted) heat-rate function used by both
 exchanger models.  approx_model.approx_side blends GM and AM into its
 one-step surrogate for the logarithmic mean.  The reference model's
 Newton side solve (reference_model._solve_side) evaluates heat_rate and
-its slope inline, with the same float operations and LM_SERIES_SWITCH.
+its slope inline, with the same float operations, LM_SERIES_SWITCH and
+quotient fallback, and so do approx_model.steady_terms' beta_LM values.
 
 All functions are pure and stateless.
 """
@@ -54,14 +55,19 @@ def log_mean(z1: float, z2: float) -> float:
     relative accuracy as z1 -> z2, where the naive quotient loses one
     digit per decade of closeness.  For |z1/z2 - 1| < 1e-8 the value
     switches to the series AM * (1 - e**2 / 3 + ...), the analytic
-    continuation through the removable singularity.
+    continuation through the removable singularity.  Once one argument
+    exceeds the other about 2e16 times, e rounds to +-1, where atanh is
+    infinite; there the value is the quotient (z1 - z2)/(ln z1 - ln z2),
+    whose logarithms are then far apart.
     """
     if z1 <= 0.0 or z2 <= 0.0 or z1 == z2:
         raise DomainError(f"log_mean needs z1, z2 > 0 and z1 != z2, got ({z1}, {z2})")
     e = (z1 - z2) / (z1 + z2)
     if abs(z1 / z2 - 1.0) < LM_SERIES_SWITCH:
         return 0.5 * (z1 + z2) * (1.0 - e * e / 3.0)
-    return 0.5 * (z1 + z2) * e / math.atanh(e)
+    if -1.0 < e < 1.0:
+        return 0.5 * (z1 + z2) * e / math.atanh(e)
+    return (z1 - z2) / (math.log(z1) - math.log(z2))
 
 
 def heat_rate(z1: float, z2: float, z3: float) -> float:

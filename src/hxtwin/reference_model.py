@@ -25,7 +25,7 @@ stream has a negative heat rate while it is being cooled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atanh, nextafter
+from math import atanh, log, nextafter
 from typing import Callable
 
 from .correlations import serial_conductance
@@ -226,8 +226,9 @@ def _solve_side(curve, mdot: float, h1: float, dT: float, aA: float, lo: float, 
     With a guess, Newton runs first, inside the same open interval the
     bracketed search uses, with the residual and its slope written out
     here: h and dh/dT from one curve call, heat_rate's log-mean or
-    arithmetic branch with log_mean's series switch, in each side's own
-    argument order, and the slope dQ/dz = Q (Q/aA - z) / (z (dT - z)) of
+    arithmetic branch with log_mean's series switch and its quotient of
+    logarithms where e rounds to +-1, in each side's own argument order,
+    and the slope dQ/dz = Q (Q/aA - z) / (z (dT - z)) of
     the log mean (aA/2 on the arithmetic branch) in the side's variable
     difference z (T - lo hot, hi - T cold).  The residual is strictly
     increasing, so an interior iterate whose residual is within
@@ -276,8 +277,10 @@ def _solve_side(curve, mdot: float, h1: float, dT: float, aA: float, lo: float, 
                 e = (z1 - z2) / (z1 + z2)
                 if abs(z1 / z2 - 1.0) < LM_SERIES_SWITCH:
                     q = aA * (0.5 * (z1 + z2) * (1.0 - e * e / 3.0))
-                else:
+                elif -1.0 < e < 1.0:
                     q = aA * (0.5 * (z1 + z2) * e / atanh(e))
+                else:  # e rounds to +-1, where atanh is infinite
+                    q = aA * ((z1 - z2) / (log(z1) - log(z2)))
                 dq = q * (q / aA - z) / (z * (dT - z))
             else:
                 q = aA * 0.5 * (z1 + z2)

@@ -7,11 +7,13 @@ heat flow parked in the wall divided by its heat capacity).  The error
 plane splits into five sectors that fix the scalar gain a in
 xdot = a * e; sector_gain picks the sector and its gain in one call.
 Truth (reference_wall_rhs) and filter (ApproxStage.rates) give the rates
-as rhs(w1, w2) on floats, and rk4_pair steps both.  A filter stage runs
-in one frame: both sides' approx_model.approx_side, the drift and
-sector_gain written out, and for the Jacobian rows g_partials on each
-side's branch too, from constants formed once per stage.  A truth stage takes
-its heat rates from one call of the reference_model.output_solver built
+as rhs(w1, w2) on floats, and rk4_pair steps both.  A filter stage's
+rates run in one frame: both sides' approx_model.approx_side, the drift
+and sector_gain written out, from constants formed once per stage.  The
+same stage gives the filter's F rows (rates_and_rows) and its outlets
+with H's rows (outputs_and_rows), both from one side kernel that also
+forms the closed-form roots' partials on each side's branch.  A truth
+stage takes its heat rates from one call of the reference_model.output_solver built
 for its sample, and builds no objects; that solver starts each stage
 from the previous stage's outlets moved along their tangent in the
 walls.
@@ -157,10 +159,10 @@ def reference_wall_rhs(
 
 
 def _side_constants(aA: float, C_p: float, b: float) -> tuple[float, ...]:
-    """One side's per-stage constants of approx_side and g_partials at
-    beta_LM = b, each formed as they form it (1.0 - 0.0 is their 1 - beta
-    at beta = 0): (0.5*aA*(1 - b), aA*b, 2*xi1 at b, xi1 at 0, 1 - b,
-    0.5*aA*b) for the root and the beta_LM partials, then the zero
+    """One side's per-stage constants of approx_side and the root partials
+    at beta_LM = b, each formed as they form it (1.0 - 0.0 is their
+    1 - beta at beta = 0): (0.5*aA*(1 - b), aA*b, 2*xi1 at b, xi1 at 0,
+    1 - b, 0.5*aA*b) for the root and the beta_LM partials, then the zero
     branch's -R_I/R_G, -C_p/R_G and -R_b/R_G (R_b = 0), R_G and C_p*R_G.
     A beta_LM above 1 never passes approx_side's test: its 0.5*aA*(1 - b)
     is NaN, and every comparison with NaN is false."""
@@ -172,36 +174,56 @@ def _side_constants(aA: float, C_p: float, b: float) -> tuple[float, ...]:
 
 
 class ApproxStage:
-    """The approximate model's wall dynamics at one (u, theta), on floats,
-    from evaluate_approx's (u, cp, terms), whose steady outlets it does not
-    read, and partial_rows' dtau for the Jacobian rows.  ``rates(w1, w2)``
-    is a*e of sector_gain at evaluate_approx's heat rates;
-    ``rates_and_rows(w1, w2)`` also gives the rows of d(a*e)/dz over
-    z = (T_w1, T_w2, q_1, ...), the filter's F rows.
+    """The approximate model's wall dynamics and outputs at one (u, theta),
+    on floats, from evaluate_approx's (u, cp, terms), whose steady outlets
+    it does not read, and dtau, the rows of tau partials over the
+    parameters q_1, ... (tau = terms[:7]).  Over z = (T_w1, T_w2, q_1,
+    ...):
 
-    Each call runs in one frame on floats: both sides' approx_side (the
-    beta rule, the closed-form root on the beta_LM and zero branches, the
-    weighted mean), the drift and sector_gain are written out, and the
-    rows write out g_partials on the branch each side took.  Only the rare
-    beta*_2 branch calls g_closed_form, which keeps its feasibility
-    tolerance.  The constants of a stage are formed once, in __init__, in
-    the float order of the calls they stand for, so every result keeps
-    the bits of those calls.  The beta_LM values are steady_terms' own, in
-    (0, 1]; one above 1 never passes the beta rule, as in approx_side.
+    - ``rates(w1, w2)`` is a*e of sector_gain at evaluate_approx's heat
+      rates;
+    - ``rates_and_rows(w1, w2)`` also gives the rows of d(a*e)/dz, the
+      filter's F rows;
+    - ``outputs_and_rows(w1, w2)`` gives evaluate_approx's outlets
+      (T_h2, T_c2) and their rows over z, the filter's H rows.
 
-    The rows are partial_rows' heat-rate and steady-wall partials put
-    through the chain rule of the active sector, written out inline.  With
-    xdot = a*e and e = xs - x, de/dz = dxs/dz - dx/dz, and the Jacobian is
-    e (grad a)' + a de/dz, where a moves with e and with the drift.  In
-    sector V, where the rates are zero, the wall columns are the limit
-    along the axes, diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what central
-    differences about the steady state take, and what keeps the wall
-    variance of the filter bounded there.  The other columns are zero: the
-    dead band holds the rates at zero whatever the heat rates, and a move
-    of xs alone along an axis gives the same rate on both sides.
+    Every call runs on floats.  ``rates`` runs in one frame: it writes out
+    both sides' approx_side (the beta rule, the closed-form root on the
+    beta_LM and zero branches, the weighted mean), the drift and
+    sector_gain.  The two row methods call one side kernel, which writes
+    out the same per side and the root's partials on the branch that side
+    took, then chain those partials.  Only the rare beta*_2 branch calls
+    g_closed_form, which keeps its feasibility tolerance.  The constants
+    of a stage are formed once, in __init__, in the float order of the
+    calls they stand for, so every result keeps the bits of those calls.
+    The beta_LM values are steady_terms' own, in (0, 1]; one above 1 never
+    passes the beta rule, as in approx_side.
+
+    The root G of each side solves the universal residual R = C_p*(dT_I -
+    G + dT_w) - aA*WM(dT_I, G), so dG/dq = -R_q / R_G, with
+    R_G = -C_p - aA*(beta*sqrt(dT_I/G)/2 + (1-beta)/2),
+    R_dT_I = C_p - aA*(beta*sqrt(G/dT_I)/2 + (1-beta)/2), R_dT_w = C_p,
+    R_aA = -WM, R_C_p = aA*WM/C_p (at the root) and R_beta = -aA*(GM - AM)
+    on the means of (dT_I, G).  beta follows beta_LM on the beta_LM branch
+    only.  On the beta*_2 branch G is identically 0, and a root G = 0
+    with beta > 0 has R_G = -inf; both give zero partials.  The outlets
+    are T_h2 = G_h + T_w2 and T_c2 = T_w1 - G_c, with dT_I_h = T_h1 -
+    T_w1, dT_I_c = T_w2 - T_c1 and dT_w = T_w1 - T_w2.
+
+    The F rows put the heat rates' partials, Q_h = C_h*(T_h2 - T_h1) and
+    Q_c = C_c*(T_c2 - T_c1) at each root, and the steady walls' through
+    the chain rule of the active sector.  With xdot = a*e and e = xs - x,
+    de/dz = dxs/dz - dx/dz, and the Jacobian is e (grad a)' + a de/dz,
+    where a moves with e and with the drift.  In sector V, where the rates
+    are zero, the wall columns are the limit along the axes,
+    diag(2 dTdot_w/dT_w1, 2 dTdot_w/dT_w2): what central differences about
+    the steady state take, and what keeps the wall variance of the filter
+    bounded there.  The other columns are zero: the dead band holds the
+    rates at zero whatever the heat rates, and a move of xs alone along an
+    axis gives the same rate on both sides.
     """
 
-    __slots__ = ("rates", "rates_and_rows")
+    __slots__ = ("rates", "rates_and_rows", "outputs_and_rows")
 
     def __init__(self, u: InletConditions, cp: CpParams, terms: Sequence[float],
                  cfg: WallDynamicsConfig, dtau: Sequence[Sequence[float]] = ()):
@@ -263,9 +285,14 @@ class ApproxStage:
                      / hypot(e1, e2))
             return a * e1, a * e2
 
-        def rates_and_rows(w1: float, w2: float):
+        def sides(w1: float, w2: float) -> tuple[float, ...]:
+            # (T_h2, T_c2, WM_h, WM_c), the outlets' wall partials
+            # (dT_h2/dT_w1, dT_h2/dT_w2, dT_c2/dT_w1, dT_c2/dT_w2), then
+            # the roots' partials in tau: dG_h/d aA_h, dG_h/d beta_LM hot,
+            # dG_c/d aA_c, dG_c/d mdot_c = theta4 dG_c/d C_p and
+            # dG_c/d beta_LM cold
             dT_w = w1 - w2
-            # hot side, and g_partials' (dG/d dT_I, dG/d dT_w, dG/d aA,
+            # hot side, and the root's (dG/d dT_I, dG/d dT_w, dG/d aA,
             # dG/d beta_LM) on its branch, at dT_II = T_h2 - T_w2
             dI = T_h1 - w1
             slack = C_h * (dI + dT_w)
@@ -275,7 +302,7 @@ class ApproxStage:
                 y = -2.0 * c0 / (y + sqrt(y * y - x2_h * c0))
                 G = y * y
                 WM_h = b_h * sqrt(dI * G) + omb_h * (0.5 * (dI + G))
-                dII = G + w2 - w2  # T_h2 - T_w2 as partial_rows forms it, not G
+                dII = G + w2 - w2  # T_h2 - T_w2 as the outlet gives it, not G
                 if dII <= 0.0:
                     gI_h = gw_h = gA_h = gB_h = 0.0
                 else:
@@ -296,6 +323,7 @@ class ApproxStage:
                 WM_h = 0.5 * (dI + G)
                 gI_h, gw_h, gB_h = gI0_h, gw0_h, gB0_h
                 gA_h = 0.5 * (dI + (G + w2 - w2)) / RG0_h
+            T_h2 = G + w2
             # cold side, with dG/d C_p as well, at dT_II = T_w1 - T_c2
             dI = w2 - T_c1
             slack = C_c * (dI + dT_w)
@@ -330,14 +358,18 @@ class ApproxStage:
                 am = 0.5 * (dI + (w1 - (w1 - G)))
                 gA_c = am / RG0_c
                 gC_c = -aA_c * am / CR0_c
-            T_c2 = w1 - G
+            return (T_h2, w1 - G, WM_h, WM_c, gw_h - gI_h, 1.0 - gw_h, 1.0 - gw_c, gw_c - gI_c,
+                    gA_h, gB_h, gA_c, theta4 * gC_c, gB_c)
+
+        def rates_and_rows(w1: float, w2: float):
+            (_, T_c2, WM_h, WM_c, h1, h2, c1, c2,
+             gA_h, gB_h, gA_c, gM_c, gB_c) = sides(w1, w2)
             e1, e2 = w1s - w1, w2s - w2
             tdw = (aA_h * WM_h - aA_c * WM_c) / theta7
             # the wall partials of the drift, (-dQ_h - dQ_c)/theta7, with
-            # dQ_h = C_h dT_h2 and dQ_c = C_c dT_c2 (dT_I_h = T_h1 - T_w1,
-            # dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2)
-            g1 = (-(C_h * (gw_h - gI_h)) - C_c * (1.0 - gw_c)) / theta7
-            g2 = (-(C_h * (1.0 - gw_h)) - C_c * (gw_c - gI_c)) / theta7
+            # dQ_h = C_h dT_h2 and dQ_c = C_c dT_c2
+            g1 = (-(C_h * h1) - C_c * c1) / theta7
+            g2 = (-(C_h * h2) - C_c * c2) / theta7
             if -eps < e1 < eps and not abs(e2) >= eps:
                 return (0.0 * e1, 0.0 * e2), ([2.0 * g1, 0.0, *rest], [0.0, 2.0 * g2, *rest])
             # sector_gain's a and its partials a_e1, a_e2, a_t in e1, e2
@@ -357,12 +389,12 @@ class ApproxStage:
             # da/dz = a_t dTdot_w/dz + a_e1 de1/dz + a_e2 de2/dz, with
             # de/dz = dxs/dz less the identity on the walls; the products
             # with the steady walls' zero wall partials keep every bit of
-            # partial_rows then the sector's rows, signed zeros included
+            # the heat-rate rows then the sector's rows, signed zeros
+            # included
             grad1 = a_t * g1 + a_e1 * 0.0 + a_e2 * 0.0 - a_e1
             grad2 = a_t * g2 + a_e1 * 0.0 + a_e2 * 0.0 - a_e2
             row1 = [e1 * grad1 + a * 0.0 - a, e1 * grad2 + a * 0.0]
             row2 = [e2 * grad1 + a * 0.0, e2 * grad2 + a * 0.0 - a]
-            gM_c = theta4 * gC_c  # dG_c/dmdot_c
             dQ_dmdot = theta4 * (T_c2 - T_c1)
             for daA_h, daA_c, dmdot_c, db_h, db_c, dw1s, dw2s in dtau:
                 dQ_c = C_c * -(gA_c * daA_c + gM_c * dmdot_c + gB_c * db_c) + dQ_dmdot * dmdot_c
@@ -372,5 +404,15 @@ class ApproxStage:
                 row2.append(e2 * grad + a * dw2s)
             return (a * e1, a * e2), (row1, row2)
 
+        def outputs_and_rows(w1: float, w2: float):
+            (T_h2, T_c2, _, _, h1, h2, c1, c2,
+             gA_h, gB_h, gA_c, gM_c, gB_c) = sides(w1, w2)
+            H_h, H_c = [h1, h2], [c1, c2]
+            for daA_h, daA_c, dmdot_c, db_h, db_c, _, _ in dtau:
+                H_h.append(gA_h * daA_h + gB_h * db_h)
+                H_c.append(-(gA_c * daA_c + gM_c * dmdot_c + gB_c * db_c))
+            return T_h2, T_c2, H_h, H_c
+
         self.rates = rates
         self.rates_and_rows = rates_and_rows
+        self.outputs_and_rows = outputs_and_rows

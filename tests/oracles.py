@@ -18,11 +18,17 @@ table_enthalpy, table_enthalpy_slope, poly_enthalpy and poly_cp are
 those rules as separate steps.
 
 The filter's predict and update run on floats: wall_dynamics.ApproxStage
-writes approx_side and sector_gain out inline for its rates, and
-g_partials, partial_rows and rhs_rows for the F rows, and
-ekf.covariance_step takes the covariance RK4 step on P's unique entries.
-rhs_rows, horner_covariance_step (the numpy Horner step with F held) and
-kalman_gain (a linear solve) are the parent forms those are pinned to.
+writes approx_side and sector_gain out inline for its rates, and one side
+kernel, g_partials on each side's branch, for its rows: partial_rows
+then rhs_rows for the F rows (rates_and_rows), partial_rows' outlet rows
+for H (outputs_and_rows).  approx_model.steady_terms writes beta_lm_value
+out, and ekf.parameter_terms and estimate_kA form the conductances at the
+floored parameter states.  ekf.covariance_step takes the covariance RK4
+step on P's unique entries.  g_partials and partial_rows (the root's
+partials, and the rows they give by the chain rule), beta_lm_value,
+conductances, rhs_rows, horner_covariance_step (the numpy Horner step
+with F held) and kalman_gain (a linear solve) are the readable forms
+those are pinned to.
 """
 
 import math
@@ -31,8 +37,9 @@ from bisect import bisect_right
 import numpy as np
 
 from hxtwin.approx_model import BetaBranch, BetaSelection
+from hxtwin.correlations import alpha_A
 from hxtwin.fluids import OutOfRangeError
-from hxtwin.means import DomainError, arith_mean, geom_mean, heat_rate
+from hxtwin.means import DomainError, arith_mean, geom_mean, heat_rate, log_mean
 from hxtwin.reference_model import (
     NEWTON_MAX_ITER,
     OUTPUT_FTOL,
@@ -44,7 +51,7 @@ from hxtwin.reference_model import (
     solve_bracketed,
     steady_wall_temps,
 )
-from hxtwin.ekf import SingularInnovationCovarianceError
+from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, SingularInnovationCovarianceError
 from hxtwin.wall_dynamics import TDW_LOWER_BOUND, Sector, sector_gain
 
 # The two outcomes without a beta.
@@ -79,6 +86,102 @@ def weighted_mean(z1: float, z2: float, beta: float) -> float:
     if beta == 0.0:
         return arith_mean(z1, z2)
     return beta * geom_mean(z1, z2) + (1.0 - beta) * arith_mean(z1, z2)
+
+
+def beta_lm_value(steady_dT_Is: float, steady_dT_IIs: float) -> float:
+    """beta_LM = (AM - LM)/(AM - GM) on the steady differences.
+
+    Returns the analytic limit 2/3 for nearly equal (or degenerate
+    nonpositive) steady differences, clamped into (0, 1].
+    """
+    s1, s2 = steady_dT_Is, steady_dT_IIs
+    if s1 <= 0.0 or s2 <= 0.0 or abs(s1 / s2 - 1.0) < 1e-6:
+        return 2.0 / 3.0
+    am = arith_mean(s1, s2)
+    value = (am - log_mean(s1, s2)) / (am - geom_mean(s1, s2))
+    return min(max(value, 1e-12), 1.0)
+
+
+def g_partials(dT_I, dT_II, aA, C_p, beta: BetaSelection):
+    """Partials of the root dT_II = G with the branch of ``beta`` held:
+    (dG/d dT_I, dG/d dT_w, dG/d aA, dG/d C_p, dG/d beta_LM).
+
+    The universal residual R vanishes at its root, so dG/dq = -R_q / R_G
+    with
+    R_G = -C_p - aA*(beta*sqrt(dT_I/G)/2 + (1-beta)/2),
+    R_dT_I = C_p - aA*(beta*sqrt(G/dT_I)/2 + (1-beta)/2), R_dT_w = C_p,
+    R_aA = -WM, R_C_p = dT_I - G + dT_w = aA*WM/C_p (at the root) and
+    R_beta = -aA*(GM - AM) on the means of (dT_I, G).  beta follows
+    beta_LM on the beta_LM branch only; elsewhere the beta_LM partial is
+    0.  On the beta*_2 branch G is identically 0, and a root G = 0 with
+    beta > 0 has R_G = -inf; both give zero partials.
+    """
+    b = beta.beta
+    if beta.branch is BetaBranch.BETA_STAR2 or (b > 0.0 and dT_II <= 0.0):
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    am = 0.5 * (dT_I + dT_II)
+    am_part = 0.5 * aA * (1.0 - b)
+    if b == 0.0:
+        R_G = -C_p - am_part
+        R_I = C_p - am_part
+        wm = am
+        R_b = 0.0
+    else:  # beta > 0 off the beta*_2 branch: the beta_LM branch
+        ratio = math.sqrt(dT_II / dT_I)
+        R_G = -C_p - 0.5 * aA * b / ratio - am_part
+        R_I = C_p - 0.5 * aA * b * ratio - am_part
+        gm = math.sqrt(dT_I * dT_II)
+        wm = b * gm + (1.0 - b) * am
+        R_b = -aA * (gm - am)
+    return -R_I / R_G, -C_p / R_G, wm / R_G, -aA * wm / (C_p * R_G), -R_b / R_G
+
+
+def partial_rows(w1, w2, T_h1, T_c1, aA_h, aA_c, C_h, C_c, theta4, beta_hot, beta_cold,
+                 T_h2, T_c2, dtau):
+    """Partials of evaluate_approx's outlets and heat rates, and of the
+    steady walls, with both beta branches held: lists over (T_w1, T_w2,
+    q_1, ...) of (T_h2, T_c2, Q_h, Q_c, T_w1s, T_w2s), given the walls,
+    the inlets, the output conductances, C_h = mdot_h*theta3,
+    C_c = mdot_c*theta4 and theta4, and evaluate_approx's beta selections
+    and outlets.  Row j of ``dtau`` holds the q_j partials of
+    tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM cold, T_w1s, T_w2s).
+
+    By the chain rule through g_partials: T_h2 = G_h + T_w2, T_c2 = T_w1 - G_c,
+    and at each root Q_h = C_h*(T_h2 - T_h1), Q_c = C_c*(T_c2 - T_c1), C_c = mdot_c*theta4.
+    """
+    gI_h, gw_h, gA_h, _, gB_h = g_partials(T_h1 - w1, T_h2 - w2, aA_h, C_h, beta_hot)
+    gI_c, gw_c, gA_c, gC_c, gB_c = g_partials(w2 - T_c1, w1 - T_c2, aA_c, C_c, beta_cold)
+    # dT_I_h = T_h1 - T_w1, dT_I_c = T_w2 - T_c1, dT_w = T_w1 - T_w2
+    d_h2 = [gw_h - gI_h, 1.0 - gw_h]
+    d_c2 = [1.0 - gw_c, gw_c - gI_c]
+    d_Qc = [C_c * d_c2[0], C_c * d_c2[1]]
+    d_w1s = [0.0, 0.0]
+    d_w2s = [0.0, 0.0]
+    gM_c = theta4 * gC_c  # dG_c/dmdot_c
+    dQ_dmdot = theta4 * (T_c2 - T_c1)
+    for aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s in dtau:
+        d_h2.append(gA_h * aA_h + gB_h * b_h)
+        dc = -(gA_c * aA_c + gM_c * mdot_c + gB_c * b_c)
+        d_c2.append(dc)
+        d_Qc.append(C_c * dc + dQ_dmdot * mdot_c)
+        d_w1s.append(w1s)
+        d_w2s.append(w2s)
+    return d_h2, d_c2, [C_h * v for v in d_h2], d_Qc, d_w1s, d_w2s
+
+
+def conductances(cfg, p, u, cp):
+    """(mdot_c, aA_h, aA_c, steady aA_h, steady aA_c) at the parameter
+    states p = x_v[2:]: the monitored correlations at the leading factors
+    floored at UPSILON_FLOOR and the cold flow (u.mdot_c for variant A,
+    the estimate floored at MDOT_FLOOR for B and C), the output pair at
+    the transient mean cps theta3/theta4, the steady pair at
+    theta5/theta6."""
+    ups_h, ups_c = max(float(p[0]), UPSILON_FLOOR), max(float(p[1]), UPSILON_FLOOR)
+    mdot_c = u.mdot_c if cfg.variant == "A" else max(float(p[2]), MDOT_FLOOR)
+    hot, cold = cfg.corr_hot, cfg.corr_cold
+    return (mdot_c, alpha_A(hot, ups_h, u.mdot_h, cp.theta3),
+            alpha_A(cold, ups_c, mdot_c, cp.theta4),
+            alpha_A(hot, ups_h, u.mdot_h, cp.theta5), alpha_A(cold, ups_c, mdot_c, cp.theta6))
 
 
 def classify_sector(e1: float, e2: float, epsilon: float) -> Sector:

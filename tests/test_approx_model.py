@@ -18,10 +18,8 @@ from hxtwin.approx_model import (
     approx_output,
     approx_side,
     approx_steady_selfconsistent,
-    beta_lm_value,
     evaluate_approx,
     g_closed_form,
-    g_partials,
     steady_outlets,
     steady_terms,
     update_cp_params,
@@ -38,7 +36,7 @@ from hxtwin.reference_model import (
     steady_wall_temps,
 )
 from hxtwin.sampledata import make_coolant_model
-from oracles import select_beta, weighted_mean
+from oracles import beta_lm_value, g_partials, select_beta, weighted_mean
 
 
 def perfect_streams(cp_h=1000.0, cp_c=2000.0):

@@ -33,17 +33,17 @@ ROOT = Path(__file__).resolve().parent.parent
 N = 50
 
 CEILINGS = {
-    ("smoke_constant", "A"): 14_402,
-    ("smoke_constant", "B"): 16_052,
-    ("smoke_constant", "C"): 16_052,
+    ("smoke_constant", "A"): 14_202,
+    ("smoke_constant", "B"): 15_852,
+    ("smoke_constant", "C"): 15_852,
     ("smoke_constant", "truth"): 21_698,
-    ("coolant_step", "A"): 20_323,
-    ("coolant_step", "B"): 22_296,
-    ("coolant_step", "C"): 22_166,
+    ("coolant_step", "A"): 20_123,
+    ("coolant_step", "B"): 22_096,
+    ("coolant_step", "C"): 21_966,
     ("coolant_step", "truth"): 22_034,
-    ("chirp_tracking", "A"): 16_928,
-    ("chirp_tracking", "B"): 18_578,
-    ("chirp_tracking", "C"): 18_578,
+    ("chirp_tracking", "A"): 16_728,
+    ("chirp_tracking", "B"): 18_378,
+    ("chirp_tracking", "C"): 18_378,
     ("chirp_tracking", "truth"): 21_929,
 }
 

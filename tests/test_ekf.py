@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies
 
 import hxtwin.ekf
-from hxtwin.approx_model import CpParams, evaluate_approx, partial_rows, steady_terms
+from hxtwin.approx_model import CpParams, evaluate_approx, steady_terms
 from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
 from hxtwin.ekf import (
     JACOBIAN_ABS_STEP,
@@ -28,7 +28,6 @@ from hxtwin.ekf import (
     EkfState,
     SingularInnovationCovarianceError,
     central_jacobian,
-    conductances,
     ekf_evaluation,
     ekf_init,
     ekf_predict,
@@ -44,7 +43,14 @@ from hxtwin.wall_dynamics import (
     WallDynamicsConfig,
     sector_gain,
 )
-from oracles import horner_covariance_step, kalman_gain, rhs_rows, wall_drift_rate
+from oracles import (
+    conductances,
+    horner_covariance_step,
+    kalman_gain,
+    partial_rows,
+    rhs_rows,
+    wall_drift_rate,
+)
 
 
 CP = CpParams(1000.0, 2000.0, 1000.0, 2000.0)
@@ -335,7 +341,7 @@ def test_model_inputs_floors_leading_factors():
 
 
 def chain_jacobians(cfg, z, u, cp, terms_of=parameter_terms):
-    """F[:2, :] and H at z, by the chain rule from the public partials
+    """F[:2, :] and H at z, by the chain rule from the oracle partials
     (partial_rows, rhs_rows), with the model terms of terms_of(cfg, p, u,
     cp) at the parameter states p = z[2:].  dtau/dp, the partials of its
     first seven entries tau = (aA_h, aA_c, mdot_c, beta_LM hot, beta_LM
@@ -464,6 +470,8 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
     # Each predict visits one parameter point: one stencil of the wall-free
     # tau map, and four stage calls per substep (the RK4 stages, the first
     # with the F rows) on one ApproxStage, without an evaluate_approx call.
+    # An update takes its outlets and H rows from one stage call at its
+    # own stencil, without an evaluate_approx call either.
     calls = Counter()
 
     def counted(name, fn):
@@ -479,7 +487,7 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
 
     def counted_stage(*args):
         stage = ApproxStage(*args)
-        for name in ("rates", "rates_and_rows"):
+        for name in ("rates", "rates_and_rows", "outputs_and_rows"):
             setattr(stage, name, counted(name, getattr(stage, name)))
         return stage
 
@@ -492,7 +500,7 @@ def test_predict_and_update_count_evaluations_and_stencils(variant, monkeypatch)
     y = g_v(cfg, pred.x_hat, U, CP)
     calls.clear()
     ekf_update(pred, cfg, U, CP, y, 1.0)
-    assert calls == {"evaluate_approx": 1, "central_jacobian": 1}
+    assert calls == Counter(evaluate_approx=0, central_jacobian=1, outputs_and_rows=1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 the truth's side solve and fluid calls against their parent forms, bit
 for bit (==, not approx).
 
-A predict runs on wall_dynamics.ApproxStage and on ekf.parameter_terms,
-the map from the parameter states to the model terms, both on plain
-floats.  ApproxStage writes approx_side, sector_gain, g_partials and the
-sector's rows out in one frame per call, and approx_model.steady_terms
+A predict and an update run on wall_dynamics.ApproxStage and on
+ekf.parameter_terms, the map from the parameter states to the model
+terms, both on plain floats.  ApproxStage writes approx_side,
+sector_gain, g_partials and the sector's rows out for its rates, its F
+rows and its outlets with their H rows, and approx_model.steady_terms
 writes out its own sources; properties pin both to those sources as
 float hex, at any walls, inlets, conductances and flows, with examples
-at every beta outcome in every sector and at each clamp of steady_terms.
+at every beta outcome in every sector and at each clamp and each log
+mean branch of steady_terms.
 Each property below evaluates one point both ways: through the float
 cores, and through the object API and a reference written out here
 in the objects' terms, or the rules one at a time in tests/oracles.py
@@ -52,15 +54,13 @@ from hxtwin.approx_model import (
     CpParams,
     OutletTemps,
     approx_side,
-    beta_lm_value,
     evaluate_approx,
     g_closed_form,
-    partial_rows,
     steady_outlets,
     steady_terms,
 )
 from hxtwin.correlations import CorrelationParams, alpha_A, serial_conductance
-from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances, parameter_terms
+from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, parameter_terms
 from hxtwin.fluids import CaloricallyPerfect, StreamConfig
 from hxtwin.means import arith_mean, geom_mean, heat_rate, log_mean
 from hxtwin.sampledata import COOLANT_CP_COEFFS, make_co2_like_table, make_coolant_model
@@ -82,7 +82,15 @@ from hxtwin.wall_dynamics import (
     rk4_pair,
     sector_gain,
 )
-from oracles import classify_sector, select_beta, wall_drift_rate, weighted_mean
+from oracles import (
+    beta_lm_value,
+    classify_sector,
+    conductances,
+    partial_rows,
+    select_beta,
+    wall_drift_rate,
+    weighted_mean,
+)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -276,7 +284,7 @@ def test_stage_is_the_object_api_at_every_branch_and_sector(variant, offset, p):
     dtau = ekf._tau_partials(cfg, z, U, CP)
     assert dtau == reference_dtau(cfg, z, U, CP)
     rates = reference_rhs(wall, walls_s, ev.Q_h, ev.Q_c, cfg.wall)
-    _, _, dQ_h, dQ_c, dw1s, dw2s = partials_at(wall, u_eff, cond_out, CP, ev, dtau)
+    d_h2, d_c2, dQ_h, dQ_c, dw1s, dw2s = partials_at(wall, u_eff, cond_out, CP, ev, dtau)
     rows = reference_rows(wall, walls_s, ev.Q_h, ev.Q_c, dQ_h, dQ_c, cfg.wall, (dw1s, dw2s))
 
     stage = ApproxStage(U, CP, terms, cfg.wall, dtau)
@@ -284,6 +292,8 @@ def test_stage_is_the_object_api_at_every_branch_and_sector(variant, offset, p):
     k1, stage_rows = stage.rates_and_rows(wall.T_w1, wall.T_w2)
     assert k1 == rates
     assert tuple(map(tuple, stage_rows)) == rows
+    assert stage.outputs_and_rows(wall.T_w1, wall.T_w2) == (
+        ev.outlets.T_h2, ev.outlets.T_c2, d_h2, d_c2)
 
 
 def bits(values):
@@ -355,9 +365,10 @@ def stage_point(hot, cold, dT_w, e, theta7, dtau, flows=(1.0, 1.0)):
 
 
 def stage_by_its_sources(u, cp, terms, cfg, dtau, w1, w2):
-    """ApproxStage's rates, rows, beta selections and sector by the calls
-    it writes out: approx_side per side, sector_gain at the drift, then
-    partial_rows and the rhs_rows oracle."""
+    """ApproxStage's rates, F rows, beta selections and sector, and its
+    outlets and H rows, by the calls it writes out: approx_side per side,
+    sector_gain at the drift, then partial_rows and the rhs_rows oracle;
+    the outlets are (G_h + w2, w1 - G_c) and H is partial_rows[:2]."""
     aA_h, aA_c, mdot_c, b_h, b_c, w1s, w2s = terms
     C_h, C_c = u.mdot_h * cp.theta3, mdot_c * cp.theta4
     sel_h, G_h, WM_h = approx_side(u.T_h1 - w1, w1 - w2, aA_h, C_h, lm_selection(b_h))
@@ -365,11 +376,11 @@ def stage_by_its_sources(u, cp, terms, cfg, dtau, w1, w2):
     e1, e2 = w1s - w1, w2s - w2
     tdw = wall_drift_rate(-aA_h * WM_h, aA_c * WM_c, cfg.theta7)
     sector, a = sector_gain(e1, e2, tdw)
-    _, _, dQ_h, dQ_c, dw1s, dw2s = partial_rows(
-        w1, w2, u.T_h1, u.T_c1, aA_h, aA_c, C_h, C_c, cp.theta4, sel_h, sel_c,
-        G_h + w2, w1 - G_c, dtau)
+    T_h2, T_c2 = G_h + w2, w1 - G_c
+    d_h2, d_c2, dQ_h, dQ_c, dw1s, dw2s = partial_rows(
+        w1, w2, u.T_h1, u.T_c1, aA_h, aA_c, C_h, C_c, cp.theta4, sel_h, sel_c, T_h2, T_c2, dtau)
     rows = oracles.rhs_rows(e1, e2, sector, a, tdw, dQ_h, dQ_c, cfg.theta7, (dw1s, dw2s))
-    return (a * e1, a * e2), rows, (sel_h, sel_c, sector, tdw)
+    return (a * e1, a * e2), rows, (sel_h, sel_c, sector, tdw), (T_h2, T_c2, d_h2, d_c2)
 
 
 def stage_examples(test):
@@ -397,17 +408,21 @@ stage_sides = st.tuples(st.floats(-5.0, 40.0), st.floats(1.0, 1e5), st.floats(1.
        flows=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)))
 @stage_examples
 def test_stage_is_its_sources_anywhere(hot, cold, dT_w, e, theta7, dtau, flows):
-    # rates and rates_and_rows write approx_side, sector_gain, g_partials
-    # (through partial_rows) and rhs_rows out in one frame each: the same
-    # float operations in the same order, so every bit is kept
+    # rates, rates_and_rows and outputs_and_rows write approx_side,
+    # sector_gain, g_partials (through partial_rows) and rhs_rows out: the
+    # same float operations in the same order, so every bit is kept
     args, (w1, w2) = stage_point(hot, cold, dT_w, e, theta7, dtau, flows)
-    rates, (row1, row2), _ = stage_by_its_sources(*args, w1, w2)
+    rates, (row1, row2), _, (T_h2, T_c2, H_h, H_c) = stage_by_its_sources(*args, w1, w2)
     stage = ApproxStage(*args)
     assert bits(stage.rates(w1, w2)) == bits(rates)
     k1, (got1, got2) = stage.rates_and_rows(w1, w2)
     assert bits(k1) == bits(rates)
     assert bits(got1) == bits(row1)
     assert bits(got2) == bits(row2)
+    got_h2, got_c2, got_h, got_c = stage.outputs_and_rows(w1, w2)
+    assert bits((got_h2, got_c2)) == bits((T_h2, T_c2))
+    assert bits(got_h) == bits(H_h)
+    assert bits(got_c) == bits(H_c)
 
 
 def test_stage_examples_reach_every_outcome_and_sector():
@@ -446,8 +461,12 @@ def steady_by_its_sources(T_h1, T_c1, W_h, W_c, aA_h, aA_c):
 
 
 # (T_h1, T_c1, W_h, W_c, aA_h, aA_c) at the edges of steady_terms: the
-# balanced-capacity branch, the exponent clamped at +700 and at -700, and
-# beta_LM clamped at 1e-12 (both sides) and at 1 (hot, then cold)
+# balanced-capacity branch, the exponent clamped at +700 and at -700,
+# beta_LM clamped at 1e-12 (both sides) and at 1 (hot, then cold), and
+# both sides' log mean past the atanh edge, where the steady differences
+# are over 2e16 apart: at a hot NTU near 39, T_h2s lies 3 ulps above
+# T_c1, and the hot outlet and cold inlet differences are 1 and 2 ulps
+# (found by a random search)
 STEADY_EDGES = {
     "balanced": (400.0, 300.0, 1000.0, 1000.0, 1500.0, 3000.0),
     "exp-clamp-high": (400.0, 300.0, 100.0, 1e6, 1e6, 1e6),
@@ -458,6 +477,8 @@ STEADY_EDGES = {
                             29.86542798571118, 6185.122156419699),
     "beta-clamp-high-cold": (3.716854282573868e-162, 0.0, 0.004408223537337697,
                              369827.52629229723, 0.10444471514495976, 0.004873845458156751),
+    "log-mean-quotient": (194.71146061939098, 6.5495926497870505, 135.91061406672813,
+                          568939.5098190876, 30964.372897456535, 6373.545874096713),
 }
 
 
@@ -484,6 +505,11 @@ def test_steady_core_is_approx_steady_terms(T_h1, T_c1, W_h, W_c, aA):
                    outlets_s.T_c2)
 
 
+def atanh_edge(s1, s2):
+    """Whether log_mean's e = (s1 - s2)/(s1 + s2) rounds to +-1."""
+    return abs((s1 - s2) / (s1 + s2)) == 1.0
+
+
 def unclamped_beta_lm(s1, s2):
     """beta_lm_value's quotient before its clamp, None where it takes 2/3."""
     if s1 <= 0.0 or s2 <= 0.0 or abs(s1 / s2 - 1.0) < 1e-6:
@@ -498,8 +524,8 @@ def test_steady_examples_reach_every_edge():
         arg = kA / W_h - kA / W_c
         T_h2s, T_c2s = steady_outlets(T_h1, T_c1, W_h, W_c, kA)
         T_w1s, T_w2s = steady_walls(T_h1, T_c1, T_h2s, T_c2s, aA_h, aA_c)
-        hot = unclamped_beta_lm(T_h1 - T_w1s, T_h2s - T_w2s)
-        cold = unclamped_beta_lm(T_w2s - T_c1, T_w1s - T_c2s)
+        s_hot, s_cold = (T_h1 - T_w1s, T_h2s - T_w2s), (T_w2s - T_c1, T_w1s - T_c2s)
+        hot, cold = unclamped_beta_lm(*s_hot), unclamped_beta_lm(*s_cold)
         reached = {
             "balanced": lambda: W_h == W_c,
             "exp-clamp-high": lambda: arg > 700.0,
@@ -507,6 +533,7 @@ def test_steady_examples_reach_every_edge():
             "beta-clamp-low": lambda: hot < 1e-12 and cold < 1e-12,
             "beta-clamp-high-hot": lambda: hot > 1.0,
             "beta-clamp-high-cold": lambda: cold > 1.0,
+            "log-mean-quotient": lambda: atanh_edge(*s_hot) and atanh_edge(*s_cold),
         }[name]
         assert reached(), name
 
@@ -643,7 +670,9 @@ SIDE_FLUIDS = {
 # iterate is the guess, so a guess at z = dT takes the equal-difference
 # arithmetic branch, and one within a relative 1e-8 of it log_mean's
 # series switch (at guesses where the series and the atanh quotient
-# differ in the last bit).
+# differ in the last bit).  A dT of 1e-15 K beside z = 30 K rounds
+# log_mean's e = (z1 - z2)/(z1 + z2) to -1, where it takes the quotient
+# of logarithms.
 # In the examples marked root-at-guess the inlet enthalpy puts the root at
 # the guess, so the solve returns the bits of that first evaluation.
 SIDE_SOLVES = {
@@ -655,6 +684,8 @@ SIDE_SOLVES = {
     "cold-series": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, 340.00000019),
     "cold-equal": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, 340.0),
     "cold-arithmetic": (False, 0.5, -1.0, 3000.0, 300.0, 360.0, 320.0),
+    "hot-quotient": (True, 0.5, 1e-15, 3000.0, 300.0, 360.0, 330.0),
+    "cold-quotient": (False, 0.5, 1e-15, 3000.0, 300.0, 360.0, 330.0),
     "clamped-below": (True, 0.5, 30.0, 3000.0, 300.0, 360.0, 250.0),
     "clamped-above": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, 400.0),
     "no-guess": (False, 0.5, 20.0, 3000.0, 300.0, 360.0, None),
@@ -731,7 +762,10 @@ def test_side_solve_examples_cover_every_path(monkeypatch):
     def slope(z, dT, aA, q):
         if z > 0.0 and dT > 0.0 and z != dT:
             ratio = dT / z if hot else z / dT
-            branch = "series" if abs(ratio - 1.0) < 1e-8 else "log-mean"
+            if abs(ratio - 1.0) < 1e-8:
+                branch = "series"
+            else:
+                branch = "quotient" if abs((z - dT) / (z + dT)) == 1.0 else "log-mean"
         else:
             branch = "equal" if z == dT else "arithmetic"
         seen.add(("hot" if hot else "cold", branch))
@@ -755,7 +789,7 @@ def test_side_solve_examples_cover_every_path(monkeypatch):
             if len(new) == 5:
                 seen.add("zero tangent" if new[3:] == (0.0.hex(),) * 2 else "tangent")
     assert seen == {(side, branch) for side in ("hot", "cold")
-                    for branch in ("log-mean", "series", "equal", "arithmetic")} | {
+                    for branch in ("log-mean", "series", "quotient", "equal", "arithmetic")} | {
         "newton", "fallback", "clamped", "flagged=False", "flagged=True",
         "BracketError", "OutOfRangeError", "tangent", "zero tangent"}
 

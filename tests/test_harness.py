@@ -23,7 +23,7 @@ from hxtwin.correlations import (
     reference_alpha_A,
     serial_conductance,
 )
-from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig, conductances
+from hxtwin.ekf import MDOT_FLOOR, UPSILON_FLOOR, EkfConfig
 from hxtwin.fluids import (
     CaloricallyPerfect,
     StreamConfig,
@@ -61,6 +61,7 @@ from hxtwin.scenario import (
     truth_conductances,
 )
 from hxtwin.wall_dynamics import WallDynamicsConfig
+from oracles import conductances
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"

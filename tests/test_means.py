@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hxtwin.means import (
     DomainError,
@@ -12,7 +14,7 @@ from hxtwin.means import (
     heat_rate,
     log_mean,
 )
-from oracles import heat_rate_slope, weighted_mean
+from oracles import beta_lm_value, heat_rate_slope, weighted_mean
 
 
 def test_arith_geom_textbook_values():
@@ -62,6 +64,55 @@ def test_log_mean_continuous_at_series_switch():
     below = log_mean(z2 * (1.0 + 0.999e-8), z2)
     above = log_mean(z2 * (1.0 + 1.001e-8), z2)
     assert below == pytest.approx(above, rel=1e-10)
+
+
+def test_log_mean_past_the_atanh_edge():
+    # Once z1/z2 passes about 2e16, e = (z1 - z2)/(z1 + z2) rounds to 1
+    # and atanh(e) is infinite; the quotient of logarithms takes over.
+    assert (1.0 - 1e-17) / (1.0 + 1e-17) == 1.0
+    want = 1.0 / (17.0 * math.log(10.0))
+    assert log_mean(1.0, 1e-17) == pytest.approx(want, rel=1e-15)
+    assert log_mean(1e-17, 1.0) == log_mean(1.0, 1e-17)
+    assert heat_rate(1.0, 1e-17, 2.0) == 2.0 * log_mean(1.0, 1e-17)
+    assert 0.0 < beta_lm_value(1.0, 1e-17) < 1.0
+
+
+# the positive floats, subnormals included, up to where z1 + z2 stays
+# finite; ratios up to 1e600 reach far past the atanh edge near 2e16
+positive_floats = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(z1=positive_floats, z2=positive_floats)
+@example(z1=1.0, z2=1e-17)
+@example(z1=1e-17, z2=1.0)
+@example(z1=1.0, z2=2.0 ** -54)
+@example(z1=1.0, z2=1e-16)
+@example(z1=5e-324, z2=1e300)
+@example(z1=1e300, z2=1e-300)
+@example(z1=42.0 * (1.0 + 0.999e-8), z2=42.0)
+@example(z1=1.0 + 2.0 ** -52, z2=1.0)
+def test_log_mean_is_a_mean_over_its_whole_domain(z1, z2):
+    # GM <= LM <= AM, and for ratios of 2 and more the quotient of
+    # logarithms within the rounding of both forms: e carries one
+    # rounding, which atanh(e) turns into a relative error of about
+    # eps*r/(2 ln r) at the ratio r, largest (a few percent) just below
+    # the edge; the quotient's logarithms lose eps*(|ln z1| + |ln z2|).
+    assume(z1 != z2)
+    lm = log_mean(z1, z2)
+    tiny = 1e-322  # a few subnormal steps, the absolute grain below 2.2e-308
+    lo, hi = min(z1, z2), max(z1, z2)
+    assert lo - tiny <= lm <= hi + tiny
+    gm, am = math.sqrt(z1) * math.sqrt(z2), 0.5 * z1 + 0.5 * z2
+    assert gm * (1.0 - 1e-14) - tiny <= lm <= am * (1.0 + 1e-14) + tiny
+    r = hi / lo
+    if r >= 2.0:
+        quotient = (z1 - z2) / (math.log(z1) - math.log(z2))
+        eps = 2.0 ** -52
+        # past the edge (r > 2e16) log_mean is the quotient itself
+        tol = (eps * (min(r, 1e17) + 4.0 * (abs(math.log(z1)) + abs(math.log(z2))) + 8.0)
+               / math.log(r))
+        assert abs(lm - quotient) <= tol * quotient + tiny
 
 
 def test_weighted_mean_endpoints():
